@@ -154,7 +154,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     probes_raw = raw.get("probes", {})
     _check_fields(probes_raw, PROBE_FIELDS, "probes")
-    probes = ProbeFlags(**{k: bool(v) for k, v in probes_raw.items()})
+    for k, v in probes_raw.items():
+        if not isinstance(v, bool):
+            raise ParseError(f"probes.{k} must be true or false, got {v!r}")
+    probes = ProbeFlags(**probes_raw)
 
     blocks = raw.get("blocks")
     if blocks is not None:

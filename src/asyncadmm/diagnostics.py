@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import sync_admm_step
+from .engine import _apply_block, _block_table, _ops, sync_admm_step
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
 from .problem import (PrimalDualState, SeparableProblem, StandardProblem,
@@ -142,17 +142,14 @@ def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
     and subtracts the current value. The supermartingale property says
     this is never positive.
     """
-    from .engine import dual_update, x_update, z_update
-
+    ops = _ops(prob)
+    table = _block_table(prob, partition)
     v_now = lyapunov(prob, state, ref, wn)
     expected = 0.0
     for b, prob_b in enumerate(dist.block_probs):
-        comps = partition.component_map[b]
-        rows = partition.blocks[b]
-        x_new = x_update(prob, state, comps)
-        z_new = z_update(prob, state, x_new, rows)
-        p_new = dual_update(prob, state, x_new, z_new, rows)
-        nxt = PrimalDualState(x=x_new, z=z_new, p=p_new, k=state.k + 1)
+        nxt = PrimalDualState(x=state.x.copy(), z=state.z.copy(),
+                              p=state.p.copy(), k=state.k + 1)
+        _apply_block(ops, table.block(b), nxt.x, nxt.z, nxt.p)
         expected += float(prob_b) * lyapunov(prob, nxt, ref, wn)
     return expected - v_now
 

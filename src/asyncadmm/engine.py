@@ -6,6 +6,14 @@ current (p, z), the active z rows re-fit against the refreshed coupling
 values, and the active dual rows take a residual step of size beta. All
 other coordinates are frozen.
 
+Step cost: one asynchronous step costs O(size of the block), not
+O(size of the problem). ``run`` updates its own x, z, p in place through
+one block kernel (``_apply_block``) driven by a per-partition block table
+that is built once in time linear in the number of rows; its ergodic
+sums are brought up to date lazily, per coordinate just before it moves
+and for all coordinates at a record. Only the shadow probe copies the
+state per step. ``step`` is the same kernel applied to a copy.
+
 Shadow pass: the full-information iterates (y, v, mu) that a
 fully-activated step would have produced from the same state; the
 asynchronous iterates agree with them on the active coordinates, which
@@ -18,6 +26,7 @@ with an optional separable z objective and right-hand side c.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,6 +67,18 @@ class StepRecord:
 _INF = np.inf
 
 
+def _offsets(sizes) -> np.ndarray:
+    """Start of each of consecutive segments of the given sizes, then the end."""
+    ptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=ptr[1:])
+    return ptr
+
+
+def _segments(arr, ptr):
+    """Views ``arr[ptr[k]:ptr[k+1]]`` for each k (``ptr`` a list of ints)."""
+    return [arr[s:e] for s, e in zip(ptr[:-1], ptr[1:])]
+
+
 class _CompiledOps:
     """Per-problem arrays for the update kernels (built once, read-only)."""
 
@@ -69,31 +90,24 @@ class _CompiledOps:
         self.h = cs.h_diag
         self.coeff = cs.row_coeff
         self.col = cs.col_index
-        self.comp_rows = []
-        self.comp_coords = []
-        self.comp_coeffs = []
-        self.comp_quad = []
-        self.comp_lo = []
-        self.comp_hi = []
-        self.comp_h = []
-        for i in range(cs.N):
-            rows = np.flatnonzero(cs.row_block == i)
-            coords = cs.row_coord[rows]
-            coeffs = cs.row_coeff[rows]
-            quad = beta * np.bincount(coords, weights=coeffs * coeffs,
-                                      minlength=cs.n)
-            self.comp_rows.append(rows)
-            self.comp_coords.append(coords)
-            self.comp_coeffs.append(coeffs)
-            self.comp_quad.append(quad)
-            self.comp_h.append(cs.h_diag[rows])
-            fset = x_sets[i]
+        # rows grouped by owning component, ascending within each component
+        order = np.argsort(cs.row_block, kind="stable")
+        ptr = _offsets(np.bincount(cs.row_block, minlength=cs.N)).tolist()
+        self.comp_rows = _segments(order, ptr)
+        self.comp_coords = _segments(cs.row_coord[order], ptr)
+        self.comp_coeffs = _segments(cs.row_coeff[order], ptr)
+        self.comp_h = _segments(cs.h_diag[order], ptr)
+        quad = beta * np.bincount(cs.col_index, weights=cs.row_coeff ** 2,
+                                  minlength=cs.N * cs.n)
+        self.comp_quad = list(quad.reshape(cs.N, cs.n))
+        lo = np.full((cs.N, cs.n), -_INF)
+        hi = np.full((cs.N, cs.n), _INF)
+        for i, fset in enumerate(x_sets):
             if isinstance(fset, Box):
-                self.comp_lo.append(fset.lower)
-                self.comp_hi.append(fset.upper)
-            else:
-                self.comp_lo.append(np.full(cs.n, -_INF))
-                self.comp_hi.append(np.full(cs.n, _INF))
+                lo[i] = fset.lower
+                hi[i] = fset.upper
+        self.comp_lo = list(lo)
+        self.comp_hi = list(hi)
         # pair structure of the z set over all rows, for shadow passes
         self.pair_i = np.empty(0, dtype=np.intp)
         self.pair_j = np.empty(0, dtype=np.intp)
@@ -123,23 +137,78 @@ class _CompiledOps:
                                     self.comp_lo[i], self.comp_hi[i])
 
 
-class _BlockOps:
-    """Gathered constants of one partition block."""
+class _BlockTable:
+    """Every block of one partition as flat arrays with per-block offsets.
 
-    def __init__(self, ops, z_set, comps, rows):
-        self.comps = [int(i) for i in comps]
+    Block ``b`` owns ``rows[row_ptr[b]:row_ptr[b+1]]`` and the components
+    ``comps[comp_ptr[b]:comp_ptr[b+1]]``; ``w``/``coeff``/``col`` are the
+    row constants gathered in that order, and ``pair_i``/``pair_j`` hold
+    the block's z pairs as positions within the block, in z-set order.
+    ``moved`` lists, per block, the coordinates a step can change, as
+    indices into the stacked vector ``[x, z, p]``; ``moved_cuts[b]`` are
+    the starts of its x, z and p parts. Building it takes a few passes
+    over the rows and two stable sorts; no object is made per block.
+    """
+
+    def __init__(self, ops: _CompiledOps, z_set, partition: ProperPartition):
+        n, W = ops.n, ops.W
+        dim_x = n * ops.N
+        sizes = np.array([r.size for r in partition.blocks], dtype=np.intp)
+        ncomp = np.array([c.size for c in partition.component_map],
+                         dtype=np.intp)
+        m = sizes.size
+        row_ptr, comp_ptr = _offsets(sizes), _offsets(ncomp)
+        rows = np.concatenate(partition.blocks).astype(np.intp, copy=False)
+        comps = np.concatenate(partition.component_map).astype(np.intp,
+                                                              copy=False)
         self.rows = rows
+        self.comps = comps.tolist()
         self.w = ops.h[rows]
         self.coeff = ops.coeff[rows]
         self.col = ops.col[rows]
+        self.row_ptr = row_ptr.tolist()
+        self.comp_ptr = comp_ptr.tolist()
+
+        # owner[row] is the row's block, local[row] its position there
+        owner = np.empty(W, dtype=np.intp)
+        owner[rows] = np.repeat(np.arange(m), sizes)
+        local = np.empty(W, dtype=np.intp)
+        local[rows] = np.arange(W) - np.repeat(row_ptr[:-1], sizes)
         if isinstance(z_set, SumZeroPairs) and z_set.pairs:
-            pos = {int(r): a for a, r in enumerate(rows)}
-            local = [(pos[i], pos[j]) for i, j in z_set.pairs if i in pos]
-            self.pair_i = np.array([i for i, _ in local], dtype=np.intp)
-            self.pair_j = np.array([j for _, j in local], dtype=np.intp)
+            pairs = np.array(z_set.pairs, dtype=np.intp)
+            blk_i, blk_j = owner[pairs[:, 0]], owner[pairs[:, 1]]
+            if np.any(blk_i != blk_j):
+                i, j = pairs[np.flatnonzero(blk_i != blk_j)[0]]
+                raise ImproperPartition(
+                    f"a block splits the coupled pair ({i},{j})")
+            order = np.argsort(blk_i, kind="stable")
+            self.pair_i = local[pairs[order, 0]]
+            self.pair_j = local[pairs[order, 1]]
+            npair = np.bincount(blk_i, minlength=m)
         else:
-            self.pair_i = np.empty(0, dtype=np.intp)
-            self.pair_j = np.empty(0, dtype=np.intp)
+            self.pair_i = self.pair_j = np.empty(0, dtype=np.intp)
+            npair = np.zeros(m, dtype=np.intp)
+        self.pair_ptr = _offsets(npair).tolist()
+
+        # moved coordinates: x of the block's components, then z and p
+        # rows; the sort key 3b + part is stable, so each part keeps its order
+        x_idx = (comps[:, None] * n + np.arange(n)).ravel()
+        stacked = np.concatenate([x_idx, dim_x + rows, dim_x + W + rows])
+        key = np.concatenate([np.repeat(3 * np.arange(m), n * ncomp),
+                              np.repeat(3 * np.arange(m) + 1, sizes),
+                              np.repeat(3 * np.arange(m) + 2, sizes)])
+        self.moved = stacked[np.argsort(key, kind="stable")]
+        self.moved_ptr = (n * comp_ptr + 2 * row_ptr).tolist()
+        self.moved_cuts = np.stack([np.zeros(m, dtype=np.intp), n * ncomp,
+                                    n * ncomp + sizes], axis=1)
+
+    def block(self, b: int):
+        """Views of block ``b``: comps, rows, w, coeff, col, pair_i, pair_j."""
+        r0, r1 = self.row_ptr[b], self.row_ptr[b + 1]
+        q0, q1 = self.pair_ptr[b], self.pair_ptr[b + 1]
+        return (self.comps[self.comp_ptr[b]:self.comp_ptr[b + 1]],
+                self.rows[r0:r1], self.w[r0:r1], self.coeff[r0:r1],
+                self.col[r0:r1], self.pair_i[q0:q1], self.pair_j[q0:q1])
 
 
 def _ops(prob: SeparableProblem) -> _CompiledOps:
@@ -152,20 +221,34 @@ def _ops(prob: SeparableProblem) -> _CompiledOps:
     return ops
 
 
-def _block_ops(prob: SeparableProblem, partition: ProperPartition):
-    cache = getattr(prob, "_block_ops", None)
+def _block_table(prob: SeparableProblem,
+                 partition: ProperPartition) -> _BlockTable:
+    """The partition's block table, built once and dropped with the partition."""
+    cache = getattr(prob, "_block_tables", None)
     if cache is None:
-        cache = {}
-        prob._block_ops = cache
-    entry = cache.get(id(partition))
-    if entry is None:
-        ops = _ops(prob)
-        blocks = [_BlockOps(ops, prob.z_set, comps, rows)
-                  for comps, rows in zip(partition.component_map,
-                                         partition.blocks)]
-        cache[id(partition)] = (partition, blocks)  # keep partition alive
-        return blocks
-    return entry[1]
+        cache = prob._block_tables = weakref.WeakKeyDictionary()
+    table = cache.get(partition)
+    if table is None:
+        table = cache[partition] = _BlockTable(_ops(prob), prob.z_set,
+                                               partition)
+    return table
+
+
+def _apply_block(ops: _CompiledOps, blk, x, z, p):
+    """Fire one block in place: x solves, then the z-pair fit, then the duals.
+
+    ``blk`` is :meth:`_BlockTable.block`. Only the block's components,
+    z rows and multipliers are written, and only the rows of those
+    components are read, so a step costs O(block), not O(problem).
+    """
+    comps, rows, w, coeff, col, pair_i, pair_j = blk
+    n = ops.n
+    for i in comps:
+        x[i * n:(i + 1) * n] = ops.solve_component(i, p, z)
+    t = p[rows] / ops.beta - coeff * x[col]
+    z_rows = solve_z_prepared(w, t, pair_i, pair_j)
+    z[rows] = z_rows
+    p[rows] -= ops.beta * (coeff * x[col] + w * z_rows)
 
 
 def x_update(prob: SeparableProblem, state: PrimalDualState,
@@ -250,23 +333,16 @@ def shadow_step(prob: SeparableProblem, state: PrimalDualState) -> ShadowIterate
 def step(prob: SeparableProblem, state: PrimalDualState,
          partition: ProperPartition, dist: ActivationDistribution,
          rng: RngStream, with_shadow: bool = False) -> StepRecord:
-    """One asynchronous iteration: sample a block, update x, z, p in order."""
+    """One asynchronous iteration: sample a block, update x, z, p in order.
+
+    The input state is left as it is; the step works on a copy.
+    """
     b = sample_block(dist, rng)
     shadow = shadow_step(prob, state) if with_shadow else None
-    ops = _ops(prob)
-    bo = _block_ops(prob, partition)[b]
-    n = ops.n
-    x = state.x.copy()
-    for i in bo.comps:
-        x[i * n:(i + 1) * n] = ops.solve_component(i, state.p, state.z)
-    rows = bo.rows
-    t = state.p[rows] / ops.beta - bo.coeff * x[bo.col]
-    z_rows = solve_z_prepared(bo.w, t, bo.pair_i, bo.pair_j)
-    z = state.z.copy()
-    z[rows] = z_rows
-    p = state.p.copy()
-    p[rows] -= ops.beta * (bo.coeff * x[bo.col] + bo.w * z_rows)
-    after = PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
+    after = PrimalDualState(x=state.x.copy(), z=state.z.copy(),
+                            p=state.p.copy(), k=state.k + 1)
+    _apply_block(_ops(prob), _block_table(prob, partition).block(b),
+                 after.x, after.z, after.p)
     return StepRecord(block=b, before=state, after=after, shadow=shadow)
 
 
@@ -332,6 +408,7 @@ class RunMetrics:
     counters: dict = field(default_factory=dict)
     x_max_abs: float = 0.0
     z_max_abs: float = 0.0
+    p_max_abs: float = 0.0
 
     COLUMNS = ("iter", "objective", "objective_error", "feasibility_violation",
                "ergodic_objective_error", "ergodic_feasibility", "lyapunov",
@@ -365,9 +442,20 @@ def run(prob: SeparableProblem, partition: ProperPartition,
         raise MissingReference("lyapunov probe requires a dual reference")
 
     ops = _ops(prob)
+    table = _block_table(prob, partition)
     state = initial_state(prob, x0, z0)
-    x_sum = np.zeros_like(state.x)
-    z_sum = np.zeros_like(state.z)
+    dim_x, dim_z = prob.dim_x, prob.dim_z
+    # x, z and p are views of one stacked vector, so the coordinates a
+    # block moves are one index array (table.moved)
+    buf = np.concatenate([state.x, state.z, state.p])
+    x, z, p = buf[:dim_x], buf[dim_x:dim_x + dim_z], buf[dim_x + dim_z:]
+    # lazy ergodic sums: acc[c] sums coordinate c over the iterations
+    # before since[c]; its current value holds from since[c] on and is
+    # added just before it moves, and for every coordinate at a flush
+    # (p is summed too, unused, so that one index array serves both)
+    acc = np.zeros_like(buf)
+    since = np.ones_like(buf)
+    moved, moved_ptr, moved_cuts = table.moved, table.moved_ptr, table.moved_cuts
     f_star = objective(prob, ref.x) if ref is not None else np.nan
     wd = dist.weight_diag
     inv_2b = 1.0 / (2.0 * prob.beta)
@@ -377,61 +465,69 @@ def run(prob: SeparableProblem, partition: ProperPartition,
     rec_eobj, rec_efeas, rec_lyap, rec_block = [], [], [], []
     counters = {"steps": T, "shadow_checks": 0, "shadow_failures": 0,
                 "freeze_checks": 0, "freeze_failures": 0}
-    x_max = float(np.max(np.abs(state.x), initial=0.0))
-    z_max = float(np.max(np.abs(state.z), initial=0.0))
-    p_max = 0.0
-
-    start_max = max(x_max, z_max)
-    if not (start_max <= DIVERGENCE_LIMIT):
-        raise DivergenceError(f"initial state magnitude {start_max:.3e} "
-                              "exceeds the divergence guard")
+    x_max, z_max, p_max = (float(np.max(np.abs(v), initial=0.0))
+                           for v in (x, z, p))
+    if not (x_max <= DIVERGENCE_LIMIT and z_max <= DIVERGENCE_LIMIT):
+        raise DivergenceError(f"initial state magnitude (x {x_max:.3e}, "
+                              f"z {z_max:.3e}) exceeds the divergence guard")
 
     rng = RngStream(seed)
     for k in range(1, T + 1):
-        rec = step(prob, state, partition, dist, rng,
-                   with_shadow=probes.shadow)
+        b = sample_block(dist, rng)
         if probes.shadow:
-            _tally_shadow(prob, partition, rec, counters)
-        state = rec.after
-        # only the active coordinates moved, so guarding them guards all
-        rows = partition.blocks[rec.block]
-        z_hot = float(np.max(np.abs(state.z[rows])))
-        p_hot = float(np.max(np.abs(state.p[rows])))
-        x_hot = 0.0
-        n = ops.n
-        for i in partition.component_map[rec.block]:
-            x_hot = max(x_hot, float(np.max(np.abs(state.x[i * n:(i + 1) * n]))))
-        x_max = max(x_max, x_hot)
-        z_max = max(z_max, z_hot)
-        p_max = max(p_max, p_hot)
-        hot = max(x_hot, z_hot, p_hot)
-        if not (hot <= DIVERGENCE_LIMIT):  # catches NaN as well
-            raise DivergenceError(
-                f"iterate magnitude {hot:.3e} exceeded guard at iteration {k} "
-                f"(seed {seed}, block {rec.block})")
-        x_sum += state.x
-        z_sum += state.z
-        if k % stride == 0 or k == T:
-            rec_iter.append(k)
-            rec_obj.append(objective(prob, state.x))
-            rec_objerr.append(abs(rec_obj[-1] - f_star))
-            rec_feas.append(float(np.linalg.norm(residual(prob, state.x, state.z))))
-            if probes.ergodic:
-                xb = x_sum / k
-                zb = z_sum / k
-                rec_eobj.append(abs(objective(prob, xb) - f_star))
-                rec_efeas.append(float(np.linalg.norm(residual(prob, xb, zb))))
-            else:
-                rec_eobj.append(np.nan)
-                rec_efeas.append(np.nan)
-            if probes.lyapunov:
-                dp = state.p - ref.p
-                hz = ops.h * (state.z - ref.z)
-                rec_lyap.append(inv_2b * float(np.dot(dp * wd, dp))
-                                + half_b * float(np.dot(hz * wd, hz)))
-            else:
-                rec_lyap.append(np.nan)
-            rec_block.append(rec.block)
+            before = PrimalDualState(x=x.copy(), z=z.copy(), p=p.copy(),
+                                     k=k - 1)
+            shadow = shadow_step(prob, before)
+        idx = moved[moved_ptr[b]:moved_ptr[b + 1]]
+        acc[idx] += (k - since[idx]) * buf[idx]
+        since[idx] = k
+        _apply_block(ops, table.block(b), x, z, p)
+        if probes.shadow:
+            after = PrimalDualState(x=x, z=z, p=p, k=k)
+            _tally_shadow(prob, partition,
+                          StepRecord(block=b, before=before, after=after,
+                                     shadow=shadow), counters)
+        # only the active coordinates moved, so guarding them guards all;
+        # the block's max |x|, |z|, |p| is NaN if any of them is NaN
+        hot = np.maximum.reduceat(np.abs(buf[idx]), moved_cuts[b])
+        x_hot, z_hot, p_hot = hot.tolist()
+        if not (x_hot <= DIVERGENCE_LIMIT and z_hot <= DIVERGENCE_LIMIT
+                and p_hot <= DIVERGENCE_LIMIT):
+            what = (f"iterate magnitude {hot.max():.3e} exceeded guard"
+                    if np.all(np.isfinite(hot)) else "non-finite iterate")
+            raise DivergenceError(f"{what} at iteration {k} "
+                                  f"(seed {seed}, block {b})")
+        if x_hot > x_max:
+            x_max = x_hot
+        if z_hot > z_max:
+            z_max = z_hot
+        if p_hot > p_max:
+            p_max = p_hot
+        if k % stride and k != T:
+            continue
+        rec_iter.append(k)
+        rec_obj.append(objective(prob, x))
+        rec_objerr.append(abs(rec_obj[-1] - f_star))
+        rec_feas.append(float(np.linalg.norm(residual(prob, x, z))))
+        if probes.ergodic or k == T:
+            acc += (k + 1 - since) * buf
+            since.fill(k + 1)
+        if probes.ergodic:
+            xb = acc[:dim_x] / k
+            zb = acc[dim_x:dim_x + dim_z] / k
+            rec_eobj.append(abs(objective(prob, xb) - f_star))
+            rec_efeas.append(float(np.linalg.norm(residual(prob, xb, zb))))
+        else:
+            rec_eobj.append(np.nan)
+            rec_efeas.append(np.nan)
+        if probes.lyapunov:
+            dp = p - ref.p
+            hz = ops.h * (z - ref.z)
+            rec_lyap.append(inv_2b * float(np.dot(dp * wd, dp))
+                            + half_b * float(np.dot(hz * wd, hz)))
+        else:
+            rec_lyap.append(np.nan)
+        rec_block.append(b)
 
     return RunMetrics(
         seed=seed, iters=np.array(rec_iter, dtype=np.intp),
@@ -441,8 +537,10 @@ def run(prob: SeparableProblem, partition: ProperPartition,
         ergodic_feasibility=np.array(rec_efeas),
         lyapunov=np.array(rec_lyap),
         active_block=np.array(rec_block, dtype=np.intp),
-        final_state=state, x_bar=x_sum / T, z_bar=z_sum / T,
-        counters=counters, x_max_abs=x_max, z_max_abs=z_max)
+        final_state=PrimalDualState(x=x.copy(), z=z.copy(), p=p.copy(), k=T),
+        x_bar=acc[:dim_x] / T, z_bar=acc[dim_x:dim_x + dim_z] / T,
+        counters=counters, x_max_abs=x_max, z_max_abs=z_max,
+        p_max_abs=p_max)
 
 
 SHADOW_TOL = 1e-9

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidProblem
-from .terms import FeasibleSet, SumZeroPairs, term_value
+from .terms import (AbsDev, FeasibleSet, L1, Quadratic, SumZeroPairs,
+                    term_value)
 
 
 @dataclass(frozen=True)
@@ -243,12 +244,66 @@ def initial_state(prob: SeparableProblem,
     return PrimalDualState(x=x, z=z, p=np.zeros(cs.W), k=0)
 
 
+class _TermGroups:
+    """The problem's terms grouped by kind, for a vectorized objective.
+
+    Quadratic, absolute-deviation and one-norm terms become one gather
+    each over the coordinates they own, with per-coordinate centers and
+    weights; any other term keeps its own evaluation.
+    """
+
+    def __init__(self, terms, n: int):
+        def owned(kind):
+            return [i for i, t in enumerate(terms) if type(t) is kind]
+
+        def coords(comps):
+            return (np.array(comps, dtype=np.intp)[:, None] * n
+                    + np.arange(n)).ravel()
+
+        def centers(comps):
+            return (np.concatenate([terms[i].center for i in comps])
+                    if comps else np.empty(0))
+
+        self.n = n
+        quad, absd, l1 = owned(Quadratic), owned(AbsDev), owned(L1)
+        self.quad_idx = coords(quad)
+        self.quad_center = centers(quad)
+        self.quad_weight = np.repeat([terms[i].weight for i in quad], n)
+        self.abs_idx = coords(absd)
+        self.abs_center = centers(absd)
+        self.l1_idx = coords(l1)
+        self.l1_gamma = np.repeat([terms[i].gamma for i in l1], n)
+        grouped = set(quad + absd + l1)
+        self.other = [(i, t) for i, t in enumerate(terms) if i not in grouped]
+
+    def value(self, x: np.ndarray) -> float:
+        n = self.n
+        total = 0.0
+        if self.quad_idx.size:
+            d = x[self.quad_idx] - self.quad_center
+            total += float(np.dot(self.quad_weight * d, d))
+        if self.abs_idx.size:
+            total += float(np.abs(x[self.abs_idx] - self.abs_center).sum())
+        if self.l1_idx.size:
+            total += float(np.dot(self.l1_gamma, np.abs(x[self.l1_idx])))
+        for i, t in self.other:
+            total += term_value(t, x[i * n:(i + 1) * n])
+        return total
+
+
 def objective(prob: SeparableProblem, x: np.ndarray) -> float:
-    """Global objective ``F(x) = sum_i f_i(x_i)``."""
+    """Global objective ``F(x) = sum_i f_i(x_i)``.
+
+    Terms are summed by kind (see :class:`_TermGroups`), so the result
+    can differ from the term-by-term sum in the last bits.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.dim_x,):
         raise DimensionMismatch(f"x must have shape ({prob.dim_x},)")
-    return sum(term_value(t, prob.component(x, i)) for i, t in enumerate(prob.terms))
+    groups = getattr(prob, "_term_groups", None)
+    if groups is None:
+        groups = prob._term_groups = _TermGroups(prob.terms, prob.constraints.n)
+    return groups.value(x)
 
 
 def residual(prob: SeparableProblem, x: np.ndarray, z: np.ndarray) -> np.ndarray:

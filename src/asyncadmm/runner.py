@@ -237,6 +237,7 @@ def build_summary(prepared: PreparedExperiment, all_metrics) -> dict:
             "final_ergodic_feasibility": _finite_or_none(m.ergodic_feasibility[-1]),
             "x_max_abs": m.x_max_abs,
             "z_max_abs": m.z_max_abs,
+            "p_max_abs": m.p_max_abs,
         }
     invariants = {
         "steps": sum(m.counters.get("steps", 0) for m in all_metrics),

@@ -6,7 +6,8 @@ import pytest
 
 from asyncadmm import (BenchmarkSpec, Custom, ExperimentConfig, Free, Graph,
                        ProbeFlags, ProblemSource, Quadratic, SeparableProblem,
-                       ConstraintSystem, dump_problem, generate_benchmark,
+                       ConstraintSystem, build_reformulation, dump_problem,
+                       generate_benchmark,
                        load_problem, parse_config, render_config,
                        run_experiment)
 from asyncadmm.cli import main as cli_main
@@ -49,6 +50,14 @@ class TestParseConfig:
         bad = json.dumps({"problem": {"file": "p.json"}, "T": 5,
                           "block_probs": [0.5, 0.4]})
         with pytest.raises(ValidationError, match="sum"):
+            parse_config(bad)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
+    def test_probe_flags_must_be_booleans(self, value):
+        # bool("false") is True, so a lenient parse would switch probes on
+        bad = json.dumps({"problem": {"file": "p.json"}, "T": 5,
+                          "probes": {"ergodic": value}})
+        with pytest.raises(ParseError, match="probes.ergodic"):
             parse_config(bad)
 
     def test_seed_range_string(self):
@@ -208,6 +217,26 @@ class TestRunExperiment:
                                reference="none")
         assert run_experiment(cfg, base_dir=tmp_path) == 1
 
+    def test_nan_data_is_divergence(self, tmp_path):
+        g = Graph.cycle(5)
+        terms = tuple(Quadratic(np.array([np.nan if i == 2 else float(i)]))
+                      for i in range(5))
+        reform = build_reformulation(g, terms, tuple(Free(1) for _ in terms),
+                                     1.0)
+        cfg = ExperimentConfig(problem=ProblemSource("object", reform.problem),
+                               T=200, out="out", reference="none")
+        assert run_experiment(cfg, base_dir=tmp_path) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_summary_reports_dual_maximum(self, tmp_path):
+        cfg = self.config_for(tmp_path, T=40, seeds=(0, 1))
+        assert run_experiment(cfg, base_dir=tmp_path) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        for seed in ("0", "1"):
+            entry = summary["per_seed"][seed]
+            assert entry["p_max_abs"] > 0.0
+            assert entry["x_max_abs"] >= 5.0
+
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = self.config_for(tmp_path, T=30, seeds=(0, 1), out="serial")
         assert run_experiment(cfg, base_dir=tmp_path) == 0
@@ -286,6 +315,13 @@ class TestCli:
         bad.write_text('{"problem": {"file": "p.json"}, "T": 5, "oops": 1}')
         assert cli_main(["run", str(bad)]) == 2
         assert "oops" in capsys.readouterr().err
+
+    def test_string_probe_flag_exit(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"problem": {"file": "p.json"}, "T": 5, '
+                       '"probes": {"ergodic": "false"}}')
+        assert cli_main(["run", str(bad)]) == 2
+        assert "probes.ergodic" in capsys.readouterr().err
 
     def test_missing_file_exit(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.json")]) == 3

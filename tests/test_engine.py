@@ -1,13 +1,18 @@
+import gc
+
 import numpy as np
 import pytest
 
-from asyncadmm import (ConstraintSystem, Free, Graph, PrimalDualState,
-                       Probes, Quadratic, RngStream, SeparableProblem,
-                       StandardProblem, build_reformulation,
-                       derive_probabilities, dual_update, initial_state,
-                       residual, run, sample_block, shadow_step,
-                       single_block_partition, step, sync_admm_step,
-                       uniform_probs, x_update, z_update)
+from asyncadmm import (AbsDev, BenchmarkSpec, ConstraintSystem, Custom,
+                       Free, Graph, L1, PrimalDualState, Probes, Quadratic,
+                       RngStream, SeparableProblem, StandardProblem,
+                       build_partition, build_reformulation,
+                       derive_probabilities, dual_update, generate_benchmark,
+                       initial_state, objective, residual, run, sample_block,
+                       shadow_step, single_block_partition, step,
+                       sync_admm_step, term_value, uniform_probs, x_update,
+                       z_update)
+from asyncadmm.engine import _block_table, _restrict_z_set
 from asyncadmm.errors import DivergenceError, MissingReference
 
 from conftest import random_state_for
@@ -362,3 +367,153 @@ class TestRun:
         dist = derive_probabilities(part, [1.0])
         with pytest.raises(DivergenceError):
             run(prob, part, dist, seed=0, T=100, z0=np.array([1.0]))
+
+    def test_nan_data_stops_the_run(self):
+        # max(0.0, nan) is 0.0 in Python, so a guard built on it lets NaN by
+        g = Graph.cycle(5)
+        terms = tuple(Quadratic(np.array([np.nan if i == 2 else float(i)]))
+                      for i in range(5))
+        reform = build_reformulation(g, terms, tuple(Free(1) for _ in terms),
+                                     1.0)
+        dist = derive_probabilities(reform.partition,
+                                    uniform_probs(reform.partition))
+        with pytest.raises(DivergenceError, match="non-finite"):
+            run(reform.problem, reform.partition, dist, seed=0, T=200)
+
+
+def chained(prob, part, dist, seed, T, x0=None, z0=None):
+    """T plain step() calls with eager running sums and maxima."""
+    st = initial_state(prob, x0, z0)
+    x_sum, z_sum = np.zeros_like(st.x), np.zeros_like(st.z)
+    p_max = 0.0
+    rng = RngStream(seed)
+    for _ in range(T):
+        st = step(prob, st, part, dist, rng).after
+        x_sum += st.x
+        z_sum += st.z
+        p_max = max(p_max, float(np.max(np.abs(st.p))))
+    return st, x_sum / T, z_sum / T, p_max
+
+
+def lad_box_bench(n_nodes):
+    a = np.random.default_rng(n_nodes).uniform(-5.0, 5.0, n_nodes)
+    return generate_benchmark(BenchmarkSpec("consensus-lad", a=list(a),
+                                            box_margin=0.05),
+                              Graph.cycle(n_nodes))
+
+
+def vector_cycle(n_nodes, n=2):
+    rng = np.random.default_rng(n)
+    terms = tuple(Quadratic(rng.normal(size=n)) for _ in range(n_nodes))
+    return build_reformulation(Graph.cycle(n_nodes), terms,
+                               tuple(Free(n) for _ in terms), 1.0)
+
+
+class TestFastPath:
+    """run() keeps its own state; it must match the plain step() path."""
+
+    CASES = ("cycle5", "cycle50", "lad-box", "single-block", "vector",
+             "two-edge-blocks")
+
+    def case(self, name):
+        if name == "cycle5":
+            reform = cycle_bench(5)
+            return reform.problem, reform.partition
+        if name == "cycle50":
+            reform = cycle_bench(50)
+            return reform.problem, reform.partition
+        if name == "lad-box":
+            bench = lad_box_bench(12)
+            return bench.problem, bench.reform.partition
+        if name == "single-block":
+            prob = cycle_bench(6).problem
+            return prob, single_block_partition(prob.constraints)
+        if name == "vector":
+            reform = vector_cycle(7)
+            return reform.problem, reform.partition
+        reform = cycle_bench(8)  # two edges per block, rows not contiguous
+        prob = reform.problem
+        blocks = [[0, 1, 6, 7], [2, 3, 8, 9], [4, 5, 10, 11],
+                  [12, 13, 14, 15]]
+        return prob, build_partition(prob.z_set, prob.constraints, blocks)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_final_state_bitwise(self, name):
+        prob, part = self.case(name)
+        dist = derive_probabilities(part, uniform_probs(part))
+        x0 = np.random.default_rng(7).uniform(-6.0, 6.0, prob.dim_x)
+        T = 400
+        m = run(prob, part, dist, seed=11, T=T, x0=x0, stride=50,
+                probes=Probes(shadow=True))
+        st, x_bar, z_bar, p_max = chained(prob, part, dist, 11, T, x0=x0)
+        np.testing.assert_array_equal(m.final_state.x, st.x)
+        np.testing.assert_array_equal(m.final_state.z, st.z)
+        np.testing.assert_array_equal(m.final_state.p, st.p)
+        assert m.final_state.k == st.k == T
+        assert m.counters["shadow_failures"] == 0 == m.counters["freeze_failures"]
+        # lazy ergodic sums against the eager running sums
+        np.testing.assert_allclose(m.x_bar, x_bar, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(m.z_bar, z_bar, rtol=1e-12, atol=0)
+        assert m.p_max_abs == p_max
+
+    def test_lazy_sums_at_every_record(self):
+        prob, part = self.case("cycle5")
+        dist = derive_probabilities(part, uniform_probs(part))
+        m = run(prob, part, dist, seed=4, T=60, stride=1,
+                probes=Probes(ergodic=True))
+        st = initial_state(prob)
+        x_sum, z_sum = np.zeros_like(st.x), np.zeros_like(st.z)
+        rng = RngStream(4)
+        for k in range(1, 61):
+            st = step(prob, st, part, dist, rng).after
+            x_sum += st.x
+            z_sum += st.z
+            feas = np.linalg.norm(residual(prob, x_sum / k, z_sum / k))
+            assert m.ergodic_feasibility[k - 1] == pytest.approx(feas,
+                                                                 rel=1e-9)
+
+    def test_pairs_match_restricted_z_set(self):
+        reform = cycle_bench(50)
+        prob, part = reform.problem, reform.partition
+        table = _block_table(prob, part)
+        for b, rows in enumerate(part.blocks):
+            _, blk_rows, _, _, _, pair_i, pair_j = table.block(b)
+            np.testing.assert_array_equal(blk_rows, rows)
+            local = _restrict_z_set(prob.z_set, rows).pairs
+            assert pair_i.tolist() == [i for i, _ in local]
+            assert pair_j.tolist() == [j for _, j in local]
+
+    def test_block_table_cached_per_live_partition(self):
+        reform = cycle_bench(5)
+        prob = reform.problem
+        assert _block_table(prob, reform.partition) is \
+            _block_table(prob, reform.partition)
+        for _ in range(3):
+            _block_table(prob, single_block_partition(prob.constraints))
+        gc.collect()
+        assert len(prob._block_tables) == 1
+
+
+class TestGroupedObjective:
+    def test_matches_per_term_sum(self):
+        rng = np.random.default_rng(21)
+        n, N = 3, 12
+        kinds = []
+        for i in range(N):
+            c = rng.normal(size=n)
+            kinds.append([Quadratic(c, weight=0.5 + i),
+                          AbsDev(c), L1(gamma=0.1 * i, dim=n),
+                          Custom(fn=lambda u: float(np.sum(u ** 4)), dim=n)
+                          ][i % 4])
+        entries = [(i * n + t, i, t, 1.0 + t) for i in range(N)
+                   for t in range(n)]
+        cs = ConstraintSystem(n=n, N=N, W=n * N, entries=tuple(entries),
+                              h_diag=-np.ones(n * N))
+        prob = SeparableProblem(terms=tuple(kinds),
+                                x_sets=tuple(Free(n) for _ in kinds),
+                                z_set=Free(n * N), constraints=cs, beta=1.0)
+        for _ in range(5):
+            x = rng.normal(size=n * N) * 4.0
+            want = sum(term_value(t, x[i * n:(i + 1) * n])
+                       for i, t in enumerate(kinds))
+            assert objective(prob, x) == pytest.approx(want, rel=1e-12)
