@@ -7,7 +7,8 @@ Library layout:
 - ``prox``: closed-form component and block subproblem solvers.
 - ``scheduler``: proper partitions, activation probabilities, seeded RNG.
 - ``engine``: asynchronous steps, full-information shadow passes, the
-  synchronous baseline, and the metric-recording run loop.
+  synchronous baseline, the metric-recording run loop, and its
+  seed-batched lockstep form.
 - ``consensus``: edge-based reformulation of multi-agent consensus and
   the closed-form per-edge step.
 - ``diagnostics``: weighted norms and Lagrangian, Lyapunov values,
@@ -26,8 +27,8 @@ from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         build_partition, derive_probabilities, sample_block,
                         single_block_partition, uniform_probs)
 from .engine import (Probes, RunMetrics, ShadowIterates, StepRecord,
-                     dual_update, run, shadow_step, step, sync_admm_step,
-                     x_update, z_update)
+                     batch_supports, dual_update, run, run_batch, shadow_step,
+                     step, sync_admm_step, x_update, z_update)
 from .consensus import (EdgeReformulation, Graph, build_reformulation,
                         consensus_gap, consensus_reference, edge_initial_state,
                         edge_step)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (ExperimentConfig, ProbeFlags, ProblemSource,
-                     parse_config)
+                     parse_config, parse_seeds)
 from .engine import RunMetrics
 from .diagnostics import estimate_rate
 from .errors import (AsyncAdmmError, NonPositiveSeries, ParseError,
@@ -70,13 +70,6 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_CONFIG
 
 
-def _parse_seed_arg(raw: str):
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in raw.split(",")]
-
-
 def _cmd_bench(args) -> int:
     bench_doc = {"name": args.name, "graph": args.graph}
     if args.a is not None:
@@ -84,15 +77,11 @@ def _cmd_bench(args) -> int:
     probes = ProbeFlags(shadow=args.probe_shadow, lyapunov=args.probe_lyapunov,
                         ergodic=not args.no_ergodic)
     try:
-        seeds = tuple(_parse_seed_arg(args.seeds))
-    except ValueError:
-        print(f"config error: bad --seeds {args.seeds!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         config = ExperimentConfig(
             problem=ProblemSource(kind="benchmark", value=bench_doc),
-            T=args.T, seeds=seeds, beta=args.beta, probes=probes,
-            stride=args.stride, out=args.out, workers=args.workers)
+            T=args.T, seeds=parse_seeds(args.seeds), beta=args.beta,
+            probes=probes, stride=args.stride, out=args.out,
+            workers=args.workers)
     except (ValidationError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -161,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--beta", type=float, default=1.0)
     p_bench.add_argument("--out", default=None)
     p_bench.add_argument("--stride", type=int, default=1)
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=int, default=1,
+                         help="accepted for compatibility; has no effect")
     p_bench.add_argument("--a", default=None, help="comma-separated node data")
     p_bench.add_argument("--probe-shadow", action="store_true")
     p_bench.add_argument("--probe-lyapunov", action="store_true")

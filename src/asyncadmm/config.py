@@ -10,6 +10,7 @@ vector-valued components) plus the ``H_diag`` vector.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Any, Optional
 
@@ -60,7 +61,7 @@ class ExperimentConfig:
     probes: ProbeFlags = field(default_factory=ProbeFlags)
     stride: int = 1
     out: Optional[str] = None
-    workers: int = 1
+    workers: int = 1                      # accepted and checked; no effect
     x0: Optional[tuple] = None
     z0: Optional[tuple] = None
     reference: str = "auto"               # auto | sync | none
@@ -74,10 +75,12 @@ class ExperimentConfig:
             raise ValidationError("stride must be >= 1")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
-        if not self.beta > 0:
-            raise ValidationError("beta must be positive")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValidationError("beta must be positive and finite")
         if self.reference not in ("auto", "sync", "none"):
             raise ValidationError(f"unknown reference mode {self.reference!r}")
+        for name in ("x0", "z0", "block_probs"):
+            _require_finite(getattr(self, name), name)
         if self.block_probs is not None:
             total = float(sum(self.block_probs))
             if abs(total - 1.0) > 1e-12:
@@ -85,6 +88,17 @@ class ExperimentConfig:
                     f"block_probs sum to {total!r}, expected 1")
             if any(p <= 0 for p in self.block_probs):
                 raise ValidationError("block_probs must be positive")
+
+
+def _require_finite(values, where: str, nan_only=False):
+    """Reject NaN (and, unless ``nan_only``, infinite) values."""
+    if values is None:
+        return
+    arr = np.asarray(values, dtype=float)
+    bad = np.isnan(arr) if nan_only else ~np.isfinite(arr)
+    if np.any(bad):
+        raise ValidationError(f"{where}: non-finite value "
+                              f"{arr.reshape(-1)[np.flatnonzero(bad)[0]]!r}")
 
 
 def _check_fields(obj: dict, allowed, where: str):
@@ -95,7 +109,8 @@ def _check_fields(obj: dict, allowed, where: str):
             raise ParseError(f"{where}: unknown field {key!r}")
 
 
-def _parse_seeds(raw) -> tuple:
+def parse_seeds(raw) -> tuple:
+    """Seeds from an int, a list, or a string ``"lo..hi"`` or ``"a,b,c"``."""
     if isinstance(raw, int):
         return (raw,)
     if isinstance(raw, str):
@@ -171,7 +186,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         return ExperimentConfig(
             problem=source, T=int(raw["T"]),
-            seeds=_parse_seeds(raw.get("seeds", 0)),
+            seeds=parse_seeds(raw.get("seeds", 0)),
             beta=float(raw.get("beta", 1.0)), blocks=blocks,
             block_probs=block_probs, probes=probes,
             stride=int(raw.get("stride", 1)), out=raw.get("out"),
@@ -212,16 +227,24 @@ def render_config(config: ExperimentConfig) -> str:
 # Problem files
 # ---------------------------------------------------------------------------
 
+def _finite_array(value, where):
+    arr = np.asarray(value, dtype=float)
+    _require_finite(arr, where)
+    return arr
+
+
 def _term_from_json(doc, n, where):
     _check_fields(doc, ("kind", "center", "weight", "gamma", "dim"), where)
     kind = doc.get("kind")
     if kind == "quadratic":
-        return Quadratic(np.asarray(doc["center"], dtype=float),
-                         float(doc.get("weight", 1.0)))
+        return Quadratic(_finite_array(doc["center"], f"{where}.center"),
+                         float(_finite_array(doc.get("weight", 1.0),
+                                             f"{where}.weight")))
     if kind == "absdev":
-        return AbsDev(np.asarray(doc["center"], dtype=float))
+        return AbsDev(_finite_array(doc["center"], f"{where}.center"))
     if kind == "l1":
-        return L1(gamma=float(doc["gamma"]), dim=int(doc.get("dim", n)))
+        return L1(gamma=float(_finite_array(doc["gamma"], f"{where}.gamma")),
+                  dim=int(doc.get("dim", n)))
     raise ParseError(f"{where}: unknown term kind {kind!r}")
 
 
@@ -244,8 +267,12 @@ def _set_from_json(doc, where):
     if kind == "free":
         return Free(dim=int(doc["dim"]))
     if kind == "box":
-        return Box(np.asarray(doc["lower"], dtype=float),
-                   np.asarray(doc["upper"], dtype=float))
+        # infinite bounds are legal (an unbounded side), NaN is not
+        lower = np.asarray(doc["lower"], dtype=float)
+        upper = np.asarray(doc["upper"], dtype=float)
+        _require_finite(lower, f"{where}.lower", nan_only=True)
+        _require_finite(upper, f"{where}.upper", nan_only=True)
+        return Box(lower, upper)
     if kind == "sum_zero_pairs":
         return SumZeroPairs(dim=int(doc["dim"]),
                             pairs=tuple((int(i), int(j))
@@ -286,15 +313,19 @@ def load_problem(doc) -> SeparableProblem:
                             float(row[3])))
         else:
             raise ParseError(f"problem.D_rows: bad entry {row!r}")
+    _require_finite([e[-1] for e in entries], "problem.D_rows")
     cs = ConstraintSystem(n=n, N=num, W=w, entries=tuple(entries),
-                          h_diag=np.asarray(doc["H_diag"], dtype=float))
+                          h_diag=_finite_array(doc["H_diag"],
+                                               "problem.H_diag"))
     terms = tuple(_term_from_json(t, n, f"problem.terms[{i}]")
                   for i, t in enumerate(doc["terms"]))
     x_sets = tuple(_set_from_json(s, f"problem.x_sets[{i}]")
                    for i, s in enumerate(doc["x_sets"]))
     z_set = _set_from_json(doc["z_set"], "problem.z_set")
     return SeparableProblem(terms=terms, x_sets=x_sets, z_set=z_set,
-                            constraints=cs, beta=float(doc["beta"]))
+                            constraints=cs,
+                            beta=float(_finite_array(doc["beta"],
+                                                     "problem.beta")))
 
 
 def dump_problem(prob: SeparableProblem) -> str:

@@ -14,6 +14,13 @@ sums are brought up to date lazily, per coordinate just before it moves
 and for all coordinates at a record. Only the shadow probe copies the
 state per step. ``step`` is the same kernel applied to a copy.
 
+Seed batch: ``run_batch`` advances many seeds in lockstep on one
+``(S, width)`` state, with every seed's block padded to the largest
+block. It performs the same floating-point operations in the same order
+as ``run`` (the x closed forms and the row sums are shared functions),
+so each seed's metrics are equal to ``run``'s bit for bit. ``run``
+stays the plain path the batch is checked against.
+
 Shadow pass: the full-information iterates (y, v, mu) that a
 fully-activated step would have produced from the same state; the
 asynchronous iterates agree with them on the active coordinates, which
@@ -34,11 +41,13 @@ import numpy as np
 
 from .errors import DivergenceError, ImproperPartition, MissingReference
 from .problem import (PrimalDualState, SeparableProblem, StandardProblem,
-                      initial_state, objective, residual)
-from .prox import (LocalSubproblem, ZBlockSubproblem, solve_local,
-                   solve_local_prepared, solve_z_block, solve_z_prepared)
+                      XSetBounds, initial_state, objective, residual,
+                      term_groups)
+from .prox import (LocalSubproblem, ZBlockSubproblem, kink_prox,
+                   quadratic_prox, solve_local, solve_local_prepared,
+                   solve_z_block, solve_z_prepared)
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
-                        sample_block)
+                        blocks_for, draw_uniforms, sample_block)
 from .terms import Box, Free, SumZeroPairs
 
 DIVERGENCE_LIMIT = 1e12
@@ -64,9 +73,6 @@ class StepRecord:
     shadow: Optional[ShadowIterates] = None
 
 
-_INF = np.inf
-
-
 def _offsets(sizes) -> np.ndarray:
     """Start of each of consecutive segments of the given sizes, then the end."""
     ptr = np.zeros(len(sizes) + 1, dtype=np.intp)
@@ -74,40 +80,62 @@ def _offsets(sizes) -> np.ndarray:
     return ptr
 
 
-def _segments(arr, ptr):
-    """Views ``arr[ptr[k]:ptr[k+1]]`` for each k (``ptr`` a list of ints)."""
-    return [arr[s:e] for s, e in zip(ptr[:-1], ptr[1:])]
+def _ragged(sizes):
+    """Segment and position within it of each element of ragged segments."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    return seg, np.arange(seg.size) - _offsets(sizes)[:-1][seg]
+
+
+def _row_sums(g):
+    """Sum over the last axis, strictly left to right, keeping the axis.
+
+    Both engines sum a component's coupling terms with it, so that padding
+    a row with ``-0.0`` (which adds nothing, not even to a zero) leaves the
+    sum unchanged bit for bit; ``np.sum`` would switch to pairwise order
+    on longer rows.
+    """
+    return np.add.accumulate(g, axis=-1)[..., -1:]
 
 
 class _CompiledOps:
-    """Per-problem arrays for the update kernels (built once, read-only)."""
+    """Per-problem arrays for the update kernels (built once, read-only).
+
+    The constraint rows are sorted by component, then coordinate, then
+    row (``rows``), with ``comp_ptr`` the start of each component's rows;
+    ``coeffs_sorted`` and ``h_sorted`` follow that order. For ``n > 1``,
+    ``slot`` places each sorted row in its component's ``(n, width[i])``
+    grid, one line per coordinate, padded with ``-0.0``.
+    """
 
     def __init__(self, cs, terms, x_sets, beta):
         self.n, self.N, self.W = cs.n, cs.N, cs.W
         self.beta = beta
         self.terms = terms
-        self.x_sets = x_sets
         self.h = cs.h_diag
         self.coeff = cs.row_coeff
         self.col = cs.col_index
-        # rows grouped by owning component, ascending within each component
-        order = np.argsort(cs.row_block, kind="stable")
-        ptr = _offsets(np.bincount(cs.row_block, minlength=cs.N)).tolist()
-        self.comp_rows = _segments(order, ptr)
-        self.comp_coords = _segments(cs.row_coord[order], ptr)
-        self.comp_coeffs = _segments(cs.row_coeff[order], ptr)
-        self.comp_h = _segments(cs.h_diag[order], ptr)
-        quad = beta * np.bincount(cs.col_index, weights=cs.row_coeff ** 2,
-                                  minlength=cs.N * cs.n)
-        self.comp_quad = list(quad.reshape(cs.N, cs.n))
-        lo = np.full((cs.N, cs.n), -_INF)
-        hi = np.full((cs.N, cs.n), _INF)
-        for i, fset in enumerate(x_sets):
-            if isinstance(fset, Box):
-                lo[i] = fset.lower
-                hi[i] = fset.upper
-        self.comp_lo = list(lo)
-        self.comp_hi = list(hi)
+        self.rows = np.argsort(cs.col_index, kind="stable")
+        self.comp_ptr = _offsets(np.bincount(cs.row_block,
+                                             minlength=cs.N)).tolist()
+        self.coeffs_sorted = cs.row_coeff[self.rows]
+        self.h_sorted = cs.h_diag[self.rows]
+        # rows per (component, coordinate), the coupling columns of D
+        self.counts = np.bincount(cs.col_index, minlength=cs.N * cs.n)
+        if cs.n > 1:
+            width = self.counts.reshape(cs.N, cs.n).max(axis=1)
+            _, rank = _ragged(self.counts)
+            coord = cs.row_coord[self.rows]
+            self.slot = coord * width[cs.row_block[self.rows]] + rank
+            self.width = width.tolist()
+        self.quad = beta * np.bincount(cs.col_index, weights=cs.row_coeff ** 2,
+                                       minlength=cs.N * cs.n).reshape(cs.N,
+                                                                      cs.n)
+        bounds = XSetBounds(x_sets, cs.n)
+        self.lo, self.hi = bounds.lo, bounds.hi
+        # row views, for the per-component solves
+        self.comp_quad, self.comp_lo, self.comp_hi = (
+            list(v) for v in (self.quad, self.lo, self.hi))
         # pair structure of the z set over all rows, for shadow passes
         self.pair_i = np.empty(0, dtype=np.intp)
         self.pair_j = np.empty(0, dtype=np.intp)
@@ -121,18 +149,21 @@ class _CompiledOps:
         """Minimize f_i plus its scaled coupling terms at multiplier p.
 
         The tilt gathers every constraint row owned by the component:
-        ``linear = D_i'(p - beta (H z - c))`` scattered onto the
-        component's coordinates.
+        ``linear = D_i'(p - beta (H z - c))``, summed per coordinate in
+        row order by :func:`_row_sums`.
         """
-        rows = self.comp_rows[i]
-        shift = self.comp_h[i] * z[rows]
+        r0, r1 = self.comp_ptr[i], self.comp_ptr[i + 1]
+        rows = self.rows[r0:r1]
+        shift = self.h_sorted[r0:r1] * z[rows]
         if c is not None:
             shift = shift - c[rows]
-        g = self.comp_coeffs[i] * (p[rows] - self.beta * shift)
+        g = self.coeffs_sorted[r0:r1] * (p[rows] - self.beta * shift)
         if self.n == 1:
-            linear = g.sum(keepdims=True)
+            linear = _row_sums(g)
         else:
-            linear = np.bincount(self.comp_coords[i], weights=g, minlength=self.n)
+            grid = np.full(self.n * self.width[i], -0.0)
+            grid[self.slot[r0:r1]] = g
+            linear = _row_sums(grid.reshape(self.n, -1))[:, 0]
         return solve_local_prepared(self.terms[i], self.comp_quad[i], linear,
                                     self.comp_lo[i], self.comp_hi[i])
 
@@ -422,6 +453,117 @@ class RunMetrics:
                    self.lyapunov[j], int(self.active_block[j]))
 
 
+class _Recorder:
+    """The values a run records, one column per record point.
+
+    ``run`` and ``run_batch`` keep one recorder per seed, so both record
+    through the same code. Rows of ``values`` are the recorded series in
+    ``RunMetrics`` order (objective, its error, feasibility, ergodic
+    objective error, ergodic feasibility, Lyapunov value).
+    """
+
+    def __init__(self, prob, dist, probes, ref, f_star, T, stride):
+        self.prob, self.probes, self.ref = prob, probes, ref
+        self.f_star = f_star
+        self.wd = dist.weight_diag
+        self.inv_2b = 1.0 / (2.0 * prob.beta)
+        self.half_b = 0.5 * prob.beta
+        count = -(-T // stride)   # every stride-th iteration, and T
+        self.values = np.empty((6, count))
+        self.iters = np.empty(count, dtype=np.intp)
+        self.blocks = np.empty(count, dtype=np.intp)
+        self.count = 0
+
+    def add(self, k, b, x, z, p, xb=None, zb=None):
+        """Record iteration k of block b (xb, zb: the ergodic means)."""
+        prob, f_star = self.prob, self.f_star
+        obj = objective(prob, x)
+        feas = float(np.linalg.norm(residual(prob, x, z)))
+        if self.probes.ergodic:
+            eobj = abs(objective(prob, xb) - f_star)
+            efeas = float(np.linalg.norm(residual(prob, xb, zb)))
+        else:
+            eobj = efeas = np.nan
+        if self.probes.lyapunov:
+            dp = p - self.ref.p
+            hz = prob.constraints.h_diag * (z - self.ref.z)
+            lyap = (self.inv_2b * float(np.dot(dp * self.wd, dp))
+                    + self.half_b * float(np.dot(hz * self.wd, hz)))
+        else:
+            lyap = np.nan
+        j = self.count
+        self.values[:, j] = (obj, abs(obj - f_star), feas, eobj, efeas, lyap)
+        self.iters[j] = k
+        self.blocks[j] = b
+        self.count = j + 1
+
+    def metrics(self, seed, T, x, z, p, x_sum, z_sum, counters,
+                maxima) -> "RunMetrics":
+        x_max, z_max, p_max = maxima
+        obj, objerr, feas, eobj, efeas, lyap = self.values
+        return RunMetrics(
+            seed=seed, iters=self.iters, objective=obj,
+            objective_error=objerr, feasibility=feas,
+            ergodic_objective_error=eobj, ergodic_feasibility=efeas,
+            lyapunov=lyap, active_block=self.blocks,
+            final_state=PrimalDualState(x=x.copy(), z=z.copy(), p=p.copy(),
+                                        k=T),
+            x_bar=x_sum / T, z_bar=z_sum / T, counters=counters,
+            x_max_abs=x_max, z_max_abs=z_max, p_max_abs=p_max)
+
+
+def _check_run_args(T, stride, probes, ref):
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if probes is None:
+        probes = Probes()
+    if probes.lyapunov and (ref is None or ref.p is None):
+        raise MissingReference("lyapunov probe requires a dual reference")
+    return probes
+
+
+def _new_counters(T):
+    return {"steps": T, "shadow_checks": 0, "shadow_failures": 0,
+            "freeze_checks": 0, "freeze_failures": 0}
+
+
+def _start(prob, x0, z0):
+    """Initial state and its max |x|, |z|, |p|, checked against the guard."""
+    state = initial_state(prob, x0, z0)
+    maxima = [float(np.max(np.abs(v), initial=0.0))
+              for v in (state.x, state.z, state.p)]
+    x_max, z_max, _ = maxima
+    if not (x_max <= DIVERGENCE_LIMIT and z_max <= DIVERGENCE_LIMIT):
+        raise DivergenceError(f"initial state magnitude (x {x_max:.3e}, "
+                              f"z {z_max:.3e}) exceeds the divergence guard")
+    return state, maxima
+
+
+def _guard_message(hot, k, seed, b):
+    """Why a block's max |x|, |z|, |p| (``hot``) fails the guard, or None."""
+    x_hot, z_hot, p_hot = hot.tolist()
+    if (x_hot <= DIVERGENCE_LIMIT and z_hot <= DIVERGENCE_LIMIT
+            and p_hot <= DIVERGENCE_LIMIT):
+        return None
+    what = (f"iterate magnitude {hot.max():.3e} exceeded guard"
+            if np.all(np.isfinite(hot)) else "non-finite iterate")
+    return f"{what} at iteration {k} (seed {seed}, block {b})"
+
+
+# uniforms drawn per chunk: bounds the draw arrays of long or wide runs
+_DRAW_CHUNK = 1 << 10
+
+
+def _draw_blocks(dist, rng: RngStream, count: int):
+    """The blocks of ``count`` steps, in :func:`sample_block`'s order."""
+    while count > 0:
+        chunk = min(count, _DRAW_CHUNK)
+        yield from blocks_for(dist, rng.uniforms(chunk)).tolist()
+        count -= chunk
+
+
 def run(prob: SeparableProblem, partition: ProperPartition,
         dist: ActivationDistribution, seed: int, T: int,
         probes: Optional[Probes] = None, ref=None,
@@ -432,18 +574,10 @@ def run(prob: SeparableProblem, partition: ProperPartition,
     Lyapunov columns; without it those columns are NaN. Aborts with
     :class:`DivergenceError` when iterates exceed the divergence guard.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if probes is None:
-        probes = Probes()
-    if probes.lyapunov and (ref is None or ref.p is None):
-        raise MissingReference("lyapunov probe requires a dual reference")
-
+    probes = _check_run_args(T, stride, probes, ref)
     ops = _ops(prob)
     table = _block_table(prob, partition)
-    state = initial_state(prob, x0, z0)
+    state, maxima = _start(prob, x0, z0)
     dim_x, dim_z = prob.dim_x, prob.dim_z
     # x, z and p are views of one stacked vector, so the coordinates a
     # block moves are one index array (table.moved)
@@ -457,23 +591,11 @@ def run(prob: SeparableProblem, partition: ProperPartition,
     since = np.ones_like(buf)
     moved, moved_ptr, moved_cuts = table.moved, table.moved_ptr, table.moved_cuts
     f_star = objective(prob, ref.x) if ref is not None else np.nan
-    wd = dist.weight_diag
-    inv_2b = 1.0 / (2.0 * prob.beta)
-    half_b = 0.5 * prob.beta
+    rec = _Recorder(prob, dist, probes, ref, f_star, T, stride)
+    counters = _new_counters(T)
+    x_max, z_max, p_max = maxima
 
-    rec_iter, rec_obj, rec_objerr, rec_feas = [], [], [], []
-    rec_eobj, rec_efeas, rec_lyap, rec_block = [], [], [], []
-    counters = {"steps": T, "shadow_checks": 0, "shadow_failures": 0,
-                "freeze_checks": 0, "freeze_failures": 0}
-    x_max, z_max, p_max = (float(np.max(np.abs(v), initial=0.0))
-                           for v in (x, z, p))
-    if not (x_max <= DIVERGENCE_LIMIT and z_max <= DIVERGENCE_LIMIT):
-        raise DivergenceError(f"initial state magnitude (x {x_max:.3e}, "
-                              f"z {z_max:.3e}) exceeds the divergence guard")
-
-    rng = RngStream(seed)
-    for k in range(1, T + 1):
-        b = sample_block(dist, rng)
+    for k, b in enumerate(_draw_blocks(dist, RngStream(seed), T), start=1):
         if probes.shadow:
             before = PrimalDualState(x=x.copy(), z=z.copy(), p=p.copy(),
                                      k=k - 1)
@@ -490,13 +612,10 @@ def run(prob: SeparableProblem, partition: ProperPartition,
         # only the active coordinates moved, so guarding them guards all;
         # the block's max |x|, |z|, |p| is NaN if any of them is NaN
         hot = np.maximum.reduceat(np.abs(buf[idx]), moved_cuts[b])
+        failure = _guard_message(hot, k, seed, b)
+        if failure is not None:
+            raise DivergenceError(failure)
         x_hot, z_hot, p_hot = hot.tolist()
-        if not (x_hot <= DIVERGENCE_LIMIT and z_hot <= DIVERGENCE_LIMIT
-                and p_hot <= DIVERGENCE_LIMIT):
-            what = (f"iterate magnitude {hot.max():.3e} exceeded guard"
-                    if np.all(np.isfinite(hot)) else "non-finite iterate")
-            raise DivergenceError(f"{what} at iteration {k} "
-                                  f"(seed {seed}, block {b})")
         if x_hot > x_max:
             x_max = x_hot
         if z_hot > z_max:
@@ -505,42 +624,306 @@ def run(prob: SeparableProblem, partition: ProperPartition,
             p_max = p_hot
         if k % stride and k != T:
             continue
-        rec_iter.append(k)
-        rec_obj.append(objective(prob, x))
-        rec_objerr.append(abs(rec_obj[-1] - f_star))
-        rec_feas.append(float(np.linalg.norm(residual(prob, x, z))))
         if probes.ergodic or k == T:
             acc += (k + 1 - since) * buf
             since.fill(k + 1)
         if probes.ergodic:
-            xb = acc[:dim_x] / k
-            zb = acc[dim_x:dim_x + dim_z] / k
-            rec_eobj.append(abs(objective(prob, xb) - f_star))
-            rec_efeas.append(float(np.linalg.norm(residual(prob, xb, zb))))
+            rec.add(k, b, x, z, p, acc[:dim_x] / k,
+                    acc[dim_x:dim_x + dim_z] / k)
         else:
-            rec_eobj.append(np.nan)
-            rec_efeas.append(np.nan)
-        if probes.lyapunov:
-            dp = p - ref.p
-            hz = ops.h * (z - ref.z)
-            rec_lyap.append(inv_2b * float(np.dot(dp * wd, dp))
-                            + half_b * float(np.dot(hz * wd, hz)))
-        else:
-            rec_lyap.append(np.nan)
-        rec_block.append(b)
+            rec.add(k, b, x, z, p)
 
-    return RunMetrics(
-        seed=seed, iters=np.array(rec_iter, dtype=np.intp),
-        objective=np.array(rec_obj), objective_error=np.array(rec_objerr),
-        feasibility=np.array(rec_feas),
-        ergodic_objective_error=np.array(rec_eobj),
-        ergodic_feasibility=np.array(rec_efeas),
-        lyapunov=np.array(rec_lyap),
-        active_block=np.array(rec_block, dtype=np.intp),
-        final_state=PrimalDualState(x=x.copy(), z=z.copy(), p=p.copy(), k=T),
-        x_bar=acc[:dim_x] / T, z_bar=acc[dim_x:dim_x + dim_z] / T,
-        counters=counters, x_max_abs=x_max, z_max_abs=z_max,
-        p_max_abs=p_max)
+    return rec.metrics(seed, T, x, z, p, acc[:dim_x], acc[dim_x:dim_x + dim_z],
+                       counters, (x_max, z_max, p_max))
+
+
+class _BatchTable:
+    """One partition's blocks padded to a common shape, for :func:`run_batch`.
+
+    A seed's state is one row of length ``width``: x with one dummy
+    component appended (``(N+1) n`` slots), then z and p with one dummy
+    row each (``W+1`` slots each). Row ``b`` of ``idx`` and ``const`` holds
+    block ``b``'s lanes as local indices into that row and as constants,
+    in named column groups (``icol`` and ``ccol`` hold their slices). A
+    block smaller than the largest is padded with lanes that read and
+    write only the dummy slots, with constants chosen so that those slots
+    stay zero:
+
+    - x lanes (``C n``): the block's components, then the dummy one;
+    - z/p lanes (``R = 2P + U``): first rows of the z pairs, their
+      partners, then unpaired rows, each group padded to its maximum;
+    - tilt lanes (``C n D``): every row of each x lane's component and
+      coordinate, padded to the largest count ``D`` with coefficient
+      ``-0.0``, which adds nothing in :func:`_row_sums`.
+    """
+
+    def __init__(self, ops: _CompiledOps, groups, table: _BlockTable):
+        n, N, W = ops.n, ops.N, ops.W
+        xseg = (N + 1) * n
+        self.z0, self.p0 = xseg, xseg + W + 1
+        self.width = xseg + 2 * (W + 1)
+
+        # components of each block, padded with the dummy component N
+        ncomp = np.diff(table.comp_ptr)
+        m, C = ncomp.size, int(ncomp.max())
+        comps = np.full((m, C), N, dtype=np.intp)
+        comps[_ragged(ncomp)] = table.comps
+        x_lanes = (comps[:, :, None] * n + np.arange(n)).reshape(m, C * n)
+
+        def per_lane(values, fill):
+            """Per-component values, with a dummy row, for each x lane."""
+            values = np.asarray(values).reshape(N, -1)
+            dummy = np.full((1, values.shape[1]), fill, dtype=values.dtype)
+            return np.vstack([values, dummy])[comps].reshape(m, -1)
+
+        # per component and coordinate: its rows in order, padded to D
+        D = int(ops.counts.max())
+        grid = ops.col[ops.rows] * D + _ragged(ops.counts)[1]
+        t_rows = np.full(N * n * D, W, dtype=np.intp)
+        t_rows[grid] = ops.rows
+        t_coeff = np.full(N * n * D, -0.0)
+        t_coeff[grid] = ops.coeffs_sorted
+        t_h = np.zeros(N * n * D)
+        t_h[grid] = ops.h_sorted
+        t_rows = per_lane(t_rows, W)
+        t_coeff = per_lane(t_coeff, -0.0)
+        t_h = per_lane(t_h, 0.0)
+        # closed-form constants per x lane; the dummy lane solves to +0.0
+        w2 = np.zeros(N * n)
+        w2c = np.zeros(N * n)
+        a = np.zeros(N * n)
+        kink = np.zeros(N * n)
+        is_quad = np.zeros(N * n)
+        w2[groups.quad_idx] = 2.0 * groups.quad_weight
+        w2c[groups.quad_idx] = w2[groups.quad_idx] * groups.quad_center
+        is_quad[groups.quad_idx] = 1.0
+        a[groups.abs_idx] = groups.abs_center
+        kink[groups.abs_idx] = 1.0
+        kink[groups.l1_idx] = groups.l1_gamma
+        self.has_quad = bool(groups.quad_idx.size)
+        self.has_kink = bool(groups.abs_idx.size or groups.l1_idx.size)
+        lane_consts = {name: per_lane(v, fill) for name, v, fill in (
+            ("quad", ops.quad, 1.0), ("lo", ops.lo, -np.inf),
+            ("hi", ops.hi, np.inf), ("w2", w2, 0.0), ("w2c", w2c, 0.0),
+            ("a", a, 0.0), ("kink", kink, 0.0), ("is_quad", is_quad, 1.0))}
+
+        # z/p lanes: pair firsts, pair seconds, unpaired rows; pads point
+        # at the dummy row, which has weight 1 and coefficient 0
+        sizes = np.diff(table.row_ptr)
+        npair = np.diff(table.pair_ptr)
+        P = int(npair.max(initial=0))
+        nfree = sizes - 2 * npair
+        U = int(nfree.max())
+        R = 2 * P + U
+        z_rows = np.full((m, R), W, dtype=np.intp)
+        blk, pos = _ragged(npair)
+        first = np.asarray(table.row_ptr[:-1], dtype=np.intp)[blk]
+        z_rows[blk, pos] = table.rows[first + table.pair_i]
+        z_rows[blk, P + pos] = table.rows[first + table.pair_j]
+        paired = np.zeros(W, dtype=bool)
+        paired[first + table.pair_i] = True
+        paired[first + table.pair_j] = True
+        free = np.flatnonzero(~paired)
+        blk, pos = _ragged(nfree)
+        z_rows[blk, 2 * P + pos] = table.rows[free]
+        w = np.append(ops.h, 1.0)[z_rows]
+        z_coeff = np.append(ops.coeff, 0.0)[z_rows]
+        z_col = np.append(ops.col, n * N)[z_rows]
+        den = w[:, :P] * w[:, :P] + w[:, P:2 * P] * w[:, P:2 * P]
+
+        self.idx, self.icol = _stack(
+            x=x_lanes, z=self.z0 + z_rows, p=self.p0 + z_rows, col=z_col,
+            tilt_z=self.z0 + t_rows, tilt_p=self.p0 + t_rows)
+        self.const, self.ccol = _stack(
+            coeff=t_coeff, h=t_h, **lane_consts, w=w, z_coeff=z_coeff,
+            den=den)
+        self.C, self.n, self.D, self.P, self.R = C, n, D, P, R
+        # the moved coordinates: the x, z and p lanes, in that order
+        self.moved = slice(0, C * n + 2 * R)
+        self.cuts = np.array([0, C * n, C * n + R], dtype=np.intp)
+
+
+def _stack(**groups):
+    """Column groups side by side, and the slice each group occupies."""
+    cols, start = {}, 0
+    for name, arr in groups.items():
+        cols[name] = slice(start, start + arr.shape[1])
+        start += arr.shape[1]
+    return np.concatenate(list(groups.values()), axis=1), cols
+
+
+# padded lanes a batch table may hold; beyond it (a hub component in many
+# blocks pads every block to its degree) batches fall back to run()
+_BATCH_LANE_LIMIT = 1 << 20
+
+
+def batch_supports(prob: SeparableProblem, partition: ProperPartition,
+                   probes: Optional[Probes] = None) -> bool:
+    """Whether :func:`run_batch` covers this problem, partition and probes.
+
+    It covers Quadratic, AbsDev and L1 terms (no Custom term) whose
+    coordinates all have a coupling row, the ergodic and Lyapunov probes
+    but not the shadow probe, and partitions whose padded block table
+    stays under ``_BATCH_LANE_LIMIT`` lanes.
+    """
+    if probes is not None and probes.shadow:
+        return False
+    if term_groups(prob).other:
+        return False
+    ops = _ops(prob)
+    if not np.all(ops.quad > 0):
+        return False
+    ncomp = np.fromiter((c.size for c in partition.component_map),
+                        dtype=np.intp)
+    lanes = ncomp.size * int(ncomp.max()) * ops.n * int(ops.counts.max())
+    return lanes <= _BATCH_LANE_LIMIT
+
+
+def _batch_table(prob, partition) -> _BatchTable:
+    table = _block_table(prob, partition)
+    if getattr(table, "batch", None) is None:
+        table.batch = _BatchTable(_ops(prob), term_groups(prob), table)
+    return table.batch
+
+
+def run_batch(prob: SeparableProblem, partition: ProperPartition,
+              dist: ActivationDistribution, seeds, T: int,
+              probes: Optional[Probes] = None, ref=None,
+              x0=None, z0=None, stride: int = 1) -> list:
+    """Run every seed in lockstep; element s equals ``run(seeds[s], ...)``.
+
+    All seeds share one ``(S, width)`` state (see :class:`_BatchTable`).
+    Each lockstep iteration draws every seed's block from its own
+    SplitMix64 stream, gathers each seed's block lanes, solves the x
+    components in closed form over arrays (the same functions
+    ``solve_component`` calls), fits the z pairs and takes the dual step,
+    all on flat ``seed * width + index`` indices, with the same
+    floating-point operations in the same order as :func:`run`; every
+    field of the returned metrics is equal to ``run``'s bit for bit.
+    Records are taken per seed by the same recorder ``run`` uses.
+
+    When a seed diverges, the :class:`DivergenceError` is the one
+    ``run`` would raise for the first seed in ``seeds`` order that
+    diverges. Raises ``ValueError`` if :func:`batch_supports` is false.
+    """
+    probes = _check_run_args(T, stride, probes, ref)
+    if not batch_supports(prob, partition, probes):
+        raise ValueError("run_batch does not cover this problem or probe "
+                         "set; use run() per seed")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
+    bt = _batch_table(prob, partition)
+    S = len(seeds)
+    start, maxima = _start(prob, x0, z0)
+    dim_x, W = prob.dim_x, prob.dim_z
+    beta = prob.beta
+    state = np.zeros((S, bt.width))
+    state[:, :dim_x] = start.x
+    state[:, bt.z0:bt.z0 + W] = start.z
+    # each seed's x, z and p, as rows of views into the state
+    xs = state[:, :dim_x]
+    zs = state[:, bt.z0:bt.z0 + W]
+    ps = state[:, bt.p0:bt.p0 + W]
+    flat = state.reshape(-1)
+    acc = np.zeros_like(state)
+    acc_flat = acc.reshape(-1)
+    since = np.ones_like(state)
+    since_flat = since.reshape(-1)
+    maxima = np.tile(maxima, (S, 1))
+    f_star = objective(prob, ref.x) if ref is not None else np.nan
+    recs = [_Recorder(prob, dist, probes, ref, f_star, T, stride)
+            for _ in seeds]
+    failures = {}
+
+    base = (np.arange(S) * bt.width)[:, None]
+    Cn, D, P, R = bt.C * bt.n, bt.D, bt.P, bt.R
+    ic, cc = bt.icol, bt.ccol
+    new = np.empty((S, Cn + 2 * R))
+    new_x, new_z, new_p = new[:, :Cn], new[:, Cn:Cn + R], new[:, Cn + R:]
+    rngs = [RngStream(seed) for seed in seeds]
+    per_chunk = max(1, _DRAW_CHUNK // S)
+    k = 0
+    while k < T and 0 not in failures:
+        chunk = min(per_chunk, T - k)
+        blocks = blocks_for(dist, draw_uniforms(rngs, chunk))
+        for b in blocks:
+            k += 1
+            idx = bt.idx[b]
+            idx += base
+            const = bt.const[b]
+            # lazy ergodic sums of the coordinates about to move
+            mv = idx[:, bt.moved]
+            old = flat[mv]
+            acc_flat[mv] += (k - since_flat[mv]) * old
+            since_flat[mv] = k
+            # x: closed-form solve of each lane against the current z, p
+            g = const[:, cc["coeff"]] * (flat[idx[:, ic["tilt_p"]]] - beta * (
+                const[:, cc["h"]] * flat[idx[:, ic["tilt_z"]]]))
+            lin = _row_sums(g.reshape(S, Cn, D))[..., 0]
+            q, lo, hi = (const[:, cc[c]] for c in ("quad", "lo", "hi"))
+            if bt.has_quad:
+                u = quadratic_prox(const[:, cc["w2"]], const[:, cc["w2c"]],
+                                   q, lin, lo, hi)
+            if bt.has_kink:
+                uk = kink_prox(const[:, cc["a"]], const[:, cc["kink"]], q,
+                               lin, lo, hi)
+                u = (np.where(const[:, cc["is_quad"]] > 0, u, uk)
+                     if bt.has_quad else uk)
+            new_x[...] = u
+            flat[idx[:, ic["x"]]] = u
+            # z pairs and free rows, then the dual step, from the new x
+            ax = const[:, cc["z_coeff"]] * flat[idx[:, ic["col"]]]
+            w = const[:, cc["w"]]
+            p_old = old[:, Cn + R:]
+            t = p_old / beta - ax
+            zi = (w[:, :P] * t[:, :P] - w[:, P:2 * P] * t[:, P:2 * P]) \
+                / const[:, cc["den"]]
+            new_z[:, :P] = zi
+            np.negative(zi, out=new_z[:, P:2 * P])
+            np.divide(t[:, 2 * P:], w[:, 2 * P:], out=new_z[:, 2 * P:])
+            np.subtract(p_old, beta * (ax + w * new_z), out=new_p)
+            flat[idx[:, Cn:Cn + 2 * R]] = new[:, Cn:]
+            # guard: max |x|, |z|, |p| over each seed's block lanes
+            hot = np.maximum.reduceat(np.abs(new), bt.cuts, axis=1)
+            if not np.all(hot <= DIVERGENCE_LIMIT):
+                _batch_failures(hot, k, seeds, b, failures, state)
+                if 0 in failures:
+                    break
+            np.maximum(maxima, hot, out=maxima)
+            if k % stride and k != T:
+                continue
+            if probes.ergodic or k == T:
+                acc += (k + 1 - since) * state
+                since.fill(k + 1)
+            if probes.ergodic:
+                xbs = acc[:, :dim_x] / k
+                zbs = acc[:, bt.z0:bt.z0 + W] / k
+            else:
+                xbs = zbs = [None] * S
+            for s, bs in enumerate(b.tolist()):
+                recs[s].add(k, bs, xs[s], zs[s], ps[s], xbs[s], zbs[s])
+    if failures:
+        raise DivergenceError(failures[min(failures)])
+    return [rec.metrics(seed, T, xs[s], zs[s], ps[s], acc[s, :dim_x],
+                        acc[s, bt.z0:bt.z0 + W], _new_counters(T),
+                        tuple(maxima[s].tolist()))
+            for s, (seed, rec) in enumerate(zip(seeds, recs))]
+
+
+def _batch_failures(hot, k, seeds, b, failures, state):
+    """Note each seed's first guard failure and park its lanes at zero.
+
+    Only the first diverging seed in ``seeds`` order is reported, so the
+    others keep running until they finish or diverge; a failed seed's
+    state is zeroed so that it produces no further non-finite values.
+    """
+    for s in np.flatnonzero(~np.all(hot <= DIVERGENCE_LIMIT, axis=1)):
+        s = int(s)
+        if s not in failures:
+            failures[s] = _guard_message(hot[s], k, seeds[s], int(b[s]))
+        state[s] = 0.0
+        hot[s] = 0.0
 
 
 SHADOW_TOL = 1e-9

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidProblem
-from .terms import (AbsDev, FeasibleSet, L1, Quadratic, SumZeroPairs,
-                    term_value)
+from .terms import (AbsDev, Box, FeasibleSet, Free, L1, Quadratic,
+                    SumZeroPairs, term_value)
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,35 @@ class PrimalDualState:
         return PrimalDualState(self.x.copy(), self.z.copy(), self.p.copy(), self.k)
 
 
+class XSetBounds:
+    """The component sets as stacked bounds ``lo``, ``hi`` of shape (N, n).
+
+    ``Box`` sets give their bounds and ``Free`` sets infinite ones; the
+    components of any other set kind are listed in ``other`` (their
+    bounds are left infinite).
+    """
+
+    def __init__(self, x_sets, n: int):
+        num = len(x_sets)
+        self.lo = np.full((num, n), -np.inf)
+        self.hi = np.full((num, n), np.inf)
+        box = [i for i, s in enumerate(x_sets) if isinstance(s, Box)]
+        if box:
+            self.lo[box] = np.stack([x_sets[i].lower for i in box])
+            self.hi[box] = np.stack([x_sets[i].upper for i in box])
+        self.other = [i for i, s in enumerate(x_sets)
+                      if not isinstance(s, (Box, Free))]
+
+
+def x_set_bounds(prob) -> XSetBounds:
+    """The stacked component bounds of a problem, built once and cached."""
+    bounds = getattr(prob, "_x_set_bounds", None)
+    if bounds is None:
+        bounds = prob._x_set_bounds = XSetBounds(prob.x_sets,
+                                                 prob.constraints.n)
+    return bounds
+
+
 def initial_state(prob: SeparableProblem,
                   x0: Optional[np.ndarray] = None,
                   z0: Optional[np.ndarray] = None) -> PrimalDualState:
@@ -225,6 +254,8 @@ def initial_state(prob: SeparableProblem,
 
     Defaults project the origin onto the feasible sets; explicit starts
     are projected as well so the state invariants hold from step zero.
+    ``Box`` and ``Free`` components are projected by one clip over the
+    stacked bounds (a clip to infinite bounds is a copy).
     """
     cs = prob.constraints
     if x0 is None:
@@ -232,9 +263,11 @@ def initial_state(prob: SeparableProblem,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (prob.dim_x,):
         raise DimensionMismatch(f"x0 must have shape ({prob.dim_x},)")
-    x = np.concatenate([
-        prob.x_sets[i].project(prob.component(x0, i)) for i in range(cs.N)
-    ])
+    bounds = x_set_bounds(prob)
+    x = np.clip(x0.reshape(cs.N, cs.n), bounds.lo, bounds.hi).reshape(-1)
+    for i in bounds.other:
+        x[i * cs.n:(i + 1) * cs.n] = prob.x_sets[i].project(
+            prob.component(x0, i))
     if z0 is None:
         z0 = np.zeros(cs.W)
     z0 = np.asarray(z0, dtype=float)
@@ -291,6 +324,15 @@ class _TermGroups:
         return total
 
 
+def term_groups(prob: SeparableProblem) -> _TermGroups:
+    """The problem's terms grouped by kind, built once and cached."""
+    groups = getattr(prob, "_term_groups", None)
+    if groups is None:
+        groups = prob._term_groups = _TermGroups(prob.terms,
+                                                 prob.constraints.n)
+    return groups
+
+
 def objective(prob: SeparableProblem, x: np.ndarray) -> float:
     """Global objective ``F(x) = sum_i f_i(x_i)``.
 
@@ -300,10 +342,7 @@ def objective(prob: SeparableProblem, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.dim_x,):
         raise DimensionMismatch(f"x must have shape ({prob.dim_x},)")
-    groups = getattr(prob, "_term_groups", None)
-    if groups is None:
-        groups = prob._term_groups = _TermGroups(prob.terms, prob.constraints.n)
-    return groups.value(x)
+    return term_groups(prob).value(x)
 
 
 def residual(prob: SeparableProblem, x: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -105,31 +105,43 @@ def solve_local(sub: LocalSubproblem) -> np.ndarray:
     return solve_local_prepared(term, q, l, lo, hi)
 
 
+def quadratic_prox(w2, w2c, q, l, lo, hi):
+    """Minimizer of ``(w2/2)|u - c|^2 + (q/2) u^2 - l u`` on ``[lo, hi]``.
+
+    Coordinatewise; ``w2`` is twice the term weight and ``w2c`` is ``w2``
+    times the center. Every argument is an array (or scalar) broadcast
+    elementwise, so one call solves one component or every lane of a
+    seed batch alike.
+    """
+    u = (w2c + l) / (w2 + q)
+    return np.minimum(np.maximum(u, lo), hi)
+
+
+def kink_prox(a, kink, q, l, lo, hi):
+    """Minimizer of ``kink|u - a| + (q/2) u^2 - l u`` on ``[lo, hi]``.
+
+    Coordinatewise soft-thresholding; needs ``q > 0``. Broadcast like
+    :func:`quadratic_prox`.
+    """
+    u = a + soft_threshold(l - q * a, kink) / q
+    return np.minimum(np.maximum(u, lo), hi)
+
+
 def solve_local_prepared(term, q, l, lo, hi) -> np.ndarray:
     """Kernel behind :func:`solve_local`; inputs already shaped and bounded."""
     if isinstance(term, Quadratic):
-        u = (2.0 * term.weight * term.center + l) / (2.0 * term.weight + q)
-        return np.minimum(np.maximum(u, lo), hi)
+        w2 = 2.0 * term.weight
+        return quadratic_prox(w2, w2 * term.center, q, l, lo, hi)
 
     if isinstance(term, (AbsDev, L1)):
         if isinstance(term, AbsDev):
             a, kink = term.center, 1.0
         else:
             a, kink = np.zeros(term.dim), term.gamma
-        if kink == 0.0:
-            # plain quadratic: q > 0 needed coordinatewise for a finite minimizer
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = np.where(q > 0, l / np.where(q > 0, q, 1.0), 0.0)
-            for t in np.flatnonzero(q == 0):
-                u[t] = _kink_coord(0.0, 0.0, l[t], lo[t], hi[t])
-            return np.minimum(np.maximum(u, lo), hi)
-        m = l - q * a
-        if np.all(q > 0):
-            u = a + soft_threshold(m, kink) / q
-            return np.minimum(np.maximum(u, lo), hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = a + soft_threshold(m, kink) / np.where(q > 0, q, 1.0)
-        u = np.minimum(np.maximum(u, lo), hi)
+        if (q > 0).all():
+            return kink_prox(a, kink, q, l, lo, hi)
+        # a coordinate without quadratic part minimizes kink|u - a| - l u
+        u = kink_prox(a, kink, np.where(q > 0, q, 1.0), l, lo, hi)
         for t in np.flatnonzero(q == 0):
             u[t] = _kink_coord(a[t], kink, l[t], lo[t], hi[t])
         return u

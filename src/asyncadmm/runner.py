@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -21,10 +20,10 @@ from .benchmarks import Benchmark, BenchmarkSpec, generate_benchmark
 from .config import ExperimentConfig, load_problem
 from .consensus import Graph, edge_initial_state
 from .diagnostics import ReferenceSolution, estimate_rate, solve_reference
-from .engine import Probes, RunMetrics, run
+from .engine import Probes, RunMetrics, batch_supports, run, run_batch
 from .errors import (AsyncAdmmError, DivergenceError, NonPositiveSeries,
                      ParseError, ValidationError)
-from .problem import SeparableProblem
+from .problem import SeparableProblem, term_groups
 from .scheduler import (build_partition, derive_probabilities,
                         single_block_partition, uniform_probs)
 
@@ -114,14 +113,16 @@ def prepare_experiment(config: ExperimentConfig,
 
 def _benchmark_start(prob: SeparableProblem) -> np.ndarray:
     """Start each component at the minimizer-ish anchor of its own term."""
-    pieces = []
-    for term in prob.terms:
+    n = prob.constraints.n
+    groups = term_groups(prob)
+    x0 = np.zeros(prob.dim_x)
+    x0[groups.quad_idx] = groups.quad_center
+    x0[groups.abs_idx] = groups.abs_center
+    for i, term in groups.other:
         center = getattr(term, "center", None)
-        if center is None:
-            pieces.append(np.zeros(term.dim))
-        else:
-            pieces.append(np.asarray(center, dtype=float))
-    return np.concatenate(pieces)
+        if center is not None:
+            x0[i * n:(i + 1) * n] = center
+    return x0
 
 
 def _format(value) -> str:
@@ -160,19 +161,18 @@ def write_mean_csv(path: Path, all_metrics):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_one_seed(prepared: PreparedExperiment, seed: int) -> RunMetrics:
+def _run_seeds(prepared: PreparedExperiment) -> list:
+    """Metrics of every seed: one lockstep batch when it covers the run."""
     cfg = prepared.config
     probes = Probes(shadow=cfg.probes.shadow, lyapunov=cfg.probes.lyapunov,
                     ergodic=cfg.probes.ergodic)
-    return run(prepared.problem, prepared.partition, prepared.dist,
-               seed=seed, T=cfg.T, probes=probes, ref=prepared.ref,
-               x0=prepared.x0, z0=prepared.z0, stride=cfg.stride)
-
-
-def _pool_run(args):
-    config, base_dir, seed = args
-    prepared = prepare_experiment(config, base_dir)
-    return _run_one_seed(prepared, seed)
+    args = (prepared.problem, prepared.partition, prepared.dist)
+    kwargs = dict(T=cfg.T, probes=probes, ref=prepared.ref, x0=prepared.x0,
+                  z0=prepared.z0, stride=cfg.stride)
+    if len(cfg.seeds) > 1 and batch_supports(prepared.problem,
+                                             prepared.partition, probes):
+        return run_batch(*args, seeds=cfg.seeds, **kwargs)
+    return [run(*args, seed=seed, **kwargs) for seed in cfg.seeds]
 
 
 def run_experiment(config: ExperimentConfig,
@@ -190,15 +190,8 @@ def run_experiment(config: ExperimentConfig,
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
 
-    all_metrics = []
     try:
-        if config.workers > 1 and config.problem.kind != "object":
-            jobs = [(config, base_dir, s) for s in config.seeds]
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                all_metrics = list(pool.map(_pool_run, jobs))
-        else:
-            for seed in config.seeds:
-                all_metrics.append(_run_one_seed(prepared, seed))
+        all_metrics = _run_seeds(prepared)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -134,6 +134,37 @@ def uniform_probs(partition: ProperPartition) -> np.ndarray:
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_U64 = np.uint64
+
+
+def _splitmix_doubles(states, count: int) -> np.ndarray:
+    """Draws 1..count of SplitMix64 streams with the given current states.
+
+    The generator is counter based: draw k of a stream is a function of
+    ``state + k * gamma`` alone, so all draws of all streams come from one
+    array expression on ``uint64`` (which wraps modulo 2**64). Returns
+    shape ``(count, len(states))``, as ``RngStream.next_double`` draws.
+    """
+    steps = np.arange(1, count + 1, dtype=_U64)[:, None]
+    z = np.asarray(states, dtype=_U64)[None, :] + steps * _U64(_GAMMA)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    z ^= z >> _U64(31)
+    # 53 uniform mantissa bits in [0, 1), exact in float64
+    return (z >> _U64(11)).astype(np.float64) * 1.1102230246251565e-16
+
+
+def draw_uniforms(streams, count: int) -> np.ndarray:
+    """The next ``count`` draws of every stream, shape ``(count, S)``.
+
+    Equal to ``count`` calls of ``next_double`` on each stream, and
+    advances each stream (state and counter) as those calls would.
+    """
+    out = _splitmix_doubles([r._state for r in streams], count)
+    for r in streams:
+        r._state = (r._state + count * _GAMMA) & _MASK64
+        r.counter += count
+    return out
 
 
 class RngStream:
@@ -160,6 +191,10 @@ class RngStream:
         # 53 uniform mantissa bits in [0, 1)
         return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
 
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` values of :meth:`next_double`, as one array."""
+        return draw_uniforms([self], count)[:, 0]
+
     def normals(self, size: int) -> np.ndarray:
         """Standard normals via Box-Muller on fixed-order uniform draws."""
         out = np.empty(size)
@@ -178,3 +213,9 @@ def sample_block(dist: ActivationDistribution, rng: RngStream) -> int:
     u = rng.next_double()
     idx = int(np.searchsorted(dist.cum_probs, u, side="right"))
     return min(idx, dist.block_probs.size - 1)
+
+
+def blocks_for(dist: ActivationDistribution, u) -> np.ndarray:
+    """Block indices for an array of uniforms, as :func:`sample_block`."""
+    idx = np.searchsorted(dist.cum_probs, u, side="right")
+    return np.minimum(idx, dist.block_probs.size - 1)

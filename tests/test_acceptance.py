@@ -16,10 +16,10 @@ from asyncadmm import (AbsDev, BenchmarkSpec, Custom, Graph, Probes,
                        compute_rate_constants, consensus_gap,
                        derive_probabilities, dual_update, edge_initial_state,
                        edge_step, estimate_rate, generate_benchmark,
-                       initial_state, residual, run, run_experiment,
-                       single_block_partition, solve_local, solve_reference,
-                       step, sync_admm_step, uniform_probs, x_update,
-                       z_update)
+                       initial_state, residual, run, run_batch,
+                       run_experiment, single_block_partition, solve_local,
+                       solve_reference, step, sync_admm_step, uniform_probs,
+                       x_update, z_update)
 from asyncadmm.diagnostics import lyapunov_drift
 from asyncadmm.prox import LocalSubproblem
 from asyncadmm.terms import Free, L1
@@ -112,10 +112,10 @@ def test_criterion_3_ergodic_rate(five_cycle_quadratic):
     efeas = []
     z_seen = 0.0
     xbars, zbars = [], []
-    for seed in seeds:
-        m = run(prob, bench.reform.partition, dist, seed=seed, T=10_000,
-                probes=Probes(ergodic=True), ref=bench.reference_solution,
-                x0=x0, z0=z0, stride=10)
+    # all seeds in one lockstep batch, equal to run() per seed bit for bit
+    for m in run_batch(prob, bench.reform.partition, dist, seeds=seeds,
+                       T=10_000, probes=Probes(ergodic=True),
+                       ref=bench.reference_solution, x0=x0, z0=z0, stride=10):
         efeas.append(m.ergodic_feasibility)
         z_seen = max(z_seen, m.z_max_abs)
         xbars.append(m.x_bar)

@@ -259,7 +259,92 @@ class TestRunExperiment:
         assert all(np.isfinite(vals))
 
 
+def inline_doc():
+    """Two scalar components, each tied to its own z row (loads cleanly)."""
+    return {"n": 1, "N": 2, "W": 2, "beta": 1.0,
+            "terms": [{"kind": "quadratic", "center": [1.0], "weight": 2.0},
+                      {"kind": "l1", "gamma": 0.5}],
+            "x_sets": [{"kind": "box", "lower": [-1.0], "upper": [3.0]},
+                       {"kind": "free", "dim": 1}],
+            "z_set": {"kind": "free", "dim": 2},
+            "D_rows": [[0, 0, 1.0], [1, 1, 1.0]],
+            "H_diag": [-1.0, -1.0]}
+
+
+class TestNonFiniteData:
+    BAD = [
+        (("terms", 0, "center"), [float("nan")]),
+        (("terms", 0, "weight"), float("inf")),
+        (("terms", 1, "gamma"), float("nan")),
+        (("x_sets", 0, "lower"), [float("nan")]),
+        (("x_sets", 0, "upper"), [float("nan")]),
+        (("D_rows", 1), [1, 1, float("inf")]),
+        (("H_diag",), [-1.0, float("nan")]),
+        (("beta",), float("inf")),
+    ]
+
+    @pytest.mark.parametrize("path,value", BAD,
+                             ids=[".".join(map(str, p)) for p, _ in BAD])
+    def test_problem_data_rejected_at_load(self, tmp_path, capsys, path,
+                                           value):
+        doc = inline_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg = ExperimentConfig(problem=ProblemSource("inline", doc), T=20,
+                               out="out", reference="none")
+        capsys.readouterr()
+        assert run_experiment(cfg, base_dir=tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "non-finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_box_bounds_stay_legal(self, tmp_path):
+        doc = inline_doc()
+        doc["x_sets"][0] = {"kind": "box", "lower": [float("-inf")],
+                            "upper": [float("inf")]}
+        prob = load_problem(json.dumps(doc))
+        assert np.isinf(prob.x_sets[0].lower[0])
+        cfg = ExperimentConfig(problem=ProblemSource("inline", doc), T=20,
+                               out="out", reference="none")
+        assert run_experiment(cfg, base_dir=tmp_path) == 0
+
+    def test_nan_center_from_json_text(self):
+        text = json.dumps(inline_doc()).replace('"center": [1.0]',
+                                                '"center": [NaN]')
+        with pytest.raises(ValidationError, match="center"):
+            load_problem(text)
+
+    @pytest.mark.parametrize("field,value", [
+        ("x0", (0.0, float("nan"))), ("z0", (float("inf"), 0.0)),
+        ("block_probs", (float("nan"),)), ("beta", float("inf"))])
+    def test_config_values_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            ExperimentConfig(problem=ProblemSource("inline", inline_doc()),
+                             T=5, **{field: value})
+
+    def test_config_text_with_nan_start_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({
+            "problem": {"inline": inline_doc()}, "T": 5,
+            "x0": [0.0, float("nan")]}))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert "x0" in capsys.readouterr().err
+
+
 class TestCli:
+    @pytest.mark.parametrize("seeds", ["x", "3..1", "1,,2"])
+    def test_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
+        write_cycle_graph(tmp_path / "g.txt", n=3)
+        rc = cli_main(["bench", "consensus-quadratic",
+                       "--graph", str(tmp_path / "g.txt"), "--seeds", seeds,
+                       "--T", "5", "--out", str(tmp_path / "res")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_run_and_validate(self, tmp_path, capsys):
         write_cycle_graph(tmp_path / "g.txt")
         cfg_path = tmp_path / "exp.json"

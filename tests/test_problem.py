@@ -62,6 +62,60 @@ class TestFeasibleSets:
         assert s.contains(out, tol=0.0)
 
 
+class TestInitialState:
+    def test_stacked_clip_equals_per_component_projection(self):
+        rng = np.random.default_rng(8)
+        n, N = 2, 9
+        sets = []
+        for i in range(N):
+            if i % 3 == 0:
+                sets.append(Free(n))
+            elif i % 3 == 1:
+                lo = rng.uniform(-1.0, 0.0, n)
+                sets.append(Box(lo, lo + rng.uniform(0.0, 1.0, n)))
+            else:
+                sets.append(Box(np.array([-np.inf, 0.5]),
+                                np.array([0.25, np.inf])))
+        sets.append(SumZeroPairs(dim=n, pairs=((0, 1),)))
+        N += 1
+        cs = ConstraintSystem(n=n, N=N, W=n * N,
+                              entries=tuple((i * n + t, i, t, 1.0)
+                                            for i in range(N)
+                                            for t in range(n)),
+                              h_diag=-np.ones(n * N))
+        prob = SeparableProblem(
+            terms=tuple(Quadratic(np.zeros(n)) for _ in range(N)),
+            x_sets=tuple(sets), z_set=Free(n * N), constraints=cs, beta=1.0)
+        x0 = rng.normal(size=n * N) * 3.0
+        x0[0] = -0.0
+        want = np.concatenate([sets[i].project(x0[i * n:(i + 1) * n])
+                               for i in range(N)])
+        got = initial_state(prob, x0).x
+        np.testing.assert_array_equal(got, want)
+        assert np.signbit(got[0])
+        assert got is not x0
+
+    def test_benchmark_start_equals_per_term_centers(self):
+        from asyncadmm.runner import _benchmark_start
+        n = 2
+        terms = (Quadratic(np.array([1.0, -2.0]), 3.0),
+                 AbsDev(np.array([0.5, 4.0])), L1(gamma=0.7, dim=n),
+                 Custom(fn=lambda u: float(np.sum(u ** 2)), dim=n),
+                 Quadratic(np.array([-1.5, 2.5])))
+        N = len(terms)
+        cs = ConstraintSystem(n=n, N=N, W=n * N,
+                              entries=tuple((i * n + t, i, t, 1.0)
+                                            for i in range(N)
+                                            for t in range(n)),
+                              h_diag=-np.ones(n * N))
+        prob = SeparableProblem(terms=terms,
+                                x_sets=tuple(Free(n) for _ in terms),
+                                z_set=Free(n * N), constraints=cs, beta=1.0)
+        want = np.concatenate([getattr(t, "center", np.zeros(n))
+                               for t in terms])
+        np.testing.assert_array_equal(_benchmark_start(prob), want)
+
+
 class TestValidateConstraints:
     def test_clean_system_valid(self):
         cs = ConstraintSystem(n=1, N=2, W=2,

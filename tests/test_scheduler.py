@@ -5,6 +5,7 @@ from asyncadmm import (ConstraintSystem, Free, Graph, Quadratic, RngStream,
                        build_partition, build_reformulation,
                        derive_probabilities, sample_block,
                        single_block_partition, uniform_probs)
+from asyncadmm.scheduler import blocks_for, draw_uniforms
 from asyncadmm.errors import (ImproperPartition, NonCoveringPartition,
                               ZeroProbabilityBlock)
 
@@ -121,8 +122,40 @@ class TestRngStream:
         us = [r.next_double() for _ in range(1000)]
         assert min(us) >= 0.0 and max(us) < 1.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1, -1])
+    def test_vectorized_draws_equal_sequential(self, seed):
+        vec, seq = RngStream(seed), RngStream(seed)
+        # start mid-stream, and cross a chunk of draws
+        vec.next_double()
+        seq.next_double()
+        got = np.concatenate([vec.uniforms(5), vec.uniforms(300)])
+        want = np.array([seq.next_double() for _ in range(305)])
+        np.testing.assert_array_equal(got, want)
+        assert vec.counter == seq.counter == 306
+        assert vec.next_u64() == seq.next_u64()
+
+    def test_stream_matrix_matches_each_stream(self):
+        seeds = [0, 5, 2 ** 64 - 1, -1]
+        streams = [RngStream(s) for s in seeds]
+        draws = draw_uniforms(streams, 40)
+        assert draws.shape == (40, 4)
+        for col, seed in enumerate(seeds):
+            r = RngStream(seed)
+            np.testing.assert_array_equal(
+                draws[:, col], [r.next_double() for _ in range(40)])
+            assert streams[col].counter == 40
+            assert streams[col].next_u64() == r.next_u64()
+
 
 class TestSampleBlock:
+    def test_blocks_for_matches_sample_block(self):
+        reform = edge_problem(graph=Graph.star(6))
+        dist = derive_probabilities(reform.partition, [0.1, 0.4, 0.2, 0.2,
+                                                       0.1])
+        a, b = RngStream(3), RngStream(3)
+        want = [sample_block(dist, a) for _ in range(500)]
+        assert blocks_for(dist, b.uniforms(500)).tolist() == want
+
     def test_degenerate_distribution(self):
         reform = edge_problem(2, graph=Graph(2, ((0, 1),)))
         dist = derive_probabilities(reform.partition, [1.0])
