@@ -101,6 +101,38 @@ def _require_finite(values, where: str, nan_only=False):
                               f"{arr.reshape(-1)[np.flatnonzero(bad)[0]]!r}")
 
 
+def _number(value, where: str) -> float:
+    """A JSON number (not a bool, not a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer (not a bool, not a float, not a string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str) -> tuple:
+    """A JSON list of numbers as a tuple of floats."""
+    return tuple(_number(v, f"{where}[{i}]")
+                 for i, v in enumerate(_list(value, where)))
+
+
+def _required(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise ParseError(f"{where}: missing required field {key!r}")
+    return doc[key]
+
+
 def _check_fields(obj: dict, allowed, where: str):
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -176,12 +208,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     blocks = raw.get("blocks")
     if blocks is not None:
-        blocks = tuple(tuple(int(r) for r in blk) for blk in blocks)
-    block_probs = raw.get("block_probs")
-    if block_probs is not None:
-        block_probs = tuple(float(p) for p in block_probs)
-    x0 = tuple(float(v) for v in raw["x0"]) if raw.get("x0") is not None else None
-    z0 = tuple(float(v) for v in raw["z0"]) if raw.get("z0") is not None else None
+        blocks = tuple(
+            tuple(_integer(r, f"blocks[{b}][{j}]")
+                  for j, r in enumerate(_list(blk, f"blocks[{b}]")))
+            for b, blk in enumerate(_list(blocks, "blocks")))
+    block_probs, x0, z0 = (
+        _numbers(raw[key], key) if raw.get(key) is not None else None
+        for key in ("block_probs", "x0", "z0"))
 
     try:
         return ExperimentConfig(
@@ -227,24 +260,39 @@ def render_config(config: ExperimentConfig) -> str:
 # Problem files
 # ---------------------------------------------------------------------------
 
+def _vector(value, where) -> np.ndarray:
+    """A number, or a list of numbers, as a float array."""
+    return np.asarray(_numbers(value, where) if isinstance(value, list)
+                      else _number(value, where), dtype=float)
+
+
 def _finite_array(value, where):
-    arr = np.asarray(value, dtype=float)
+    arr = _vector(value, where)
     _require_finite(arr, where)
     return arr
+
+
+def _finite_number(value, where) -> float:
+    value = _number(value, where)
+    _require_finite(value, where)
+    return value
 
 
 def _term_from_json(doc, n, where):
     _check_fields(doc, ("kind", "center", "weight", "gamma", "dim"), where)
     kind = doc.get("kind")
     if kind == "quadratic":
-        return Quadratic(_finite_array(doc["center"], f"{where}.center"),
-                         float(_finite_array(doc.get("weight", 1.0),
-                                             f"{where}.weight")))
+        return Quadratic(_finite_array(_required(doc, "center", where),
+                                       f"{where}.center"),
+                         _finite_number(doc.get("weight", 1.0),
+                                        f"{where}.weight"))
     if kind == "absdev":
-        return AbsDev(_finite_array(doc["center"], f"{where}.center"))
+        return AbsDev(_finite_array(_required(doc, "center", where),
+                                    f"{where}.center"))
     if kind == "l1":
-        return L1(gamma=float(_finite_array(doc["gamma"], f"{where}.gamma")),
-                  dim=int(doc.get("dim", n)))
+        return L1(gamma=_finite_number(_required(doc, "gamma", where),
+                                       f"{where}.gamma"),
+                  dim=_integer(doc.get("dim", n), f"{where}.dim"))
     raise ParseError(f"{where}: unknown term kind {kind!r}")
 
 
@@ -265,19 +313,28 @@ def _set_from_json(doc, where):
     _check_fields(doc, ("kind", "dim", "lower", "upper", "pairs"), where)
     kind = doc.get("kind")
     if kind == "free":
-        return Free(dim=int(doc["dim"]))
+        return Free(dim=_integer(_required(doc, "dim", where), f"{where}.dim"))
     if kind == "box":
         # infinite bounds are legal (an unbounded side), NaN is not
-        lower = np.asarray(doc["lower"], dtype=float)
-        upper = np.asarray(doc["upper"], dtype=float)
+        lower, upper = (_vector(_required(doc, side, where),
+                                f"{where}.{side}")
+                        for side in ("lower", "upper"))
         _require_finite(lower, f"{where}.lower", nan_only=True)
         _require_finite(upper, f"{where}.upper", nan_only=True)
         return Box(lower, upper)
     if kind == "sum_zero_pairs":
-        return SumZeroPairs(dim=int(doc["dim"]),
-                            pairs=tuple((int(i), int(j))
-                                        for i, j in doc.get("pairs", ())))
+        pairs = _list(doc.get("pairs", []), f"{where}.pairs")
+        return SumZeroPairs(
+            dim=_integer(_required(doc, "dim", where), f"{where}.dim"),
+            pairs=tuple(_pair(pair, f"{where}.pairs[{k}]")
+                        for k, pair in enumerate(pairs)))
     raise ParseError(f"{where}: unknown set kind {kind!r}")
+
+
+def _pair(value, where):
+    if len(_list(value, where)) != 2:
+        raise ParseError(f"{where}: expected two row indices, got {value!r}")
+    return tuple(_integer(v, f"{where}[{k}]") for k, v in enumerate(value))
 
 
 def _set_to_json(fset):
@@ -303,29 +360,29 @@ def load_problem(doc) -> SeparableProblem:
     for key in PROBLEM_FIELDS:
         if key not in doc:
             raise ParseError(f"problem: missing required field {key!r}")
-    n, num, w = int(doc["n"]), int(doc["N"]), int(doc["W"])
+    n, num, w = (_integer(doc[key], f"problem.{key}")
+                 for key in ("n", "N", "W"))
     entries = []
-    for row in doc["D_rows"]:
-        if len(row) == 3:
-            entries.append((int(row[0]), int(row[1]), 0, float(row[2])))
-        elif len(row) == 4:
-            entries.append((int(row[0]), int(row[1]), int(row[2]),
-                            float(row[3])))
-        else:
-            raise ParseError(f"problem.D_rows: bad entry {row!r}")
+    for k, row in enumerate(_list(doc["D_rows"], "problem.D_rows")):
+        where = f"problem.D_rows[{k}]"
+        if len(_list(row, where)) not in (3, 4):
+            raise ParseError(f"{where}: bad entry {row!r}")
+        # [row, block, coeff] or [row, block, coord, coeff]
+        index = [_integer(v, where) for v in row[:-1]] + [0]
+        entries.append((*index[:3], _number(row[-1], where)))
     _require_finite([e[-1] for e in entries], "problem.D_rows")
     cs = ConstraintSystem(n=n, N=num, W=w, entries=tuple(entries),
                           h_diag=_finite_array(doc["H_diag"],
                                                "problem.H_diag"))
     terms = tuple(_term_from_json(t, n, f"problem.terms[{i}]")
-                  for i, t in enumerate(doc["terms"]))
+                  for i, t in enumerate(_list(doc["terms"], "problem.terms")))
     x_sets = tuple(_set_from_json(s, f"problem.x_sets[{i}]")
-                   for i, s in enumerate(doc["x_sets"]))
+                   for i, s in enumerate(_list(doc["x_sets"],
+                                               "problem.x_sets")))
     z_set = _set_from_json(doc["z_set"], "problem.z_set")
     return SeparableProblem(terms=terms, x_sets=x_sets, z_set=z_set,
                             constraints=cs,
-                            beta=float(_finite_array(doc["beta"],
-                                                     "problem.beta")))
+                            beta=_finite_number(doc["beta"], "problem.beta"))
 
 
 def dump_problem(prob: SeparableProblem) -> str:

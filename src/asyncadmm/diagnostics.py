@@ -106,12 +106,14 @@ def solve_reference(prob: SeparableProblem, tol: float = 1e-10,
     """
     std = StandardProblem.from_separable(prob)
     state = initial_state(prob, x0, z0)
+    # the iterate as one stacked [x, z, p] vector, so that the settle test
+    # is one difference and one maximum
+    old = np.concatenate([state.x, state.z, state.p])
     for _ in range(max_iters):
-        nxt = sync_admm_step(std, state)
-        delta = max(float(np.max(np.abs(nxt.x - state.x))),
-                    float(np.max(np.abs(nxt.z - state.z))),
-                    float(np.max(np.abs(nxt.p - state.p))))
-        state = nxt
+        state = sync_admm_step(std, state)
+        new = np.concatenate([state.x, state.z, state.p])
+        delta = np.max(np.abs(new - old))
+        old = new
         if delta < tol:
             feas = float(np.linalg.norm(residual(prob, state.x, state.z)))
             if feas < 1e-6:

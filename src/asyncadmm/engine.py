@@ -24,28 +24,37 @@ stays the plain path the batch is checked against.
 Shadow pass: the full-information iterates (y, v, mu) that a
 fully-activated step would have produced from the same state; the
 asynchronous iterates agree with them on the active coordinates, which
-the probes verify.
+the probes verify. It costs O(problem) per step, as array operations:
+every x component is solved in one pass (``_CompiledOps.solve_all``,
+bit for bit equal to one ``solve_component`` call per component), and
+the tally checks the block's moved coordinates of the stacked
+``[x, z, p]`` state with one masked comparison.
 
 Synchronous engine: the classical two-block method (sequential x
 minimization, z minimization, dual ascent with step beta) for problems
-with an optional separable z objective and right-hand side c.
+with an optional separable z objective and right-hand side c. One
+iteration is O(problem) array operations: the x step is the same
+one-pass solve, and the z step with z terms is the same grouped prox;
+only Custom terms (and kink coordinates without a coupling row) are
+solved one by one.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, ImproperPartition, MissingReference
+from .errors import (DivergenceError, ImproperPartition, MissingReference,
+                     NonfiniteInput)
 from .problem import (PrimalDualState, SeparableProblem, StandardProblem,
-                      XSetBounds, initial_state, objective, residual,
-                      term_groups)
-from .prox import (LocalSubproblem, ZBlockSubproblem, kink_prox,
-                   quadratic_prox, solve_local, solve_local_prepared,
-                   solve_z_block, solve_z_prepared)
+                      TermGroups, XSetBounds, initial_state, objective,
+                      residual, term_groups)
+from .prox import (ZBlockSubproblem, _kink_coord, kink_prox, quadratic_prox,
+                   solve_local_prepared, solve_z_block, solve_z_prepared)
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         blocks_for, draw_uniforms, sample_block)
 from .terms import Box, Free, SumZeroPairs
@@ -98,6 +107,62 @@ def _row_sums(g):
     return np.add.accumulate(g, axis=-1)[..., -1:]
 
 
+class _GroupedProx:
+    """The prox of every coordinate of a list of terms in one pass.
+
+    Solves ``f_i(u) + (q/2) u^2 - l u`` on ``[lo, hi]`` per coordinate with
+    the arithmetic of :func:`solve_local_prepared`: Quadratic coordinates
+    through :func:`quadratic_prox`, AbsDev and L1 coordinates through
+    :func:`kink_prox`, each kind as one array operation. The rest, terms of
+    other kinds and kink coordinates with ``q == 0``, go one by one through
+    ``solve_local_prepared`` and ``_kink_coord`` in ascending coordinate
+    order, so the first error raised is the one a component-by-component
+    loop raises. ``q``, ``lo``, ``hi`` have shape ``(len(terms), n)``.
+    """
+
+    def __init__(self, terms, n, q, lo, hi):
+        groups = TermGroups(terms, n)
+        self.terms, self.n = terms, n
+        self.q, self.lo, self.hi = q, lo, hi
+        q, lo, hi = q.reshape(-1), lo.reshape(-1), hi.reshape(-1)
+        idx = groups.quad_idx
+        w2 = 2.0 * groups.quad_weight
+        self.quad = (idx, w2, w2 * groups.quad_center, q[idx], lo[idx],
+                     hi[idx]) if idx.size else None
+        idx = np.concatenate([groups.abs_idx, groups.l1_idx])
+        a = np.concatenate([groups.abs_center, np.zeros(groups.l1_idx.size)])
+        kink = np.concatenate([np.ones(groups.abs_idx.size), groups.l1_gamma])
+        qk = q[idx]
+        self.kink = (idx, a, kink, np.where(qk > 0, qk, 1.0), lo[idx],
+                     hi[idx]) if idx.size else None
+        # one at a time, by first coordinate: the components of other terms
+        # and the kink coordinates without a quadratic part (with constants)
+        serial = [(i * n, i, None) for i, _ in groups.other]
+        serial += [(int(idx[t]), -1, (a[t], kink[t], lo[idx[t]], hi[idx[t]]))
+                   for t in np.flatnonzero(qk == 0)]
+        self.serial = sorted(serial, key=lambda item: item[0])
+
+    def solve(self, l):
+        """Minimizers for the tilt ``l`` (flat, one entry per coordinate)."""
+        u = np.empty_like(l)
+        if self.quad is not None:
+            idx, w2, w2c, q, lo, hi = self.quad
+            u[idx] = quadratic_prox(w2, w2c, q, l[idx], lo, hi)
+        if self.kink is not None:
+            idx, a, kink, q, lo, hi = self.kink
+            u[idx] = kink_prox(a, kink, q, l[idx], lo, hi)
+        n = self.n
+        for t, i, consts in self.serial:
+            if consts is not None:
+                a, kink, lo, hi = consts
+                u[t] = _kink_coord(a, kink, l[t], lo, hi)
+            else:
+                u[t:t + n] = solve_local_prepared(self.terms[i], self.q[i],
+                                                  l[t:t + n], self.lo[i],
+                                                  self.hi[i])
+        return u
+
+
 class _CompiledOps:
     """Per-problem arrays for the update kernels (built once, read-only).
 
@@ -106,6 +171,10 @@ class _CompiledOps:
     ``coeffs_sorted`` and ``h_sorted`` follow that order. For ``n > 1``,
     ``slot`` places each sorted row in its component's ``(n, width[i])``
     grid, one line per coordinate, padded with ``-0.0``.
+
+    :meth:`solve_all` reads the same rows in rank order and solves
+    through :attr:`prox`; both are built on its first call, so runs that
+    never make a full pass do not pay for them.
     """
 
     def __init__(self, cs, terms, x_sets, beta):
@@ -166,6 +235,49 @@ class _CompiledOps:
             linear = _row_sums(grid.reshape(self.n, -1))[:, 0]
         return solve_local_prepared(self.terms[i], self.comp_quad[i], linear,
                                     self.comp_lo[i], self.comp_hi[i])
+
+    @cached_property
+    def prox(self) -> _GroupedProx:
+        """The closed forms of every x coordinate, for :meth:`solve_all`."""
+        return _GroupedProx(self.terms, self.n, self.quad, self.lo, self.hi)
+
+    @cached_property
+    def rank_order(self):
+        """The rows by rank: every (component, coordinate) group's first
+        row, then every second row, and so on.
+
+        Groups are ordered by decreasing row count, so the groups still
+        summing at rank ``r`` are a prefix, ``ptr[r+1] - ptr[r]`` long;
+        ``pos`` is each group's place in that order. Returns the rows,
+        their coefficients and ``h``, ``ptr`` and ``pos``.
+        """
+        _, rank = _ragged(self.counts)
+        by_count = np.argsort(-self.counts, kind="stable")
+        pos = np.empty_like(by_count)
+        pos[by_count] = np.arange(by_count.size)
+        order = np.argsort(rank * pos.size + pos[self.col[self.rows]])
+        return (self.rows[order], self.coeffs_sorted[order],
+                self.h_sorted[order], _offsets(np.bincount(rank)).tolist(),
+                pos)
+
+    def solve_all(self, p, z, c=None):
+        """Every component's :meth:`solve_component`, in one pass, bit for bit.
+
+        The tilt of every row is one array expression. Each (component,
+        coordinate) sum starts at ``-0.0`` and adds its rows strictly left
+        to right, one rank per loop pass, so it equals :func:`_row_sums`
+        (``-0.0 + g == g``) at O(W) work; the solves are
+        :class:`_GroupedProx`'s.
+        """
+        rows, coeff, h, ptr, pos = self.rank_order
+        shift = h * z[rows]
+        if c is not None:
+            shift = shift - c[rows]
+        g = coeff * (p[rows] - self.beta * shift)
+        sums = np.full(self.N * self.n, -0.0)
+        for r in range(len(ptr) - 1):
+            sums[:ptr[r + 1] - ptr[r]] += g[ptr[r]:ptr[r + 1]]
+        return self.prox.solve(sums[pos])
 
 
 class _BlockTable:
@@ -232,6 +344,18 @@ class _BlockTable:
         self.moved_ptr = (n * comp_ptr + 2 * row_ptr).tolist()
         self.moved_cuts = np.stack([np.zeros(m, dtype=np.intp), n * ncomp,
                                     n * ncomp + sizes], axis=1)
+        self.n = n
+
+    @cached_property
+    def groups(self):
+        """Starts, within each block's moved slice, of the groups the shadow
+        probe checks one by one (each component's x, then z, then p), and
+        the offsets of each block's starts."""
+        ncomp, sizes = np.diff(self.comp_ptr), np.diff(self.row_ptr)
+        blk, pos = _ragged(ncomp + 2)
+        starts = (np.minimum(pos, ncomp[blk]) * self.n
+                  + np.maximum(pos - ncomp[blk], 0) * sizes[blk])
+        return starts, _offsets(ncomp + 2).tolist()
 
     def block(self, b: int):
         """Views of block ``b``: comps, rows, w, coeff, col, pair_i, pair_j."""
@@ -350,10 +474,7 @@ def dual_update(prob: SeparableProblem, state: PrimalDualState,
 def shadow_step(prob: SeparableProblem, state: PrimalDualState) -> ShadowIterates:
     """Full-information iterates (y, v, mu) from the given state."""
     ops = _ops(prob)
-    n = ops.n
-    y = np.empty_like(state.x)
-    for i in range(ops.N):
-        y[i * n:(i + 1) * n] = ops.solve_component(i, state.p, state.z)
+    y = ops.solve_all(state.p, state.z)
     t = state.p / ops.beta - ops.coeff * y[ops.col]
     v = solve_z_prepared(ops.h, t, ops.pair_i, ops.pair_j)
     r = ops.coeff * y[ops.col] + ops.h * v
@@ -379,34 +500,36 @@ def step(prob: SeparableProblem, state: PrimalDualState,
 
 def sync_admm_step(std_prob: StandardProblem,
                    state: PrimalDualState) -> PrimalDualState:
-    """One synchronous two-block iteration (x, then z, then dual ascent)."""
+    """One synchronous two-block iteration (x, then z, then dual ascent).
+
+    Both minimizations are one pass over all coordinates: the x step is
+    :meth:`_CompiledOps.solve_all` at the right-hand side c, and the z
+    step, with z terms, is the same grouped prox at ``q = beta h^2``,
+    ``l = (p - beta (D x - c)) h`` on the z set's bounds.
+    """
     ops = getattr(std_prob, "_engine_ops", None)
     if ops is None:
         cs = std_prob.constraints
         ops = _CompiledOps(cs, std_prob.x_terms, std_prob.x_sets, std_prob.beta)
         ops.set_pairs(std_prob.z_set)
+        if std_prob.z_terms is not None:
+            zs = std_prob.z_set
+            lo, hi = ((zs.lower, zs.upper) if isinstance(zs, Box)
+                      else (np.full(cs.W, -np.inf), np.full(cs.W, np.inf)))
+            ops.z_prox = _GroupedProx(std_prob.z_terms, 1,
+                                      (ops.beta * ops.h ** 2)[:, None],
+                                      lo[:, None], hi[:, None])
         std_prob._engine_ops = ops
     c = std_prob.c
-    n = ops.n
-    x = np.empty_like(state.x)
-    for i in range(ops.N):
-        x[i * n:(i + 1) * n] = ops.solve_component(i, state.p, state.z, c=c)
+    x = ops.solve_all(state.p, state.z, c=c)
     q = state.p - ops.beta * (ops.coeff * x[ops.col] - c)
     if std_prob.z_terms is None:
         z = solve_z_prepared(ops.h, q / ops.beta, ops.pair_i, ops.pair_j)
     else:
-        z = np.empty(ops.W)
-        for l in range(ops.W):
-            if isinstance(std_prob.z_set, Box):
-                coord_set = Box(std_prob.z_set.lower[l:l + 1],
-                                std_prob.z_set.upper[l:l + 1])
-            else:
-                coord_set = Free(1)
-            sub = LocalSubproblem(term=std_prob.z_terms[l],
-                                  quad_diag=np.array([ops.beta * ops.h[l] ** 2]),
-                                  linear=np.array([q[l] * ops.h[l]]),
-                                  set=coord_set)
-            z[l] = solve_local(sub)[0]
+        linear = q * ops.h
+        if not np.all(np.isfinite(linear)):
+            raise NonfiniteInput("subproblem data contains non-finite values")
+        z = ops.z_prox.solve(linear)
     p = state.p - ops.beta * (ops.coeff * x[ops.col] + ops.h * z - c)
     return PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
 
@@ -444,13 +567,6 @@ class RunMetrics:
     COLUMNS = ("iter", "objective", "objective_error", "feasibility_violation",
                "ergodic_objective_error", "ergodic_feasibility", "lyapunov",
                "active_block")
-
-    def rows(self):
-        for j in range(self.iters.size):
-            yield (int(self.iters[j]), self.objective[j],
-                   self.objective_error[j], self.feasibility[j],
-                   self.ergodic_objective_error[j], self.ergodic_feasibility[j],
-                   self.lyapunov[j], int(self.active_block[j]))
 
 
 class _Recorder:
@@ -597,18 +713,16 @@ def run(prob: SeparableProblem, partition: ProperPartition,
 
     for k, b in enumerate(_draw_blocks(dist, RngStream(seed), T), start=1):
         if probes.shadow:
-            before = PrimalDualState(x=x.copy(), z=z.copy(), p=p.copy(),
-                                     k=k - 1)
-            shadow = shadow_step(prob, before)
+            before = buf.copy()
+            shadow = shadow_step(prob, PrimalDualState(
+                x=before[:dim_x], z=before[dim_x:dim_x + dim_z],
+                p=before[dim_x + dim_z:], k=k - 1))
         idx = moved[moved_ptr[b]:moved_ptr[b + 1]]
         acc[idx] += (k - since[idx]) * buf[idx]
         since[idx] = k
         _apply_block(ops, table.block(b), x, z, p)
         if probes.shadow:
-            after = PrimalDualState(x=x, z=z, p=p, k=k)
-            _tally_shadow(prob, partition,
-                          StepRecord(block=b, before=before, after=after,
-                                     shadow=shadow), counters)
+            _tally_shadow(table, b, before, buf, shadow, counters)
         # only the active coordinates moved, so guarding them guards all;
         # the block's max |x|, |z|, |p| is NaN if any of them is NaN
         hot = np.maximum.reduceat(np.abs(buf[idx]), moved_cuts[b])
@@ -929,37 +1043,28 @@ def _batch_failures(hot, k, seeds, b, failures, state):
 SHADOW_TOL = 1e-9
 
 
-def _tally_shadow(prob, partition, rec: StepRecord, counters: dict):
-    """Check active-coordinate agreement with the shadow pass and freezes."""
-    n = prob.constraints.n
-    comps = partition.component_map[rec.block]
-    rows = partition.blocks[rec.block]
-    sh = rec.shadow
-    ok = True
-    for i in comps:
-        sl = slice(i * n, (i + 1) * n)
-        if np.max(np.abs(rec.after.x[sl] - sh.y[sl])) > SHADOW_TOL:
-            ok = False
-    if np.max(np.abs(rec.after.z[rows] - sh.v[rows]), initial=0.0) > SHADOW_TOL:
-        ok = False
-    if np.max(np.abs(rec.after.p[rows] - sh.mu[rows]), initial=0.0) > SHADOW_TOL:
-        ok = False
-    counters["shadow_checks"] += 1
-    if not ok:
-        counters["shadow_failures"] += 1
+def _tally_shadow(table: _BlockTable, b: int, before, after,
+                  shadow: ShadowIterates, counters: dict):
+    """Check block ``b``'s step against the shadow pass and the freezes.
 
-    frozen = True
-    comp_mask = np.zeros(prob.dim_x, dtype=bool)
-    for i in comps:
-        comp_mask[i * n:(i + 1) * n] = True
-    row_mask = np.zeros(prob.dim_z, dtype=bool)
-    row_mask[rows] = True
-    if not np.array_equal(rec.after.x[~comp_mask], rec.before.x[~comp_mask]):
-        frozen = False
-    if not np.array_equal(rec.after.z[~row_mask], rec.before.z[~row_mask]):
-        frozen = False
-    if not np.array_equal(rec.after.p[~row_mask], rec.before.p[~row_mask]):
-        frozen = False
+    ``before`` and ``after`` are the stacked ``[x, z, p]`` states around
+    the step and ``shadow`` the pass from ``before``. The step agrees when
+    no group of moved coordinates (each component's x, the block's z rows,
+    its p rows) differs from the shadow by more than ``SHADOW_TOL`` at its
+    largest (a group holding a NaN difference has a NaN largest, which
+    passes). It froze the rest when every other coordinate is unchanged
+    (NaN is never unchanged).
+    """
+    idx = table.moved[table.moved_ptr[b]:table.moved_ptr[b + 1]]
+    starts, ptr = table.groups
+    cuts = starts[ptr[b]:ptr[b + 1]]
+    target = np.concatenate([shadow.y, shadow.v, shadow.mu])
+    gap = np.maximum.reduceat(np.abs(after[idx] - target[idx]), cuts)
+    counters["shadow_checks"] += 1
+    if np.any(gap > SHADOW_TOL):
+        counters["shadow_failures"] += 1
+    changed = after != before
+    changed[idx] = False
     counters["freeze_checks"] += 1
-    if not frozen:
+    if changed.any():
         counters["freeze_failures"] += 1

@@ -277,7 +277,7 @@ def initial_state(prob: SeparableProblem,
     return PrimalDualState(x=x, z=z, p=np.zeros(cs.W), k=0)
 
 
-class _TermGroups:
+class TermGroups:
     """The problem's terms grouped by kind, for a vectorized objective.
 
     Quadratic, absolute-deviation and one-norm terms become one gather
@@ -324,19 +324,19 @@ class _TermGroups:
         return total
 
 
-def term_groups(prob: SeparableProblem) -> _TermGroups:
+def term_groups(prob: SeparableProblem) -> TermGroups:
     """The problem's terms grouped by kind, built once and cached."""
     groups = getattr(prob, "_term_groups", None)
     if groups is None:
-        groups = prob._term_groups = _TermGroups(prob.terms,
-                                                 prob.constraints.n)
+        groups = prob._term_groups = TermGroups(prob.terms,
+                                                prob.constraints.n)
     return groups
 
 
 def objective(prob: SeparableProblem, x: np.ndarray) -> float:
     """Global objective ``F(x) = sum_i f_i(x_i)``.
 
-    Terms are summed by kind (see :class:`_TermGroups`), so the result
+    Terms are summed by kind (see :class:`TermGroups`), so the result
     can differ from the term-by-term sum in the last bits.
     """
     x = np.asarray(x, dtype=float)

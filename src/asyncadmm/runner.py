@@ -125,40 +125,34 @@ def _benchmark_start(prob: SeparableProblem) -> np.ndarray:
     return x0
 
 
-def _format(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _csv_text(header, columns) -> str:
+    """CSV of equal-length columns: integer columns by ``str``, float
+    columns by round-trip ``repr``, one conversion per column."""
+    cells = [map(str if col.dtype.kind in "iu" else repr, col.tolist())
+             for col in columns]
+    return "\n".join([",".join(header)]
+                     + [",".join(row) for row in zip(*cells)]) + "\n"
+
+
+# the recorded series, in RunMetrics.COLUMNS order between iter and
+# active_block
+_SERIES = ("objective", "objective_error", "feasibility",
+           "ergodic_objective_error", "ergodic_feasibility", "lyapunov")
 
 
 def write_metrics_csv(path: Path, metrics: RunMetrics):
-    lines = [",".join(RunMetrics.COLUMNS)]
-    for row in metrics.rows():
-        lines.append(",".join(_format(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_csv_text(
+        RunMetrics.COLUMNS, [metrics.iters]
+        + [getattr(metrics, name) for name in _SERIES]
+        + [metrics.active_block]))
 
 
 def write_mean_csv(path: Path, all_metrics):
     """Across-seed mean of every numeric column, on the shared record grid."""
-    cols = ("iter", "objective", "objective_error", "feasibility_violation",
-            "ergodic_objective_error", "ergodic_feasibility", "lyapunov")
-    iters = all_metrics[0].iters
-    stacked = {
-        "objective": np.mean([m.objective for m in all_metrics], axis=0),
-        "objective_error": np.mean([m.objective_error for m in all_metrics], axis=0),
-        "feasibility_violation": np.mean([m.feasibility for m in all_metrics], axis=0),
-        "ergodic_objective_error": np.mean(
-            [m.ergodic_objective_error for m in all_metrics], axis=0),
-        "ergodic_feasibility": np.mean(
-            [m.ergodic_feasibility for m in all_metrics], axis=0),
-        "lyapunov": np.mean([m.lyapunov for m in all_metrics], axis=0),
-    }
-    lines = [",".join(cols)]
-    for j in range(iters.size):
-        row = [str(int(iters[j]))]
-        row += [repr(float(stacked[c][j])) for c in cols[1:]]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    means = [np.mean([getattr(m, name) for m in all_metrics], axis=0)
+             for name in _SERIES]
+    path.write_text(_csv_text(RunMetrics.COLUMNS[:-1],
+                              [all_metrics[0].iters] + means))
 
 
 def _run_seeds(prepared: PreparedExperiment) -> list:

@@ -334,6 +334,60 @@ class TestNonFiniteData:
         assert "x0" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    """Malformed fields end in a one-line config error (exit 2), not a
+    traceback with the divergence code 1."""
+
+    BAD_CONFIG = [
+        ("blocks", [["a"]]), ("blocks", 3), ("blocks", [[0.5]]),
+        ("block_probs", ["1"]), ("x0", ["a", 1.0]), ("z0", 3),
+    ]
+
+    @pytest.mark.parametrize("field,value", BAD_CONFIG,
+                             ids=[f"{f}={v!r}" for f, v in BAD_CONFIG])
+    def test_bad_config_field_exits_2(self, tmp_path, capsys, field, value):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"problem": {"inline": inline_doc()},
+                                        "T": 5, field: value}))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and field in err
+            assert err.count("\n") == 1
+
+    BAD_PROBLEM = [
+        (("terms", 0), {"kind": "quadratic"}, "terms[0]: missing"),
+        (("terms", 1), {"kind": "l1"}, "terms[1]: missing"),
+        (("terms", 0, "center"), ["a"], "terms[0].center[0]"),
+        (("x_sets", 1), {"kind": "free"}, "x_sets[1]: missing"),
+        (("x_sets", 0), {"kind": "box", "lower": [0.0]}, "x_sets[0]: missing"),
+        (("D_rows", 0), [0, 0, "x"], "D_rows[0]"),
+        (("D_rows", 0), ["0", 0, 1.0], "D_rows[0]"),
+        (("D_rows",), 5, "D_rows"),
+        (("H_diag",), "x", "H_diag"),
+        (("n",), "1", "problem.n"),
+    ]
+
+    @pytest.mark.parametrize("path,value,where", BAD_PROBLEM,
+                             ids=[".".join(map(str, p)) + f"={v!r}"
+                                  for p, v, _ in BAD_PROBLEM])
+    def test_bad_problem_exits_2(self, tmp_path, capsys, path, value, where):
+        doc = inline_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"problem": {"inline": doc}, "T": 5,
+                                        "out": "out"}))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and where in err
+            assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestCli:
     @pytest.mark.parametrize("seeds", ["x", "3..1", "1,,2"])
     def test_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
