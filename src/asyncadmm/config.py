@@ -164,6 +164,19 @@ def parse_seeds(raw) -> tuple:
     raise ParseError(f"seeds must be an int, list, or range string, got {raw!r}")
 
 
+def _check_benchmark_data(doc: dict):
+    """Benchmark data must be finite JSON numbers: ``a``, ``w`` and ``b``
+    lists of them, ``pi`` and ``box_margin`` one each. A null keeps the
+    default of a field whose default is null (all but ``pi``)."""
+    for key in ("a", "w", "b", "pi", "box_margin"):
+        if key not in doc or (doc[key] is None and key != "pi"):
+            continue
+        where = f"problem.benchmark.{key}"
+        values = (_number(doc[key], where) if key in ("pi", "box_margin")
+                  else _numbers(doc[key], where))
+        _require_finite(values, where)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config.
 
@@ -193,6 +206,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"problem.benchmark: unknown name {value['name']!r}")
         if "graph" not in value:
             raise ParseError("problem.benchmark: missing field 'graph'")
+        _check_benchmark_data(value)
     elif kind == "inline":
         _check_fields(value, PROBLEM_FIELDS, "problem.inline")
     elif not isinstance(value, str):
@@ -218,12 +232,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     try:
         return ExperimentConfig(
-            problem=source, T=int(raw["T"]),
+            problem=source, T=_integer(raw["T"], "T"),
             seeds=parse_seeds(raw.get("seeds", 0)),
-            beta=float(raw.get("beta", 1.0)), blocks=blocks,
+            beta=_number(raw.get("beta", 1.0), "beta"), blocks=blocks,
             block_probs=block_probs, probes=probes,
-            stride=int(raw.get("stride", 1)), out=raw.get("out"),
-            workers=int(raw.get("workers", 1)), x0=x0, z0=z0,
+            stride=_integer(raw.get("stride", 1), "stride"),
+            out=raw.get("out"),
+            workers=_integer(raw.get("workers", 1), "workers"), x0=x0, z0=z0,
             reference=raw.get("reference", "auto"))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"config: {exc}") from None

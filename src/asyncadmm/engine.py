@@ -14,12 +14,17 @@ sums are brought up to date lazily, per coordinate just before it moves
 and for all coordinates at a record. Only the shadow probe copies the
 state per step. ``step`` is the same kernel applied to a copy.
 
-Seed batch: ``run_batch`` advances many seeds in lockstep on one
-``(S, width)`` state, with every seed's block padded to the largest
-block. It performs the same floating-point operations in the same order
-as ``run`` (the x closed forms and the row sums are shared functions),
-so each seed's metrics are equal to ``run``'s bit for bit. ``run``
-stays the plain path the batch is checked against.
+Seed batch: ``run_batch`` fires blocks as lanes of one array kernel
+(``_fire_lanes``) on one ``(S, width)`` state, with every block padded
+to the largest block. Many seeds advance in lockstep, one lane per seed
+per iteration. One seed fires its draws in waves: maximal runs of
+consecutive draws in which no block reads what an earlier block of the
+wave writes, so that firing them at once gives the serial result
+(``_wave_ends``). The kernel performs the same floating-point
+operations in the same order as ``run`` (the x closed forms and the row
+sums are shared functions), so each seed's metrics are equal to
+``run``'s bit for bit. ``run`` stays the plain path the batch is
+checked against.
 
 Shadow pass: the full-information iterates (y, v, mu) that a
 fully-activated step would have produced from the same state; the
@@ -52,7 +57,7 @@ from .errors import (DivergenceError, ImproperPartition, MissingReference,
                      NonfiniteInput)
 from .problem import (PrimalDualState, SeparableProblem, StandardProblem,
                       TermGroups, XSetBounds, initial_state, objective,
-                      residual, term_groups)
+                      residual, term_groups, x_set_bounds)
 from .prox import (ZBlockSubproblem, _kink_coord, kink_prox, quadratic_prox,
                    solve_local_prepared, solve_z_block, solve_z_prepared)
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
@@ -166,6 +171,9 @@ class _GroupedProx:
 class _CompiledOps:
     """Per-problem arrays for the update kernels (built once, read-only).
 
+    ``bounds`` are the component sets' stacked bounds, the problem's cached
+    :func:`x_set_bounds`.
+
     The constraint rows are sorted by component, then coordinate, then
     row (``rows``), with ``comp_ptr`` the start of each component's rows;
     ``coeffs_sorted`` and ``h_sorted`` follow that order. For ``n > 1``,
@@ -177,7 +185,7 @@ class _CompiledOps:
     never make a full pass do not pay for them.
     """
 
-    def __init__(self, cs, terms, x_sets, beta):
+    def __init__(self, cs, terms, bounds: XSetBounds, beta):
         self.n, self.N, self.W = cs.n, cs.N, cs.W
         self.beta = beta
         self.terms = terms
@@ -200,11 +208,7 @@ class _CompiledOps:
         self.quad = beta * np.bincount(cs.col_index, weights=cs.row_coeff ** 2,
                                        minlength=cs.N * cs.n).reshape(cs.N,
                                                                       cs.n)
-        bounds = XSetBounds(x_sets, cs.n)
         self.lo, self.hi = bounds.lo, bounds.hi
-        # row views, for the per-component solves
-        self.comp_quad, self.comp_lo, self.comp_hi = (
-            list(v) for v in (self.quad, self.lo, self.hi))
         # pair structure of the z set over all rows, for shadow passes
         self.pair_i = np.empty(0, dtype=np.intp)
         self.pair_j = np.empty(0, dtype=np.intp)
@@ -233,8 +237,14 @@ class _CompiledOps:
             grid = np.full(self.n * self.width[i], -0.0)
             grid[self.slot[r0:r1]] = g
             linear = _row_sums(grid.reshape(self.n, -1))[:, 0]
-        return solve_local_prepared(self.terms[i], self.comp_quad[i], linear,
-                                    self.comp_lo[i], self.comp_hi[i])
+        quad, lo, hi = self.comp_bounds[i]
+        return solve_local_prepared(self.terms[i], quad, linear, lo, hi)
+
+    @cached_property
+    def comp_bounds(self) -> list:
+        """Row views of ``quad``, ``lo``, ``hi`` per component, for
+        :meth:`solve_component` (built on its first call)."""
+        return list(zip(self.quad, self.lo, self.hi))
 
     @cached_property
     def prox(self) -> _GroupedProx:
@@ -289,8 +299,10 @@ class _BlockTable:
     the block's z pairs as positions within the block, in z-set order.
     ``moved`` lists, per block, the coordinates a step can change, as
     indices into the stacked vector ``[x, z, p]``; ``moved_cuts[b]`` are
-    the starts of its x, z and p parts. Building it takes a few passes
-    over the rows and two stable sorts; no object is made per block.
+    the starts of its x, z and p parts. ``clash[clash_ptr[b]:clash_ptr[b+1]]``
+    are the blocks whose z and p rows block ``b`` reads (:func:`_wave_ends`).
+    Building it takes a few passes over the rows and a few sorts; no
+    object is made per block.
     """
 
     def __init__(self, ops: _CompiledOps, z_set, partition: ProperPartition):
@@ -346,6 +358,14 @@ class _BlockTable:
                                     n * ncomp + sizes], axis=1)
         self.n = n
 
+        # clash[b]: the blocks owning a row that one of b's components owns
+        # (b among them, repeats kept), whose z and p b's tilts read
+        comp_rows = np.asarray(ops.comp_ptr)
+        per_comp = np.diff(comp_rows)[comps]
+        seg, pos = _ragged(per_comp)
+        self.clash = owner[ops.rows[comp_rows[comps][seg] + pos]].tolist()
+        self.clash_ptr = _offsets(per_comp)[comp_ptr].tolist()
+
     @cached_property
     def groups(self):
         """Starts, within each block's moved slice, of the groups the shadow
@@ -370,7 +390,7 @@ def _ops(prob: SeparableProblem) -> _CompiledOps:
     ops = getattr(prob, "_engine_ops", None)
     if ops is None:
         cs = prob.constraints
-        ops = _CompiledOps(cs, prob.terms, prob.x_sets, prob.beta)
+        ops = _CompiledOps(cs, prob.terms, x_set_bounds(prob), prob.beta)
         ops.set_pairs(prob.z_set)
         prob._engine_ops = ops
     return ops
@@ -510,7 +530,8 @@ def sync_admm_step(std_prob: StandardProblem,
     ops = getattr(std_prob, "_engine_ops", None)
     if ops is None:
         cs = std_prob.constraints
-        ops = _CompiledOps(cs, std_prob.x_terms, std_prob.x_sets, std_prob.beta)
+        ops = _CompiledOps(cs, std_prob.x_terms, x_set_bounds(std_prob),
+                           std_prob.beta)
         ops.set_pairs(std_prob.z_set)
         if std_prob.z_terms is not None:
             zs = std_prob.z_set
@@ -816,10 +837,14 @@ class _BatchTable:
         kink[groups.l1_idx] = groups.l1_gamma
         self.has_quad = bool(groups.quad_idx.size)
         self.has_kink = bool(groups.abs_idx.size or groups.l1_idx.size)
-        lane_consts = {name: per_lane(v, fill) for name, v, fill in (
-            ("quad", ops.quad, 1.0), ("lo", ops.lo, -np.inf),
-            ("hi", ops.hi, np.inf), ("w2", w2, 0.0), ("w2c", w2c, 0.0),
-            ("a", a, 0.0), ("kink", kink, 0.0), ("is_quad", is_quad, 1.0))}
+        # the closed forms' constants, only for the kinds present
+        lane_consts = {name: per_lane(v, fill) for name, v, fill, used in (
+            ("quad", ops.quad, 1.0, True), ("lo", ops.lo, -np.inf, True),
+            ("hi", ops.hi, np.inf, True), ("w2", w2, 0.0, self.has_quad),
+            ("w2c", w2c, 0.0, self.has_quad), ("a", a, 0.0, self.has_kink),
+            ("kink", kink, 0.0, self.has_kink),
+            ("is_quad", is_quad, 1.0, self.has_quad and self.has_kink))
+            if used}
 
         # z/p lanes: pair firsts, pair seconds, unpaired rows; pads point
         # at the dummy row, which has weight 1 and coefficient 0
@@ -851,7 +876,8 @@ class _BatchTable:
         self.const, self.ccol = _stack(
             coeff=t_coeff, h=t_h, **lane_consts, w=w, z_coeff=z_coeff,
             den=den)
-        self.C, self.n, self.D, self.P, self.R = C, n, D, P, R
+        self.Cn, self.D, self.P, self.U = C * n, D, P, U
+        self.p_lane = C * n + R    # where the p lanes start
         # the moved coordinates: the x, z and p lanes, in that order
         self.moved = slice(0, C * n + 2 * R)
         self.cuts = np.array([0, C * n, C * n + R], dtype=np.intp)
@@ -887,8 +913,7 @@ def batch_supports(prob: SeparableProblem, partition: ProperPartition,
     ops = _ops(prob)
     if not np.all(ops.quad > 0):
         return False
-    ncomp = np.fromiter((c.size for c in partition.component_map),
-                        dtype=np.intp)
+    ncomp = np.diff(_block_table(prob, partition).comp_ptr)
     lanes = ncomp.size * int(ncomp.max()) * ops.n * int(ops.counts.max())
     return lanes <= _BATCH_LANE_LIMIT
 
@@ -900,6 +925,91 @@ def _batch_table(prob, partition) -> _BatchTable:
     return table.batch
 
 
+def _fire_lanes(bt: _BatchTable, beta, flat, acc_flat, since_flat, idx,
+                const, k):
+    """Fire one block per lane on the flat batch state, in place.
+
+    Lane ``l`` is row ``l`` of ``idx`` (a block's lanes of
+    :class:`_BatchTable` as flat ``row * width + index`` indices, so it
+    names a state row and a block) and of ``const`` (the block's
+    constants), at iteration ``k``: one number for every lane, or a
+    column with one per lane. Every lane reads before any lane writes, so
+    no lane may write what another reads: the seeds of one lockstep
+    iteration, or one wave of a seed (:func:`_wave_ends`). The x closed
+    forms, the z fit and the dual step are those of :func:`run`, as the
+    same floating-point operations in the same order. Returns each lane's
+    max |x|, |z|, |p| over its block.
+    """
+    Cn, P = bt.Cn, bt.P
+    ic, cc = bt.icol, bt.ccol
+    # lazy ergodic sums of the coordinates about to move
+    mv = idx[:, bt.moved]
+    old = flat[mv]
+    acc_flat[mv] += (k - since_flat[mv]) * old
+    since_flat[mv] = k
+    # x: closed-form solve of each lane against the current z, p
+    g = const[:, cc["coeff"]] * (flat[idx[:, ic["tilt_p"]]] - beta * (
+        const[:, cc["h"]] * flat[idx[:, ic["tilt_z"]]]))
+    lin = _row_sums(g.reshape(len(idx), Cn, bt.D))[..., 0]
+    q, lo, hi = const[:, cc["quad"]], const[:, cc["lo"]], const[:, cc["hi"]]
+    if bt.has_quad:
+        u = quadratic_prox(const[:, cc["w2"]], const[:, cc["w2c"]], q, lin,
+                           lo, hi)
+    if bt.has_kink:
+        uk = kink_prox(const[:, cc["a"]], const[:, cc["kink"]], q, lin, lo,
+                       hi)
+        u = np.where(const[:, cc["is_quad"]] > 0, u, uk) if bt.has_quad \
+            else uk
+    new = np.empty_like(old)
+    new[:, :Cn] = u
+    flat[mv[:, :Cn]] = u
+    # z pairs and free rows, then the dual step, from the new x
+    new_z, new_p = new[:, Cn:bt.p_lane], new[:, bt.p_lane:]
+    ax = const[:, cc["z_coeff"]] * flat[idx[:, ic["col"]]]
+    w = const[:, cc["w"]]
+    p_old = old[:, bt.p_lane:]
+    t = p_old / beta - ax
+    if P:
+        zi = (w[:, :P] * t[:, :P] - w[:, P:2 * P] * t[:, P:2 * P]) \
+            / const[:, cc["den"]]
+        new_z[:, :P] = zi
+        np.negative(zi, out=new_z[:, P:2 * P])
+    if bt.U:
+        np.divide(t[:, 2 * P:], w[:, 2 * P:], out=new_z[:, 2 * P:])
+    np.subtract(p_old, beta * (ax + w * new_z), out=new_p)
+    flat[mv[:, Cn:]] = new[:, Cn:]
+    return np.maximum.reduceat(np.abs(new), bt.cuts, axis=1)
+
+
+def _wave_ends(table: _BlockTable, blocks, k: int, stride: int, T: int):
+    """Where the waves of one seed's draws end (exclusive, in ``blocks``).
+
+    ``blocks`` fire at iterations ``k+1, k+2, ...``. A wave is a maximal
+    run of consecutive draws in which no block reads a coordinate that an
+    earlier block of the wave writes. A block writes its components' x and
+    its rows' z and p, and reads the z and p of every row its components
+    own, so it joins the wave unless one of those rows belongs to a block
+    already in it (``table.clash``); such blocks commute, and firing them
+    at once gives the serial result. A wave also ends at every record
+    iteration and at the last draw.
+    """
+    clash, ptr = table.clash, table.clash_ptr
+    ends, wave = [], set()
+    record = min(T, (k // stride + 1) * stride)
+    for j, b in enumerate(blocks):
+        if not wave.isdisjoint(clash[ptr[b]:ptr[b + 1]]):
+            ends.append(j)
+            wave.clear()
+        wave.add(b)
+        if k + j + 1 == record:
+            ends.append(j + 1)
+            wave.clear()
+            record = min(T, record + stride)
+    if not ends or ends[-1] != len(blocks):
+        ends.append(len(blocks))
+    return ends
+
+
 def run_batch(prob: SeparableProblem, partition: ProperPartition,
               dist: ActivationDistribution, seeds, T: int,
               probes: Optional[Probes] = None, ref=None,
@@ -907,14 +1017,14 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     """Run every seed in lockstep; element s equals ``run(seeds[s], ...)``.
 
     All seeds share one ``(S, width)`` state (see :class:`_BatchTable`).
-    Each lockstep iteration draws every seed's block from its own
-    SplitMix64 stream, gathers each seed's block lanes, solves the x
-    components in closed form over arrays (the same functions
-    ``solve_component`` calls), fits the z pairs and takes the dual step,
-    all on flat ``seed * width + index`` indices, with the same
-    floating-point operations in the same order as :func:`run`; every
-    field of the returned metrics is equal to ``run``'s bit for bit.
-    Records are taken per seed by the same recorder ``run`` uses.
+    Each call of :func:`_fire_lanes` fires a set of lanes, each a (seed,
+    block, iteration) triple, on flat ``seed * width + index`` indices:
+    with several seeds, one lane per seed per iteration, each drawn from
+    the seed's own SplitMix64 stream; with one seed, one wave of
+    consecutive draws that commute (:func:`_wave_ends`). The x closed
+    forms are the functions ``solve_component`` calls, and every field of
+    the returned metrics is equal to ``run``'s bit for bit. Records are
+    taken per seed by the same recorder ``run`` uses.
 
     When a seed diverges, the :class:`DivergenceError` is the one
     ``run`` would raise for the first seed in ``seeds`` order that
@@ -927,6 +1037,7 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
+    table = _block_table(prob, partition)
     bt = _batch_table(prob, partition)
     S = len(seeds)
     start, maxima = _start(prob, x0, z0)
@@ -951,72 +1062,46 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     failures = {}
 
     base = (np.arange(S) * bt.width)[:, None]
-    Cn, D, P, R = bt.C * bt.n, bt.D, bt.P, bt.R
-    ic, cc = bt.icol, bt.ccol
-    new = np.empty((S, Cn + 2 * R))
-    new_x, new_z, new_p = new[:, :Cn], new[:, Cn:Cn + R], new[:, Cn + R:]
     rngs = [RngStream(seed) for seed in seeds]
     per_chunk = max(1, _DRAW_CHUNK // S)
     k = 0
     while k < T and 0 not in failures:
         chunk = min(per_chunk, T - k)
         blocks = blocks_for(dist, draw_uniforms(rngs, chunk))
-        for b in blocks:
-            k += 1
-            idx = bt.idx[b]
-            idx += base
-            const = bt.const[b]
-            # lazy ergodic sums of the coordinates about to move
-            mv = idx[:, bt.moved]
-            old = flat[mv]
-            acc_flat[mv] += (k - since_flat[mv]) * old
-            since_flat[mv] = k
-            # x: closed-form solve of each lane against the current z, p
-            g = const[:, cc["coeff"]] * (flat[idx[:, ic["tilt_p"]]] - beta * (
-                const[:, cc["h"]] * flat[idx[:, ic["tilt_z"]]]))
-            lin = _row_sums(g.reshape(S, Cn, D))[..., 0]
-            q, lo, hi = (const[:, cc[c]] for c in ("quad", "lo", "hi"))
-            if bt.has_quad:
-                u = quadratic_prox(const[:, cc["w2"]], const[:, cc["w2c"]],
-                                   q, lin, lo, hi)
-            if bt.has_kink:
-                uk = kink_prox(const[:, cc["a"]], const[:, cc["kink"]], q,
-                               lin, lo, hi)
-                u = (np.where(const[:, cc["is_quad"]] > 0, u, uk)
-                     if bt.has_quad else uk)
-            new_x[...] = u
-            flat[idx[:, ic["x"]]] = u
-            # z pairs and free rows, then the dual step, from the new x
-            ax = const[:, cc["z_coeff"]] * flat[idx[:, ic["col"]]]
-            w = const[:, cc["w"]]
-            p_old = old[:, Cn + R:]
-            t = p_old / beta - ax
-            zi = (w[:, :P] * t[:, :P] - w[:, P:2 * P] * t[:, P:2 * P]) \
-                / const[:, cc["den"]]
-            new_z[:, :P] = zi
-            np.negative(zi, out=new_z[:, P:2 * P])
-            np.divide(t[:, 2 * P:], w[:, 2 * P:], out=new_z[:, 2 * P:])
-            np.subtract(p_old, beta * (ax + w * new_z), out=new_p)
-            flat[idx[:, Cn:Cn + 2 * R]] = new[:, Cn:]
-            # guard: max |x|, |z|, |p| over each seed's block lanes
-            hot = np.maximum.reduceat(np.abs(new), bt.cuts, axis=1)
+        ends = (_wave_ends(table, blocks[:, 0].tolist(), k, stride, T)
+                if S == 1 else range(1, chunk + 1))
+        lo = 0
+        for hi in ends:
+            # draws lo..hi-1 of every seed, one lane each, in draw order
+            lanes = blocks[lo:hi].reshape(-1)
+            idx = bt.idx[lanes]
+            if S > 1:
+                idx += base
+            k_lanes = k + hi if hi - lo == 1 else \
+                np.arange(k + lo + 1, k + hi + 1)[:, None]
+            hot = _fire_lanes(bt, beta, flat, acc_flat, since_flat, idx,
+                              bt.const[lanes], k_lanes)
             if not np.all(hot <= DIVERGENCE_LIMIT):
-                _batch_failures(hot, k, seeds, b, failures, state)
+                _batch_failures(hot, k + lo, seeds, lanes, failures, state)
                 if 0 in failures:
                     break
-            np.maximum(maxima, hot, out=maxima)
-            if k % stride and k != T:
+            # one seed's lanes are its draws: fold them into its maxima
+            np.maximum(maxima, hot if S > 1 else hot.max(axis=0), out=maxima)
+            lo = hi
+            it = k + hi
+            if it % stride and it != T:
                 continue
-            if probes.ergodic or k == T:
-                acc += (k + 1 - since) * state
-                since.fill(k + 1)
+            if probes.ergodic or it == T:
+                acc += (it + 1 - since) * state
+                since.fill(it + 1)
             if probes.ergodic:
-                xbs = acc[:, :dim_x] / k
-                zbs = acc[:, bt.z0:bt.z0 + W] / k
+                xbs = acc[:, :dim_x] / it
+                zbs = acc[:, bt.z0:bt.z0 + W] / it
             else:
                 xbs = zbs = [None] * S
-            for s, bs in enumerate(b.tolist()):
-                recs[s].add(k, bs, xs[s], zs[s], ps[s], xbs[s], zbs[s])
+            for s, bs in enumerate(blocks[hi - 1].tolist()):
+                recs[s].add(it, bs, xs[s], zs[s], ps[s], xbs[s], zbs[s])
+        k += chunk
     if failures:
         raise DivergenceError(failures[min(failures)])
     return [rec.metrics(seed, T, xs[s], zs[s], ps[s], acc[s, :dim_x],
@@ -1025,19 +1110,24 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
             for s, (seed, rec) in enumerate(zip(seeds, recs))]
 
 
-def _batch_failures(hot, k, seeds, b, failures, state):
-    """Note each seed's first guard failure and park its lanes at zero.
+def _batch_failures(hot, k, seeds, lanes, failures, state):
+    """Note each seed's first guard failure and park its state at zero.
 
-    Only the first diverging seed in ``seeds`` order is reported, so the
-    others keep running until they finish or diverge; a failed seed's
-    state is zeroed so that it produces no further non-finite values.
+    Lane ``l`` fired block ``lanes[l]`` of seed ``l % S`` at iteration
+    ``k + 1 + l // S``, so a seed's first failing lane is its earliest
+    failure. Only the first diverging seed in ``seeds`` order is
+    reported, so the others keep running until they finish or diverge; a
+    failed seed's state is zeroed so that it produces no further
+    non-finite values.
     """
-    for s in np.flatnonzero(~np.all(hot <= DIVERGENCE_LIMIT, axis=1)):
-        s = int(s)
+    S = len(seeds)
+    for lane in np.flatnonzero(~np.all(hot <= DIVERGENCE_LIMIT, axis=1)):
+        s, draw = int(lane) % S, int(lane) // S
         if s not in failures:
-            failures[s] = _guard_message(hot[s], k, seeds[s], int(b[s]))
+            failures[s] = _guard_message(hot[lane], k + 1 + draw, seeds[s],
+                                         int(lanes[lane]))
         state[s] = 0.0
-        hot[s] = 0.0
+        hot[lane] = 0.0
 
 
 SHADOW_TOL = 1e-9

@@ -156,15 +156,14 @@ def write_mean_csv(path: Path, all_metrics):
 
 
 def _run_seeds(prepared: PreparedExperiment) -> list:
-    """Metrics of every seed: one lockstep batch when it covers the run."""
+    """Metrics of every seed: one batch when it covers the run."""
     cfg = prepared.config
     probes = Probes(shadow=cfg.probes.shadow, lyapunov=cfg.probes.lyapunov,
                     ergodic=cfg.probes.ergodic)
     args = (prepared.problem, prepared.partition, prepared.dist)
     kwargs = dict(T=cfg.T, probes=probes, ref=prepared.ref, x0=prepared.x0,
                   z0=prepared.z0, stride=cfg.stride)
-    if len(cfg.seeds) > 1 and batch_supports(prepared.problem,
-                                             prepared.partition, probes):
+    if batch_supports(prepared.problem, prepared.partition, probes):
         return run_batch(*args, seeds=cfg.seeds, **kwargs)
     return [run(*args, seed=seed, **kwargs) for seed in cfg.seeds]
 

@@ -180,15 +180,20 @@ class SumZeroPairs:
                 if k in seen:
                     raise InvalidProblem(f"index {k} appears in two pairs")
                 seen.add(k)
+        index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        object.__setattr__(self, "_first", index[:, 0])
+        object.__setattr__(self, "_second", index[:, 1])
 
     def contains(self, u: np.ndarray, tol: float = 0.0) -> bool:
         return all(abs(u[i] + u[j]) <= tol for i, j in self.pairs)
 
     def project(self, u: np.ndarray) -> np.ndarray:
+        # the pairs are disjoint, so all of them are projected at once
         out = np.asarray(u, dtype=float).copy()
-        for i, j in self.pairs:
-            m = 0.5 * (out[i] - out[j])
-            out[i], out[j] = m, -m
+        i, j = self._first, self._second
+        m = 0.5 * (out[i] - out[j])
+        out[i] = m
+        out[j] = -m
         return out
 
 

@@ -189,17 +189,17 @@ def test_unsupported_runs_are_refused(monkeypatch):
     assert not batch_supports(reform.problem, reform.partition, Probes())
 
 
-def cycle_config(tmp_path, out, seeds):
-    (tmp_path / "g.txt").write_text(Graph.cycle(5).to_text())
+def cycle_config(tmp_path, out, seeds, nodes=5, T=120):
+    (tmp_path / "g.txt").write_text(Graph.cycle(nodes).to_text())
     return ExperimentConfig(
         problem=ProblemSource("benchmark",
                               {"name": "consensus-quadratic", "graph": "g.txt",
-                               "a": [1.0, 2.0, 3.0, 4.0, 5.0]}),
-        T=120, seeds=seeds, stride=7, out=out,
+                               "a": [float(i + 1) for i in range(nodes)]}),
+        T=T, seeds=seeds, stride=7, out=out,
         probes=ProbeFlags(ergodic=True, lyapunov=True))
 
 
-def test_run_experiment_outputs_equal_serial_bytes(tmp_path, monkeypatch):
+def assert_outputs_equal_serial_bytes(tmp_path, monkeypatch, cfg):
     calls = []
 
     def counted(*args, **kwargs):
@@ -207,7 +207,6 @@ def test_run_experiment_outputs_equal_serial_bytes(tmp_path, monkeypatch):
         return run_batch(*args, **kwargs)
 
     monkeypatch.setattr(runner, "run_batch", counted)
-    cfg = cycle_config(tmp_path, "batch", (4, 0, 9))
     assert run_experiment(cfg, base_dir=tmp_path) == 0
     assert calls == [cfg.seeds]
 
@@ -222,7 +221,8 @@ def test_run_experiment_outputs_equal_serial_bytes(tmp_path, monkeypatch):
                    stride=cfg.stride) for s in cfg.seeds]
     for m in metrics:
         runner.write_metrics_csv(serial / f"seed_{m.seed}.csv", m)
-    runner.write_mean_csv(serial / "mean.csv", metrics)
+    if len(metrics) > 1:
+        runner.write_mean_csv(serial / "mean.csv", metrics)
     (serial / "summary.json").write_text(json.dumps(
         runner.build_summary(prepared, metrics), indent=2,
         sort_keys=True) + "\n")
@@ -231,6 +231,11 @@ def test_run_experiment_outputs_equal_serial_bytes(tmp_path, monkeypatch):
     for name in names:
         assert (tmp_path / "batch" / name).read_bytes() == \
             (serial / name).read_bytes(), name
+
+
+def test_run_experiment_outputs_equal_serial_bytes(tmp_path, monkeypatch):
+    assert_outputs_equal_serial_bytes(
+        tmp_path, monkeypatch, cycle_config(tmp_path, "batch", (4, 0, 9)))
 
 
 def nan_cycle():
@@ -272,3 +277,113 @@ def test_divergence_names_first_seed_in_config_order(tmp_path, capsys):
     assert run_experiment(cfg, base_dir=tmp_path) == 1
     assert capsys.readouterr().err == f"divergence: {want}\n"
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# One seed: waves of commuting blocks
+# ---------------------------------------------------------------------------
+
+def merged_partition(prob, part, rng):
+    """The per-edge blocks dealt at random into blocks of one to three
+    edges, so blocks are uneven and their rows far apart."""
+    edges = rng.permutation(len(part.blocks))
+    cuts = np.cumsum(rng.integers(1, 4, size=edges.size))
+    groups = np.split(edges, cuts[cuts < edges.size])
+    blocks = [np.concatenate([part.blocks[e] for e in g]).tolist()
+              for g in groups]
+    return build_partition(prob.z_set, prob.constraints, blocks)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=st.sampled_from(["consensus-quadratic", "consensus-lad",
+                                "lasso-toy"]),
+       graph=st.sampled_from(["cycle", "path"]),
+       nodes=st.integers(8, 60),
+       blocks=st.sampled_from(["per-edge", "merged"]),
+       seed=st.sampled_from([0, 1, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
+       T=st.sampled_from([1, 1023, 1024, 1025, 3000]) | st.integers(1, 3000),
+       stride=st.integers(1, 7), ergodic=st.booleans(),
+       lyapunov=st.booleans(), data_seed=st.integers(0, 2 ** 32 - 1))
+def test_one_seed_waves_equal_serial(problem, graph, nodes, blocks, seed, T,
+                                     stride, ergodic, lyapunov, data_seed):
+    rng = np.random.default_rng(data_seed)
+    bench = make_bench(problem, graph, nodes, rng)
+    prob, part = bench.problem, bench.reform.partition
+    if blocks == "merged":
+        part = merged_partition(prob, part, rng)
+    x0 = rng.uniform(-6.0, 6.0, prob.dim_x)
+    check_batch(prob, part, [seed], T, stride,
+                Probes(ergodic=ergodic, lyapunov=lyapunov),
+                ref=random_reference(prob, rng), x0=x0)
+
+
+def component_rows(prob, part, b):
+    """The rows owned by block b's components: what its tilts read."""
+    owners = prob.constraints.row_block
+    return set(np.flatnonzero(np.isin(owners, part.component_map[b])).tolist())
+
+
+@pytest.mark.parametrize("merged", [False, True])
+def test_waves_are_maximal_conflict_free_runs(merged):
+    bench = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
+                               Graph.cycle(200))
+    prob, part = bench.problem, bench.reform.partition
+    if merged:
+        part = merged_partition(prob, part, np.random.default_rng(3))
+    dist = derive_probabilities(part, uniform_probs(part))
+    rng = RngStream(11)
+    draws = [sample_block(dist, rng) for _ in range(1000)]
+    k, stride, T = 40, 300, 1100
+    ends = engine._wave_ends(engine._block_table(prob, part), draws, k,
+                             stride, T)
+    assert ends[-1] == len(draws)
+    records = {j for j in range(1, len(draws) + 1)
+               if (k + j) % stride == 0 or k + j == T}
+    assert records <= set(ends)
+    rows = [set(part.blocks[b].tolist()) for b in range(len(part.blocks))]
+    lo = 0
+    for hi in ends:
+        wave = draws[lo:hi]
+        for i, b in enumerate(wave):
+            reads = component_rows(prob, part, b)
+            assert all(not reads & rows[a] for a in wave[:i])
+        # a cut that is not a record or the chunk's end is forced by a clash
+        if hi not in records and hi < len(draws):
+            reads = component_rows(prob, part, draws[hi])
+            assert any(reads & rows[a] for a in wave)
+        lo = hi
+    assert len(draws) / len(ends) > (2.0 if merged else 5.0)
+
+
+def test_divergence_mid_wave_names_serial_iteration_and_block():
+    nodes = 40
+    terms = tuple(Quadratic(np.array([np.nan if i == 17 else float(i)]))
+                  for i in range(nodes))
+    reform = build_reformulation(Graph.cycle(nodes), terms,
+                                 tuple(Free(1) for _ in terms), 1.0)
+    prob, part = reform.problem, reform.partition
+    dist = derive_probabilities(part, uniform_probs(part))
+    table = engine._block_table(prob, part)
+    for seed in range(50):
+        msg = serial_failure(reform, dist, seed)
+        k = int(msg.split("iteration ")[1].split()[0])
+        rng = RngStream(seed)
+        draws = [sample_block(dist, rng) for _ in range(200)]
+        starts = [0] + engine._wave_ends(table, draws, 0, 200, 200)
+        # the failing draw (index k - 1) is neither first nor last in its wave
+        if k - 1 not in starts and k not in starts:
+            break
+    else:
+        pytest.fail("no seed diverges inside a wave")
+    with pytest.raises(DivergenceError) as info:
+        run_batch(prob, part, dist, [seed], T=200, stride=200)
+    assert str(info.value) == msg
+    assert f"block {draws[k - 1]})" in msg
+
+
+def test_run_experiment_one_seed_outputs_equal_serial_bytes(tmp_path,
+                                                            monkeypatch):
+    assert_outputs_equal_serial_bytes(
+        tmp_path, monkeypatch,
+        cycle_config(tmp_path, "batch", (4,), nodes=60, T=1500))

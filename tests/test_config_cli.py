@@ -355,6 +355,59 @@ class TestMalformedInput:
             assert err.startswith("config error: ") and field in err
             assert err.count("\n") == 1
 
+    # coerced with int()/float() before: "T": 2.7 ran 2 steps, exit 0
+    BAD_NUMBER = [
+        ("T", 2.7), ("T", True), ("T", "5"), ("stride", 1.9),
+        ("workers", 1.5), ("beta", "2"),
+    ]
+
+    @pytest.mark.parametrize("field,value", BAD_NUMBER,
+                             ids=[f"{f}={v!r}" for f, v in BAD_NUMBER])
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, field, value):
+        write_cycle_graph(tmp_path / "g.txt", n=3)
+        doc = {"problem": {"benchmark": {"name": "consensus-quadratic",
+                                         "graph": "g.txt"}},
+               "T": 5, "out": "out"}
+        doc[field] = value
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    BAD_BENCHMARK = [
+        ("a", "xy"), ("a", [1.0, "x", 3.0]), ("a", [1.0, float("nan"), 3.0]),
+        ("w", 3), ("b", [True, 1.0]), ("pi", "1"), ("pi", None),
+        ("pi", float("inf")), ("box_margin", [0.5]),
+    ]
+
+    @pytest.mark.parametrize("field,value", BAD_BENCHMARK,
+                             ids=[f"{f}={v!r}" for f, v in BAD_BENCHMARK])
+    def test_bad_benchmark_data_exits_2(self, tmp_path, capsys, field,
+                                        value):
+        write_cycle_graph(tmp_path / "g.txt", n=3)
+        bench = {"name": "consensus-quadratic", "graph": "g.txt", field: value}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"problem": {"benchmark": bench},
+                                        "T": 5, "out": "out"}))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: problem.benchmark." + field)
+            assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_benchmark_data_is_accepted(self, tmp_path):
+        write_cycle_graph(tmp_path / "g.txt", n=3)
+        bench = {"name": "consensus-quadratic", "graph": "g.txt",
+                 "a": [1, 2, 3], "box_margin": 2, "pi": 1, "w": None}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"problem": {"benchmark": bench},
+                                        "T": 5, "out": "out"}))
+        assert cli_main(["run", str(cfg_path)]) == 0
+
     BAD_PROBLEM = [
         (("terms", 0), {"kind": "quadratic"}, "terms[0]: missing"),
         (("terms", 1), {"kind": "l1"}, "terms[1]: missing"),

@@ -21,6 +21,7 @@ from asyncadmm import (AbsDev, Box, BenchmarkSpec, ConstraintSystem, Custom,
                        uniform_probs)
 from asyncadmm import diagnostics, engine
 from asyncadmm.errors import UnboundedSubproblem, UnsupportedTerm
+from asyncadmm.problem import x_set_bounds
 from asyncadmm.prox import LocalSubproblem, solve_local, solve_z_prepared
 
 KINDS = ("quadratic", "absdev", "l1", "l1-zero", "custom")
@@ -241,8 +242,8 @@ def test_custom_of_dimension_two_raises_first():
 # ---------------------------------------------------------------------------
 
 def reference_ops(std):
-    ops = engine._CompiledOps(std.constraints, std.x_terms, std.x_sets,
-                              std.beta)
+    ops = engine._CompiledOps(std.constraints, std.x_terms,
+                              x_set_bounds(std), std.beta)
     ops.set_pairs(std.z_set)
     return ops
 

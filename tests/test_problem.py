@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncadmm import (AbsDev, Box, ConstraintSystem, Custom, Free, L1,
                        PrimalDualState, Quadratic, SeparableProblem,
@@ -60,6 +62,31 @@ class TestFeasibleSets:
         out = s.project(np.array([3.0, 1.0, 7.0, 8.0]))
         np.testing.assert_allclose(out, [1.0, -1.0, 7.0, 8.0])
         assert s.contains(out, tol=0.0)
+
+
+def project_pairs_one_by_one(pairs, u):
+    out = np.asarray(u, dtype=float).copy()
+    for i, j in pairs:
+        m = 0.5 * (out[i] - out[j])
+        out[i], out[j] = m, -m
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(0, 40))
+def test_sum_zero_project_equals_pair_loop(data, dim):
+    order = data.draw(st.permutations(range(dim)))
+    npairs = data.draw(st.integers(0, dim // 2))
+    pairs = tuple((order[2 * t], order[2 * t + 1]) for t in range(npairs))
+    u = data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0])
+        | st.floats(allow_nan=True, allow_infinity=True, width=64),
+        min_size=dim, max_size=dim))
+    with np.errstate(invalid="ignore"):
+        got = SumZeroPairs(dim=dim, pairs=pairs).project(np.array(u))
+        want = project_pairs_one_by_one(pairs, u)
+    # equal bytes: signs of zero and NaNs included
+    assert got.tobytes() == want.tobytes()
 
 
 class TestInitialState:
