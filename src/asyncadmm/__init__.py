@@ -6,9 +6,9 @@ Library layout:
   problem container, and its evaluation operations.
 - ``prox``: closed-form component and block subproblem solvers.
 - ``scheduler``: proper partitions, activation probabilities, seeded RNG.
-- ``engine``: asynchronous steps, full-information shadow passes, the
-  synchronous baseline, the metric-recording run loop, and its
-  seed-batched lockstep form.
+- ``engine``: the asynchronous block kernel and step, full-information
+  shadow passes, the synchronous baseline, and the one metric-recording
+  run loop (many seeds in lockstep, one seed in waves).
 - ``consensus``: edge-based reformulation of multi-agent consensus and
   the closed-form per-edge step.
 - ``diagnostics``: weighted norms and Lagrangian, Lyapunov values,
@@ -21,14 +21,12 @@ from .terms import AbsDev, Box, Custom, Free, L1, Quadratic, SumZeroPairs, term_
 from .problem import (ConstraintSystem, PrimalDualState, SeparableProblem,
                       StandardProblem, ValidationReport, initial_state,
                       lagrangian, objective, residual, validate_constraints)
-from .prox import (LocalSubproblem, ZBlockSubproblem, bisect_convex,
-                   soft_threshold, solve_local, solve_z_block)
+from .prox import LocalSubproblem, bisect_convex, soft_threshold, solve_local
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         build_partition, derive_probabilities, sample_block,
                         single_block_partition, uniform_probs)
-from .engine import (Probes, RunMetrics, ShadowIterates, StepRecord,
-                     batch_supports, dual_update, run, run_batch, shadow_step,
-                     step, sync_admm_step, x_update, z_update)
+from .engine import (ProbeFlags, RunMetrics, ShadowIterates, StepRecord, run,
+                     run_batch, shadow_step, step, sync_admm_step)
 from .consensus import (EdgeReformulation, Graph, build_reformulation,
                         consensus_gap, consensus_reference, edge_initial_state,
                         edge_step)
@@ -38,7 +36,7 @@ from .diagnostics import (ErgodicAverages, RateConstants, RateFit,
                           q_value, solve_reference, weighted_lagrangian,
                           weighted_norm_sq)
 from .benchmarks import Benchmark, BenchmarkSpec, generate_benchmark
-from .config import (ExperimentConfig, ProbeFlags, ProblemSource, dump_problem,
+from .config import (ExperimentConfig, ProblemSource, dump_problem,
                      load_problem, parse_config, render_config)
 from .runner import prepare_experiment, run_experiment
 

@@ -17,6 +17,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .benchmarks import BENCHMARK_NAMES
+from .engine import ProbeFlags
 from .errors import ParseError, ValidationError
 from .problem import ConstraintSystem, SeparableProblem
 from .terms import AbsDev, Box, Custom, Free, L1, Quadratic, SumZeroPairs
@@ -28,13 +29,6 @@ PROBLEM_SOURCE_KINDS = ("file", "inline", "benchmark", "object")
 BENCHMARK_FIELDS = ("name", "graph", "a", "w", "b", "pi", "box_margin")
 PROBLEM_FIELDS = ("n", "N", "W", "beta", "terms", "x_sets", "z_set",
                   "D_rows", "H_diag")
-
-
-@dataclass(frozen=True)
-class ProbeFlags:
-    shadow: bool = False
-    lyapunov: bool = False
-    ergodic: bool = False
 
 
 @dataclass(frozen=True)
@@ -141,10 +135,19 @@ def _check_fields(obj: dict, allowed, where: str):
             raise ParseError(f"{where}: unknown field {key!r}")
 
 
+def _seed(value) -> int:
+    """One seed: a JSON integer in ``[0, 2**64)``."""
+    if not 0 <= _integer(value, "seeds") < 1 << 64:
+        raise ParseError(f"seeds: {value!r} is outside [0, 2**64)")
+    return value
+
+
 def parse_seeds(raw) -> tuple:
-    """Seeds from an int, a list, or a string ``"lo..hi"`` or ``"a,b,c"``."""
-    if isinstance(raw, int):
-        return (raw,)
+    """Seeds from an int, a list, or a string ``"lo..hi"`` or ``"a,b,c"``.
+
+    Each seed is an integer in ``[0, 2**64)``: the sampler reads a seed
+    modulo 2**64, so any other integer would repeat another seed's run.
+    """
     if isinstance(raw, str):
         if ".." in raw:
             lo, hi = raw.split("..", 1)
@@ -154,14 +157,12 @@ def parse_seeds(raw) -> tuple:
                 raise ParseError(f"bad seed range {raw!r}") from None
             if hi < lo:
                 raise ValidationError(f"empty seed range {raw!r}")
-            return tuple(range(lo, hi + 1))
+            return tuple(range(_seed(lo), _seed(hi) + 1))
         try:
-            return tuple(int(s) for s in raw.split(","))
+            raw = [int(s) for s in raw.split(",")]
         except ValueError:
             raise ParseError(f"bad seed list {raw!r}") from None
-    if isinstance(raw, list):
-        return tuple(int(s) for s in raw)
-    raise ParseError(f"seeds must be an int, list, or range string, got {raw!r}")
+    return tuple(_seed(s) for s in (raw if isinstance(raw, list) else [raw]))
 
 
 def _check_benchmark_data(doc: dict):

@@ -7,24 +7,21 @@ values, and the active dual rows take a residual step of size beta. All
 other coordinates are frozen.
 
 Step cost: one asynchronous step costs O(size of the block), not
-O(size of the problem). ``run`` updates its own x, z, p in place through
-one block kernel (``_apply_block``) driven by a per-partition block table
-that is built once in time linear in the number of rows; its ergodic
-sums are brought up to date lazily, per coordinate just before it moves
-and for all coordinates at a record. Only the shadow probe copies the
-state per step. ``step`` is the same kernel applied to a copy.
+O(size of the problem). The block kernel (``_apply_block``) updates x,
+z, p in place through a per-partition block table that is built once
+in time linear in the number of rows; ``step`` is that kernel applied
+to a copy of the state.
 
-Seed batch: ``run_batch`` fires blocks as lanes of one array kernel
-(``_fire_lanes``) on one ``(S, width)`` state, with every block padded
-to the largest block. Many seeds advance in lockstep, one lane per seed
-per iteration. One seed fires its draws in waves: maximal runs of
-consecutive draws in which no block reads what an earlier block of the
-wave writes, so that firing them at once gives the serial result
-(``_wave_ends``). The kernel performs the same floating-point
-operations in the same order as ``run`` (the x closed forms and the row
-sums are shared functions), so each seed's metrics are equal to
-``run``'s bit for bit. ``run`` stays the plain path the batch is
-checked against.
+Run loop: ``run_batch`` is the one loop (``run`` is its one-seed form).
+It fires blocks as lanes on one ``(S, width)`` state: many seeds in
+lockstep, one lane per seed per iteration; one seed in waves of
+consecutive draws that commute (``_wave_ends``). The lanes go through
+one array kernel (``_fire_lanes``, every block padded to the largest)
+when its closed forms cover the problem, else one by one through
+``_apply_block`` (``_fire_blocks``). Either performs the floating-point
+operations of ``_apply_block`` in its order, so each seed's metrics
+equal chained ``step`` calls bit for bit. Ergodic sums are kept lazily:
+per coordinate just before it moves, and for all coordinates at a record.
 
 Shadow pass: the full-information iterates (y, v, mu) that a
 fully-activated step would have produced from the same state; the
@@ -58,11 +55,11 @@ from .errors import (DivergenceError, ImproperPartition, MissingReference,
 from .problem import (PrimalDualState, SeparableProblem, StandardProblem,
                       TermGroups, XSetBounds, initial_state, objective,
                       residual, term_groups, x_set_bounds)
-from .prox import (ZBlockSubproblem, _kink_coord, kink_prox, quadratic_prox,
-                   solve_local_prepared, solve_z_block, solve_z_prepared)
+from .prox import (_kink_coord, kink_prox, quadratic_prox,
+                   solve_local_prepared, solve_z_prepared)
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         blocks_for, draw_uniforms, sample_block)
-from .terms import Box, Free, SumZeroPairs
+from .terms import Box, SumZeroPairs
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -426,71 +423,6 @@ def _apply_block(ops: _CompiledOps, blk, x, z, p):
     p[rows] -= ops.beta * (coeff * x[col] + w * z_rows)
 
 
-def x_update(prob: SeparableProblem, state: PrimalDualState,
-             active_components) -> np.ndarray:
-    """Re-solve the local subproblems of the active components.
-
-    Each active component i minimizes
-    ``f_i(u) + (beta/2)||D_i u||^2 - (p - beta H z)' D_i u`` over its set,
-    using all constraint rows it owns; inactive components are unchanged.
-    """
-    ops = _ops(prob)
-    x = state.x.copy()
-    n = ops.n
-    for i in active_components:
-        i = int(i)
-        x[i * n:(i + 1) * n] = ops.solve_component(i, state.p, state.z)
-    return x
-
-
-def z_update(prob: SeparableProblem, state: PrimalDualState,
-             x_new: np.ndarray, active_rows) -> np.ndarray:
-    """Refit the active z rows against the refreshed coupling values.
-
-    The active block minimizes
-    ``(beta/2)||H_psi z||^2 - (p - beta D_phi x+)' H_psi z`` over the z
-    set restricted to the block; inactive rows are unchanged.
-    """
-    ops = _ops(prob)
-    rows = np.asarray(active_rows, dtype=np.intp)
-    z = state.z.copy()
-    if rows.size == 0:
-        return z
-    t = state.p[rows] / ops.beta - ops.coeff[rows] * x_new[ops.col[rows]]
-    sub = ZBlockSubproblem(weights=ops.h[rows], target=t,
-                           set=_restrict_z_set(prob.z_set, rows))
-    z[rows] = solve_z_block(sub)
-    return z
-
-
-def _restrict_z_set(z_set, rows):
-    if isinstance(z_set, SumZeroPairs) and z_set.pairs:
-        pos = {int(r): a for a, r in enumerate(rows)}
-        local = []
-        for i, j in z_set.pairs:
-            ii, jj = pos.get(i), pos.get(j)
-            if (ii is None) != (jj is None):
-                raise ImproperPartition(
-                    f"active rows split the coupled pair ({i},{j})")
-            if ii is not None:
-                local.append((ii, jj))
-        return SumZeroPairs(dim=rows.size, pairs=tuple(local))
-    return Free(dim=rows.size)
-
-
-def dual_update(prob: SeparableProblem, state: PrimalDualState,
-                x_new: np.ndarray, z_new: np.ndarray, active_rows) -> np.ndarray:
-    """Residual step ``p <- p - beta (D_phi x+ + H_psi z+)`` on active rows."""
-    ops = _ops(prob)
-    rows = np.asarray(active_rows, dtype=np.intp)
-    p = state.p.copy()
-    if rows.size == 0:
-        return p
-    r_active = ops.coeff[rows] * x_new[ops.col[rows]] + ops.h[rows] * z_new[rows]
-    p[rows] -= ops.beta * r_active
-    return p
-
-
 def shadow_step(prob: SeparableProblem, state: PrimalDualState) -> ShadowIterates:
     """Full-information iterates (y, v, mu) from the given state."""
     ops = _ops(prob)
@@ -555,13 +487,15 @@ def sync_admm_step(std_prob: StandardProblem,
     return PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
 
 
-@dataclass
-class Probes:
-    """Which optional quantities a run records."""
+@dataclass(frozen=True)
+class ProbeFlags:
+    """Which optional quantities a run records: the shadow-pass and freeze
+    checks (counters), the Lyapunov column (needs a dual reference) and
+    the ergodic columns. All off by default."""
 
     shadow: bool = False
     lyapunov: bool = False
-    ergodic: bool = True
+    ergodic: bool = False
 
 
 @dataclass(eq=False)
@@ -593,10 +527,10 @@ class RunMetrics:
 class _Recorder:
     """The values a run records, one column per record point.
 
-    ``run`` and ``run_batch`` keep one recorder per seed, so both record
-    through the same code. Rows of ``values`` are the recorded series in
-    ``RunMetrics`` order (objective, its error, feasibility, ergodic
-    objective error, ergodic feasibility, Lyapunov value).
+    ``run_batch`` keeps one recorder per seed. Rows of ``values`` are the
+    recorded series in ``RunMetrics`` order (objective, its error,
+    feasibility, ergodic objective error, ergodic feasibility, Lyapunov
+    value).
     """
 
     def __init__(self, prob, dist, probes, ref, f_star, T, stride):
@@ -649,33 +583,9 @@ class _Recorder:
             x_max_abs=x_max, z_max_abs=z_max, p_max_abs=p_max)
 
 
-def _check_run_args(T, stride, probes, ref):
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if probes is None:
-        probes = Probes()
-    if probes.lyapunov and (ref is None or ref.p is None):
-        raise MissingReference("lyapunov probe requires a dual reference")
-    return probes
-
-
 def _new_counters(T):
     return {"steps": T, "shadow_checks": 0, "shadow_failures": 0,
             "freeze_checks": 0, "freeze_failures": 0}
-
-
-def _start(prob, x0, z0):
-    """Initial state and its max |x|, |z|, |p|, checked against the guard."""
-    state = initial_state(prob, x0, z0)
-    maxima = [float(np.max(np.abs(v), initial=0.0))
-              for v in (state.x, state.z, state.p)]
-    x_max, z_max, _ = maxima
-    if not (x_max <= DIVERGENCE_LIMIT and z_max <= DIVERGENCE_LIMIT):
-        raise DivergenceError(f"initial state magnitude (x {x_max:.3e}, "
-                              f"z {z_max:.3e}) exceeds the divergence guard")
-    return state, maxima
 
 
 def _guard_message(hot, k, seed, b):
@@ -693,83 +603,19 @@ def _guard_message(hot, k, seed, b):
 _DRAW_CHUNK = 1 << 10
 
 
-def _draw_blocks(dist, rng: RngStream, count: int):
-    """The blocks of ``count`` steps, in :func:`sample_block`'s order."""
-    while count > 0:
-        chunk = min(count, _DRAW_CHUNK)
-        yield from blocks_for(dist, rng.uniforms(chunk)).tolist()
-        count -= chunk
-
-
 def run(prob: SeparableProblem, partition: ProperPartition,
         dist: ActivationDistribution, seed: int, T: int,
-        probes: Optional[Probes] = None, ref=None,
+        probes: Optional[ProbeFlags] = None, ref=None,
         x0=None, z0=None, stride: int = 1) -> RunMetrics:
     """Execute T asynchronous steps and record metrics every ``stride`` iters.
 
     ``ref`` (a diagnostics reference solution) enables objective-error and
     Lyapunov columns; without it those columns are NaN. Aborts with
     :class:`DivergenceError` when iterates exceed the divergence guard.
+    This is :func:`run_batch` of the one seed.
     """
-    probes = _check_run_args(T, stride, probes, ref)
-    ops = _ops(prob)
-    table = _block_table(prob, partition)
-    state, maxima = _start(prob, x0, z0)
-    dim_x, dim_z = prob.dim_x, prob.dim_z
-    # x, z and p are views of one stacked vector, so the coordinates a
-    # block moves are one index array (table.moved)
-    buf = np.concatenate([state.x, state.z, state.p])
-    x, z, p = buf[:dim_x], buf[dim_x:dim_x + dim_z], buf[dim_x + dim_z:]
-    # lazy ergodic sums: acc[c] sums coordinate c over the iterations
-    # before since[c]; its current value holds from since[c] on and is
-    # added just before it moves, and for every coordinate at a flush
-    # (p is summed too, unused, so that one index array serves both)
-    acc = np.zeros_like(buf)
-    since = np.ones_like(buf)
-    moved, moved_ptr, moved_cuts = table.moved, table.moved_ptr, table.moved_cuts
-    f_star = objective(prob, ref.x) if ref is not None else np.nan
-    rec = _Recorder(prob, dist, probes, ref, f_star, T, stride)
-    counters = _new_counters(T)
-    x_max, z_max, p_max = maxima
-
-    for k, b in enumerate(_draw_blocks(dist, RngStream(seed), T), start=1):
-        if probes.shadow:
-            before = buf.copy()
-            shadow = shadow_step(prob, PrimalDualState(
-                x=before[:dim_x], z=before[dim_x:dim_x + dim_z],
-                p=before[dim_x + dim_z:], k=k - 1))
-        idx = moved[moved_ptr[b]:moved_ptr[b + 1]]
-        acc[idx] += (k - since[idx]) * buf[idx]
-        since[idx] = k
-        _apply_block(ops, table.block(b), x, z, p)
-        if probes.shadow:
-            _tally_shadow(table, b, before, buf, shadow, counters)
-        # only the active coordinates moved, so guarding them guards all;
-        # the block's max |x|, |z|, |p| is NaN if any of them is NaN
-        hot = np.maximum.reduceat(np.abs(buf[idx]), moved_cuts[b])
-        failure = _guard_message(hot, k, seed, b)
-        if failure is not None:
-            raise DivergenceError(failure)
-        x_hot, z_hot, p_hot = hot.tolist()
-        if x_hot > x_max:
-            x_max = x_hot
-        if z_hot > z_max:
-            z_max = z_hot
-        if p_hot > p_max:
-            p_max = p_hot
-        if k % stride and k != T:
-            continue
-        if probes.ergodic or k == T:
-            acc += (k + 1 - since) * buf
-            since.fill(k + 1)
-        if probes.ergodic:
-            rec.add(k, b, x, z, p, acc[:dim_x] / k,
-                    acc[dim_x:dim_x + dim_z] / k)
-        else:
-            rec.add(k, b, x, z, p)
-
-    return rec.metrics(seed, T, x, z, p, acc[:dim_x], acc[dim_x:dim_x + dim_z],
-                       counters, (x_max, z_max, p_max))
+    return run_batch(prob, partition, dist, [seed], T, probes=probes,
+                     ref=ref, x0=x0, z0=z0, stride=stride)[0]
 
 
 class _BatchTable:
@@ -892,37 +738,70 @@ def _stack(**groups):
     return np.concatenate(list(groups.values()), axis=1), cols
 
 
+class _BlockRows:
+    """One partition's blocks for :func:`_fire_blocks`, fired one by one.
+
+    A seed's state is one row ``[x, z, p]``, which ``table.moved`` indexes.
+    Each block is one lane: its ``idx`` is 0, so that a lane's entry is the
+    start of its seed's row once the row offset is added, and its
+    ``const`` is the block.
+    """
+
+    def __init__(self, ops: _CompiledOps, table: _BlockTable):
+        self.ops, self.table = ops, table
+        dim_x = ops.N * ops.n
+        self.z0, self.p0 = dim_x, dim_x + ops.W
+        self.width = dim_x + 2 * ops.W
+        blocks = np.arange(len(table.row_ptr) - 1, dtype=np.intp)[:, None]
+        self.idx, self.const = np.zeros_like(blocks), blocks
+
+
 # padded lanes a batch table may hold; beyond it (a hub component in many
-# blocks pads every block to its degree) batches fall back to run()
+# blocks pads every block to its degree) the blocks fire one by one
 _BATCH_LANE_LIMIT = 1 << 20
 
 
-def batch_supports(prob: SeparableProblem, partition: ProperPartition,
-                   probes: Optional[Probes] = None) -> bool:
-    """Whether :func:`run_batch` covers this problem, partition and probes.
-
-    It covers Quadratic, AbsDev and L1 terms (no Custom term) whose
-    coordinates all have a coupling row, the ergodic and Lyapunov probes
-    but not the shadow probe, and partitions whose padded block table
-    stays under ``_BATCH_LANE_LIMIT`` lanes.
-    """
-    if probes is not None and probes.shadow:
-        return False
-    if term_groups(prob).other:
-        return False
-    ops = _ops(prob)
-    if not np.all(ops.quad > 0):
-        return False
-    ncomp = np.diff(_block_table(prob, partition).comp_ptr)
-    lanes = ncomp.size * int(ncomp.max()) * ops.n * int(ops.counts.max())
-    return lanes <= _BATCH_LANE_LIMIT
-
-
-def _batch_table(prob, partition) -> _BatchTable:
+def _batch_table(prob, partition):
+    """The table :func:`run_batch` fires the partition's blocks from, built
+    once: a :class:`_BatchTable` when the closed forms of :func:`_fire_lanes`
+    cover every x coordinate (Quadratic, AbsDev and L1 terms, each with a
+    coupling row) and its padding stays under ``_BATCH_LANE_LIMIT`` lanes,
+    else a :class:`_BlockRows` for :func:`_fire_blocks`."""
     table = _block_table(prob, partition)
     if getattr(table, "batch", None) is None:
-        table.batch = _BatchTable(_ops(prob), term_groups(prob), table)
+        ops, groups = _ops(prob), term_groups(prob)
+        ncomp = np.diff(table.comp_ptr)
+        lanes = ncomp.size * int(ncomp.max()) * ops.n * int(ops.counts.max())
+        if (groups.other or not np.all(ops.quad > 0)
+                or lanes > _BATCH_LANE_LIMIT):
+            table.batch = _BlockRows(ops, table)
+        else:
+            table.batch = _BatchTable(ops, groups, table)
     return table.batch
+
+
+def _fire_blocks(bt: _BlockRows, beta, flat, acc_flat, since_flat, idx,
+                 const, k):
+    """Fire each lane's block through :func:`_apply_block`, in lane order.
+
+    The arguments and result of :func:`_fire_lanes`: lane ``l`` fires
+    block ``const[l, 0]`` on the state row starting at ``idx[l, 0]`` at
+    iteration ``k`` (or ``k[l, 0]``), just after the lazy ergodic sums of
+    the block's moved coordinates. ``beta`` is the one ``bt.ops`` holds.
+    """
+    table, width, z0, p0 = bt.table, bt.width, bt.z0, bt.p0
+    moved, ptr, cuts = table.moved, table.moved_ptr, table.moved_cuts
+    ks = np.broadcast_to(k, (len(idx), 1))[:, 0].tolist()
+    hot = np.empty((len(idx), 3))
+    for lane, (start, b) in enumerate(zip(idx[:, 0].tolist(),
+                                          const[:, 0].tolist())):
+        row = flat[start:start + width]
+        mv = start + moved[ptr[b]:ptr[b + 1]]
+        acc_flat[mv] += (ks[lane] - since_flat[mv]) * flat[mv]
+        since_flat[mv] = ks[lane]
+        _apply_block(bt.ops, table.block(b), row[:z0], row[z0:p0], row[p0:])
+        hot[lane] = np.maximum.reduceat(np.abs(flat[mv]), cuts[b])
+    return hot
 
 
 def _fire_lanes(bt: _BatchTable, beta, flat, acc_flat, since_flat, idx,
@@ -936,9 +815,9 @@ def _fire_lanes(bt: _BatchTable, beta, flat, acc_flat, since_flat, idx,
     column with one per lane. Every lane reads before any lane writes, so
     no lane may write what another reads: the seeds of one lockstep
     iteration, or one wave of a seed (:func:`_wave_ends`). The x closed
-    forms, the z fit and the dual step are those of :func:`run`, as the
-    same floating-point operations in the same order. Returns each lane's
-    max |x|, |z|, |p| over its block.
+    forms, the z fit and the dual step are the floating-point operations
+    of :func:`_apply_block` in its order. Returns each lane's max |x|,
+    |z|, |p| over its block.
     """
     Cn, P = bt.Cn, bt.P
     ic, cc = bt.icol, bt.ccol
@@ -1012,35 +891,44 @@ def _wave_ends(table: _BlockTable, blocks, k: int, stride: int, T: int):
 
 def run_batch(prob: SeparableProblem, partition: ProperPartition,
               dist: ActivationDistribution, seeds, T: int,
-              probes: Optional[Probes] = None, ref=None,
+              probes: Optional[ProbeFlags] = None, ref=None,
               x0=None, z0=None, stride: int = 1) -> list:
-    """Run every seed in lockstep; element s equals ``run(seeds[s], ...)``.
+    """Run every seed in lockstep; element s is the run of ``seeds[s]``.
 
-    All seeds share one ``(S, width)`` state (see :class:`_BatchTable`).
-    Each call of :func:`_fire_lanes` fires a set of lanes, each a (seed,
-    block, iteration) triple, on flat ``seed * width + index`` indices:
-    with several seeds, one lane per seed per iteration, each drawn from
-    the seed's own SplitMix64 stream; with one seed, one wave of
-    consecutive draws that commute (:func:`_wave_ends`). The x closed
-    forms are the functions ``solve_component`` calls, and every field of
-    the returned metrics is equal to ``run``'s bit for bit. Records are
-    taken per seed by the same recorder ``run`` uses.
+    All seeds share one ``(S, width)`` state laid out by the partition's
+    table (:func:`_batch_table`). Each kernel call fires lanes, each a
+    (seed, block, iteration) triple: with several seeds, one lane per
+    seed per iteration, each seed drawing from its own SplitMix64 stream;
+    with one seed, one wave of commuting draws (:func:`_wave_ends`); with
+    the shadow probe, one iteration, between each seed's shadow pass
+    (:func:`shadow_step`) and its check (:func:`_tally_shadow`). Every
+    field of each seed's metrics equals that of ``T`` chained
+    :func:`step` calls bit for bit.
 
-    When a seed diverges, the :class:`DivergenceError` is the one
-    ``run`` would raise for the first seed in ``seeds`` order that
-    diverges. Raises ``ValueError`` if :func:`batch_supports` is false.
+    When a seed diverges, the :class:`DivergenceError` names the first
+    seed in ``seeds`` order that diverges, at its first failing step.
     """
-    probes = _check_run_args(T, stride, probes, ref)
-    if not batch_supports(prob, partition, probes):
-        raise ValueError("run_batch does not cover this problem or probe "
-                         "set; use run() per seed")
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    probes = probes or ProbeFlags()
+    if probes.lyapunov and (ref is None or ref.p is None):
+        raise MissingReference("lyapunov probe requires a dual reference")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
     table = _block_table(prob, partition)
     bt = _batch_table(prob, partition)
+    fire = _fire_lanes if isinstance(bt, _BatchTable) else _fire_blocks
     S = len(seeds)
-    start, maxima = _start(prob, x0, z0)
+    start = initial_state(prob, x0, z0)
+    maxima = [float(np.max(np.abs(v), initial=0.0))
+              for v in (start.x, start.z, start.p)]
+    if not (maxima[0] <= DIVERGENCE_LIMIT and maxima[1] <= DIVERGENCE_LIMIT):
+        raise DivergenceError(f"initial state magnitude (x {maxima[0]:.3e}, "
+                              f"z {maxima[1]:.3e}) exceeds the divergence "
+                              "guard")
     dim_x, W = prob.dim_x, prob.dim_z
     beta = prob.beta
     state = np.zeros((S, bt.width))
@@ -1059,7 +947,10 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     f_star = objective(prob, ref.x) if ref is not None else np.nan
     recs = [_Recorder(prob, dist, probes, ref, f_star, T, stride)
             for _ in seeds]
+    counters = [_new_counters(T) for _ in seeds]
     failures = {}
+    # where each seed's [x, z, p] lies in its state row, for the shadow probe
+    xzp = np.r_[0:dim_x, bt.z0:bt.z0 + W, bt.p0:bt.p0 + W]
 
     base = (np.arange(S) * bt.width)[:, None]
     rngs = [RngStream(seed) for seed in seeds]
@@ -1069,7 +960,7 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
         chunk = min(per_chunk, T - k)
         blocks = blocks_for(dist, draw_uniforms(rngs, chunk))
         ends = (_wave_ends(table, blocks[:, 0].tolist(), k, stride, T)
-                if S == 1 else range(1, chunk + 1))
+                if S == 1 and not probes.shadow else range(1, chunk + 1))
         lo = 0
         for hi in ends:
             # draws lo..hi-1 of every seed, one lane each, in draw order
@@ -1079,8 +970,18 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
                 idx += base
             k_lanes = k + hi if hi - lo == 1 else \
                 np.arange(k + lo + 1, k + hi + 1)[:, None]
-            hot = _fire_lanes(bt, beta, flat, acc_flat, since_flat, idx,
-                              bt.const[lanes], k_lanes)
+            if probes.shadow:
+                before = state[:, xzp]
+                shadows = [shadow_step(prob, PrimalDualState(
+                    x=row[:dim_x], z=row[dim_x:dim_x + W], p=row[dim_x + W:],
+                    k=k + lo)) for row in before]
+            hot = fire(bt, beta, flat, acc_flat, since_flat, idx,
+                       bt.const[lanes], k_lanes)
+            if probes.shadow:
+                after = state[:, xzp]
+                for s, b in enumerate(lanes.tolist()):
+                    _tally_shadow(table, b, before[s], after[s], shadows[s],
+                                  counters[s])
             if not np.all(hot <= DIVERGENCE_LIMIT):
                 _batch_failures(hot, k + lo, seeds, lanes, failures, state)
                 if 0 in failures:
@@ -1105,7 +1006,7 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     if failures:
         raise DivergenceError(failures[min(failures)])
     return [rec.metrics(seed, T, xs[s], zs[s], ps[s], acc[s, :dim_x],
-                        acc[s, bt.z0:bt.z0 + W], _new_counters(T),
+                        acc[s, bt.z0:bt.z0 + W], counters[s],
                         tuple(maxima[s].tolist()))
             for s, (seed, rec) in enumerate(zip(seeds, recs))]
 

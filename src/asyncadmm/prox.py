@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (InvalidProblem, NonfiniteInput, UnboundedSubproblem,
                      UnsupportedSet, UnsupportedTerm)
 from .terms import (AbsDev, Box, ConvexTerm, Custom, FeasibleSet, Free, L1,
-                    Quadratic, SumZeroPairs)
+                    Quadratic)
 
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 200
@@ -44,23 +44,6 @@ class LocalSubproblem:
             raise InvalidProblem("quad_diag and linear must match the term dimension")
         if np.any(self.quad_diag < 0) or not np.any(self.quad_diag > 0):
             raise InvalidProblem("quad_diag must be nonnegative with a positive entry")
-
-
-@dataclass(eq=False)
-class ZBlockSubproblem:
-    """One z-block: minimize ||diag(weights) z - target||^2 over the block set."""
-
-    weights: np.ndarray
-    target: np.ndarray
-    set: FeasibleSet
-
-    def __post_init__(self):
-        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        self.target = np.atleast_1d(np.asarray(self.target, dtype=float))
-        if self.weights.shape != self.target.shape:
-            raise InvalidProblem("weights and target must have equal length")
-        if np.any(self.weights == 0):
-            raise InvalidProblem("z-block weights must be nonzero")
 
 
 def _box_bounds(fset: FeasibleSet, dim: int):
@@ -200,27 +183,13 @@ def bisect_convex(g, lo=-np.inf, hi=np.inf,
     return 0.5 * (a + b)
 
 
-def solve_z_block(sub: ZBlockSubproblem) -> np.ndarray:
-    """Minimizer of ``||diag(w) z - t||^2`` over the block's set.
-
-    Free coordinates fit exactly; sum-zero pairs use the one-dimensional
-    stationarity closed form with the pairing enforced exactly.
-    """
-    w, t = sub.weights, sub.target
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(t))):
-        raise NonfiniteInput("z-block data contains non-finite values")
-    if isinstance(sub.set, Free):
-        return t / w
-    if isinstance(sub.set, SumZeroPairs):
-        pairs = sub.set.pairs
-        pi = np.array([i for i, _ in pairs], dtype=np.intp)
-        pj = np.array([j for _, j in pairs], dtype=np.intp)
-        return solve_z_prepared(w, t, pi, pj)
-    raise UnsupportedSet(f"z set of kind {type(sub.set).__name__} is not supported")
-
-
 def solve_z_prepared(w, t, pair_i, pair_j) -> np.ndarray:
-    """Kernel behind :func:`solve_z_block`; pair indices already extracted."""
+    """Minimizer of ``||diag(w) z - t||^2`` with ``z[pair_i] = -z[pair_j]``.
+
+    Unpaired coordinates fit exactly (``t / w``); each sum-zero pair takes
+    the one-dimensional stationarity closed form with the pairing
+    enforced exactly. ``pair_i``/``pair_j`` index into ``w`` and ``t``.
+    """
     z = t / w
     if pair_i.size:
         wi, wj = w[pair_i], w[pair_j]

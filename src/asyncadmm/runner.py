@@ -20,7 +20,7 @@ from .benchmarks import Benchmark, BenchmarkSpec, generate_benchmark
 from .config import ExperimentConfig, load_problem
 from .consensus import Graph, edge_initial_state
 from .diagnostics import ReferenceSolution, estimate_rate, solve_reference
-from .engine import Probes, RunMetrics, batch_supports, run, run_batch
+from .engine import RunMetrics, run_batch
 from .errors import (AsyncAdmmError, DivergenceError, NonPositiveSeries,
                      ParseError, ValidationError)
 from .problem import SeparableProblem, term_groups
@@ -156,16 +156,12 @@ def write_mean_csv(path: Path, all_metrics):
 
 
 def _run_seeds(prepared: PreparedExperiment) -> list:
-    """Metrics of every seed: one batch when it covers the run."""
+    """Metrics of every seed, run as one batch."""
     cfg = prepared.config
-    probes = Probes(shadow=cfg.probes.shadow, lyapunov=cfg.probes.lyapunov,
-                    ergodic=cfg.probes.ergodic)
-    args = (prepared.problem, prepared.partition, prepared.dist)
-    kwargs = dict(T=cfg.T, probes=probes, ref=prepared.ref, x0=prepared.x0,
-                  z0=prepared.z0, stride=cfg.stride)
-    if batch_supports(prepared.problem, prepared.partition, probes):
-        return run_batch(*args, seeds=cfg.seeds, **kwargs)
-    return [run(*args, seed=seed, **kwargs) for seed in cfg.seeds]
+    return run_batch(prepared.problem, prepared.partition, prepared.dist,
+                     seeds=cfg.seeds, T=cfg.T, probes=cfg.probes,
+                     ref=prepared.ref, x0=prepared.x0, z0=prepared.z0,
+                     stride=cfg.stride)
 
 
 def run_experiment(config: ExperimentConfig,

@@ -11,21 +11,21 @@ import time
 import numpy as np
 import pytest
 
-from asyncadmm import (AbsDev, BenchmarkSpec, Custom, Graph, Probes,
+from asyncadmm import (AbsDev, BenchmarkSpec, Custom, Graph, ProbeFlags,
                        Quadratic, RngStream, StandardProblem, WeightedNorm,
                        compute_rate_constants, consensus_gap,
-                       derive_probabilities, dual_update, edge_initial_state,
-                       edge_step, estimate_rate, generate_benchmark,
-                       initial_state, residual, run, run_batch,
-                       run_experiment, single_block_partition, solve_local,
-                       solve_reference, step, sync_admm_step, uniform_probs,
-                       x_update, z_update)
+                       derive_probabilities, edge_initial_state, edge_step,
+                       estimate_rate, generate_benchmark, initial_state,
+                       residual, run, run_batch, run_experiment,
+                       single_block_partition, solve_local, solve_reference,
+                       step, sync_admm_step, uniform_probs)
 from asyncadmm.diagnostics import lyapunov_drift
 from asyncadmm.prox import LocalSubproblem
 from asyncadmm.terms import Free, L1
 
 from conftest import random_state_for
 from oracles import scalar_subgrad_bisect
+from reference import fire_block
 
 
 def _report(num, name, ok, detail):
@@ -89,7 +89,7 @@ def test_criterion_2_consensus_correctness():
         for seed in range(10):
             t0 = time.perf_counter()
             m = run(bench.problem, bench.reform.partition, dist, seed=seed,
-                    T=budget, probes=Probes(ergodic=False), x0=x0, z0=z0,
+                    T=budget, probes=ProbeFlags(), x0=x0, z0=z0,
                     stride=budget)
             worst_time = max(worst_time, time.perf_counter() - t0)
             gap = consensus_gap(bench.reform, m.final_state,
@@ -112,9 +112,9 @@ def test_criterion_3_ergodic_rate(five_cycle_quadratic):
     efeas = []
     z_seen = 0.0
     xbars, zbars = [], []
-    # all seeds in one lockstep batch, equal to run() per seed bit for bit
+    # all seeds in one lockstep batch
     for m in run_batch(prob, bench.reform.partition, dist, seeds=seeds,
-                       T=10_000, probes=Probes(ergodic=True),
+                       T=10_000, probes=ProbeFlags(ergodic=True),
                        ref=bench.reference_solution, x0=x0, z0=z0, stride=10):
         efeas.append(m.ergodic_feasibility)
         z_seen = max(z_seen, m.z_max_abs)
@@ -179,7 +179,7 @@ def test_criterion_5_shadow_identities(five_cycle_quadratic):
     freeze_failures = 0
     for seed in (11, 22, 33, 44, 55, 66, 77, 88, 99, 110):
         m = run(prob, bench.reform.partition, dist, seed=seed, T=100,
-                probes=Probes(shadow=True, ergodic=False), x0=x0, z0=z0,
+                probes=ProbeFlags(shadow=True), x0=x0, z0=z0,
                 stride=100)
         total_checks += m.counters["shadow_checks"]
         failures += m.counters["shadow_failures"]
@@ -202,12 +202,10 @@ def test_criterion_6_closed_form_edge_step(five_cycle_quadratic):
         st = random_state_for(prob, rng)
         e = int(rng.integers(0, bench.reform.graph.num_edges))
         got = edge_step(bench.reform, st, e)
-        x = x_update(prob, st, part.component_map[e])
-        z = z_update(prob, st, x, part.blocks[e])
-        p = dual_update(prob, st, x, z, part.blocks[e])
-        worst = max(worst, float(np.max(np.abs(got.x - x))),
-                    float(np.max(np.abs(got.z - z))),
-                    float(np.max(np.abs(got.p - p))))
+        want = fire_block(prob, part, st, e)
+        worst = max(worst, float(np.max(np.abs(got.x - want.x))),
+                    float(np.max(np.abs(got.z - want.z))),
+                    float(np.max(np.abs(got.p - want.p))))
         ri = bench.reform.edge_rows(e, 0)[0]
         rj = bench.reform.edge_rows(e, 1)[0]
         worst_pair = max(worst_pair, abs(got.z[ri] + got.z[rj]))

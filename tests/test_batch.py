@@ -1,4 +1,5 @@
-"""The seed-batched engine against the plain per-seed run(), bit for bit."""
+"""The one run loop (run_batch; run is its one-seed form) against chained
+step() calls (``reference.reference_run``), bit for bit."""
 
 import json
 
@@ -8,52 +9,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asyncadmm import (BenchmarkSpec, Custom, ExperimentConfig, Free, Graph,
-                       ProbeFlags, ProblemSource, Probes, Quadratic, RngStream,
-                       batch_supports, build_partition, build_reformulation,
+                       ProbeFlags, ProblemSource, Quadratic, RngStream,
+                       build_partition, build_reformulation,
                        derive_probabilities, generate_benchmark,
-                       prepare_experiment, run, run_batch, run_experiment,
+                       prepare_experiment, run_batch, run_experiment,
                        sample_block, single_block_partition, uniform_probs)
 from asyncadmm import engine, runner
 from asyncadmm.diagnostics import ReferenceSolution
 from asyncadmm.errors import DivergenceError
 
-ARRAY_FIELDS = ("iters", "objective", "objective_error", "feasibility",
-                "ergodic_objective_error", "ergodic_feasibility", "lyapunov",
-                "active_block", "x_bar", "z_bar")
-
-
-def assert_bits_equal(got, want, name):
-    """Equal values, and equal signs of zero (which == does not see)."""
-    np.testing.assert_array_equal(got, want, err_msg=name)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want),
-                                  err_msg=name)
-
-
-def assert_same_run(got, want):
-    assert got.seed == want.seed
-    for name in ARRAY_FIELDS:
-        assert_bits_equal(getattr(got, name), getattr(want, name), name)
-    for name in ("x", "z", "p"):
-        assert_bits_equal(getattr(got.final_state, name),
-                          getattr(want.final_state, name), name)
-    assert got.final_state.k == want.final_state.k
-    assert got.x_max_abs == want.x_max_abs
-    assert got.z_max_abs == want.z_max_abs
-    assert got.p_max_abs == want.p_max_abs
-    assert got.counters == want.counters
-
+from reference import assert_same_run, reference_run
 
 def check_batch(prob, part, seeds, T, stride, probes, ref=None, x0=None,
                 z0=None):
     dist = derive_probabilities(part, uniform_probs(part))
-    assert batch_supports(prob, part, probes)
     batch = run_batch(prob, part, dist, seeds, T, probes=probes, ref=ref,
                       x0=x0, z0=z0, stride=stride)
     assert len(batch) == len(seeds)
     for seed, got in zip(seeds, batch):
-        want = run(prob, part, dist, seed, T, probes=probes, ref=ref, x0=x0,
-                   z0=z0, stride=stride)
+        want = reference_run(prob, part, dist, seed, T, probes=probes,
+                             ref=ref, x0=x0, z0=z0, stride=stride)
         assert_same_run(got, want)
+    return batch
 
 
 def random_reference(prob, rng):
@@ -98,7 +75,7 @@ def test_batch_equals_serial(problem, graph, nodes, seeds, T, stride,
     prob = bench.problem
     x0 = rng.uniform(-6.0, 6.0, prob.dim_x)
     check_batch(prob, bench.reform.partition, seeds, T, stride,
-                Probes(ergodic=ergodic, lyapunov=lyapunov),
+                ProbeFlags(ergodic=ergodic, lyapunov=lyapunov),
                 ref=random_reference(prob, rng), x0=x0)
 
 
@@ -129,25 +106,23 @@ def test_batch_equals_serial_on_other_partitions(name):
     prob, part = partition_case(name)
     rng = np.random.default_rng(5)
     check_batch(prob, part, [3, 0, 3, 2 ** 64 - 1], T=250, stride=3,
-                probes=Probes(ergodic=True, lyapunov=True),
+                probes=ProbeFlags(ergodic=True, lyapunov=True),
                 ref=random_reference(prob, rng),
                 x0=rng.uniform(-4.0, 4.0, prob.dim_x))
 
 
 def test_draws_cross_chunk_boundaries(monkeypatch):
-    # a tiny chunk makes both engines draw their blocks over many chunks
+    # a tiny chunk makes the loop draw its blocks over many chunks
     bench = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
                                Graph.cycle(5))
     prob, part = bench.problem, bench.reform.partition
     dist = derive_probabilities(part, uniform_probs(part))
     seeds = [2, 9, 2 ** 64 - 1]
-    serial = [run(prob, part, dist, s, T=60, probes=Probes(), stride=1)
-              for s in seeds]
+    probes = ProbeFlags(ergodic=True)
     monkeypatch.setattr(engine, "_DRAW_CHUNK", 7)
-    check_batch(prob, part, seeds, T=60, stride=1, probes=Probes())
-    for seed, want in zip(seeds, serial):
-        got = run(prob, part, dist, seed, T=60, probes=Probes(), stride=1)
-        assert_same_run(got, want)
+    check_batch(prob, part, seeds, T=60, stride=1, probes=probes)
+    for seed in seeds:
+        got, = check_batch(prob, part, [seed], T=60, stride=1, probes=probes)
         rng = RngStream(seed)
         assert got.active_block.tolist() == [sample_block(dist, rng)
                                              for _ in range(60)]
@@ -159,44 +134,81 @@ def test_padding_keeps_signed_zeros():
     bench = generate_benchmark(BenchmarkSpec("consensus-quadratic",
                                              a=[-0.0] * 10), Graph.star(10))
     check_batch(bench.problem, bench.reform.partition, [0, 1, 2], T=3,
-                stride=1, probes=Probes())
+                stride=1, probes=ProbeFlags(ergodic=True))
 
 
 def test_seed_minus_one_is_masked_like_run():
     bench = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
                                Graph.cycle(5))
     check_batch(bench.problem, bench.reform.partition, [-1, 2 ** 64 - 1],
-                T=50, stride=5, probes=Probes())
+                T=50, stride=5, probes=ProbeFlags(ergodic=True))
 
 
-def test_unsupported_runs_are_refused(monkeypatch):
-    bench = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
-                               Graph.cycle(4))
-    prob, part = bench.problem, bench.reform.partition
-    dist = derive_probabilities(part, uniform_probs(part))
-    assert batch_supports(prob, part, Probes())
-    assert not batch_supports(prob, part, Probes(shadow=True))
-    # 4 blocks x 2 components x 2 rows each = 16 padded tilt lanes
-    monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", 15)
-    assert not batch_supports(prob, part, Probes())
-    monkeypatch.undo()
-    with pytest.raises(ValueError):
-        run_batch(prob, part, dist, [0, 1], 10, probes=Probes(shadow=True))
+@pytest.mark.parametrize("seeds", [[4], [0, 1, 2 ** 64 - 1]],
+                         ids=["one-seed", "three-seeds"])
+def test_shadow_probe_equals_reference(seeds):
+    rng = np.random.default_rng(8)
+    bench = make_bench("consensus-lad", "cycle", 7, rng)
+    prob = bench.problem
+    batch = check_batch(prob, bench.reform.partition, seeds, T=120, stride=7,
+                        probes=ProbeFlags(shadow=True, lyapunov=True,
+                                          ergodic=True),
+                        ref=random_reference(prob, rng),
+                        x0=rng.uniform(-6.0, 6.0, prob.dim_x))
+    for m in batch:
+        assert m.counters["shadow_checks"] == m.counters["freeze_checks"] \
+            == 120
+
+
+def custom_cycle():
     custom = Custom(fn=lambda u: float(u[0] ** 2), dim=1, scalar_convex=True)
     terms = (custom,) + tuple(Quadratic(np.array([1.0])) for _ in range(3))
-    reform = build_reformulation(Graph.cycle(4), terms,
-                                 tuple(Free(1) for _ in terms), 1.0)
-    assert not batch_supports(reform.problem, reform.partition, Probes())
+    return build_reformulation(Graph.cycle(4), terms,
+                               tuple(Free(1) for _ in terms), 1.0)
 
 
-def cycle_config(tmp_path, out, seeds, nodes=5, T=120):
+@pytest.mark.parametrize("seeds", [[3], [0, 1, 2]],
+                         ids=["one-seed", "three-seeds"])
+def test_custom_terms_fire_block_by_block(seeds):
+    reform = custom_cycle()
+    prob, part = reform.problem, reform.partition
+    rng = np.random.default_rng(4)
+    check_batch(prob, part, seeds, T=150, stride=4,
+                probes=ProbeFlags(shadow=True, lyapunov=True, ergodic=True),
+                ref=random_reference(prob, rng),
+                x0=rng.uniform(-3.0, 3.0, prob.dim_x))
+    assert isinstance(engine._batch_table(prob, part), engine._BlockRows)
+
+
+@pytest.mark.parametrize("seeds", [[7], [0, 1, 2]],
+                         ids=["one-seed", "three-seeds"])
+def test_tables_over_the_lane_limit_fire_block_by_block(monkeypatch, seeds):
+    def cycle4():
+        bench = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
+                                   Graph.cycle(4))
+        return bench.problem, bench.reform.partition
+
+    # 4 blocks x 2 components x 2 rows each = 16 padded tilt lanes
+    monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", 16)
+    assert isinstance(engine._batch_table(*cycle4()), engine._BatchTable)
+    monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", 15)
+    prob, part = cycle4()
+    rng = np.random.default_rng(6)
+    check_batch(prob, part, seeds, T=200, stride=9,
+                probes=ProbeFlags(ergodic=True, lyapunov=True),
+                ref=random_reference(prob, rng),
+                x0=rng.uniform(-4.0, 4.0, prob.dim_x))
+    assert isinstance(engine._batch_table(prob, part), engine._BlockRows)
+
+
+def cycle_config(tmp_path, out, seeds, nodes=5, T=120,
+                 probes=ProbeFlags(ergodic=True, lyapunov=True)):
     (tmp_path / "g.txt").write_text(Graph.cycle(nodes).to_text())
     return ExperimentConfig(
         problem=ProblemSource("benchmark",
                               {"name": "consensus-quadratic", "graph": "g.txt",
                                "a": [float(i + 1) for i in range(nodes)]}),
-        T=T, seeds=seeds, stride=7, out=out,
-        probes=ProbeFlags(ergodic=True, lyapunov=True))
+        T=T, seeds=seeds, stride=7, out=out, probes=probes)
 
 
 def assert_outputs_equal_serial_bytes(tmp_path, monkeypatch, cfg):
@@ -210,15 +222,14 @@ def assert_outputs_equal_serial_bytes(tmp_path, monkeypatch, cfg):
     assert run_experiment(cfg, base_dir=tmp_path) == 0
     assert calls == [cfg.seeds]
 
-    # the same artifacts written from one plain run() per seed
+    # the same artifacts written from chained step() calls per seed
     prepared = prepare_experiment(cfg, base_dir=tmp_path)
     serial = tmp_path / "serial"
     serial.mkdir()
-    metrics = [run(prepared.problem, prepared.partition, prepared.dist,
-                   seed=s, T=cfg.T,
-                   probes=Probes(ergodic=True, lyapunov=True),
-                   ref=prepared.ref, x0=prepared.x0, z0=prepared.z0,
-                   stride=cfg.stride) for s in cfg.seeds]
+    metrics = [reference_run(prepared.problem, prepared.partition,
+                             prepared.dist, s, cfg.T, probes=cfg.probes,
+                             ref=prepared.ref, x0=prepared.x0, z0=prepared.z0,
+                             stride=cfg.stride) for s in cfg.seeds]
     for m in metrics:
         runner.write_metrics_csv(serial / f"seed_{m.seed}.csv", m)
     if len(metrics) > 1:
@@ -238,6 +249,13 @@ def test_run_experiment_outputs_equal_serial_bytes(tmp_path, monkeypatch):
         tmp_path, monkeypatch, cycle_config(tmp_path, "batch", (4, 0, 9)))
 
 
+def test_run_experiment_shadow_outputs_equal_serial_bytes(tmp_path,
+                                                          monkeypatch):
+    cfg = cycle_config(tmp_path, "batch", (4, 0, 9),
+                       probes=ProbeFlags(shadow=True, ergodic=True))
+    assert_outputs_equal_serial_bytes(tmp_path, monkeypatch, cfg)
+
+
 def nan_cycle():
     terms = tuple(Quadratic(np.array([np.nan if i == 2 else float(i)]))
                   for i in range(5))
@@ -247,7 +265,7 @@ def nan_cycle():
 
 def serial_failure(reform, dist, seed):
     with pytest.raises(DivergenceError) as info:
-        run(reform.problem, reform.partition, dist, seed, T=200)
+        reference_run(reform.problem, reform.partition, dist, seed, T=200)
     return str(info.value)
 
 
@@ -314,7 +332,7 @@ def test_one_seed_waves_equal_serial(problem, graph, nodes, blocks, seed, T,
         part = merged_partition(prob, part, rng)
     x0 = rng.uniform(-6.0, 6.0, prob.dim_x)
     check_batch(prob, part, [seed], T, stride,
-                Probes(ergodic=ergodic, lyapunov=lyapunov),
+                ProbeFlags(ergodic=ergodic, lyapunov=lyapunov),
                 ref=random_reference(prob, rng), x0=x0)
 
 

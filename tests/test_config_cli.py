@@ -65,6 +65,12 @@ class TestParseConfig:
             {"problem": {"file": "p.json"}, "T": 5, "seeds": "0..9"}))
         assert cfg.seeds == tuple(range(10))
 
+    def test_seeds_span_the_sampler_range(self):
+        cfg = parse_config(json.dumps(
+            {"problem": {"file": "p.json"}, "T": 5,
+             "seeds": [0, 2 ** 64 - 1]}))
+        assert cfg.seeds == (0, 2 ** 64 - 1)
+
     def test_bad_json_position_reported(self):
         with pytest.raises(ParseError, match="JSON"):
             parse_config("{nope}")
@@ -355,10 +361,13 @@ class TestMalformedInput:
             assert err.startswith("config error: ") and field in err
             assert err.count("\n") == 1
 
-    # coerced with int()/float() before: "T": 2.7 ran 2 steps, exit 0
+    # coerced with int()/float() before: "T": 2.7 ran 2 steps, exit 0;
+    # seeds [1.7, true] ran seed 1 twice, and -1 ran seed 2**64 - 1
     BAD_NUMBER = [
         ("T", 2.7), ("T", True), ("T", "5"), ("stride", 1.9),
-        ("workers", 1.5), ("beta", "2"),
+        ("workers", 1.5), ("beta", "2"), ("seeds", [1.7, True]),
+        ("seeds", True), ("seeds", 2.0), ("seeds", -1), ("seeds", 2 ** 64),
+        ("seeds", [0, 2 ** 64 - 1, -3]),
     ]
 
     @pytest.mark.parametrize("field,value", BAD_NUMBER,
@@ -442,11 +451,12 @@ class TestMalformedInput:
 
 
 class TestCli:
-    @pytest.mark.parametrize("seeds", ["x", "3..1", "1,,2"])
+    @pytest.mark.parametrize("seeds", ["x", "3..1", "1,,2", "-1..2",
+                                       "0,18446744073709551616"])
     def test_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
         write_cycle_graph(tmp_path / "g.txt", n=3)
         rc = cli_main(["bench", "consensus-quadratic",
-                       "--graph", str(tmp_path / "g.txt"), "--seeds", seeds,
+                       "--graph", str(tmp_path / "g.txt"), f"--seeds={seeds}",
                        "--T", "5", "--out", str(tmp_path / "res")])
         assert rc == 2
         err = capsys.readouterr().err

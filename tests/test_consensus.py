@@ -4,14 +4,15 @@ import pytest
 from asyncadmm import (AbsDev, Custom, Free, Graph, L1, PrimalDualState,
                        Quadratic, RngStream, build_partition,
                        build_reformulation, consensus_gap, consensus_reference,
-                       derive_probabilities, dual_update, edge_initial_state,
-                       edge_step, sample_block, step, uniform_probs,
-                       validate_constraints, x_update, z_update)
+                       derive_probabilities, edge_initial_state, edge_step,
+                       sample_block, step, uniform_probs,
+                       validate_constraints)
 from asyncadmm.errors import (DisconnectedGraph, InvalidProblem, ParseError,
                               UnsupportedMix)
 
 from conftest import random_state_for
 from oracles import scalar_subgrad_bisect
+from reference import fire_block
 
 
 def quad_reform(graph, a, beta=1.0, flip=()):
@@ -111,12 +112,10 @@ class TestEdgeStep:
                 st = random_state_for(prob, rng)
                 e = int(rng.integers(0, g.num_edges))
                 got = edge_step(reform, st, e)
-                x = x_update(prob, st, part.component_map[e])
-                z = z_update(prob, st, x, part.blocks[e])
-                p = dual_update(prob, st, x, z, part.blocks[e])
-                worst = max(worst, float(np.max(np.abs(got.x - x))),
-                            float(np.max(np.abs(got.z - z))),
-                            float(np.max(np.abs(got.p - p))))
+                want = fire_block(prob, part, st, e)
+                worst = max(worst, float(np.max(np.abs(got.x - want.x))),
+                            float(np.max(np.abs(got.z - want.z))),
+                            float(np.max(np.abs(got.p - want.p))))
             assert worst <= 1e-10
 
     def test_pair_invariants_after_step(self):

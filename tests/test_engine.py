@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from asyncadmm import (AbsDev, BenchmarkSpec, ConstraintSystem, Custom,
-                       Free, Graph, L1, PrimalDualState, Probes, Quadratic,
-                       RngStream, SeparableProblem, StandardProblem,
-                       build_partition, build_reformulation,
-                       derive_probabilities, dual_update, generate_benchmark,
-                       initial_state, objective, residual, run, sample_block,
-                       shadow_step, single_block_partition, step,
-                       sync_admm_step, term_value, uniform_probs, x_update,
-                       z_update)
-from asyncadmm.engine import _block_table, _restrict_z_set
-from asyncadmm.errors import DivergenceError, MissingReference
+                       Free, Graph, L1, PrimalDualState, ProbeFlags,
+                       ProperPartition, Quadratic, RngStream,
+                       SeparableProblem, StandardProblem, build_partition,
+                       build_reformulation, derive_probabilities,
+                       generate_benchmark, initial_state, objective, residual,
+                       run, sample_block, shadow_step, single_block_partition,
+                       solve_reference, step, sync_admm_step, term_value,
+                       uniform_probs)
+from asyncadmm.engine import _block_table
+from asyncadmm.errors import (DivergenceError, ImproperPartition,
+                              MissingReference)
 
 from conftest import random_state_for
 from oracles import grid_min_free
+from reference import assert_same_run, fire_block, reference_run
 
 
 def cycle_bench(n_nodes=4, beta=1.0):
@@ -35,94 +37,120 @@ def one_agent_problem(beta=1.0):
 
 
 class TestXUpdate:
+    """The kernel's x part: the block's components re-solve."""
+
     def test_single_agent_stationarity(self):
         # minimize (x-3)^2 + (beta/2) x^2 at p=0, z=0: 2(x-3) + x = 0
         prob = one_agent_problem()
-        st = initial_state(prob)
-        x = x_update(prob, st, [0])
+        part = single_block_partition(prob.constraints)
+        x = fire_block(prob, part, initial_state(prob), 0).x
         np.testing.assert_allclose(x, [2.0])
 
     def test_empty_active_set_is_identity(self):
-        prob = cycle_bench().problem
-        rng = np.random.default_rng(0)
-        st = random_state_for(prob, rng)
-        x = x_update(prob, st, [])
-        np.testing.assert_array_equal(x, st.x)
+        # the x of every component outside the block is left as it was
+        reform = cycle_bench()
+        prob, part = reform.problem, reform.partition
+        st = random_state_for(prob, np.random.default_rng(0))
+        for b in range(len(part.blocks)):
+            x = fire_block(prob, part, st, b).x
+            inactive = np.setdiff1d(np.arange(prob.dim_x),
+                                    part.component_map[b])
+            np.testing.assert_array_equal(x[inactive], st.x[inactive])
 
     def test_full_activation_separates(self):
-        # matches independent per-component solves by direct enumeration
-        prob = cycle_bench(3).problem
-        rng = np.random.default_rng(1)
-        st = random_state_for(prob, rng)
-        full = x_update(prob, st, range(3))
-        for i in range(3):
-            alone = x_update(prob, st, [i])
-            assert full[i] == alone[i]
+        # each component's solve reads only its own rows: firing it alone
+        # or with every other component gives the same value
+        reform = cycle_bench(3)
+        prob, part = reform.problem, reform.partition
+        st = random_state_for(prob, np.random.default_rng(1))
+        full = fire_block(prob, single_block_partition(prob.constraints),
+                          st, 0)
+        for b in range(len(part.blocks)):
+            alone = fire_block(prob, part, st, b)
+            for i in part.component_map[b]:
+                assert full.x[i] == alone.x[i]
 
 
 class TestZUpdate:
+    """The kernel's z part: the block's rows re-fit to the new x."""
+
     def test_free_zset_matches_grid_oracle(self, two_row_problem):
         prob = two_row_problem
         rng = np.random.default_rng(2)
         st = random_state_for(prob, rng)
-        x_new = x_update(prob, st, [0, 1])
-        z = z_update(prob, st, x_new, np.array([0, 1]))
+        after = fire_block(prob, single_block_partition(prob.constraints),
+                           st, 0)
         cs = prob.constraints
-        t = st.p / prob.beta - cs.row_coeff * x_new[cs.col_index]
+        t = st.p / prob.beta - cs.row_coeff * after.x[cs.col_index]
         oracle = grid_min_free(cs.h_diag, t)
-        np.testing.assert_allclose(z, oracle, atol=1e-3)
+        np.testing.assert_allclose(after.z, oracle, atol=1e-3)
 
-    def test_empty_active_rows_is_identity(self, two_row_problem):
-        rng = np.random.default_rng(3)
-        st = random_state_for(two_row_problem, rng)
-        z = z_update(two_row_problem, st, st.x, np.array([], dtype=int))
-        np.testing.assert_array_equal(z, st.z)
+    def test_empty_active_rows_is_identity(self):
+        # the z and p of every row outside the block are left as they were
+        reform = cycle_bench()
+        prob, part = reform.problem, reform.partition
+        st = random_state_for(prob, np.random.default_rng(3))
+        for b, rows in enumerate(part.blocks):
+            after = fire_block(prob, part, st, b)
+            inactive = np.setdiff1d(np.arange(prob.dim_z), rows)
+            np.testing.assert_array_equal(after.z[inactive], st.z[inactive])
+            np.testing.assert_array_equal(after.p[inactive], st.p[inactive])
 
     def test_split_pair_rejected(self):
-        from asyncadmm.errors import ImproperPartition
         reform = cycle_bench(3)
         prob = reform.problem
-        st = random_state_for(prob, np.random.default_rng(12))
+        # row 1 is row 0's partner in the z set
+        blocks = (np.array([0]), np.array([1]), np.arange(2, prob.dim_z))
+        part = ProperPartition(
+            blocks=blocks,
+            component_map=tuple(np.unique(prob.constraints.row_block[r])
+                                for r in blocks),
+            num_rows=prob.dim_z, num_components=prob.num_components)
         with pytest.raises(ImproperPartition):
-            z_update(prob, st, st.x, np.array([0]))  # row 1 is its partner
+            _block_table(prob, part)
 
     def test_edge_pair_matches_sum_zero_projection_shape(self):
         reform = cycle_bench(3)
         prob = reform.problem
         rng = np.random.default_rng(4)
         st = random_state_for(prob, rng)
-        x_new = x_update(prob, st, reform.partition.component_map[0])
-        z = z_update(prob, st, x_new, reform.partition.blocks[0])
+        z = fire_block(prob, reform.partition, st, 0).z
         rows = reform.partition.blocks[0]
         assert abs(z[rows[0]] + z[rows[1]]) <= 1e-12
 
 
 class TestDualUpdate:
-    def test_feasible_rows_unchanged(self, two_row_problem):
-        prob = two_row_problem
-        x = np.array([1.5, -2.0])
-        z = x.copy()  # D x + H z = 0
-        st = PrimalDualState(x=x, z=z, p=np.array([3.0, -1.0]))
-        p = dual_update(prob, st, x, z, np.array([0, 1]))
-        np.testing.assert_array_equal(p, st.p)
+    """The kernel's dual part: ``p <- p - beta (D_phi x+ + H_psi z+)``."""
+
+    def test_feasible_rows_unchanged(self):
+        # at a saddle point the refreshed residual is zero on every row
+        reform = cycle_bench(3)
+        prob, part = reform.problem, reform.partition
+        ref = solve_reference(prob)
+        st = PrimalDualState(x=ref.x.copy(), z=ref.z.copy(), p=ref.p.copy())
+        for b in range(len(part.blocks)):
+            p = fire_block(prob, part, st, b).p
+            np.testing.assert_allclose(p, st.p, rtol=0, atol=1e-9)
 
     def test_direct_substitution(self):
+        # beta 2, p = 2: x solves 2(x-3) + 2x = 2, so x = 2; z = x - p/beta
+        # = 1; the residual x - z = 1 moves p to 2 - 2 * 1 = 0
         prob = one_agent_problem(beta=2.0)
-        st = PrimalDualState(x=np.zeros(1), z=np.zeros(1), p=np.zeros(1))
-        # active residual 0.5 with beta 2 moves p to -1
-        p = dual_update(prob, st, np.array([0.5]), np.array([0.0]),
-                        np.array([0]))
-        np.testing.assert_allclose(p, [-1.0])
+        st = PrimalDualState(x=np.zeros(1), z=np.zeros(1), p=np.array([2.0]))
+        after = fire_block(prob, single_block_partition(prob.constraints),
+                           st, 0)
+        np.testing.assert_allclose(after.x, [2.0])
+        np.testing.assert_allclose(after.z, [1.0])
+        np.testing.assert_allclose(after.p, [0.0], atol=1e-15)
 
     def test_full_activation_matches_baseline_formula(self, two_row_problem):
         prob = two_row_problem
         rng = np.random.default_rng(5)
         st = random_state_for(prob, rng)
-        x_new = x_update(prob, st, [0, 1])
-        z_new = z_update(prob, st, x_new, np.array([0, 1]))
-        p = dual_update(prob, st, x_new, z_new, np.array([0, 1]))
-        expect = st.p - prob.beta * residual(prob, x_new, z_new)
-        np.testing.assert_allclose(p, expect, atol=1e-15)
+        after = fire_block(prob, single_block_partition(prob.constraints),
+                           st, 0)
+        expect = st.p - prob.beta * residual(prob, after.x, after.z)
+        np.testing.assert_allclose(after.p, expect, atol=1e-15)
 
 
 class TestStep:
@@ -143,6 +171,8 @@ class TestStep:
         np.testing.assert_array_equal(outs[0].p, outs[1].p)
 
     def test_matches_composed_updates(self):
+        # the block's coordinates are the shadow pass's (x solved by the
+        # one-pass solve, z and p over every row), the rest as they were
         reform = cycle_bench(5)
         prob = reform.problem
         part = reform.partition
@@ -155,9 +185,12 @@ class TestStep:
             b = sample_block(dist, probe)
             rec = step(prob, st, part, dist, rng)
             assert rec.block == b
-            x = x_update(prob, st, part.component_map[b])
-            z = z_update(prob, st, x, part.blocks[b])
-            p = dual_update(prob, st, x, z, part.blocks[b])
+            sh = shadow_step(prob, st)
+            x, z, p = st.x.copy(), st.z.copy(), st.p.copy()
+            comps, rows = part.component_map[b], part.blocks[b]
+            x[comps] = sh.y[comps]
+            z[rows] = sh.v[rows]
+            p[rows] = sh.mu[rows]
             np.testing.assert_array_equal(rec.after.x, x)
             np.testing.assert_array_equal(rec.after.z, z)
             np.testing.assert_array_equal(rec.after.p, p)
@@ -350,7 +383,7 @@ class TestRun:
                                     uniform_probs(reform.partition))
         with pytest.raises(MissingReference):
             run(reform.problem, reform.partition, dist, seed=0, T=10,
-                probes=Probes(lyapunov=True))
+                probes=ProbeFlags(lyapunov=True))
 
     def test_divergence_guard_fires(self):
         from asyncadmm import Custom
@@ -443,8 +476,12 @@ class TestFastPath:
         dist = derive_probabilities(part, uniform_probs(part))
         x0 = np.random.default_rng(7).uniform(-6.0, 6.0, prob.dim_x)
         T = 400
+        probes = ProbeFlags(shadow=True, ergodic=True)
         m = run(prob, part, dist, seed=11, T=T, x0=x0, stride=50,
-                probes=Probes(shadow=True))
+                probes=probes)
+        want = reference_run(prob, part, dist, 11, T, probes=probes, x0=x0,
+                             stride=50)
+        assert_same_run(m, want)
         st, x_bar, z_bar, p_max = chained(prob, part, dist, 11, T, x0=x0)
         np.testing.assert_array_equal(m.final_state.x, st.x)
         np.testing.assert_array_equal(m.final_state.z, st.z)
@@ -460,7 +497,7 @@ class TestFastPath:
         prob, part = self.case("cycle5")
         dist = derive_probabilities(part, uniform_probs(part))
         m = run(prob, part, dist, seed=4, T=60, stride=1,
-                probes=Probes(ergodic=True))
+                probes=ProbeFlags(ergodic=True))
         st = initial_state(prob)
         x_sum, z_sum = np.zeros_like(st.x), np.zeros_like(st.z)
         rng = RngStream(4)
@@ -473,13 +510,16 @@ class TestFastPath:
                                                                  rel=1e-9)
 
     def test_pairs_match_restricted_z_set(self):
+        # the block's z pairs, in z-set order, at their places in the block
         reform = cycle_bench(50)
         prob, part = reform.problem, reform.partition
         table = _block_table(prob, part)
         for b, rows in enumerate(part.blocks):
             _, blk_rows, _, _, _, pair_i, pair_j = table.block(b)
             np.testing.assert_array_equal(blk_rows, rows)
-            local = _restrict_z_set(prob.z_set, rows).pairs
+            pos = {int(r): a for a, r in enumerate(rows)}
+            local = [(pos[i], pos[j]) for i, j in prob.z_set.pairs
+                     if i in pos]
             assert pair_i.tolist() == [i for i, _ in local]
             assert pair_j.tolist() == [j for _, j in local]
 

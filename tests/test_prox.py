@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from asyncadmm import (AbsDev, Box, Custom, Free, L1, LocalSubproblem,
-                       Quadratic, SumZeroPairs, ZBlockSubproblem,
-                       bisect_convex, solve_local, solve_z_block, term_value)
+                       Quadratic, bisect_convex, solve_local, term_value)
 from asyncadmm.errors import (InvalidProblem, NonfiniteInput,
-                              UnboundedSubproblem, UnsupportedSet,
-                              UnsupportedTerm)
+                              UnboundedSubproblem, UnsupportedTerm)
+from asyncadmm.prox import solve_z_prepared
 
 from oracles import grid_min_free, grid_min_pair, scalar_subgrad_bisect
 
@@ -162,11 +161,14 @@ class TestBisectConvex:
             bisect_convex(lambda v: -v)
 
 
+NO_PAIRS = np.empty(0, dtype=np.intp)
+ONE_PAIR = (np.array([0]), np.array([1]))
+
+
 class TestSolveZBlock:
     def test_free_exact_fit(self):
-        z = solve_z_block(ZBlockSubproblem(weights=np.array([-1.0, -1.0]),
-                                           target=np.array([2.0, -3.0]),
-                                           set=Free(2)))
+        z = solve_z_prepared(np.array([-1.0, -1.0]), np.array([2.0, -3.0]),
+                             NO_PAIRS, NO_PAIRS)
         np.testing.assert_allclose(z, [-2.0, 3.0])
 
     def test_free_matches_grid_oracle(self):
@@ -174,7 +176,7 @@ class TestSolveZBlock:
         for _ in range(10):
             w = rng.choice([-2.0, -1.0, 0.5, 1.5], size=3)
             t = rng.uniform(-4, 4, size=3)
-            z = solve_z_block(ZBlockSubproblem(weights=w, target=t, set=Free(3)))
+            z = solve_z_prepared(w, t, NO_PAIRS, NO_PAIRS)
             oracle = grid_min_free(w, t)
             np.testing.assert_allclose(z, oracle, atol=1e-3)
 
@@ -182,9 +184,8 @@ class TestSolveZBlock:
         # frozen oracle value: weights (-1,-1), target (1,3) -> z = (1,-1)
         oracle = grid_min_pair(-1.0, -1.0, 1.0, 3.0)
         assert oracle == pytest.approx(1.0, abs=1e-3)
-        z = solve_z_block(ZBlockSubproblem(
-            weights=np.array([-1.0, -1.0]), target=np.array([1.0, 3.0]),
-            set=SumZeroPairs(dim=2, pairs=((0, 1),))))
+        z = solve_z_prepared(np.array([-1.0, -1.0]), np.array([1.0, 3.0]),
+                             *ONE_PAIR)
         np.testing.assert_allclose(z, [1.0, -1.0])
 
     def test_pair_random_against_oracle(self):
@@ -192,17 +193,15 @@ class TestSolveZBlock:
         for _ in range(25):
             w = rng.choice([-2.0, -1.0, 1.0, 0.5], size=2)
             t = rng.uniform(-5, 5, size=2)
-            z = solve_z_block(ZBlockSubproblem(
-                weights=w, target=t, set=SumZeroPairs(dim=2, pairs=((0, 1),))))
+            z = solve_z_prepared(w, t, *ONE_PAIR)
             z0 = grid_min_pair(w[0], w[1], t[0], t[1])
             assert z[0] == pytest.approx(z0, abs=1e-3)
             assert z[1] == -z[0]
 
     def test_sum_compatible_target_is_unconstrained_fit(self):
         # unconstrained fit (-2, 2) already sums to zero
-        z = solve_z_block(ZBlockSubproblem(
-            weights=np.array([-1.0, -1.0]), target=np.array([2.0, -2.0]),
-            set=SumZeroPairs(dim=2, pairs=((0, 1),))))
+        z = solve_z_prepared(np.array([-1.0, -1.0]), np.array([2.0, -2.0]),
+                             *ONE_PAIR)
         np.testing.assert_allclose(z, [-2.0, 2.0])
 
     def test_sum_zero_exact(self):
@@ -210,17 +209,5 @@ class TestSolveZBlock:
         for _ in range(200):
             w = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.5, 2.0)
             t = rng.uniform(-10, 10, size=2)
-            z = solve_z_block(ZBlockSubproblem(
-                weights=w, target=t, set=SumZeroPairs(dim=2, pairs=((0, 1),))))
+            z = solve_z_prepared(w, t, *ONE_PAIR)
             assert abs(z[0] + z[1]) <= 1e-12
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(InvalidProblem):
-            ZBlockSubproblem(weights=np.array([0.0]), target=np.array([1.0]),
-                             set=Free(1))
-
-    def test_box_set_unsupported(self):
-        with pytest.raises(UnsupportedSet):
-            solve_z_block(ZBlockSubproblem(
-                weights=np.array([1.0]), target=np.array([1.0]),
-                set=Box(np.array([0.0]), np.array([1.0]))))
