@@ -76,9 +76,9 @@ def generate_benchmark(spec: BenchmarkSpec, graph: Graph,
         if a.shape != (n_nodes,):
             raise InvalidProblem(f"need {n_nodes} data values, got {a.shape}")
         if spec.name == "consensus-quadratic":
-            terms = tuple(Quadratic(np.array([ai]), 1.0) for ai in a)
+            terms = tuple(Quadratic(ai, 1.0) for ai in a[:, None].copy())
         else:
-            terms = tuple(AbsDev(np.array([ai])) for ai in a)
+            terms = tuple(AbsDev(ai) for ai in a[:, None].copy())
         box = _data_box(a, spec.box_margin)
     else:  # lasso-toy
         w = np.asarray(spec.w if spec.w is not None

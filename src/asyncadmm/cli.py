@@ -64,7 +64,7 @@ def _cmd_validate(args) -> int:
     report = validate_constraints(prepared.problem.constraints)
     print(f"problem: N={prepared.problem.constraints.N} "
           f"W={prepared.problem.constraints.W} n={prepared.problem.constraints.n}")
-    print(f"blocks: {len(prepared.partition.blocks)}, seeds: {len(config.seeds)}, "
+    print(f"blocks: {prepared.partition.num_blocks}, seeds: {len(config.seeds)}, "
           f"T: {config.T}")
     print(str(report))
     return EXIT_OK if report.ok else EXIT_CONFIG

@@ -22,12 +22,18 @@ from .engine import _ops
 from .problem import (ConstraintSystem, PrimalDualState, SeparableProblem,
                       initial_state)
 from .scheduler import ProperPartition, build_partition
-from .terms import AbsDev, Custom, L1, Quadratic, SumZeroPairs
+from .terms import (AbsDev, Custom, L1, Quadratic, SumZeroPairs,
+                    _first_true, _index_array, _repeats)
 
 
 @dataclass(eq=False)
 class Graph:
-    """Connected undirected graph given as an edge list with i < j."""
+    """Connected undirected graph given as an edge list with i < j.
+
+    ``edges`` may be any sequence of pairs or an ``(M, 2)`` integer array.
+    It is kept as a tuple of ``(low, high)`` pairs, and ``ends`` holds the
+    same as an ``(M, 2)`` array.
+    """
 
     num_nodes: int
     edges: tuple
@@ -35,56 +41,69 @@ class Graph:
     def __post_init__(self):
         if self.num_nodes < 1:
             raise InvalidProblem("graph needs at least one node")
-        norm = []
-        seen = set()
-        for i, j in self.edges:
-            i, j = int(i), int(j)
-            if i == j:
+        if isinstance(self.edges, np.ndarray):
+            given = pairs = _index_array(self.edges).reshape(-1, 2)
+        else:
+            pairs = [(int(i), int(j)) for i, j in self.edges]
+            given = _index_array(pairs).reshape(-1, 2)
+        ends = np.sort(given, axis=1)
+        lo, hi = ends[:, 0], ends[:, 1]
+        # the checks of each edge in order: a self-loop, an end out of
+        # range, an earlier copy (the key is exact for edges in range)
+        failed = np.stack([lo == hi, (lo < 0) | (hi >= self.num_nodes),
+                           _repeats(lo * self.num_nodes + hi)], axis=1)
+        first = _first_true(failed)
+        if first >= 0:
+            k, check = divmod(first, 3)
+            i, j = (int(v) for v in pairs[k])
+            if check == 0:
                 raise InvalidProblem(f"self-loop at node {i}")
-            if not (0 <= i < self.num_nodes and 0 <= j < self.num_nodes):
+            if check == 1:
                 raise InvalidProblem(f"edge ({i},{j}) out of range")
-            e = (min(i, j), max(i, j))
-            if e in seen:
-                raise InvalidProblem(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        self.edges = tuple(norm)
+            raise InvalidProblem(f"duplicate edge {(min(i, j), max(i, j))}")
+        self.ends = ends
+        self.edges = tuple(map(tuple, ends.tolist()))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        if self.num_nodes == 1:
-            return True
-        adj = [[] for _ in range(self.num_nodes)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.num_nodes
+        """Whether every node is reachable from node 0.
+
+        Each node points at a node no larger than itself. Every round
+        points the root of each tree at the smallest root across the
+        edges leaving it, then shortcuts every pointer to its root, until
+        no edge joins two trees: array passes, not a walk node by node.
+        """
+        root = np.arange(self.num_nodes)
+        lo, hi = self.ends[:, 0], self.ends[:, 1]
+        while True:
+            a, b = root[lo], root[hi]
+            cut = a != b
+            if not cut.any():
+                return not root.any()
+            a, b = a[cut], b[cut]
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            up = root[root]
+            while not np.array_equal(up, root):
+                root, up = up, up[up]
 
     @classmethod
     def cycle(cls, num_nodes: int) -> "Graph":
-        edges = [(i, (i + 1) % num_nodes) for i in range(num_nodes)]
-        if num_nodes == 2:
-            edges = [(0, 1)]
-        return cls(num_nodes, tuple(edges))
+        i = np.arange(num_nodes)
+        edges = np.stack([i, (i + 1) % max(num_nodes, 1)], axis=1)
+        return cls(num_nodes, edges[:1] if num_nodes == 2 else edges)
 
     @classmethod
     def path(cls, num_nodes: int) -> "Graph":
-        return cls(num_nodes, tuple((i, i + 1) for i in range(num_nodes - 1)))
+        i = np.arange(max(num_nodes - 1, 0))
+        return cls(num_nodes, np.stack([i, i + 1], axis=1))
 
     @classmethod
     def star(cls, num_nodes: int) -> "Graph":
-        return cls(num_nodes, tuple((0, i) for i in range(1, num_nodes)))
+        i = np.arange(1, max(num_nodes, 1))
+        return cls(num_nodes, np.stack([np.zeros_like(i), i], axis=1))
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
@@ -159,27 +178,23 @@ def build_reformulation(graph: Graph, terms, x_sets, beta: float,
     n = terms[0].dim
     m = graph.num_edges
     w = 2 * m * n
-    flip = set(int(e) for e in flip_edges)
-    entries = []
-    pairs = []
-    signs = np.empty((m, 2))
-    for e, (i, j) in enumerate(graph.edges):
-        s = -1.0 if e in flip else 1.0
-        signs[e] = (s, -s)
-        for t in range(n):
-            row_i = (2 * e) * n + t
-            row_j = (2 * e + 1) * n + t
-            entries.append((row_i, i, t, s))
-            entries.append((row_j, j, t, -s))
-            pairs.append((row_i, row_j))
-    cs = ConstraintSystem(n=n, N=graph.num_nodes, W=w, entries=tuple(entries),
-                          h_diag=-np.ones(w))
-    z_set = SumZeroPairs(dim=w, pairs=tuple(pairs))
+    sign = np.ones(m)
+    sign[[e for e in {int(e) for e in flip_edges} if 0 <= e < m]] = -1.0
+    signs = np.stack([sign, -sign], axis=1)
+    # entries by edge, coordinate, then endpoint: edge e's low endpoint
+    # owns rows 2en..2en+n-1 and its high endpoint the next n rows
+    shape = (m, n, 2)
+    rows = ((2 * np.arange(m)[:, None, None] + np.arange(2)) * n
+            + np.arange(n)[:, None])
+    cs = ConstraintSystem.from_arrays(
+        n, graph.num_nodes, w, rows.ravel(),
+        np.broadcast_to(graph.ends[:, None, :], shape).ravel(),
+        np.broadcast_to(np.arange(n)[:, None], shape).ravel(),
+        np.broadcast_to(signs[:, None, :], shape).ravel(), -np.ones(w))
+    z_set = SumZeroPairs(dim=w, pairs=rows.reshape(-1, 2))
     problem = SeparableProblem(terms=terms, x_sets=x_sets, z_set=z_set,
                                constraints=cs, beta=beta)
-    blocks = [np.arange(2 * e * n, 2 * (e + 1) * n, dtype=np.intp)
-              for e in range(m)]
-    partition = build_partition(z_set, cs, blocks)
+    partition = build_partition(z_set, cs, np.arange(w).reshape(m, 2 * n))
     return EdgeReformulation(graph=graph, problem=problem, partition=partition,
                              signs=signs, n=n)
 
@@ -255,14 +270,30 @@ def consensus_reference(terms) -> np.ndarray:
     if any(t.dim != n for t in terms):
         raise UnsupportedMix("terms have mixed dimensions")
     if all(isinstance(t, Quadratic) for t in terms):
-        wsum = sum(t.weight for t in terms)
-        return sum(t.weight * t.center for t in terms) / wsum
+        # running sums from zero, left to right, as the plain sum adds
+        weights = np.array([0.0] + [t.weight for t in terms])
+        centers = np.concatenate([np.zeros(n)]
+                                 + [t.center for t in terms]).reshape(-1, n)
+        return (np.cumsum(weights[:, None] * centers, axis=0)[-1]
+                / np.cumsum(weights)[-1])
     if all(isinstance(t, AbsDev) for t in terms):
-        centers = np.stack([t.center for t in terms])
-        return np.median(centers, axis=0)
+        return _median(np.concatenate([t.center for t in terms])
+                       .reshape(-1, n))
     if any(isinstance(t, Custom) for t in terms):
         raise UnsupportedMix("custom terms have no closed-form reference")
     return np.array([_bisect_total_subgradient(terms, t) for t in range(n)])
+
+
+def _median(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=0)`` bit for bit, without its ``numpy.ma``
+    import: the middle element(s) of a sort through ``np.mean``, as numpy
+    takes them, and a NaN wherever a column holds one."""
+    ranked = np.sort(values, axis=0)
+    half = ranked.shape[0] // 2
+    first = half - 1 if ranked.shape[0] % 2 == 0 else half
+    out = np.mean(ranked[first:half + 1], axis=0)
+    np.copyto(out, ranked[-1], where=np.isnan(ranked[-1]))
+    return out
 
 
 def _bisect_total_subgradient(terms, coord: int) -> float:

@@ -327,8 +327,6 @@ def _z_part_max(prob, dist, mu, z_bound):
     cs = prob.constraints
     d = dist.weight_diag * mu * cs.h_diag  # coefficient of z_l in -L~
     zs = prob.z_set
-    if isinstance(zs, Box):
-        return float(np.sum(np.maximum(d * zs.lower, d * zs.upper)))
     if z_bound is None:
         raise NonCompactSets(
             "z set is unbounded; provide z_bound to compactify the maximization")

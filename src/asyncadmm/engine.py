@@ -58,7 +58,7 @@ from .problem import (PrimalDualState, SeparableProblem, StandardProblem,
 from .prox import (_kink_coord, kink_prox, quadratic_prox,
                    solve_local_prepared, solve_z_prepared)
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
-                        blocks_for, draw_uniforms, sample_block)
+                        _offsets, blocks_for, draw_uniforms, sample_block)
 from .terms import Box, SumZeroPairs
 
 DIVERGENCE_LIMIT = 1e12
@@ -82,13 +82,6 @@ class StepRecord:
     before: PrimalDualState
     after: PrimalDualState
     shadow: Optional[ShadowIterates] = None
-
-
-def _offsets(sizes) -> np.ndarray:
-    """Start of each of consecutive segments of the given sizes, then the end."""
-    ptr = np.zeros(len(sizes) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=ptr[1:])
-    return ptr
 
 
 def _ragged(sizes):
@@ -305,14 +298,10 @@ class _BlockTable:
     def __init__(self, ops: _CompiledOps, z_set, partition: ProperPartition):
         n, W = ops.n, ops.W
         dim_x = n * ops.N
-        sizes = np.array([r.size for r in partition.blocks], dtype=np.intp)
-        ncomp = np.array([c.size for c in partition.component_map],
-                         dtype=np.intp)
+        rows, row_ptr = partition.rows, partition.row_ptr
+        comps, comp_ptr = partition.comps, partition.comp_ptr
+        sizes, ncomp = np.diff(row_ptr), np.diff(comp_ptr)
         m = sizes.size
-        row_ptr, comp_ptr = _offsets(sizes), _offsets(ncomp)
-        rows = np.concatenate(partition.blocks).astype(np.intp, copy=False)
-        comps = np.concatenate(partition.component_map).astype(np.intp,
-                                                              copy=False)
         self.rows = rows
         self.comps = comps.tolist()
         self.w = ops.h[rows]

@@ -3,22 +3,24 @@
 The coupling constraint is ``D x + H z = 0`` where each row of ``D`` has a
 single nonzero entry (so every constraint row involves exactly one
 component of ``x``) and ``H`` is diagonal and invertible. ``D`` is stored
-row-sparse as one (row, block, coord, coeff) entry per row; this makes the
-one-entry-per-row structure a property of the storage rather than a
-numerical check, while :func:`validate_constraints` still reports
-violations for raw entry lists that break the contract.
+row-sparse as (row, block, coord, coeff) arrays, one entry per row once
+the system validates; this makes the one-entry-per-row structure a
+property of the storage rather than a numerical check, while
+:func:`validate_constraints` still reports violations for raw entry lists
+that break the contract. Building and checking a system takes a few
+array passes over its entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidProblem
+from .errors import DimensionMismatch, InvalidProblem, UnsupportedSet
 from .terms import (AbsDev, Box, FeasibleSet, Free, L1, Quadratic,
-                    SumZeroPairs, term_value)
+                    SumZeroPairs, _first_true, _index_array, term_value)
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class ValidationReport:
         return "; ".join(self.violations)
 
 
-@dataclass(eq=False)
 class ConstraintSystem:
     """Row-sparse ``D`` (W x nN) plus diagonal ``H`` (W x W).
 
@@ -51,60 +52,82 @@ class ConstraintSystem:
         within the owning block (only relevant for ``n > 1``).
     h_diag : vector of length W
         Diagonal of ``H``.
+
+    The entries are kept as four arrays in the order given
+    (``entry_row``, ``entry_block``, ``entry_coord``, ``entry_coeff``;
+    :meth:`from_arrays` takes them directly), and ``entries`` reads them
+    back as tuples. When the system satisfies the row contract,
+    ``row_block``, ``row_coord``, ``row_coeff`` and ``col_index`` hold
+    them by row; otherwise those are ``None``.
     """
 
-    n: int
-    N: int
-    W: int
-    entries: tuple
-    h_diag: np.ndarray
-    # filled by _freeze() once the system validates cleanly
-    row_block: np.ndarray = field(default=None, repr=False)
-    row_coord: np.ndarray = field(default=None, repr=False)
-    row_coeff: np.ndarray = field(default=None, repr=False)
-    col_index: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if min(self.n, self.N, self.W) < 1:
-            raise InvalidProblem("dimensions n, N, W must be positive")
-        norm = []
-        for entry in self.entries:
+    def __init__(self, n: int, N: int, W: int, entries, h_diag):
+        rows, blocks, coords, coeffs = [], [], [], []
+        bad = None
+        for entry in entries:
             if len(entry) == 3:
                 row, block, coeff = entry
                 coord = 0
             elif len(entry) == 4:
                 row, block, coord, coeff = entry
             else:
-                raise InvalidProblem(f"bad D entry {entry!r}")
-            row, block, coord = int(row), int(block), int(coord)
-            if not 0 <= row < self.W:
-                raise InvalidProblem(f"row index {row} out of range [0,{self.W})")
-            if not 0 <= block < self.N:
-                raise InvalidProblem(f"block index {block} out of range [0,{self.N})")
-            if not 0 <= coord < self.n:
-                raise InvalidProblem(f"coord index {coord} out of range [0,{self.n})")
-            norm.append((row, block, coord, float(coeff)))
-        self.entries = tuple(norm)
-        self.h_diag = np.asarray(self.h_diag, dtype=float)
-        if self.h_diag.shape != (self.W,):
-            raise InvalidProblem(f"H diagonal must have length {self.W}")
-        self._freeze()
+                bad = entry  # reported unless an earlier entry fails first
+                break
+            rows.append(int(row))
+            blocks.append(int(block))
+            coords.append(int(coord))
+            coeffs.append(float(coeff))
+        self._store(n, N, W, (rows, blocks, coords),
+                    np.array(coeffs, dtype=float), h_diag, bad)
 
-    def _freeze(self):
-        """Build per-row arrays if the system satisfies the row contract."""
-        if not validate_constraints(self).ok:
-            return
-        row_block = np.empty(self.W, dtype=np.intp)
-        row_coord = np.empty(self.W, dtype=np.intp)
-        row_coeff = np.empty(self.W, dtype=float)
-        for row, block, coord, coeff in self.entries:
-            row_block[row] = block
-            row_coord[row] = coord
-            row_coeff[row] = coeff
-        self.row_block = row_block
-        self.row_coord = row_coord
-        self.row_coeff = row_coeff
-        self.col_index = row_block * self.n + row_coord
+    @classmethod
+    def from_arrays(cls, n: int, N: int, W: int, row, block, coord, coeff,
+                    h_diag) -> "ConstraintSystem":
+        """The system with entry ``k`` at ``(row[k], block[k], coord[k])``
+        with coefficient ``coeff[k]``, checked as the constructor checks."""
+        cs = cls.__new__(cls)
+        cs._store(n, N, W, (row, block, coord),
+                  np.asarray(coeff, dtype=float), h_diag)
+        return cs
+
+    def _store(self, n, N, W, given, coeff, h_diag, bad=None):
+        if min(n, N, W) < 1:
+            raise InvalidProblem("dimensions n, N, W must be positive")
+        self.n, self.N, self.W = n, N, W
+        row, block, coord = (_index_array(v) for v in given)
+        # the index checks of each entry in order: row, block, coord
+        failed = np.stack([(row < 0) | (row >= W), (block < 0) | (block >= N),
+                           (coord < 0) | (coord >= n)], axis=1)
+        first = _first_true(failed)
+        if first >= 0:
+            k, check = divmod(first, 3)
+            name, size = (("row", W), ("block", N), ("coord", n))[check]
+            raise InvalidProblem(f"{name} index {int(given[check][k])} out of "
+                                 f"range [0,{size})")
+        if bad is not None:
+            raise InvalidProblem(f"bad D entry {bad!r}")
+        self.entry_row, self.entry_block = row, block
+        self.entry_coord, self.entry_coeff = coord, coeff
+        self.h_diag = np.asarray(h_diag, dtype=float)
+        if self.h_diag.shape != (W,):
+            raise InvalidProblem(f"H diagonal must have length {W}")
+        self.row_block = self.row_coord = self.row_coeff = None
+        self.col_index = None
+        if validate_constraints(self).ok:
+            # one entry per row: the entries, placed by row
+            self.row_block = np.empty(W, dtype=np.intp)
+            self.row_coord = np.empty(W, dtype=np.intp)
+            self.row_coeff = np.empty(W, dtype=float)
+            self.row_block[row] = block
+            self.row_coord[row] = coord
+            self.row_coeff[row] = coeff
+            self.col_index = self.row_block * n + self.row_coord
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as ``(row, block, coord, coeff)`` tuples, in order."""
+        return tuple(zip(self.entry_row.tolist(), self.entry_block.tolist(),
+                         self.entry_coord.tolist(), self.entry_coeff.tolist()))
 
     @property
     def is_valid(self) -> bool:
@@ -130,32 +153,38 @@ def validate_constraints(cs: ConstraintSystem) -> ValidationReport:
     """Check the decoupled-constraint structure of ``D`` and ``H``.
 
     Reports (never raises): rows of ``D`` carrying more than one entry or
-    none at all, zero coefficients, component blocks never referenced,
-    and zero diagonal entries of ``H``.
+    none at all or a zero coefficient, by ascending row; then component
+    blocks never referenced; then zero diagonal entries of ``H``.
     """
+    row, block, coeff = cs.entry_row, cs.entry_block, cs.entry_coeff
+    count = np.bincount(row, minlength=cs.W)
+    lone = np.ones(cs.W)
+    lone[row] = coeff  # the coefficient of every row with one entry
     violations = []
-    per_row: dict = {}
-    for row, block, coord, coeff in cs.entries:
-        per_row.setdefault(row, []).append((block, coord, coeff))
-    for row in range(cs.W):
-        hits = per_row.get(row, [])
-        if not hits:
-            violations.append(f"row {row} of D has no entry")
-        elif len(hits) > 1:
-            blocks = sorted({b for b, _, _ in hits})
-            if len(blocks) > 1:
-                violations.append(f"row {row} couples two components {blocks}")
+    bad_rows = np.flatnonzero((count != 1) | (lone == 0.0))
+    if bad_rows.size:
+        order = np.argsort(row, kind="stable")
+        start = np.cumsum(count) - count
+        for r in bad_rows.tolist():
+            hits = count[r]
+            if hits == 0:
+                violations.append(f"row {r} of D has no entry")
+            elif hits == 1:
+                violations.append(f"row {r} has zero coefficient")
             else:
-                violations.append(f"row {row} has {len(hits)} entries")
-        elif hits[0][2] == 0.0:
-            violations.append(f"row {row} has zero coefficient")
-    covered = {b for _, b, _, c in cs.entries if c != 0.0}
-    for b in range(cs.N):
-        if b not in covered:
-            violations.append(f"component {b} has zero column-block in D")
-    for l in range(cs.W):
-        if cs.h_diag[l] == 0.0:
-            violations.append(f"H not invertible: zero diagonal at row {l}")
+                blocks = sorted(set(
+                    block[order[start[r]:start[r] + hits]].tolist()))
+                if len(blocks) > 1:
+                    violations.append(
+                        f"row {r} couples two components {blocks}")
+                else:
+                    violations.append(f"row {r} has {hits} entries")
+    covered = np.zeros(cs.N, dtype=bool)
+    covered[block[coeff != 0.0]] = True
+    violations += [f"component {b} has zero column-block in D"
+                   for b in np.flatnonzero(~covered).tolist()]
+    violations += [f"H not invertible: zero diagonal at row {l}"
+                   for l in np.flatnonzero(cs.h_diag == 0.0).tolist()]
     return ValidationReport(tuple(violations))
 
 
@@ -184,6 +213,10 @@ class SeparableProblem:
                 raise InvalidProblem(f"x_set {i} has dim {s.dim}, expected {cs.n}")
         if self.z_set.dim != cs.W:
             raise InvalidProblem(f"z_set has dim {self.z_set.dim}, expected {cs.W}")
+        if isinstance(self.z_set, Box):
+            # neither the block kernel nor the reference solve reads z bounds
+            raise UnsupportedSet(
+                "a box z set is not supported: use free or sum_zero_pairs")
         if not self.beta > 0:
             raise InvalidProblem("beta must be positive")
         cs.require_valid()
@@ -232,8 +265,12 @@ class XSetBounds:
         self.hi = np.full((num, n), np.inf)
         box = [i for i, s in enumerate(x_sets) if isinstance(s, Box)]
         if box:
-            self.lo[box] = np.stack([x_sets[i].lower for i in box])
-            self.hi[box] = np.stack([x_sets[i].upper for i in box])
+            # each distinct set's bounds are gathered once
+            first = {}
+            which = [first.setdefault(id(x_sets[i]), len(first)) for i in box]
+            sets = {id(x_sets[i]): x_sets[i] for i in box}.values()
+            self.lo[box] = np.stack([s.lower for s in sets])[which]
+            self.hi[box] = np.stack([s.upper for s in sets])[which]
         self.other = [i for i, s in enumerate(x_sets)
                       if not isinstance(s, (Box, Free))]
 

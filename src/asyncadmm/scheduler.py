@@ -10,75 +10,132 @@ norms used by the diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import (ImproperPartition, NonCoveringPartition,
                      ZeroProbabilityBlock)
 from .problem import ConstraintSystem
-from .terms import FeasibleSet, SumZeroPairs
+from .terms import (FeasibleSet, SumZeroPairs, _first_true, _index_array,
+                    _repeats)
 
 PROB_SUM_TOL = 1e-12
+
+
+def _offsets(sizes) -> np.ndarray:
+    """Start of each of consecutive segments of the given sizes, then the end."""
+    ptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=ptr[1:])
+    return ptr
 
 
 @dataclass(eq=False)
 class ProperPartition:
     """Disjoint cover of the constraint rows, closed under z coupling.
 
-    ``component_map[b]`` lists the components owning the rows of block
-    ``b``; those are exactly the components updated when the block fires.
+    Block ``b`` owns the rows ``rows[row_ptr[b]:row_ptr[b+1]]`` and the
+    components ``comps[comp_ptr[b]:comp_ptr[b+1]]``, those owning its
+    rows; exactly those components are updated when the block fires.
+    ``blocks[b]`` and ``component_map[b]`` are the same as one array per
+    block (made on first use).
     """
 
-    blocks: tuple
-    component_map: tuple
+    rows: np.ndarray
+    row_ptr: np.ndarray
+    comps: np.ndarray
+    comp_ptr: np.ndarray
     num_rows: int
     num_components: int
+
+    @property
+    def num_blocks(self) -> int:
+        return self.row_ptr.size - 1
+
+    @cached_property
+    def blocks(self) -> tuple:
+        return tuple(np.split(self.rows, self.row_ptr[1:-1]))
+
+    @cached_property
+    def component_map(self) -> tuple:
+        return tuple(np.split(self.comps, self.comp_ptr[1:-1]))
 
 
 def build_partition(z_set: FeasibleSet, cs: ConstraintSystem,
                     blocks) -> ProperPartition:
     """Validate a user-specified row partition and derive its component map.
 
-    Raises :class:`NonCoveringPartition` when the blocks are not a
-    disjoint cover of ``0..W-1`` and :class:`ImproperPartition` when two
-    rows coupled through the z set land in different blocks.
+    ``blocks`` is a sequence of row lists, or a 2-D integer array with one
+    block per line. Raises :class:`NonCoveringPartition` when the blocks
+    are not a disjoint cover of ``0..W-1`` (naming the first offending
+    block: empty, with a row out of range, with a row of an earlier block,
+    or with a row listed twice; else the first row not covered) and
+    :class:`ImproperPartition` when two rows coupled through the z set land
+    in different blocks. A few sorts over all rows; nothing per block.
     """
     cs.require_valid()
-    norm_blocks = []
-    owner = np.full(cs.W, -1, dtype=np.intp)
-    for b, rows in enumerate(blocks):
-        rows = np.asarray(sorted(int(r) for r in rows), dtype=np.intp)
-        if rows.size == 0:
+    W = cs.W
+    if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
+        sizes = np.full(blocks.shape[0], blocks.shape[1], dtype=np.intp)
+        flat = _index_array(blocks).reshape(-1)
+    else:
+        lists = [[int(r) for r in rows] for rows in blocks]
+        sizes = np.array([len(rows) for rows in lists], dtype=np.intp)
+        flat = _index_array(list(chain.from_iterable(lists)))
+    m = sizes.size
+    blk = np.repeat(np.arange(m), sizes)
+    rows = flat[np.lexsort((flat, blk))]  # ascending within each block
+    # a row met before is in an earlier block or listed twice in its own
+    # (the key is exact for rows in range)
+    twice = _repeats(blk * W + rows)
+    again = np.stack([_repeats(rows) & ~twice, twice])
+    # the checks of each block in order: empty, out of range, a row of an
+    # earlier block, a row listed twice
+    failed = np.zeros((m, 4), dtype=bool)
+    failed[:, 0] = sizes == 0
+    failed[blk[(rows < 0) | (rows >= W)], 1] = True
+    failed[blk[again[0]], 2] = True
+    failed[blk[again[1]], 3] = True
+    first = _first_true(failed)
+    if first >= 0:
+        b, check = divmod(first, 4)
+        if check == 0:
             raise NonCoveringPartition(f"block {b} is empty")
-        if rows[0] < 0 or rows[-1] >= cs.W:
+        if check == 1:
             raise NonCoveringPartition(f"block {b} has out-of-range rows")
-        if np.any(owner[rows] >= 0):
-            dup = int(rows[owner[rows] >= 0][0])
+        dup = int(rows[np.flatnonzero(again[check - 2] & (blk == b))[0]])
+        if check == 2:
             raise NonCoveringPartition(f"row {dup} appears in two blocks")
-        owner[rows] = b
-        norm_blocks.append(rows)
-    if np.any(owner < 0):
-        missing = int(np.flatnonzero(owner < 0)[0])
+        raise NonCoveringPartition(f"row {dup} appears twice in block {b}")
+    owner = np.full(W, -1, dtype=np.intp)
+    owner[rows] = blk
+    missing = _first_true(owner < 0)
+    if missing >= 0:
         raise NonCoveringPartition(f"row {missing} not covered by any block")
     if isinstance(z_set, SumZeroPairs):
-        for i, j in z_set.pairs:
-            if owner[i] != owner[j]:
-                raise ImproperPartition(
-                    f"rows {i} and {j} are coupled by the z set but split "
-                    f"across blocks {int(owner[i])} and {int(owner[j])}")
-    component_map = tuple(
-        np.unique(cs.row_block[rows]) for rows in norm_blocks)
-    return ProperPartition(blocks=tuple(norm_blocks),
-                           component_map=component_map,
-                           num_rows=cs.W, num_components=cs.N)
+        i, j = z_set._first, z_set._second
+        split = _first_true(owner[i] != owner[j])
+        if split >= 0:
+            i, j = int(i[split]), int(j[split])
+            raise ImproperPartition(
+                f"rows {i} and {j} are coupled by the z set but split "
+                f"across blocks {int(owner[i])} and {int(owner[j])}")
+    # the component map: each block's components, sorted and deduplicated
+    comp = cs.row_block[rows]
+    comp = comp[np.lexsort((comp, blk))]
+    keep = np.ones(comp.size, dtype=bool)
+    keep[1:] = (comp[1:] != comp[:-1]) | (blk[1:] != blk[:-1])
+    return ProperPartition(rows, _offsets(sizes), comp[keep],
+                           _offsets(np.bincount(blk[keep], minlength=m)),
+                           W, cs.N)
 
 
 def single_block_partition(cs: ConstraintSystem) -> ProperPartition:
     """The trivial partition: every row in one block (full activation)."""
-    rows = np.arange(cs.W, dtype=np.intp)
-    return ProperPartition(blocks=(rows,),
-                           component_map=(np.unique(cs.row_block),),
-                           num_rows=cs.W, num_components=cs.N)
+    comps = np.flatnonzero(np.bincount(cs.row_block, minlength=cs.N))
+    return ProperPartition(np.arange(cs.W, dtype=np.intp), _offsets([cs.W]),
+                           comps, _offsets([comps.size]), cs.W, cs.N)
 
 
 @dataclass(eq=False)
@@ -108,9 +165,10 @@ def derive_probabilities(partition: ProperPartition,
     probability so that all rows fire infinitely often.
     """
     probs = np.asarray(block_probs, dtype=float)
-    if probs.shape != (len(partition.blocks),):
+    m = partition.num_blocks
+    if probs.shape != (m,):
         raise ZeroProbabilityBlock(
-            f"need {len(partition.blocks)} block probabilities, got {probs.size}")
+            f"need {m} block probabilities, got {probs.size}")
     if np.any(probs <= 0):
         bad = int(np.flatnonzero(probs <= 0)[0])
         raise ZeroProbabilityBlock(f"block {bad} has probability <= 0")
@@ -118,17 +176,17 @@ def derive_probabilities(partition: ProperPartition,
         raise ZeroProbabilityBlock(
             f"block probabilities sum to {probs.sum()!r}, expected 1")
     lam = np.empty(partition.num_rows)
-    for b, rows in enumerate(partition.blocks):
-        lam[rows] = probs[b]
-    alpha = np.zeros(partition.num_components)
-    for b, comps in enumerate(partition.component_map):
-        alpha[comps] += probs[b]
+    lam[partition.rows] = np.repeat(probs, np.diff(partition.row_ptr))
+    # each component's blocks add up in block order, from zero
+    alpha = np.bincount(partition.comps,
+                        weights=np.repeat(probs, np.diff(partition.comp_ptr)),
+                        minlength=partition.num_components)
     return ActivationDistribution(block_probs=probs, lam=lam, alpha=alpha,
                                   weight_diag=1.0 / lam)
 
 
 def uniform_probs(partition: ProperPartition) -> np.ndarray:
-    m = len(partition.blocks)
+    m = partition.num_blocks
     return np.full(m, 1.0 / m)
 
 

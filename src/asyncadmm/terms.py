@@ -16,8 +16,37 @@ import numpy as np
 from .errors import InvalidProblem
 
 
+def _index_array(values) -> np.ndarray:
+    """Integers as an ``intp`` array. Integers too large for one saturate
+    at ``+-2**62``, which lies outside every index range checked here
+    (messages quote the value given)."""
+    try:
+        return np.asarray(values, dtype=np.intp)
+    except OverflowError:
+        big = 1 << 62
+        return np.asarray(values, dtype=object).clip(-big, big).astype(np.intp)
+
+
+def _first_true(flags) -> int:
+    """Flat index of the first ``True`` of a boolean array, or -1."""
+    flat = flags.reshape(-1)
+    k = int(np.argmax(flat)) if flat.size else 0
+    return k if flat.size and flat[k] else -1
+
+
+def _repeats(values) -> np.ndarray:
+    """Per element: whether an equal element comes before it."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    out = np.zeros(values.size, dtype=bool)
+    out[order[1:]] = ranked[1:] == ranked[:-1]
+    return out
+
+
 def _as_vector(values) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
     if arr.ndim != 1:
         raise InvalidProblem(f"expected a vector, got shape {arr.shape}")
     return arr
@@ -161,26 +190,39 @@ class Box:
 class SumZeroPairs:
     """Coordinates constrained in disjoint pairs ``u[i] + u[j] = 0``.
 
-    Coordinates not mentioned in any pair are unconstrained.
+    Coordinates not mentioned in any pair are unconstrained. ``pairs``
+    may be given as an ``(P, 2)`` integer array; it is kept as a tuple of
+    index pairs.
     """
 
     dim: int
     pairs: tuple = field(default=())
 
     def __post_init__(self):
-        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
+        if isinstance(self.pairs, np.ndarray):
+            index = _index_array(self.pairs).reshape(-1, 2)
+            pairs = tuple(map(tuple, index.tolist()))
+        else:
+            pairs = tuple((int(i), int(j)) for i, j in self.pairs)
+            index = _index_array(pairs).reshape(-1, 2)
         object.__setattr__(self, "pairs", pairs)
-        seen = set()
-        for i, j in pairs:
-            if i == j:
+        # the checks of each pair in order: a repeated index, then the range
+        # and earlier use of its first index, then of its second
+        out = (index < 0) | (index >= self.dim)
+        again = _repeats(index.reshape(-1)).reshape(-1, 2)
+        failed = np.stack([index[:, 0] == index[:, 1], out[:, 0], again[:, 0],
+                           out[:, 1], again[:, 1]], axis=1)
+        first = _first_true(failed)
+        if first >= 0:
+            p, check = divmod(first, 5)
+            i, j = pairs[p]
+            k = (i, j)[check // 3]
+            if check == 0:
                 raise InvalidProblem(f"pair ({i},{j}) repeats an index")
-            for k in (i, j):
-                if not 0 <= k < self.dim:
-                    raise InvalidProblem(f"pair index {k} out of range [0,{self.dim})")
-                if k in seen:
-                    raise InvalidProblem(f"index {k} appears in two pairs")
-                seen.add(k)
-        index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+            if check in (1, 3):
+                raise InvalidProblem(
+                    f"pair index {k} out of range [0,{self.dim})")
+            raise InvalidProblem(f"index {k} appears in two pairs")
         object.__setattr__(self, "_first", index[:, 0])
         object.__setattr__(self, "_second", index[:, 1])
 

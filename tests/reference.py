@@ -1,4 +1,5 @@
-"""The plain reference the run loop is checked against, bit for bit.
+"""The plain references the run loop and the set-up are checked against,
+bit for bit.
 
 ``reference_run`` is ``T`` chained :func:`asyncadmm.step` calls (each
 works on a copy of the state), recorded through the engine's recorder.
@@ -9,15 +10,21 @@ it held it just before it moves and at each flush. That is the order of
 additions the engine uses, so the means agree bit for bit, not only to
 rounding. The shadow and freeze checks are counted here from the step
 records, independently of the engine's tally.
+
+The ``reference_*`` set-up functions are the per-row and per-block
+loops that built graphs, constraint systems, z pairs, partitions and
+activation probabilities before those became array passes.
 """
 
 import numpy as np
 
-from asyncadmm import PrimalDualState, ProbeFlags, RngStream, initial_state
-from asyncadmm import objective, step
+from asyncadmm import (PrimalDualState, ProbeFlags, Quadratic, RngStream,
+                       initial_state, objective, step)
 from asyncadmm.engine import (SHADOW_TOL, _apply_block, _block_table,
                               _guard_message, _ops, _Recorder)
-from asyncadmm.errors import DivergenceError, MissingReference
+from asyncadmm.errors import (DivergenceError, ImproperPartition,
+                              InvalidProblem, MissingReference,
+                              NonCoveringPartition)
 
 
 ARRAY_FIELDS = ("iters", "objective", "objective_error", "feasibility",
@@ -129,3 +136,210 @@ def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
             rec.add(k, b, st.x, st.z, st.p)
     return rec.metrics(seed, T, st.x, st.z, st.p, acc[:dim_x],
                        acc[dim_x:dim_x + W], counters, (x_max, z_max, p_max))
+
+
+# ---------------------------------------------------------------------------
+# Set-up reference: the per-row construction the array passes replace
+# ---------------------------------------------------------------------------
+#
+# Each function below is the plain loop the set-up code used to run, kept
+# as the oracle for the array passes: the same normalised data, the same
+# arrays, and the same exception class and message for the first
+# offending edge, entry, pair or block. ``reference_partition`` also
+# refuses a row listed twice in one block, which the loop used to accept.
+
+
+def reference_graph_edges(num_nodes, edges):
+    """``Graph.edges`` after normalisation, or the error it raises."""
+    if num_nodes < 1:
+        raise InvalidProblem("graph needs at least one node")
+    norm = []
+    seen = set()
+    for i, j in edges:
+        i, j = int(i), int(j)
+        if i == j:
+            raise InvalidProblem(f"self-loop at node {i}")
+        if not (0 <= i < num_nodes and 0 <= j < num_nodes):
+            raise InvalidProblem(f"edge ({i},{j}) out of range")
+        e = (min(i, j), max(i, j))
+        if e in seen:
+            raise InvalidProblem(f"duplicate edge {e}")
+        seen.add(e)
+        norm.append(e)
+    return tuple(norm)
+
+
+def reference_is_connected(num_nodes, edges):
+    if num_nodes == 1:
+        return True
+    adj = [[] for _ in range(num_nodes)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == num_nodes
+
+
+def reference_reformulation(edges, n, flip_edges=()):
+    """Entries, pairs, signs and blocks of the edge reformulation."""
+    m = len(edges)
+    flip = set(int(e) for e in flip_edges)
+    entries = []
+    pairs = []
+    signs = np.empty((m, 2))
+    for e, (i, j) in enumerate(edges):
+        s = -1.0 if e in flip else 1.0
+        signs[e] = (s, -s)
+        for t in range(n):
+            row_i = (2 * e) * n + t
+            row_j = (2 * e + 1) * n + t
+            entries.append((row_i, i, t, s))
+            entries.append((row_j, j, t, -s))
+            pairs.append((row_i, row_j))
+    blocks = [np.arange(2 * e * n, 2 * (e + 1) * n, dtype=np.intp)
+              for e in range(m)]
+    return tuple(entries), tuple(pairs), signs, blocks
+
+
+def reference_violations(n, N, W, entries, h_diag):
+    violations = []
+    per_row = {}
+    for row, block, coord, coeff in entries:
+        per_row.setdefault(row, []).append((block, coord, coeff))
+    for row in range(W):
+        hits = per_row.get(row, [])
+        if not hits:
+            violations.append(f"row {row} of D has no entry")
+        elif len(hits) > 1:
+            blocks = sorted({b for b, _, _ in hits})
+            if len(blocks) > 1:
+                violations.append(f"row {row} couples two components {blocks}")
+            else:
+                violations.append(f"row {row} has {len(hits)} entries")
+        elif hits[0][2] == 0.0:
+            violations.append(f"row {row} has zero coefficient")
+    covered = {b for _, b, _, c in entries if c != 0.0}
+    for b in range(N):
+        if b not in covered:
+            violations.append(f"component {b} has zero column-block in D")
+    for l in range(W):
+        if h_diag[l] == 0.0:
+            violations.append(f"H not invertible: zero diagonal at row {l}")
+    return tuple(violations)
+
+
+def reference_constraints(n, N, W, entries, h_diag):
+    """A constraint system's normalised entries, H, violations and per-row
+    arrays (``None`` when it breaks the row contract)."""
+    if min(n, N, W) < 1:
+        raise InvalidProblem("dimensions n, N, W must be positive")
+    norm = []
+    for entry in entries:
+        if len(entry) == 3:
+            row, block, coeff = entry
+            coord = 0
+        elif len(entry) == 4:
+            row, block, coord, coeff = entry
+        else:
+            raise InvalidProblem(f"bad D entry {entry!r}")
+        row, block, coord = int(row), int(block), int(coord)
+        if not 0 <= row < W:
+            raise InvalidProblem(f"row index {row} out of range [0,{W})")
+        if not 0 <= block < N:
+            raise InvalidProblem(f"block index {block} out of range [0,{N})")
+        if not 0 <= coord < n:
+            raise InvalidProblem(f"coord index {coord} out of range [0,{n})")
+        norm.append((row, block, coord, float(coeff)))
+    entries = tuple(norm)
+    h_diag = np.asarray(h_diag, dtype=float)
+    if h_diag.shape != (W,):
+        raise InvalidProblem(f"H diagonal must have length {W}")
+    out = {"entries": entries, "h_diag": h_diag,
+           "violations": reference_violations(n, N, W, entries, h_diag),
+           "row_block": None, "row_coord": None, "row_coeff": None,
+           "col_index": None}
+    if out["violations"]:
+        return out
+    row_block = np.empty(W, dtype=np.intp)
+    row_coord = np.empty(W, dtype=np.intp)
+    row_coeff = np.empty(W, dtype=float)
+    for row, block, coord, coeff in entries:
+        row_block[row] = block
+        row_coord[row] = coord
+        row_coeff[row] = coeff
+    out.update(row_block=row_block, row_coord=row_coord, row_coeff=row_coeff,
+               col_index=row_block * n + row_coord)
+    return out
+
+
+def reference_pairs(dim, pairs):
+    """``SumZeroPairs.pairs`` after normalisation, or the error it raises."""
+    pairs = tuple((int(i), int(j)) for i, j in pairs)
+    seen = set()
+    for i, j in pairs:
+        if i == j:
+            raise InvalidProblem(f"pair ({i},{j}) repeats an index")
+        for k in (i, j):
+            if not 0 <= k < dim:
+                raise InvalidProblem(f"pair index {k} out of range [0,{dim})")
+            if k in seen:
+                raise InvalidProblem(f"index {k} appears in two pairs")
+            seen.add(k)
+    return pairs
+
+
+def reference_partition(pairs, W, row_block, blocks):
+    """Sorted blocks and component map of a partition, or its error."""
+    norm_blocks = []
+    owner = np.full(W, -1, dtype=np.intp)
+    for b, rows in enumerate(blocks):
+        rows = np.asarray(sorted(int(r) for r in rows), dtype=np.intp)
+        if rows.size == 0:
+            raise NonCoveringPartition(f"block {b} is empty")
+        if rows[0] < 0 or rows[-1] >= W:
+            raise NonCoveringPartition(f"block {b} has out-of-range rows")
+        if np.any(owner[rows] >= 0):
+            dup = int(rows[owner[rows] >= 0][0])
+            raise NonCoveringPartition(f"row {dup} appears in two blocks")
+        if np.any(rows[1:] == rows[:-1]):
+            dup = int(rows[1:][rows[1:] == rows[:-1]][0])
+            raise NonCoveringPartition(f"row {dup} appears twice in block {b}")
+        owner[rows] = b
+        norm_blocks.append(rows)
+    if np.any(owner < 0):
+        missing = int(np.flatnonzero(owner < 0)[0])
+        raise NonCoveringPartition(f"row {missing} not covered by any block")
+    for i, j in pairs:
+        if owner[i] != owner[j]:
+            raise ImproperPartition(
+                f"rows {i} and {j} are coupled by the z set but split "
+                f"across blocks {int(owner[i])} and {int(owner[j])}")
+    component_map = tuple(np.unique(row_block[rows]) for rows in norm_blocks)
+    return tuple(norm_blocks), component_map
+
+
+def reference_probabilities(blocks, component_map, W, N, probs):
+    """Per-row and per-component activation probabilities."""
+    lam = np.empty(W)
+    for b, rows in enumerate(blocks):
+        lam[rows] = probs[b]
+    alpha = np.zeros(N)
+    for b, comps in enumerate(component_map):
+        alpha[comps] += probs[b]
+    return lam, alpha, 1.0 / lam
+
+
+def reference_consensus(terms):
+    """The closed-form consensus optimum as a plain sum and ``np.median``."""
+    if all(isinstance(t, Quadratic) for t in terms):
+        wsum = sum(t.weight for t in terms)
+        return sum(t.weight * t.center for t in terms) / wsum
+    centers = np.stack([t.center for t in terms])
+    return np.median(centers, axis=0)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +364,57 @@ class TestMalformedInput:
             assert err.startswith("config error: ") and field in err
             assert err.count("\n") == 1
 
+    def test_row_twice_in_one_block_exits_2(self, tmp_path, capsys):
+        # a traceback from the block table before
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"problem": {"inline": inline_doc()},
+                                        "T": 5, "blocks": [[0, 0], [1]],
+                                        "out": "out"}))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert err == "config error: row 0 appears twice in block 0\n"
+        assert not (tmp_path / "out").exists()
+
+    HUGE = [
+        ("blocks", [[0, 2 ** 70], [1]], "block 0 has out-of-range rows"),
+        ("D_rows", [[2 ** 70, 0, 1.0], [1, 1, 1.0]],
+         "row index 1180591620717411303424 out of range [0,2)"),
+        ("z_set", {"kind": "sum_zero_pairs", "dim": 2,
+                   "pairs": [[0, -2 ** 70]]},
+         "pair index -1180591620717411303424 out of range [0,2)"),
+    ]
+
+    @pytest.mark.parametrize("field,value,message", HUGE,
+                             ids=[f for f, _, _ in HUGE])
+    def test_huge_index_exits_2(self, tmp_path, capsys, field, value,
+                                message):
+        # a blocks entry past 2**63 was an OverflowError traceback before
+        doc = inline_doc()
+        cfg = {"problem": {"inline": doc}, "T": 5, "out": "out"}
+        (cfg if field == "blocks" else doc)[field] = value
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_box_z_set_exits_2(self, tmp_path, capsys):
+        # ran with exit 0 before, ignoring the bounds
+        doc = inline_doc()
+        doc["z_set"] = {"kind": "box", "lower": [0.0, 0.0],
+                        "upper": [1.0, 1.0]}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"problem": {"inline": doc}, "T": 5,
+                                        "out": "out"}))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "box z set" in err
+            assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     # coerced with int()/float() before: "T": 2.7 ran 2 steps, exit 0;
     # seeds [1.7, true] ran seed 1 twice, and -1 ran seed 2**64 - 1
     BAD_NUMBER = [
@@ -473,6 +527,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "constraints valid" in out
         assert cli_main(["run", str(cfg_path)]) == 0
+        assert (tmp_path / "res" / "seed_0.csv").exists()
+
+    def test_module_entry_point(self, tmp_path):
+        # "python -m asyncadmm" had no __main__ module
+        write_cycle_graph(tmp_path / "g.txt", n=3)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({
+            "problem": {"benchmark": {"name": "consensus-quadratic",
+                                      "graph": "g.txt"}},
+            "T": 10, "out": "res"}))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "asyncadmm", "run",
+                               str(cfg_path)], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "res" / "seed_0.csv").exists()
 
     def test_bench_subcommand(self, tmp_path):

@@ -101,10 +101,12 @@ class TestZUpdate:
         prob = reform.problem
         # row 1 is row 0's partner in the z set
         blocks = (np.array([0]), np.array([1]), np.arange(2, prob.dim_z))
+        comps = [np.unique(prob.constraints.row_block[r]) for r in blocks]
         part = ProperPartition(
-            blocks=blocks,
-            component_map=tuple(np.unique(prob.constraints.row_block[r])
-                                for r in blocks),
+            rows=np.concatenate(blocks),
+            row_ptr=np.array([0, 1, 2, prob.dim_z]),
+            comps=np.concatenate(comps),
+            comp_ptr=np.cumsum([0] + [c.size for c in comps]),
             num_rows=prob.dim_z, num_components=prob.num_components)
         with pytest.raises(ImproperPartition):
             _block_table(prob, part)

@@ -7,7 +7,7 @@ from asyncadmm import (AbsDev, Box, ConstraintSystem, Custom, Free, L1,
                        PrimalDualState, Quadratic, SeparableProblem,
                        SumZeroPairs, initial_state, lagrangian, objective,
                        residual, term_value, validate_constraints)
-from asyncadmm.errors import DimensionMismatch, InvalidProblem
+from asyncadmm.errors import DimensionMismatch, InvalidProblem, UnsupportedSet
 
 
 def make_problem(terms, h=(-1.0, -1.0), z_set=None):
@@ -174,6 +174,18 @@ class TestValidateConstraints:
         report = validate_constraints(cs)
         assert any("no entry" in v for v in report.violations)
         assert any("zero column-block" in v for v in report.violations)
+
+    def test_box_z_set_rejected_by_problem(self):
+        # neither the block kernel nor the reference solve reads z bounds,
+        # so a box z set used to run as if it were free
+        cs = ConstraintSystem(n=1, N=2, W=2,
+                              entries=((0, 0, 1.0), (1, 1, 1.0)),
+                              h_diag=np.array([-1.0, -1.0]))
+        with pytest.raises(UnsupportedSet, match="box z set"):
+            SeparableProblem(terms=(Quadratic(np.array([5.0])),) * 2,
+                             x_sets=(Free(1),) * 2,
+                             z_set=Box(np.zeros(2), np.ones(2)),
+                             constraints=cs, beta=1.0)
 
     def test_invalid_system_rejected_by_problem(self):
         cs = ConstraintSystem(n=1, N=1, W=1, entries=((0, 0, 0.0),),

@@ -45,6 +45,13 @@ class TestBuildPartition:
         with pytest.raises(NonCoveringPartition):
             build_partition(reform.problem.z_set, cs, [[0, 1], [1, 2, 3]])
 
+    def test_row_twice_in_one_block_rejected(self, two_row_problem):
+        # accepted before, and the block table then failed to broadcast
+        prob = two_row_problem
+        with pytest.raises(NonCoveringPartition,
+                           match="row 0 appears twice in block 0"):
+            build_partition(prob.z_set, prob.constraints, [[0, 0], [1]])
+
     def test_component_union_covers_everything(self):
         for g in (Graph.cycle(6), Graph.star(5), Graph.path(4)):
             reform = edge_problem(graph=g)
