@@ -19,8 +19,8 @@ Library layout:
 
 from .terms import AbsDev, Box, Custom, Free, L1, Quadratic, SumZeroPairs, term_value
 from .problem import (ConstraintSystem, PrimalDualState, SeparableProblem,
-                      StandardProblem, ValidationReport, initial_state,
-                      lagrangian, objective, residual, validate_constraints)
+                      ValidationReport, initial_state, lagrangian, objective,
+                      residual, validate_constraints)
 from .prox import LocalSubproblem, bisect_convex, soft_threshold, solve_local
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         build_partition, derive_probabilities, sample_block,

@@ -387,14 +387,27 @@ def load_problem(doc) -> SeparableProblem:
         index = [_integer(v, where) for v in row[:-1]] + [0]
         entries.append((*index[:3], _number(row[-1], where)))
     _require_finite([e[-1] for e in entries], "problem.D_rows")
-    cs = ConstraintSystem(n=n, N=num, W=w, entries=tuple(entries),
-                          h_diag=_finite_array(doc["H_diag"],
-                                               "problem.H_diag"))
+    h_diag = _finite_array(doc["H_diag"], "problem.H_diag")
     terms = tuple(_term_from_json(t, n, f"problem.terms[{i}]")
                   for i, t in enumerate(_list(doc["terms"], "problem.terms")))
     x_sets = tuple(_set_from_json(s, f"problem.x_sets[{i}]")
                    for i, s in enumerate(_list(doc["x_sets"],
                                                "problem.x_sets")))
+    # the sizes must agree with the document before any array is sized
+    # from them
+    for key, size, field, count in (("N", num, "terms", len(terms)),
+                                    ("N", num, "x_sets", len(x_sets)),
+                                    ("W", w, "H_diag", h_diag.size)):
+        if size != count:
+            raise ValidationError(f"problem.{key} is {size} but "
+                                  f"problem.{field} has {count} entries")
+    for field, items in (("terms", terms), ("x_sets", x_sets)):
+        for i, item in enumerate(items):
+            if item.dim != n:
+                raise ValidationError(f"problem.{field}[{i}] has dim "
+                                      f"{item.dim}, expected n = {n}")
+    cs = ConstraintSystem(n=n, N=num, W=w, entries=tuple(entries),
+                          h_diag=h_diag)
     z_set = _set_from_json(doc["z_set"], "problem.z_set")
     return SeparableProblem(terms=terms, x_sets=x_sets, z_set=z_set,
                             constraints=cs,

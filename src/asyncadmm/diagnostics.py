@@ -17,8 +17,7 @@ import numpy as np
 from .engine import _apply_block, _block_table, _ops, sync_admm_step
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
-from .problem import (PrimalDualState, SeparableProblem, StandardProblem,
-                      initial_state, residual)
+from .problem import PrimalDualState, SeparableProblem, initial_state, residual
 from .scheduler import ActivationDistribution, RngStream
 from .terms import Box, SumZeroPairs, term_value
 
@@ -104,13 +103,12 @@ def solve_reference(prob: SeparableProblem, tol: float = 1e-10,
     The final dual iterate serves as the multiplier estimate; there is no
     other constructive access to a saddle point.
     """
-    std = StandardProblem.from_separable(prob)
     state = initial_state(prob, x0, z0)
     # the iterate as one stacked [x, z, p] vector, so that the settle test
     # is one difference and one maximum
     old = np.concatenate([state.x, state.z, state.p])
     for _ in range(max_iters):
-        state = sync_admm_step(std, state)
+        state = sync_admm_step(prob, state)
         new = np.concatenate([state.x, state.z, state.p])
         delta = np.max(np.abs(new - old))
         old = new

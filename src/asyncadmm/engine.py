@@ -32,11 +32,11 @@ bit for bit equal to one ``solve_component`` call per component), and
 the tally checks the block's moved coordinates of the stacked
 ``[x, z, p]`` state with one masked comparison.
 
-Synchronous engine: the classical two-block method (sequential x
-minimization, z minimization, dual ascent with step beta) for problems
-with an optional separable z objective and right-hand side c. One
+Synchronous engine: the classical two-block method (x minimization, z
+minimization, dual ascent with step beta) on the same separable problem
+and the same compiled arrays (``_ops``) as the asynchronous engine. One
 iteration is O(problem) array operations: the x step is the same
-one-pass solve, and the z step with z terms is the same grouped prox;
+one-pass solve, and the z step is the z-pair fit of every row at once;
 only Custom terms (and kink coordinates without a coupling row) are
 solved one by one.
 """
@@ -50,16 +50,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DivergenceError, ImproperPartition, MissingReference,
-                     NonfiniteInput)
-from .problem import (PrimalDualState, SeparableProblem, StandardProblem,
-                      TermGroups, XSetBounds, initial_state, objective,
-                      residual, term_groups, x_set_bounds)
+from .errors import DivergenceError, ImproperPartition, MissingReference
+from .problem import (PrimalDualState, SeparableProblem, TermGroups,
+                      initial_state, objective, residual, term_groups,
+                      x_set_bounds)
 from .prox import (_kink_coord, kink_prox, quadratic_prox,
                    solve_local_prepared, solve_z_prepared)
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         _offsets, blocks_for, draw_uniforms, sample_block)
-from .terms import Box, SumZeroPairs
+from .terms import SumZeroPairs
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -103,7 +102,7 @@ def _row_sums(g):
 
 
 class _GroupedProx:
-    """The prox of every coordinate of a list of terms in one pass.
+    """The prox of every x coordinate of a problem in one pass.
 
     Solves ``f_i(u) + (q/2) u^2 - l u`` on ``[lo, hi]`` per coordinate with
     the arithmetic of :func:`solve_local_prepared`: Quadratic coordinates
@@ -113,21 +112,30 @@ class _GroupedProx:
     ``solve_local_prepared`` and ``_kink_coord`` in ascending coordinate
     order, so the first error raised is the one a component-by-component
     loop raises. ``q``, ``lo``, ``hi`` have shape ``(len(terms), n)``.
+
+    ``consts`` holds the closed forms' constants per coordinate, zero off
+    their kind: ``w2``, ``w2c`` (:func:`quadratic_prox`), ``a``, ``kink``
+    (:func:`kink_prox`) and ``is_quad`` (1 on Quadratic coordinates).
     """
 
-    def __init__(self, terms, n, q, lo, hi):
-        groups = TermGroups(terms, n)
+    def __init__(self, groups: TermGroups, terms, q, lo, hi):
+        n = groups.n
         self.terms, self.n = terms, n
         self.q, self.lo, self.hi = q, lo, hi
         q, lo, hi = q.reshape(-1), lo.reshape(-1), hi.reshape(-1)
+        c = self.consts = {name: np.zeros(q.size)
+                           for name in ("w2", "w2c", "a", "kink", "is_quad")}
         idx = groups.quad_idx
-        w2 = 2.0 * groups.quad_weight
-        self.quad = (idx, w2, w2 * groups.quad_center, q[idx], lo[idx],
+        c["w2"][idx] = 2.0 * groups.quad_weight
+        c["w2c"][idx] = c["w2"][idx] * groups.quad_center
+        c["is_quad"][idx] = 1.0
+        c["a"][groups.abs_idx] = groups.abs_center
+        c["kink"][groups.abs_idx] = 1.0
+        c["kink"][groups.l1_idx] = groups.l1_gamma
+        self.quad = (idx, c["w2"][idx], c["w2c"][idx], q[idx], lo[idx],
                      hi[idx]) if idx.size else None
         idx = np.concatenate([groups.abs_idx, groups.l1_idx])
-        a = np.concatenate([groups.abs_center, np.zeros(groups.l1_idx.size)])
-        kink = np.concatenate([np.ones(groups.abs_idx.size), groups.l1_gamma])
-        qk = q[idx]
+        a, kink, qk = c["a"][idx], c["kink"][idx], q[idx]
         self.kink = (idx, a, kink, np.where(qk > 0, qk, 1.0), lo[idx],
                      hi[idx]) if idx.size else None
         # one at a time, by first coordinate: the components of other terms
@@ -161,8 +169,10 @@ class _GroupedProx:
 class _CompiledOps:
     """Per-problem arrays for the update kernels (built once, read-only).
 
-    ``bounds`` are the component sets' stacked bounds, the problem's cached
-    :func:`x_set_bounds`.
+    ``lo``, ``hi`` are the component sets' stacked bounds, the problem's
+    cached :func:`x_set_bounds`, and ``groups`` its cached
+    :func:`term_groups`. ``pair_i``/``pair_j`` are the z set's pairs over
+    all rows (empty for a free z set).
 
     The constraint rows are sorted by component, then coordinate, then
     row (``rows``), with ``comp_ptr`` the start of each component's rows;
@@ -171,14 +181,16 @@ class _CompiledOps:
     grid, one line per coordinate, padded with ``-0.0``.
 
     :meth:`solve_all` reads the same rows in rank order and solves
-    through :attr:`prox`; both are built on its first call, so runs that
-    never make a full pass do not pay for them.
+    through :attr:`prox`; both are built on first use, so runs that
+    never need them do not pay for them.
     """
 
-    def __init__(self, cs, terms, bounds: XSetBounds, beta):
+    def __init__(self, prob: SeparableProblem):
+        cs = prob.constraints
         self.n, self.N, self.W = cs.n, cs.N, cs.W
-        self.beta = beta
-        self.terms = terms
+        self.beta = prob.beta
+        self.terms = prob.terms
+        self.groups = term_groups(prob)
         self.h = cs.h_diag
         self.coeff = cs.row_coeff
         self.col = cs.col_index
@@ -195,32 +207,27 @@ class _CompiledOps:
             coord = cs.row_coord[self.rows]
             self.slot = coord * width[cs.row_block[self.rows]] + rank
             self.width = width.tolist()
-        self.quad = beta * np.bincount(cs.col_index, weights=cs.row_coeff ** 2,
-                                       minlength=cs.N * cs.n).reshape(cs.N,
-                                                                      cs.n)
+        self.quad = prob.beta * np.bincount(
+            cs.col_index, weights=cs.row_coeff ** 2,
+            minlength=cs.N * cs.n).reshape(cs.N, cs.n)
+        bounds = x_set_bounds(prob)
         self.lo, self.hi = bounds.lo, bounds.hi
-        # pair structure of the z set over all rows, for shadow passes
-        self.pair_i = np.empty(0, dtype=np.intp)
-        self.pair_j = np.empty(0, dtype=np.intp)
+        if isinstance(prob.z_set, SumZeroPairs):
+            self.pair_i, self.pair_j = prob.z_set._first, prob.z_set._second
+        else:
+            self.pair_i = self.pair_j = np.empty(0, dtype=np.intp)
 
-    def set_pairs(self, z_set):
-        if isinstance(z_set, SumZeroPairs) and z_set.pairs:
-            self.pair_i = np.array([i for i, _ in z_set.pairs], dtype=np.intp)
-            self.pair_j = np.array([j for _, j in z_set.pairs], dtype=np.intp)
-
-    def solve_component(self, i, p, z, c=None):
+    def solve_component(self, i, p, z):
         """Minimize f_i plus its scaled coupling terms at multiplier p.
 
         The tilt gathers every constraint row owned by the component:
-        ``linear = D_i'(p - beta (H z - c))``, summed per coordinate in
-        row order by :func:`_row_sums`.
+        ``linear = D_i'(p - beta H z)``, summed per coordinate in row
+        order by :func:`_row_sums`.
         """
         r0, r1 = self.comp_ptr[i], self.comp_ptr[i + 1]
         rows = self.rows[r0:r1]
-        shift = self.h_sorted[r0:r1] * z[rows]
-        if c is not None:
-            shift = shift - c[rows]
-        g = self.coeffs_sorted[r0:r1] * (p[rows] - self.beta * shift)
+        g = self.coeffs_sorted[r0:r1] * (p[rows] - self.beta * (
+            self.h_sorted[r0:r1] * z[rows]))
         if self.n == 1:
             linear = _row_sums(g)
         else:
@@ -239,7 +246,8 @@ class _CompiledOps:
     @cached_property
     def prox(self) -> _GroupedProx:
         """The closed forms of every x coordinate, for :meth:`solve_all`."""
-        return _GroupedProx(self.terms, self.n, self.quad, self.lo, self.hi)
+        return _GroupedProx(self.groups, self.terms, self.quad, self.lo,
+                            self.hi)
 
     @cached_property
     def rank_order(self):
@@ -260,7 +268,7 @@ class _CompiledOps:
                 self.h_sorted[order], _offsets(np.bincount(rank)).tolist(),
                 pos)
 
-    def solve_all(self, p, z, c=None):
+    def solve_all(self, p, z):
         """Every component's :meth:`solve_component`, in one pass, bit for bit.
 
         The tilt of every row is one array expression. Each (component,
@@ -270,10 +278,7 @@ class _CompiledOps:
         :class:`_GroupedProx`'s.
         """
         rows, coeff, h, ptr, pos = self.rank_order
-        shift = h * z[rows]
-        if c is not None:
-            shift = shift - c[rows]
-        g = coeff * (p[rows] - self.beta * shift)
+        g = coeff * (p[rows] - self.beta * (h * z[rows]))
         sums = np.full(self.N * self.n, -0.0)
         for r in range(len(ptr) - 1):
             sums[:ptr[r + 1] - ptr[r]] += g[ptr[r]:ptr[r + 1]]
@@ -295,7 +300,7 @@ class _BlockTable:
     object is made per block.
     """
 
-    def __init__(self, ops: _CompiledOps, z_set, partition: ProperPartition):
+    def __init__(self, ops: _CompiledOps, partition: ProperPartition):
         n, W = ops.n, ops.W
         dim_x = n * ops.N
         rows, row_ptr = partition.rows, partition.row_ptr
@@ -315,16 +320,16 @@ class _BlockTable:
         owner[rows] = np.repeat(np.arange(m), sizes)
         local = np.empty(W, dtype=np.intp)
         local[rows] = np.arange(W) - np.repeat(row_ptr[:-1], sizes)
-        if isinstance(z_set, SumZeroPairs) and z_set.pairs:
-            pairs = np.array(z_set.pairs, dtype=np.intp)
-            blk_i, blk_j = owner[pairs[:, 0]], owner[pairs[:, 1]]
+        pair_i, pair_j = ops.pair_i, ops.pair_j
+        if pair_i.size:
+            blk_i, blk_j = owner[pair_i], owner[pair_j]
             if np.any(blk_i != blk_j):
-                i, j = pairs[np.flatnonzero(blk_i != blk_j)[0]]
-                raise ImproperPartition(
-                    f"a block splits the coupled pair ({i},{j})")
+                k = np.flatnonzero(blk_i != blk_j)[0]
+                raise ImproperPartition("a block splits the coupled pair "
+                                        f"({pair_i[k]},{pair_j[k]})")
             order = np.argsort(blk_i, kind="stable")
-            self.pair_i = local[pairs[order, 0]]
-            self.pair_j = local[pairs[order, 1]]
+            self.pair_i = local[pair_i[order]]
+            self.pair_j = local[pair_j[order]]
             npair = np.bincount(blk_i, minlength=m)
         else:
             self.pair_i = self.pair_j = np.empty(0, dtype=np.intp)
@@ -375,10 +380,7 @@ class _BlockTable:
 def _ops(prob: SeparableProblem) -> _CompiledOps:
     ops = getattr(prob, "_engine_ops", None)
     if ops is None:
-        cs = prob.constraints
-        ops = _CompiledOps(cs, prob.terms, x_set_bounds(prob), prob.beta)
-        ops.set_pairs(prob.z_set)
-        prob._engine_ops = ops
+        ops = prob._engine_ops = _CompiledOps(prob)
     return ops
 
 
@@ -390,8 +392,7 @@ def _block_table(prob: SeparableProblem,
         cache = prob._block_tables = weakref.WeakKeyDictionary()
     table = cache.get(partition)
     if table is None:
-        table = cache[partition] = _BlockTable(_ops(prob), prob.z_set,
-                                               partition)
+        table = cache[partition] = _BlockTable(_ops(prob), partition)
     return table
 
 
@@ -439,40 +440,19 @@ def step(prob: SeparableProblem, state: PrimalDualState,
     return StepRecord(block=b, before=state, after=after, shadow=shadow)
 
 
-def sync_admm_step(std_prob: StandardProblem,
+def sync_admm_step(prob: SeparableProblem,
                    state: PrimalDualState) -> PrimalDualState:
     """One synchronous two-block iteration (x, then z, then dual ascent).
 
     Both minimizations are one pass over all coordinates: the x step is
-    :meth:`_CompiledOps.solve_all` at the right-hand side c, and the z
-    step, with z terms, is the same grouped prox at ``q = beta h^2``,
-    ``l = (p - beta (D x - c)) h`` on the z set's bounds.
+    :meth:`_CompiledOps.solve_all`, and the z step fits every row (and
+    every z pair) to ``(p - beta D x) / beta`` by :func:`solve_z_prepared`.
     """
-    ops = getattr(std_prob, "_engine_ops", None)
-    if ops is None:
-        cs = std_prob.constraints
-        ops = _CompiledOps(cs, std_prob.x_terms, x_set_bounds(std_prob),
-                           std_prob.beta)
-        ops.set_pairs(std_prob.z_set)
-        if std_prob.z_terms is not None:
-            zs = std_prob.z_set
-            lo, hi = ((zs.lower, zs.upper) if isinstance(zs, Box)
-                      else (np.full(cs.W, -np.inf), np.full(cs.W, np.inf)))
-            ops.z_prox = _GroupedProx(std_prob.z_terms, 1,
-                                      (ops.beta * ops.h ** 2)[:, None],
-                                      lo[:, None], hi[:, None])
-        std_prob._engine_ops = ops
-    c = std_prob.c
-    x = ops.solve_all(state.p, state.z, c=c)
-    q = state.p - ops.beta * (ops.coeff * x[ops.col] - c)
-    if std_prob.z_terms is None:
-        z = solve_z_prepared(ops.h, q / ops.beta, ops.pair_i, ops.pair_j)
-    else:
-        linear = q * ops.h
-        if not np.all(np.isfinite(linear)):
-            raise NonfiniteInput("subproblem data contains non-finite values")
-        z = ops.z_prox.solve(linear)
-    p = state.p - ops.beta * (ops.coeff * x[ops.col] + ops.h * z - c)
+    ops = _ops(prob)
+    x = ops.solve_all(state.p, state.z)
+    q = state.p - ops.beta * (ops.coeff * x[ops.col])
+    z = solve_z_prepared(ops.h, q / ops.beta, ops.pair_i, ops.pair_j)
+    p = state.p - ops.beta * (ops.coeff * x[ops.col] + ops.h * z)
     return PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
 
 
@@ -627,7 +607,7 @@ class _BatchTable:
       ``-0.0``, which adds nothing in :func:`_row_sums`.
     """
 
-    def __init__(self, ops: _CompiledOps, groups, table: _BlockTable):
+    def __init__(self, ops: _CompiledOps, table: _BlockTable):
         n, N, W = ops.n, ops.N, ops.W
         xseg = (N + 1) * n
         self.z0, self.p0 = xseg, xseg + W + 1
@@ -658,27 +638,18 @@ class _BatchTable:
         t_rows = per_lane(t_rows, W)
         t_coeff = per_lane(t_coeff, -0.0)
         t_h = per_lane(t_h, 0.0)
-        # closed-form constants per x lane; the dummy lane solves to +0.0
-        w2 = np.zeros(N * n)
-        w2c = np.zeros(N * n)
-        a = np.zeros(N * n)
-        kink = np.zeros(N * n)
-        is_quad = np.zeros(N * n)
-        w2[groups.quad_idx] = 2.0 * groups.quad_weight
-        w2c[groups.quad_idx] = w2[groups.quad_idx] * groups.quad_center
-        is_quad[groups.quad_idx] = 1.0
-        a[groups.abs_idx] = groups.abs_center
-        kink[groups.abs_idx] = 1.0
-        kink[groups.l1_idx] = groups.l1_gamma
-        self.has_quad = bool(groups.quad_idx.size)
-        self.has_kink = bool(groups.abs_idx.size or groups.l1_idx.size)
-        # the closed forms' constants, only for the kinds present
+        # the closed forms' constants per x lane, only for the kinds
+        # present; the dummy lane solves to +0.0
+        c = ops.prox.consts
+        self.has_quad = ops.prox.quad is not None
+        self.has_kink = ops.prox.kink is not None
         lane_consts = {name: per_lane(v, fill) for name, v, fill, used in (
             ("quad", ops.quad, 1.0, True), ("lo", ops.lo, -np.inf, True),
-            ("hi", ops.hi, np.inf, True), ("w2", w2, 0.0, self.has_quad),
-            ("w2c", w2c, 0.0, self.has_quad), ("a", a, 0.0, self.has_kink),
-            ("kink", kink, 0.0, self.has_kink),
-            ("is_quad", is_quad, 1.0, self.has_quad and self.has_kink))
+            ("hi", ops.hi, np.inf, True), ("w2", c["w2"], 0.0, self.has_quad),
+            ("w2c", c["w2c"], 0.0, self.has_quad),
+            ("a", c["a"], 0.0, self.has_kink),
+            ("kink", c["kink"], 0.0, self.has_kink),
+            ("is_quad", c["is_quad"], 1.0, self.has_quad and self.has_kink))
             if used}
 
         # z/p lanes: pair firsts, pair seconds, unpaired rows; pads point
@@ -758,14 +729,14 @@ def _batch_table(prob, partition):
     else a :class:`_BlockRows` for :func:`_fire_blocks`."""
     table = _block_table(prob, partition)
     if getattr(table, "batch", None) is None:
-        ops, groups = _ops(prob), term_groups(prob)
+        ops = _ops(prob)
         ncomp = np.diff(table.comp_ptr)
         lanes = ncomp.size * int(ncomp.max()) * ops.n * int(ops.counts.max())
-        if (groups.other or not np.all(ops.quad > 0)
+        if (ops.groups.other or not np.all(ops.quad > 0)
                 or lanes > _BATCH_LANE_LIMIT):
             table.batch = _BlockRows(ops, table)
         else:
-            table.batch = _BatchTable(ops, groups, table)
+            table.batch = _BatchTable(ops, table)
     return table.batch
 
 

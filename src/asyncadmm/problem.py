@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidProblem, UnsupportedSet
 from .terms import (AbsDev, Box, FeasibleSet, Free, L1, Quadratic,
-                    SumZeroPairs, _first_true, _index_array, term_value)
+                    _first_true, _index_array, term_value)
 
 
 @dataclass(frozen=True)
@@ -211,6 +211,10 @@ class SeparableProblem:
                 raise InvalidProblem(f"term {i} has dim {t.dim}, expected {cs.n}")
             if s.dim != cs.n:
                 raise InvalidProblem(f"x_set {i} has dim {s.dim}, expected {cs.n}")
+            if not isinstance(s, (Box, Free)):
+                # the kernels read x sets as bounds (x_set_bounds) only
+                raise UnsupportedSet(f"x_set {i} of kind {type(s).__name__} "
+                                     "is not supported: use free or box")
         if self.z_set.dim != cs.W:
             raise InvalidProblem(f"z_set has dim {self.z_set.dim}, expected {cs.W}")
         if isinstance(self.z_set, Box):
@@ -254,9 +258,7 @@ class PrimalDualState:
 class XSetBounds:
     """The component sets as stacked bounds ``lo``, ``hi`` of shape (N, n).
 
-    ``Box`` sets give their bounds and ``Free`` sets infinite ones; the
-    components of any other set kind are listed in ``other`` (their
-    bounds are left infinite).
+    ``Box`` sets give their bounds and ``Free`` sets infinite ones.
     """
 
     def __init__(self, x_sets, n: int):
@@ -271,8 +273,6 @@ class XSetBounds:
             sets = {id(x_sets[i]): x_sets[i] for i in box}.values()
             self.lo[box] = np.stack([s.lower for s in sets])[which]
             self.hi[box] = np.stack([s.upper for s in sets])[which]
-        self.other = [i for i, s in enumerate(x_sets)
-                      if not isinstance(s, (Box, Free))]
 
 
 def x_set_bounds(prob) -> XSetBounds:
@@ -291,8 +291,8 @@ def initial_state(prob: SeparableProblem,
 
     Defaults project the origin onto the feasible sets; explicit starts
     are projected as well so the state invariants hold from step zero.
-    ``Box`` and ``Free`` components are projected by one clip over the
-    stacked bounds (a clip to infinite bounds is a copy).
+    The components are projected by one clip over the stacked bounds (a
+    clip to infinite bounds is a copy).
     """
     cs = prob.constraints
     if x0 is None:
@@ -302,9 +302,6 @@ def initial_state(prob: SeparableProblem,
         raise DimensionMismatch(f"x0 must have shape ({prob.dim_x},)")
     bounds = x_set_bounds(prob)
     x = np.clip(x0.reshape(cs.N, cs.n), bounds.lo, bounds.hi).reshape(-1)
-    for i in bounds.other:
-        x[i * cs.n:(i + 1) * cs.n] = prob.x_sets[i].project(
-            prob.component(x0, i))
     if z0 is None:
         z0 = np.zeros(cs.W)
     z0 = np.asarray(z0, dtype=float)
@@ -399,54 +396,3 @@ def lagrangian(prob: SeparableProblem, x: np.ndarray, z: np.ndarray,
     if p.shape != (prob.dim_z,):
         raise DimensionMismatch(f"p must have shape ({prob.dim_z},)")
     return objective(prob, x) - float(np.dot(p, residual(prob, x, z)))
-
-
-@dataclass(eq=False)
-class StandardProblem:
-    """Two-block problem ``min F(x) + G(z) s.t. D x + H z = c``.
-
-    ``G`` is optional and coordinate-separable (one scalar term per z
-    coordinate); when the z set couples coordinates in pairs, ``G`` must
-    be absent so the coupled block stays a closed-form projection.
-    """
-
-    x_terms: tuple
-    x_sets: tuple
-    z_terms: Optional[tuple]
-    z_set: FeasibleSet
-    constraints: ConstraintSystem
-    c: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        cs = self.constraints
-        cs.require_valid()
-        self.x_terms = tuple(self.x_terms)
-        self.x_sets = tuple(self.x_sets)
-        self.c = np.asarray(self.c, dtype=float)
-        if self.c.shape != (cs.W,):
-            raise InvalidProblem(f"c must have length {cs.W}")
-        if self.z_terms is not None:
-            self.z_terms = tuple(self.z_terms)
-            if len(self.z_terms) != cs.W:
-                raise InvalidProblem("need one z term per row")
-            if any(t.dim != 1 for t in self.z_terms):
-                raise InvalidProblem("z terms must be scalar")
-            if isinstance(self.z_set, SumZeroPairs) and self.z_set.pairs:
-                raise InvalidProblem("z terms not supported with coupled z set")
-        if not self.beta > 0:
-            raise InvalidProblem("beta must be positive")
-
-    @classmethod
-    def from_separable(cls, prob: SeparableProblem) -> "StandardProblem":
-        return cls(x_terms=prob.terms, x_sets=prob.x_sets, z_terms=None,
-                   z_set=prob.z_set, constraints=prob.constraints,
-                   c=np.zeros(prob.dim_z), beta=prob.beta)
-
-    @property
-    def dim_x(self) -> int:
-        return self.constraints.n * self.constraints.N
-
-    @property
-    def dim_z(self) -> int:
-        return self.constraints.W

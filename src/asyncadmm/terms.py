@@ -223,8 +223,9 @@ class SumZeroPairs:
                 raise InvalidProblem(
                     f"pair index {k} out of range [0,{self.dim})")
             raise InvalidProblem(f"index {k} appears in two pairs")
-        object.__setattr__(self, "_first", index[:, 0])
-        object.__setattr__(self, "_second", index[:, 1])
+        # contiguous copies: every z fit gathers through them
+        object.__setattr__(self, "_first", index[:, 0].copy())
+        object.__setattr__(self, "_second", index[:, 1].copy())
 
     def contains(self, u: np.ndarray, tol: float = 0.0) -> bool:
         return all(abs(u[i] + u[j]) <= tol for i, j in self.pairs)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from asyncadmm import (AbsDev, BenchmarkSpec, Custom, Graph, ProbeFlags,
-                       Quadratic, RngStream, StandardProblem, WeightedNorm,
+                       Quadratic, RngStream, WeightedNorm,
                        compute_rate_constants, consensus_gap,
                        derive_probabilities, edge_initial_state, edge_step,
                        estimate_rate, generate_benchmark, initial_state,
@@ -52,7 +52,6 @@ def test_criterion_1_synchronous_equivalence():
     prob = bench.problem
     part = single_block_partition(prob.constraints)
     dist = derive_probabilities(part, [1.0])
-    std = StandardProblem.from_separable(prob)
     x0 = np.array([1.0, 5.0])
     z0 = edge_initial_state(bench.reform, x0).z
     t0 = time.perf_counter()
@@ -62,7 +61,7 @@ def test_criterion_1_synchronous_equivalence():
     worst = 0.0
     for _ in range(100):
         sa = step(prob, sa, part, dist, rng).after
-        sb = sync_admm_step(std, sb)
+        sb = sync_admm_step(prob, sb)
         worst = max(worst, float(np.max(np.abs(sa.x - sb.x))),
                     float(np.max(np.abs(sa.z - sb.z))),
                     float(np.max(np.abs(sa.p - sb.p))))

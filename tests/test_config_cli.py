@@ -415,6 +415,45 @@ class TestMalformedInput:
             assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_pair_x_set_exits_2(self, tmp_path, capsys):
+        # ran with exit 0 before, ending with x = (1, 1, 1, 1)
+        doc = inline_doc()
+        doc.update(n=2, D_rows=[[0, 0, 0, 1.0], [1, 1, 0, 1.0]],
+                   terms=[{"kind": "quadratic", "center": [1.0, 1.0]}] * 2,
+                   x_sets=[{"kind": "sum_zero_pairs", "dim": 2,
+                            "pairs": [[0, 1]]}] * 2)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"problem": {"inline": doc}, "T": 5,
+                                        "out": "out"}))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: x_set 0 of kind SumZeroPairs is not "
+                "supported: use free or box\n")
+        assert not (tmp_path / "out").exists()
+
+    # sizes far past any document: "n" was an OverflowError traceback and
+    # "N" a ValueError traceback from array constructors
+    HUGE_SIZE = [
+        ("n", "problem.terms[0] has dim 1, expected n = 10**30"),
+        ("N", "problem.N is 10**30 but problem.terms has 2 entries"),
+        ("W", "problem.W is 10**30 but problem.H_diag has 2 entries"),
+    ]
+
+    @pytest.mark.parametrize("field,message", HUGE_SIZE,
+                             ids=[f for f, _ in HUGE_SIZE])
+    def test_huge_size_exits_2(self, tmp_path, capsys, field, message):
+        doc = inline_doc()
+        doc[field] = 10 ** 30
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"problem": {"inline": doc}, "T": 5,
+                                        "out": "out"}))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            assert capsys.readouterr().err == "config error: {}\n".format(
+                message.replace("10**30", str(10 ** 30)))
+        assert not (tmp_path / "out").exists()
+
     # coerced with int()/float() before: "T": 2.7 ran 2 steps, exit 0;
     # seeds [1.7, true] ran seed 1 twice, and -1 ran seed 2**64 - 1
     BAD_NUMBER = [

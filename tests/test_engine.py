@@ -6,7 +6,7 @@ import pytest
 from asyncadmm import (AbsDev, BenchmarkSpec, ConstraintSystem, Custom,
                        Free, Graph, L1, PrimalDualState, ProbeFlags,
                        ProperPartition, Quadratic, RngStream,
-                       SeparableProblem, StandardProblem, build_partition,
+                       SeparableProblem, build_partition,
                        build_reformulation, derive_probabilities,
                        generate_benchmark, initial_state, objective, residual,
                        run, sample_block, shadow_step, single_block_partition,
@@ -281,14 +281,13 @@ class TestSyncEngine:
         prob = reform.problem
         part = single_block_partition(prob.constraints)
         dist = derive_probabilities(part, [1.0])
-        std = StandardProblem.from_separable(prob)
         sa = initial_state(prob, x0=np.arange(5.0))
         sb = initial_state(prob, x0=np.arange(5.0))
         rng = RngStream(2)
         worst = 0.0
         for _ in range(100):
             sa = step(prob, sa, part, dist, rng).after
-            sb = sync_admm_step(std, sb)
+            sb = sync_admm_step(prob, sb)
             worst = max(worst, float(np.max(np.abs(sa.x - sb.x))),
                         float(np.max(np.abs(sa.z - sb.z))),
                         float(np.max(np.abs(sa.p - sb.p))))
@@ -298,42 +297,11 @@ class TestSyncEngine:
         from asyncadmm import solve_reference
         prob = cycle_bench(3).problem
         ref = solve_reference(prob)
-        std = StandardProblem.from_separable(prob)
         st = PrimalDualState(x=ref.x.copy(), z=ref.z.copy(), p=ref.p.copy())
-        nxt = sync_admm_step(std, st)
+        nxt = sync_admm_step(prob, st)
         assert np.max(np.abs(nxt.x - st.x)) <= 1e-9
         assert np.max(np.abs(nxt.z - st.z)) <= 1e-9
         assert np.max(np.abs(nxt.p - st.p)) <= 1e-9
-
-    def test_toy_two_variable_problem(self):
-        # minimize x^2 + z^2 subject to x - z = 0: optimum (0, 0)
-        cs = ConstraintSystem(n=1, N=1, W=1, entries=((0, 0, 1.0),),
-                              h_diag=np.array([-1.0]))
-        std = StandardProblem(x_terms=(Quadratic(np.array([0.0])),),
-                              x_sets=(Free(1),),
-                              z_terms=(Quadratic(np.array([0.0])),),
-                              z_set=Free(1), constraints=cs,
-                              c=np.zeros(1), beta=1.0)
-        st = PrimalDualState(x=np.array([4.0]), z=np.array([-2.0]),
-                             p=np.zeros(1))
-        for _ in range(200):
-            st = sync_admm_step(std, st)
-        assert abs(st.x[0]) < 1e-6 and abs(st.z[0]) < 1e-6
-
-    def test_nonzero_rhs(self):
-        # minimize (x-1)^2 + (z-1)^2 subject to x + z = 3
-        cs = ConstraintSystem(n=1, N=1, W=1, entries=((0, 0, 1.0),),
-                              h_diag=np.array([1.0]))
-        std = StandardProblem(x_terms=(Quadratic(np.array([1.0])),),
-                              x_sets=(Free(1),),
-                              z_terms=(Quadratic(np.array([1.0])),),
-                              z_set=Free(1), constraints=cs,
-                              c=np.array([3.0]), beta=1.0)
-        st = PrimalDualState(x=np.zeros(1), z=np.zeros(1), p=np.zeros(1))
-        for _ in range(300):
-            st = sync_admm_step(std, st)
-        assert st.x[0] == pytest.approx(1.5, abs=1e-6)
-        assert st.z[0] == pytest.approx(1.5, abs=1e-6)
 
 
 class TestRun:

@@ -2,10 +2,9 @@
 
 ``_CompiledOps.solve_all`` solves every x component at once for the shadow
 pass, the synchronous engine and the reference solve. The loops it
-replaced (a ``solve_component`` call per component, a ``LocalSubproblem``
-per z coordinate, the three-maximum settle test and the per-component
-shadow tally) are kept here as the reference, and results are compared
-as bytes, so signs of zero count too.
+replaced (a ``solve_component`` call per component, the three-maximum
+settle test and the per-component shadow tally) are kept here as the
+reference, and results are compared as bytes, so signs of zero count too.
 """
 
 import numpy as np
@@ -14,15 +13,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asyncadmm import (AbsDev, Box, BenchmarkSpec, ConstraintSystem, Custom,
-                       Free, Graph, L1, PrimalDualState, Quadratic, RngStream,
-                       SeparableProblem, StandardProblem, derive_probabilities,
-                       generate_benchmark, initial_state, residual,
-                       shadow_step, solve_reference, step, sync_admm_step,
-                       uniform_probs)
+                       Free, Graph, L1, PrimalDualState, ProbeFlags, Quadratic,
+                       RngStream, SeparableProblem, SumZeroPairs,
+                       derive_probabilities, generate_benchmark,
+                       initial_state, residual, run, shadow_step,
+                       solve_reference, step, sync_admm_step, uniform_probs)
 from asyncadmm import diagnostics, engine
 from asyncadmm.errors import UnboundedSubproblem, UnsupportedTerm
-from asyncadmm.problem import x_set_bounds
-from asyncadmm.prox import LocalSubproblem, solve_local, solve_z_prepared
+from asyncadmm.problem import TermGroups
+from asyncadmm.prox import solve_z_prepared
 
 KINDS = ("quadratic", "absdev", "l1", "l1-zero", "custom")
 
@@ -74,11 +73,17 @@ def random_constraints(rng, n, N, hub_rows=0, uncoupled=False):
     return ConstraintSystem(n=n, N=N, W=W, entries=entries, h_diag=h)
 
 
-def random_problem(rng, n, N, kinds, hub_rows=0, uncoupled=False):
+def random_problem(rng, n, N, kinds, hub_rows=0, uncoupled=False,
+                   z_pairs=False):
+    """With ``z_pairs``, the z set ties disjoint pairs of rows."""
     cs = random_constraints(rng, n, N, hub_rows, uncoupled)
     terms = tuple(make_term(k, n, rng) for k in kinds[:N])
     x_sets = tuple(make_set(n, rng) for _ in range(N))
-    return SeparableProblem(terms=terms, x_sets=x_sets, z_set=Free(cs.W),
+    z_set = Free(cs.W)
+    if z_pairs:
+        z_set = SumZeroPairs(cs.W, rng.permutation(cs.W)[:cs.W // 2 * 2]
+                             .reshape(-1, 2))
+    return SeparableProblem(terms=terms, x_sets=x_sets, z_set=z_set,
                             constraints=cs, beta=float(rng.uniform(0.3, 2.0)))
 
 
@@ -90,12 +95,12 @@ def random_vector(rng, size, scale=2.0):
     return v
 
 
-def per_component(ops, p, z, c=None):
+def per_component(ops, p, z):
     """The loop ``solve_all`` replaced."""
     n = ops.n
     x = np.empty(ops.N * n)
     for i in range(ops.N):
-        x[i * n:(i + 1) * n] = ops.solve_component(i, p, z, c=c)
+        x[i * n:(i + 1) * n] = ops.solve_component(i, p, z)
     return x
 
 
@@ -107,19 +112,19 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
-def assert_same_solves(ops, p, z, c=None):
-    want = outcome(lambda: per_component(ops, p, z, c))
-    assert outcome(lambda: ops.solve_all(p, z, c)) == want
+def assert_same_solves(ops, p, z):
+    want = outcome(lambda: per_component(ops, p, z))
+    assert outcome(lambda: ops.solve_all(p, z)) == want
 
 
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2]),
        N=st.integers(1, 7), hub_rows=st.sampled_from([0, 8, 12]),
-       uncoupled=st.booleans(), with_c=st.booleans(),
+       uncoupled=st.booleans(),
        kinds=st.lists(st.sampled_from(KINDS), min_size=7, max_size=7))
 def test_solve_all_equals_component_loop(seed, n, N, hub_rows, uncoupled,
-                                         with_c, kinds):
+                                         kinds):
     rng = np.random.default_rng(seed)
     if n > 1:
         # a Custom term of dimension 2 only raises; see the error tests
@@ -128,9 +133,7 @@ def test_solve_all_equals_component_loop(seed, n, N, hub_rows, uncoupled,
     ops = engine._ops(prob)
     W = prob.dim_z
     for _ in range(3):
-        c = random_vector(rng, W) if with_c else None
-        assert_same_solves(ops, random_vector(rng, W), random_vector(rng, W),
-                           c)
+        assert_same_solves(ops, random_vector(rng, W), random_vector(rng, W))
 
 
 def test_uncoupled_coordinate():
@@ -160,9 +163,7 @@ def test_star_hub_sums_left_to_right():
     for _ in range(40):
         p = rng.normal(size=ops.W) * 3.0
         z = rng.normal(size=ops.W) * 3.0
-        c = rng.normal(size=ops.W)
         assert_same_solves(ops, p, z)
-        assert_same_solves(ops, p, z, c)
         g = ops.coeffs_sorted[r0:r1] * (p[rows] - ops.beta * (
             ops.h_sorted[r0:r1] * z[rows]))
         pairwise_differs += np.sum(g) != np.add.accumulate(g)[-1]
@@ -241,33 +242,13 @@ def test_custom_of_dimension_two_raises_first():
 # The synchronous engine and the reference solve
 # ---------------------------------------------------------------------------
 
-def reference_ops(std):
-    ops = engine._CompiledOps(std.constraints, std.x_terms,
-                              x_set_bounds(std), std.beta)
-    ops.set_pairs(std.z_set)
-    return ops
-
-
-def reference_sync_step(std, state, ops):
-    """The synchronous step as one solve per component and z coordinate."""
-    c = std.c
-    x = per_component(ops, state.p, state.z, c=c)
+def reference_sync_step(prob, state, ops):
+    """The synchronous step as one solve per component, with the dual
+    arithmetic of a right-hand side ``c``, here zero."""
+    c = np.zeros(ops.W)
+    x = per_component(ops, state.p, state.z)
     q = state.p - ops.beta * (ops.coeff * x[ops.col] - c)
-    if std.z_terms is None:
-        z = solve_z_prepared(ops.h, q / ops.beta, ops.pair_i, ops.pair_j)
-    else:
-        z = np.empty(ops.W)
-        for l in range(ops.W):
-            if isinstance(std.z_set, Box):
-                coord_set = Box(std.z_set.lower[l:l + 1],
-                                std.z_set.upper[l:l + 1])
-            else:
-                coord_set = Free(1)
-            sub = LocalSubproblem(term=std.z_terms[l],
-                                  quad_diag=np.array([ops.beta * ops.h[l] ** 2]),
-                                  linear=np.array([q[l] * ops.h[l]]),
-                                  set=coord_set)
-            z[l] = solve_local(sub)[0]
+    z = solve_z_prepared(ops.h, q / ops.beta, ops.pair_i, ops.pair_j)
     p = state.p - ops.beta * (ops.coeff * x[ops.col] + ops.h * z - c)
     return PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
 
@@ -276,18 +257,18 @@ def stacked(state):
     return np.concatenate([state.x, state.z, state.p])
 
 
-def assert_same_trajectory(std, start, steps=25):
-    ops = reference_ops(std)
+def assert_same_trajectory(prob, start, steps=25):
+    ops = engine._CompiledOps(prob)   # built apart from the engine's cache
     got, want = start, start
     for _ in range(steps):
-        want_next = outcome(lambda: stacked(reference_sync_step(std, want,
+        want_next = outcome(lambda: stacked(reference_sync_step(prob, want,
                                                                 ops)))
-        got_next = outcome(lambda: stacked(sync_admm_step(std, got)))
+        got_next = outcome(lambda: stacked(sync_admm_step(prob, got)))
         assert got_next == want_next
         if isinstance(want_next, tuple):
             return
-        want = reference_sync_step(std, want, ops)
-        got = sync_admm_step(std, got)
+        want = reference_sync_step(prob, want, ops)
+        got = sync_admm_step(prob, got)
         assert got.k == want.k
 
 
@@ -311,41 +292,32 @@ def test_sync_trajectory_separable_branch(name):
     rng = np.random.default_rng(1)
     start = initial_state(prob, x0=rng.normal(size=prob.dim_x))
     start.p[:] = random_vector(rng, prob.dim_z)
-    assert_same_trajectory(StandardProblem.from_separable(prob), start)
+    assert_same_trajectory(prob, start)
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("z_box", [True, False], ids=["z-box", "z-free"])
+@pytest.mark.parametrize("z_pairs", [True, False], ids=["z-pairs", "z-free"])
 @pytest.mark.parametrize("seed", range(4))
-def test_sync_trajectory_z_terms_branch(n, z_box, seed):
+def test_sync_trajectory_random_problem(n, z_pairs, seed):
+    """Every term kind, hub components and signed zeros in the start."""
     rng = np.random.default_rng(seed)
     kinds = [str(k) for k in rng.choice(KINDS, 5)]
     if n > 1:
         kinds = [k if k != "custom" else "absdev" for k in kinds]
-    prob = random_problem(rng, n, 5, kinds, hub_rows=9 if seed % 2 else 0)
+    prob = random_problem(rng, n, 5, kinds, hub_rows=9 if seed % 2 else 0,
+                          z_pairs=z_pairs)
     W = prob.dim_z
-    z_terms = tuple(make_term(str(k), 1, rng) for k in rng.choice(KINDS, W))
-    z_set = Free(W)
-    if z_box:
-        z_set = make_set(W, rng)
-        while not isinstance(z_set, Box):
-            z_set = make_set(W, rng)
-    std = StandardProblem(x_terms=prob.terms, x_sets=prob.x_sets,
-                          z_terms=z_terms, z_set=z_set,
-                          constraints=prob.constraints,
-                          c=random_vector(rng, W), beta=prob.beta)
     start = PrimalDualState(x=random_vector(rng, prob.dim_x),
                             z=random_vector(rng, W), p=random_vector(rng, W))
-    assert_same_trajectory(std, start)
+    assert_same_trajectory(prob, start)
 
 
 def reference_solve(prob, tol=1e-10, max_iters=200_000):
     """The reference solve with three maxima per settle test."""
-    std = StandardProblem.from_separable(prob)
-    ops = reference_ops(std)
+    ops = engine._CompiledOps(prob)
     state = initial_state(prob)
     for k in range(1, max_iters + 1):
-        nxt = reference_sync_step(std, state, ops)
+        nxt = reference_sync_step(prob, state, ops)
         delta = max(float(np.max(np.abs(nxt.x - state.x))),
                     float(np.max(np.abs(nxt.z - state.z))),
                     float(np.max(np.abs(nxt.p - state.p))))
@@ -363,15 +335,42 @@ def test_solve_reference_equals_reference_loop(name, monkeypatch):
     want, iters = reference_solve(prob)
     calls = []
 
-    def counted(std, state):
+    def counted(prob, state):
         calls.append(1)
-        return sync_admm_step(std, state)
+        return sync_admm_step(prob, state)
 
     monkeypatch.setattr(diagnostics, "sync_admm_step", counted)
     ref = solve_reference(prob)
     assert len(calls) == iters
     for name in ("x", "z", "p"):
         assert getattr(ref, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_reference_solve_and_run_share_the_compiled_problem(monkeypatch):
+    """One compile of the problem serves the reference solve and a
+    shadow-probed run: the ops, their grouped prox and the term groups
+    are each built once."""
+    built = {cls: [] for cls in (engine._CompiledOps, engine._GroupedProx,
+                                 TermGroups)}
+    for cls, calls in built.items():
+        def counted(self, *args, init=cls.__init__, calls=calls):
+            calls.append(self)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    rng = np.random.default_rng(4)
+    bench = generate_benchmark(
+        BenchmarkSpec("consensus-lad", a=list(rng.uniform(-5.0, 5.0, 6)),
+                      box_margin=0.05), Graph.cycle(6))
+    prob, partition = bench.problem, bench.reform.partition
+    ref = solve_reference(prob)
+    ops = engine._ops(prob)
+    dist = derive_probabilities(partition, uniform_probs(partition))
+    run(prob, partition, dist, seed=0, T=30, ref=ref,
+        probes=ProbeFlags(shadow=True, lyapunov=True, ergodic=True))
+    assert engine._ops(prob) is ops
+    assert built[engine._CompiledOps] == [ops]
+    assert built[engine._GroupedProx] == [ops.prox]
+    assert built[TermGroups] == [ops.groups]
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,6 @@ class TestInitialState:
             else:
                 sets.append(Box(np.array([-np.inf, 0.5]),
                                 np.array([0.25, np.inf])))
-        sets.append(SumZeroPairs(dim=n, pairs=((0, 1),)))
-        N += 1
         cs = ConstraintSystem(n=n, N=N, W=n * N,
                               entries=tuple((i * n + t, i, t, 1.0)
                                             for i in range(N)
@@ -186,6 +184,18 @@ class TestValidateConstraints:
                              x_sets=(Free(1),) * 2,
                              z_set=Box(np.zeros(2), np.ones(2)),
                              constraints=cs, beta=1.0)
+
+    def test_pair_x_set_rejected_by_problem(self):
+        # the kernels read x sets as bounds only, so a pair set ran as if
+        # it were free: each pair ended summing to 2, not 0
+        cs = ConstraintSystem(n=2, N=2, W=2,
+                              entries=((0, 0, 0, 1.0), (1, 1, 0, 1.0)),
+                              h_diag=np.array([-1.0, -1.0]))
+        with pytest.raises(UnsupportedSet,
+                           match="x_set 1 of kind SumZeroPairs"):
+            SeparableProblem(terms=(Quadratic(np.ones(2)),) * 2,
+                             x_sets=(Free(2), SumZeroPairs(2, ((0, 1),))),
+                             z_set=Free(2), constraints=cs, beta=1.0)
 
     def test_invalid_system_rejected_by_problem(self):
         cs = ConstraintSystem(n=1, N=1, W=1, entries=((0, 0, 0.0),),
