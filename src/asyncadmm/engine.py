@@ -21,7 +21,14 @@ when its closed forms cover the problem, else one by one through
 ``_apply_block`` (``_fire_blocks``). Either performs the floating-point
 operations of ``_apply_block`` in its order, so each seed's metrics
 equal chained ``step`` calls bit for bit. Ergodic sums are kept lazily:
-per coordinate just before it moves, and for all coordinates at a record.
+per coordinate just before it moves, and for every x and z coordinate at
+a record (the p sums are never read).
+A record point is one stacked evaluation of every seed's metrics over
+the ``(S, ·)`` rows (``_Recorder``). Its reduction contract: a row of a
+stack reduces to the same bits as the 1-D call on that row, so dot
+products and norms are ``np.vecdot`` sums (what ``np.dot`` and
+``np.linalg.norm`` compute), other sums reduce the last axis of a
+C-contiguous array, and gathers are ``np.take(..., axis=1)``.
 
 Shadow pass: the full-information iterates (y, v, mu) that a
 fully-activated step would have produced from the same state; the
@@ -494,58 +501,71 @@ class RunMetrics:
 
 
 class _Recorder:
-    """The values a run records, one column per record point.
+    """The values a run records for every seed, one column per record point.
 
-    ``run_batch`` keeps one recorder per seed. Rows of ``values`` are the
-    recorded series in ``RunMetrics`` order (objective, its error,
-    feasibility, ergodic objective error, ergodic feasibility, Lyapunov
-    value).
+    ``values[s]`` holds seed ``s``'s recorded series in ``RunMetrics``
+    order (objective, its error, feasibility, ergodic objective error,
+    ergodic feasibility, Lyapunov value), each a contiguous row.
+    :meth:`add` fills one column for every seed with one stacked
+    evaluation, under the reduction contract of the module docstring.
     """
 
-    def __init__(self, prob, dist, probes, ref, f_star, T, stride):
+    def __init__(self, prob, dist, probes, ref, f_star, S, T, stride):
         self.prob, self.probes, self.ref = prob, probes, ref
+        self.groups = term_groups(prob)
         self.f_star = f_star
         self.wd = dist.weight_diag
         self.inv_2b = 1.0 / (2.0 * prob.beta)
         self.half_b = 0.5 * prob.beta
         count = -(-T // stride)   # every stride-th iteration, and T
-        self.values = np.empty((6, count))
+        self.values = np.full((S, 6, count), np.nan)
         self.iters = np.empty(count, dtype=np.intp)
-        self.blocks = np.empty(count, dtype=np.intp)
+        self.blocks = np.empty((S, count), dtype=np.intp)
         self.count = 0
+        if probes.ergodic:
+            # each seed's iterate, then each seed's ergodic mean
+            self.x_rows = np.empty((2 * S, prob.dim_x))
+            self.z_rows = np.empty((2 * S, prob.dim_z))
 
-    def add(self, k, b, x, z, p, xb=None, zb=None):
-        """Record iteration k of block b (xb, zb: the ergodic means)."""
-        prob, f_star = self.prob, self.f_star
-        obj = objective(prob, x)
-        feas = float(np.linalg.norm(residual(prob, x, z)))
+    def add(self, k, blocks, xs, zs, ps, x_sums, z_sums):
+        """Record iteration k, where seed s fired ``blocks[s]``; the ergodic
+        means are the sums over iterations 1..k (``x_sums``, ``z_sums``)
+        over k, evaluated as more rows of the same stack."""
+        S, j = len(xs), self.count
         if self.probes.ergodic:
-            eobj = abs(objective(prob, xb) - f_star)
-            efeas = float(np.linalg.norm(residual(prob, xb, zb)))
-        else:
-            eobj = efeas = np.nan
+            self.x_rows[:S], self.z_rows[:S] = xs, zs
+            np.divide(x_sums, k, out=self.x_rows[S:])
+            np.divide(z_sums, k, out=self.z_rows[S:])
+            xs, zs = self.x_rows, self.z_rows
+        obj = self.groups.value(xs)
+        err = np.abs(obj - self.f_star)
+        r = residual(self.prob, xs, zs)
+        feas = np.sqrt(np.vecdot(r, r))
+        col = self.values[:, :, j]
+        col[:, 0] = obj[:S]
+        col[:, 1] = err[:S]
+        col[:, 2] = feas[:S]
+        if self.probes.ergodic:
+            col[:, 3] = err[S:]
+            col[:, 4] = feas[S:]
         if self.probes.lyapunov:
-            dp = p - self.ref.p
-            hz = prob.constraints.h_diag * (z - self.ref.z)
-            lyap = (self.inv_2b * float(np.dot(dp * self.wd, dp))
-                    + self.half_b * float(np.dot(hz * self.wd, hz)))
-        else:
-            lyap = np.nan
-        j = self.count
-        self.values[:, j] = (obj, abs(obj - f_star), feas, eobj, efeas, lyap)
+            dp = ps - self.ref.p
+            hz = self.prob.constraints.h_diag * (zs[:S] - self.ref.z)
+            col[:, 5] = (self.inv_2b * np.vecdot(dp * self.wd, dp)
+                         + self.half_b * np.vecdot(hz * self.wd, hz))
         self.iters[j] = k
-        self.blocks[j] = b
+        self.blocks[:, j] = blocks
         self.count = j + 1
 
-    def metrics(self, seed, T, x, z, p, x_sum, z_sum, counters,
+    def metrics(self, s, seed, T, x, z, p, x_sum, z_sum, counters,
                 maxima) -> "RunMetrics":
         x_max, z_max, p_max = maxima
-        obj, objerr, feas, eobj, efeas, lyap = self.values
+        obj, objerr, feas, eobj, efeas, lyap = self.values[s]
         return RunMetrics(
-            seed=seed, iters=self.iters, objective=obj,
+            seed=seed, iters=self.iters.copy(), objective=obj,
             objective_error=objerr, feasibility=feas,
             ergodic_objective_error=eobj, ergodic_feasibility=efeas,
-            lyapunov=lyap, active_block=self.blocks,
+            lyapunov=lyap, active_block=self.blocks[s],
             final_state=PrimalDualState(x=x.copy(), z=z.copy(), p=p.copy(),
                                         k=T),
             x_bar=x_sum / T, z_bar=z_sum / T, counters=counters,
@@ -905,8 +925,7 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     since_flat = since.reshape(-1)
     maxima = np.tile(maxima, (S, 1))
     f_star = objective(prob, ref.x) if ref is not None else np.nan
-    recs = [_Recorder(prob, dist, probes, ref, f_star, T, stride)
-            for _ in seeds]
+    rec = _Recorder(prob, dist, probes, ref, f_star, S, T, stride)
     counters = [_new_counters(T) for _ in seeds]
     failures = {}
     # where each seed's [x, z, p] lies in its state row, for the shadow probe
@@ -953,22 +972,19 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
             if it % stride and it != T:
                 continue
             if probes.ergodic or it == T:
-                acc += (it + 1 - since) * state
-                since.fill(it + 1)
-            if probes.ergodic:
-                xbs = acc[:, :dim_x] / it
-                zbs = acc[:, bt.z0:bt.z0 + W] / it
-            else:
-                xbs = zbs = [None] * S
-            for s, bs in enumerate(blocks[hi - 1].tolist()):
-                recs[s].add(it, bs, xs[s], zs[s], ps[s], xbs[s], zbs[s])
+                # only the x and z sums are read, so p's are not flushed
+                xz = np.s_[:, :bt.p0]
+                acc[xz] += (it + 1 - since[xz]) * state[xz]
+                since[xz] = it + 1
+            rec.add(it, blocks[hi - 1], xs, zs, ps, acc[:, :dim_x],
+                    acc[:, bt.z0:bt.z0 + W])
         k += chunk
     if failures:
         raise DivergenceError(failures[min(failures)])
-    return [rec.metrics(seed, T, xs[s], zs[s], ps[s], acc[s, :dim_x],
+    return [rec.metrics(s, seed, T, xs[s], zs[s], ps[s], acc[s, :dim_x],
                         acc[s, bt.z0:bt.z0 + W], counters[s],
                         tuple(maxima[s].tolist()))
-            for s, (seed, rec) in enumerate(zip(seeds, recs))]
+            for s, seed in enumerate(seeds)]
 
 
 def _batch_failures(hot, k, seeds, lanes, failures, state):

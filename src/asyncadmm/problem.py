@@ -22,6 +22,8 @@ from .errors import DimensionMismatch, InvalidProblem, UnsupportedSet
 from .terms import (AbsDev, Box, FeasibleSet, Free, L1, Quadratic,
                     _first_true, _index_array, term_value)
 
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -93,6 +95,11 @@ class ConstraintSystem:
     def _store(self, n, N, W, given, coeff, h_diag, bad=None):
         if min(n, N, W) < 1:
             raise InvalidProblem("dimensions n, N, W must be positive")
+        # the coupling columns and rows are indexed by intp arrays
+        for name, size in (("n * N", n * N), ("W", W)):
+            if size > _INDEX_MAX:
+                raise InvalidProblem(f"{name} = {size} is more than an index "
+                                     f"array can hold ({_INDEX_MAX})")
         self.n, self.N, self.W = n, N, W
         row, block, coord = (_index_array(v) for v in given)
         # the index checks of each entry in order: row, block, coord
@@ -343,18 +350,30 @@ class TermGroups:
         grouped = set(quad + absd + l1)
         self.other = [(i, t) for i, t in enumerate(terms) if i not in grouped]
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, xs: np.ndarray) -> np.ndarray:
+        """The objective of every row of the stack ``xs`` (shape ``(S, nN)``).
+
+        Each kind's sum is one reduction over the last axis of a
+        C-contiguous array, so row ``s`` gets the bits of the same sum
+        over ``xs[s]`` alone: ``np.vecdot`` for the weighted squares and
+        the one-norm (the 1-D ``np.dot``), ``np.add.reduce`` for the
+        absolute deviations, and gathers by ``np.take`` along the rows (a
+        fancy index ``xs[:, idx]`` is F-ordered and would sum in another
+        order). Other terms are evaluated one row at a time, in term order.
+        """
         n = self.n
-        total = 0.0
+        total = np.zeros(len(xs))
         if self.quad_idx.size:
-            d = x[self.quad_idx] - self.quad_center
-            total += float(np.dot(self.quad_weight * d, d))
+            d = xs.take(self.quad_idx, axis=1) - self.quad_center
+            total += np.vecdot(self.quad_weight * d, d)
         if self.abs_idx.size:
-            total += float(np.abs(x[self.abs_idx] - self.abs_center).sum())
+            total += np.add.reduce(np.abs(
+                xs.take(self.abs_idx, axis=1) - self.abs_center), axis=-1)
         if self.l1_idx.size:
-            total += float(np.dot(self.l1_gamma, np.abs(x[self.l1_idx])))
+            total += np.vecdot(self.l1_gamma,
+                               np.abs(xs.take(self.l1_idx, axis=1)))
         for i, t in self.other:
-            total += term_value(t, x[i * n:(i + 1) * n])
+            total += [term_value(t, x[i * n:(i + 1) * n]) for x in xs]
         return total
 
 
@@ -368,25 +387,31 @@ def term_groups(prob: SeparableProblem) -> TermGroups:
 
 
 def objective(prob: SeparableProblem, x: np.ndarray) -> float:
-    """Global objective ``F(x) = sum_i f_i(x_i)``.
+    """Global objective ``F(x) = sum_i f_i(x_i)``: the one-row case of
+    :meth:`TermGroups.value`.
 
-    Terms are summed by kind (see :class:`TermGroups`), so the result
-    can differ from the term-by-term sum in the last bits.
+    Terms are summed by kind, so the result can differ from the
+    term-by-term sum in the last bits.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.dim_x,):
         raise DimensionMismatch(f"x must have shape ({prob.dim_x},)")
-    return term_groups(prob).value(x)
+    return float(term_groups(prob).value(x[None])[0])
 
 
 def residual(prob: SeparableProblem, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Constraint residual ``D x + H z``, zero exactly at feasible points."""
+    """Constraint residual ``D x + H z``, zero exactly at feasible points.
+
+    ``x`` and ``z`` may also be stacks of rows (``(S, nN)`` and
+    ``(S, W)``), giving one residual row each; the rows are C-contiguous.
+    """
     cs = prob.constraints
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if x.shape != (prob.dim_x,) or z.shape != (cs.W,):
+    if (x.ndim > 2 or x.shape[:-1] != z.shape[:-1]
+            or x.shape[-1:] != (prob.dim_x,) or z.shape[-1:] != (cs.W,)):
         raise DimensionMismatch("residual: x or z has wrong shape")
-    return cs.row_coeff * x[cs.col_index] + cs.h_diag * z
+    return cs.row_coeff * x.take(cs.col_index, axis=-1) + cs.h_diag * z
 
 
 def lagrangian(prob: SeparableProblem, x: np.ndarray, z: np.ndarray,

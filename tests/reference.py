@@ -2,14 +2,18 @@
 bit for bit.
 
 ``reference_run`` is ``T`` chained :func:`asyncadmm.step` calls (each
-works on a copy of the state), recorded through the engine's recorder.
-It keeps its own lazy ergodic sums over the coordinates each block
-moves, taken from the partition (``component_map[b]`` and
-``blocks[b]``): a coordinate's sum gains its value times the iterations
-it held it just before it moves and at each flush. That is the order of
-additions the engine uses, so the means agree bit for bit, not only to
-rounding. The shadow and freeze checks are counted here from the step
-records, independently of the engine's tally.
+works on a copy of the state), recorded one point at a time by
+``PlainRecorder``: the 1-D arithmetic the engine's stacked recorder must
+match bit for bit (the objective by kind through ``np.dot`` and
+``.sum()``, ``np.linalg.norm`` of the residual, the ``np.dot`` Lyapunov
+value), kept here rather than read from the engine. It keeps its own
+lazy ergodic sums over the coordinates each block moves, taken from the
+partition (``component_map[b]`` and ``blocks[b]``): a coordinate's sum
+gains its value times the iterations it held it just before it moves and
+at each flush. That is the order of additions the engine uses, so the
+means agree bit for bit, not only to rounding. The shadow and freeze
+checks are counted here from the step records, independently of the
+engine's tally.
 
 The ``reference_*`` set-up functions are the per-row and per-block
 loops that built graphs, constraint systems, z pairs, partitions and
@@ -19,9 +23,11 @@ activation probabilities before those became array passes.
 import numpy as np
 
 from asyncadmm import (PrimalDualState, ProbeFlags, Quadratic, RngStream,
-                       initial_state, objective, step)
+                       RunMetrics, initial_state, step)
 from asyncadmm.engine import (SHADOW_TOL, _apply_block, _block_table,
-                              _guard_message, _ops, _Recorder)
+                              _guard_message, _ops)
+from asyncadmm.problem import term_groups
+from asyncadmm.terms import term_value
 from asyncadmm.errors import (DivergenceError, ImproperPartition,
                               InvalidProblem, MissingReference,
                               NonCoveringPartition)
@@ -51,6 +57,76 @@ def assert_same_run(got, want):
     assert got.z_max_abs == want.z_max_abs
     assert got.p_max_abs == want.p_max_abs
     assert got.counters == want.counters
+
+
+def plain_objective(prob, x):
+    """The objective of one point by kind, one 1-D sum per kind."""
+    g = term_groups(prob)
+    n = g.n
+    total = 0.0
+    if g.quad_idx.size:
+        d = x[g.quad_idx] - g.quad_center
+        total += float(np.dot(g.quad_weight * d, d))
+    if g.abs_idx.size:
+        total += float(np.abs(x[g.abs_idx] - g.abs_center).sum())
+    if g.l1_idx.size:
+        total += float(np.dot(g.l1_gamma, np.abs(x[g.l1_idx])))
+    for i, t in g.other:
+        total += term_value(t, x[i * n:(i + 1) * n])
+    return total
+
+
+def plain_feasibility(prob, x, z):
+    """``‖D x + H z‖`` of one point."""
+    cs = prob.constraints
+    return float(np.linalg.norm(cs.row_coeff * x[cs.col_index]
+                                + cs.h_diag * z))
+
+
+def plain_lyapunov(prob, dist, ref, z, p):
+    """The Lyapunov value of one point against the reference ``ref``."""
+    wd = dist.weight_diag
+    dp = p - ref.p
+    hz = prob.constraints.h_diag * (z - ref.z)
+    return (1.0 / (2.0 * prob.beta) * float(np.dot(dp * wd, dp))
+            + 0.5 * prob.beta * float(np.dot(hz * wd, hz)))
+
+
+class PlainRecorder:
+    """One seed's records, one point at a time (``RunMetrics`` order)."""
+
+    def __init__(self, prob, dist, probes, ref):
+        self.prob, self.dist, self.probes, self.ref = prob, dist, probes, ref
+        self.f_star = (plain_objective(prob, ref.x) if ref is not None
+                       else np.nan)
+        self.rows, self.iters, self.blocks = [], [], []
+
+    def add(self, k, b, x, z, p, xb=None, zb=None):
+        prob, f_star = self.prob, self.f_star
+        obj = plain_objective(prob, x)
+        row = [obj, abs(obj - f_star), plain_feasibility(prob, x, z),
+               np.nan, np.nan, np.nan]
+        if self.probes.ergodic:
+            row[3] = abs(plain_objective(prob, xb) - f_star)
+            row[4] = plain_feasibility(prob, xb, zb)
+        if self.probes.lyapunov:
+            row[5] = plain_lyapunov(prob, self.dist, self.ref, z, p)
+        self.rows.append(row)
+        self.iters.append(k)
+        self.blocks.append(b)
+
+    def metrics(self, seed, T, st, x_sum, z_sum, counters, maxima):
+        obj, objerr, feas, eobj, efeas, lyap = np.array(self.rows).T
+        x_max, z_max, p_max = maxima
+        return RunMetrics(
+            seed=seed, iters=np.array(self.iters, dtype=np.intp),
+            objective=obj, objective_error=objerr, feasibility=feas,
+            ergodic_objective_error=eobj, ergodic_feasibility=efeas,
+            lyapunov=lyap, active_block=np.array(self.blocks, dtype=np.intp),
+            final_state=PrimalDualState(x=st.x.copy(), z=st.z.copy(),
+                                        p=st.p.copy(), k=T),
+            x_bar=x_sum / T, z_bar=z_sum / T, counters=counters,
+            x_max_abs=x_max, z_max_abs=z_max, p_max_abs=p_max)
 
 
 def fire_block(prob, part, st, b):
@@ -88,8 +164,7 @@ def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
     dim_x, W = prob.dim_x, prob.dim_z
     acc = np.zeros(dim_x + 2 * W)
     since = np.ones_like(acc)
-    f_star = objective(prob, ref.x) if ref is not None else np.nan
-    rec = _Recorder(prob, dist, probes, ref, f_star, T, stride)
+    rec = PlainRecorder(prob, dist, probes, ref)
     counters = {"steps": T, "shadow_checks": 0, "shadow_failures": 0,
                 "freeze_checks": 0, "freeze_failures": 0}
     groups = [moved_groups(prob, part, b) for b in range(len(part.blocks))]
@@ -134,8 +209,8 @@ def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
                     acc[dim_x:dim_x + W] / k)
         else:
             rec.add(k, b, st.x, st.z, st.p)
-    return rec.metrics(seed, T, st.x, st.z, st.p, acc[:dim_x],
-                       acc[dim_x:dim_x + W], counters, (x_max, z_max, p_max))
+    return rec.metrics(seed, T, st, acc[:dim_x], acc[dim_x:dim_x + W],
+                       counters, (x_max, z_max, p_max))
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,24 @@ class TestMalformedInput:
                 message.replace("10**30", str(10 ** 30)))
         assert not (tmp_path / "out").exists()
 
+    def test_component_dim_past_an_index_exits_2(self, tmp_path, capsys):
+        # every term and x set of dim n = 10**30: an OverflowError
+        # traceback from the column index before
+        doc = inline_doc()
+        big = 10 ** 30
+        doc.update(n=big, D_rows=[[0, 0, 0, 1.0], [1, 1, 0, 1.0]],
+                   terms=[{"kind": "l1", "gamma": 1.0, "dim": big}] * 2,
+                   x_sets=[{"kind": "free", "dim": big}] * 2)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"problem": {"inline": doc}, "T": 5,
+                                        "out": "out"}))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: n * N = {2 * big} is more than an index "
+                f"array can hold ({np.iinfo(np.intp).max})\n")
+        assert not (tmp_path / "out").exists()
+
     # coerced with int()/float() before: "T": 2.7 ran 2 steps, exit 0;
     # seeds [1.7, true] ran seed 1 twice, and -1 ran seed 2**64 - 1
     BAD_NUMBER = [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,19 @@ class TestValidateConstraints:
         report = validate_constraints(cs)
         assert report.ok
         assert cs.is_valid
+
+    @pytest.mark.parametrize("n,N,W,what", [
+        (2 ** 62, 2, 2, "n * N"), (2, 2 ** 62, 2, "n * N"),
+        (1, 2, 2 ** 63, "W")])
+    def test_sizes_past_an_index_refused(self, n, N, W, what):
+        # n = 2**62 was an OverflowError from the column index before
+        entries = ((0, 0, 1.0), (1, 1, 1.0))
+        with pytest.raises(InvalidProblem, match=rf"^{re.escape(what)} = \d+ is more"):
+            ConstraintSystem(n=n, N=N, W=W, entries=entries,
+                             h_diag=np.array([-1.0, -1.0]))
+        with pytest.raises(InvalidProblem, match=rf"^{re.escape(what)} = "):
+            ConstraintSystem.from_arrays(n, N, W, [0, 1], [0, 1], [0, 0],
+                                         [1.0, 1.0], [-1.0, -1.0])
 
     def test_zero_h_diagonal_reported(self):
         cs = ConstraintSystem(n=1, N=2, W=2,
