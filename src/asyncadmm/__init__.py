@@ -30,11 +30,10 @@ from .engine import (ProbeFlags, RunMetrics, ShadowIterates, StepRecord, run,
 from .consensus import (EdgeReformulation, Graph, build_reformulation,
                         consensus_gap, consensus_reference, edge_initial_state,
                         edge_step)
-from .diagnostics import (ErgodicAverages, RateConstants, RateFit,
-                          ReferenceSolution, WeightedNorm,
-                          compute_rate_constants, estimate_rate, lyapunov,
-                          q_value, solve_reference, weighted_lagrangian,
-                          weighted_norm_sq)
+from .diagnostics import (RateConstants, RateFit, ReferenceSolution,
+                          WeightedNorm, compute_rate_constants, estimate_rate,
+                          lyapunov, q_value, solve_reference,
+                          weighted_lagrangian, weighted_norm_sq)
 from .benchmarks import Benchmark, BenchmarkSpec, generate_benchmark
 from .config import (ExperimentConfig, ProblemSource, dump_problem,
                      load_problem, parse_config, render_config)

@@ -2,9 +2,10 @@
 
 These are the probe quantities of the analysis: the weighted norm and
 weighted Lagrangian (scaled by inverse activation probabilities), the
-Lyapunov value whose conditional one-step mean never increases, running
-ergodic averages, empirical log-log rate fits, and the computable
-constants bounding T times the expected ergodic feasibility violation.
+Lyapunov value whose conditional one-step mean never increases,
+empirical log-log rate fits, and the computable constants bounding T
+times the expected ergodic feasibility violation. The ergodic averages
+themselves are the run loop's lazy sums (``engine.run_batch``).
 """
 
 from __future__ import annotations
@@ -154,33 +155,6 @@ def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
     return expected - v_now
 
 
-class ErgodicAverages:
-    """Running time averages of the post-step iterates."""
-
-    def __init__(self, dim_x: int, dim_z: int):
-        self.sum_x = np.zeros(dim_x)
-        self.sum_z = np.zeros(dim_z)
-        self.count = 0
-
-    def update(self, state: PrimalDualState) -> "ErgodicAverages":
-        self.sum_x += state.x
-        self.sum_z += state.z
-        self.count += 1
-        return self
-
-    @property
-    def x_bar(self) -> np.ndarray:
-        if self.count == 0:
-            raise ValueError("no states accumulated")
-        return self.sum_x / self.count
-
-    @property
-    def z_bar(self) -> np.ndarray:
-        if self.count == 0:
-            raise ValueError("no states accumulated")
-        return self.sum_z / self.count
-
-
 @dataclass(frozen=True)
 class RateFit:
     slope: float
@@ -252,12 +226,16 @@ def q_value(prob: SeparableProblem, dist: ActivationDistribution,
     its box, per z pair (and per free z coordinate) a closed form over
     the compactified range.
     """
-    cs = prob.constraints
-    mu = np.asarray(mu, dtype=float)
+    return _q_on_grids(prob, dist, np.asarray(mu, dtype=float),
+                       _component_grids(prob, grid_resolution, point_budget),
+                       z_bound)
+
+
+def _q_on_grids(prob, dist, mu, grids, z_bound):
+    """:func:`q_value` with the component grids of :func:`_component_grids`."""
     total = 0.0
-    for i, term in enumerate(prob.terms):
-        total += _component_grid_max(prob, dist, mu, i, grid_resolution,
-                                     point_budget)
+    for i, grid in enumerate(grids):
+        total += _component_grid_max(prob, dist, mu, i, grid)
     total += _z_part_max(prob, dist, mu, z_bound)
     return total
 
@@ -271,49 +249,67 @@ def _component_c(prob, mu, i):
     return c
 
 
-def _component_grid_max(prob, dist, mu, i, resolution, point_budget):
-    cs = prob.constraints
-    box = prob.x_sets[i]
-    if not isinstance(box, Box):
-        raise NonCompactSets(f"x set of component {i} is not a box")
-    if resolution < 2:
-        raise GridTooLarge("grid resolution must be at least 2")
-    if resolution ** cs.n > point_budget:
-        raise GridTooLarge(
-            f"component grid needs {resolution ** cs.n} points, "
-            f"budget is {point_budget}")
+def _component_grids(prob, resolution, point_budget):
+    """Each component's grid over its box and the term's value at every
+    grid point: ``(axes, points, values)``, with the points the one axis
+    when ``n == 1``. None of it depends on the multiplier, so one call
+    serves every direction of :func:`compute_rate_constants`."""
+    n = prob.constraints.n
+    grids = []
+    for i, term in enumerate(prob.terms):
+        box = prob.x_sets[i]
+        if not isinstance(box, Box):
+            raise NonCompactSets(f"x set of component {i} is not a box")
+        if resolution < 2:
+            raise GridTooLarge("grid resolution must be at least 2")
+        if resolution ** n > point_budget:
+            raise GridTooLarge(
+                f"component grid needs {resolution ** n} points, "
+                f"budget is {point_budget}")
+        axes = [np.linspace(box.lower[t], box.upper[t], resolution)
+                for t in range(n)]
+        if n == 1:
+            pts = axes[0]
+            values = np.array([term_value(term, np.array([ut])) for ut in pts])
+        else:
+            mesh = np.meshgrid(*axes, indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=1)
+            values = np.array([term_value(term, pt) for pt in pts])
+        grids.append((axes, pts, values))
+    return grids
+
+
+def _component_grid_max(prob, dist, mu, i, grid):
+    _, pts, values = grid
     c = _component_c(prob, mu, i)
-    axes = [np.linspace(box.lower[t], box.upper[t], resolution)
-            for t in range(cs.n)]
-    if cs.n == 1:
-        u = axes[0]
-        vals = c[0] * u - np.array([term_value(prob.terms[i], np.array([ut]))
-                                    for ut in u])
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = pts @ c - np.array([term_value(prob.terms[i], pt) for pt in pts])
+    vals = c[0] * pts - values if pts.ndim == 1 else pts @ c - values
     return float(np.max(vals)) / dist.alpha[i]
 
 
-def _grid_gap_estimate(prob, dist, mu, grid_resolution, point_budget):
-    """Crude per-component bound on what the grid maximum can miss."""
+def _grid_gap_estimate(prob, dist, mu, grids):
+    """Crude per-component bound on what the grid maximum can miss.
+
+    Along each axis of a component's grid, through the middle of its box;
+    with ``n == 1`` those are the grid's own points and term values.
+    """
     gap = 0.0
     cs = prob.constraints
-    for i in range(cs.N):
+    for i, (axes, _, values) in enumerate(grids):
         box = prob.x_sets[i]
         c = _component_c(prob, mu, i)
-        for t in range(cs.n):
-            u = np.linspace(box.lower[t], box.upper[t], grid_resolution)
-            if u.size < 2 or u[1] == u[0]:
+        for t, u in enumerate(axes):
+            if u[1] == u[0]:
                 continue
-            point = np.array([0.5 * (box.lower[s] + box.upper[s])
-                              for s in range(cs.n)])
-            vals = []
-            for ut in u:
-                point[t] = ut
-                vals.append(c[t] * ut - term_value(prob.terms[i], point))
-            vals = np.asarray(vals)
+            if cs.n == 1:
+                vals = c[t] * u - values
+            else:
+                point = np.array([0.5 * (box.lower[s] + box.upper[s])
+                                  for s in range(cs.n)])
+                vals = []
+                for ut in u:
+                    point[t] = ut
+                    vals.append(c[t] * ut - term_value(prob.terms[i], point))
+                vals = np.asarray(vals)
             h = u[1] - u[0]
             lip = float(np.max(np.abs(np.diff(vals)))) / h
             gap += 0.5 * lip * h / dist.alpha[i]
@@ -382,15 +378,14 @@ def compute_rate_constants(prob: SeparableProblem, dist: ActivationDistribution,
             u = u / norm
         dirs.append(u)
 
-    q_at_pstar = q_value(prob, dist, ref.p, grid_resolution, z_bound,
-                         point_budget)
+    grids = _component_grids(prob, grid_resolution, point_budget)
+    q_at_pstar = _q_on_grids(prob, dist, ref.p, grids, z_bound)
     q_bar = q_at_pstar
     best_theta_val = -np.inf
     theta_bar = ref.p.copy()
     for u in dirs:
         mu = ref.p - u
-        q_bar = max(q_bar, q_value(prob, dist, mu, grid_resolution, z_bound,
-                                   point_budget))
+        q_bar = max(q_bar, _q_on_grids(prob, dist, mu, grids, z_bound))
         val = float(np.dot((p0 - mu) * w, p0 - mu))
         if val > best_theta_val:
             best_theta_val = val
@@ -408,7 +403,7 @@ def compute_rate_constants(prob: SeparableProblem, dist: ActivationDistribution,
     wn = WeightedNorm(w)
     norm_term_theta = weighted_norm_sq(p0 - theta_bar, wn) / (2.0 * beta)
     norm_term_z = 0.5 * beta * weighted_norm_sq(cs.h_diag * (z0 - ref.z), wn)
-    gap = _grid_gap_estimate(prob, dist, ref.p, grid_resolution, point_budget)
+    gap = _grid_gap_estimate(prob, dist, ref.p, grids)
 
     return RateConstants(q_at_pstar=q_at_pstar, q_bar=q_bar,
                          theta_bar=theta_bar, l0_tilde=l0_tilde,

@@ -33,11 +33,12 @@ C-contiguous array, and gathers are ``np.take(..., axis=1)``.
 Shadow pass: the full-information iterates (y, v, mu) that a
 fully-activated step would have produced from the same state; the
 asynchronous iterates agree with them on the active coordinates, which
-the probes verify. It costs O(problem) per step, as array operations:
-every x component is solved in one pass (``_CompiledOps.solve_all``,
-bit for bit equal to one ``solve_component`` call per component), and
-the tally checks the block's moved coordinates of the stacked
-``[x, z, p]`` state with one masked comparison.
+the probes verify. It costs O(problem) per step, as array operations,
+and a run takes one pass and one check per iteration for all its seeds:
+``shadow_step`` solves every x component of every seed's row at once
+(``_CompiledOps.solve_all``, each row bit for bit one ``solve_component``
+call per component), and ``_tally_shadow`` takes each lane's group
+maxima and compares the rest of each row, on either state layout.
 
 Synchronous engine: the classical two-block method (x minimization, z
 minimization, dual ascent with step beta) on the same separable problem
@@ -114,8 +115,9 @@ class _GroupedProx:
     Solves ``f_i(u) + (q/2) u^2 - l u`` on ``[lo, hi]`` per coordinate with
     the arithmetic of :func:`solve_local_prepared`: Quadratic coordinates
     through :func:`quadratic_prox`, AbsDev and L1 coordinates through
-    :func:`kink_prox`, each kind as one array operation. The rest, terms of
-    other kinds and kink coordinates with ``q == 0``, go one by one through
+    :func:`kink_prox`, each as one array operation over every coordinate,
+    which takes its own kind's result. The rest, terms of other kinds and
+    kink coordinates with ``q == 0``, go one by one through
     ``solve_local_prepared`` and ``_kink_coord`` in ascending coordinate
     order, so the first error raised is the one a component-by-component
     loop raises. ``q``, ``lo``, ``hi`` have shape ``(len(terms), n)``.
@@ -139,37 +141,43 @@ class _GroupedProx:
         c["a"][groups.abs_idx] = groups.abs_center
         c["kink"][groups.abs_idx] = 1.0
         c["kink"][groups.l1_idx] = groups.l1_gamma
-        self.quad = (idx, c["w2"][idx], c["w2c"][idx], q[idx], lo[idx],
-                     hi[idx]) if idx.size else None
-        idx = np.concatenate([groups.abs_idx, groups.l1_idx])
-        a, kink, qk = c["a"][idx], c["kink"][idx], q[idx]
-        self.kink = (idx, a, kink, np.where(qk > 0, qk, 1.0), lo[idx],
-                     hi[idx]) if idx.size else None
+        kink_idx = np.concatenate([groups.abs_idx, groups.l1_idx])
+        self.has_quad, self.has_kink = idx.size > 0, kink_idx.size > 0
+        # q where a closed form divides by it: off Quadratic coordinates a
+        # zero q becomes 1, whose result is discarded or solved again below
+        q_kink = np.where(q > 0, q, 1.0)
+        self.is_quad = c["is_quad"] > 0
+        self.closed = (c["w2"], c["w2c"], np.where(self.is_quad, q, q_kink),
+                       c["a"], c["kink"], q_kink, lo, hi)
         # one at a time, by first coordinate: the components of other terms
         # and the kink coordinates without a quadratic part (with constants)
         serial = [(i * n, i, None) for i, _ in groups.other]
-        serial += [(int(idx[t]), -1, (a[t], kink[t], lo[idx[t]], hi[idx[t]]))
-                   for t in np.flatnonzero(qk == 0)]
+        serial += [(int(t), -1, (c["a"][t], c["kink"][t], lo[t], hi[t]))
+                   for t in kink_idx[q[kink_idx] == 0]]
         self.serial = sorted(serial, key=lambda item: item[0])
 
     def solve(self, l):
-        """Minimizers for the tilt ``l`` (flat, one entry per coordinate)."""
-        u = np.empty_like(l)
-        if self.quad is not None:
-            idx, w2, w2c, q, lo, hi = self.quad
-            u[idx] = quadratic_prox(w2, w2c, q, l[idx], lo, hi)
-        if self.kink is not None:
-            idx, a, kink, q, lo, hi = self.kink
-            u[idx] = kink_prox(a, kink, q, l[idx], lo, hi)
+        """Minimizers for the tilt ``l``: one entry per coordinate along the
+        last axis, one row per point (``(..., N n)``), each row solved as
+        the 1-D call would solve it. The one-by-one solves take row by row,
+        so the first error raised is the one a loop over the rows raises."""
+        w2, w2c, q_quad, a, kink, q_kink, lo, hi = self.closed
+        u = quadratic_prox(w2, w2c, q_quad, l, lo, hi) if self.has_quad \
+            else np.empty_like(l)
+        if self.has_kink:
+            uk = kink_prox(a, kink, q_kink, l, lo, hi)
+            u = np.where(self.is_quad, u, uk) if self.has_quad else uk
         n = self.n
-        for t, i, consts in self.serial:
-            if consts is not None:
-                a, kink, lo, hi = consts
-                u[t] = _kink_coord(a, kink, l[t], lo, hi)
-            else:
-                u[t:t + n] = solve_local_prepared(self.terms[i], self.q[i],
-                                                  l[t:t + n], self.lo[i],
-                                                  self.hi[i])
+        for row in (np.ndindex(l.shape[:-1]) if self.serial else ()):
+            u_row, l_row = u[row], l[row]
+            for t, i, consts in self.serial:
+                if consts is not None:
+                    a, kink, lo, hi = consts
+                    u_row[t] = _kink_coord(a, kink, l_row[t], lo, hi)
+                else:
+                    u_row[t:t + n] = solve_local_prepared(
+                        self.terms[i], self.q[i], l_row[t:t + n], self.lo[i],
+                        self.hi[i])
         return u
 
 
@@ -278,18 +286,22 @@ class _CompiledOps:
     def solve_all(self, p, z):
         """Every component's :meth:`solve_component`, in one pass, bit for bit.
 
-        The tilt of every row is one array expression. Each (component,
-        coordinate) sum starts at ``-0.0`` and adds its rows strictly left
-        to right, one rank per loop pass, so it equals :func:`_row_sums`
-        (``-0.0 + g == g``) at O(W) work; the solves are
-        :class:`_GroupedProx`'s.
+        ``p`` and ``z`` are one point or one per row (``(..., W)``), each
+        row solved as the 1-D call solves it. The tilt of every row is one
+        array expression. Each (component, coordinate) sum starts at
+        ``-0.0`` and adds its rows strictly left to right, one rank per
+        loop pass (a slice of the first axis: the sums are transposed), so
+        it equals :func:`_row_sums` (``-0.0 + g == g``) at O(W) work; the
+        solves are :class:`_GroupedProx`'s.
         """
         rows, coeff, h, ptr, pos = self.rank_order
-        g = coeff * (p[rows] - self.beta * (h * z[rows]))
-        sums = np.full(self.N * self.n, -0.0)
+        g = coeff * (p.take(rows, axis=-1)
+                     - self.beta * (h * z.take(rows, axis=-1)))
+        sums, g = np.empty((self.N * self.n,) + g.shape[:-1]), g.T
+        sums.fill(-0.0)
         for r in range(len(ptr) - 1):
             sums[:ptr[r + 1] - ptr[r]] += g[ptr[r]:ptr[r + 1]]
-        return self.prox.solve(sums[pos])
+        return self.prox.solve(sums[pos].T)
 
 
 class _BlockTable:
@@ -299,20 +311,17 @@ class _BlockTable:
     ``comps[comp_ptr[b]:comp_ptr[b+1]]``; ``w``/``coeff``/``col`` are the
     row constants gathered in that order, and ``pair_i``/``pair_j`` hold
     the block's z pairs as positions within the block, in z-set order.
-    ``moved`` lists, per block, the coordinates a step can change, as
-    indices into the stacked vector ``[x, z, p]``; ``moved_cuts[b]`` are
-    the starts of its x, z and p parts. ``clash[clash_ptr[b]:clash_ptr[b+1]]``
-    are the blocks whose z and p rows block ``b`` reads (:func:`_wave_ends`).
+    ``clash[clash_ptr[b]:clash_ptr[b+1]]`` are the blocks whose z and p
+    rows block ``b`` reads (:func:`_wave_ends`).
     Building it takes a few passes over the rows and a few sorts; no
     object is made per block.
     """
 
     def __init__(self, ops: _CompiledOps, partition: ProperPartition):
-        n, W = ops.n, ops.W
-        dim_x = n * ops.N
+        W = ops.W
         rows, row_ptr = partition.rows, partition.row_ptr
         comps, comp_ptr = partition.comps, partition.comp_ptr
-        sizes, ncomp = np.diff(row_ptr), np.diff(comp_ptr)
+        sizes = np.diff(row_ptr)
         m = sizes.size
         self.rows = rows
         self.comps = comps.tolist()
@@ -343,19 +352,6 @@ class _BlockTable:
             npair = np.zeros(m, dtype=np.intp)
         self.pair_ptr = _offsets(npair).tolist()
 
-        # moved coordinates: x of the block's components, then z and p
-        # rows; the sort key 3b + part is stable, so each part keeps its order
-        x_idx = (comps[:, None] * n + np.arange(n)).ravel()
-        stacked = np.concatenate([x_idx, dim_x + rows, dim_x + W + rows])
-        key = np.concatenate([np.repeat(3 * np.arange(m), n * ncomp),
-                              np.repeat(3 * np.arange(m) + 1, sizes),
-                              np.repeat(3 * np.arange(m) + 2, sizes)])
-        self.moved = stacked[np.argsort(key, kind="stable")]
-        self.moved_ptr = (n * comp_ptr + 2 * row_ptr).tolist()
-        self.moved_cuts = np.stack([np.zeros(m, dtype=np.intp), n * ncomp,
-                                    n * ncomp + sizes], axis=1)
-        self.n = n
-
         # clash[b]: the blocks owning a row that one of b's components owns
         # (b among them, repeats kept), whose z and p b's tilts read
         comp_rows = np.asarray(ops.comp_ptr)
@@ -363,17 +359,6 @@ class _BlockTable:
         seg, pos = _ragged(per_comp)
         self.clash = owner[ops.rows[comp_rows[comps][seg] + pos]].tolist()
         self.clash_ptr = _offsets(per_comp)[comp_ptr].tolist()
-
-    @cached_property
-    def groups(self):
-        """Starts, within each block's moved slice, of the groups the shadow
-        probe checks one by one (each component's x, then z, then p), and
-        the offsets of each block's starts."""
-        ncomp, sizes = np.diff(self.comp_ptr), np.diff(self.row_ptr)
-        blk, pos = _ragged(ncomp + 2)
-        starts = (np.minimum(pos, ncomp[blk]) * self.n
-                  + np.maximum(pos - ncomp[blk], 0) * sizes[blk])
-        return starts, _offsets(ncomp + 2).tolist()
 
     def block(self, b: int):
         """Views of block ``b``: comps, rows, w, coeff, col, pair_i, pair_j."""
@@ -421,14 +406,18 @@ def _apply_block(ops: _CompiledOps, blk, x, z, p):
 
 
 def shadow_step(prob: SeparableProblem, state: PrimalDualState) -> ShadowIterates:
-    """Full-information iterates (y, v, mu) from the given state."""
+    """Full-information iterates (y, v, mu) from the given state: one
+    point, or one per row (``z``, ``p`` of shape ``(S, W)``), each row bit
+    for bit the 1-D pass from it."""
     ops = _ops(prob)
     y = ops.solve_all(state.p, state.z)
-    t = state.p / ops.beta - ops.coeff * y[ops.col]
-    v = solve_z_prepared(ops.h, t, ops.pair_i, ops.pair_j)
-    r = ops.coeff * y[ops.col] + ops.h * v
-    mu = state.p - ops.beta * r
-    return ShadowIterates(y=y, v=v, mu=mu, r=r)
+    dy = ops.coeff * y.take(ops.col, axis=-1)
+    # the z fit takes the rows on its first axis, with h as a column
+    h = ops.h.reshape((-1,) + (1,) * (dy.ndim - 1))
+    v = solve_z_prepared(h, (state.p / ops.beta - dy).T, ops.pair_i,
+                         ops.pair_j).T
+    r = dy + ops.h * v
+    return ShadowIterates(y=y, v=v, mu=state.p - ops.beta * r, r=r)
 
 
 def step(prob: SeparableProblem, state: PrimalDualState,
@@ -457,9 +446,10 @@ def sync_admm_step(prob: SeparableProblem,
     """
     ops = _ops(prob)
     x = ops.solve_all(state.p, state.z)
-    q = state.p - ops.beta * (ops.coeff * x[ops.col])
-    z = solve_z_prepared(ops.h, q / ops.beta, ops.pair_i, ops.pair_j)
-    p = state.p - ops.beta * (ops.coeff * x[ops.col] + ops.h * z)
+    dx = ops.coeff * x[ops.col]
+    z = solve_z_prepared(ops.h, (state.p - ops.beta * dx) / ops.beta,
+                         ops.pair_i, ops.pair_j)
+    p = state.p - ops.beta * (dx + ops.h * z)
     return PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
 
 
@@ -572,11 +562,6 @@ class _Recorder:
             x_max_abs=x_max, z_max_abs=z_max, p_max_abs=p_max)
 
 
-def _new_counters(T):
-    return {"steps": T, "shadow_checks": 0, "shadow_failures": 0,
-            "freeze_checks": 0, "freeze_failures": 0}
-
-
 def _guard_message(hot, k, seed, b):
     """Why a block's max |x|, |z|, |p| (``hot``) fails the guard, or None."""
     x_hot, z_hot, p_hot = hot.tolist()
@@ -661,8 +646,7 @@ class _BatchTable:
         # the closed forms' constants per x lane, only for the kinds
         # present; the dummy lane solves to +0.0
         c = ops.prox.consts
-        self.has_quad = ops.prox.quad is not None
-        self.has_kink = ops.prox.kink is not None
+        self.has_quad, self.has_kink = ops.prox.has_quad, ops.prox.has_kink
         lane_consts = {name: per_lane(v, fill) for name, v, fill, used in (
             ("quad", ops.quad, 1.0, True), ("lo", ops.lo, -np.inf, True),
             ("hi", ops.hi, np.inf, True), ("w2", c["w2"], 0.0, self.has_quad),
@@ -704,9 +688,11 @@ class _BatchTable:
             den=den)
         self.Cn, self.D, self.P, self.U = C * n, D, P, U
         self.p_lane = C * n + R    # where the p lanes start
-        # the moved coordinates: the x, z and p lanes, in that order
+        # the moved coordinates: the x, z and p lanes, in that order; the
+        # starts of each component's x, z and p, and of x, z and p
         self.moved = slice(0, C * n + 2 * R)
-        self.cuts = np.array([0, C * n, C * n + R], dtype=np.intp)
+        self.groups = np.r_[0:C * n:n, C * n, C * n + R]
+        self.cuts = self.groups[[0, C, C + 1]]
 
 
 def _stack(**groups):
@@ -721,19 +707,32 @@ def _stack(**groups):
 class _BlockRows:
     """One partition's blocks for :func:`_fire_blocks`, fired one by one.
 
-    A seed's state is one row ``[x, z, p]``, which ``table.moved`` indexes.
-    Each block is one lane: its ``idx`` is 0, so that a lane's entry is the
-    start of its seed's row once the row offset is added, and its
-    ``const`` is the block.
+    A seed's state is one row ``[x, z, p]``. Row ``b`` of ``idx`` is block
+    ``b``'s lane: a 0 (the start of its seed's row once the row offset is
+    added), then the coordinates the block moves, as in
+    :class:`_BatchTable` but padded by repeating a group's last entry,
+    which changes no maximum. Its ``const`` is the block.
     """
 
     def __init__(self, ops: _CompiledOps, table: _BlockTable):
         self.ops, self.table = ops, table
-        dim_x = ops.N * ops.n
+        n, dim_x = ops.n, ops.N * ops.n
         self.z0, self.p0 = dim_x, dim_x + ops.W
         self.width = dim_x + 2 * ops.W
-        blocks = np.arange(len(table.row_ptr) - 1, dtype=np.intp)[:, None]
-        self.idx, self.const = np.zeros_like(blocks), blocks
+        comp_ptr, row_ptr = np.array(table.comp_ptr), np.array(table.row_ptr)
+        ncomp, sizes = np.diff(comp_ptr), np.diff(row_ptr)
+        C, R = int(ncomp.max()), int(sizes.max())
+        comps = np.array(table.comps)[comp_ptr[:-1, None] + np.minimum(
+            np.arange(C), ncomp[:, None] - 1)]
+        rows = table.rows[row_ptr[:-1, None]
+                          + np.minimum(np.arange(R), sizes[:, None] - 1)]
+        x = (comps[:, :, None] * n + np.arange(n)).reshape(ncomp.size, C * n)
+        self.idx = np.concatenate([np.zeros_like(ncomp)[:, None], x,
+                                   self.z0 + rows, self.p0 + rows], axis=1)
+        self.const = np.arange(ncomp.size)[:, None]
+        self.moved = slice(1, None)
+        self.groups = np.r_[0:C * n:n, C * n, C * n + R]
+        self.cuts = self.groups[[0, C, C + 1]]
 
 
 # padded lanes a batch table may hold; beyond it (a hub component in many
@@ -767,21 +766,19 @@ def _fire_blocks(bt: _BlockRows, beta, flat, acc_flat, since_flat, idx,
     The arguments and result of :func:`_fire_lanes`: lane ``l`` fires
     block ``const[l, 0]`` on the state row starting at ``idx[l, 0]`` at
     iteration ``k`` (or ``k[l, 0]``), just after the lazy ergodic sums of
-    the block's moved coordinates. ``beta`` is the one ``bt.ops`` holds.
+    the block's moved coordinates. No lane moves what another moves, so
+    the sums are taken for every lane first. ``beta`` is the one
+    ``bt.ops`` holds.
     """
-    table, width, z0, p0 = bt.table, bt.width, bt.z0, bt.p0
-    moved, ptr, cuts = table.moved, table.moved_ptr, table.moved_cuts
-    ks = np.broadcast_to(k, (len(idx), 1))[:, 0].tolist()
-    hot = np.empty((len(idx), 3))
-    for lane, (start, b) in enumerate(zip(idx[:, 0].tolist(),
-                                          const[:, 0].tolist())):
+    width, z0, p0 = bt.width, bt.z0, bt.p0
+    mv = idx[:, bt.moved]
+    acc_flat[mv] += (k - since_flat[mv]) * flat[mv]
+    since_flat[mv] = k
+    for start, b in zip(idx[:, 0].tolist(), const[:, 0].tolist()):
         row = flat[start:start + width]
-        mv = start + moved[ptr[b]:ptr[b + 1]]
-        acc_flat[mv] += (ks[lane] - since_flat[mv]) * flat[mv]
-        since_flat[mv] = ks[lane]
-        _apply_block(bt.ops, table.block(b), row[:z0], row[z0:p0], row[p0:])
-        hot[lane] = np.maximum.reduceat(np.abs(flat[mv]), cuts[b])
-    return hot
+        _apply_block(bt.ops, bt.table.block(b), row[:z0], row[z0:p0],
+                     row[p0:])
+    return np.maximum.reduceat(np.abs(flat[mv]), bt.cuts, axis=1)
 
 
 def _fire_lanes(bt: _BatchTable, beta, flat, acc_flat, since_flat, idx,
@@ -880,10 +877,10 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     (seed, block, iteration) triple: with several seeds, one lane per
     seed per iteration, each seed drawing from its own SplitMix64 stream;
     with one seed, one wave of commuting draws (:func:`_wave_ends`); with
-    the shadow probe, one iteration, between each seed's shadow pass
-    (:func:`shadow_step`) and its check (:func:`_tally_shadow`). Every
-    field of each seed's metrics equals that of ``T`` chained
-    :func:`step` calls bit for bit.
+    the shadow probe, one iteration, between one shadow pass of every
+    seed's row (:func:`shadow_step`) and one check of every seed's step
+    against it (:func:`_tally_shadow`). Every field of each seed's metrics
+    equals that of ``T`` chained :func:`step` calls bit for bit.
 
     When a seed diverges, the :class:`DivergenceError` names the first
     seed in ``seeds`` order that diverges, at its first failing step.
@@ -926,10 +923,11 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     maxima = np.tile(maxima, (S, 1))
     f_star = objective(prob, ref.x) if ref is not None else np.nan
     rec = _Recorder(prob, dist, probes, ref, f_star, S, T, stride)
-    counters = [_new_counters(T) for _ in seeds]
+    tally = np.zeros((S, len(_TALLY)), dtype=np.intp)
     failures = {}
-    # where each seed's [x, z, p] lies in its state row, for the shadow probe
-    xzp = np.r_[0:dim_x, bt.z0:bt.z0 + W, bt.p0:bt.p0 + W]
+    if probes.shadow:
+        # each seed's shadow pass, laid out as its state row
+        target = np.zeros_like(state)
 
     base = (np.arange(S) * bt.width)[:, None]
     rngs = [RngStream(seed) for seed in seeds]
@@ -950,17 +948,16 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
             k_lanes = k + hi if hi - lo == 1 else \
                 np.arange(k + lo + 1, k + hi + 1)[:, None]
             if probes.shadow:
-                before = state[:, xzp]
-                shadows = [shadow_step(prob, PrimalDualState(
-                    x=row[:dim_x], z=row[dim_x:dim_x + W], p=row[dim_x + W:],
-                    k=k + lo)) for row in before]
+                before = state.copy()
+                sh = shadow_step(prob, PrimalDualState(x=xs, z=zs, p=ps,
+                                                       k=k + lo))
+                target[:, :dim_x] = sh.y
+                target[:, bt.z0:bt.z0 + W] = sh.v
+                target[:, bt.p0:bt.p0 + W] = sh.mu
             hot = fire(bt, beta, flat, acc_flat, since_flat, idx,
                        bt.const[lanes], k_lanes)
             if probes.shadow:
-                after = state[:, xzp]
-                for s, b in enumerate(lanes.tolist()):
-                    _tally_shadow(table, b, before[s], after[s], shadows[s],
-                                  counters[s])
+                _tally_shadow(bt, idx, before, state, target, tally)
             if not np.all(hot <= DIVERGENCE_LIMIT):
                 _batch_failures(hot, k + lo, seeds, lanes, failures, state)
                 if 0 in failures:
@@ -982,7 +979,8 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     if failures:
         raise DivergenceError(failures[min(failures)])
     return [rec.metrics(s, seed, T, xs[s], zs[s], ps[s], acc[s, :dim_x],
-                        acc[s, bt.z0:bt.z0 + W], counters[s],
+                        acc[s, bt.z0:bt.z0 + W],
+                        {"steps": T, **dict(zip(_TALLY, tally[s].tolist()))},
                         tuple(maxima[s].tolist()))
             for s, seed in enumerate(seeds)]
 
@@ -1009,29 +1007,28 @@ def _batch_failures(hot, k, seeds, lanes, failures, state):
 
 SHADOW_TOL = 1e-9
 
+# the shadow probe's counters, in the columns of a run's tally
+_TALLY = ("shadow_checks", "shadow_failures", "freeze_checks",
+          "freeze_failures")
 
-def _tally_shadow(table: _BlockTable, b: int, before, after,
-                  shadow: ShadowIterates, counters: dict):
-    """Check block ``b``'s step against the shadow pass and the freezes.
 
-    ``before`` and ``after`` are the stacked ``[x, z, p]`` states around
-    the step and ``shadow`` the pass from ``before``. The step agrees when
-    no group of moved coordinates (each component's x, the block's z rows,
-    its p rows) differs from the shadow by more than ``SHADOW_TOL`` at its
-    largest (a group holding a NaN difference has a NaN largest, which
-    passes). It froze the rest when every other coordinate is unchanged
-    (NaN is never unchanged).
+def _tally_shadow(bt, idx, before, after, target, tally):
+    """Check every seed's step against its shadow pass and the freezes.
+
+    Row ``s`` of ``before``/``after`` is seed ``s``'s state row (``bt``'s
+    layout) around the step, of ``target`` its shadow pass in that layout
+    (zero in dummy slots), of ``idx`` the lane it fired (flat indices) and
+    of ``tally`` its counts (``_TALLY``). A step agrees when no group of
+    moved coordinates (``bt.groups``: each component's x, the block's z
+    rows, its p rows) differs from the shadow by more than ``SHADOW_TOL``
+    at its largest (a NaN largest passes). It froze the rest when every
+    other coordinate of its row is unchanged (NaN is never unchanged).
     """
-    idx = table.moved[table.moved_ptr[b]:table.moved_ptr[b + 1]]
-    starts, ptr = table.groups
-    cuts = starts[ptr[b]:ptr[b + 1]]
-    target = np.concatenate([shadow.y, shadow.v, shadow.mu])
-    gap = np.maximum.reduceat(np.abs(after[idx] - target[idx]), cuts)
-    counters["shadow_checks"] += 1
-    if np.any(gap > SHADOW_TOL):
-        counters["shadow_failures"] += 1
+    mv = idx[:, bt.moved]
+    gap = np.maximum.reduceat(np.abs(after.take(mv) - target.take(mv)),
+                              bt.groups, axis=1)
     changed = after != before
-    changed[idx] = False
-    counters["freeze_checks"] += 1
-    if changed.any():
-        counters["freeze_failures"] += 1
+    changed.reshape(-1)[mv] = False
+    tally[:, 0::2] += 1
+    tally[:, 1] += (gap > SHADOW_TOL).any(axis=1)
+    tally[:, 3] += changed.any(axis=1)

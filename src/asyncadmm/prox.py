@@ -188,7 +188,9 @@ def solve_z_prepared(w, t, pair_i, pair_j) -> np.ndarray:
 
     Unpaired coordinates fit exactly (``t / w``); each sum-zero pair takes
     the one-dimensional stationarity closed form with the pairing
-    enforced exactly. ``pair_i``/``pair_j`` index into ``w`` and ``t``.
+    enforced exactly. ``pair_i``/``pair_j`` index the first axis of ``w``
+    and ``t``; further axes of ``t`` (with ``w`` broadcast along them, as a
+    column) hold more fits, each computed as the 1-D call computes it.
     """
     z = t / w
     if pair_i.size:

@@ -11,9 +11,11 @@ lazy ergodic sums over the coordinates each block moves, taken from the
 partition (``component_map[b]`` and ``blocks[b]``): a coordinate's sum
 gains its value times the iterations it held it just before it moves and
 at each flush. That is the order of additions the engine uses, so the
-means agree bit for bit, not only to rounding. The shadow and freeze
-checks are counted here from the step records, independently of the
-engine's tally.
+means agree bit for bit, not only to rounding. The shadow pass
+(``plain_shadow``: one ``solve_component`` call per component and the
+1-D z fit) and the shadow and freeze checks (``plain_tally``: one seed,
+one group at a time) are computed here, independently of the engine's
+stacked pass and tally.
 
 The ``reference_*`` set-up functions are the per-row and per-block
 loops that built graphs, constraint systems, z pairs, partitions and
@@ -27,6 +29,7 @@ from asyncadmm import (PrimalDualState, ProbeFlags, Quadratic, RngStream,
 from asyncadmm.engine import (SHADOW_TOL, _apply_block, _block_table,
                               _guard_message, _ops)
 from asyncadmm.problem import term_groups
+from asyncadmm.prox import solve_z_prepared
 from asyncadmm.terms import term_value
 from asyncadmm.errors import (DivergenceError, ImproperPartition,
                               InvalidProblem, MissingReference,
@@ -152,6 +155,43 @@ def stacked(st):
     return np.concatenate([st.x, st.z, st.p])
 
 
+def per_component(ops, p, z):
+    """Every x component solved on its own, in component order."""
+    n = ops.n
+    x = np.empty(ops.N * n)
+    for i in range(ops.N):
+        x[i * n:(i + 1) * n] = ops.solve_component(i, p, z)
+    return x
+
+
+def plain_shadow(prob, st):
+    """The full-information iterates ``(y, v, mu, r)`` from one state."""
+    ops = _ops(prob)
+    y = per_component(ops, st.p, st.z)
+    t = st.p / ops.beta - ops.coeff * y[ops.col]
+    v = solve_z_prepared(ops.h, t, ops.pair_i, ops.pair_j)
+    r = ops.coeff * y[ops.col] + ops.h * v
+    return y, v, st.p - ops.beta * r, r
+
+
+def plain_tally(groups, before, after, shadow, counters):
+    """One seed's shadow and freeze checks of one step.
+
+    ``before`` and ``after`` are the stacked ``[x, z, p]`` states around
+    the step, ``shadow`` the ``(y, v, mu, ...)`` pass from ``before`` and
+    ``groups`` the fired block's :func:`moved_groups`.
+    """
+    target = np.concatenate(shadow[:3])
+    counters["shadow_checks"] += 1
+    if any(np.max(np.abs(after[g] - target[g])) > SHADOW_TOL for g in groups):
+        counters["shadow_failures"] += 1
+    frozen = np.ones(after.size, dtype=bool)
+    frozen[np.concatenate(groups)] = False
+    counters["freeze_checks"] += 1
+    if np.any(after[frozen] != before[frozen]):
+        counters["freeze_failures"] += 1
+
+
 def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
                   z0=None, stride=1):
     """The metrics ``run(prob, part, dist, seed, T, ...)`` must equal."""
@@ -170,24 +210,15 @@ def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
     groups = [moved_groups(prob, part, b) for b in range(len(part.blocks))]
     rng = RngStream(seed)
     for k in range(1, T + 1):
-        out = step(prob, st, part, dist, rng, with_shadow=probes.shadow)
+        out = step(prob, st, part, dist, rng)
         b = out.block
         before, after = stacked(out.before), stacked(out.after)
         idx = np.concatenate(groups[b])
         acc[idx] += (k - since[idx]) * before[idx]
         since[idx] = k
         if probes.shadow:
-            sh = out.shadow
-            target = np.concatenate([sh.y, sh.v, sh.mu])
-            counters["shadow_checks"] += 1
-            if any(np.max(np.abs(after[g] - target[g])) > SHADOW_TOL
-                   for g in groups[b]):
-                counters["shadow_failures"] += 1
-            frozen = np.ones(after.size, dtype=bool)
-            frozen[idx] = False
-            counters["freeze_checks"] += 1
-            if np.any(after[frozen] != before[frozen]):
-                counters["freeze_failures"] += 1
+            plain_tally(groups[b], before, after, plain_shadow(prob, st),
+                        counters)
         *xg, zg, pg = groups[b]
         hot = np.array([np.max(np.abs(after[np.concatenate(xg)])),
                         np.max(np.abs(after[zg])), np.max(np.abs(after[pg]))])

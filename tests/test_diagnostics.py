@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from asyncadmm import (AbsDev, Box, ConstraintSystem, ErgodicAverages, Free,
+from asyncadmm import (AbsDev, Box, ConstraintSystem, Free,
                        Graph, PrimalDualState, Quadratic, ReferenceSolution,
                        SeparableProblem, WeightedNorm, build_partition,
                        build_reformulation, compute_rate_constants,
@@ -135,31 +135,6 @@ class TestLyapunov:
         assert worst <= 1e-9
 
 
-class TestErgodicAverages:
-    def test_constant_trajectory(self):
-        avg = ErgodicAverages(2, 2)
-        st = PrimalDualState(x=np.array([1.0, 2.0]), z=np.zeros(2),
-                             p=np.zeros(2))
-        for _ in range(5):
-            avg.update(st)
-        np.testing.assert_array_equal(avg.x_bar, [1.0, 2.0])
-
-    def test_two_point_average(self):
-        avg = ErgodicAverages(1, 1)
-        avg.update(PrimalDualState(np.array([0.0]), np.zeros(1), np.zeros(1)))
-        avg.update(PrimalDualState(np.array([2.0]), np.zeros(1), np.zeros(1)))
-        np.testing.assert_array_equal(avg.x_bar, [1.0])
-        assert avg.count == 2
-
-    def test_exact_sum_semantics(self):
-        rng = np.random.default_rng(5)
-        xs = rng.normal(size=(7, 3))
-        avg = ErgodicAverages(3, 1)
-        for row in xs:
-            avg.update(PrimalDualState(row, np.zeros(1), np.zeros(1)))
-        np.testing.assert_array_equal(avg.x_bar, xs.sum(axis=0) / 7)
-
-
 class TestEstimateRate:
     def test_one_over_t(self):
         t = np.arange(1, 2001, dtype=float)
@@ -222,8 +197,9 @@ class TestRateConstants:
                          z_bound=10.0)
         fine = q_value(self.prob, self.dist, mu, grid_resolution=4001,
                        z_bound=10.0)
-        from asyncadmm.diagnostics import _grid_gap_estimate
-        gap = _grid_gap_estimate(self.prob, self.dist, mu, 101, 2_000_000)
+        from asyncadmm.diagnostics import _component_grids, _grid_gap_estimate
+        gap = _grid_gap_estimate(self.prob, self.dist, mu,
+                                 _component_grids(self.prob, 101, 2_000_000))
         assert fine >= coarse - 1e-9
         assert abs(fine - coarse) <= gap + 1e-9
 

@@ -2,9 +2,10 @@
 
 ``_CompiledOps.solve_all`` solves every x component at once for the shadow
 pass, the synchronous engine and the reference solve. The loops it
-replaced (a ``solve_component`` call per component, the three-maximum
-settle test and the per-component shadow tally) are kept here as the
-reference, and results are compared as bytes, so signs of zero count too.
+replaced are the reference: a ``solve_component`` call per component
+(``reference.per_component``), and here the three-maximum settle test and
+the per-component shadow tally, which the engine's stacked tally must
+match. Results are compared as bytes, so signs of zero count too.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from asyncadmm import diagnostics, engine
 from asyncadmm.errors import UnboundedSubproblem, UnsupportedTerm
 from asyncadmm.problem import TermGroups
 from asyncadmm.prox import solve_z_prepared
+from reference import per_component, plain_shadow
 
 KINDS = ("quadratic", "absdev", "l1", "l1-zero", "custom")
 
@@ -93,15 +95,6 @@ def random_vector(rng, size, scale=2.0):
     v[rng.random(size) < 0.2] = 0.0
     v[rng.random(size) < 0.2] = -0.0
     return v
-
-
-def per_component(ops, p, z):
-    """The loop ``solve_all`` replaced."""
-    n = ops.n
-    x = np.empty(ops.N * n)
-    for i in range(ops.N):
-        x[i * n:(i + 1) * n] = ops.solve_component(i, p, z)
-    return x
 
 
 def outcome(fn):
@@ -377,15 +370,6 @@ def test_reference_solve_and_run_share_the_compiled_problem(monkeypatch):
 # The shadow pass and its tally
 # ---------------------------------------------------------------------------
 
-def reference_shadow(prob, state):
-    ops = engine._ops(prob)
-    y = per_component(ops, state.p, state.z)
-    t = state.p / ops.beta - ops.coeff * y[ops.col]
-    v = solve_z_prepared(ops.h, t, ops.pair_i, ops.pair_j)
-    r = ops.coeff * y[ops.col] + ops.h * v
-    return y, v, state.p - ops.beta * r, r
-
-
 def old_tally(prob, partition, rec, counters):
     """The per-component shadow tally the stacked one replaced."""
     n = prob.constraints.n
@@ -450,7 +434,7 @@ def test_shadow_step_equals_component_loop(case):
     prob, partition = shadow_case(case)
     for rec in shadow_records(prob, partition):
         got = shadow_step(prob, rec.before)
-        want = reference_shadow(prob, rec.before)
+        want = plain_shadow(prob, rec.before)
         for a, b in zip((got.y, got.v, got.mu, got.r), want):
             assert a.tobytes() == b.tobytes()
 
@@ -498,21 +482,53 @@ TAMPERS = ("none", "moved-x-large", "moved-x-tiny", "moved-z-nan",
            "frozen-signed-zero")
 
 
+def engine_tally(prob, partition, blocks, befores, afters, shadows):
+    """The engine's tally of one step per seed, as one stacked call.
+
+    Seed ``s`` fired block ``blocks[s]`` from state ``befores[s]`` to
+    ``afters[s]``, and ``shadows[s]`` is the ``(y, v, mu)`` pass from
+    ``befores[s]``. Each is laid out in a state row of the run's table,
+    as ``run_batch`` lays it out. Returns each seed's counters.
+    """
+    bt = engine._batch_table(prob, partition)
+    S, dim_x, W = len(blocks), prob.dim_x, prob.dim_z
+
+    def rows(triples):
+        out = np.zeros((S, bt.width))
+        for s, (x, z, p) in enumerate(triples):
+            out[s, :dim_x] = x
+            out[s, bt.z0:bt.z0 + W] = z
+            out[s, bt.p0:bt.p0 + W] = p
+        return out
+
+    idx = bt.idx[np.asarray(blocks)] + (np.arange(S) * bt.width)[:, None]
+    tally = np.zeros((S, len(engine._TALLY)), dtype=np.intp)
+    engine._tally_shadow(bt, idx, rows((b.x, b.z, b.p) for b in befores),
+                         rows((a.x, a.z, a.p) for a in afters),
+                         rows(sh[:3] for sh in shadows), tally)
+    return [dict(zip(engine._TALLY, row)) for row in tally.tolist()]
+
+
 @pytest.mark.parametrize("case", ["lad-box", "vector"])
 @pytest.mark.parametrize("kind", TAMPERS)
 def test_tally_equals_old_tally(case, kind):
+    """Every step of a path, tampered, as one row of one stacked tally."""
     prob, partition = shadow_case(case)
-    table = engine._block_table(prob, partition)
     n = prob.constraints.n
-    got, want = engine._new_counters(0), engine._new_counters(0)
+    blocks, befores, afters, shadows, want = [], [], [], [], []
     for rec in shadow_records(prob, partition):
         before, after = tamper(kind, rec, partition, n)
+        want.append(dict.fromkeys(engine._TALLY, 0))
         old_tally(prob, partition,
                   engine.StepRecord(block=rec.block, before=before,
-                                    after=after, shadow=rec.shadow), want)
-        engine._tally_shadow(table, rec.block, stacked(before),
-                             stacked(after), rec.shadow, got)
-    assert got == want
-    assert want["shadow_checks"] == 40
+                                    after=after, shadow=rec.shadow), want[-1])
+        blocks.append(rec.block)
+        befores.append(before)
+        afters.append(after)
+        shadows.append((rec.shadow.y, rec.shadow.v, rec.shadow.mu))
+    assert engine_tally(prob, partition, blocks, befores, afters,
+                        shadows) == want
+    assert len(want) == 40
     if kind == "none":
-        assert want["shadow_failures"] == want["freeze_failures"] == 0
+        assert not any(c["shadow_failures"] or c["freeze_failures"]
+                       for c in want)
