@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import _apply_block, _block_table, _ops, sync_admm_step
+from .engine import _block_table, _fire_lanes, sync_admm_step
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
 from .problem import PrimalDualState, SeparableProblem, initial_state, residual
@@ -138,20 +138,30 @@ def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
                    ref: ReferenceSolution, wn: WeightedNorm) -> float:
     """Exact conditional one-step mean change of the Lyapunov value.
 
-    Enumerates every block the sampler could draw from this state,
-    weights the resulting Lyapunov values by the block probabilities,
-    and subtracts the current value. The supermartingale property says
-    this is never positive.
+    Fires every block the sampler could draw from this state as one call
+    of the engine's block kernel, each block on its own copy of the state
+    (a ``(B, width)`` stack), takes each row's Lyapunov value (the
+    ``np.vecdot`` form of :func:`lyapunov`, the same bits), weights the
+    values by the block probabilities in block order and subtracts the
+    current value. The supermartingale property says this is never
+    positive.
     """
-    ops = _ops(prob)
-    table = _block_table(prob, partition)
     v_now = lyapunov(prob, state, ref, wn)
+    bt = _block_table(prob, partition)
+    B = len(dist.block_probs)
+    stack = np.tile(bt.layout(state.x, state.z, state.p), (B, 1))
+    # block b fires on row b
+    _fire_lanes(bt, stack.reshape(-1),
+                bt.idx + (np.arange(B) * bt.width)[:, None], np.s_[:])
+    _, z, p = bt.views(stack)
+    w, beta = wn.weight_diag, prob.beta
+    dp = p - ref.p
+    hz = prob.constraints.h_diag * (z - ref.z)
+    values = (np.vecdot(dp * w, dp) / (2.0 * beta)
+              + 0.5 * beta * np.vecdot(hz * w, hz))
     expected = 0.0
-    for b, prob_b in enumerate(dist.block_probs):
-        nxt = PrimalDualState(x=state.x.copy(), z=state.z.copy(),
-                              p=state.p.copy(), k=state.k + 1)
-        _apply_block(ops, table.block(b), nxt.x, nxt.z, nxt.p)
-        expected += float(prob_b) * lyapunov(prob, nxt, ref, wn)
+    for prob_b, v_b in zip(dist.block_probs.tolist(), values.tolist()):
+        expected += prob_b * v_b
     return expected - v_now
 
 

@@ -7,22 +7,30 @@ values, and the active dual rows take a residual step of size beta. All
 other coordinates are frozen.
 
 Step cost: one asynchronous step costs O(size of the block), not
-O(size of the problem). The block kernel (``_apply_block``) updates x,
-z, p in place through a per-partition block table that is built once
-in time linear in the number of rows; ``step`` is that kernel applied
-to a copy of the state.
+O(size of the problem). There is one block update, the lane kernel
+``_fire_lanes``: it fires one block per lane on rows of a flat state, in
+place, through a per-partition block table that is built once in time
+linear in the number of rows (``_BlockTable``). Every caller fires its
+blocks through it: ``step`` fires one lane on a one-row copy of the
+state, ``diagnostics.lyapunov_drift`` every block on its own copy row,
+and ``run_batch`` the lanes of its seeds. The x lanes are solved by the
+grouped prox (``_GroupedProx``): closed forms for Quadratic, AbsDev and
+L1 coordinates, then one by one, in lane order, for ``Custom`` terms and
+kink coordinates without a coupling row. Each x lane's tilt reads its
+component's rows from the table, padded to the largest row count; past a
+lane limit (a hub component in every block) the table keeps no tilt rows,
+and each call gathers its own lanes' rows, padded to the largest count
+among them.
 
 Run loop: ``run_batch`` is the one loop (``run`` is its one-seed form).
 It fires blocks as lanes on one ``(S, width)`` state: many seeds in
 lockstep, one lane per seed per iteration; one seed in waves of
-consecutive draws that commute (``_wave_ends``). The lanes go through
-one array kernel (``_fire_lanes``, every block padded to the largest)
-when its closed forms cover the problem, else one by one through
-``_apply_block`` (``_fire_blocks``). Either performs the floating-point
-operations of ``_apply_block`` in its order, so each seed's metrics
-equal chained ``step`` calls bit for bit. Ergodic sums are kept lazily:
-per coordinate just before it moves, and for every x and z coordinate at
-a record (the p sums are never read).
+consecutive draws that commute (``_wave_ends``). The kernel performs the
+floating-point operations of a component-by-component block update in
+its order, so each seed's metrics equal chained ``step`` calls bit for
+bit. Ergodic sums are kept lazily: per coordinate just before it moves,
+and for every x and z coordinate at a record (the p sums are never
+read).
 A record point is one stacked evaluation of every seed's metrics over
 the ``(S, ·)`` rows (``_Recorder``). Its reduction contract: a row of a
 stack reduces to the same bits as the 1-D call on that row, so dot
@@ -38,7 +46,7 @@ and a run takes one pass and one check per iteration for all its seeds:
 ``shadow_step`` solves every x component of every seed's row at once
 (``_CompiledOps.solve_all``, each row bit for bit one ``solve_component``
 call per component), and ``_tally_shadow`` takes each lane's group
-maxima and compares the rest of each row, on either state layout.
+maxima and compares the rest of each row.
 
 Synchronous engine: the classical two-block method (x minimization, z
 minimization, dual ascent with step beta) on the same separable problem
@@ -58,7 +66,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, ImproperPartition, MissingReference
+from .errors import (DivergenceError, ImproperPartition, MissingReference,
+                     ValidationError)
 from .problem import (PrimalDualState, SeparableProblem, TermGroups,
                       initial_state, objective, residual, term_groups,
                       x_set_bounds)
@@ -118,14 +127,19 @@ class _GroupedProx:
     :func:`kink_prox`, each as one array operation over every coordinate,
     which takes its own kind's result. The rest, terms of other kinds and
     kink coordinates with ``q == 0``, go one by one through
-    ``solve_local_prepared`` and ``_kink_coord`` in ascending coordinate
-    order, so the first error raised is the one a component-by-component
-    loop raises. ``q``, ``lo``, ``hi`` have shape ``(len(terms), n)``.
+    ``solve_local_prepared`` and ``_kink_coord`` (``serial``, indexed by
+    ``serial_at`` at a component's or coordinate's first coordinate, -1
+    elsewhere), so the first error raised is the one a
+    component-by-component loop raises. ``q``, ``lo``, ``hi`` have shape
+    ``(len(terms), n)``.
 
     ``consts`` holds the closed forms' constants per coordinate, zero off
     their kind: ``w2``, ``w2c`` (:func:`quadratic_prox`), ``a``, ``kink``
-    (:func:`kink_prox`) and ``is_quad`` (1 on Quadratic coordinates).
+    (:func:`kink_prox`) and ``is_quad`` (1 on Quadratic coordinates);
+    ``closed`` holds the arguments of both closed forms per coordinate.
     """
+
+    CLOSED = ("w2", "w2c", "q_quad", "a", "kink", "q_kink", "lo", "hi")
 
     def __init__(self, groups: TermGroups, terms, q, lo, hi):
         n = groups.n
@@ -149,35 +163,49 @@ class _GroupedProx:
         self.is_quad = c["is_quad"] > 0
         self.closed = (c["w2"], c["w2c"], np.where(self.is_quad, q, q_kink),
                        c["a"], c["kink"], q_kink, lo, hi)
-        # one at a time, by first coordinate: the components of other terms
-        # and the kink coordinates without a quadratic part (with constants)
-        serial = [(i * n, i, None) for i, _ in groups.other]
-        serial += [(int(t), -1, (c["a"][t], c["kink"][t], lo[t], hi[t]))
-                   for t in kink_idx[q[kink_idx] == 0]]
-        self.serial = sorted(serial, key=lambda item: item[0])
+        # one at a time: the components of other terms and the kink
+        # coordinates without a quadratic part (with their constants)
+        kink0 = kink_idx[q[kink_idx] == 0].tolist()
+        self.serial = [(i, None) for i, _ in groups.other]
+        self.serial += [(-1, (c["a"][t], c["kink"][t], lo[t], hi[t]))
+                        for t in kink0]
+        self.serial_at = np.full(q.size, -1, dtype=np.intp)
+        self.serial_at[[i * n for i, _ in groups.other] + kink0] = \
+            np.arange(len(self.serial))
 
-    def solve(self, l):
+    def solve(self, l, lanes=None):
         """Minimizers for the tilt ``l``: one entry per coordinate along the
         last axis, one row per point (``(..., N n)``), each row solved as
-        the 1-D call would solve it. The one-by-one solves take row by row,
-        so the first error raised is the one a loop over the rows raises."""
-        w2, w2c, q_quad, a, kink, q_kink, lo, hi = self.closed
+        the 1-D call would solve it. With ``lanes = (closed, is_quad, at)``
+        the entries of ``l`` are lanes instead, each with its coordinate's
+        ``closed`` arguments, ``is_quad`` mask and ``serial_at`` entry, all
+        of ``l``'s shape. The one-by-one solves come after the closed
+        forms, row by row and then entry by entry, so the first error
+        raised is the one a loop over the rows raises."""
+        closed, is_quad, at = lanes or (self.closed, self.is_quad,
+                                        self.serial_at)
+        w2, w2c, q_quad, a, kink, q_kink, lo, hi = closed
         u = quadratic_prox(w2, w2c, q_quad, l, lo, hi) if self.has_quad \
-            else np.empty_like(l)
+            else None
         if self.has_kink:
             uk = kink_prox(a, kink, q_kink, l, lo, hi)
-            u = np.where(self.is_quad, u, uk) if self.has_quad else uk
-        n = self.n
-        for row in (np.ndindex(l.shape[:-1]) if self.serial else ()):
-            u_row, l_row = u[row], l[row]
-            for t, i, consts in self.serial:
-                if consts is not None:
-                    a, kink, lo, hi = consts
-                    u_row[t] = _kink_coord(a, kink, l_row[t], lo, hi)
-                else:
-                    u_row[t:t + n] = solve_local_prepared(
-                        self.terms[i], self.q[i], l_row[t:t + n], self.lo[i],
-                        self.hi[i])
+            u = uk if u is None else np.where(is_quad, u, uk)
+        if u is None:
+            # terms of other kinds only; the dummy lane's entry stays zero
+            u = np.zeros_like(l)
+        if not self.serial:
+            return u
+        n, at = self.n, np.broadcast_to(at, l.shape)
+        for hit in zip(*np.nonzero(at >= 0)):
+            i, consts = self.serial[at[hit]]
+            u_row, l_row, t = u[hit[:-1]], l[hit[:-1]], hit[-1]
+            if consts is not None:
+                a, kink, lo, hi = consts
+                u_row[t] = _kink_coord(a, kink, l_row[t], lo, hi)
+            else:
+                u_row[t:t + n] = solve_local_prepared(
+                    self.terms[i], self.q[i], l_row[t:t + n], self.lo[i],
+                    self.hi[i])
         return u
 
 
@@ -304,53 +332,75 @@ class _CompiledOps:
         return self.prox.solve(sums[pos].T)
 
 
-class _BlockTable:
-    """Every block of one partition as flat arrays with per-block offsets.
+def _stack(**groups):
+    """Column groups side by side, and the slice each group occupies."""
+    cols, start = {}, 0
+    for name, arr in groups.items():
+        cols[name] = slice(start, start + arr.shape[1])
+        start += arr.shape[1]
+    return np.concatenate(list(groups.values()), axis=1), cols
 
-    Block ``b`` owns ``rows[row_ptr[b]:row_ptr[b+1]]`` and the components
-    ``comps[comp_ptr[b]:comp_ptr[b+1]]``; ``w``/``coeff``/``col`` are the
-    row constants gathered in that order, and ``pair_i``/``pair_j`` hold
-    the block's z pairs as positions within the block, in z-set order.
+
+# padded tilt lanes a block table may hold; beyond it (a hub component in
+# many blocks pads every block to its degree) each call gathers its own
+_BATCH_LANE_LIMIT = 1 << 20
+
+
+class _BlockTable:
+    """Every block of one partition as the lanes of :func:`_fire_lanes`.
+
+    A seed's state is one row of length ``width``: x with one dummy
+    component appended (``(N+1) n`` slots), then z and p with one dummy
+    row each (``W+1`` slots each; :meth:`layout`). Row ``b`` of ``idx``
+    and ``const`` holds block ``b``'s lanes as local indices into that row
+    and as constants, in named column groups (``icol`` and ``ccol`` hold
+    their slices). A block smaller than the largest is padded with lanes
+    that read and write only the dummy slots, with constants chosen so
+    that those slots stay zero:
+
+    - ``row``: 0, the start of the lane's state row once its offset is
+      added;
+    - x lanes (``C n``): the block's components, then the dummy one, with
+      the arguments of :class:`_GroupedProx`'s closed forms;
+    - z/p lanes (``R = 2P + U``): first rows of the z pairs, their
+      partners, then unpaired rows, each group padded to its maximum;
+    - tilt lanes (``C n D``, :meth:`tilt`): every row of each x lane's
+      component and coordinate, padded to the largest count ``D`` with
+      coefficient ``-0.0``, which adds nothing in :func:`_row_sums`.
+      Past ``_BATCH_LANE_LIMIT`` such lanes (a hub component in every
+      block pads each block to its degree) the table holds none
+      (``D is None``), and each kernel call gathers its own lanes' rows,
+      padded to the largest count among them.
+
     ``clash[clash_ptr[b]:clash_ptr[b+1]]`` are the blocks whose z and p
-    rows block ``b`` reads (:func:`_wave_ends`).
-    Building it takes a few passes over the rows and a few sorts; no
-    object is made per block.
+    rows block ``b`` reads (:func:`_wave_ends`). Building the table takes
+    a few passes over the rows and a few sorts; no object is made per
+    block.
     """
 
     def __init__(self, ops: _CompiledOps, partition: ProperPartition):
-        W = ops.W
+        n, N, W = ops.n, ops.N, ops.W
         rows, row_ptr = partition.rows, partition.row_ptr
         comps, comp_ptr = partition.comps, partition.comp_ptr
-        sizes = np.diff(row_ptr)
-        m = sizes.size
-        self.rows = rows
-        self.comps = comps.tolist()
-        self.w = ops.h[rows]
-        self.coeff = ops.coeff[rows]
-        self.col = ops.col[rows]
-        self.row_ptr = row_ptr.tolist()
-        self.comp_ptr = comp_ptr.tolist()
+        sizes, ncomp = np.diff(row_ptr), np.diff(comp_ptr)
+        m, C = sizes.size, int(ncomp.max())
+        self.beta, self.prox = ops.beta, ops.prox
+        self.dim_x, self.W = N * n, W
+        xseg = (N + 1) * n
+        self.z0, self.p0 = xseg, xseg + W + 1
+        self.width = xseg + 2 * (W + 1)
 
-        # owner[row] is the row's block, local[row] its position there
+        # owner[row] is the row's block; a block's z pairs in z-set order
         owner = np.empty(W, dtype=np.intp)
         owner[rows] = np.repeat(np.arange(m), sizes)
-        local = np.empty(W, dtype=np.intp)
-        local[rows] = np.arange(W) - np.repeat(row_ptr[:-1], sizes)
         pair_i, pair_j = ops.pair_i, ops.pair_j
-        if pair_i.size:
-            blk_i, blk_j = owner[pair_i], owner[pair_j]
-            if np.any(blk_i != blk_j):
-                k = np.flatnonzero(blk_i != blk_j)[0]
-                raise ImproperPartition("a block splits the coupled pair "
-                                        f"({pair_i[k]},{pair_j[k]})")
-            order = np.argsort(blk_i, kind="stable")
-            self.pair_i = local[pair_i[order]]
-            self.pair_j = local[pair_j[order]]
-            npair = np.bincount(blk_i, minlength=m)
-        else:
-            self.pair_i = self.pair_j = np.empty(0, dtype=np.intp)
-            npair = np.zeros(m, dtype=np.intp)
-        self.pair_ptr = _offsets(npair).tolist()
+        blk_i, blk_j = owner[pair_i], owner[pair_j]
+        if np.any(blk_i != blk_j):
+            k = np.flatnonzero(blk_i != blk_j)[0]
+            raise ImproperPartition("a block splits the coupled pair "
+                                    f"({pair_i[k]},{pair_j[k]})")
+        order = np.argsort(blk_i, kind="stable")
+        npair = np.bincount(blk_i, minlength=m)
 
         # clash[b]: the blocks owning a row that one of b's components owns
         # (b among them, repeats kept), whose z and p b's tilts read
@@ -360,13 +410,98 @@ class _BlockTable:
         self.clash = owner[ops.rows[comp_rows[comps][seg] + pos]].tolist()
         self.clash_ptr = _offsets(per_comp)[comp_ptr].tolist()
 
-    def block(self, b: int):
-        """Views of block ``b``: comps, rows, w, coeff, col, pair_i, pair_j."""
-        r0, r1 = self.row_ptr[b], self.row_ptr[b + 1]
-        q0, q1 = self.pair_ptr[b], self.pair_ptr[b + 1]
-        return (self.comps[self.comp_ptr[b]:self.comp_ptr[b + 1]],
-                self.rows[r0:r1], self.w[r0:r1], self.coeff[r0:r1],
-                self.col[r0:r1], self.pair_i[q0:q1], self.pair_j[q0:q1])
+        # components of each block, padded with the dummy component N
+        comps_pad = np.full((m, C), N, dtype=np.intp)
+        comps_pad[_ragged(ncomp)] = comps
+        x_lanes = (comps_pad[:, :, None] * n + np.arange(n)).reshape(m, -1)
+
+        def per_lane(values, fill):
+            """Per-coordinate values, with a dummy component, per x lane."""
+            return np.append(values, np.full(n, fill))[x_lanes]
+
+        # the closed forms' arguments per x lane, for the kinds present;
+        # the dummy lane solves to +0.0
+        prox = ops.prox
+        args = dict(zip(prox.CLOSED, prox.closed),
+                    is_quad=prox.consts["is_quad"])
+        fill = dict(w2=0.0, w2c=0.0, q_quad=1.0, a=0.0, kink=0.0, q_kink=1.0,
+                    lo=-np.inf, hi=np.inf, is_quad=1.0)
+        used = ["lo", "hi"]
+        if prox.has_quad:
+            used += ["w2", "w2c", "q_quad"]
+        if prox.has_kink:
+            used += ["a", "kink", "q_kink"] + ["is_quad"] * prox.has_quad
+        lane_consts = {name: per_lane(args[name], fill[name]) for name in used}
+        self.serial_at = per_lane(prox.serial_at, -1) if prox.serial \
+            else None
+        # each x lane's rows: a range of ops.rows, empty for the dummy
+        self.t_first = per_lane(_offsets(ops.counts)[:-1], W)
+        self.t_count = per_lane(ops.counts, 0)
+        self.csr = (np.append(ops.rows, W), np.append(ops.coeffs_sorted, -0.0),
+                    np.append(ops.h_sorted, 0.0))
+        tilt_idx, tilt_const, self.D = {}, {}, None
+        if m * C * n * int(ops.counts.max()) <= _BATCH_LANE_LIMIT:
+            t_rows, t_coeff, t_h, self.D = self.tilt(np.arange(m))
+            tilt_idx = dict(tilt_z=self.z0 + t_rows, tilt_p=self.p0 + t_rows)
+            tilt_const = dict(coeff=t_coeff, h=t_h)
+
+        # z/p lanes: pair firsts, pair seconds, unpaired rows; pads point
+        # at the dummy row, which has weight 1 and coefficient 0
+        P = int(npair.max(initial=0))
+        paired = np.zeros(W, dtype=bool)
+        paired[pair_i] = paired[pair_j] = True
+        nfree = sizes - 2 * npair
+        U = int(nfree.max())
+        R = 2 * P + U
+        z_rows = np.full((m, R), W, dtype=np.intp)
+        blk, pos = _ragged(npair)
+        z_rows[blk, pos] = pair_i[order]
+        z_rows[blk, P + pos] = pair_j[order]
+        blk, pos = _ragged(nfree)
+        z_rows[blk, 2 * P + pos] = rows[~paired[rows]]
+        w = np.append(ops.h, 1.0)[z_rows]
+        z_coeff = np.append(ops.coeff, 0.0)[z_rows]
+        z_col = np.append(ops.col, n * N)[z_rows]
+        den = w[:, :P] * w[:, :P] + w[:, P:2 * P] * w[:, P:2 * P]
+
+        self.idx, self.icol = _stack(
+            row=np.zeros((m, 1), dtype=np.intp), x=x_lanes, z=self.z0 + z_rows,
+            p=self.p0 + z_rows, col=z_col, **tilt_idx)
+        self.const, self.ccol = _stack(**tilt_const, **lane_consts, w=w,
+                                       z_coeff=z_coeff, den=den)
+        self.closed = [self.ccol.get(name) for name in prox.CLOSED]
+        self.Cn, self.P, self.U = C * n, P, U
+        self.p_lane = C * n + R    # where the p lanes start
+        # the moved coordinates: the x, z and p lanes, in that order; the
+        # starts of each component's x, z and p, and of x, z and p
+        self.moved = slice(1, 1 + C * n + 2 * R)
+        self.groups = np.r_[0:C * n:n, C * n, C * n + R]
+        self.cuts = self.groups[[0, C, C + 1]]
+
+    def tilt(self, blocks):
+        """The tilt lanes of ``blocks``: the row of each x lane's rows, and
+        its coefficient and ``h``, in row order, padded with the dummy row
+        (coefficient ``-0.0``, ``h`` 0) to the largest count ``D`` among
+        them. Returns the three ``(len(blocks), C n D)`` arrays and ``D``."""
+        first, count = self.t_first[blocks], self.t_count[blocks]
+        D = int(count.max())
+        r = np.arange(D)
+        pos = np.where(r < count[..., None], first[..., None] + r, self.W)
+        return (*(a[pos].reshape(len(first), -1) for a in self.csr), D)
+
+    def layout(self, x, z, p):
+        """States ``(x, z, p)``, one or one per row, as rows of this table's
+        layout, with the dummy slots zero."""
+        x = np.asarray(x)
+        state = np.zeros(x.shape[:-1] + (self.width,))
+        xs, zs, ps = self.views(state)
+        xs[...], zs[...], ps[...] = x, z, p
+        return state
+
+    def views(self, state):
+        """The x, z and p of rows in this table's layout, as views."""
+        return (state[..., :self.dim_x], state[..., self.z0:self.z0 + self.W],
+                state[..., self.p0:self.p0 + self.W])
 
 
 def _ops(prob: SeparableProblem) -> _CompiledOps:
@@ -386,23 +521,6 @@ def _block_table(prob: SeparableProblem,
     if table is None:
         table = cache[partition] = _BlockTable(_ops(prob), partition)
     return table
-
-
-def _apply_block(ops: _CompiledOps, blk, x, z, p):
-    """Fire one block in place: x solves, then the z-pair fit, then the duals.
-
-    ``blk`` is :meth:`_BlockTable.block`. Only the block's components,
-    z rows and multipliers are written, and only the rows of those
-    components are read, so a step costs O(block), not O(problem).
-    """
-    comps, rows, w, coeff, col, pair_i, pair_j = blk
-    n = ops.n
-    for i in comps:
-        x[i * n:(i + 1) * n] = ops.solve_component(i, p, z)
-    t = p[rows] / ops.beta - coeff * x[col]
-    z_rows = solve_z_prepared(w, t, pair_i, pair_j)
-    z[rows] = z_rows
-    p[rows] -= ops.beta * (coeff * x[col] + w * z_rows)
 
 
 def shadow_step(prob: SeparableProblem, state: PrimalDualState) -> ShadowIterates:
@@ -425,15 +543,21 @@ def step(prob: SeparableProblem, state: PrimalDualState,
          rng: RngStream, with_shadow: bool = False) -> StepRecord:
     """One asynchronous iteration: sample a block, update x, z, p in order.
 
-    The input state is left as it is; the step works on a copy.
+    The input state is left as it is: the block kernel
+    (:func:`_fire_lanes`) fires one lane on a one-row copy of it, laid out
+    by the partition's table, and the new x, z and p are views of that
+    row.
     """
     b = sample_block(dist, rng)
     shadow = shadow_step(prob, state) if with_shadow else None
-    after = PrimalDualState(x=state.x.copy(), z=state.z.copy(),
-                            p=state.p.copy(), k=state.k + 1)
-    _apply_block(_ops(prob), _block_table(prob, partition).block(b),
-                 after.x, after.z, after.p)
-    return StepRecord(block=b, before=state, after=after, shadow=shadow)
+    bt = _block_table(prob, partition)
+    row = bt.layout(state.x, state.z, state.p)
+    lane = np.s_[b:b + 1]
+    _fire_lanes(bt, row, bt.idx[lane], lane)
+    x, z, p = bt.views(row)
+    return StepRecord(block=b, before=state,
+                      after=PrimalDualState(x=x, z=z, p=p, k=state.k + 1),
+                      shadow=shadow)
 
 
 def sync_admm_step(prob: SeparableProblem,
@@ -508,9 +632,15 @@ class _Recorder:
         self.inv_2b = 1.0 / (2.0 * prob.beta)
         self.half_b = 0.5 * prob.beta
         count = -(-T // stride)   # every stride-th iteration, and T
-        self.values = np.full((S, 6, count), np.nan)
-        self.iters = np.empty(count, dtype=np.intp)
-        self.blocks = np.empty((S, count), dtype=np.intp)
+        try:
+            self.values = np.full((S, 6, count), np.nan)
+            self.iters = np.empty(count, dtype=np.intp)
+            self.blocks = np.empty((S, count), dtype=np.intp)
+        except (ValueError, MemoryError):
+            raise ValidationError(
+                f"T = {T} with stride {stride} records {count} points per "
+                "seed, more than memory holds: raise stride or lower T"
+            ) from None
         self.count = 0
         if probes.ergodic:
             # each seed's iterate, then each seed's ergodic mean
@@ -592,230 +722,51 @@ def run(prob: SeparableProblem, partition: ProperPartition,
                      ref=ref, x0=x0, z0=z0, stride=stride)[0]
 
 
-class _BatchTable:
-    """One partition's blocks padded to a common shape, for :func:`run_batch`.
+def _fire_lanes(bt: _BlockTable, flat, idx, blocks, sums=None):
+    """Fire one block per lane on the flat state, in place: the one block
+    update of every run, step and drift.
 
-    A seed's state is one row of length ``width``: x with one dummy
-    component appended (``(N+1) n`` slots), then z and p with one dummy
-    row each (``W+1`` slots each). Row ``b`` of ``idx`` and ``const`` holds
-    block ``b``'s lanes as local indices into that row and as constants,
-    in named column groups (``icol`` and ``ccol`` hold their slices). A
-    block smaller than the largest is padded with lanes that read and
-    write only the dummy slots, with constants chosen so that those slots
-    stay zero:
+    Lane ``l`` fires block ``blocks[l]`` (``blocks`` indexes the blocks:
+    an array, or a slice) on the state row that row ``l`` of ``idx``
+    names (``bt.idx[blocks]`` plus the row's offset in ``flat``, as flat
+    ``row * width + index`` indices). Every lane reads before any lane
+    writes, so no lane may write what another reads: the seeds of one
+    lockstep iteration, one wave of a seed (:func:`_wave_ends`), or each
+    block on its own copy of a state. With ``sums = (acc, since, k)`` the
+    lazy ergodic sums of the coordinates about to move are first brought
+    up to iteration ``k`` (one number for every lane, or a column with
+    one per lane).
 
-    - x lanes (``C n``): the block's components, then the dummy one;
-    - z/p lanes (``R = 2P + U``): first rows of the z pairs, their
-      partners, then unpaired rows, each group padded to its maximum;
-    - tilt lanes (``C n D``): every row of each x lane's component and
-      coordinate, padded to the largest count ``D`` with coefficient
-      ``-0.0``, which adds nothing in :func:`_row_sums`.
+    Each x lane's tilt sums its component's rows left to right
+    (:func:`_row_sums`); :class:`_GroupedProx` solves the lanes, the
+    one-by-one ones after the closed forms in lane order, then the z fit
+    and the dual step follow: the floating-point operations of one
+    component-by-component block update in its order. Returns each lane's
+    max |x|, |z|, |p| over its block.
     """
-
-    def __init__(self, ops: _CompiledOps, table: _BlockTable):
-        n, N, W = ops.n, ops.N, ops.W
-        xseg = (N + 1) * n
-        self.z0, self.p0 = xseg, xseg + W + 1
-        self.width = xseg + 2 * (W + 1)
-
-        # components of each block, padded with the dummy component N
-        ncomp = np.diff(table.comp_ptr)
-        m, C = ncomp.size, int(ncomp.max())
-        comps = np.full((m, C), N, dtype=np.intp)
-        comps[_ragged(ncomp)] = table.comps
-        x_lanes = (comps[:, :, None] * n + np.arange(n)).reshape(m, C * n)
-
-        def per_lane(values, fill):
-            """Per-component values, with a dummy row, for each x lane."""
-            values = np.asarray(values).reshape(N, -1)
-            dummy = np.full((1, values.shape[1]), fill, dtype=values.dtype)
-            return np.vstack([values, dummy])[comps].reshape(m, -1)
-
-        # per component and coordinate: its rows in order, padded to D
-        D = int(ops.counts.max())
-        grid = ops.col[ops.rows] * D + _ragged(ops.counts)[1]
-        t_rows = np.full(N * n * D, W, dtype=np.intp)
-        t_rows[grid] = ops.rows
-        t_coeff = np.full(N * n * D, -0.0)
-        t_coeff[grid] = ops.coeffs_sorted
-        t_h = np.zeros(N * n * D)
-        t_h[grid] = ops.h_sorted
-        t_rows = per_lane(t_rows, W)
-        t_coeff = per_lane(t_coeff, -0.0)
-        t_h = per_lane(t_h, 0.0)
-        # the closed forms' constants per x lane, only for the kinds
-        # present; the dummy lane solves to +0.0
-        c = ops.prox.consts
-        self.has_quad, self.has_kink = ops.prox.has_quad, ops.prox.has_kink
-        lane_consts = {name: per_lane(v, fill) for name, v, fill, used in (
-            ("quad", ops.quad, 1.0, True), ("lo", ops.lo, -np.inf, True),
-            ("hi", ops.hi, np.inf, True), ("w2", c["w2"], 0.0, self.has_quad),
-            ("w2c", c["w2c"], 0.0, self.has_quad),
-            ("a", c["a"], 0.0, self.has_kink),
-            ("kink", c["kink"], 0.0, self.has_kink),
-            ("is_quad", c["is_quad"], 1.0, self.has_quad and self.has_kink))
-            if used}
-
-        # z/p lanes: pair firsts, pair seconds, unpaired rows; pads point
-        # at the dummy row, which has weight 1 and coefficient 0
-        sizes = np.diff(table.row_ptr)
-        npair = np.diff(table.pair_ptr)
-        P = int(npair.max(initial=0))
-        nfree = sizes - 2 * npair
-        U = int(nfree.max())
-        R = 2 * P + U
-        z_rows = np.full((m, R), W, dtype=np.intp)
-        blk, pos = _ragged(npair)
-        first = np.asarray(table.row_ptr[:-1], dtype=np.intp)[blk]
-        z_rows[blk, pos] = table.rows[first + table.pair_i]
-        z_rows[blk, P + pos] = table.rows[first + table.pair_j]
-        paired = np.zeros(W, dtype=bool)
-        paired[first + table.pair_i] = True
-        paired[first + table.pair_j] = True
-        free = np.flatnonzero(~paired)
-        blk, pos = _ragged(nfree)
-        z_rows[blk, 2 * P + pos] = table.rows[free]
-        w = np.append(ops.h, 1.0)[z_rows]
-        z_coeff = np.append(ops.coeff, 0.0)[z_rows]
-        z_col = np.append(ops.col, n * N)[z_rows]
-        den = w[:, :P] * w[:, :P] + w[:, P:2 * P] * w[:, P:2 * P]
-
-        self.idx, self.icol = _stack(
-            x=x_lanes, z=self.z0 + z_rows, p=self.p0 + z_rows, col=z_col,
-            tilt_z=self.z0 + t_rows, tilt_p=self.p0 + t_rows)
-        self.const, self.ccol = _stack(
-            coeff=t_coeff, h=t_h, **lane_consts, w=w, z_coeff=z_coeff,
-            den=den)
-        self.Cn, self.D, self.P, self.U = C * n, D, P, U
-        self.p_lane = C * n + R    # where the p lanes start
-        # the moved coordinates: the x, z and p lanes, in that order; the
-        # starts of each component's x, z and p, and of x, z and p
-        self.moved = slice(0, C * n + 2 * R)
-        self.groups = np.r_[0:C * n:n, C * n, C * n + R]
-        self.cuts = self.groups[[0, C, C + 1]]
-
-
-def _stack(**groups):
-    """Column groups side by side, and the slice each group occupies."""
-    cols, start = {}, 0
-    for name, arr in groups.items():
-        cols[name] = slice(start, start + arr.shape[1])
-        start += arr.shape[1]
-    return np.concatenate(list(groups.values()), axis=1), cols
-
-
-class _BlockRows:
-    """One partition's blocks for :func:`_fire_blocks`, fired one by one.
-
-    A seed's state is one row ``[x, z, p]``. Row ``b`` of ``idx`` is block
-    ``b``'s lane: a 0 (the start of its seed's row once the row offset is
-    added), then the coordinates the block moves, as in
-    :class:`_BatchTable` but padded by repeating a group's last entry,
-    which changes no maximum. Its ``const`` is the block.
-    """
-
-    def __init__(self, ops: _CompiledOps, table: _BlockTable):
-        self.ops, self.table = ops, table
-        n, dim_x = ops.n, ops.N * ops.n
-        self.z0, self.p0 = dim_x, dim_x + ops.W
-        self.width = dim_x + 2 * ops.W
-        comp_ptr, row_ptr = np.array(table.comp_ptr), np.array(table.row_ptr)
-        ncomp, sizes = np.diff(comp_ptr), np.diff(row_ptr)
-        C, R = int(ncomp.max()), int(sizes.max())
-        comps = np.array(table.comps)[comp_ptr[:-1, None] + np.minimum(
-            np.arange(C), ncomp[:, None] - 1)]
-        rows = table.rows[row_ptr[:-1, None]
-                          + np.minimum(np.arange(R), sizes[:, None] - 1)]
-        x = (comps[:, :, None] * n + np.arange(n)).reshape(ncomp.size, C * n)
-        self.idx = np.concatenate([np.zeros_like(ncomp)[:, None], x,
-                                   self.z0 + rows, self.p0 + rows], axis=1)
-        self.const = np.arange(ncomp.size)[:, None]
-        self.moved = slice(1, None)
-        self.groups = np.r_[0:C * n:n, C * n, C * n + R]
-        self.cuts = self.groups[[0, C, C + 1]]
-
-
-# padded lanes a batch table may hold; beyond it (a hub component in many
-# blocks pads every block to its degree) the blocks fire one by one
-_BATCH_LANE_LIMIT = 1 << 20
-
-
-def _batch_table(prob, partition):
-    """The table :func:`run_batch` fires the partition's blocks from, built
-    once: a :class:`_BatchTable` when the closed forms of :func:`_fire_lanes`
-    cover every x coordinate (Quadratic, AbsDev and L1 terms, each with a
-    coupling row) and its padding stays under ``_BATCH_LANE_LIMIT`` lanes,
-    else a :class:`_BlockRows` for :func:`_fire_blocks`."""
-    table = _block_table(prob, partition)
-    if getattr(table, "batch", None) is None:
-        ops = _ops(prob)
-        ncomp = np.diff(table.comp_ptr)
-        lanes = ncomp.size * int(ncomp.max()) * ops.n * int(ops.counts.max())
-        if (ops.groups.other or not np.all(ops.quad > 0)
-                or lanes > _BATCH_LANE_LIMIT):
-            table.batch = _BlockRows(ops, table)
-        else:
-            table.batch = _BatchTable(ops, table)
-    return table.batch
-
-
-def _fire_blocks(bt: _BlockRows, beta, flat, acc_flat, since_flat, idx,
-                 const, k):
-    """Fire each lane's block through :func:`_apply_block`, in lane order.
-
-    The arguments and result of :func:`_fire_lanes`: lane ``l`` fires
-    block ``const[l, 0]`` on the state row starting at ``idx[l, 0]`` at
-    iteration ``k`` (or ``k[l, 0]``), just after the lazy ergodic sums of
-    the block's moved coordinates. No lane moves what another moves, so
-    the sums are taken for every lane first. ``beta`` is the one
-    ``bt.ops`` holds.
-    """
-    width, z0, p0 = bt.width, bt.z0, bt.p0
-    mv = idx[:, bt.moved]
-    acc_flat[mv] += (k - since_flat[mv]) * flat[mv]
-    since_flat[mv] = k
-    for start, b in zip(idx[:, 0].tolist(), const[:, 0].tolist()):
-        row = flat[start:start + width]
-        _apply_block(bt.ops, bt.table.block(b), row[:z0], row[z0:p0],
-                     row[p0:])
-    return np.maximum.reduceat(np.abs(flat[mv]), bt.cuts, axis=1)
-
-
-def _fire_lanes(bt: _BatchTable, beta, flat, acc_flat, since_flat, idx,
-                const, k):
-    """Fire one block per lane on the flat batch state, in place.
-
-    Lane ``l`` is row ``l`` of ``idx`` (a block's lanes of
-    :class:`_BatchTable` as flat ``row * width + index`` indices, so it
-    names a state row and a block) and of ``const`` (the block's
-    constants), at iteration ``k``: one number for every lane, or a
-    column with one per lane. Every lane reads before any lane writes, so
-    no lane may write what another reads: the seeds of one lockstep
-    iteration, or one wave of a seed (:func:`_wave_ends`). The x closed
-    forms, the z fit and the dual step are the floating-point operations
-    of :func:`_apply_block` in its order. Returns each lane's max |x|,
-    |z|, |p| over its block.
-    """
-    Cn, P = bt.Cn, bt.P
+    Cn, P, beta = bt.Cn, bt.P, bt.beta
     ic, cc = bt.icol, bt.ccol
-    # lazy ergodic sums of the coordinates about to move
+    const = bt.const[blocks]
     mv = idx[:, bt.moved]
     old = flat[mv]
-    acc_flat[mv] += (k - since_flat[mv]) * old
-    since_flat[mv] = k
-    # x: closed-form solve of each lane against the current z, p
-    g = const[:, cc["coeff"]] * (flat[idx[:, ic["tilt_p"]]] - beta * (
-        const[:, cc["h"]] * flat[idx[:, ic["tilt_z"]]]))
-    lin = _row_sums(g.reshape(len(idx), Cn, bt.D))[..., 0]
-    q, lo, hi = const[:, cc["quad"]], const[:, cc["lo"]], const[:, cc["hi"]]
-    if bt.has_quad:
-        u = quadratic_prox(const[:, cc["w2"]], const[:, cc["w2c"]], q, lin,
-                           lo, hi)
-    if bt.has_kink:
-        uk = kink_prox(const[:, cc["a"]], const[:, cc["kink"]], q, lin, lo,
-                       hi)
-        u = np.where(const[:, cc["is_quad"]] > 0, u, uk) if bt.has_quad \
-            else uk
+    if sums is not None:
+        acc_flat, since_flat, k = sums
+        acc_flat[mv] += (k - since_flat[mv]) * old
+        since_flat[mv] = k
+    # x: each lane's tilt against the current z, p, then its solve
+    if bt.D is None:
+        rows, coeff, h, D = bt.tilt(blocks)
+        rows += idx[:, ic["row"]]
+        tilt_z, tilt_p = rows + bt.z0, rows + bt.p0
+    else:
+        coeff, h, D = const[:, cc["coeff"]], const[:, cc["h"]], bt.D
+        tilt_z, tilt_p = idx[:, ic["tilt_z"]], idx[:, ic["tilt_p"]]
+    g = coeff * (flat[tilt_p] - beta * (h * flat[tilt_z]))
+    lin = _row_sums(g.reshape(len(idx), Cn, D))[..., 0]
+    u = bt.prox.solve(lin, (
+        [None if c is None else const[:, c] for c in bt.closed],
+        const[:, cc["is_quad"]] > 0 if "is_quad" in cc else None,
+        None if bt.serial_at is None else bt.serial_at[blocks]))
     new = np.empty_like(old)
     new[:, :Cn] = u
     flat[mv[:, :Cn]] = u
@@ -873,14 +824,16 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     """Run every seed in lockstep; element s is the run of ``seeds[s]``.
 
     All seeds share one ``(S, width)`` state laid out by the partition's
-    table (:func:`_batch_table`). Each kernel call fires lanes, each a
-    (seed, block, iteration) triple: with several seeds, one lane per
-    seed per iteration, each seed drawing from its own SplitMix64 stream;
-    with one seed, one wave of commuting draws (:func:`_wave_ends`); with
-    the shadow probe, one iteration, between one shadow pass of every
-    seed's row (:func:`shadow_step`) and one check of every seed's step
-    against it (:func:`_tally_shadow`). Every field of each seed's metrics
-    equals that of ``T`` chained :func:`step` calls bit for bit.
+    table (:func:`_block_table`), and every block update is one call of
+    the block kernel (:func:`_fire_lanes`), whatever the terms and the
+    partition. Each call fires lanes, each a (seed, block, iteration)
+    triple: with several seeds, one lane per seed per iteration, each seed
+    drawing from its own SplitMix64 stream; with one seed, one wave of
+    commuting draws (:func:`_wave_ends`); with the shadow probe, one
+    iteration, between one shadow pass of every seed's row
+    (:func:`shadow_step`) and one check of every seed's step against it
+    (:func:`_tally_shadow`). Every field of each seed's metrics equals
+    that of ``T`` chained :func:`step` calls bit for bit.
 
     When a seed diverges, the :class:`DivergenceError` names the first
     seed in ``seeds`` order that diverges, at its first failing step.
@@ -895,9 +848,7 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    table = _block_table(prob, partition)
-    bt = _batch_table(prob, partition)
-    fire = _fire_lanes if isinstance(bt, _BatchTable) else _fire_blocks
+    bt = _block_table(prob, partition)
     S = len(seeds)
     start = initial_state(prob, x0, z0)
     maxima = [float(np.max(np.abs(v), initial=0.0))
@@ -907,14 +858,10 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
                               f"z {maxima[1]:.3e}) exceeds the divergence "
                               "guard")
     dim_x, W = prob.dim_x, prob.dim_z
-    beta = prob.beta
     state = np.zeros((S, bt.width))
-    state[:, :dim_x] = start.x
-    state[:, bt.z0:bt.z0 + W] = start.z
-    # each seed's x, z and p, as rows of views into the state
-    xs = state[:, :dim_x]
-    zs = state[:, bt.z0:bt.z0 + W]
-    ps = state[:, bt.p0:bt.p0 + W]
+    # each seed's x, z and p, as rows of views into the state (p starts 0)
+    xs, zs, ps = bt.views(state)
+    xs[...], zs[...] = start.x, start.z
     flat = state.reshape(-1)
     acc = np.zeros_like(state)
     acc_flat = acc.reshape(-1)
@@ -928,6 +875,7 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     if probes.shadow:
         # each seed's shadow pass, laid out as its state row
         target = np.zeros_like(state)
+        shadow_rows = bt.views(target)
 
     base = (np.arange(S) * bt.width)[:, None]
     rngs = [RngStream(seed) for seed in seeds]
@@ -936,7 +884,7 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     while k < T and 0 not in failures:
         chunk = min(per_chunk, T - k)
         blocks = blocks_for(dist, draw_uniforms(rngs, chunk))
-        ends = (_wave_ends(table, blocks[:, 0].tolist(), k, stride, T)
+        ends = (_wave_ends(bt, blocks[:, 0].tolist(), k, stride, T)
                 if S == 1 and not probes.shadow else range(1, chunk + 1))
         lo = 0
         for hi in ends:
@@ -951,11 +899,10 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
                 before = state.copy()
                 sh = shadow_step(prob, PrimalDualState(x=xs, z=zs, p=ps,
                                                        k=k + lo))
-                target[:, :dim_x] = sh.y
-                target[:, bt.z0:bt.z0 + W] = sh.v
-                target[:, bt.p0:bt.p0 + W] = sh.mu
-            hot = fire(bt, beta, flat, acc_flat, since_flat, idx,
-                       bt.const[lanes], k_lanes)
+                for view, part in zip(shadow_rows, (sh.y, sh.v, sh.mu)):
+                    view[...] = part
+            hot = _fire_lanes(bt, flat, idx, lanes,
+                              (acc_flat, since_flat, k_lanes))
             if probes.shadow:
                 _tally_shadow(bt, idx, before, state, target, tally)
             if not np.all(hot <= DIVERGENCE_LIMIT):

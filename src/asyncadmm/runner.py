@@ -184,6 +184,9 @@ def run_experiment(config: ExperimentConfig,
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except ValidationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except AsyncAdmmError as exc:
         print(f"divergence: run aborted: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

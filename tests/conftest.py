@@ -31,3 +31,16 @@ def random_state_for(prob, rng, scale=3.0):
     z = prob.z_set.project(rng.normal(size=prob.dim_z) * scale)
     p = rng.normal(size=prob.dim_z) * scale
     return PrimalDualState(x=x, z=z, p=p, k=0)
+
+
+def kernel_block(prob, part, st, b):
+    """The engine's update of block ``b`` from ``st``: one lane of the block
+    kernel on a one-row copy, as ``step`` fires the block it draws."""
+    from asyncadmm import PrimalDualState
+    from asyncadmm.engine import _block_table, _fire_lanes
+    bt = _block_table(prob, part)
+    row = bt.layout(st.x, st.z, st.p)
+    lane = np.s_[b:b + 1]
+    _fire_lanes(bt, row, bt.idx[lane], lane)
+    x, z, p = bt.views(row)
+    return PrimalDualState(x=x, z=z, p=p, k=st.k + 1)

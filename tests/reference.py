@@ -1,8 +1,9 @@
 """The plain references the run loop and the set-up are checked against,
 bit for bit.
 
-``reference_run`` is ``T`` chained :func:`asyncadmm.step` calls (each
-works on a copy of the state), recorded one point at a time by
+``reference_run`` is ``T`` chained block updates (``fire_block``, each
+on a copy of the state, of the block :func:`asyncadmm.sample_block`
+draws), recorded one point at a time by
 ``PlainRecorder``: the 1-D arithmetic the engine's stacked recorder must
 match bit for bit (the objective by kind through ``np.dot`` and
 ``.sum()``, ``np.linalg.norm`` of the residual, the ``np.dot`` Lyapunov
@@ -15,7 +16,10 @@ means agree bit for bit, not only to rounding. The shadow pass
 (``plain_shadow``: one ``solve_component`` call per component and the
 1-D z fit) and the shadow and freeze checks (``plain_tally``: one seed,
 one group at a time) are computed here, independently of the engine's
-stacked pass and tally.
+stacked pass and tally. ``fire_block`` is the block update one
+component and one z fit at a time, with its own copy of the arithmetic
+the engine's lane kernel must match, and ``reference_drift`` the
+Lyapunov drift as one such update per block.
 
 The ``reference_*`` set-up functions are the per-row and per-block
 loops that built graphs, constraint systems, z pairs, partitions and
@@ -25,9 +29,9 @@ activation probabilities before those became array passes.
 import numpy as np
 
 from asyncadmm import (PrimalDualState, ProbeFlags, Quadratic, RngStream,
-                       RunMetrics, initial_state, step)
-from asyncadmm.engine import (SHADOW_TOL, _apply_block, _block_table,
-                              _guard_message, _ops)
+                       RunMetrics, initial_state, sample_block)
+from asyncadmm.diagnostics import lyapunov
+from asyncadmm.engine import SHADOW_TOL, _guard_message, _ops
 from asyncadmm.problem import term_groups
 from asyncadmm.prox import solve_z_prepared
 from asyncadmm.terms import term_value
@@ -133,13 +137,38 @@ class PlainRecorder:
 
 
 def fire_block(prob, part, st, b):
-    """The kernel's step of block ``b`` from ``st``, on a copy, as
-    :func:`asyncadmm.step` applies it to the block it samples."""
-    after = PrimalDualState(x=st.x.copy(), z=st.z.copy(), p=st.p.copy(),
-                            k=st.k + 1)
-    _apply_block(_ops(prob), _block_table(prob, part).block(b), after.x,
-                 after.z, after.p)
-    return after
+    """Block ``b``'s update from ``st``, on a copy: each of its components
+    solved in turn against the current p and z, then the z fit of its rows
+    (with their z pairs, in z-set order) against the new x, then the dual
+    step of its rows."""
+    ops = _ops(prob)
+    n, beta = ops.n, ops.beta
+    x, z, p = st.x.copy(), st.z.copy(), st.p.copy()
+    for i in part.component_map[b].tolist():
+        x[i * n:(i + 1) * n] = ops.solve_component(i, p, z)
+    rows = np.asarray(part.blocks[b], dtype=np.intp)
+    local = {r: a for a, r in enumerate(rows.tolist())}
+    pairs = np.array([(local[i], local[j]) for i, j in zip(
+        ops.pair_i.tolist(), ops.pair_j.tolist()) if i in local],
+        dtype=np.intp).reshape(-1, 2)
+    w, coeff, col = ops.h[rows], ops.coeff[rows], ops.col[rows]
+    t = p[rows] / beta - coeff * x[col]
+    z_rows = solve_z_prepared(w, t, pairs[:, 0], pairs[:, 1])
+    z[rows] = z_rows
+    p[rows] -= beta * (coeff * x[col] + w * z_rows)
+    return PrimalDualState(x=x, z=z, p=p, k=st.k + 1)
+
+
+def reference_drift(prob, st, part, dist, ref, wn):
+    """The Lyapunov drift from ``st``: every block's update on its own
+    copy, one at a time, its 1-D Lyapunov value weighted by the block's
+    probability."""
+    v_now = lyapunov(prob, st, ref, wn)
+    expected = 0.0
+    for b, prob_b in enumerate(dist.block_probs):
+        expected += float(prob_b) * lyapunov(
+            prob, fire_block(prob, part, st, b), ref, wn)
+    return expected - v_now
 
 
 def moved_groups(prob, part, b):
@@ -210,9 +239,9 @@ def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
     groups = [moved_groups(prob, part, b) for b in range(len(part.blocks))]
     rng = RngStream(seed)
     for k in range(1, T + 1):
-        out = step(prob, st, part, dist, rng)
-        b = out.block
-        before, after = stacked(out.before), stacked(out.after)
+        b = sample_block(dist, rng)
+        nxt = fire_block(prob, part, st, b)
+        before, after = stacked(st), stacked(nxt)
         idx = np.concatenate(groups[b])
         acc[idx] += (k - since[idx]) * before[idx]
         since[idx] = k
@@ -229,7 +258,7 @@ def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
         x_max, z_max, p_max = (x_hot if x_hot > x_max else x_max,
                                z_hot if z_hot > z_max else z_max,
                                p_hot if p_hot > p_max else p_max)
-        st = out.after
+        st = nxt
         if k % stride and k != T:
             continue
         if probes.ergodic or k == T:

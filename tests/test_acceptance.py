@@ -23,9 +23,8 @@ from asyncadmm.diagnostics import lyapunov_drift
 from asyncadmm.prox import LocalSubproblem
 from asyncadmm.terms import Free, L1
 
-from conftest import random_state_for
+from conftest import kernel_block, random_state_for
 from oracles import scalar_subgrad_bisect
-from reference import fire_block
 
 
 def _report(num, name, ok, detail):
@@ -201,7 +200,7 @@ def test_criterion_6_closed_form_edge_step(five_cycle_quadratic):
         st = random_state_for(prob, rng)
         e = int(rng.integers(0, bench.reform.graph.num_edges))
         got = edge_step(bench.reform, st, e)
-        want = fire_block(prob, part, st, e)
+        want = kernel_block(prob, part, st, e)
         worst = max(worst, float(np.max(np.abs(got.x - want.x))),
                     float(np.max(np.abs(got.z - want.z))),
                     float(np.max(np.abs(got.p - want.p))))

@@ -169,7 +169,8 @@ def custom_cycle():
 
 @pytest.mark.parametrize("seeds", [[3], [0, 1, 2]],
                          ids=["one-seed", "three-seeds"])
-def test_custom_terms_fire_block_by_block(seeds):
+def test_custom_terms_take_the_serial_lanes(seeds):
+    # the Custom component's x lanes are solved one by one in the kernel
     reform = custom_cycle()
     prob, part = reform.problem, reform.partition
     rng = np.random.default_rng(4)
@@ -177,12 +178,14 @@ def test_custom_terms_fire_block_by_block(seeds):
                 probes=ProbeFlags(shadow=True, lyapunov=True, ergodic=True),
                 ref=random_reference(prob, rng),
                 x0=rng.uniform(-3.0, 3.0, prob.dim_x))
-    assert isinstance(engine._batch_table(prob, part), engine._BlockRows)
+    table = engine._block_table(prob, part)
+    assert (table.serial_at == 0).sum() == 2    # two blocks hold component 0
 
 
 @pytest.mark.parametrize("seeds", [[7], [0, 1, 2]],
                          ids=["one-seed", "three-seeds"])
-def test_tables_over_the_lane_limit_fire_block_by_block(monkeypatch, seeds):
+def test_tables_over_the_lane_limit_gather_tilts_per_call(monkeypatch,
+                                                          seeds):
     def cycle4():
         bench = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
                                    Graph.cycle(4))
@@ -190,7 +193,8 @@ def test_tables_over_the_lane_limit_fire_block_by_block(monkeypatch, seeds):
 
     # 4 blocks x 2 components x 2 rows each = 16 padded tilt lanes
     monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", 16)
-    assert isinstance(engine._batch_table(*cycle4()), engine._BatchTable)
+    table = engine._block_table(*cycle4())
+    assert table.D == 2 and "tilt_p" in table.icol
     monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", 15)
     prob, part = cycle4()
     rng = np.random.default_rng(6)
@@ -198,7 +202,8 @@ def test_tables_over_the_lane_limit_fire_block_by_block(monkeypatch, seeds):
                 probes=ProbeFlags(ergodic=True, lyapunov=True),
                 ref=random_reference(prob, rng),
                 x0=rng.uniform(-4.0, 4.0, prob.dim_x))
-    assert isinstance(engine._batch_table(prob, part), engine._BlockRows)
+    table = engine._block_table(prob, part)
+    assert table.D is None and "tilt_p" not in table.icol
 
 
 def cycle_config(tmp_path, out, seeds, nodes=5, T=120,

@@ -497,6 +497,36 @@ class TestMalformedInput:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def run_huge_T(self, tmp_path, capsys, T):
+        write_cycle_graph(tmp_path / "g.txt", n=3)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({
+            "problem": {"benchmark": {"name": "consensus-quadratic",
+                                      "graph": "g.txt"}},
+            "T": T, "stride": 1, "out": "out"}))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: T = {T} with stride 1 records {T} points per "
+            "seed, more than memory holds: raise stride or lower T\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_T_exits_2(self, tmp_path, capsys):
+        # numpy refuses to size the record array, so nothing is allocated
+        self.run_huge_T(tmp_path, capsys, 10 ** 18)
+
+    def test_T_past_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # T = 10**11 asks for 4.37 TiB of records; the failed allocation is
+        # simulated, so that no test asks for that much memory
+        full = np.full
+
+        def failing_full(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) >= 6e11:
+                raise MemoryError("Unable to allocate 4.37 TiB")
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", failing_full)
+        self.run_huge_T(tmp_path, capsys, 10 ** 11)
+
     BAD_BENCHMARK = [
         ("a", "xy"), ("a", [1.0, "x", 3.0]), ("a", [1.0, float("nan"), 3.0]),
         ("w", 3), ("b", [True, 1.0]), ("pi", "1"), ("pi", None),

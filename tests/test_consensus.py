@@ -10,9 +10,8 @@ from asyncadmm import (AbsDev, Custom, Free, Graph, L1, PrimalDualState,
 from asyncadmm.errors import (DisconnectedGraph, InvalidProblem, ParseError,
                               UnsupportedMix)
 
-from conftest import random_state_for
+from conftest import kernel_block, random_state_for
 from oracles import scalar_subgrad_bisect
-from reference import fire_block
 
 
 def quad_reform(graph, a, beta=1.0, flip=()):
@@ -112,7 +111,7 @@ class TestEdgeStep:
                 st = random_state_for(prob, rng)
                 e = int(rng.integers(0, g.num_edges))
                 got = edge_step(reform, st, e)
-                want = fire_block(prob, part, st, e)
+                want = kernel_block(prob, part, st, e)
                 worst = max(worst, float(np.max(np.abs(got.x - want.x))),
                             float(np.max(np.abs(got.z - want.z))),
                             float(np.max(np.abs(got.p - want.p))))

@@ -16,9 +16,9 @@ from asyncadmm.engine import _block_table
 from asyncadmm.errors import (DivergenceError, ImproperPartition,
                               MissingReference)
 
-from conftest import random_state_for
+from conftest import kernel_block, random_state_for
 from oracles import grid_min_free
-from reference import assert_same_run, fire_block, reference_run
+from reference import assert_same_run, reference_run
 
 
 def cycle_bench(n_nodes=4, beta=1.0):
@@ -43,7 +43,7 @@ class TestXUpdate:
         # minimize (x-3)^2 + (beta/2) x^2 at p=0, z=0: 2(x-3) + x = 0
         prob = one_agent_problem()
         part = single_block_partition(prob.constraints)
-        x = fire_block(prob, part, initial_state(prob), 0).x
+        x = kernel_block(prob, part, initial_state(prob), 0).x
         np.testing.assert_allclose(x, [2.0])
 
     def test_empty_active_set_is_identity(self):
@@ -52,7 +52,7 @@ class TestXUpdate:
         prob, part = reform.problem, reform.partition
         st = random_state_for(prob, np.random.default_rng(0))
         for b in range(len(part.blocks)):
-            x = fire_block(prob, part, st, b).x
+            x = kernel_block(prob, part, st, b).x
             inactive = np.setdiff1d(np.arange(prob.dim_x),
                                     part.component_map[b])
             np.testing.assert_array_equal(x[inactive], st.x[inactive])
@@ -63,10 +63,10 @@ class TestXUpdate:
         reform = cycle_bench(3)
         prob, part = reform.problem, reform.partition
         st = random_state_for(prob, np.random.default_rng(1))
-        full = fire_block(prob, single_block_partition(prob.constraints),
-                          st, 0)
+        full = kernel_block(prob, single_block_partition(prob.constraints),
+                            st, 0)
         for b in range(len(part.blocks)):
-            alone = fire_block(prob, part, st, b)
+            alone = kernel_block(prob, part, st, b)
             for i in part.component_map[b]:
                 assert full.x[i] == alone.x[i]
 
@@ -78,8 +78,8 @@ class TestZUpdate:
         prob = two_row_problem
         rng = np.random.default_rng(2)
         st = random_state_for(prob, rng)
-        after = fire_block(prob, single_block_partition(prob.constraints),
-                           st, 0)
+        after = kernel_block(prob, single_block_partition(prob.constraints),
+                             st, 0)
         cs = prob.constraints
         t = st.p / prob.beta - cs.row_coeff * after.x[cs.col_index]
         oracle = grid_min_free(cs.h_diag, t)
@@ -91,7 +91,7 @@ class TestZUpdate:
         prob, part = reform.problem, reform.partition
         st = random_state_for(prob, np.random.default_rng(3))
         for b, rows in enumerate(part.blocks):
-            after = fire_block(prob, part, st, b)
+            after = kernel_block(prob, part, st, b)
             inactive = np.setdiff1d(np.arange(prob.dim_z), rows)
             np.testing.assert_array_equal(after.z[inactive], st.z[inactive])
             np.testing.assert_array_equal(after.p[inactive], st.p[inactive])
@@ -116,7 +116,7 @@ class TestZUpdate:
         prob = reform.problem
         rng = np.random.default_rng(4)
         st = random_state_for(prob, rng)
-        z = fire_block(prob, reform.partition, st, 0).z
+        z = kernel_block(prob, reform.partition, st, 0).z
         rows = reform.partition.blocks[0]
         assert abs(z[rows[0]] + z[rows[1]]) <= 1e-12
 
@@ -131,7 +131,7 @@ class TestDualUpdate:
         ref = solve_reference(prob)
         st = PrimalDualState(x=ref.x.copy(), z=ref.z.copy(), p=ref.p.copy())
         for b in range(len(part.blocks)):
-            p = fire_block(prob, part, st, b).p
+            p = kernel_block(prob, part, st, b).p
             np.testing.assert_allclose(p, st.p, rtol=0, atol=1e-9)
 
     def test_direct_substitution(self):
@@ -139,8 +139,8 @@ class TestDualUpdate:
         # = 1; the residual x - z = 1 moves p to 2 - 2 * 1 = 0
         prob = one_agent_problem(beta=2.0)
         st = PrimalDualState(x=np.zeros(1), z=np.zeros(1), p=np.array([2.0]))
-        after = fire_block(prob, single_block_partition(prob.constraints),
-                           st, 0)
+        after = kernel_block(prob, single_block_partition(prob.constraints),
+                             st, 0)
         np.testing.assert_allclose(after.x, [2.0])
         np.testing.assert_allclose(after.z, [1.0])
         np.testing.assert_allclose(after.p, [0.0], atol=1e-15)
@@ -149,8 +149,8 @@ class TestDualUpdate:
         prob = two_row_problem
         rng = np.random.default_rng(5)
         st = random_state_for(prob, rng)
-        after = fire_block(prob, single_block_partition(prob.constraints),
-                           st, 0)
+        after = kernel_block(prob, single_block_partition(prob.constraints),
+                             st, 0)
         expect = st.p - prob.beta * residual(prob, after.x, after.z)
         np.testing.assert_allclose(after.p, expect, atol=1e-15)
 
@@ -480,18 +480,18 @@ class TestFastPath:
                                                                  rel=1e-9)
 
     def test_pairs_match_restricted_z_set(self):
-        # the block's z pairs, in z-set order, at their places in the block
+        # the block's z lanes: its z pairs' rows in z-set order, then their
+        # partners, then its other rows, padded with the dummy row W
         reform = cycle_bench(50)
         prob, part = reform.problem, reform.partition
         table = _block_table(prob, part)
+        W, P = prob.dim_z, table.P
         for b, rows in enumerate(part.blocks):
-            _, blk_rows, _, _, _, pair_i, pair_j = table.block(b)
-            np.testing.assert_array_equal(blk_rows, rows)
-            pos = {int(r): a for a, r in enumerate(rows)}
-            local = [(pos[i], pos[j]) for i, j in prob.z_set.pairs
-                     if i in pos]
-            assert pair_i.tolist() == [i for i, _ in local]
-            assert pair_j.tolist() == [j for _, j in local]
+            lanes = table.idx[b, table.icol["z"]] - table.z0
+            pairs = [(i, j) for i, j in prob.z_set.pairs if i in set(rows)]
+            assert lanes[:P].tolist() == [i for i, _ in pairs]
+            assert lanes[P:2 * P].tolist() == [j for _, j in pairs]
+            assert sorted(lanes[lanes < W].tolist()) == rows.tolist()
 
     def test_block_table_cached_per_live_partition(self):
         reform = cycle_bench(5)

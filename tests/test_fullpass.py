@@ -490,16 +490,11 @@ def engine_tally(prob, partition, blocks, befores, afters, shadows):
     ``befores[s]``. Each is laid out in a state row of the run's table,
     as ``run_batch`` lays it out. Returns each seed's counters.
     """
-    bt = engine._batch_table(prob, partition)
-    S, dim_x, W = len(blocks), prob.dim_x, prob.dim_z
+    bt = engine._block_table(prob, partition)
+    S = len(blocks)
 
     def rows(triples):
-        out = np.zeros((S, bt.width))
-        for s, (x, z, p) in enumerate(triples):
-            out[s, :dim_x] = x
-            out[s, bt.z0:bt.z0 + W] = z
-            out[s, bt.p0:bt.p0 + W] = p
-        return out
+        return np.stack([bt.layout(x, z, p) for x, z, p in triples])
 
     idx = bt.idx[np.asarray(blocks)] + (np.arange(S) * bt.width)[:, None]
     tally = np.zeros((S, len(engine._TALLY)), dtype=np.intp)

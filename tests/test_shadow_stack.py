@@ -5,9 +5,10 @@ seed's ``(S, ·)`` rows) and one tally (``engine._tally_shadow``) per
 iteration for all seeds. Each is compared here with the per-seed reference
 of ``tests/reference.py``: its 1-D pass (``plain_shadow``) and its tally
 (``plain_tally``), seed by seed. The pass is compared as bytes, or as the
-first error raised; the tally counter for counter, on both state layouts of
-the run loop: the lane table, and block rows (``Custom`` terms, and a star
-hub past ``engine._BATCH_LANE_LIMIT``).
+first error raised; the tally counter for counter, on lane tables with
+every kind of x lane: closed forms only, one-by-one lanes (``Custom``
+terms, kink coordinates without a coupling row), and a star hub past
+``engine._BATCH_LANE_LIMIT``, whose tilt rows each kernel call gathers.
 """
 
 from functools import lru_cache
@@ -175,8 +176,8 @@ def check_tally(prob, part, rng, S, kind, parked):
 def test_stacked_tally_equals_per_seed(data_seed, S, n, N, z_pairs, kinds,
                                        custom, kind, parked):
     """Quadratic, AbsDev and L1 mixes, with a Custom term or without, so
-    both layouts: the lane table, and block rows where a Custom term or a
-    coordinate without a coupling row is present (with ``n = 2``)."""
+    lane tables with and without one-by-one lanes (a Custom term, or a
+    coordinate without a coupling row with ``n = 2``)."""
     rng = np.random.default_rng(data_seed)
     if custom and n == 1:
         kinds = ["custom"] + kinds
@@ -186,9 +187,8 @@ def test_stacked_tally_equals_per_seed(data_seed, S, n, N, z_pairs, kinds,
 
 @lru_cache(maxsize=None)
 def star_hub():
-    """A star whose padded lane table would pass the lane limit, so the
-    run loop keeps one ``[x, z, p]`` row per seed and fires block by
-    block."""
+    """A star whose padded tilt lanes would pass the lane limit, so its
+    table holds none and each kernel call gathers its own."""
     leaves = int(np.sqrt(engine._BATCH_LANE_LIMIT / 2)) + 1
     rng = np.random.default_rng(11)
     bench = generate_benchmark(
@@ -196,7 +196,8 @@ def star_hub():
                       a=list(rng.uniform(-5.0, 5.0, leaves + 1))),
         Graph.star(leaves + 1))
     prob, part = bench.problem, bench.reform.partition
-    assert isinstance(engine._batch_table(prob, part), engine._BlockRows)
+    table = engine._block_table(prob, part)
+    assert table.D is None and "tilt_p" not in table.icol
     return prob, part
 
 
@@ -211,7 +212,8 @@ def test_stacked_tally_on_a_hub_past_the_lane_limit(data_seed, S, kind,
 
 
 def test_shadow_probed_run_on_a_hub_past_the_lane_limit():
-    """The whole loop, stacked pass and tally included, on block rows."""
+    """The whole loop, stacked pass and tally included, with per-call tilt
+    rows."""
     prob, part = star_hub()
     dist = derive_probabilities(part, uniform_probs(part))
     probes = ProbeFlags(shadow=True, ergodic=True)
