@@ -8,7 +8,7 @@ Library layout:
 - ``scheduler``: proper partitions, activation probabilities, seeded RNG.
 - ``engine``: the asynchronous block kernel and step, full-information
   shadow passes, the synchronous baseline, and the one metric-recording
-  run loop (many seeds in lockstep, one seed in waves).
+  run loop (many seeds in lockstep, one seed by dependency level).
 - ``consensus``: edge-based reformulation of multi-agent consensus and
   the closed-form per-edge step.
 - ``diagnostics``: weighted norms and Lagrangian, Lyapunov values,

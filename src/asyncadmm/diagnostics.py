@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import _block_table, _fire_lanes, sync_admm_step
+from .engine import (_BATCH_LANE_LIMIT, _block_table, _fire_lanes,
+                     sync_admm_step)
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
 from .problem import PrimalDualState, SeparableProblem, initial_state, residual
@@ -138,30 +139,35 @@ def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
                    ref: ReferenceSolution, wn: WeightedNorm) -> float:
     """Exact conditional one-step mean change of the Lyapunov value.
 
-    Fires every block the sampler could draw from this state as one call
-    of the engine's block kernel, each block on its own copy of the state
-    (a ``(B, width)`` stack), takes each row's Lyapunov value (the
-    ``np.vecdot`` form of :func:`lyapunov`, the same bits), weights the
-    values by the block probabilities in block order and subtracts the
-    current value. The supermartingale property says this is never
-    positive.
+    Fires every block the sampler could draw from this state through the
+    engine's block kernel, each block on its own copy of the state, in
+    chunks of rows that hold at most the kernel's lane limit of values
+    (so memory stays bounded however many blocks there are); takes each
+    row's Lyapunov value (the ``np.vecdot`` form of :func:`lyapunov`, the
+    same bits), weights the values by the block probabilities in block
+    order and subtracts the current value. The supermartingale property
+    says this is never positive.
     """
     v_now = lyapunov(prob, state, ref, wn)
     bt = _block_table(prob, partition)
-    B = len(dist.block_probs)
-    stack = np.tile(bt.layout(state.x, state.z, state.p), (B, 1))
-    # block b fires on row b
-    _fire_lanes(bt, stack.reshape(-1),
-                bt.idx + (np.arange(B) * bt.width)[:, None], np.s_[:])
-    _, z, p = bt.views(stack)
+    row = bt.layout(state.x, state.z, state.p)
+    chunk = max(1, _BATCH_LANE_LIMIT // bt.width)
     w, beta = wn.weight_diag, prob.beta
-    dp = p - ref.p
-    hz = prob.constraints.h_diag * (z - ref.z)
-    values = (np.vecdot(dp * w, dp) / (2.0 * beta)
-              + 0.5 * beta * np.vecdot(hz * w, hz))
+    probs = dist.block_probs.tolist()
     expected = 0.0
-    for prob_b, v_b in zip(dist.block_probs.tolist(), values.tolist()):
-        expected += prob_b * v_b
+    for lo in range(0, len(probs), chunk):
+        blocks = np.s_[lo:lo + chunk]
+        stack = np.tile(row, (len(probs[blocks]), 1))
+        # block lo + i fires on row i
+        _fire_lanes(bt, stack.reshape(-1), bt.idx[blocks]
+                    + (np.arange(len(stack)) * bt.width)[:, None], blocks)
+        _, z, p = bt.views(stack)
+        dp = p - ref.p
+        hz = prob.constraints.h_diag * (z - ref.z)
+        values = (np.vecdot(dp * w, dp) / (2.0 * beta)
+                  + 0.5 * beta * np.vecdot(hz * w, hz))
+        for prob_b, v_b in zip(probs[blocks], values.tolist()):
+            expected += prob_b * v_b
     return expected - v_now
 
 

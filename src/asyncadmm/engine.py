@@ -12,8 +12,9 @@ O(size of the problem). There is one block update, the lane kernel
 place, through a per-partition block table that is built once in time
 linear in the number of rows (``_BlockTable``). Every caller fires its
 blocks through it: ``step`` fires one lane on a one-row copy of the
-state, ``diagnostics.lyapunov_drift`` every block on its own copy row,
-and ``run_batch`` the lanes of its seeds. The x lanes are solved by the
+state, ``diagnostics.lyapunov_drift`` every block on its own copy row
+(in chunks of rows under the lane limit), and ``run_batch`` the lanes of
+its seeds. The x lanes are solved by the
 grouped prox (``_GroupedProx``): closed forms for Quadratic, AbsDev and
 L1 coordinates, then one by one, in lane order, for ``Custom`` terms and
 kink coordinates without a coupling row. Each x lane's tilt reads its
@@ -24,13 +25,15 @@ among them.
 
 Run loop: ``run_batch`` is the one loop (``run`` is its one-seed form).
 It fires blocks as lanes on one ``(S, width)`` state: many seeds in
-lockstep, one lane per seed per iteration; one seed in waves of
-consecutive draws that commute (``_wave_ends``). The kernel performs the
-floating-point operations of a component-by-component block update in
-its order, so each seed's metrics equal chained ``step`` calls bit for
-bit. Ergodic sums are kept lazily: per coordinate just before it moves,
-and for every x and z coordinate at a record (the p sums are never
-read).
+lockstep, one lane per seed per iteration; one seed by dependency level
+(``_levels``). Two blocks that share no component commute, so a seed's
+draws between two record points fire one level per call, each draw one
+level above the highest earlier draw it clashes with; clashing draws keep
+their draw order. The kernel performs the floating-point operations of a
+component-by-component block update in its order, so each seed's metrics
+equal chained ``step`` calls bit for bit. Ergodic sums are kept lazily:
+per coordinate just before it moves, and for every x and z coordinate at
+a record (the p sums are never read).
 A record point is one stacked evaluation of every seed's metrics over
 the ``(S, ·)`` rows (``_Recorder``). Its reduction contract: a row of a
 stack reduces to the same bits as the 1-D call on that row, so dot
@@ -60,6 +63,7 @@ solved one by one.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -372,10 +376,8 @@ class _BlockTable:
       (``D is None``), and each kernel call gathers its own lanes' rows,
       padded to the largest count among them.
 
-    ``clash[clash_ptr[b]:clash_ptr[b+1]]`` are the blocks whose z and p
-    rows block ``b`` reads (:func:`_wave_ends`). Building the table takes
-    a few passes over the rows and a few sorts; no object is made per
-    block.
+    Building the table takes a few passes over the rows and a few sorts;
+    no object is made per block.
     """
 
     def __init__(self, ops: _CompiledOps, partition: ProperPartition):
@@ -401,14 +403,6 @@ class _BlockTable:
                                     f"({pair_i[k]},{pair_j[k]})")
         order = np.argsort(blk_i, kind="stable")
         npair = np.bincount(blk_i, minlength=m)
-
-        # clash[b]: the blocks owning a row that one of b's components owns
-        # (b among them, repeats kept), whose z and p b's tilts read
-        comp_rows = np.asarray(ops.comp_ptr)
-        per_comp = np.diff(comp_rows)[comps]
-        seg, pos = _ragged(per_comp)
-        self.clash = owner[ops.rows[comp_rows[comps][seg] + pos]].tolist()
-        self.clash_ptr = _offsets(per_comp)[comp_ptr].tolist()
 
         # components of each block, padded with the dummy component N
         comps_pad = np.full((m, C), N, dtype=np.intp)
@@ -731,11 +725,11 @@ def _fire_lanes(bt: _BlockTable, flat, idx, blocks, sums=None):
     names (``bt.idx[blocks]`` plus the row's offset in ``flat``, as flat
     ``row * width + index`` indices). Every lane reads before any lane
     writes, so no lane may write what another reads: the seeds of one
-    lockstep iteration, one wave of a seed (:func:`_wave_ends`), or each
-    block on its own copy of a state. With ``sums = (acc, since, k)`` the
-    lazy ergodic sums of the coordinates about to move are first brought
-    up to iteration ``k`` (one number for every lane, or a column with
-    one per lane).
+    lockstep iteration, one dependency level of a seed's draws
+    (:func:`_levels`), or each block on its own copy of a state. With
+    ``sums = (acc, since, k)`` the lazy ergodic sums of the coordinates
+    about to move are first brought up to iteration ``k`` (one number for
+    every lane, or a column with one per lane).
 
     Each x lane's tilt sums its component's rows left to right
     (:func:`_row_sums`); :class:`_GroupedProx` solves the lanes, the
@@ -788,33 +782,63 @@ def _fire_lanes(bt: _BlockTable, flat, idx, blocks, sums=None):
     return np.maximum.reduceat(np.abs(new), bt.cuts, axis=1)
 
 
-def _wave_ends(table: _BlockTable, blocks, k: int, stride: int, T: int):
-    """Where the waves of one seed's draws end (exclusive, in ``blocks``).
+def _levels(partition: ProperPartition, draws) -> list:
+    """One seed's draws (block ids, in draw order) grouped by dependency
+    level, each level's positions in draw order.
 
-    ``blocks`` fire at iterations ``k+1, k+2, ...``. A wave is a maximal
-    run of consecutive draws in which no block reads a coordinate that an
-    earlier block of the wave writes. A block writes its components' x and
-    its rows' z and p, and reads the z and p of every row its components
-    own, so it joins the wave unless one of those rows belongs to a block
-    already in it (``table.clash``); such blocks commute, and firing them
-    at once gives the serial result. A wave also ends at every record
-    iteration and at the last draw.
+    Two draws clash when their blocks share a component: a block writes
+    its components' x and its rows' z and p, and reads the z and p of
+    every row its components own, and the owners of its rows are its
+    components. A draw's level is one more than the highest level among
+    the earlier draws it clashes with, or 0 when there is none. The draws
+    of one level share no component, so they commute and fire as one
+    kernel call; levels in increasing order keep every pair of clashing
+    draws in draw order, which gives the serial result bit for bit.
+
+    The earlier draws that touch one component clash with each other, so
+    the latest of them has the highest level: a draw depends only on the
+    latest earlier draw of each of its components, found for every (draw,
+    component) pair by one sort. The levels then follow from one
+    vectorized round per level; a segment with more than one level per 32
+    draws, where those rounds would cost more, takes one pass in draw
+    order instead.
     """
-    clash, ptr = table.clash, table.clash_ptr
-    ends, wave = [], set()
-    record = min(T, (k // stride + 1) * stride)
-    for j, b in enumerate(blocks):
-        if not wave.isdisjoint(clash[ptr[b]:ptr[b + 1]]):
-            ends.append(j)
-            wave.clear()
-        wave.add(b)
-        if k + j + 1 == record:
-            ends.append(j + 1)
-            wave.clear()
-            record = min(T, record + stride)
-    if not ends or ends[-1] != len(blocks):
-        ends.append(len(blocks))
-    return ends
+    L = draws.size
+    first = partition.comp_ptr[draws]
+    count = partition.comp_ptr[draws + 1] - first
+    draw, pos = _ragged(count)
+    comp = partition.comps[first[draw] + pos]
+    # each pair's predecessor: the latest earlier draw of its component,
+    # or L (whose level is -1) when there is none
+    order = np.argsort(comp * L + draw)
+    c, d = comp[order], draw[order]
+    pred = np.empty_like(draw)
+    pred[order] = np.where(np.r_[False, c[1:] == c[:-1]], np.r_[L, d[:-1]],
+                           L)
+    level = np.zeros(L + 1, dtype=np.intp)
+    level[L] = -1
+    ptr = _offsets(count)
+    # after round r each draw's level is min(its level, r), so the rounds
+    # end at the first r that no draw reaches. Draw j's pairs are raised
+    # by j (L + 1), above every earlier draw's, so a running maximum ends
+    # each draw's pairs at their own maximum.
+    off, last = draw * (L + 1), ptr[1:] - 1
+    sub = np.arange(L) * (L + 1) - 1
+    for r in range(1, L // 32 + 1):
+        run = np.maximum.accumulate(level[pred] + off)
+        np.subtract(run[last], sub, out=level[:L])
+        if level[:L].max() < r:
+            break
+    else:
+        # every predecessor is an earlier draw
+        lev, pred, ptr = level.tolist(), pred.tolist(), ptr.tolist()
+        for j in range(L):
+            lev[j] = max(map(lev.__getitem__, pred[ptr[j]:ptr[j + 1]])) + 1
+        level = np.array(lev)
+    level = level[:L]
+    order = np.argsort(level, kind="stable")
+    ends = np.cumsum(np.bincount(level)).tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def run_batch(prob: SeparableProblem, partition: ProperPartition,
@@ -828,15 +852,21 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     the block kernel (:func:`_fire_lanes`), whatever the terms and the
     partition. Each call fires lanes, each a (seed, block, iteration)
     triple: with several seeds, one lane per seed per iteration, each seed
-    drawing from its own SplitMix64 stream; with one seed, one wave of
-    commuting draws (:func:`_wave_ends`); with the shadow probe, one
-    iteration, between one shadow pass of every seed's row
-    (:func:`shadow_step`) and one check of every seed's step against it
-    (:func:`_tally_shadow`). Every field of each seed's metrics equals
-    that of ``T`` chained :func:`step` calls bit for bit.
+    drawing from its own SplitMix64 stream; with one seed, one dependency
+    level of its draws between two record points (:func:`_levels`), each
+    lane at its own iteration; with the shadow probe, one iteration,
+    between one shadow pass of every seed's row (:func:`shadow_step`) and
+    one check of every seed's step against it (:func:`_tally_shadow`).
+    Every field of each seed's metrics equals that of ``T`` chained
+    :func:`step` calls bit for bit.
 
     When a seed diverges, the :class:`DivergenceError` names the first
-    seed in ``seeds`` order that diverges, at its first failing step.
+    seed in ``seeds`` order that diverges, at its first failing step. A
+    lone seed's levels after a failure fire only the draws before it, so
+    the failure reported is the one with the smallest iteration, which a
+    serial run meets first; when a level raises an error, the rest of its
+    segment fires one draw at a time, so the error raised is the serial
+    run's first error too.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -880,37 +910,62 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     base = (np.arange(S) * bt.width)[:, None]
     rngs = [RngStream(seed) for seed in seeds]
     per_chunk = max(1, _DRAW_CHUNK // S)
+    # a lone seed fires its draws between record points by level
+    by_level = S == 1 and not probes.shadow
     k = 0
     while k < T and 0 not in failures:
         chunk = min(per_chunk, T - k)
         blocks = blocks_for(dist, draw_uniforms(rngs, chunk))
-        ends = (_wave_ends(bt, blocks[:, 0].tolist(), k, stride, T)
-                if S == 1 and not probes.shadow else range(1, chunk + 1))
+        ends = ([*range((k // stride + 1) * stride - k, chunk, stride), chunk]
+                if by_level else range(1, chunk + 1))
         lo = 0
         for hi in ends:
-            # draws lo..hi-1 of every seed, one lane each, in draw order
-            lanes = blocks[lo:hi].reshape(-1)
-            idx = bt.idx[lanes]
-            if S > 1:
-                idx += base
-            k_lanes = k + hi if hi - lo == 1 else \
-                np.arange(k + lo + 1, k + hi + 1)[:, None]
-            if probes.shadow:
-                before = state.copy()
-                sh = shadow_step(prob, PrimalDualState(x=xs, z=zs, p=ps,
-                                                       k=k + lo))
-                for view, part in zip(shadow_rows, (sh.y, sh.v, sh.mu)):
-                    view[...] = part
-            hot = _fire_lanes(bt, flat, idx, lanes,
-                              (acc_flat, since_flat, k_lanes))
-            if probes.shadow:
-                _tally_shadow(bt, idx, before, state, target, tally)
-            if not np.all(hot <= DIVERGENCE_LIMIT):
-                _batch_failures(hot, k + lo, seeds, lanes, failures, state)
+            # draws lo..hi-1: one call for one draw (a lane per seed), else
+            # one call per dependency level of the seed's draws
+            lone = ordered = hi - lo == 1
+            plan = deque([np.s_[lo:hi]] if lone else
+                         [lo + d for d in _levels(partition,
+                                                  blocks[lo:hi, 0])])
+            while plan:
+                draws = plan.popleft()
                 if 0 in failures:
-                    break
-            # one seed's lanes are its draws: fold them into its maxima
-            np.maximum(maxima, hot if S > 1 else hot.max(axis=0), out=maxima)
+                    # a lone seed failed: only its earlier draws still count
+                    draws = draws[draws < failures[0][0] - k - 1]
+                    if not draws.size:
+                        continue
+                lanes = blocks[draws].reshape(-1)
+                idx = bt.idx[lanes]
+                if S > 1:
+                    idx += base
+                k_lanes = k + hi if lone else (k + 1 + draws)[:, None]
+                if probes.shadow:
+                    before = state.copy()
+                    sh = shadow_step(prob, PrimalDualState(x=xs, z=zs, p=ps,
+                                                           k=k + lo))
+                    for view, part in zip(shadow_rows, (sh.y, sh.v, sh.mu)):
+                        view[...] = part
+                try:
+                    hot = _fire_lanes(bt, flat, idx, lanes,
+                                      (acc_flat, since_flat, k_lanes))
+                except Exception:
+                    if ordered:
+                        raise
+                    # the first error in draw order may lie in a later
+                    # level: fire the rest one draw at a time, in draw order
+                    plan = deque(np.sort(np.concatenate([draws, *plan]))
+                                 [:, None])
+                    ordered = True
+                    continue
+                if probes.shadow:
+                    _tally_shadow(bt, idx, before, state, target, tally)
+                if not np.all(hot <= DIVERGENCE_LIMIT):
+                    _batch_failures(hot, k + 1 + np.arange(chunk)[draws],
+                                    seeds, lanes, failures, state)
+                # one seed's lanes are its draws: fold them into its maxima
+                np.maximum(maxima, hot if S > 1 else hot.max(axis=0),
+                           out=maxima)
+            if 0 in failures:
+                break
             lo = hi
             it = k + hi
             if it % stride and it != T:
@@ -924,7 +979,7 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
                     acc[:, bt.z0:bt.z0 + W])
         k += chunk
     if failures:
-        raise DivergenceError(failures[min(failures)])
+        raise DivergenceError(failures[min(failures)][1])
     return [rec.metrics(s, seed, T, xs[s], zs[s], ps[s], acc[s, :dim_x],
                         acc[s, bt.z0:bt.z0 + W],
                         {"steps": T, **dict(zip(_TALLY, tally[s].tolist()))},
@@ -932,23 +987,27 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
             for s, seed in enumerate(seeds)]
 
 
-def _batch_failures(hot, k, seeds, lanes, failures, state):
-    """Note each seed's first guard failure and park its state at zero.
+def _batch_failures(hot, iters, seeds, lanes, failures, state):
+    """Note each seed's earliest guard failure, as ``(iteration, message)``.
 
     Lane ``l`` fired block ``lanes[l]`` of seed ``l % S`` at iteration
-    ``k + 1 + l // S``, so a seed's first failing lane is its earliest
-    failure. Only the first diverging seed in ``seeds`` order is
-    reported, so the others keep running until they finish or diverge; a
+    ``iters[l // S]``. A seed keeps its failure with the smallest
+    iteration: a lone seed fires by level, so a later call may fail at an
+    earlier iteration, and its inputs are still the serial ones. Only the
+    first diverging seed in ``seeds`` order is reported, so with several
+    seeds the others keep running until they finish or diverge, and a
     failed seed's state is zeroed so that it produces no further
-    non-finite values.
+    non-finite values. A lone seed's state is left as it is: the rest of
+    its segment still reads it, and its run ends with the segment.
     """
     S = len(seeds)
     for lane in np.flatnonzero(~np.all(hot <= DIVERGENCE_LIMIT, axis=1)):
-        s, draw = int(lane) % S, int(lane) // S
-        if s not in failures:
-            failures[s] = _guard_message(hot[lane], k + 1 + draw, seeds[s],
-                                         int(lanes[lane]))
-        state[s] = 0.0
+        s, it = int(lane) % S, int(iters[int(lane) // S])
+        if s not in failures or it < failures[s][0]:
+            failures[s] = (it, _guard_message(hot[lane], it, seeds[s],
+                                              int(lanes[lane])))
+        if S > 1:
+            state[s] = 0.0
         hot[lane] = 0.0
 
 

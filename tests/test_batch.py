@@ -1,6 +1,7 @@
 """The one run loop (run_batch; run is its one-seed form) against chained
 step() calls (``reference.reference_run``), bit for bit."""
 
+import bisect
 import json
 
 import numpy as np
@@ -19,6 +20,8 @@ from asyncadmm.diagnostics import ReferenceSolution
 from asyncadmm.errors import DivergenceError
 
 from reference import assert_same_run, reference_run
+from test_fullpass import random_problem
+from test_shadow_stack import random_partition
 
 def check_batch(prob, part, seeds, T, stride, probes, ref=None, x0=None,
                 z0=None):
@@ -42,19 +45,22 @@ def random_reference(prob, rng):
 GRAPHS = {"cycle": Graph.cycle, "path": Graph.path, "star": Graph.star}
 
 
-def make_bench(problem, graph, nodes, rng):
+def bench_spec(problem, nodes, rng):
     if problem == "lasso-toy":
         w = rng.uniform(0.5, 2.0, nodes - 1) * rng.choice([-1.0, 1.0],
                                                          nodes - 1)
-        spec = BenchmarkSpec(problem, w=list(w),
+        return BenchmarkSpec(problem, w=list(w),
                              b=list(rng.uniform(-3.0, 3.0, nodes - 1)),
                              pi=float(rng.uniform(0.1, 2.0)))
-    else:
-        # a narrow box around the data so that the lad bounds bind
-        spec = BenchmarkSpec(problem, a=list(rng.uniform(-5.0, 5.0, nodes)),
-                             box_margin=0.05 if problem == "consensus-lad"
-                             else None)
-    return generate_benchmark(spec, GRAPHS[graph](nodes))
+    # a narrow box around the data so that the lad bounds bind
+    return BenchmarkSpec(problem, a=list(rng.uniform(-5.0, 5.0, nodes)),
+                         box_margin=0.05 if problem == "consensus-lad"
+                         else None)
+
+
+def make_bench(problem, graph, nodes, rng):
+    return generate_benchmark(bench_spec(problem, nodes, rng),
+                              GRAPHS[graph](nodes))
 
 
 @settings(max_examples=40, deadline=None,
@@ -261,10 +267,10 @@ def test_run_experiment_shadow_outputs_equal_serial_bytes(tmp_path,
     assert_outputs_equal_serial_bytes(tmp_path, monkeypatch, cfg)
 
 
-def nan_cycle():
-    terms = tuple(Quadratic(np.array([np.nan if i == 2 else float(i)]))
-                  for i in range(5))
-    return build_reformulation(Graph.cycle(5), terms,
+def nan_cycle(nodes=5, bad=(2,)):
+    terms = tuple(Quadratic(np.array([np.nan if i in bad else float(i)]))
+                  for i in range(nodes))
+    return build_reformulation(Graph.cycle(nodes), terms,
                                tuple(Free(1) for _ in terms), 1.0)
 
 
@@ -303,7 +309,11 @@ def test_divergence_names_first_seed_in_config_order(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# One seed: waves of commuting blocks
+# One seed: dependency levels of commuting blocks
+#
+# A lone seed fires its draws between two record points one dependency
+# level per kernel call: a draw's level is one more than the highest level
+# among the earlier draws whose blocks share a component with its own.
 # ---------------------------------------------------------------------------
 
 def merged_partition(prob, part, rng):
@@ -330,6 +340,8 @@ def merged_partition(prob, part, rng):
        lyapunov=st.booleans(), data_seed=st.integers(0, 2 ** 32 - 1))
 def test_one_seed_waves_equal_serial(problem, graph, nodes, blocks, seed, T,
                                      stride, ergodic, lyapunov, data_seed):
+    """One seed fired level by level, on cycles and paths in per-edge and
+    merged blocks, against the serial reference."""
     rng = np.random.default_rng(data_seed)
     bench = make_bench(problem, graph, nodes, rng)
     prob, part = bench.problem, bench.reform.partition
@@ -341,68 +353,255 @@ def test_one_seed_waves_equal_serial(problem, graph, nodes, blocks, seed, T,
                 ref=random_reference(prob, rng), x0=x0)
 
 
-def component_rows(prob, part, b):
-    """The rows owned by block b's components: what its tilts read."""
-    owners = prob.constraints.row_block
-    return set(np.flatnonzero(np.isin(owners, part.component_map[b])).tolist())
+def random_graph(rng, nodes):
+    """A random connected graph: a random tree and up to ``nodes`` more
+    edges."""
+    edges = {(int(rng.integers(i)), i) for i in range(1, nodes)}
+    for _ in range(int(rng.integers(0, nodes + 1))):
+        i, j = sorted(rng.choice(nodes, size=2, replace=False).tolist())
+        edges.add((i, j))
+    return Graph(nodes, sorted(edges))
 
 
-@pytest.mark.parametrize("merged", [False, True])
-def test_waves_are_maximal_conflict_free_runs(merged):
+def outcome(fn):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn()
+    except Exception as exc:  # the error raised first is part of the result
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=st.sampled_from(["consensus-quadratic", "consensus-lad",
+                                "lasso-toy", "nan-quadratic"]),
+       nodes=st.integers(3, 40),
+       seed=st.sampled_from([0, 1, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
+       T=st.integers(1, 1500), stride=st.sampled_from([1, 2, 1500])
+       | st.integers(1, 400), probes=st.booleans(),
+       data_seed=st.integers(0, 2 ** 32 - 1))
+def test_one_seed_levels_equal_serial_on_random_graphs(problem, nodes, seed,
+                                                       T, stride, probes,
+                                                       data_seed):
+    """Random connected graphs in random user partitions (each z pair in
+    one block); ``nan-quadratic`` puts NaN data on one or two nodes, so
+    the run ends in the reference's first error."""
+    rng = np.random.default_rng(data_seed)
+    graph = random_graph(rng, nodes)
+    if problem == "nan-quadratic":
+        bad = rng.choice(nodes, size=min(2, nodes), replace=False)
+        centers = rng.uniform(-5.0, 5.0, nodes)
+        centers[bad[:int(rng.integers(1, bad.size + 1))]] = np.nan
+        terms = tuple(Quadratic(np.array([c])) for c in centers)
+        prob = build_reformulation(graph, terms, tuple(Free(1) for _ in terms),
+                                   1.0).problem
+    else:
+        prob = generate_benchmark(bench_spec(problem, nodes, rng),
+                                  graph).problem
+    part = random_partition(rng, prob)
+    dist = derive_probabilities(part, uniform_probs(part))
+    flags = ProbeFlags(ergodic=True, lyapunov=True) if probes else \
+        ProbeFlags()
+    args = dict(probes=flags, ref=random_reference(prob, rng),
+                x0=rng.uniform(-6.0, 6.0, prob.dim_x), stride=stride)
+    want = outcome(lambda: reference_run(prob, part, dist, seed, T, **args))
+    got = outcome(lambda: run_batch(prob, part, dist, [seed], T, **args)[0])
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_run(got, want)
+
+
+def component_sets(part):
+    return [set(c.tolist()) for c in part.component_map]
+
+
+def cycle200(merged):
     bench = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
                                Graph.cycle(200))
     prob, part = bench.problem, bench.reform.partition
     if merged:
         part = merged_partition(prob, part, np.random.default_rng(3))
+    return prob, part
+
+
+def assert_minimal_levels(part, draws, levels):
+    """Every draw in one level, each level in draw order; no two draws of
+    one level share a component; each draw one level above its highest
+    earlier clashing draw (0 when there is none), so no plan has fewer
+    levels."""
+    comps = component_sets(part)
+    level = {}
+    for n, at in enumerate(levels):
+        at = at.tolist()
+        assert at == sorted(at)
+        for i, j in enumerate(at):
+            assert not any(comps[draws[j]] & comps[draws[a]] for a in at[:i])
+        level.update((j, n) for j in at)
+    assert sorted(level) == list(range(len(draws)))
+    for j, b in enumerate(draws):
+        below = [level[i] for i in range(j) if comps[draws[i]] & comps[b]]
+        assert level[j] == max(below, default=-1) + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([1, 2]), N=st.integers(2, 8),
+       hub_rows=st.sampled_from([0, 5]), z_pairs=st.booleans(),
+       L=st.integers(1, 300), data_seed=st.integers(0, 2 ** 32 - 1))
+def test_levels_are_minimal_on_random_user_partitions(n, N, hub_rows, z_pairs,
+                                                      L, data_seed):
+    rng = np.random.default_rng(data_seed)
+    prob = random_problem(rng, n, N, ["quadratic"] * N, hub_rows,
+                          z_pairs=z_pairs)
+    part = random_partition(rng, prob)
+    draws = rng.integers(0, len(part.blocks), size=L)
+    assert_minimal_levels(part, draws.tolist(), engine._levels(part, draws))
+
+
+def spy_calls(monkeypatch):
+    """Every kernel call a run makes, as its blocks and their iterations."""
+    calls = []
+    fire = engine._fire_lanes
+
+    def spy(bt, flat, idx, blocks, sums=None):
+        its = np.broadcast_to(sums[2], (len(idx), 1))[:, 0]
+        calls.append((np.asarray(blocks).reshape(-1).tolist(), its.tolist()))
+        return fire(bt, flat, idx, blocks, sums)
+
+    monkeypatch.setattr(engine, "_fire_lanes", spy)
+    return calls
+
+
+def consecutive_waves(comps, draws, records):
+    """How many maximal runs of consecutive draws that share no component
+    (cut at every record iteration too) the draws make."""
+    waves, wave = 0, set()
+    for it, b in enumerate(draws, 1):
+        if wave & comps[b]:
+            waves, wave = waves + 1, set()
+        wave |= comps[b]
+        if it in records:
+            waves, wave = waves + 1, set()
+    return waves + bool(wave)
+
+
+@pytest.mark.parametrize("merged", [False, True])
+def test_levels_are_minimal_conflict_free_calls(monkeypatch, merged):
+    prob, part = cycle200(merged)
     dist = derive_probabilities(part, uniform_probs(part))
+    T, stride = 1000, 300
+    records = [300, 600, 900, 1000]
+    calls = spy_calls(monkeypatch)
+    run_batch(prob, part, dist, [11], T, stride=stride)
     rng = RngStream(11)
-    draws = [sample_block(dist, rng) for _ in range(1000)]
-    k, stride, T = 40, 300, 1100
-    ends = engine._wave_ends(engine._block_table(prob, part), draws, k,
-                             stride, T)
-    assert ends[-1] == len(draws)
-    records = {j for j in range(1, len(draws) + 1)
-               if (k + j) % stride == 0 or k + j == T}
-    assert records <= set(ends)
-    rows = [set(part.blocks[b].tolist()) for b in range(len(part.blocks))]
-    lo = 0
-    for hi in ends:
-        wave = draws[lo:hi]
-        for i, b in enumerate(wave):
-            reads = component_rows(prob, part, b)
-            assert all(not reads & rows[a] for a in wave[:i])
-        # a cut that is not a record or the chunk's end is forced by a clash
-        if hi not in records and hi < len(draws):
-            reads = component_rows(prob, part, draws[hi])
-            assert any(reads & rows[a] for a in wave)
-        lo = hi
-    assert len(draws) / len(ends) > (2.0 if merged else 5.0)
+    draws = [sample_block(dist, rng) for _ in range(T)]
+    starts = [0] + records[:-1]
+    segments = [[] for _ in records]
+    for blocks, its in calls:
+        assert blocks == [draws[it - 1] for it in its]
+        # no level spans a record iteration
+        seg, = {bisect.bisect_left(records, it) for it in its}
+        segments[seg].append(np.array(its) - 1 - starts[seg])
+    for lo, hi, levels in zip(starts, records, segments):
+        assert_minimal_levels(part, draws[lo:hi], levels)
+    comps = component_sets(part)
+    assert len(calls) * 2 <= consecutive_waves(comps, draws, records)
 
 
-def test_divergence_mid_wave_names_serial_iteration_and_block():
-    nodes = 40
-    terms = tuple(Quadratic(np.array([np.nan if i == 17 else float(i)]))
-                  for i in range(nodes))
-    reform = build_reformulation(Graph.cycle(nodes), terms,
-                                 tuple(Free(1) for _ in terms), 1.0)
+def plan_levels(part, draws):
+    """The level of each draw in a one-segment plan."""
+    level = np.empty(len(draws), dtype=np.intp)
+    for n, at in enumerate(engine._levels(part, np.asarray(draws))):
+        level[at] = n
+    return level
+
+
+def failing_draw(msg):
+    return int(msg.split("iteration ")[1].split()[0]) - 1
+
+
+def test_divergence_mid_level_names_serial_iteration_and_block():
+    reform = nan_cycle(40, {17})
     prob, part = reform.problem, reform.partition
     dist = derive_probabilities(part, uniform_probs(part))
-    table = engine._block_table(prob, part)
     for seed in range(50):
         msg = serial_failure(reform, dist, seed)
-        k = int(msg.split("iteration ")[1].split()[0])
+        j = failing_draw(msg)
         rng = RngStream(seed)
         draws = [sample_block(dist, rng) for _ in range(200)]
-        starts = [0] + engine._wave_ends(table, draws, 0, 200, 200)
-        # the failing draw (index k - 1) is neither first nor last in its wave
-        if k - 1 not in starts and k not in starts:
+        level = plan_levels(part, draws)
+        peers = np.flatnonzero(level == level[j])
+        # the failing draw is neither first nor last in its level
+        if peers[0] < j < peers[-1]:
             break
     else:
-        pytest.fail("no seed diverges inside a wave")
+        pytest.fail("no seed diverges inside a level")
     with pytest.raises(DivergenceError) as info:
         run_batch(prob, part, dist, [seed], T=200, stride=200)
     assert str(info.value) == msg
-    assert f"block {draws[k - 1]})" in msg
+    assert f"block {draws[j]})" in msg
+
+
+def test_divergence_at_a_later_level_and_earlier_iteration_is_reported():
+    """Two NaN components far apart: the first level that fails holds a
+    later draw than the serial run's failing one, which sits one level
+    up. The run reports the smallest failing iteration, not the first
+    failing level."""
+    reform = nan_cycle(40, {5, 25})
+    prob, part = reform.problem, reform.partition
+    dist = derive_probabilities(part, uniform_probs(part))
+    comps = component_sets(part)
+    for seed in range(200):
+        msg = serial_failure(reform, dist, seed)
+        j = failing_draw(msg)
+        rng = RngStream(seed)
+        draws = [sample_block(dist, rng) for _ in range(200)]
+        level = plan_levels(part, draws)
+        nan = [i for i, b in enumerate(draws) if comps[b] & {5, 25}]
+        assert nan[0] == j
+        if min(level[nan]) < level[j]:
+            break
+    else:
+        pytest.fail("no seed fails first at a later iteration's level")
+    with pytest.raises(DivergenceError) as info:
+        run_batch(prob, part, dist, [seed], T=200, stride=200)
+    assert str(info.value) == msg
+    assert f"block {draws[j]})" in msg
+
+
+def test_an_error_raised_at_a_later_level_names_the_serial_draw():
+    """Two Custom components whose terms raise, each its own message: the
+    first level to raise holds a later draw than the serial run's first
+    error, so the segment is fired again one draw at a time."""
+    def raising(i):
+        def fn(u):
+            raise ValueError(f"component {i}")
+        return Custom(fn=fn, dim=1, scalar_convex=True)
+
+    bad = {5, 25}
+    terms = tuple(raising(i) if i in bad else Quadratic(np.array([float(i)]))
+                  for i in range(40))
+    reform = build_reformulation(Graph.cycle(40), terms,
+                                 tuple(Free(1) for _ in terms), 1.0)
+    prob, part = reform.problem, reform.partition
+    dist = derive_probabilities(part, uniform_probs(part))
+    comps = component_sets(part)
+    for seed in range(200):
+        want = outcome(lambda: reference_run(prob, part, dist, seed, 200,
+                                             stride=200))
+        rng = RngStream(seed)
+        draws = [sample_block(dist, rng) for _ in range(200)]
+        level = plan_levels(part, draws)
+        hits = [i for i, b in enumerate(draws) if comps[b] & bad]
+        first = min(hits, key=lambda i: (level[i], i))
+        # the first call to raise names the other component
+        if comps[draws[first]] & bad != comps[draws[hits[0]]] & bad:
+            break
+    else:
+        pytest.fail("no seed raises first at a later iteration's level")
+    assert want[0] is ValueError
+    assert outcome(lambda: run_batch(prob, part, dist, [seed], 200,
+                                     stride=200)) == want
 
 
 def test_run_experiment_one_seed_outputs_equal_serial_bytes(tmp_path,

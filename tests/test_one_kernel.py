@@ -1,7 +1,8 @@
 """Every caller of the block kernel against the plain reference, bit for bit.
 
-``run_batch`` (one seed in waves, several in lockstep), ``step`` and
-``lyapunov_drift`` all fire blocks through ``engine._fire_lanes``. Each is
+``run_batch`` (one seed by dependency level, several in lockstep),
+``step`` and ``lyapunov_drift`` all fire blocks through
+``engine._fire_lanes``. Each is
 compared here with ``tests/reference.py``, which updates one block at a
 time, one component and one z fit at a time (``fire_block``): runs with
 ``reference_run``, steps with ``fire_block`` on the drawn block, the drift
@@ -13,20 +14,22 @@ partitions have uneven blocks. A star past the lane limit
 call. Results are compared as bytes, or as the first error raised.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asyncadmm import (Custom, Free, Graph, PrimalDualState, ProbeFlags,
-                       Quadratic, RngStream, build_reformulation,
-                       derive_probabilities, run_batch, sample_block, step,
-                       uniform_probs)
+from asyncadmm import (BenchmarkSpec, Custom, Free, Graph, PrimalDualState,
+                       ProbeFlags, Quadratic, RngStream, build_reformulation,
+                       derive_probabilities, generate_benchmark, run_batch,
+                       sample_block, step, uniform_probs)
 from asyncadmm.diagnostics import WeightedNorm, lyapunov_drift
 
 from reference import (assert_same_run, fire_block, reference_drift,
                        reference_run)
-from test_batch import random_reference
+from test_batch import outcome, random_reference
 from test_fullpass import KINDS, random_problem, random_vector
 from test_shadow_stack import random_partition, star_hub
 
@@ -58,14 +61,6 @@ def random_state(rng, prob):
                            p=random_vector(rng, prob.dim_z))
 
 
-def outcome(fn):
-    """The result, or the type and message of the error raised."""
-    try:
-        return fn()
-    except Exception as exc:  # the error raised first is part of the result
-        return type(exc), str(exc)
-
-
 def state_bytes(state):
     return [v.tobytes() for v in (state.x, state.z, state.p)]
 
@@ -80,7 +75,7 @@ def same_bits(a, b):
        T=st.integers(1, 40), stride=st.integers(1, 7), **PROBLEMS)
 def test_run_batch_equals_reference(data_seed, S, probes, T, stride, n, N,
                                     hub_rows, uncoupled, z_pairs, kinds):
-    """One seed fires in waves, several in lockstep; probes all off or all
+    """One seed fires by level, several in lockstep; probes all off or all
     on (the shadow probe makes one seed fire one lane per call)."""
     rng, prob, part, dist = problem_case(data_seed, n, N, hub_rows,
                                          uncoupled, z_pairs, kinds)
@@ -190,3 +185,27 @@ def test_drift_on_a_star_hub_past_the_lane_limit():
     wn = WeightedNorm.from_distribution(dist)
     assert same_bits(lyapunov_drift(prob, state, part, dist, ref, wn),
                      reference_drift(prob, state, part, dist, ref, wn))
+
+
+def test_drift_on_a_2000_node_cycle_in_bounded_memory():
+    """The blocks fire in chunks of rows under the lane limit, so one call
+    holds a few copies of the state, not one per block (2,000 here)."""
+    a = np.random.default_rng(9).uniform(-5.0, 5.0, 2000)
+    bench = generate_benchmark(BenchmarkSpec("consensus-quadratic",
+                                             a=a.tolist()), Graph.cycle(2000))
+    prob, part = bench.problem, bench.reform.partition
+    dist = derive_probabilities(part, uniform_probs(part))
+    rng = np.random.default_rng(10)
+    state = random_state(rng, prob)
+    ref = random_reference(prob, rng)
+    wn = WeightedNorm.from_distribution(dist)
+    want = reference_drift(prob, state, part, dist, ref, wn)
+    lyapunov_drift(prob, state, part, dist, ref, wn)    # builds the tables
+    tracemalloc.start()
+    try:
+        got = lyapunov_drift(prob, state, part, dist, ref, wn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(got, want)
+    assert peak <= 64 * 2 ** 20
