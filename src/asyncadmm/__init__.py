@@ -11,8 +11,8 @@ Library layout:
   run loop (many seeds in lockstep, one seed by dependency level).
 - ``consensus``: edge-based reformulation of multi-agent consensus and
   the closed-form per-edge step.
-- ``diagnostics``: weighted norms and Lagrangian, Lyapunov values,
-  ergodic averages, rate fits, and rate-bound constants.
+- ``diagnostics``: weighted norms and Lagrangian, the Lyapunov value and
+  its drift, rate fits, and rate-bound constants.
 - ``benchmarks`` / ``config`` / ``runner`` / ``cli``: named benchmark
   generators and the deterministic experiment pipeline.
 """

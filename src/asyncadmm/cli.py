@@ -19,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import (ExperimentConfig, ProbeFlags, ProblemSource,
-                     parse_config, parse_seeds)
+                     parse_config, parse_seeds, read_text)
 from .engine import RunMetrics
 from .diagnostics import estimate_rate
-from .errors import (AsyncAdmmError, NonPositiveSeries, ParseError,
-                     ValidationError)
+from .errors import AsyncAdmmError, ParseError
 from .problem import validate_constraints
 from .runner import (EXIT_CONFIG, EXIT_IO, EXIT_OK, prepare_experiment,
                      run_experiment)
@@ -31,36 +30,17 @@ from .runner import (EXIT_CONFIG, EXIT_IO, EXIT_OK, prepare_experiment,
 
 def _read_config(path_str: str):
     path = Path(path_str)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"i/o error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-    try:
-        return (parse_config(text), path.parent), EXIT_OK
-    except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return None, EXIT_CONFIG
+    return parse_config(read_text(path)), path.parent
 
 
 def _cmd_run(args) -> int:
-    loaded, code = _read_config(args.config)
-    if loaded is None:
-        return code
-    config, base_dir = loaded
+    config, base_dir = _read_config(args.config)
     return run_experiment(config, base_dir=base_dir)
 
 
 def _cmd_validate(args) -> int:
-    loaded, code = _read_config(args.config)
-    if loaded is None:
-        return code
-    config, base_dir = loaded
-    try:
-        prepared = prepare_experiment(config, base_dir=base_dir)
-    except AsyncAdmmError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config, base_dir = _read_config(args.config)
+    prepared = prepare_experiment(config, base_dir=base_dir)
     report = validate_constraints(prepared.problem.constraints)
     print(f"problem: N={prepared.problem.constraints.N} "
           f"W={prepared.problem.constraints.W} n={prepared.problem.constraints.n}")
@@ -70,40 +50,36 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_CONFIG
 
 
+def _number_or_text(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _cmd_bench(args) -> int:
     bench_doc = {"name": args.name, "graph": args.graph}
     if args.a is not None:
-        bench_doc["a"] = [float(v) for v in args.a.split(",")]
+        # text that is not a number stays text, for the benchmark data
+        # check to refuse as a config file's would be
+        bench_doc["a"] = [_number_or_text(v) for v in args.a.split(",")]
     probes = ProbeFlags(shadow=args.probe_shadow, lyapunov=args.probe_lyapunov,
                         ergodic=not args.no_ergodic)
-    try:
-        config = ExperimentConfig(
-            problem=ProblemSource(kind="benchmark", value=bench_doc),
-            T=args.T, seeds=parse_seeds(args.seeds), beta=args.beta,
-            probes=probes, stride=args.stride, out=args.out,
-            workers=args.workers)
-    except (ValidationError, ParseError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = ExperimentConfig(
+        problem=ProblemSource(kind="benchmark", value=bench_doc),
+        T=args.T, seeds=parse_seeds(args.seeds), beta=args.beta,
+        probes=probes, stride=args.stride, out=args.out,
+        workers=args.workers)
     return run_experiment(config, base_dir=Path.cwd())
 
 
 def _cmd_slope(args) -> int:
-    path = Path(args.csv)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"i/o error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(args.csv).splitlines() if ln.strip()]
     if not lines:
-        print("config error: empty csv", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ParseError("empty csv")
     header = lines[0].split(",")
     if args.column not in header:
-        print(f"config error: no column {args.column!r} in {header}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ParseError(f"no column {args.column!r} in {header}")
     cidx = header.index(args.column)
     iidx = header.index("iter") if "iter" in header else None
     vals, its = [], []
@@ -113,23 +89,29 @@ def _cmd_slope(args) -> int:
             vals.append(float(parts[cidx]))
             its.append(float(parts[iidx]) if iidx is not None else len(its) + 1.0)
     except (ValueError, IndexError) as exc:
-        print(f"config error: malformed csv row: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ParseError(f"malformed csv row: {exc}") from None
     window = None
     if args.window:
-        lo, hi = args.window.split(":")
-        window = (float(lo), float(hi))
-    try:
-        fit = estimate_rate(np.asarray(vals), np.asarray(its), window=window)
-    except NonPositiveSeries as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        try:
+            lo, hi = args.window.split(":")
+            window = (float(lo), float(hi))
+        except ValueError:
+            raise ParseError("--window must be lo:hi (two numbers), "
+                             f"got {args.window!r}") from None
+    fit = estimate_rate(np.asarray(vals), np.asarray(its), window=window)
     print(f"slope={fit.slope!r} intercept={fit.intercept!r}")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors as one line on stderr, with exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"config error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asyncadmm",
         description="Asynchronous ADMM experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -168,8 +150,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Bad input is a config error (exit 2) and a file
+    that cannot be read an i/o error (exit 3), each one line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except AsyncAdmmError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

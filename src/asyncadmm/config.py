@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 from typing import Any, Optional
 
 import numpy as np
@@ -42,6 +43,8 @@ class ProblemSource:
     def __post_init__(self):
         if self.kind not in PROBLEM_SOURCE_KINDS:
             raise ValidationError(f"unknown problem source kind {self.kind!r}")
+        if self.kind == "benchmark":
+            _check_benchmark_data(self.value)
 
 
 @dataclass(frozen=True)
@@ -165,6 +168,15 @@ def parse_seeds(raw) -> tuple:
     return tuple(_seed(s) for s in (raw if isinstance(raw, list) else [raw]))
 
 
+def read_text(path) -> str:
+    """A config, problem, graph or metrics file's text (``OSError`` if it
+    cannot be read); text that is not UTF-8 is a ``ParseError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _check_benchmark_data(doc: dict):
     """Benchmark data must be finite JSON numbers: ``a``, ``w`` and ``b``
     lists of them, ``pi`` and ``box_margin`` one each. A null keeps the
@@ -207,7 +219,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"problem.benchmark: unknown name {value['name']!r}")
         if "graph" not in value:
             raise ParseError("problem.benchmark: missing field 'graph'")
-        _check_benchmark_data(value)
+        if not isinstance(value["graph"], str):
+            raise ParseError("problem.benchmark.graph must be a path string, "
+                             f"got {value['graph']!r}")
     elif kind == "inline":
         _check_fields(value, PROBLEM_FIELDS, "problem.inline")
     elif not isinstance(value, str):
@@ -230,6 +244,9 @@ def parse_config(text: str) -> ExperimentConfig:
     block_probs, x0, z0 = (
         _numbers(raw[key], key) if raw.get(key) is not None else None
         for key in ("block_probs", "x0", "z0"))
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ParseError(f"out must be a path string, got {out!r}")
 
     try:
         return ExperimentConfig(
@@ -238,7 +255,7 @@ def parse_config(text: str) -> ExperimentConfig:
             beta=_number(raw.get("beta", 1.0), "beta"), blocks=blocks,
             block_probs=block_probs, probes=probes,
             stride=_integer(raw.get("stride", 1), "stride"),
-            out=raw.get("out"),
+            out=out,
             workers=_integer(raw.get("workers", 1), "workers"), x0=x0, z0=z0,
             reference=raw.get("reference", "auto"))
     except (TypeError, ValueError) as exc:

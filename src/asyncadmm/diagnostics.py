@@ -1,11 +1,10 @@
-"""Convergence diagnostics.
-
-These are the probe quantities of the analysis: the weighted norm and
-weighted Lagrangian (scaled by inverse activation probabilities), the
-Lyapunov value whose conditional one-step mean never increases,
-empirical log-log rate fits, and the computable constants bounding T
-times the expected ergodic feasibility violation. The ergodic averages
-themselves are the run loop's lazy sums (``engine.run_batch``).
+"""Convergence diagnostics: the weighted norm and Lagrangian (scaled by
+inverse activation probabilities), the Lyapunov value whose conditional
+one-step mean never increases (one formula, ``problem.lyapunov_rows``,
+for a run's records, :func:`lyapunov` and :func:`lyapunov_drift`), rate
+fits, and the constants bounding T times the expected ergodic
+feasibility violation, whose maxima take every sampled direction as a
+row of one stack. Ergodic averages are the run loop's lazy sums.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ from .engine import (_BATCH_LANE_LIMIT, _block_table, _fire_lanes,
                      sync_admm_step)
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
-from .problem import PrimalDualState, SeparableProblem, initial_state, residual
+from .problem import (PrimalDualState, SeparableProblem, initial_state,
+                      lyapunov_rows, residual)
 from .scheduler import ActivationDistribution, RngStream
 from .terms import Box, SumZeroPairs, term_value
 
@@ -61,12 +61,19 @@ def weighted_lagrangian(prob: SeparableProblem, dist: ActivationDistribution,
     mu = np.asarray(mu, dtype=float)
     if x.shape != (prob.dim_x,) or z.shape != (cs.W,) or mu.shape != (cs.W,):
         raise DimensionMismatch("weighted_lagrangian: bad input shapes")
+    fsum, coupled = _weighted_parts(prob, dist, x, z)
+    return fsum - float(np.dot(mu, coupled))
+
+
+def _weighted_parts(prob, dist, x, z):
+    """``sum_i f_i(x_i)/alpha_i`` and the rows ``D_i x/alpha_i + H z/lambda``:
+    the weighted Lagrangian at ``mu`` is the first less mu' the second."""
+    cs = prob.constraints
     fsum = sum(term_value(t, prob.component(x, i)) / dist.alpha[i]
                for i, t in enumerate(prob.terms))
     alpha_row = dist.alpha[cs.row_block]
-    coupled = (cs.row_coeff * x[cs.col_index] / alpha_row
-               + cs.h_diag * z * dist.weight_diag)
-    return fsum - float(np.dot(mu, coupled))
+    return fsum, (cs.row_coeff * x[cs.col_index] / alpha_row
+                  + cs.h_diag * z * dist.weight_diag)
 
 
 @dataclass(eq=False)
@@ -125,13 +132,11 @@ def solve_reference(prob: SeparableProblem, tol: float = 1e-10,
 
 def lyapunov(prob: SeparableProblem, state: PrimalDualState,
              ref: ReferenceSolution, wn: WeightedNorm) -> float:
-    """``(1/2b)||p - p*||_w^2 + (b/2)||H(z - z*)||_w^2`` at the state."""
+    """``(1/2b)||p - p*||_w^2 + (b/2)||H(z - z*)||_w^2`` at the state: the
+    value a run's Lyapunov column records (``problem.lyapunov_rows``)."""
     if ref.p is None:
         raise MissingReference("lyapunov needs a dual reference p*")
-    beta = prob.beta
-    h = prob.constraints.h_diag
-    return (weighted_norm_sq(state.p - ref.p, wn) / (2.0 * beta)
-            + 0.5 * beta * weighted_norm_sq(h * (state.z - ref.z), wn))
+    return float(lyapunov_rows(prob, wn.weight_diag, ref, state.z, state.p))
 
 
 def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
@@ -142,17 +147,15 @@ def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
     Fires every block the sampler could draw from this state through the
     engine's block kernel, each block on its own copy of the state, in
     chunks of rows that hold at most the kernel's lane limit of values
-    (so memory stays bounded however many blocks there are); takes each
-    row's Lyapunov value (the ``np.vecdot`` form of :func:`lyapunov`, the
-    same bits), weights the values by the block probabilities in block
-    order and subtracts the current value. The supermartingale property
+    (so memory stays bounded however many blocks there are); weights each
+    row's :func:`lyapunov` value by its block's probability, in block
+    order, and subtracts the current value. The supermartingale property
     says this is never positive.
     """
     v_now = lyapunov(prob, state, ref, wn)
     bt = _block_table(prob, partition)
     row = bt.layout(state.x, state.z, state.p)
     chunk = max(1, _BATCH_LANE_LIMIT // bt.width)
-    w, beta = wn.weight_diag, prob.beta
     probs = dist.block_probs.tolist()
     expected = 0.0
     for lo in range(0, len(probs), chunk):
@@ -162,10 +165,7 @@ def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
         _fire_lanes(bt, stack.reshape(-1), bt.idx[blocks]
                     + (np.arange(len(stack)) * bt.width)[:, None], blocks)
         _, z, p = bt.views(stack)
-        dp = p - ref.p
-        hz = prob.constraints.h_diag * (z - ref.z)
-        values = (np.vecdot(dp * w, dp) / (2.0 * beta)
-                  + 0.5 * beta * np.vecdot(hz * w, hz))
+        values = lyapunov_rows(prob, wn.weight_diag, ref, z, p)
         for prob_b, v_b in zip(probs[blocks], values.tolist()):
             expected += prob_b * v_b
     return expected - v_now
@@ -240,36 +240,26 @@ def q_value(prob: SeparableProblem, dist: ActivationDistribution,
 
     The maximization separates exactly: per component a grid search over
     its box, per z pair (and per free z coordinate) a closed form over
-    the compactified range.
+    the compactified range; the one-multiplier case of the stacked one.
     """
-    return _q_on_grids(prob, dist, np.asarray(mu, dtype=float),
-                       _component_grids(prob, grid_resolution, point_budget),
-                       z_bound)
+    grids = _component_grids(prob, grid_resolution, point_budget)
+    mus = np.asarray(mu, dtype=float)[None]
+    return float(_q_stack(prob, dist, mus, grids, z_bound, point_budget)[0])
 
 
-def _q_on_grids(prob, dist, mu, grids, z_bound):
-    """:func:`q_value` with the component grids of :func:`_component_grids`."""
-    total = 0.0
-    for i, grid in enumerate(grids):
-        total += _component_grid_max(prob, dist, mu, i, grid)
-    total += _z_part_max(prob, dist, mu, z_bound)
-    return total
-
-
-def _component_c(prob, mu, i):
-    """Linear coefficient of x_i in mu' D x: sums mu over the rows of i."""
+def _coefficients(prob, mus):
+    """Coefficient of every x coordinate in mu' D x, a row per row of
+    ``mus``: one scatter-add of the constraint rows in row order."""
     cs = prob.constraints
-    rows = cs.rows_of_component(i)
-    c = np.zeros(cs.n)
-    np.add.at(c, cs.row_coord[rows], mu[rows] * cs.row_coeff[rows])
-    return c
+    c = np.zeros((cs.N * cs.n, len(mus)))
+    np.add.at(c, cs.col_index, (mus * cs.row_coeff).T)
+    return np.ascontiguousarray(c.T)
 
 
 def _component_grids(prob, resolution, point_budget):
     """Each component's grid over its box and the term's value at every
-    grid point: ``(axes, points, values)``, with the points the one axis
-    when ``n == 1``. None of it depends on the multiplier, so one call
-    serves every direction of :func:`compute_rate_constants`."""
+    grid point, ``(axes, points, values)`` (the points are the one axis
+    when ``n == 1``): one call serves every multiplier."""
     n = prob.constraints.n
     grids = []
     for i, term in enumerate(prob.terms):
@@ -282,75 +272,80 @@ def _component_grids(prob, resolution, point_budget):
             raise GridTooLarge(
                 f"component grid needs {resolution ** n} points, "
                 f"budget is {point_budget}")
-        axes = [np.linspace(box.lower[t], box.upper[t], resolution)
-                for t in range(n)]
-        if n == 1:
-            pts = axes[0]
-            values = np.array([term_value(term, np.array([ut])) for ut in pts])
-        else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-            values = np.array([term_value(term, pt) for pt in pts])
-        grids.append((axes, pts, values))
+        axes = [np.linspace(lo, hi, resolution)
+                for lo, hi in zip(box.lower, box.upper)]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                       axis=1)
+        values = np.array([term_value(term, pt) for pt in pts])
+        grids.append((axes, pts[:, 0] if n == 1 else pts, values))
     return grids
 
 
-def _component_grid_max(prob, dist, mu, i, grid):
-    _, pts, values = grid
-    c = _component_c(prob, mu, i)
-    vals = c[0] * pts - values if pts.ndim == 1 else pts @ c - values
-    return float(np.max(vals)) / dist.alpha[i]
-
-
-def _grid_gap_estimate(prob, dist, mu, grids):
-    """Crude per-component bound on what the grid maximum can miss.
-
-    Along each axis of a component's grid, through the middle of its box;
-    with ``n == 1`` those are the grid's own points and term values.
-    """
-    gap = 0.0
+def _q_stack(prob, dist, mus, grids, z_bound, point_budget):
+    """:func:`q_value` at every row of ``mus``, as many rows per pass as
+    keep rows times grid points within ``point_budget``. Each row adds
+    its component maxima in component order, then the z part: its pair
+    terms in pair order, then the unpaired rows' sum. That is the order
+    of a one-multiplier loop, so each row has that loop's bits."""
     cs = prob.constraints
-    for i, (axes, _, values) in enumerate(grids):
-        box = prob.x_sets[i]
-        c = _component_c(prob, mu, i)
-        for t, u in enumerate(axes):
-            if u[1] == u[0]:
-                continue
-            if cs.n == 1:
-                vals = c[t] * u - values
-            else:
-                point = np.array([0.5 * (box.lower[s] + box.upper[s])
-                                  for s in range(cs.n)])
-                vals = []
-                for ut in u:
-                    point[t] = ut
-                    vals.append(c[t] * ut - term_value(prob.terms[i], point))
-                vals = np.asarray(vals)
-            h = u[1] - u[0]
-            lip = float(np.max(np.abs(np.diff(vals)))) / h
-            gap += 0.5 * lip * h / dist.alpha[i]
-    return gap
-
-
-def _z_part_max(prob, dist, mu, z_bound):
-    """Exact maximum of the z part of the negated weighted Lagrangian."""
-    cs = prob.constraints
-    d = dist.weight_diag * mu * cs.h_diag  # coefficient of z_l in -L~
-    zs = prob.z_set
     if z_bound is None:
         raise NonCompactSets(
             "z set is unbounded; provide z_bound to compactify the maximization")
     b = float(z_bound)
     if b < 0:
         raise InvalidProblem("z_bound must be nonnegative")
-    total = 0.0
-    paired = np.zeros(cs.W, dtype=bool)
-    if isinstance(zs, SumZeroPairs):
-        for i, j in zs.pairs:
-            total += abs(d[i] - d[j]) * b
-            paired[i] = paired[j] = True
-    total += float(np.sum(np.abs(d[~paired])) * b)
-    return total
+    pairs = prob.z_set.pairs if isinstance(prob.z_set, SumZeroPairs) else ()
+    unpaired = np.setdiff1d(np.arange(cs.W), np.asarray(pairs, dtype=np.intp))
+    coeffs = _coefficients(prob, mus)
+    q = np.zeros(len(mus))
+    step = max(1, point_budget // len(grids[0][2]))
+    for lo in range(0, len(mus), step):
+        rows = np.s_[lo:lo + step]
+        for i, (_, pts, values) in enumerate(grids):
+            c = coeffs[rows, i * cs.n:(i + 1) * cs.n]
+            # the rows of ``pts @ c``: one matrix-vector product each
+            vals = (c * pts if cs.n == 1
+                    else np.matmul(pts, c[:, :, None])[..., 0]) - values
+            q[rows] += np.max(vals, axis=1) / dist.alpha[i]
+        d = dist.weight_diag * mus[rows] * cs.h_diag   # z_l's coefficient
+        z_part = np.zeros(len(d))
+        for i, j in pairs:
+            z_part += np.abs(d[:, i] - d[:, j]) * b
+        # gathered C-contiguous: a boolean mask's gather is column-major,
+        # and its row sums round apart from the 1-D sum
+        free = np.abs(d.take(unpaired, axis=1))
+        q[rows] += z_part + np.sum(free, axis=1) * b
+    return q
+
+
+def _grid_gap_estimate(prob, dist, mu, grids):
+    """Crude per-component bound on what the grid maximum can miss, along
+    each axis of a component's grid through the middle of its box (with
+    ``n == 1``, the grid's own points and term values)."""
+    n = prob.constraints.n
+    coeffs = _coefficients(prob, np.asarray(mu, dtype=float)[None])[0]
+    gap = 0.0
+    for i, ((axes, _, values), box) in enumerate(zip(grids, prob.x_sets)):
+        for t, u in enumerate(axes):
+            if u[1] == u[0]:
+                continue
+            line = np.tile(0.5 * (box.lower + box.upper), (len(u), 1))
+            line[:, t] = u
+            vals = coeffs[i * n + t] * u - (
+                values if n == 1 else
+                np.array([term_value(prob.terms[i], pt) for pt in line]))
+            h = u[1] - u[0]
+            lip = float(np.max(np.abs(np.diff(vals)))) / h
+            gap += 0.5 * lip * h / dist.alpha[i]
+    return gap
+
+
+def _first_max(values, best=-np.inf):
+    """Index of the value a loop of ``if v > best: best = v`` ends on (the
+    first strict maximum above ``best``; NaN never wins), or None."""
+    values = np.where(np.isnan(values), -np.inf, values)
+    j = int(np.argmax(values))
+    return j if values[j] > best else None
 
 
 def compute_rate_constants(prob: SeparableProblem, dist: ActivationDistribution,
@@ -366,63 +361,46 @@ def compute_rate_constants(prob: SeparableProblem, dist: ActivationDistribution,
     Samples unit directions u (plus any caller-supplied ones, e.g. the
     realized mean-residual directions) for the ball maxima around p*;
     the initial-condition term is exact by Cauchy-Schwarz since the
-    weighted Lagrangian is affine in the multiplier.
+    weighted Lagrangian is affine in the multiplier. Every multiplier
+    p* - u is one row of a stack, evaluated at once.
     """
     if ref.p is None:
         raise MissingReference("rate constants need a dual reference p*")
     cs = prob.constraints
-    w = dist.weight_diag
-    beta = prob.beta
     p0, z0, x0 = state0.p, state0.z, state0.x
 
+    # the zero direction, the sampled unit ones, +-e_l, and the extra ones
+    # scaled into the unit ball
     rng = RngStream(direction_seed)
-    dirs = [np.zeros(cs.W)]
-    for _ in range(num_directions):
-        u = rng.normals(cs.W)
-        norm = float(np.linalg.norm(u))
-        if norm > 0:
-            dirs.append(u / norm)
-    for l in range(cs.W):
-        e = np.zeros(cs.W)
-        e[l] = 1.0
-        dirs.append(e)
-        dirs.append(-e)
-    for u in extra_directions:
-        u = np.asarray(u, dtype=float)
-        norm = float(np.linalg.norm(u))
-        if norm > 1.0:
-            u = u / norm
-        dirs.append(u)
+    sampled = np.array([rng.normals(cs.W) for _ in range(num_directions)])
+    sampled = sampled.reshape(-1, cs.W)
+    norms = np.sqrt(np.vecdot(sampled, sampled))
+    extra = np.array(extra_directions, dtype=float).reshape(-1, cs.W)
+    dirs = np.concatenate([
+        np.zeros((1, cs.W)), sampled[norms > 0] / norms[norms > 0, None],
+        np.repeat(np.eye(cs.W), 2, axis=0) * np.tile([1.0, -1.0], cs.W)[:, None],
+        extra / np.fmax(np.sqrt(np.vecdot(extra, extra)), 1.0)[:, None]])
+    mus = ref.p - dirs   # mus[0] is p* itself, bit for bit
 
     grids = _component_grids(prob, grid_resolution, point_budget)
-    q_at_pstar = _q_on_grids(prob, dist, ref.p, grids, z_bound)
-    q_bar = q_at_pstar
-    best_theta_val = -np.inf
-    theta_bar = ref.p.copy()
-    for u in dirs:
-        mu = ref.p - u
-        q_bar = max(q_bar, _q_on_grids(prob, dist, mu, grids, z_bound))
-        val = float(np.dot((p0 - mu) * w, p0 - mu))
-        if val > best_theta_val:
-            best_theta_val = val
-            theta_bar = mu
+    q = _q_stack(prob, dist, mus, grids, z_bound, point_budget)
+    j = _first_max(q[1:], q[0])
+    q_bar = q[0] if j is None else q[1 + j]
+    gaps = p0 - mus
+    j = _first_max(np.vecdot(gaps * dist.weight_diag, gaps))
+    theta_bar = ref.p.copy() if j is None else mus[j].copy()
 
     # weighted Lagrangian at the start is affine in the multiplier:
     # L~(x0, z0, p* - u) = S - (p* - u)'B, maximized exactly at u = B/||B||
-    alpha_row = dist.alpha[cs.row_block]
-    coupled0 = (cs.row_coeff * x0[cs.col_index] / alpha_row
-                + cs.h_diag * z0 * w)
-    s0 = sum(term_value(t, prob.component(x0, i)) / dist.alpha[i]
-             for i, t in enumerate(prob.terms))
-    l0_tilde = s0 - float(np.dot(ref.p, coupled0)) + float(np.linalg.norm(coupled0))
+    s0, coupled0 = _weighted_parts(prob, dist, x0, z0)
+    l0_tilde = (s0 - float(np.dot(ref.p, coupled0))
+                + float(np.linalg.norm(coupled0)))
 
-    wn = WeightedNorm(w)
-    norm_term_theta = weighted_norm_sq(p0 - theta_bar, wn) / (2.0 * beta)
-    norm_term_z = 0.5 * beta * weighted_norm_sq(cs.h_diag * (z0 - ref.z), wn)
-    gap = _grid_gap_estimate(prob, dist, ref.p, grids)
-
-    return RateConstants(q_at_pstar=q_at_pstar, q_bar=q_bar,
-                         theta_bar=theta_bar, l0_tilde=l0_tilde,
-                         norm_term_theta=norm_term_theta,
-                         norm_term_z=norm_term_z, grid_gap=gap,
-                         z_bound=z_bound, num_directions=len(dirs))
+    wn = WeightedNorm(dist.weight_diag)
+    return RateConstants(
+        q_at_pstar=q[0], q_bar=q_bar, theta_bar=theta_bar, l0_tilde=l0_tilde,
+        norm_term_theta=weighted_norm_sq(p0 - theta_bar, wn) / (2.0 * prob.beta),
+        norm_term_z=0.5 * prob.beta * weighted_norm_sq(
+            cs.h_diag * (z0 - ref.z), wn),
+        grid_gap=_grid_gap_estimate(prob, dist, ref.p, grids),
+        z_bound=z_bound, num_directions=len(dirs))

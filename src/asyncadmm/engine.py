@@ -73,8 +73,8 @@ import numpy as np
 from .errors import (DivergenceError, ImproperPartition, MissingReference,
                      ValidationError)
 from .problem import (PrimalDualState, SeparableProblem, TermGroups,
-                      initial_state, objective, residual, term_groups,
-                      x_set_bounds)
+                      initial_state, lyapunov_rows, objective, residual,
+                      term_groups, x_set_bounds)
 from .prox import (_kink_coord, kink_prox, quadratic_prox,
                    solve_local_prepared, solve_z_prepared)
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
@@ -623,8 +623,6 @@ class _Recorder:
         self.groups = term_groups(prob)
         self.f_star = f_star
         self.wd = dist.weight_diag
-        self.inv_2b = 1.0 / (2.0 * prob.beta)
-        self.half_b = 0.5 * prob.beta
         count = -(-T // stride)   # every stride-th iteration, and T
         try:
             self.values = np.full((S, 6, count), np.nan)
@@ -663,10 +661,7 @@ class _Recorder:
             col[:, 3] = err[S:]
             col[:, 4] = feas[S:]
         if self.probes.lyapunov:
-            dp = ps - self.ref.p
-            hz = self.prob.constraints.h_diag * (zs[:S] - self.ref.z)
-            col[:, 5] = (self.inv_2b * np.vecdot(dp * self.wd, dp)
-                         + self.half_b * np.vecdot(hz * self.wd, hz))
+            col[:, 5] = lyapunov_rows(self.prob, self.wd, self.ref, zs[:S], ps)
         self.iters[j] = k
         self.blocks[:, j] = blocks
         self.count = j + 1

@@ -414,6 +414,15 @@ def residual(prob: SeparableProblem, x: np.ndarray, z: np.ndarray) -> np.ndarray
     return cs.row_coeff * x.take(cs.col_index, axis=-1) + cs.h_diag * z
 
 
+def lyapunov_rows(prob: SeparableProblem, w, ref, z, p) -> np.ndarray:
+    """``(1/2b)||p - p*||_w^2 + (b/2)||H(z - z*)||_w^2`` against the saddle
+    point ``ref`` with row weights ``w``, for one point or each row of a
+    stack (``np.vecdot`` norms: a row has the bits of the 1-D call)."""
+    dp, hz = p - ref.p, prob.constraints.h_diag * (z - ref.z)
+    return (1.0 / (2.0 * prob.beta) * np.vecdot(dp * w, dp)
+            + 0.5 * prob.beta * np.vecdot(hz * w, hz))
+
+
 def lagrangian(prob: SeparableProblem, x: np.ndarray, z: np.ndarray,
                p: np.ndarray) -> float:
     """``F(x) - p'(D x + H z)``."""

@@ -17,13 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import Benchmark, BenchmarkSpec, generate_benchmark
-from .config import ExperimentConfig, load_problem
+from .config import ExperimentConfig, load_problem, read_text
 from .consensus import Graph, edge_initial_state
 from .diagnostics import ReferenceSolution, estimate_rate, solve_reference
 from .engine import RunMetrics, run_batch
 from .errors import (AsyncAdmmError, DivergenceError, NonPositiveSeries,
                      ParseError, ValidationError)
-from .problem import SeparableProblem, term_groups
+from .problem import SeparableProblem, initial_state, term_groups
 from .scheduler import (build_partition, derive_probabilities,
                         single_block_partition, uniform_probs)
 
@@ -59,7 +59,7 @@ def _load_source(config: ExperimentConfig, base_dir: Path):
         path = base_dir / src.value
         if not path.exists():
             raise ValidationError(f"problem file not found: {path}")
-        return load_problem(path.read_text()), None
+        return load_problem(read_text(path)), None
     if src.kind == "inline":
         return load_problem(src.value), None
     # benchmark
@@ -69,7 +69,7 @@ def _load_source(config: ExperimentConfig, base_dir: Path):
     graph_path = base_dir / graph_ref
     if not graph_path.exists():
         raise ValidationError(f"graph file not found: {graph_path}")
-    graph = Graph.from_text(graph_path.read_text())
+    graph = Graph.from_text(read_text(graph_path))
     spec = BenchmarkSpec(name=name, **doc)
     bench = generate_benchmark(spec, graph, beta=config.beta)
     return bench.problem, bench
@@ -77,7 +77,8 @@ def _load_source(config: ExperimentConfig, base_dir: Path):
 
 def prepare_experiment(config: ExperimentConfig,
                        base_dir: Optional[Path] = None) -> PreparedExperiment:
-    """Materialize everything a run needs; raises config-class errors."""
+    """Materialize everything a run needs; raises config-class errors, and
+    ``OSError`` for a problem or graph file that cannot be read."""
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
     prob, bench = _load_source(config, base_dir)
     cs = prob.constraints
@@ -94,6 +95,7 @@ def prepare_experiment(config: ExperimentConfig,
 
     x0 = np.asarray(config.x0, dtype=float) if config.x0 is not None else None
     z0 = np.asarray(config.z0, dtype=float) if config.z0 is not None else None
+    initial_state(prob, x0, z0)   # a start of the wrong size is refused
     if bench is not None and x0 is None:
         # decentralized start: every agent at its own data anchor
         x0 = _benchmark_start(prob)
@@ -173,6 +175,9 @@ def run_experiment(config: ExperimentConfig,
     except (ParseError, ValidationError, AsyncAdmmError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     out_dir = Path(config.out) if config.out else \
         Path(os.environ.get(OUT_ENV_VAR, base_dir))

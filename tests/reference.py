@@ -24,20 +24,26 @@ Lyapunov drift as one such update per block.
 The ``reference_*`` set-up functions are the per-row and per-block
 loops that built graphs, constraint systems, z pairs, partitions and
 activation probabilities before those became array passes.
+``reference_rate_constants`` is the rate constants one direction at a
+time (``reference_q``: one component's coefficients by ``np.add.at``,
+its grid maximum, then the z part one pair at a time), the loop that
+``compute_rate_constants``' direction stack must match bit for bit.
 """
 
 import numpy as np
 
 from asyncadmm import (PrimalDualState, ProbeFlags, Quadratic, RngStream,
                        RunMetrics, initial_state, sample_block)
-from asyncadmm.diagnostics import lyapunov
+from asyncadmm.diagnostics import (RateConstants, WeightedNorm, _component_grids,
+                                   weighted_norm_sq)
 from asyncadmm.engine import SHADOW_TOL, _guard_message, _ops
 from asyncadmm.problem import term_groups
 from asyncadmm.prox import solve_z_prepared
 from asyncadmm.terms import term_value
 from asyncadmm.errors import (DivergenceError, ImproperPartition,
                               InvalidProblem, MissingReference,
-                              NonCoveringPartition)
+                              NonCompactSets, NonCoveringPartition)
+from asyncadmm.terms import SumZeroPairs
 
 
 ARRAY_FIELDS = ("iters", "objective", "objective_error", "feasibility",
@@ -161,13 +167,14 @@ def fire_block(prob, part, st, b):
 
 def reference_drift(prob, st, part, dist, ref, wn):
     """The Lyapunov drift from ``st``: every block's update on its own
-    copy, one at a time, its 1-D Lyapunov value weighted by the block's
-    probability."""
-    v_now = lyapunov(prob, st, ref, wn)
+    copy, one at a time, its 1-D Lyapunov value (``plain_lyapunov``)
+    weighted by the block's probability."""
+    v_now = plain_lyapunov(prob, dist, ref, st.z, st.p)
     expected = 0.0
     for b, prob_b in enumerate(dist.block_probs):
-        expected += float(prob_b) * lyapunov(
-            prob, fire_block(prob, part, st, b), ref, wn)
+        after = fire_block(prob, part, st, b)
+        expected += float(prob_b) * plain_lyapunov(prob, dist, ref, after.z,
+                                                   after.p)
     return expected - v_now
 
 
@@ -478,3 +485,136 @@ def reference_consensus(terms):
         return sum(t.weight * t.center for t in terms) / wsum
     centers = np.stack([t.center for t in terms])
     return np.median(centers, axis=0)
+
+
+def reference_q(prob, dist, mu, grids, z_bound):
+    """Q at one multiplier: each component's grid maximum, one component at
+    a time, then the z part one pair at a time."""
+    total = 0.0
+    for i, (_, pts, values) in enumerate(grids):
+        c = reference_coefficients(prob, mu, i)
+        vals = c[0] * pts - values if pts.ndim == 1 else pts @ c - values
+        total += float(np.max(vals)) / dist.alpha[i]
+    total += reference_z_part(prob, dist, mu, z_bound)
+    return total
+
+
+def reference_coefficients(prob, mu, i):
+    """Linear coefficient of x_i in mu' D x: sums mu over the rows of i."""
+    cs = prob.constraints
+    rows = cs.rows_of_component(i)
+    c = np.zeros(cs.n)
+    np.add.at(c, cs.row_coord[rows], mu[rows] * cs.row_coeff[rows])
+    return c
+
+
+def reference_grid_gap(prob, dist, mu, grids):
+    """The grid-gap estimate with one component's coefficients at a time."""
+    gap = 0.0
+    cs = prob.constraints
+    for i, (axes, _, values) in enumerate(grids):
+        box = prob.x_sets[i]
+        c = reference_coefficients(prob, mu, i)
+        for t, u in enumerate(axes):
+            if u[1] == u[0]:
+                continue
+            if cs.n == 1:
+                vals = c[t] * u - values
+            else:
+                point = np.array([0.5 * (box.lower[s] + box.upper[s])
+                                  for s in range(cs.n)])
+                vals = []
+                for ut in u:
+                    point[t] = ut
+                    vals.append(c[t] * ut - term_value(prob.terms[i], point))
+                vals = np.asarray(vals)
+            h = u[1] - u[0]
+            lip = float(np.max(np.abs(np.diff(vals)))) / h
+            gap += 0.5 * lip * h / dist.alpha[i]
+    return gap
+
+
+def reference_z_part(prob, dist, mu, z_bound):
+    """The z part of Q, one pair at a time, then the unpaired rows."""
+    cs = prob.constraints
+    d = dist.weight_diag * mu * cs.h_diag
+    zs = prob.z_set
+    if z_bound is None:
+        raise NonCompactSets(
+            "z set is unbounded; provide z_bound to compactify the maximization")
+    b = float(z_bound)
+    if b < 0:
+        raise InvalidProblem("z_bound must be nonnegative")
+    total = 0.0
+    paired = np.zeros(cs.W, dtype=bool)
+    if isinstance(zs, SumZeroPairs):
+        for i, j in zs.pairs:
+            total += abs(d[i] - d[j]) * b
+            paired[i] = paired[j] = True
+    total += float(np.sum(np.abs(d[~paired])) * b)
+    return total
+
+
+def reference_rate_constants(prob, dist, ref, state0, grid_resolution=1001,
+                             z_bound=None, num_directions=64,
+                             direction_seed=0, extra_directions=(),
+                             point_budget=2_000_000):
+    """The rate constants one direction at a time: Q at each multiplier by
+    ``reference_q``, the running maxima of Q and of the theta norm kept by
+    ``if v > best``, and the weighted Lagrangian at the start summed here."""
+    if ref.p is None:
+        raise MissingReference("rate constants need a dual reference p*")
+    cs = prob.constraints
+    w = dist.weight_diag
+    beta = prob.beta
+    p0, z0, x0 = state0.p, state0.z, state0.x
+
+    rng = RngStream(direction_seed)
+    dirs = [np.zeros(cs.W)]
+    for _ in range(num_directions):
+        u = rng.normals(cs.W)
+        norm = float(np.linalg.norm(u))
+        if norm > 0:
+            dirs.append(u / norm)
+    for l in range(cs.W):
+        e = np.zeros(cs.W)
+        e[l] = 1.0
+        dirs.append(e)
+        dirs.append(-e)
+    for u in extra_directions:
+        u = np.asarray(u, dtype=float)
+        norm = float(np.linalg.norm(u))
+        if norm > 1.0:
+            u = u / norm
+        dirs.append(u)
+
+    grids = _component_grids(prob, grid_resolution, point_budget)
+    q_at_pstar = reference_q(prob, dist, ref.p, grids, z_bound)
+    q_bar = q_at_pstar
+    best_theta_val = -np.inf
+    theta_bar = ref.p.copy()
+    for u in dirs:
+        mu = ref.p - u
+        q_bar = max(q_bar, reference_q(prob, dist, mu, grids, z_bound))
+        val = float(np.dot((p0 - mu) * w, p0 - mu))
+        if val > best_theta_val:
+            best_theta_val = val
+            theta_bar = mu
+
+    alpha_row = dist.alpha[cs.row_block]
+    coupled0 = (cs.row_coeff * x0[cs.col_index] / alpha_row
+                + cs.h_diag * z0 * w)
+    s0 = sum(term_value(t, prob.component(x0, i)) / dist.alpha[i]
+             for i, t in enumerate(prob.terms))
+    l0_tilde = (s0 - float(np.dot(ref.p, coupled0))
+                + float(np.linalg.norm(coupled0)))
+
+    wn = WeightedNorm(w)
+    norm_term_theta = weighted_norm_sq(p0 - theta_bar, wn) / (2.0 * beta)
+    norm_term_z = 0.5 * beta * weighted_norm_sq(cs.h_diag * (z0 - ref.z), wn)
+    gap = reference_grid_gap(prob, dist, ref.p, grids)
+    return RateConstants(q_at_pstar=q_at_pstar, q_bar=q_bar,
+                         theta_bar=theta_bar, l0_tilde=l0_tilde,
+                         norm_term_theta=norm_term_theta,
+                         norm_term_z=norm_term_z, grid_gap=gap,
+                         z_bound=z_bound, num_directions=len(dirs))

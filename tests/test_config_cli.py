@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from asyncadmm import (BenchmarkSpec, Custom, ExperimentConfig, Free, Graph,
                        ProbeFlags, ProblemSource, Quadratic, SeparableProblem,
@@ -696,3 +702,235 @@ class TestCli:
         monkeypatch.setenv("ASYNCADMM_OUT", str(tmp_path / "envout"))
         assert cli_main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "envout" / "seed_0.csv").exists()
+
+
+class TestInputErrors:
+    """Inputs that once ended in a traceback or in the wrong exit code."""
+
+    def bench_argv(self, tmp_path, *extra):
+        write_cycle_graph(tmp_path / "g.txt", n=3)
+        return ["bench", "consensus-quadratic", "--graph",
+                str(tmp_path / "g.txt"), "--T", "5",
+                "--out", str(tmp_path / "res"), *extra]
+
+    @pytest.mark.parametrize("arg", ["--a=1,x,3", "--a=,,", "--a=1,nan,2",
+                                     "--a=1,inf,2", "--a=1,-inf,2"])
+    def test_bench_node_data_is_checked_as_config_data(self, tmp_path, capsys,
+                                                       arg):
+        # the same check as a config file's benchmark data
+        assert cli_main(self.bench_argv(tmp_path, arg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem.benchmark.a")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("window", ["5", "a:b", "1:2:3", ""])
+    def test_slope_window_must_be_lo_hi(self, tmp_path, capsys, window):
+        csv = tmp_path / "m.csv"
+        csv.write_text("iter,ergodic_feasibility\n"
+                       + "".join(f"{t},{1.0 / t!r}\n" for t in range(1, 9)))
+        rc = cli_main(["slope", str(csv), f"--window={window}"])
+        err = capsys.readouterr().err
+        if window:
+            assert rc == 2
+            assert "lo:hi" in err and err.count("\n") == 1
+        else:
+            assert rc == 0 and not err   # an empty window is no window
+
+    @pytest.mark.parametrize("field,value", [("out", 5), ("out", []),
+                                             ("out", {}), ("graph", 5),
+                                             ("graph", None),
+                                             ("graph", ["g.txt"])])
+    def test_paths_must_be_strings(self, tmp_path, capsys, field, value):
+        write_cycle_graph(tmp_path / "g.txt", n=3)
+        doc = json.loads(MINIMAL)
+        if field == "out":
+            doc["out"] = value
+        else:
+            doc["problem"]["benchmark"]["graph"] = value
+        with pytest.raises(ParseError, match=field):
+            parse_config(json.dumps(doc))
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(doc))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and field in err
+            assert err.count("\n") == 1
+
+    def test_null_out_is_unset(self):
+        doc = json.loads(MINIMAL)
+        doc["out"] = None
+        assert parse_config(json.dumps(doc)).out is None
+
+    def configs_naming(self, tmp_path, path):
+        """A benchmark config with ``path`` as its graph, and a file config
+        with ``path`` as its problem."""
+        for i, problem in enumerate(
+                ({"benchmark": {"name": "consensus-quadratic",
+                                "graph": str(path)}},
+                 {"file": str(path)})):
+            cfg_path = tmp_path / f"exp{i}.json"
+            cfg_path.write_text(json.dumps({"problem": problem, "T": 5,
+                                            "out": "out"}))
+            yield cfg_path
+
+    def test_a_directory_is_an_io_error(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        configs = [tmp_path / "d", *self.configs_naming(tmp_path,
+                                                        tmp_path / "d")]
+        for cfg_path in configs:
+            for command in ("run", "validate"):
+                assert cli_main([command, str(cfg_path)]) == 3
+                err = capsys.readouterr().err
+                assert err.startswith("i/o error: ") and "directory" in err
+                assert err.count("\n") == 1
+        assert cli_main(["slope", str(tmp_path / "d")]) == 3
+        assert not (tmp_path / "out").exists()
+
+    def test_text_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b'{"T": 5, "\xff": 1}\n')
+        configs = [bad, *self.configs_naming(tmp_path, bad)]
+        for cfg_path in configs:
+            for command in ("run", "validate"):
+                assert cli_main([command, str(cfg_path)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("config error: ") and "UTF-8" in err
+                assert err.count("\n") == 1
+        assert cli_main(["slope", str(bad)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_argument_errors_are_one_line(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(self.bench_argv(tmp_path, "--T", "x"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# The CLI in-process on mutated inputs
+# ---------------------------------------------------------------------------
+
+JSON_KINDS = {type(None): None, bool: True, float: 7.5, int: 7, str: "x",
+              list: [], dict: {}}
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+BAD_ARGS = ("", "x", "nan", "inf", "-inf", "-3", "5", "a:b", "1:2:3", ":",
+            "nan:inf", "1,x,3", "=,,", "1,nan,2", "0..", ".")
+
+
+def fuzz_inputs(tmp):
+    """The valid inputs the mutations start from, written under ``tmp``: a
+    benchmark config, a problem file and a config naming it (3 nodes,
+    T <= 20, every probe on), and ``bench`` and ``slope`` argument lists."""
+    write_cycle_graph(tmp / "g.txt", n=3)
+    bench = generate_benchmark(BenchmarkSpec("consensus-quadratic",
+                                             a=[1.0, 2.0, 3.0],
+                                             box_margin=2.0),
+                               Graph.cycle(3), beta=1.0)
+    common = {"T": 12, "seeds": [0, 1], "beta": 1.0, "stride": 5,
+              "probes": {"shadow": True, "lyapunov": True, "ergodic": True},
+              "workers": 1, "reference": "auto", "out": "out"}
+    bench_config = dict(common, problem={"benchmark": {
+        "name": "consensus-quadratic", "graph": "g.txt", "a": [1.0, 2.0, 3.0],
+        "box_margin": 2.0}}, x0=[1.0, 2.0, 3.0], z0=[0.0] * 6)
+    file_config = dict(common, problem={"file": "p.json"},
+                       blocks=[list(map(int, b))
+                               for b in bench.reform.partition.blocks],
+                       block_probs=[0.25, 0.25, 0.5])
+    problem = json.loads(dump_problem(bench.problem))
+    csv = tmp / "m.csv"
+    csv.write_text("iter,ergodic_feasibility\n"
+                   + "".join(f"{t},{1.0 / t!r}\n" for t in range(1, 21)))
+    bench_argv = ["bench", "consensus-quadratic", "--graph", "g.txt",
+                  "--seeds", "0..1", "--T", "12", "--beta", "1.0",
+                  "--stride", "5", "--a", "1,2,3", "--out", "res",
+                  "--probe-shadow", "--probe-lyapunov"]
+    slope_argv = ["slope", "m.csv", "--column", "ergodic_feasibility",
+                  "--window", "2:20"]
+    return bench_config, file_config, problem, bench_argv, slope_argv
+
+
+def json_paths(doc, path=()):
+    """The path of every field and list element below the root."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+def mutate_json(data, doc):
+    """``doc`` with one field dropped, or set to a value of another JSON
+    type, to NaN or to +-inf."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    how = data.draw(st.sampled_from(["drop", "type", "non-finite"]))
+    if how == "drop":
+        del parent[path[-1]]
+    elif how == "type":
+        parent[path[-1]] = data.draw(st.sampled_from(
+            [v for t, v in JSON_KINDS.items() if not isinstance(old, t)]))
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(NON_FINITE))
+    return doc
+
+
+def mutate_argv(data, argv):
+    """``argv`` with one option dropped, or its value replaced."""
+    argv = list(argv)
+    options = [i for i, a in enumerate(argv) if a.startswith("--")]
+    i = data.draw(st.sampled_from(options))
+    takes_value = i + 1 < len(argv) and not argv[i + 1].startswith("--")
+    if data.draw(st.booleans()) or not takes_value:
+        del argv[i:i + 1 + takes_value]
+    else:
+        argv[i] = f"{argv[i]}={data.draw(st.sampled_from(BAD_ARGS))}"
+        del argv[i + 1]
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), target=st.sampled_from(
+    ["bench config", "file config", "problem", "bench", "slope"]))
+def test_cli_exits_0_2_or_3_with_one_line(data, target):
+    """Mutated configs, problem files and ``bench``/``slope`` arguments,
+    driven through ``cli.main`` in this process: the exit code is 0, 2 or
+    3 (an argument error is ``SystemExit(2)``), no exception escapes, and
+    a failure writes one line to stderr."""
+    with tempfile.TemporaryDirectory() as name, \
+            pytest.MonkeyPatch.context() as mp:
+        tmp = Path(name)
+        mp.chdir(tmp)
+        mp.setenv("ASYNCADMM_OUT", str(tmp / "env-out"))
+        bench_config, file_config, problem, bench_argv, slope_argv = \
+            fuzz_inputs(tmp)
+        (tmp / "p.json").write_text(json.dumps(problem))
+        if target in ("bench config", "file config"):
+            doc = bench_config if target == "bench config" else file_config
+            (tmp / "exp.json").write_text(json.dumps(mutate_json(data, doc)))
+        elif target == "problem":
+            (tmp / "p.json").write_text(json.dumps(mutate_json(data,
+                                                               problem)))
+            (tmp / "exp.json").write_text(json.dumps(file_config))
+        commands = ([["run", "exp.json"], ["validate", "exp.json"]]
+                    if target not in ("bench", "slope") else
+                    [mutate_argv(data, bench_argv if target == "bench"
+                                 else slope_argv)])
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = cli_main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 2, 3), (argv, err.getvalue())
+            assert err.getvalue().count("\n") == (code != 0), \
+                (argv, err.getvalue())

@@ -1,20 +1,38 @@
+"""Diagnostics: weighted norms and Lagrangian, the Lyapunov value and its
+drift, rate fits, the reference solve and the rate constants.
+
+The rate constants evaluate a stack of directions at once; here they are
+compared bit for bit with ``tests/reference.py``'s loop over one
+direction, one component and one z pair at a time
+(``reference_rate_constants``), and ``lyapunov`` with the recorder's
+arithmetic (``plain_lyapunov``).
+"""
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from asyncadmm import (AbsDev, Box, ConstraintSystem, Free,
-                       Graph, PrimalDualState, Quadratic, ReferenceSolution,
-                       SeparableProblem, WeightedNorm, build_partition,
-                       build_reformulation, compute_rate_constants,
-                       derive_probabilities, estimate_rate, initial_state,
-                       lagrangian, lyapunov, q_value, residual,
-                       solve_reference, uniform_probs, weighted_lagrangian,
-                       weighted_norm_sq)
-from asyncadmm.diagnostics import lyapunov_drift
+from asyncadmm import (AbsDev, BenchmarkSpec, Box, ConstraintSystem, Free,
+                       Graph, L1, PrimalDualState, ProbeFlags, Quadratic,
+                       ReferenceSolution, SeparableProblem, SumZeroPairs,
+                       WeightedNorm, build_partition, build_reformulation,
+                       compute_rate_constants, derive_probabilities,
+                       edge_initial_state, estimate_rate, generate_benchmark,
+                       initial_state, lagrangian, lyapunov, q_value, residual,
+                       run_batch, solve_reference, uniform_probs,
+                       weighted_lagrangian, weighted_norm_sq)
+from asyncadmm.diagnostics import (_component_grids, _q_stack,
+                                   lyapunov_drift)
 from asyncadmm.errors import (InvalidProblem, MissingReference, NonCompactSets,
                               NonPositiveSeries)
 
 from conftest import random_state_for
 from oracles import loglog_slope
+from reference import (assert_bits_equal, plain_lyapunov, reference_q,
+                       reference_rate_constants)
+from test_fullpass import random_constraints
+from test_shadow_stack import random_partition
 
 
 def boxed_cycle(a=(1.0, 2.0, 3.0, 4.0, 5.0), beta=1.0, margin=5.0):
@@ -124,6 +142,23 @@ class TestLyapunov:
         st = initial_state(self.prob)
         with pytest.raises(MissingReference):
             lyapunov(self.prob, st, ref, self.wn)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.3, 1.7])
+    def test_value_is_the_recorded_arithmetic(self, beta):
+        # 1/(2 beta) is inexact at 0.3 and 1.7, where dividing by 2 beta
+        # and multiplying by its inverse can round apart
+        reform = boxed_cycle(beta=beta)
+        prob = reform.problem
+        dist = derive_probabilities(reform.partition,
+                                    [0.1, 0.2, 0.3, 0.15, 0.25])
+        wn = WeightedNorm.from_distribution(dist)
+        rng = np.random.default_rng(8)
+        ref = ReferenceSolution(x=rng.normal(size=5), z=rng.normal(size=10),
+                                p=rng.normal(size=10))
+        for _ in range(50):
+            st = random_state_for(prob, rng)
+            want = plain_lyapunov(prob, dist, ref, st.z, st.p)
+            assert_bits_equal(lyapunov(prob, st, ref, wn), want, "lyapunov")
 
     def test_conditional_drift_never_positive(self):
         rng = np.random.default_rng(4)
@@ -269,3 +304,225 @@ class TestSolveReference:
         with pytest.raises(InvalidProblem):
             ReferenceSolution(x=np.ones(5) * 7, z=np.zeros(10), p=None,
                               prob=reform.problem)
+
+
+RC_FIELDS = ("q_at_pstar", "q_bar", "theta_bar", "l0_tilde",
+             "norm_term_theta", "norm_term_z", "grid_gap")
+
+
+def constants_outcome(fn, *args, **kwargs):
+    """The rate constants, or the type and message of the first error."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the error raised first is part of the result
+        return type(exc), str(exc)
+
+
+def assert_same_constants(*args, **kwargs):
+    """The stacked rate constants equal the direction loop's bit for bit,
+    or raise its first error."""
+    got = constants_outcome(compute_rate_constants, *args, **kwargs)
+    want = constants_outcome(reference_rate_constants, *args, **kwargs)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    for name in RC_FIELDS:
+        assert_bits_equal(getattr(got, name), getattr(want, name), name)
+    assert got.z_bound == want.z_bound
+    assert got.num_directions == want.num_directions
+    return got
+
+
+def directions(prob, num_directions, extra=1):
+    """How many multipliers the constants evaluate: p*, the zero
+    direction, the sampled ones, +-e_l and the extra ones."""
+    return 2 + num_directions + 2 * prob.dim_z + extra
+
+
+class TestStackedRateConstants:
+    def test_acceptance_3_problem_with_its_extra_direction(self):
+        bench = generate_benchmark(
+            BenchmarkSpec("consensus-quadratic", a=[1.0, 2.0, 3.0, 4.0, 5.0]),
+            Graph.cycle(5), beta=1.0)
+        prob, part = bench.problem, bench.reform.partition
+        dist = derive_probabilities(part, uniform_probs(part))
+        x0 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        z0 = edge_initial_state(bench.reform, x0).z
+        # the realized mean-residual direction, from a shorter run
+        runs = run_batch(prob, part, dist, seeds=range(20), T=1_000,
+                         probes=ProbeFlags(ergodic=True),
+                         ref=bench.reference_solution, x0=x0, z0=z0,
+                         stride=100)
+        mean_res = residual(prob, np.mean([m.x_bar for m in runs], axis=0),
+                            np.mean([m.z_bar for m in runs], axis=0))
+        rc = assert_same_constants(
+            prob, dist, solve_reference(prob), initial_state(prob, x0, z0),
+            grid_resolution=1001, z_bound=12.0, num_directions=64,
+            extra_directions=(mean_res,))
+        assert rc.num_directions == 86
+
+    def test_several_passes_on_a_boxed_two_dimensional_problem(self):
+        g = Graph.cycle(4)
+        rng = np.random.default_rng(9)
+        terms = tuple(Quadratic(rng.normal(size=2)) for _ in range(4))
+        sets = tuple(Box(-2.0 * np.ones(2), np.array([1.5, 2.5]))
+                     for _ in range(4))
+        reform = build_reformulation(g, terms, sets, 1.0)
+        prob = reform.problem
+        dist = derive_probabilities(reform.partition,
+                                    uniform_probs(reform.partition))
+        ref = solve_reference(prob)
+        state0 = initial_state(prob, rng.uniform(-2.0, 1.5, prob.dim_x))
+        extra = (rng.normal(size=prob.dim_z) * 3.0,
+                 rng.normal(size=prob.dim_z) * 0.1)
+        budget = 2_000
+        # 21 x 21 grid points per component and 4 directions per pass
+        assert directions(prob, 16, extra=2) * 21 ** 2 > budget
+        assert_same_constants(prob, dist, ref, state0, grid_resolution=21,
+                              z_bound=4.0, num_directions=16,
+                              extra_directions=extra, point_budget=budget)
+
+    def test_unpaired_z_rows(self):
+        # 12 pairs and the other rows unpaired: both sums have more terms
+        # than numpy's unrolled block of 8, so a pairwise sum of the pair
+        # terms, or of a column-major gather, would round apart
+        rng = np.random.default_rng(10)
+        cs = random_constraints(rng, 1, 4, hub_rows=30)
+        prob = SeparableProblem(
+            terms=(Quadratic(np.array([0.5])), AbsDev(np.array([-1.0])),
+                   L1(0.7, dim=1), Quadratic(np.array([2.0]), weight=3.0)),
+            x_sets=tuple(Box(np.array([-3.0]), np.array([2.0]))
+                         for _ in range(4)),
+            z_set=SumZeroPairs(cs.W, rng.permutation(cs.W)[:24]
+                               .reshape(-1, 2)),
+            constraints=cs, beta=1.0)
+        assert cs.W - 24 > 8
+        part = random_partition(rng, prob)
+        dist = derive_probabilities(part, uniform_probs(part))
+        ref = ReferenceSolution(x=rng.normal(size=4), z=rng.normal(size=cs.W),
+                                p=rng.normal(size=cs.W))
+        state0 = PrimalDualState(x=rng.normal(size=4),
+                                 z=rng.normal(size=cs.W),
+                                 p=rng.normal(size=cs.W))
+        assert_same_constants(prob, dist, ref, state0, grid_resolution=101,
+                              z_bound=3.0, num_directions=24)
+
+    def test_beta_and_nonuniform_block_probabilities(self):
+        # 12 z pairs: more pair terms than numpy's unrolled block of 8, so
+        # a pairwise sum of them would round apart from the loop's
+        a = np.linspace(-3.0, 4.0, 12)
+        reform = boxed_cycle(a=a, beta=0.3)
+        prob = reform.problem
+        dist = derive_probabilities(reform.partition, np.arange(1, 13) / 78)
+        ref = solve_reference(prob)
+        state0 = initial_state(prob, x0=a[::-1].copy())
+        # a NaN direction never wins a maximum; an infinite one is scaled
+        # to NaN and zeros
+        extra = (np.ones(24), -np.ones(24), np.full(24, np.nan),
+                 np.r_[np.inf, np.zeros(23)])
+        assert_same_constants(prob, dist, ref, state0, grid_resolution=201,
+                              z_bound=10.0, num_directions=32,
+                              direction_seed=5, extra_directions=extra)
+
+    @pytest.mark.parametrize("z_bound", [0.0, 3.0])
+    @pytest.mark.parametrize("n, budget", [(1, 500), (2, 2_000_000)])
+    def test_every_row_is_the_loops_q(self, n, budget, z_bound):
+        """The constants read two rows of the stack; here every row equals
+        ``reference_q`` at its multiplier (in several passes for n = 1,
+        in one for n = 2, where a matrix product over all rows would
+        round apart from the loop's matrix-vector products). With a zero
+        z bound, Q is the component maxima alone."""
+        rng = np.random.default_rng(12)
+        cs = random_constraints(rng, n, 4, hub_rows=30)
+        prob = SeparableProblem(
+            terms=(Quadratic(np.full(n, 0.5)), AbsDev(-np.ones(n)),
+                   L1(0.7, dim=n), Quadratic(np.full(n, 2.0), weight=3.0)),
+            x_sets=tuple(Box(-2.9 * np.ones(n), 2.3 * np.ones(n))
+                         for _ in range(4)),
+            z_set=SumZeroPairs(cs.W, rng.permutation(cs.W)[:24]
+                               .reshape(-1, 2)),
+            constraints=cs, beta=0.7)
+        part = random_partition(rng, prob)
+        probs = rng.uniform(0.5, 2.0, len(part.blocks))
+        dist = derive_probabilities(part, probs / probs.sum())
+        mus = rng.normal(size=(40, cs.W)) * 2.0
+        grids = _component_grids(prob, 23, budget)
+        got = _q_stack(prob, dist, mus, grids, z_bound, budget)
+        for mu, q in zip(mus, got):
+            want = reference_q(prob, dist, mu, grids, z_bound)
+            assert_bits_equal(q, want, "q")
+
+    def test_error_cases_raise_the_loops_first_error(self):
+        reform = boxed_cycle()
+        prob = reform.problem
+        dist = derive_probabilities(reform.partition,
+                                    uniform_probs(reform.partition))
+        ref = solve_reference(prob)
+        state0 = initial_state(prob)
+        no_dual = ReferenceSolution(x=ref.x, z=ref.z, p=None)
+        for ref_, kwargs in ((no_dual, dict(z_bound=1.0)),
+                             (ref, dict(z_bound=None)),
+                             (ref, dict(z_bound=-1.0)),
+                             (ref, dict(z_bound=1.0, grid_resolution=1)),
+                             (ref, dict(z_bound=None, point_budget=10))):
+            assert isinstance(assert_same_constants(prob, dist, ref_, state0,
+                                                    **kwargs), tuple)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2]),
+           N=st.integers(1, 5), hub_rows=st.sampled_from([0, 9]),
+           pairs=st.booleans(), free_set=st.sampled_from([False] * 5 + [True]),
+           resolution=st.sampled_from([2, 3, 11, 40]),
+           budget=st.sampled_from([40, 400, 2_000_000]),
+           num_directions=st.integers(0, 12),
+           z_bound=st.sampled_from([None, -1.0, 0.0, 2.5, 2.5, 2.5, 7.0]))
+    def test_random_problems(self, seed, n, N, hub_rows, pairs, free_set,
+                             resolution, budget, num_directions, z_bound):
+        rng = np.random.default_rng(seed)
+        cs = random_constraints(rng, n, N, hub_rows)
+        kinds = rng.integers(0, 3, size=N)
+        terms = tuple((Quadratic(rng.normal(size=n), weight=2.0),
+                       AbsDev(rng.normal(size=n)), L1(0.5, dim=n))[k]
+                      for k in kinds)
+        sets = [Box(rng.uniform(-3.0, 0.0, n), rng.uniform(0.0, 3.0, n))
+                for _ in range(N)]
+        if free_set:
+            sets[-1] = Free(n)
+        z_set = Free(cs.W)
+        if pairs and cs.W > 1:
+            pairs = rng.permutation(cs.W)[:cs.W // 2 * 2].reshape(-1, 2)
+            z_set = SumZeroPairs(cs.W, pairs[:rng.integers(1, cs.W // 2 + 1)])
+        prob = SeparableProblem(terms=terms, x_sets=tuple(sets), z_set=z_set,
+                                constraints=cs,
+                                beta=float(rng.uniform(0.3, 2.0)))
+        part = random_partition(rng, prob) if cs.W > 1 else None
+        if part is None:
+            part = build_partition(z_set, cs, [[0]])
+        probs = rng.uniform(0.5, 2.0, len(part.blocks))
+        dist = derive_probabilities(part, probs / probs.sum())
+        ref = ReferenceSolution(x=rng.normal(size=prob.dim_x),
+                                z=rng.normal(size=cs.W),
+                                p=rng.normal(size=cs.W))
+        state0 = PrimalDualState(x=rng.normal(size=prob.dim_x),
+                                 z=rng.normal(size=cs.W),
+                                 p=rng.normal(size=cs.W))
+        extra = [rng.normal(size=cs.W) * s for s in (0.0, 0.2, 5.0)]
+        assert_same_constants(prob, dist, ref, state0,
+                              grid_resolution=resolution, z_bound=z_bound,
+                              num_directions=num_directions,
+                              direction_seed=seed, extra_directions=extra,
+                              point_budget=budget)
+
+
+def test_q_value_is_the_one_direction_case():
+    reform = boxed_cycle(beta=0.3)
+    prob = reform.problem
+    dist = derive_probabilities(reform.partition, [0.1, 0.2, 0.3, 0.15, 0.25])
+    grids = _component_grids(prob, 101, 2_000_000)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        mu = rng.normal(size=10) * 3.0
+        assert_bits_equal(q_value(prob, dist, mu, grid_resolution=101,
+                                  z_bound=5.0),
+                          reference_q(prob, dist, mu, grids, 5.0), "q")
