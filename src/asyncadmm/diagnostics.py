@@ -373,9 +373,11 @@ def compute_rate_constants(prob: SeparableProblem, dist: ActivationDistribution,
     # scaled into the unit ball
     rng = RngStream(direction_seed)
     sampled = np.array([rng.normals(cs.W) for _ in range(num_directions)])
-    sampled = sampled.reshape(-1, cs.W)
+    sampled = sampled.reshape(num_directions, cs.W)
     norms = np.sqrt(np.vecdot(sampled, sampled))
-    extra = np.array(extra_directions, dtype=float).reshape(-1, cs.W)
+    # a row per direction: one of the wrong length is refused, not split
+    extra = np.array(extra_directions, dtype=float)
+    extra = extra.reshape(len(extra_directions), cs.W)
     dirs = np.concatenate([
         np.zeros((1, cs.W)), sampled[norms > 0] / norms[norms > 0, None],
         np.repeat(np.eye(cs.W), 2, axis=0) * np.tile([1.0, -1.0], cs.W)[:, None],
