@@ -3,7 +3,8 @@
 Library layout:
 
 - ``terms`` / ``problem``: objective terms, feasible sets, the separable
-  problem container, and its evaluation operations.
+  problem container (its objective and x sets stored as arrays), and its
+  evaluation operations.
 - ``prox``: closed-form component and block subproblem solvers.
 - ``scheduler``: proper partitions, activation probabilities, seeded RNG.
 - ``engine``: the asynchronous block kernel and step, full-information

@@ -14,11 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .consensus import (EdgeReformulation, Graph, build_reformulation,
-                        consensus_reference)
+from .consensus import (EdgeReformulation, Graph, consensus_optimum,
+                        reformulate)
 from .diagnostics import ReferenceSolution
 from .errors import InvalidProblem, UnknownBenchmark
-from .terms import AbsDev, Box, L1, Quadratic
+from .problem import TermGroups, XSetBounds
+from .terms import AbsDev, L1, Quadratic
 
 BENCHMARK_NAMES = ("consensus-quadratic", "consensus-lad", "lasso-toy")
 
@@ -59,27 +60,34 @@ class Benchmark:
         return self.reform.problem
 
 
-def _data_box(values, margin):
+def _data_bounds(values, margin, num_nodes) -> XSetBounds:
+    """The same compact box for every node, around the data range."""
     lo, hi = float(np.min(values)), float(np.max(values))
     if margin is None:
         margin = (hi - lo) + 1.0
-    return Box(np.array([lo - margin]), np.array([hi + margin]))
+    return XSetBounds(np.full((num_nodes, 1), lo - margin),
+                      np.full((num_nodes, 1), hi + margin),
+                      np.ones(num_nodes, dtype=bool))
 
 
 def generate_benchmark(spec: BenchmarkSpec, graph: Graph,
                        beta: float = 1.0) -> Benchmark:
-    """Build the edge reformulation of a named benchmark over ``graph``."""
+    """Build the edge reformulation of a named benchmark over ``graph``.
+
+    The nodes' terms and x sets are built as arrays (``TermGroups``,
+    ``XSetBounds``), with no object per node.
+    """
     n_nodes = graph.num_nodes
     if spec.name in ("consensus-quadratic", "consensus-lad"):
         a = spec.a if spec.a is not None else [float(i + 1) for i in range(n_nodes)]
         a = np.asarray(a, dtype=float)
         if a.shape != (n_nodes,):
             raise InvalidProblem(f"need {n_nodes} data values, got {a.shape}")
-        if spec.name == "consensus-quadratic":
-            terms = tuple(Quadratic(ai, 1.0) for ai in a[:, None].copy())
-        else:
-            terms = tuple(AbsDev(ai) for ai in a[:, None].copy())
-        box = _data_box(a, spec.box_margin)
+        kind = TermGroups.KINDS.index(
+            Quadratic if spec.name == "consensus-quadratic" else AbsDev)
+        groups = TermGroups(np.full(n_nodes, kind), a[:, None],
+                            np.ones(n_nodes))
+        bounds = _data_bounds(a, spec.box_margin, n_nodes)
     else:  # lasso-toy
         w = np.asarray(spec.w if spec.w is not None
                        else np.ones(n_nodes - 1), dtype=float)
@@ -92,16 +100,17 @@ def generate_benchmark(spec: BenchmarkSpec, graph: Graph,
             raise InvalidProblem("lasso-toy regression weights must be nonzero")
         if spec.pi < 0:
             raise InvalidProblem("lasso-toy penalty must be nonnegative")
-        # (w_i x - b_i)^2 = w_i^2 (x - b_i/w_i)^2, so each row is a quadratic
-        terms = tuple(Quadratic(np.array([bi / wi]), wi * wi)
-                      for wi, bi in zip(w, b))
-        terms = terms + (L1(gamma=float(spec.pi), dim=1),)
+        # (w_i x - b_i)^2 = w_i^2 (x - b_i/w_i)^2, so each row is a
+        # quadratic; the last node holds the one-norm
         centers = np.append(b / w, 0.0)
-        box = _data_box(centers, spec.box_margin)
+        kind = np.append(np.zeros(n_nodes - 1, dtype=np.intp),
+                         TermGroups.KINDS.index(L1))
+        groups = TermGroups(kind, centers[:, None],
+                            np.append(w * w, float(spec.pi)))
+        bounds = _data_bounds(centers, spec.box_margin, n_nodes)
 
-    x_sets = tuple(box for _ in range(n_nodes))
-    reform = build_reformulation(graph, terms, x_sets, beta)
-    reference = consensus_reference(terms)
+    reform = reformulate(graph, groups, bounds, beta)
+    reference = consensus_optimum(groups)
     cs = reform.problem.constraints
     x_star = np.tile(reference, n_nodes)
     z_star = -(cs.row_coeff * x_star[cs.col_index]) / cs.h_diag

@@ -94,8 +94,8 @@ def _require_finite(values, where: str, nan_only=False):
     arr = np.asarray(values, dtype=float)
     bad = np.isnan(arr) if nan_only else ~np.isfinite(arr)
     if np.any(bad):
-        raise ValidationError(f"{where}: non-finite value "
-                              f"{arr.reshape(-1)[np.flatnonzero(bad)[0]]!r}")
+        value = float(arr.reshape(-1)[np.flatnonzero(bad)[0]])
+        raise ValidationError(f"{where}: non-finite value {value!r}")
 
 
 def _number(value, where: str) -> float:

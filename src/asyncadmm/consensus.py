@@ -20,10 +20,10 @@ from .errors import (DisconnectedGraph, InvalidProblem, ParseError,
                      UnsupportedMix)
 from .engine import _ops
 from .problem import (ConstraintSystem, PrimalDualState, SeparableProblem,
-                      initial_state)
+                      TermGroups, XSetBounds, initial_state, problem_arrays)
 from .scheduler import ProperPartition, build_partition
-from .terms import (AbsDev, Custom, L1, Quadratic, SumZeroPairs,
-                    _first_true, _index_array, _repeats)
+from .terms import (Custom, SumZeroPairs, _first_true, _index_array,
+                    _repeats)
 
 
 @dataclass(eq=False)
@@ -159,7 +159,21 @@ class EdgeReformulation:
 
 def build_reformulation(graph: Graph, terms, x_sets, beta: float,
                         flip_edges: Sequence[int] = ()) -> EdgeReformulation:
-    """Edge-based constraint system for consensus over ``graph``.
+    """Edge-based constraint system for consensus over ``graph``, with one
+    term and one x set object per node: :func:`reformulate` of their
+    arrays."""
+    terms = tuple(terms)
+    _check_graph(graph, len(terms))
+    groups, bounds = problem_arrays(terms, x_sets, graph.num_nodes,
+                                    terms[0].dim)
+    return _reformulate(graph, groups, bounds, beta, flip_edges)
+
+
+def reformulate(graph: Graph, groups: TermGroups, bounds: XSetBounds,
+                beta: float, flip_edges: Sequence[int] = ()
+                ) -> EdgeReformulation:
+    """Edge-based constraint system for consensus over ``graph``, with the
+    nodes' terms and x sets given as arrays.
 
     Produces W = 2 M n rows: for edge e = (i, j), endpoint i's rows carry
     coefficient +1 and endpoint j's -1 (flipped for edges listed in
@@ -167,15 +181,21 @@ def build_reformulation(graph: Graph, terms, x_sets, beta: float,
     H = -I, a sum-zero pair per edge and coordinate, and one partition
     block per edge.
     """
+    _check_graph(graph, groups.N)
+    return _reformulate(graph, groups, bounds, beta, flip_edges)
+
+
+def _check_graph(graph: Graph, num_terms: int):
     if not graph.is_connected():
         raise DisconnectedGraph(
             f"graph with {graph.num_nodes} nodes and {graph.num_edges} edges "
             "is not connected")
-    terms = tuple(terms)
-    x_sets = tuple(x_sets)
-    if len(terms) != graph.num_nodes:
-        raise InvalidProblem(f"need {graph.num_nodes} terms, got {len(terms)}")
-    n = terms[0].dim
+    if num_terms != graph.num_nodes:
+        raise InvalidProblem(f"need {graph.num_nodes} terms, got {num_terms}")
+
+
+def _reformulate(graph, groups, bounds, beta, flip_edges):
+    n = groups.n
     m = graph.num_edges
     w = 2 * m * n
     sign = np.ones(m)
@@ -192,8 +212,7 @@ def build_reformulation(graph: Graph, terms, x_sets, beta: float,
         np.broadcast_to(np.arange(n)[:, None], shape).ravel(),
         np.broadcast_to(signs[:, None, :], shape).ravel(), -np.ones(w))
     z_set = SumZeroPairs(dim=w, pairs=rows.reshape(-1, 2))
-    problem = SeparableProblem(terms=terms, x_sets=x_sets, z_set=z_set,
-                               constraints=cs, beta=beta)
+    problem = SeparableProblem.from_arrays(groups, bounds, z_set, cs, beta)
     partition = build_partition(z_set, cs, np.arange(w).reshape(m, 2 * n))
     return EdgeReformulation(graph=graph, problem=problem, partition=partition,
                              signs=signs, n=n)
@@ -257,31 +276,36 @@ def edge_step(reform: EdgeReformulation, state: PrimalDualState,
 
 
 def consensus_reference(terms) -> np.ndarray:
-    """Centralized optimum of ``min_c sum_i f_i(c)``.
-
-    Weighted mean for quadratic terms, coordinatewise median for absolute
-    deviations; other combinations of quadratic, absolute-deviation, and
-    one-norm terms are solved by bisection on the summed subgradient.
-    """
+    """Centralized optimum of ``min_c sum_i f_i(c)`` over term objects of
+    one dimension: :func:`consensus_optimum` of their arrays."""
     terms = tuple(terms)
     if not terms:
         raise UnsupportedMix("no terms")
     n = terms[0].dim
     if any(t.dim != n for t in terms):
         raise UnsupportedMix("terms have mixed dimensions")
-    if all(isinstance(t, Quadratic) for t in terms):
+    return consensus_optimum(TermGroups.from_terms(terms, n))
+
+
+def consensus_optimum(groups: TermGroups) -> np.ndarray:
+    """Centralized optimum of ``min_c sum_i f_i(c)``.
+
+    Weighted mean for quadratic terms, coordinatewise median for absolute
+    deviations; other combinations of quadratic, absolute-deviation, and
+    one-norm terms are solved by bisection on the summed subgradient.
+    """
+    n = groups.n
+    if groups.quad_idx.size == groups.N * n:
         # running sums from zero, left to right, as the plain sum adds
-        weights = np.array([0.0] + [t.weight for t in terms])
-        centers = np.concatenate([np.zeros(n)]
-                                 + [t.center for t in terms]).reshape(-1, n)
+        weights = np.append(0.0, groups.quad_weight[::n])
+        centers = np.append(np.zeros(n), groups.quad_center).reshape(-1, n)
         return (np.cumsum(weights[:, None] * centers, axis=0)[-1]
                 / np.cumsum(weights)[-1])
-    if all(isinstance(t, AbsDev) for t in terms):
-        return _median(np.concatenate([t.center for t in terms])
-                       .reshape(-1, n))
-    if any(isinstance(t, Custom) for t in terms):
+    if groups.abs_idx.size == groups.N * n:
+        return _median(groups.abs_center.reshape(-1, n))
+    if any(isinstance(t, Custom) for _, t in groups.other):
         raise UnsupportedMix("custom terms have no closed-form reference")
-    return np.array([_bisect_total_subgradient(terms, t) for t in range(n)])
+    return np.array([_bisect_total_subgradient(groups, t) for t in range(n)])
 
 
 def _median(values: np.ndarray) -> np.ndarray:
@@ -296,18 +320,26 @@ def _median(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bisect_total_subgradient(terms, coord: int) -> float:
-    """Scalar minimizer of the summed terms along one coordinate."""
+def _bisect_total_subgradient(groups: TermGroups, coord: int) -> float:
+    """Scalar minimizer of the summed terms along one coordinate.
+
+    The summed right derivative adds the terms' slopes in component order,
+    strictly left to right from zero (terms of other kinds add nothing),
+    as a loop over the terms adds them.
+    """
+    n = groups.n
+    quad = groups.quad_idx[coord::n] // n + 1
+    absd = groups.abs_idx[coord::n] // n + 1
+    l1 = groups.l1_idx[coord::n] // n + 1
+    weight, gamma = groups.quad_weight[coord::n], groups.l1_gamma[coord::n]
+    quad_c, abs_c = groups.quad_center[coord::n], groups.abs_center[coord::n]
+    slopes = np.zeros(groups.N + 1)
+
     def right_derivative(c):
-        g = 0.0
-        for t in terms:
-            if isinstance(t, Quadratic):
-                g += 2.0 * t.weight * (c - t.center[coord])
-            elif isinstance(t, AbsDev):
-                g += 1.0 if c >= t.center[coord] else -1.0
-            elif isinstance(t, L1):
-                g += t.gamma if c >= 0 else -t.gamma
-        return g
+        slopes[quad] = 2.0 * weight * (c - quad_c)
+        slopes[absd] = np.where(c >= abs_c, 1.0, -1.0)
+        slopes[l1] = np.where(c >= 0, gamma, -gamma)
+        return np.add.accumulate(slopes)[-1]
 
     lo, hi = -1.0, 1.0
     while right_derivative(lo) >= 0 and lo > -1e12:

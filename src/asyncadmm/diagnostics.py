@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
                       lyapunov_rows, residual)
 from .scheduler import ActivationDistribution, RngStream
-from .terms import Box, SumZeroPairs, term_value
+from .terms import SumZeroPairs, term_value
 
 
 @dataclass(eq=False)
@@ -69,8 +69,8 @@ def _weighted_parts(prob, dist, x, z):
     """``sum_i f_i(x_i)/alpha_i`` and the rows ``D_i x/alpha_i + H z/lambda``:
     the weighted Lagrangian at ``mu`` is the first less mu' the second."""
     cs = prob.constraints
-    fsum = sum(term_value(t, prob.component(x, i)) / dist.alpha[i]
-               for i, t in enumerate(prob.terms))
+    values = _term_values(prob.groups, x.reshape(cs.N, 1, cs.n))[:, 0]
+    fsum = sum(values / dist.alpha)   # in component order, as np.float64
     alpha_row = dist.alpha[cs.row_block]
     return fsum, (cs.row_coeff * x[cs.col_index] / alpha_row
                   + cs.h_diag * z * dist.weight_diag)
@@ -259,26 +259,52 @@ def _coefficients(prob, mus):
 def _component_grids(prob, resolution, point_budget):
     """Each component's grid over its box and the term's value at every
     grid point, ``(axes, points, values)`` (the points are the one axis
-    when ``n == 1``): one call serves every multiplier."""
-    n = prob.constraints.n
-    grids = []
-    for i, term in enumerate(prob.terms):
-        box = prob.x_sets[i]
-        if not isinstance(box, Box):
-            raise NonCompactSets(f"x set of component {i} is not a box")
-        if resolution < 2:
-            raise GridTooLarge("grid resolution must be at least 2")
-        if resolution ** n > point_budget:
-            raise GridTooLarge(
-                f"component grid needs {resolution ** n} points, "
-                f"budget is {point_budget}")
-        axes = [np.linspace(lo, hi, resolution)
-                for lo, hi in zip(box.lower, box.upper)]
-        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
-                       axis=1)
-        values = np.array([term_value(term, pt) for pt in pts])
-        grids.append((axes, pts[:, 0] if n == 1 else pts, values))
-    return grids
+    when ``n == 1``): one call serves every multiplier. The values come
+    from :func:`_term_values`, one array expression per kind."""
+    n, bounds = prob.constraints.n, prob.bounds
+    # the checks of component 0, then the first component without a box
+    unbounded = np.flatnonzero(~bounds.box)[:1].tolist()
+    if unbounded == [0]:
+        raise NonCompactSets("x set of component 0 is not a box")
+    if resolution < 2:
+        raise GridTooLarge("grid resolution must be at least 2")
+    if resolution ** n > point_budget:
+        raise GridTooLarge(
+            f"component grid needs {resolution ** n} points, "
+            f"budget is {point_budget}")
+    if unbounded:
+        raise NonCompactSets(f"x set of component {unbounded[0]} is not a box")
+    axes = [[np.linspace(lo, hi, resolution) for lo, hi in zip(*box)]
+            for box in zip(bounds.lo, bounds.hi)]
+    pts = np.empty((len(axes), resolution ** n, n))
+    for i, ax in enumerate(axes):
+        pts[i] = np.stack([m.ravel() for m in np.meshgrid(*ax, indexing="ij")],
+                          axis=1)
+    values = _term_values(prob.groups, pts)
+    return [(ax, p[:, 0] if n == 1 else p, v)
+            for ax, p, v in zip(axes, pts, values)]
+
+
+def _term_values(groups, pts):
+    """``f_i`` at every point of ``pts[i]`` (``pts`` of shape ``(N, P, n)``),
+    as an ``(N, P)`` array, each value the bits of ``term_value`` there:
+    the Quadratic, AbsDev and L1 values are one array expression per kind
+    under the reduction contract (``np.vecdot`` for the squares, the sum
+    over the last axis of a C-contiguous array for the absolute values);
+    other terms take one ``term_value`` call per point."""
+    n = groups.n
+    values = np.empty(pts.shape[:2])
+    quad, absd, l1 = (idx[::n] // n for idx in
+                      (groups.quad_idx, groups.abs_idx, groups.l1_idx))
+    d = pts[quad] - groups.quad_center.reshape(-1, 1, n)
+    values[quad] = groups.quad_weight[::n, None] * np.vecdot(d, d)
+    values[absd] = np.add.reduce(
+        np.abs(pts[absd] - groups.abs_center.reshape(-1, 1, n)), axis=-1)
+    values[l1] = groups.l1_gamma[::n, None] * np.add.reduce(
+        np.abs(pts[l1]), axis=-1)
+    for i, term in groups.other:
+        values[i] = [term_value(term, pt) for pt in pts[i]]
+    return values
 
 
 def _q_stack(prob, dist, mus, grids, z_bound, point_budget):
@@ -324,16 +350,24 @@ def _grid_gap_estimate(prob, dist, mu, grids):
     ``n == 1``, the grid's own points and term values)."""
     n = prob.constraints.n
     coeffs = _coefficients(prob, np.asarray(mu, dtype=float)[None])[0]
+    if n == 1:
+        values = [[v] for _, _, v in grids]
+    else:
+        # the term values along axis t of every component's grid
+        mid = 0.5 * (prob.bounds.lo + prob.bounds.hi)
+        line = np.repeat(mid[:, None, :], len(grids[0][0][0]), axis=1)
+        per_axis = []
+        for t in range(n):
+            on_axis = line.copy()
+            on_axis[:, :, t] = [axes[t] for axes, _, _ in grids]
+            per_axis.append(_term_values(prob.groups, on_axis))
+        values = list(zip(*per_axis))
     gap = 0.0
-    for i, ((axes, _, values), box) in enumerate(zip(grids, prob.x_sets)):
+    for i, ((axes, _, _), vals_i) in enumerate(zip(grids, values)):
         for t, u in enumerate(axes):
             if u[1] == u[0]:
                 continue
-            line = np.tile(0.5 * (box.lower + box.upper), (len(u), 1))
-            line[:, t] = u
-            vals = coeffs[i * n + t] * u - (
-                values if n == 1 else
-                np.array([term_value(prob.terms[i], pt) for pt in line]))
+            vals = coeffs[i * n + t] * u - vals_i[t]
             h = u[1] - u[0]
             lip = float(np.max(np.abs(np.diff(vals)))) / h
             gap += 0.5 * lip * h / dist.alpha[i]

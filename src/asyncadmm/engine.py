@@ -73,8 +73,7 @@ import numpy as np
 from .errors import (DivergenceError, ImproperPartition, MissingReference,
                      ValidationError)
 from .problem import (PrimalDualState, SeparableProblem, TermGroups,
-                      initial_state, lyapunov_rows, objective, residual,
-                      term_groups, x_set_bounds)
+                      initial_state, lyapunov_rows, objective, residual)
 from .prox import (_kink_coord, kink_prox, quadratic_prox,
                    solve_local_prepared, solve_z_prepared)
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
@@ -135,7 +134,7 @@ class _GroupedProx:
     ``serial_at`` at a component's or coordinate's first coordinate, -1
     elsewhere), so the first error raised is the one a
     component-by-component loop raises. ``q``, ``lo``, ``hi`` have shape
-    ``(len(terms), n)``.
+    ``(N, n)``.
 
     ``consts`` holds the closed forms' constants per coordinate, zero off
     their kind: ``w2``, ``w2c`` (:func:`quadratic_prox`), ``a``, ``kink``
@@ -145,9 +144,8 @@ class _GroupedProx:
 
     CLOSED = ("w2", "w2c", "q_quad", "a", "kink", "q_kink", "lo", "hi")
 
-    def __init__(self, groups: TermGroups, terms, q, lo, hi):
-        n = groups.n
-        self.terms, self.n = terms, n
+    def __init__(self, groups: TermGroups, q, lo, hi):
+        n = self.n = groups.n
         self.q, self.lo, self.hi = q, lo, hi
         q, lo, hi = q.reshape(-1), lo.reshape(-1), hi.reshape(-1)
         c = self.consts = {name: np.zeros(q.size)
@@ -167,10 +165,11 @@ class _GroupedProx:
         self.is_quad = c["is_quad"] > 0
         self.closed = (c["w2"], c["w2c"], np.where(self.is_quad, q, q_kink),
                        c["a"], c["kink"], q_kink, lo, hi)
-        # one at a time: the components of other terms and the kink
-        # coordinates without a quadratic part (with their constants)
+        # one at a time: the components of other terms (with the term)
+        # and the kink coordinates without a quadratic part (with their
+        # constants)
         kink0 = kink_idx[q[kink_idx] == 0].tolist()
-        self.serial = [(i, None) for i, _ in groups.other]
+        self.serial = list(groups.other)
         self.serial += [(-1, (c["a"][t], c["kink"][t], lo[t], hi[t]))
                         for t in kink0]
         self.serial_at = np.full(q.size, -1, dtype=np.intp)
@@ -201,24 +200,23 @@ class _GroupedProx:
             return u
         n, at = self.n, np.broadcast_to(at, l.shape)
         for hit in zip(*np.nonzero(at >= 0)):
-            i, consts = self.serial[at[hit]]
+            i, item = self.serial[at[hit]]
             u_row, l_row, t = u[hit[:-1]], l[hit[:-1]], hit[-1]
-            if consts is not None:
-                a, kink, lo, hi = consts
+            if i < 0:
+                a, kink, lo, hi = item
                 u_row[t] = _kink_coord(a, kink, l_row[t], lo, hi)
             else:
                 u_row[t:t + n] = solve_local_prepared(
-                    self.terms[i], self.q[i], l_row[t:t + n], self.lo[i],
-                    self.hi[i])
+                    item, self.q[i], l_row[t:t + n], self.lo[i], self.hi[i])
         return u
 
 
 class _CompiledOps:
     """Per-problem arrays for the update kernels (built once, read-only).
 
-    ``lo``, ``hi`` are the component sets' stacked bounds, the problem's
-    cached :func:`x_set_bounds`, and ``groups`` its cached
-    :func:`term_groups`. ``pair_i``/``pair_j`` are the z set's pairs over
+    ``lo``, ``hi`` are the component sets' stacked bounds and ``groups``
+    the objective's arrays, both as the problem stores them (no term or
+    set object is read). ``pair_i``/``pair_j`` are the z set's pairs over
     all rows (empty for a free z set).
 
     The constraint rows are sorted by component, then coordinate, then
@@ -236,8 +234,7 @@ class _CompiledOps:
         cs = prob.constraints
         self.n, self.N, self.W = cs.n, cs.N, cs.W
         self.beta = prob.beta
-        self.terms = prob.terms
-        self.groups = term_groups(prob)
+        self.groups = prob.groups
         self.h = cs.h_diag
         self.coeff = cs.row_coeff
         self.col = cs.col_index
@@ -257,8 +254,7 @@ class _CompiledOps:
         self.quad = prob.beta * np.bincount(
             cs.col_index, weights=cs.row_coeff ** 2,
             minlength=cs.N * cs.n).reshape(cs.N, cs.n)
-        bounds = x_set_bounds(prob)
-        self.lo, self.hi = bounds.lo, bounds.hi
+        self.lo, self.hi = prob.bounds.lo, prob.bounds.hi
         if isinstance(prob.z_set, SumZeroPairs):
             self.pair_i, self.pair_j = prob.z_set._first, prob.z_set._second
         else:
@@ -269,7 +265,9 @@ class _CompiledOps:
 
         The tilt gathers every constraint row owned by the component:
         ``linear = D_i'(p - beta H z)``, summed per coordinate in row
-        order by :func:`_row_sums`.
+        order by :func:`_row_sums`. The term object is the problem's
+        (``TermGroups.terms``: the one given, or one made from the arrays
+        on the first call).
         """
         r0, r1 = self.comp_ptr[i], self.comp_ptr[i + 1]
         rows = self.rows[r0:r1]
@@ -282,7 +280,8 @@ class _CompiledOps:
             grid[self.slot[r0:r1]] = g
             linear = _row_sums(grid.reshape(self.n, -1))[:, 0]
         quad, lo, hi = self.comp_bounds[i]
-        return solve_local_prepared(self.terms[i], quad, linear, lo, hi)
+        return solve_local_prepared(self.groups.terms[i], quad, linear, lo,
+                                    hi)
 
     @cached_property
     def comp_bounds(self) -> list:
@@ -293,8 +292,7 @@ class _CompiledOps:
     @cached_property
     def prox(self) -> _GroupedProx:
         """The closed forms of every x coordinate, for :meth:`solve_all`."""
-        return _GroupedProx(self.groups, self.terms, self.quad, self.lo,
-                            self.hi)
+        return _GroupedProx(self.groups, self.quad, self.lo, self.hi)
 
     @cached_property
     def rank_order(self):
@@ -620,7 +618,7 @@ class _Recorder:
 
     def __init__(self, prob, dist, probes, ref, f_star, S, T, stride):
         self.prob, self.probes, self.ref = prob, probes, ref
-        self.groups = term_groups(prob)
+        self.groups = prob.groups
         self.f_star = f_star
         self.wd = dist.weight_diag
         count = -(-T // stride)   # every stride-th iteration, and T
@@ -796,7 +794,10 @@ def _levels(partition: ProperPartition, draws) -> list:
     component) pair by one sort. The levels then follow from one
     vectorized round per level; a segment with more than one level per 32
     draws, where those rounds would cost more, takes one pass in draw
-    order instead.
+    order instead. The draws touching one component clash in a chain, so
+    the most draws on one component bound the level count from below: a
+    segment whose bound is already past one level per 32 draws goes
+    straight to that pass.
     """
     L = draws.size
     first = partition.comp_ptr[draws]
@@ -813,13 +814,16 @@ def _levels(partition: ProperPartition, draws) -> list:
     level = np.zeros(L + 1, dtype=np.intp)
     level[L] = -1
     ptr = _offsets(count)
+    rounds = L // 32
+    if rounds and np.bincount(comp).max() > rounds:
+        rounds = 0   # the draws on one component need more levels
     # after round r each draw's level is min(its level, r), so the rounds
     # end at the first r that no draw reaches. Draw j's pairs are raised
     # by j (L + 1), above every earlier draw's, so a running maximum ends
     # each draw's pairs at their own maximum.
     off, last = draw * (L + 1), ptr[1:] - 1
     sub = np.arange(L) * (L + 1) - 1
-    for r in range(1, L // 32 + 1):
+    for r in range(1, rounds + 1):
         run = np.maximum.accumulate(level[pred] + off)
         np.subtract(run[last], sub, out=level[:L])
         if level[:L].max() < r:

@@ -8,12 +8,16 @@ the system validates; this makes the one-entry-per-row structure a
 property of the storage rather than a numerical check, while
 :func:`validate_constraints` still reports violations for raw entry lists
 that break the contract. Building and checking a system takes a few
-array passes over its entries.
+array passes over its entries. A separable problem stores its objective
+and its component sets as arrays too (:class:`TermGroups`,
+:class:`XSetBounds`); term and set objects are made from them only when
+asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -195,42 +199,58 @@ def validate_constraints(cs: ConstraintSystem) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-@dataclass(eq=False)
 class SeparableProblem:
-    """``min sum_i f_i(x_i) s.t. x_i in X_i, z in Z, D x + H z = 0``."""
+    """``min sum_i f_i(x_i) s.t. x_i in X_i, z in Z, D x + H z = 0``.
 
-    terms: tuple
-    x_sets: tuple
-    z_set: FeasibleSet
-    constraints: ConstraintSystem
-    beta: float
+    The objective is stored as arrays, its :class:`TermGroups`
+    (``groups``), and the component sets as their :class:`XSetBounds`
+    (``bounds``). ``SeparableProblem(terms, x_sets, z_set, constraints,
+    beta)`` turns one term and one set object per component into those
+    arrays (:func:`problem_arrays`); :meth:`from_arrays` takes the arrays.
+    ``terms`` and ``x_sets`` are the objects given, or objects made from
+    the arrays when first asked for.
+    """
 
-    def __post_init__(self):
-        self.terms = tuple(self.terms)
-        self.x_sets = tuple(self.x_sets)
-        cs = self.constraints
-        if len(self.terms) != cs.N:
-            raise InvalidProblem(f"expected {cs.N} terms, got {len(self.terms)}")
-        if len(self.x_sets) != cs.N:
-            raise InvalidProblem(f"expected {cs.N} x_sets, got {len(self.x_sets)}")
-        for i, (t, s) in enumerate(zip(self.terms, self.x_sets)):
-            if t.dim != cs.n:
-                raise InvalidProblem(f"term {i} has dim {t.dim}, expected {cs.n}")
-            if s.dim != cs.n:
-                raise InvalidProblem(f"x_set {i} has dim {s.dim}, expected {cs.n}")
-            if not isinstance(s, (Box, Free)):
-                # the kernels read x sets as bounds (x_set_bounds) only
-                raise UnsupportedSet(f"x_set {i} of kind {type(s).__name__} "
-                                     "is not supported: use free or box")
-        if self.z_set.dim != cs.W:
-            raise InvalidProblem(f"z_set has dim {self.z_set.dim}, expected {cs.W}")
-        if isinstance(self.z_set, Box):
+    def __init__(self, terms, x_sets, z_set: FeasibleSet,
+                 constraints: ConstraintSystem, beta: float):
+        self._store(*problem_arrays(terms, x_sets, constraints.N,
+                                    constraints.n),
+                    z_set, constraints, beta)
+
+    @classmethod
+    def from_arrays(cls, groups: "TermGroups", bounds: "XSetBounds",
+                    z_set: FeasibleSet, constraints: ConstraintSystem,
+                    beta: float) -> "SeparableProblem":
+        prob = cls.__new__(cls)
+        prob._store(groups, bounds, z_set, constraints, beta)
+        return prob
+
+    def _store(self, groups, bounds, z_set, cs, beta):
+        if (groups.N, groups.n) != (cs.N, cs.n):
+            raise InvalidProblem(f"expected {cs.N} terms of dim {cs.n}, got "
+                                 f"{groups.N} of dim {groups.n}")
+        if bounds.lo.shape != (cs.N, cs.n):
+            raise InvalidProblem(f"expected x set bounds of shape "
+                                 f"{(cs.N, cs.n)}, got {bounds.lo.shape}")
+        if z_set.dim != cs.W:
+            raise InvalidProblem(f"z_set has dim {z_set.dim}, expected {cs.W}")
+        if isinstance(z_set, Box):
             # neither the block kernel nor the reference solve reads z bounds
             raise UnsupportedSet(
                 "a box z set is not supported: use free or sum_zero_pairs")
-        if not self.beta > 0:
+        if not beta > 0:
             raise InvalidProblem("beta must be positive")
         cs.require_valid()
+        self.groups, self.bounds = groups, bounds
+        self.z_set, self.constraints, self.beta = z_set, cs, beta
+
+    @property
+    def terms(self) -> tuple:
+        return self.groups.terms
+
+    @property
+    def x_sets(self) -> tuple:
+        return self.bounds.sets
 
     @property
     def num_components(self) -> int:
@@ -249,6 +269,35 @@ class SeparableProblem:
         return x[i * n:(i + 1) * n]
 
 
+def problem_arrays(terms, x_sets, N: int, n: int):
+    """The :class:`TermGroups` and :class:`XSetBounds` of one term and one
+    set object per component, after the checks of each component in
+    order: its term's dim, its set's dim, its set's kind (the kernels read
+    x sets as bounds only, so only ``Box`` and ``Free`` sets are taken)."""
+    terms, x_sets = tuple(terms), tuple(x_sets)
+    if len(terms) != N:
+        raise InvalidProblem(f"expected {N} terms, got {len(terms)}")
+    if len(x_sets) != N:
+        raise InvalidProblem(f"expected {N} x_sets, got {len(x_sets)}")
+    dims = np.array([(t.dim, s.dim) for t, s in zip(terms, x_sets)],
+                    dtype=object).reshape(N, 2)
+    bounded = np.array([isinstance(s, (Box, Free)) for s in x_sets],
+                       dtype=bool)
+    first = _first_true(np.column_stack([(dims != n).astype(bool),
+                                         ~bounded]))
+    if first >= 0:
+        i, check = divmod(first, 3)
+        if check == 0:
+            raise InvalidProblem(f"term {i} has dim {terms[i].dim}, "
+                                 f"expected {n}")
+        if check == 1:
+            raise InvalidProblem(f"x_set {i} has dim {x_sets[i].dim}, "
+                                 f"expected {n}")
+        raise UnsupportedSet(f"x_set {i} of kind {type(x_sets[i]).__name__} "
+                             "is not supported: use free or box")
+    return TermGroups.from_terms(terms, n), XSetBounds.from_sets(x_sets, n)
+
+
 @dataclass
 class PrimalDualState:
     """Iterate triple ``(x, z, p)`` with the iteration counter."""
@@ -263,32 +312,43 @@ class PrimalDualState:
 
 
 class XSetBounds:
-    """The component sets as stacked bounds ``lo``, ``hi`` of shape (N, n).
+    """The component sets as arrays: bounds ``lo``, ``hi`` of shape (N, n)
+    and ``box`` (N,), which components are ``Box`` sets. The other
+    components are ``Free``, with infinite bounds.
 
-    ``Box`` sets give their bounds and ``Free`` sets infinite ones.
+    :meth:`from_sets` takes one set object per component, and ``sets``
+    makes set objects from the arrays when first asked for.
     """
 
-    def __init__(self, x_sets, n: int):
-        num = len(x_sets)
-        self.lo = np.full((num, n), -np.inf)
-        self.hi = np.full((num, n), np.inf)
-        box = [i for i, s in enumerate(x_sets) if isinstance(s, Box)]
-        if box:
-            # each distinct set's bounds are gathered once
-            first = {}
-            which = [first.setdefault(id(x_sets[i]), len(first)) for i in box]
-            sets = {id(x_sets[i]): x_sets[i] for i in box}.values()
-            self.lo[box] = np.stack([s.lower for s in sets])[which]
-            self.hi[box] = np.stack([s.upper for s in sets])[which]
+    def __init__(self, lo, hi, box):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        self.box = np.asarray(box, dtype=bool)
+        if np.any(self.lo > self.hi):
+            raise InvalidProblem("Box requires lower <= upper componentwise")
 
+    @classmethod
+    def from_sets(cls, x_sets, n: int) -> "XSetBounds":
+        """The bounds of ``Box`` and ``Free`` sets of dim ``n``; ``sets``
+        returns the objects given."""
+        x_sets = tuple(x_sets)
+        lo = np.full((len(x_sets), n), -np.inf)
+        hi = np.full((len(x_sets), n), np.inf)
+        box = np.array([isinstance(s, Box) for s in x_sets], dtype=bool)
+        at = np.flatnonzero(box).tolist()
+        if at:
+            lo[at] = np.stack([x_sets[i].lower for i in at])
+            hi[at] = np.stack([x_sets[i].upper for i in at])
+        bounds = cls(lo, hi, box)
+        bounds.sets = x_sets
+        return bounds
 
-def x_set_bounds(prob) -> XSetBounds:
-    """The stacked component bounds of a problem, built once and cached."""
-    bounds = getattr(prob, "_x_set_bounds", None)
-    if bounds is None:
-        bounds = prob._x_set_bounds = XSetBounds(prob.x_sets,
-                                                 prob.constraints.n)
-    return bounds
+    @cached_property
+    def sets(self) -> tuple:
+        """One set object per component."""
+        n = self.lo.shape[1]
+        return tuple(Box(lo, hi) if box else Free(n) for lo, hi, box
+                     in zip(self.lo, self.hi, self.box.tolist()))
 
 
 def initial_state(prob: SeparableProblem,
@@ -307,7 +367,7 @@ def initial_state(prob: SeparableProblem,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (prob.dim_x,):
         raise DimensionMismatch(f"x0 must have shape ({prob.dim_x},)")
-    bounds = x_set_bounds(prob)
+    bounds = prob.bounds
     x = np.clip(x0.reshape(cs.N, cs.n), bounds.lo, bounds.hi).reshape(-1)
     if z0 is None:
         z0 = np.zeros(cs.W)
@@ -319,36 +379,81 @@ def initial_state(prob: SeparableProblem,
 
 
 class TermGroups:
-    """The problem's terms grouped by kind, for a vectorized objective.
+    """A problem's objective as arrays: one term per component, grouped by
+    kind for a vectorized objective.
 
+    ``TermGroups(kind, center, scale, other)`` takes per component its
+    term's kind, an index into ``KINDS`` (``len(KINDS)`` for any other
+    kind), its center (``(N, n)``, zero for kinds without one) and its
+    weight (``Quadratic``) or gamma (``L1``), and ``other``, the term
+    objects of the components of other kinds in component order.
     Quadratic, absolute-deviation and one-norm terms become one gather
-    each over the coordinates they own, with per-coordinate centers and
-    weights; any other term keeps its own evaluation.
+    each over the coordinates they own (``quad_idx``, ``abs_idx``,
+    ``l1_idx``), with per-coordinate centers, weights and gammas; other
+    terms (``Custom``) keep their own evaluation, in ``other`` as
+    ``(component, term)`` pairs. :meth:`from_terms` takes one term object
+    per component, and ``terms`` makes term objects from the arrays when
+    first asked for.
     """
 
-    def __init__(self, terms, n: int):
-        def owned(kind):
-            return [i for i, t in enumerate(terms) if type(t) is kind]
+    KINDS = (Quadratic, AbsDev, L1)
 
-        def coords(comps):
-            return (np.array(comps, dtype=np.intp)[:, None] * n
-                    + np.arange(n)).ravel()
+    def __init__(self, kind, center, scale, other=()):
+        self.kind = np.asarray(kind, dtype=np.intp)
+        self.center = np.asarray(center, dtype=float)
+        self.scale = np.asarray(scale, dtype=float)
+        N, n = self.center.shape
+        self.N, self.n = N, n
+        quad, absd, l1, rest = (self.kind == k for k in range(4))
+        if not np.all(self.scale[quad] > 0):
+            raise InvalidProblem("Quadratic weight must be positive")
+        if np.any(self.scale[l1] < 0):
+            raise InvalidProblem("L1 gamma must be nonnegative")
+        coords = np.arange(N * n).reshape(N, n)
+        self.quad_idx = coords[quad].ravel()
+        self.quad_center = self.center[quad].ravel()
+        self.quad_weight = np.repeat(self.scale[quad], n)
+        self.abs_idx = coords[absd].ravel()
+        self.abs_center = self.center[absd].ravel()
+        self.l1_idx = coords[l1].ravel()
+        self.l1_gamma = np.repeat(self.scale[l1], n)
+        comps, other = np.flatnonzero(rest).tolist(), tuple(other)
+        if len(other) != len(comps):
+            raise InvalidProblem(f"{len(comps)} components have terms of "
+                                 f"other kinds, got {len(other)} such terms")
+        self.other = list(zip(comps, other))
 
-        def centers(comps):
-            return (np.concatenate([terms[i].center for i in comps])
-                    if comps else np.empty(0))
+    @classmethod
+    def from_terms(cls, terms, n: int) -> "TermGroups":
+        """The groups of one term object of dim ``n`` per component;
+        ``terms`` returns the objects given."""
+        terms = tuple(terms)
+        codes = {k: c for c, k in enumerate(cls.KINDS)}
+        kind = np.array([codes.get(type(t), len(codes)) for t in terms],
+                        dtype=np.intp)
+        center, scale = np.zeros((len(terms), n)), np.ones(len(terms))
+        for of, name, out in ((Quadratic, "center", center),
+                              (AbsDev, "center", center),
+                              (Quadratic, "weight", scale),
+                              (L1, "gamma", scale)):
+            at = np.flatnonzero(kind == codes[of]).tolist()
+            if at:
+                out[at] = [getattr(terms[i], name) for i in at]
+        other = np.flatnonzero(kind == len(codes)).tolist()
+        groups = cls(kind, center, scale, [terms[i] for i in other])
+        groups.terms = terms
+        return groups
 
-        self.n = n
-        quad, absd, l1 = owned(Quadratic), owned(AbsDev), owned(L1)
-        self.quad_idx = coords(quad)
-        self.quad_center = centers(quad)
-        self.quad_weight = np.repeat([terms[i].weight for i in quad], n)
-        self.abs_idx = coords(absd)
-        self.abs_center = centers(absd)
-        self.l1_idx = coords(l1)
-        self.l1_gamma = np.repeat([terms[i].gamma for i in l1], n)
-        grouped = set(quad + absd + l1)
-        self.other = [(i, t) for i, t in enumerate(terms) if i not in grouped]
+    @cached_property
+    def terms(self) -> tuple:
+        """One term object per component."""
+        n, other = self.n, dict(self.other)
+        make = (lambda c, s: Quadratic(c, s), lambda c, s: AbsDev(c),
+                lambda c, s: L1(gamma=s, dim=n))
+        return tuple(other[i] if k == len(make) else make[k](c, s)
+                     for i, (k, c, s) in enumerate(zip(
+                         self.kind.tolist(), self.center,
+                         self.scale.tolist())))
 
     def value(self, xs: np.ndarray) -> np.ndarray:
         """The objective of every row of the stack ``xs`` (shape ``(S, nN)``).
@@ -377,15 +482,6 @@ class TermGroups:
         return total
 
 
-def term_groups(prob: SeparableProblem) -> TermGroups:
-    """The problem's terms grouped by kind, built once and cached."""
-    groups = getattr(prob, "_term_groups", None)
-    if groups is None:
-        groups = prob._term_groups = TermGroups(prob.terms,
-                                                prob.constraints.n)
-    return groups
-
-
 def objective(prob: SeparableProblem, x: np.ndarray) -> float:
     """Global objective ``F(x) = sum_i f_i(x_i)``: the one-row case of
     :meth:`TermGroups.value`.
@@ -396,7 +492,7 @@ def objective(prob: SeparableProblem, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.dim_x,):
         raise DimensionMismatch(f"x must have shape ({prob.dim_x},)")
-    return float(term_groups(prob).value(x[None])[0])
+    return float(prob.groups.value(x[None])[0])
 
 
 def residual(prob: SeparableProblem, x: np.ndarray, z: np.ndarray) -> np.ndarray:

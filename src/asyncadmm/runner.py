@@ -23,7 +23,7 @@ from .diagnostics import ReferenceSolution, estimate_rate, solve_reference
 from .engine import RunMetrics, run_batch
 from .errors import (AsyncAdmmError, DivergenceError, NonPositiveSeries,
                      ParseError, ValidationError)
-from .problem import SeparableProblem, initial_state, term_groups
+from .problem import SeparableProblem, initial_state
 from .scheduler import (build_partition, derive_probabilities,
                         single_block_partition, uniform_probs)
 
@@ -116,7 +116,7 @@ def prepare_experiment(config: ExperimentConfig,
 def _benchmark_start(prob: SeparableProblem) -> np.ndarray:
     """Start each component at the minimizer-ish anchor of its own term."""
     n = prob.constraints.n
-    groups = term_groups(prob)
+    groups = prob.groups
     x0 = np.zeros(prob.dim_x)
     x0[groups.quad_idx] = groups.quad_center
     x0[groups.abs_idx] = groups.abs_center

@@ -27,22 +27,28 @@ activation probabilities before those became array passes.
 ``reference_rate_constants`` is the rate constants one direction at a
 time (``reference_q``: one component's coefficients by ``np.add.at``,
 its grid maximum, then the z part one pair at a time), the loop that
-``compute_rate_constants``' direction stack must match bit for bit.
+``compute_rate_constants``' direction stack must match bit for bit, on
+grids of one ``term_value`` call per point
+(``reference_component_grids``). ``reference_consensus`` and
+``reference_bisection`` are the consensus optimum summed over term
+objects, and ``reference_levels`` the dependency levels of one seed's
+draws as rounds, then a pass in draw order.
 """
 
 import numpy as np
 
 from asyncadmm import (PrimalDualState, ProbeFlags, Quadratic, RngStream,
                        RunMetrics, initial_state, sample_block)
-from asyncadmm.diagnostics import (RateConstants, WeightedNorm, _component_grids,
+from asyncadmm.diagnostics import (RateConstants, WeightedNorm,
                                    weighted_norm_sq)
-from asyncadmm.engine import SHADOW_TOL, _guard_message, _ops
-from asyncadmm.problem import term_groups
+from asyncadmm.engine import SHADOW_TOL, _guard_message, _ops, _ragged
 from asyncadmm.prox import solve_z_prepared
-from asyncadmm.terms import term_value
-from asyncadmm.errors import (DivergenceError, ImproperPartition,
-                              InvalidProblem, MissingReference,
-                              NonCompactSets, NonCoveringPartition)
+from asyncadmm.scheduler import _offsets
+from asyncadmm.terms import AbsDev, Box, L1, term_value
+from asyncadmm.errors import (DivergenceError, GridTooLarge,
+                              ImproperPartition, InvalidProblem,
+                              MissingReference, NonCompactSets,
+                              NonCoveringPartition)
 from asyncadmm.terms import SumZeroPairs
 
 
@@ -74,7 +80,7 @@ def assert_same_run(got, want):
 
 def plain_objective(prob, x):
     """The objective of one point by kind, one 1-D sum per kind."""
-    g = term_groups(prob)
+    g = prob.groups
     n = g.n
     total = 0.0
     if g.quad_idx.size:
@@ -479,12 +485,108 @@ def reference_probabilities(blocks, component_map, W, N, probs):
 
 
 def reference_consensus(terms):
-    """The closed-form consensus optimum as a plain sum and ``np.median``."""
+    """The consensus optimum as a plain sum, ``np.median`` or, for other
+    mixes, a bisection on the summed subgradient, one term at a time."""
     if all(isinstance(t, Quadratic) for t in terms):
         wsum = sum(t.weight for t in terms)
         return sum(t.weight * t.center for t in terms) / wsum
-    centers = np.stack([t.center for t in terms])
-    return np.median(centers, axis=0)
+    if all(isinstance(t, AbsDev) for t in terms):
+        return np.median(np.stack([t.center for t in terms]), axis=0)
+    return np.array([reference_bisection(terms, t)
+                     for t in range(terms[0].dim)])
+
+
+def reference_bisection(terms, coord):
+    """Scalar minimizer of the summed terms along one coordinate, the
+    right derivative summed over the term objects in order."""
+    def right_derivative(c):
+        g = 0.0
+        for t in terms:
+            if isinstance(t, Quadratic):
+                g += 2.0 * t.weight * (c - t.center[coord])
+            elif isinstance(t, AbsDev):
+                g += 1.0 if c >= t.center[coord] else -1.0
+            elif isinstance(t, L1):
+                g += t.gamma if c >= 0 else -t.gamma
+        return g
+
+    lo, hi = -1.0, 1.0
+    while right_derivative(lo) >= 0 and lo > -1e12:
+        lo *= 2.0
+    while right_derivative(hi) < 0 and hi < 1e12:
+        hi *= 2.0
+    if right_derivative(lo) >= 0:
+        return lo
+    for _ in range(200):
+        if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+            break
+        mid = 0.5 * (lo + hi)
+        if right_derivative(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def reference_component_grids(prob, resolution, point_budget):
+    """Each component's grid over its box and one ``term_value`` call per
+    grid point, component by component: the loop whose values
+    ``diagnostics._component_grids`` must match bit for bit."""
+    n = prob.constraints.n
+    grids = []
+    for i, term in enumerate(prob.terms):
+        box = prob.x_sets[i]
+        if not isinstance(box, Box):
+            raise NonCompactSets(f"x set of component {i} is not a box")
+        if resolution < 2:
+            raise GridTooLarge("grid resolution must be at least 2")
+        if resolution ** n > point_budget:
+            raise GridTooLarge(
+                f"component grid needs {resolution ** n} points, "
+                f"budget is {point_budget}")
+        axes = [np.linspace(lo, hi, resolution)
+                for lo, hi in zip(box.lower, box.upper)]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                       axis=1)
+        values = np.array([term_value(term, pt) for pt in pts])
+        grids.append((axes, pts[:, 0] if n == 1 else pts, values))
+    return grids
+
+
+def reference_levels(partition, draws):
+    """One seed's draws grouped by dependency level: vectorized rounds up
+    to one per 32 draws, then, if they have not settled, one pass in draw
+    order. ``engine._levels`` skips the rounds when the longest chain on
+    one component already exceeds that many; its levels must be these."""
+    L = draws.size
+    first = partition.comp_ptr[draws]
+    count = partition.comp_ptr[draws + 1] - first
+    draw, pos = _ragged(count)
+    comp = partition.comps[first[draw] + pos]
+    order = np.argsort(comp * L + draw)
+    c, d = comp[order], draw[order]
+    pred = np.empty_like(draw)
+    pred[order] = np.where(np.r_[False, c[1:] == c[:-1]], np.r_[L, d[:-1]],
+                           L)
+    level = np.zeros(L + 1, dtype=np.intp)
+    level[L] = -1
+    ptr = _offsets(count)
+    off, last = draw * (L + 1), ptr[1:] - 1
+    sub = np.arange(L) * (L + 1) - 1
+    for r in range(1, L // 32 + 1):
+        run = np.maximum.accumulate(level[pred] + off)
+        np.subtract(run[last], sub, out=level[:L])
+        if level[:L].max() < r:
+            break
+    else:
+        lev, pred, ptr = level.tolist(), pred.tolist(), ptr.tolist()
+        for j in range(L):
+            lev[j] = max(map(lev.__getitem__, pred[ptr[j]:ptr[j + 1]])) + 1
+        level = np.array(lev)
+    level = level[:L]
+    order = np.argsort(level, kind="stable")
+    ends = np.cumsum(np.bincount(level)).tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def reference_q(prob, dist, mu, grids, z_bound):
@@ -588,7 +690,7 @@ def reference_rate_constants(prob, dist, ref, state0, grid_resolution=1001,
             u = u / norm
         dirs.append(u)
 
-    grids = _component_grids(prob, grid_resolution, point_budget)
+    grids = reference_component_grids(prob, grid_resolution, point_budget)
     q_at_pstar = reference_q(prob, dist, ref.p, grids, z_bound)
     q_bar = q_at_pstar
     best_theta_val = -np.inf

@@ -19,7 +19,7 @@ from asyncadmm import engine, runner
 from asyncadmm.diagnostics import ReferenceSolution
 from asyncadmm.errors import DivergenceError
 
-from reference import assert_same_run, reference_run
+from reference import assert_same_run, reference_levels, reference_run
 from test_fullpass import random_problem
 from test_shadow_stack import random_partition
 
@@ -506,6 +506,31 @@ def test_levels_are_minimal_conflict_free_calls(monkeypatch, merged):
         assert_minimal_levels(part, draws[lo:hi], levels)
     comps = component_sets(part)
     assert len(calls) * 2 <= consecutive_waves(comps, draws, records)
+
+
+@pytest.mark.parametrize("graph, L, dense", [
+    ("cycle-5", 1024, True), ("cycle-5", 100, True), ("cycle-5", 31, True),
+    ("star-50", 1024, True), ("cycle-200", 1024, False),
+    ("cycle-2000", 1024, False), ("cycle-2000", 256, False)])
+def test_levels_skip_rounds_they_cannot_finish(graph, L, dense):
+    """The draws on one component form a chain, so when the longest chain
+    already needs more levels than the rounds allow (one per 32 draws),
+    ``_levels`` goes straight to the pass in draw order. Dense and sparse
+    segments give the level lists of rounds, then the pass."""
+    kind, nodes = graph.split("-")
+    part = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
+                              getattr(Graph, kind)(int(nodes))
+                              ).reform.partition
+    rng = np.random.default_rng(L)
+    for _ in range(5):
+        draws = rng.integers(0, len(part.blocks), size=L)
+        chain = np.bincount(np.concatenate(
+            [part.component_map[b] for b in draws])).max()
+        assert (chain > L // 32) == dense
+        got, want = engine._levels(part, draws), reference_levels(part, draws)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def plan_levels(part, draws):

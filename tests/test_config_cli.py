@@ -724,6 +724,22 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("text, shown", [("nan", "nan"), ("inf", "inf"),
+                                             ("-inf", "-inf")])
+    def test_non_finite_value_is_named_plainly(self, tmp_path, capsys, text,
+                                               shown):
+        want = f"config error: problem.benchmark.a: non-finite value {shown}\n"
+        assert cli_main(self.bench_argv(tmp_path, f"--a=1,{text},2")) == 2
+        assert capsys.readouterr().err == want
+        # the same value in a config file's benchmark data
+        doc = json.loads(MINIMAL)
+        doc["problem"]["benchmark"]["a"] = [1.0, float(text), 2.0]
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(doc))
+        for command in ("run", "validate"):
+            assert cli_main([command, str(cfg_path)]) == 2
+            assert capsys.readouterr().err == want
+
     @pytest.mark.parametrize("window", ["5", "a:b", "1:2:3", ""])
     def test_slope_window_must_be_lo_hi(self, tmp_path, capsys, window):
         csv = tmp_path / "m.csv"

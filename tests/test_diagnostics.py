@@ -5,7 +5,9 @@ The rate constants evaluate a stack of directions at once; here they are
 compared bit for bit with ``tests/reference.py``'s loop over one
 direction, one component and one z pair at a time
 (``reference_rate_constants``), and ``lyapunov`` with the recorder's
-arithmetic (``plain_lyapunov``).
+arithmetic (``plain_lyapunov``). The grid values come from the problem's
+term arrays and are compared with one ``term_value`` call per point
+(``reference_component_grids``).
 """
 
 import numpy as np
@@ -22,16 +24,18 @@ from asyncadmm import (AbsDev, BenchmarkSpec, Box, ConstraintSystem, Free,
                        initial_state, lagrangian, lyapunov, q_value, residual,
                        run_batch, solve_reference, uniform_probs,
                        weighted_lagrangian, weighted_norm_sq)
-from asyncadmm.diagnostics import (_component_grids, _q_stack,
-                                   lyapunov_drift)
-from asyncadmm.errors import (InvalidProblem, MissingReference, NonCompactSets,
-                              NonPositiveSeries)
+from asyncadmm.diagnostics import (_component_grids, _grid_gap_estimate,
+                                   _q_stack, _weighted_parts, lyapunov_drift)
+from asyncadmm.errors import (GridTooLarge, InvalidProblem, MissingReference,
+                              NonCompactSets, NonPositiveSeries)
+from asyncadmm.terms import term_value
 
 from conftest import random_state_for
 from oracles import loglog_slope
-from reference import (assert_bits_equal, plain_lyapunov, reference_q,
-                       reference_rate_constants)
-from test_fullpass import random_constraints
+from reference import (assert_bits_equal, plain_lyapunov,
+                       reference_component_grids, reference_grid_gap,
+                       reference_q, reference_rate_constants)
+from test_fullpass import make_term, random_constraints
 from test_shadow_stack import random_partition
 
 
@@ -526,3 +530,81 @@ def test_q_value_is_the_one_direction_case():
         assert_bits_equal(q_value(prob, dist, mu, grid_resolution=101,
                                   z_bound=5.0),
                           reference_q(prob, dist, mu, grids, 5.0), "q")
+
+
+# ---------------------------------------------------------------------------
+# Grid values from the problem's term arrays
+# ---------------------------------------------------------------------------
+
+def grid_problem(kinds, n, seed):
+    """One component per kind, each with its own box (one of them a single
+    point along its first axis), and a random coupling."""
+    rng = np.random.default_rng(seed)
+    N = len(kinds)
+    cs = random_constraints(rng, n, N)
+    terms = tuple(make_term(k, n, rng) for k in kinds)
+    lo = rng.uniform(-3.0, 0.0, (N, n))
+    hi = rng.uniform(0.0, 3.0, (N, n))
+    hi[-1, 0] = lo[-1, 0]
+    sets = tuple(Box(a, b) for a, b in zip(lo, hi))
+    return SeparableProblem(terms=terms, x_sets=sets, z_set=Free(cs.W),
+                            constraints=cs, beta=1.0)
+
+
+GRID_KINDS = {"quadratic": ["quadratic"] * 3, "absdev": ["absdev"] * 3,
+              "l1": ["l1", "l1-zero", "l1"],
+              "mixed": ["absdev", "quadratic", "l1", "custom", "quadratic"]}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", GRID_KINDS)
+def test_grid_values_equal_the_term_value_loop(name, n):
+    kinds = GRID_KINDS[name]
+    if n > 1 and "custom" in kinds:
+        kinds = [k for k in kinds if k != "custom"]
+    for seed in range(4):
+        prob = grid_problem(kinds, n, seed)
+        resolution = 41 if n == 1 else 17
+        got = _component_grids(prob, resolution, 2_000_000)
+        want = reference_component_grids(prob, resolution, 2_000_000)
+        assert len(got) == len(want)
+        for (axes, pts, values), (w_axes, w_pts, w_values) in zip(got, want):
+            for a, w in zip(axes, w_axes):
+                assert_bits_equal(a, w, "axis")
+            assert_bits_equal(pts, w_pts, "points")
+            assert_bits_equal(values, w_values, "values")
+        mu = np.random.default_rng(seed).normal(size=prob.dim_z)
+        dist = derive_probabilities(build_partition(
+            prob.z_set, prob.constraints, [list(range(prob.dim_z))]), [1.0])
+        assert_bits_equal(_grid_gap_estimate(prob, dist, mu, got),
+                          reference_grid_gap(prob, dist, mu, want), "gap")
+        # the weighted Lagrangian's objective part: one value per component
+        x = np.random.default_rng(seed).uniform(-2.0, 2.0, prob.dim_x)
+        want_sum = sum(term_value(t, prob.component(x, i)) / dist.alpha[i]
+                       for i, t in enumerate(prob.terms))
+        assert_bits_equal(_weighted_parts(prob, dist, x,
+                                          np.zeros(prob.dim_z))[0],
+                          want_sum, "weighted objective")
+
+
+@pytest.mark.parametrize("free_at, resolution, budget", [
+    (0, 1, 100), (0, 5, 100), (2, 1, 100), (2, 11, 100), (2, 5, 100),
+    (None, 1, 100), (None, 11, 100)])
+def test_grid_errors_are_the_loops(free_at, resolution, budget):
+    prob = grid_problem(["quadratic"] * 4, 2, 0)
+    if free_at is not None:
+        sets = list(prob.x_sets)
+        sets[free_at] = Free(2)
+        prob = SeparableProblem(terms=prob.terms, x_sets=tuple(sets),
+                                z_set=prob.z_set,
+                                constraints=prob.constraints, beta=1.0)
+
+    def error(fn):
+        try:
+            fn(prob, resolution, budget)
+        except (NonCompactSets, GridTooLarge) as exc:
+            return type(exc), str(exc)
+        return None
+
+    assert error(_component_grids) == error(reference_component_grids)
+    assert error(_component_grids) is not None

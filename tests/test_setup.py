@@ -139,9 +139,8 @@ def test_setup_equals_per_row_construction(kind, nodes, family, n, flip,
     assert_bytes(dist.alpha, alpha, "alpha")
     assert_bytes(dist.weight_diag, weight, "weight_diag")
 
-    if family != "lasso-toy":
-        assert_bytes(consensus_reference(terms), reference_consensus(terms),
-                     "consensus_reference")
+    assert_bytes(consensus_reference(terms), reference_consensus(terms),
+                 "consensus_reference")
 
 
 index = st.integers(-2, 9)
