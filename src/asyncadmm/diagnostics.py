@@ -158,15 +158,18 @@ def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
     chunk = max(1, _BATCH_LANE_LIMIT // bt.width)
     probs = dist.block_probs.tolist()
     expected = 0.0
+    stack = np.zeros((min(chunk, len(probs)), bt.width))
     for lo in range(0, len(probs), chunk):
-        blocks = np.s_[lo:lo + chunk]
-        stack = np.tile(row, (len(probs[blocks]), 1))
-        # block lo + i fires on row i
-        _fire_lanes(bt, stack.reshape(-1), bt.idx[blocks]
-                    + (np.arange(len(stack)) * bt.width)[:, None], blocks)
-        _, z, p = bt.views(stack)
+        blocks = np.arange(lo, min(lo + chunk, len(probs)))
+        # block lo + i fires on row i; fired without ergodic sums, the
+        # kernel uses and changes only the state segment of each row, so
+        # only that is copied in
+        rows = stack[:len(blocks)]
+        rows[:, :bt.seg] = row[:bt.seg]
+        _fire_lanes(bt, rows.reshape(-1), bt.lanes(blocks, stacked=True))
+        _, z, p = bt.views(rows)
         values = lyapunov_rows(prob, wn.weight_diag, ref, z, p)
-        for prob_b, v_b in zip(probs[blocks], values.tolist()):
+        for prob_b, v_b in zip(probs[lo:lo + chunk], values.tolist()):
             expected += prob_b * v_b
     return expected - v_now
 

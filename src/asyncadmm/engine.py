@@ -10,22 +10,27 @@ Step cost: one asynchronous step costs O(size of the block), not
 O(size of the problem). There is one block update, the lane kernel
 ``_fire_lanes``: it fires one block per lane on rows of a flat state, in
 place, through a per-partition block table that is built once in time
-linear in the number of rows (``_BlockTable``). Every caller fires its
-blocks through it: ``step`` fires one lane on a one-row copy of the
-state, ``diagnostics.lyapunov_drift`` every block on its own copy row
-(in chunks of rows under the lane limit), and ``run_batch`` the lanes of
-its seeds. The x lanes are solved by the
-grouped prox (``_GroupedProx``): closed forms for Quadratic, AbsDev and
-L1 coordinates, then one by one, in lane order, for ``Custom`` terms and
-kink coordinates without a coupling row. Each x lane's tilt reads its
-component's rows from the table, padded to the largest row count; past a
-lane limit (a hub component in every block) the table keeps no tilt rows,
-and each call gathers its own lanes' rows, padded to the largest count
-among them.
+linear in the number of rows (``_BlockTable``). A row holds a seed's
+state, then the ``since`` and ``acc`` of its lazy ergodic sums, so a call
+makes one gather of everything it reads and one scatter of everything it
+writes, through index columns the table holds per block, and reads its
+constants as one column per block: about 30 array operations per call,
+each over all its lanes. Every caller fires its blocks through it:
+``step`` fires one lane on a one-row copy of the state,
+``diagnostics.lyapunov_drift`` every block on its own copy row (in chunks
+of rows under the lane limit), and ``run_batch`` the lanes of its seeds.
+The x lanes are solved by the grouped prox (``_GroupedProx``): closed
+forms for Quadratic, AbsDev and L1 coordinates, then one by one, in lane
+order, for ``Custom`` terms and kink coordinates without a coupling row.
+Each x lane's tilt reads its component's rows from the table, padded to
+the largest row count; past a lane limit (a hub component in every block)
+the table keeps no tilt rows, and each call adds its own lanes' rows,
+padded to the largest count among them, to its one gather.
 
 Run loop: ``run_batch`` is the one loop (``run`` is its one-seed form).
 It fires blocks as lanes on one ``(S, width)`` state: many seeds in
-lockstep, one lane per seed per iteration; one seed by dependency level
+lockstep, one lane per seed per iteration, with the table columns of a
+whole chunk of draws gathered at once; one seed by dependency level
 (``_levels``). Two blocks that share no component commute, so a seed's
 draws between two record points fire one level per call, each draw one
 level above the highest earlier draw it clashes with; clashing draws keep
@@ -48,8 +53,9 @@ the probes verify. It costs O(problem) per step, as array operations,
 and a run takes one pass and one check per iteration for all its seeds:
 ``shadow_step`` solves every x component of every seed's row at once
 (``_CompiledOps.solve_all``, each row bit for bit one ``solve_component``
-call per component), and ``_tally_shadow`` takes each lane's group
-maxima and compares the rest of each row.
+call per component, on arguments tiled once per stack size) and fits
+every z row of the stack as one 1-D fit, and ``_tally_shadow`` takes each
+lane's group maxima and compares the rest of each row.
 
 Synchronous engine: the classical two-block method (x minimization, z
 minimization, dual ascent with step beta) on the same separable problem
@@ -136,66 +142,81 @@ class _GroupedProx:
     component-by-component loop raises. ``q``, ``lo``, ``hi`` have shape
     ``(N, n)``.
 
-    ``consts`` holds the closed forms' constants per coordinate, zero off
-    their kind: ``w2``, ``w2c`` (:func:`quadratic_prox`), ``a``, ``kink``
-    (:func:`kink_prox`) and ``is_quad`` (1 on Quadratic coordinates);
-    ``closed`` holds the arguments of both closed forms per coordinate.
+    ``args`` holds the closed forms' arguments per coordinate, for the
+    kinds present only, in the order :meth:`solve` unpacks them:
+    ``w2c``, ``den`` (``w2 + q``, :func:`quadratic_prox`), ``a``, ``kink``,
+    ``q_kink``, ``qa`` (``q_kink * a``, :func:`kink_prox`), ``is_quad`` (1
+    on Quadratic coordinates; only with both kinds), then ``lo``, ``hi``;
+    ``w2c``, ``a`` and ``kink`` are zero off their kind. ``closed`` is the
+    same arrays as a tuple, and ``DUMMY`` each argument's value on a
+    padding lane, which solves to +0.0.
     """
 
-    CLOSED = ("w2", "w2c", "q_quad", "a", "kink", "q_kink", "lo", "hi")
+    DUMMY = dict(w2c=0.0, den=1.0, a=0.0, kink=0.0, q_kink=1.0, qa=0.0,
+                 is_quad=1.0, lo=-np.inf, hi=np.inf)
 
     def __init__(self, groups: TermGroups, q, lo, hi):
         n = self.n = groups.n
         self.q, self.lo, self.hi = q, lo, hi
         q, lo, hi = q.reshape(-1), lo.reshape(-1), hi.reshape(-1)
-        c = self.consts = {name: np.zeros(q.size)
-                           for name in ("w2", "w2c", "a", "kink", "is_quad")}
+        w2, w2c, a, kink, is_quad = np.zeros((5, q.size))
         idx = groups.quad_idx
-        c["w2"][idx] = 2.0 * groups.quad_weight
-        c["w2c"][idx] = c["w2"][idx] * groups.quad_center
-        c["is_quad"][idx] = 1.0
-        c["a"][groups.abs_idx] = groups.abs_center
-        c["kink"][groups.abs_idx] = 1.0
-        c["kink"][groups.l1_idx] = groups.l1_gamma
+        w2[idx] = 2.0 * groups.quad_weight
+        w2c[idx] = w2[idx] * groups.quad_center
+        is_quad[idx] = 1.0
+        a[groups.abs_idx] = groups.abs_center
+        kink[groups.abs_idx] = 1.0
+        kink[groups.l1_idx] = groups.l1_gamma
         kink_idx = np.concatenate([groups.abs_idx, groups.l1_idx])
         self.has_quad, self.has_kink = idx.size > 0, kink_idx.size > 0
         # q where a closed form divides by it: off Quadratic coordinates a
         # zero q becomes 1, whose result is discarded or solved again below
         q_kink = np.where(q > 0, q, 1.0)
-        self.is_quad = c["is_quad"] > 0
-        self.closed = (c["w2"], c["w2c"], np.where(self.is_quad, q, q_kink),
-                       c["a"], c["kink"], q_kink, lo, hi)
+        args = self.args = {}
+        if self.has_quad:
+            args.update(w2c=w2c, den=w2 + np.where(is_quad > 0, q, q_kink))
+        if self.has_kink:
+            args.update(a=a, kink=kink, q_kink=q_kink, qa=q_kink * a)
+            if self.has_quad:
+                args.update(is_quad=is_quad)
+        args.update(lo=lo, hi=hi)
+        self.closed = tuple(args.values())
         # one at a time: the components of other terms (with the term)
         # and the kink coordinates without a quadratic part (with their
         # constants)
         kink0 = kink_idx[q[kink_idx] == 0].tolist()
         self.serial = list(groups.other)
-        self.serial += [(-1, (c["a"][t], c["kink"][t], lo[t], hi[t]))
-                        for t in kink0]
+        self.serial += [(-1, (a[t], kink[t], lo[t], hi[t])) for t in kink0]
         self.serial_at = np.full(q.size, -1, dtype=np.intp)
         self.serial_at[[i * n for i, _ in groups.other] + kink0] = \
             np.arange(len(self.serial))
 
-    def solve(self, l, lanes=None):
+    def solve(self, l, lanes=None, out=None):
         """Minimizers for the tilt ``l``: one entry per coordinate along the
         last axis, one row per point (``(..., N n)``), each row solved as
-        the 1-D call would solve it. With ``lanes = (closed, is_quad, at)``
-        the entries of ``l`` are lanes instead, each with its coordinate's
-        ``closed`` arguments, ``is_quad`` mask and ``serial_at`` entry, all
-        of ``l``'s shape. The one-by-one solves come after the closed
-        forms, row by row and then entry by entry, so the first error
-        raised is the one a loop over the rows raises."""
-        closed, is_quad, at = lanes or (self.closed, self.is_quad,
-                                        self.serial_at)
-        w2, w2c, q_quad, a, kink, q_kink, lo, hi = closed
-        u = quadratic_prox(w2, w2c, q_quad, l, lo, hi) if self.has_quad \
-            else None
-        if self.has_kink:
-            uk = kink_prox(a, kink, q_kink, l, lo, hi)
-            u = uk if u is None else np.where(is_quad, u, uk)
-        if u is None:
+        the 1-D call would solve it, into ``out`` when given. With
+        ``lanes = (args, at)`` the entries of ``l`` are lanes instead, each
+        with its coordinate's ``closed`` arguments (a sequence in ``args``
+        order) and ``serial_at`` entry, all of ``l``'s shape. The one-by-one
+        solves come after the closed forms, row by row and then entry by
+        entry, so the first error raised is the one a loop over the rows
+        raises."""
+        args, at = lanes or (self.closed, self.serial_at)
+        *forms, lo, hi = args
+        if self.has_quad and self.has_kink:
+            w2c, den, a, kink, q, qa, is_quad = forms
+            u = np.where(is_quad, quadratic_prox(w2c, den, l, lo, hi),
+                         kink_prox(a, kink, q, qa, l, lo, hi))
+        elif self.has_quad:
+            u = quadratic_prox(*forms, l, lo, hi, out=out)
+        elif self.has_kink:
+            u = kink_prox(*forms, l, lo, hi, out=out)
+        else:
             # terms of other kinds only; the dummy lane's entry stays zero
             u = np.zeros_like(l)
+        if out is not None and u is not out:
+            out[...] = u
+            u = out
         if not self.serial:
             return u
         n, at = self.n, np.broadcast_to(at, l.shape)
@@ -227,7 +248,8 @@ class _CompiledOps:
 
     :meth:`solve_all` reads the same rows in rank order and solves
     through :attr:`prox`; both are built on first use, so runs that
-    never need them do not pay for them.
+    never need them do not pay for them, and so are the per-shape arrays
+    of :meth:`stacked` (one entry per stack shape a caller uses).
     """
 
     def __init__(self, prob: SeparableProblem):
@@ -259,6 +281,7 @@ class _CompiledOps:
             self.pair_i, self.pair_j = prob.z_set._first, prob.z_set._second
         else:
             self.pair_i = self.pair_j = np.empty(0, dtype=np.intp)
+        self._stacked = {}
 
     def solve_component(self, i, p, z):
         """Minimize f_i plus its scaled coupling terms at multiplier p.
@@ -331,16 +354,41 @@ class _CompiledOps:
         sums.fill(-0.0)
         for r in range(len(ptr) - 1):
             sums[:ptr[r + 1] - ptr[r]] += g[ptr[r]:ptr[r + 1]]
-        return self.prox.solve(sums[pos].T)
+        if p.ndim == 1:
+            return self.prox.solve(sums[pos].T)
+        closed = self.stacked(p.shape[:-1])[0]
+        return self.prox.solve(sums[pos].T, (closed, self.prox.serial_at))
+
+    def stacked(self, shape):
+        """The arrays the full pass reads, for a stack of points of
+        ``shape`` (``()`` for one point): the closed forms' arguments and
+        ``h``, tiled to ``shape + (·,)``, and the z pairs as flat indices
+        into such a stack. Built once per shape, so that the pass neither
+        broadcasts a 1-D row over a small stack on every call nor fits the
+        z pairs on a transposed one; each entry is the 1-D entry, so every
+        row still computes what the 1-D call computes."""
+        arrays = self._stacked.get(shape)
+        if arrays is None:
+            rows = (np.arange(int(np.prod(shape))) * self.W)[:, None]
+            arrays = self._stacked[shape] = (
+                tuple(np.tile(a, shape + (1,)) for a in self.prox.closed),
+                np.tile(self.h, shape + (1,)),
+                (self.pair_i + rows).reshape(-1),
+                (self.pair_j + rows).reshape(-1))
+        return arrays
 
 
 def _stack(**groups):
-    """Column groups side by side, and the slice each group occupies."""
-    cols, start = {}, 0
+    """Groups of rows one above another, as a C-contiguous table (whatever
+    the groups' memory order), and the rows each group occupies."""
+    rows, start = {}, 0
     for name, arr in groups.items():
-        cols[name] = slice(start, start + arr.shape[1])
-        start += arr.shape[1]
-    return np.concatenate(list(groups.values()), axis=1), cols
+        rows[name] = slice(start, start + len(arr))
+        start += len(arr)
+    arrays = list(groups.values())
+    table = np.empty((start,) + arrays[0].shape[1:],
+                     dtype=np.result_type(*arrays))
+    return np.concatenate(arrays, out=table), rows
 
 
 # padded tilt lanes a block table may hold; beyond it (a hub component in
@@ -351,28 +399,44 @@ _BATCH_LANE_LIMIT = 1 << 20
 class _BlockTable:
     """Every block of one partition as the lanes of :func:`_fire_lanes`.
 
-    A seed's state is one row of length ``width``: x with one dummy
-    component appended (``(N+1) n`` slots), then z and p with one dummy
-    row each (``W+1`` slots each; :meth:`layout`). Row ``b`` of ``idx``
-    and ``const`` holds block ``b``'s lanes as local indices into that row
-    and as constants, in named column groups (``icol`` and ``ccol`` hold
-    their slices). A block smaller than the largest is padded with lanes
-    that read and write only the dummy slots, with constants chosen so
-    that those slots stay zero:
+    A seed's row has three segments of ``seg`` slots each: its state, then
+    for every state slot the iteration its lazy ergodic sum has reached
+    (``since``), then that sum (``acc``), so ``width = 3 seg``
+    (:meth:`layout`). The state is x with one dummy component appended
+    (``(N+1) n`` slots), then z and p with one dummy row each (``W+1``
+    slots each). Column ``b`` of ``idx`` and ``const`` holds block ``b``'s
+    lanes as local indices into a row and as constants, in named groups of
+    rows (``icol`` and ``ccol`` hold their slices), so that what one call
+    reads of them is contiguous ``(·, L)`` slices once its ``L`` lanes'
+    columns are taken (:meth:`lanes`). A block smaller than the largest is
+    padded with lanes that read and write only the dummy slots, with
+    constants chosen so that those slots stay zero.
 
-    - ``row``: 0, the start of the lane's state row once its offset is
-      added;
-    - x lanes (``C n``): the block's components, then the dummy one, with
-      the arguments of :class:`_GroupedProx`'s closed forms;
-    - z/p lanes (``R = 2P + U``): first rows of the z pairs, their
-      partners, then unpaired rows, each group padded to its maximum;
-    - tilt lanes (``C n D``, :meth:`tilt`): every row of each x lane's
-      component and coordinate, padded to the largest count ``D`` with
-      coefficient ``-0.0``, which adds nothing in :func:`_row_sums`.
-      Past ``_BATCH_LANE_LIMIT`` such lanes (a hub component in every
-      block pads each block to its degree) the table holds none
-      (``D is None``), and each kernel call gathers its own lanes' rows,
-      padded to the largest count among them.
+    ``idx`` holds, in this order:
+
+    - the moved slots (``M = C n + 2 R``): the x lanes (``C n``: the
+      block's components, then the dummy one), the z lanes (``R = 2P +
+      U``: first rows of the z pairs, their partners, then unpaired rows,
+      each group padded to its maximum) and the p lanes (the same rows);
+    - ``since`` and ``acc``: the same slots in the other two segments;
+      the kernel writes exactly these ``3 M`` columns;
+    - the tilt lanes (``C n D`` each for p and z, :meth:`tilt`): every row
+      of each x lane's component and coordinate, padded to the largest
+      count ``D`` with coefficient ``-0.0``, which adds nothing in
+      :func:`_row_sums`. Past ``_BATCH_LANE_LIMIT`` such lanes (a hub
+      component in every block pads each block to its degree) the table
+      holds none (``D is None``) but a ``row`` column (0, the start of the
+      lane's row once its offset is added), and each kernel call gathers
+      its own lanes' rows, padded to the largest count among them.
+
+    ``const`` holds the x lanes' closed-form arguments (``C n`` columns
+    each, in :class:`_GroupedProx` order, ``closed`` their slice), the
+    tilt lanes' coefficient and ``h``, and the z lanes' ``h`` (``w``),
+    coefficient and pair denominators (``pair_den``). ``xsrc`` holds
+    where each z lane's column sits among its block's x lanes: a block's
+    rows are owned by its components, so the z fit reads the new x from
+    the kernel's own x lanes. A block with padded z lanes keeps at least
+    one dummy component, whose zero x those lanes read.
 
     Building the table takes a few passes over the rows and a few sorts;
     no object is made per block.
@@ -383,12 +447,13 @@ class _BlockTable:
         rows, row_ptr = partition.rows, partition.row_ptr
         comps, comp_ptr = partition.comps, partition.comp_ptr
         sizes, ncomp = np.diff(row_ptr), np.diff(comp_ptr)
-        m, C = sizes.size, int(ncomp.max())
+        m = sizes.size
         self.beta, self.prox = ops.beta, ops.prox
         self.dim_x, self.W = N * n, W
         xseg = (N + 1) * n
         self.z0, self.p0 = xseg, xseg + W + 1
-        self.width = xseg + 2 * (W + 1)
+        self.seg = xseg + 2 * (W + 1)
+        self.width = 3 * self.seg
 
         # owner[row] is the row's block; a block's z pairs in z-set order
         owner = np.empty(W, dtype=np.intp)
@@ -401,41 +466,6 @@ class _BlockTable:
                                     f"({pair_i[k]},{pair_j[k]})")
         order = np.argsort(blk_i, kind="stable")
         npair = np.bincount(blk_i, minlength=m)
-
-        # components of each block, padded with the dummy component N
-        comps_pad = np.full((m, C), N, dtype=np.intp)
-        comps_pad[_ragged(ncomp)] = comps
-        x_lanes = (comps_pad[:, :, None] * n + np.arange(n)).reshape(m, -1)
-
-        def per_lane(values, fill):
-            """Per-coordinate values, with a dummy component, per x lane."""
-            return np.append(values, np.full(n, fill))[x_lanes]
-
-        # the closed forms' arguments per x lane, for the kinds present;
-        # the dummy lane solves to +0.0
-        prox = ops.prox
-        args = dict(zip(prox.CLOSED, prox.closed),
-                    is_quad=prox.consts["is_quad"])
-        fill = dict(w2=0.0, w2c=0.0, q_quad=1.0, a=0.0, kink=0.0, q_kink=1.0,
-                    lo=-np.inf, hi=np.inf, is_quad=1.0)
-        used = ["lo", "hi"]
-        if prox.has_quad:
-            used += ["w2", "w2c", "q_quad"]
-        if prox.has_kink:
-            used += ["a", "kink", "q_kink"] + ["is_quad"] * prox.has_quad
-        lane_consts = {name: per_lane(args[name], fill[name]) for name in used}
-        self.serial_at = per_lane(prox.serial_at, -1) if prox.serial \
-            else None
-        # each x lane's rows: a range of ops.rows, empty for the dummy
-        self.t_first = per_lane(_offsets(ops.counts)[:-1], W)
-        self.t_count = per_lane(ops.counts, 0)
-        self.csr = (np.append(ops.rows, W), np.append(ops.coeffs_sorted, -0.0),
-                    np.append(ops.h_sorted, 0.0))
-        tilt_idx, tilt_const, self.D = {}, {}, None
-        if m * C * n * int(ops.counts.max()) <= _BATCH_LANE_LIMIT:
-            t_rows, t_coeff, t_h, self.D = self.tilt(np.arange(m))
-            tilt_idx = dict(tilt_z=self.z0 + t_rows, tilt_p=self.p0 + t_rows)
-            tilt_const = dict(coeff=t_coeff, h=t_h)
 
         # z/p lanes: pair firsts, pair seconds, unpaired rows; pads point
         # at the dummy row, which has weight 1 and coefficient 0
@@ -456,38 +486,103 @@ class _BlockTable:
         z_col = np.append(ops.col, n * N)[z_rows]
         den = w[:, :P] * w[:, :P] + w[:, P:2 * P] * w[:, P:2 * P]
 
+        # components of each block, padded with the dummy component N
+        C = int((ncomp + (sizes < R)).max())
+        comps_pad = np.full((m, C), N, dtype=np.intp)
+        comps_pad[_ragged(ncomp)] = comps
+        x_lanes = np.ascontiguousarray(
+            (comps_pad[:, :, None] * n + np.arange(n)).reshape(m, -1).T)
+        # each z lane's x lane: its column's component among the block's
+        # (the first dummy one for a padded z lane), and its coordinate
+        key = (np.arange(m)[:, None] * (N + 1) + comps_pad).reshape(-1)
+        by_key = np.argsort(key, kind="stable")
+        comp = by_key[np.searchsorted(
+            key[by_key], np.arange(m)[:, None] * (N + 1) + z_col // n)] % C
+        self.xsrc = (comp * n + z_col % n).T.copy()
+
+        def per_lane(values, fill):
+            """Per-coordinate values, with a dummy component, per x lane."""
+            return np.append(values, np.full(n, fill))[x_lanes]
+
+        prox = ops.prox
+        lane_consts = {name: per_lane(arg, prox.DUMMY[name])
+                       for name, arg in prox.args.items()}
+        self.serial_at = per_lane(prox.serial_at, -1) if prox.serial \
+            else None
+        # each x lane's rows: a range of ops.rows, empty for the dummy
+        self.t_first = per_lane(_offsets(ops.counts)[:-1], W)
+        self.t_count = per_lane(ops.counts, 0)
+        self.t_rows = np.append(ops.rows, W)
+        self.t_consts = np.stack([np.append(ops.coeffs_sorted, -0.0),
+                                  np.append(ops.h_sorted, 0.0)])
+        tilt_idx = dict(row=np.zeros((1, m), dtype=np.intp))
+        tilt_const, self.D = {}, None
+        if m * C * n * int(ops.counts.max()) <= _BATCH_LANE_LIMIT:
+            t_rows, t_coeff, t_h, self.D = self.tilt(np.arange(m))
+            tilt_idx = dict(tilt_p=self.p0 + t_rows, tilt_z=self.z0 + t_rows)
+            tilt_const = dict(coeff=t_coeff, h=t_h)
+
+        moved = np.concatenate([x_lanes, self.z0 + z_rows.T,
+                                self.p0 + z_rows.T])
         self.idx, self.icol = _stack(
-            row=np.zeros((m, 1), dtype=np.intp), x=x_lanes, z=self.z0 + z_rows,
-            p=self.p0 + z_rows, col=z_col, **tilt_idx)
-        self.const, self.ccol = _stack(**tilt_const, **lane_consts, w=w,
-                                       z_coeff=z_coeff, den=den)
-        self.closed = [self.ccol.get(name) for name in prox.CLOSED]
-        self.Cn, self.P, self.U = C * n, P, U
-        self.p_lane = C * n + R    # where the p lanes start
-        # the moved coordinates: the x, z and p lanes, in that order; the
-        # starts of each component's x, z and p, and of x, z and p
-        self.moved = slice(1, 1 + C * n + 2 * R)
+            x=x_lanes, z=self.z0 + z_rows.T, p=self.p0 + z_rows.T,
+            since=moved + self.seg, acc=moved + 2 * self.seg, **tilt_idx)
+        self.const, self.ccol = _stack(**lane_consts, **tilt_const, w=w.T,
+                                       z_coeff=z_coeff.T, pair_den=den.T)
+        self.closed = slice(0, len(lane_consts) * C * n)
+        self.Cn, self.P, self.U, self.R = C * n, P, U, R
+        self.M = C * n + 2 * R
+        # the starts of each component's x, z and p, and of x, z and p,
+        # among the moved slots
         self.groups = np.r_[0:C * n:n, C * n, C * n + R]
         self.cuts = self.groups[[0, C, C + 1]]
 
     def tilt(self, blocks):
         """The tilt lanes of ``blocks``: the row of each x lane's rows, and
-        its coefficient and ``h``, in row order, padded with the dummy row
-        (coefficient ``-0.0``, ``h`` 0) to the largest count ``D`` among
-        them. Returns the three ``(len(blocks), C n D)`` arrays and ``D``."""
-        first, count = self.t_first[blocks], self.t_count[blocks]
+        its coefficient and ``h``, padded with the dummy row (coefficient
+        ``-0.0``, ``h`` 0) to the largest count ``D`` among them. Returns
+        the three ``(D C n, len(blocks))`` arrays, whose row ``d C n + c``
+        holds x lane ``c``'s row ``d`` in row order, and ``D``."""
+        first = self.t_first.take(blocks, axis=1).reshape(-1, 1)
+        count = self.t_count.take(blocks, axis=1).reshape(-1, 1)
         D = int(count.max())
         r = np.arange(D)
-        pos = np.where(r < count[..., None], first[..., None] + r, self.W)
-        return (*(a[pos].reshape(len(first), -1) for a in self.csr), D)
+        pos = np.ascontiguousarray(np.where(r < count, first + r, self.W).T)
+        L = len(blocks)
+        coeff, h = self.t_consts.take(pos, axis=1).reshape(2, -1, L)
+        return self.t_rows.take(pos).reshape(-1, L), coeff, h, D
+
+    def lanes(self, blocks, stacked=False):
+        """The kernel's inputs for lanes that fire ``blocks`` (an index
+        array): their ``idx``, ``const`` and ``xsrc`` columns, the last as
+        flat indices into the kernel's ``(3 M, L)`` output, and the blocks.
+        The lanes of one kernel call run along the last axis of ``blocks``;
+        for a 2-D ``blocks``, row ``j`` of each array is the C-contiguous
+        input of the call that fires row ``j``. With ``stacked`` lane ``l``
+        fires on state row ``l``, else every lane fires on row 0."""
+        idx = self.idx.take(blocks, axis=1)
+        const = self.const.take(blocks, axis=1)
+        xsrc = self.xsrc.take(blocks, axis=1)
+        if blocks.ndim > 1:
+            idx, const, xsrc = [np.ascontiguousarray(np.moveaxis(a, 0, -2))
+                                for a in (idx, const, xsrc)]
+        L = blocks.shape[-1]
+        if L > 1:
+            lane = np.arange(L)
+            xsrc = xsrc * L + lane
+            if stacked:
+                idx += lane * self.width
+        return idx, const, xsrc, blocks
 
     def layout(self, x, z, p):
         """States ``(x, z, p)``, one or one per row, as rows of this table's
-        layout, with the dummy slots zero."""
+        layout, with the dummy slots zero and empty ergodic sums (``since``
+        1, ``acc`` 0)."""
         x = np.asarray(x)
         state = np.zeros(x.shape[:-1] + (self.width,))
         xs, zs, ps = self.views(state)
         xs[...], zs[...], ps[...] = x, z, p
+        state[..., self.seg:2 * self.seg] = 1.0
         return state
 
     def views(self, state):
@@ -522,11 +617,11 @@ def shadow_step(prob: SeparableProblem, state: PrimalDualState) -> ShadowIterate
     ops = _ops(prob)
     y = ops.solve_all(state.p, state.z)
     dy = ops.coeff * y.take(ops.col, axis=-1)
-    # the z fit takes the rows on its first axis, with h as a column
-    h = ops.h.reshape((-1,) + (1,) * (dy.ndim - 1))
-    v = solve_z_prepared(h, (state.p / ops.beta - dy).T, ops.pair_i,
-                         ops.pair_j).T
-    r = dy + ops.h * v
+    # one 1-D z fit over the whole stack, its pairs as flat indices
+    _, h, pair_i, pair_j = ops.stacked(dy.shape[:-1])
+    v = solve_z_prepared(h.reshape(-1), (state.p / ops.beta - dy).reshape(-1),
+                         pair_i, pair_j).reshape(dy.shape)
+    r = dy + h * v
     return ShadowIterates(y=y, v=v, mu=state.p - ops.beta * r, r=r)
 
 
@@ -544,8 +639,7 @@ def step(prob: SeparableProblem, state: PrimalDualState,
     shadow = shadow_step(prob, state) if with_shadow else None
     bt = _block_table(prob, partition)
     row = bt.layout(state.x, state.z, state.p)
-    lane = np.s_[b:b + 1]
-    _fire_lanes(bt, row, bt.idx[lane], lane)
+    _fire_lanes(bt, row, bt.lanes(np.array([b])))
     x, z, p = bt.views(row)
     return StepRecord(block=b, before=state,
                       after=PrimalDualState(x=x, z=z, p=p, k=state.k + 1),
@@ -709,70 +803,76 @@ def run(prob: SeparableProblem, partition: ProperPartition,
                      ref=ref, x0=x0, z0=z0, stride=stride)[0]
 
 
-def _fire_lanes(bt: _BlockTable, flat, idx, blocks, sums=None):
+def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
     """Fire one block per lane on the flat state, in place: the one block
     update of every run, step and drift.
 
-    Lane ``l`` fires block ``blocks[l]`` (``blocks`` indexes the blocks:
-    an array, or a slice) on the state row that row ``l`` of ``idx``
-    names (``bt.idx[blocks]`` plus the row's offset in ``flat``, as flat
-    ``row * width + index`` indices). Every lane reads before any lane
-    writes, so no lane may write what another reads: the seeds of one
-    lockstep iteration, one dependency level of a seed's draws
-    (:func:`_levels`), or each block on its own copy of a state. With
-    ``sums = (acc, since, k)`` the lazy ergodic sums of the coordinates
-    about to move are first brought up to iteration ``k`` (one number for
-    every lane, or a column with one per lane).
+    ``lanes = (idx, const, xsrc, blocks)`` is :meth:`_BlockTable.lanes`
+    of the blocks the lanes fire, one column per lane: lane ``l`` fires
+    block ``blocks[l]`` on the row that column ``l`` of ``idx`` names (as
+    flat ``row * width + index`` indices into ``flat``). Every lane reads
+    before any lane writes, so no lane may write what another reads: the
+    seeds of one lockstep iteration, one dependency level of a seed's
+    draws (:func:`_levels`), or each block on its own copy of a state.
 
-    Each x lane's tilt sums its component's rows left to right
-    (:func:`_row_sums`); :class:`_GroupedProx` solves the lanes, the
-    one-by-one ones after the closed forms in lane order, then the z fit
-    and the dual step follow: the floating-point operations of one
-    component-by-component block update in its order. Returns each lane's
-    max |x|, |z|, |p| over its block.
+    A call makes one gather of everything it reads (the moved slots, their
+    ``since`` and ``acc``, and the tilt lanes) and one scatter of
+    everything it writes, about 30 array operations on contiguous
+    ``(·, L)`` slices whatever the number ``L`` of lanes. Each x lane's
+    tilt sums its component's rows left to right, as :func:`_row_sums`
+    does; :class:`_GroupedProx` solves the lanes, the one-by-one ones
+    after the closed forms in lane order, then the z fit reads the new x
+    of its block's own lanes and the dual step follows: the floating-point
+    operations of one component-by-component block update in its order.
+    With ``k`` (one number for every lane, or one per lane) the lazy
+    ergodic sums of the moved slots are brought up to iteration ``k``
+    (``acc += (k - since) * old``, ``since = k``); without it they are
+    left as they are. A call that raises writes nothing. Returns each
+    lane's max |x|, |z|, |p| over its block, one column per lane.
     """
-    Cn, P, beta = bt.Cn, bt.P, bt.beta
-    ic, cc = bt.icol, bt.ccol
-    const = bt.const[blocks]
-    mv = idx[:, bt.moved]
-    old = flat[mv]
-    if sums is not None:
-        acc_flat, since_flat, k = sums
-        acc_flat[mv] += (k - since_flat[mv]) * old
-        since_flat[mv] = k
-    # x: each lane's tilt against the current z, p, then its solve
+    idx, const, xsrc, blocks = lanes
+    L, Cn, R, P, M, beta = idx.shape[1], bt.Cn, bt.R, bt.P, bt.M, bt.beta
+    cc = bt.ccol
     if bt.D is None:
         rows, coeff, h, D = bt.tilt(blocks)
-        rows += idx[:, ic["row"]]
-        tilt_z, tilt_p = rows + bt.z0, rows + bt.p0
+        base = idx[bt.icol["row"]]
+        idx = np.concatenate([idx, rows + (base + bt.p0),
+                              rows + (base + bt.z0)])
     else:
-        coeff, h, D = const[:, cc["coeff"]], const[:, cc["h"]], bt.D
-        tilt_z, tilt_p = idx[:, ic["tilt_z"]], idx[:, ic["tilt_p"]]
-    g = coeff * (flat[tilt_p] - beta * (h * flat[tilt_z]))
-    lin = _row_sums(g.reshape(len(idx), Cn, D))[..., 0]
-    u = bt.prox.solve(lin, (
-        [None if c is None else const[:, c] for c in bt.closed],
-        const[:, cc["is_quad"]] > 0 if "is_quad" in cc else None,
-        None if bt.serial_at is None else bt.serial_at[blocks]))
-    new = np.empty_like(old)
-    new[:, :Cn] = u
-    flat[mv[:, :Cn]] = u
+        coeff, h, D = const[cc["coeff"]], const[cc["h"]], bt.D
+    v = flat.take(idx)
+    t0 = len(idx) - 2 * Cn * D
+    # x: each lane's tilt against the current z, p, summed in row order
+    # as _row_sums sums, then its solve
+    g = coeff * (v[t0:t0 + Cn * D] - beta * (h * v[t0 + Cn * D:]))
+    lin = np.add.accumulate(g.reshape(D, Cn, L))[-1]
+    out = np.empty((3 * M, L))
+    bt.prox.solve(lin.T, (const[bt.closed].reshape(-1, Cn, L)
+                          .transpose(0, 2, 1),
+                          None if bt.serial_at is None else
+                          bt.serial_at.take(blocks, axis=1).T),
+                  out=out[:Cn].T)
     # z pairs and free rows, then the dual step, from the new x
-    new_z, new_p = new[:, Cn:bt.p_lane], new[:, bt.p_lane:]
-    ax = const[:, cc["z_coeff"]] * flat[idx[:, ic["col"]]]
-    w = const[:, cc["w"]]
-    p_old = old[:, bt.p_lane:]
+    ax = const[cc["z_coeff"]] * out.take(xsrc)
+    w = const[cc["w"]]
+    p_old = v[Cn + R:M]
     t = p_old / beta - ax
+    new_z = out[Cn:Cn + R]
     if P:
-        zi = (w[:, :P] * t[:, :P] - w[:, P:2 * P] * t[:, P:2 * P]) \
-            / const[:, cc["den"]]
-        new_z[:, :P] = zi
-        np.negative(zi, out=new_z[:, P:2 * P])
+        zi = new_z[:P]
+        np.divide(w[:P] * t[:P] - w[P:2 * P] * t[P:2 * P],
+                  const[cc["pair_den"]], out=zi)
+        np.negative(zi, out=new_z[P:2 * P])
     if bt.U:
-        np.divide(t[:, 2 * P:], w[:, 2 * P:], out=new_z[:, 2 * P:])
-    np.subtract(p_old, beta * (ax + w * new_z), out=new_p)
-    flat[mv[:, Cn:]] = new[:, Cn:]
-    return np.maximum.reduceat(np.abs(new), bt.cuts, axis=1)
+        np.divide(t[2 * P:], w[2 * P:], out=new_z[2 * P:])
+    np.subtract(p_old, beta * (ax + w * new_z), out=out[Cn + R:M])
+    if k is None:
+        flat[idx[:M]] = out[:M]
+    else:
+        out[M:2 * M] = k
+        np.add(v[2 * M:3 * M], (k - v[M:2 * M]) * v[:M], out=out[2 * M:])
+        flat[idx[:3 * M]] = out
+    return np.maximum.reduceat(np.abs(out[:M]), bt.cuts)
 
 
 def _levels(partition: ProperPartition, draws) -> list:
@@ -887,16 +987,13 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
                               f"z {maxima[1]:.3e}) exceeds the divergence "
                               "guard")
     dim_x, W = prob.dim_x, prob.dim_z
-    state = np.zeros((S, bt.width))
-    # each seed's x, z and p, as rows of views into the state (p starts 0)
+    # one row per seed: its state, then its lazy ergodic sums' since and acc
+    state = np.tile(bt.layout(start.x, start.z, start.p), (S, 1))
     xs, zs, ps = bt.views(state)
-    xs[...], zs[...] = start.x, start.z
+    seg = bt.seg
+    since, acc = state[:, seg:2 * seg], state[:, 2 * seg:]
     flat = state.reshape(-1)
-    acc = np.zeros_like(state)
-    acc_flat = acc.reshape(-1)
-    since = np.ones_like(state)
-    since_flat = since.reshape(-1)
-    maxima = np.tile(maxima, (S, 1))
+    maxima = np.tile(np.array(maxima)[:, None], S)
     f_star = objective(prob, ref.x) if ref is not None else np.nan
     rec = _Recorder(prob, dist, probes, ref, f_star, S, T, stride)
     tally = np.zeros((S, len(_TALLY)), dtype=np.intp)
@@ -906,46 +1003,73 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
         target = np.zeros_like(state)
         shadow_rows = bt.views(target)
 
-    base = (np.arange(S) * bt.width)[:, None]
+    def record(it, fired):
+        """Record iteration ``it`` if it is a record point."""
+        if it % stride and it != T:
+            return
+        if probes.ergodic or it == T:
+            # only the x and z sums are read, so p's are not flushed
+            xz = np.s_[:, :bt.p0]
+            acc[xz] += (it + 1 - since[xz]) * state[xz]
+            since[xz] = it + 1
+        rec.add(it, fired, xs, zs, ps, acc[:, :dim_x],
+                acc[:, bt.z0:bt.z0 + W])
+
     rngs = [RngStream(seed) for seed in seeds]
-    per_chunk = max(1, _DRAW_CHUNK // S)
-    # a lone seed fires its draws between record points by level
+    # a lone seed fires its draws between record points by level; seeds in
+    # lockstep gather their lanes' table rows once per chunk, so the chunk
+    # also bounds those rows
     by_level = S == 1 and not probes.shadow
+    lane_cols = len(bt.idx) + len(bt.const) + len(bt.xsrc)
+    per_chunk = _DRAW_CHUNK if by_level else max(
+        1, min(_DRAW_CHUNK, _BATCH_LANE_LIMIT // lane_cols) // S)
     k = 0
     while k < T and 0 not in failures:
         chunk = min(per_chunk, T - k)
         blocks = blocks_for(dist, draw_uniforms(rngs, chunk))
-        ends = ([*range((k // stride + 1) * stride - k, chunk, stride), chunk]
-                if by_level else range(1, chunk + 1))
+        if not by_level:
+            # one call per iteration, a lane per seed
+            idx, const, xsrc, _ = bt.lanes(blocks, stacked=True)
+            for j in range(chunk):
+                it = k + j + 1
+                if probes.shadow:
+                    before = state.copy()
+                    sh = shadow_step(prob, PrimalDualState(x=xs, z=zs, p=ps,
+                                                           k=it - 1))
+                    for view, part in zip(shadow_rows, (sh.y, sh.v, sh.mu)):
+                        view[...] = part
+                hot = _fire_lanes(bt, flat,
+                                  (idx[j], const[j], xsrc[j], blocks[j]), it)
+                if probes.shadow:
+                    _tally_shadow(bt, idx[j], before, state, target, tally)
+                if not hot.max() <= DIVERGENCE_LIMIT:
+                    _batch_failures(hot.T, [it], seeds, blocks[j], failures,
+                                    state)
+                    if 0 in failures:
+                        break
+                np.maximum(maxima, hot, out=maxima)
+                record(it, blocks[j])
+            k += chunk
+            continue
         lo = 0
-        for hi in ends:
-            # draws lo..hi-1: one call for one draw (a lane per seed), else
-            # one call per dependency level of the seed's draws
-            lone = ordered = hi - lo == 1
-            plan = deque([np.s_[lo:hi]] if lone else
+        for hi in [*range((k // stride + 1) * stride - k, chunk, stride),
+                   chunk]:
+            # draws lo..hi-1: one call per dependency level
+            ordered = hi - lo == 1
+            plan = deque([np.arange(lo, hi)] if ordered else
                          [lo + d for d in _levels(partition,
                                                   blocks[lo:hi, 0])])
             while plan:
                 draws = plan.popleft()
                 if 0 in failures:
-                    # a lone seed failed: only its earlier draws still count
+                    # the seed failed: only its earlier draws still count
                     draws = draws[draws < failures[0][0] - k - 1]
                     if not draws.size:
                         continue
-                lanes = blocks[draws].reshape(-1)
-                idx = bt.idx[lanes]
-                if S > 1:
-                    idx += base
-                k_lanes = k + hi if lone else (k + 1 + draws)[:, None]
-                if probes.shadow:
-                    before = state.copy()
-                    sh = shadow_step(prob, PrimalDualState(x=xs, z=zs, p=ps,
-                                                           k=k + lo))
-                    for view, part in zip(shadow_rows, (sh.y, sh.v, sh.mu)):
-                        view[...] = part
+                fired = blocks[draws, 0]
                 try:
-                    hot = _fire_lanes(bt, flat, idx, lanes,
-                                      (acc_flat, since_flat, k_lanes))
+                    hot = _fire_lanes(bt, flat, bt.lanes(fired),
+                                      k + 1 + draws)
                 except Exception:
                     if ordered:
                         raise
@@ -955,34 +1079,23 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
                                  [:, None])
                     ordered = True
                     continue
-                if probes.shadow:
-                    _tally_shadow(bt, idx, before, state, target, tally)
-                if not np.all(hot <= DIVERGENCE_LIMIT):
-                    _batch_failures(hot, k + 1 + np.arange(chunk)[draws],
-                                    seeds, lanes, failures, state)
-                # one seed's lanes are its draws: fold them into its maxima
-                np.maximum(maxima, hot if S > 1 else hot.max(axis=0),
+                if not hot.max() <= DIVERGENCE_LIMIT:
+                    _batch_failures(hot.T, k + 1 + draws, seeds, fired,
+                                    failures, state)
+                # the lanes are the seed's draws: fold them into its maxima
+                np.maximum(maxima, hot.max(axis=1, keepdims=True),
                            out=maxima)
             if 0 in failures:
                 break
+            record(k + hi, blocks[hi - 1])
             lo = hi
-            it = k + hi
-            if it % stride and it != T:
-                continue
-            if probes.ergodic or it == T:
-                # only the x and z sums are read, so p's are not flushed
-                xz = np.s_[:, :bt.p0]
-                acc[xz] += (it + 1 - since[xz]) * state[xz]
-                since[xz] = it + 1
-            rec.add(it, blocks[hi - 1], xs, zs, ps, acc[:, :dim_x],
-                    acc[:, bt.z0:bt.z0 + W])
         k += chunk
     if failures:
         raise DivergenceError(failures[min(failures)][1])
     return [rec.metrics(s, seed, T, xs[s], zs[s], ps[s], acc[s, :dim_x],
                         acc[s, bt.z0:bt.z0 + W],
                         {"steps": T, **dict(zip(_TALLY, tally[s].tolist()))},
-                        tuple(maxima[s].tolist()))
+                        tuple(maxima[:, s].tolist()))
             for s, seed in enumerate(seeds)]
 
 
@@ -1022,18 +1135,19 @@ def _tally_shadow(bt, idx, before, after, target, tally):
 
     Row ``s`` of ``before``/``after`` is seed ``s``'s state row (``bt``'s
     layout) around the step, of ``target`` its shadow pass in that layout
-    (zero in dummy slots), of ``idx`` the lane it fired (flat indices) and
-    of ``tally`` its counts (``_TALLY``). A step agrees when no group of
+    (zero in dummy slots) and of ``tally`` its counts (``_TALLY``); column
+    ``s`` of ``idx`` is the lane it fired (flat indices). A step agrees when no group of
     moved coordinates (``bt.groups``: each component's x, the block's z
     rows, its p rows) differs from the shadow by more than ``SHADOW_TOL``
     at its largest (a NaN largest passes). It froze the rest when every
-    other coordinate of its row is unchanged (NaN is never unchanged).
+    slot of its row that the step does not write (the moved slots and
+    their ``since`` and ``acc``) is unchanged (NaN is never unchanged).
     """
-    mv = idx[:, bt.moved]
+    mv = idx[:bt.M]
     gap = np.maximum.reduceat(np.abs(after.take(mv) - target.take(mv)),
-                              bt.groups, axis=1)
+                              bt.groups)
     changed = after != before
-    changed.reshape(-1)[mv] = False
+    changed.reshape(-1)[idx[:3 * bt.M]] = False
     tally[:, 0::2] += 1
-    tally[:, 1] += (gap > SHADOW_TOL).any(axis=1)
+    tally[:, 1] += (gap > SHADOW_TOL).any(axis=0)
     tally[:, 3] += changed.any(axis=1)

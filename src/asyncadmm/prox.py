@@ -88,33 +88,33 @@ def solve_local(sub: LocalSubproblem) -> np.ndarray:
     return solve_local_prepared(term, q, l, lo, hi)
 
 
-def quadratic_prox(w2, w2c, q, l, lo, hi):
+def quadratic_prox(w2c, den, l, lo, hi, out=None):
     """Minimizer of ``(w2/2)|u - c|^2 + (q/2) u^2 - l u`` on ``[lo, hi]``.
 
-    Coordinatewise; ``w2`` is twice the term weight and ``w2c`` is ``w2``
-    times the center. Every argument is an array (or scalar) broadcast
-    elementwise, so one call solves one component or every lane of a
-    seed batch alike.
+    Coordinatewise; ``w2`` is twice the term weight, ``w2c`` is ``w2``
+    times the center and ``den`` is ``w2 + q``. Every argument is an array
+    (or scalar) broadcast elementwise, so one call solves one component or
+    every lane of a seed batch alike; ``out`` receives the result.
     """
-    u = (w2c + l) / (w2 + q)
-    return np.minimum(np.maximum(u, lo), hi)
+    u = (w2c + l) / den
+    return np.minimum(np.maximum(u, lo), hi, out=out)
 
 
-def kink_prox(a, kink, q, l, lo, hi):
+def kink_prox(a, kink, q, qa, l, lo, hi, out=None):
     """Minimizer of ``kink|u - a| + (q/2) u^2 - l u`` on ``[lo, hi]``.
 
-    Coordinatewise soft-thresholding; needs ``q > 0``. Broadcast like
-    :func:`quadratic_prox`.
+    Coordinatewise soft-thresholding; needs ``q > 0``, and ``qa`` is
+    ``q * a``. Broadcast like :func:`quadratic_prox`.
     """
-    u = a + soft_threshold(l - q * a, kink) / q
-    return np.minimum(np.maximum(u, lo), hi)
+    u = a + soft_threshold(l - qa, kink) / q
+    return np.minimum(np.maximum(u, lo), hi, out=out)
 
 
 def solve_local_prepared(term, q, l, lo, hi) -> np.ndarray:
     """Kernel behind :func:`solve_local`; inputs already shaped and bounded."""
     if isinstance(term, Quadratic):
         w2 = 2.0 * term.weight
-        return quadratic_prox(w2, w2 * term.center, q, l, lo, hi)
+        return quadratic_prox(w2 * term.center, w2 + q, l, lo, hi)
 
     if isinstance(term, (AbsDev, L1)):
         if isinstance(term, AbsDev):
@@ -122,9 +122,10 @@ def solve_local_prepared(term, q, l, lo, hi) -> np.ndarray:
         else:
             a, kink = np.zeros(term.dim), term.gamma
         if (q > 0).all():
-            return kink_prox(a, kink, q, l, lo, hi)
+            return kink_prox(a, kink, q, q * a, l, lo, hi)
         # a coordinate without quadratic part minimizes kink|u - a| - l u
-        u = kink_prox(a, kink, np.where(q > 0, q, 1.0), l, lo, hi)
+        q1 = np.where(q > 0, q, 1.0)
+        u = kink_prox(a, kink, q1, q1 * a, l, lo, hi)
         for t in np.flatnonzero(q == 0):
             u[t] = _kink_coord(a[t], kink, l[t], lo[t], hi[t])
         return u

@@ -40,7 +40,6 @@ def kernel_block(prob, part, st, b):
     from asyncadmm.engine import _block_table, _fire_lanes
     bt = _block_table(prob, part)
     row = bt.layout(st.x, st.z, st.p)
-    lane = np.s_[b:b + 1]
-    _fire_lanes(bt, row, bt.idx[lane], lane)
+    _fire_lanes(bt, row, bt.lanes(np.array([b])))
     x, z, p = bt.views(row)
     return PrimalDualState(x=x, z=z, p=p, k=st.k + 1)

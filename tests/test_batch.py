@@ -463,10 +463,11 @@ def spy_calls(monkeypatch):
     calls = []
     fire = engine._fire_lanes
 
-    def spy(bt, flat, idx, blocks, sums=None):
-        its = np.broadcast_to(sums[2], (len(idx), 1))[:, 0]
-        calls.append((np.asarray(blocks).reshape(-1).tolist(), its.tolist()))
-        return fire(bt, flat, idx, blocks, sums)
+    def spy(bt, flat, lanes, k=None):
+        blocks = np.asarray(lanes[3]).reshape(-1)
+        its = np.broadcast_to(k, len(blocks))
+        calls.append((blocks.tolist(), its.tolist()))
+        return fire(bt, flat, lanes, k)
 
     monkeypatch.setattr(engine, "_fire_lanes", spy)
     return calls

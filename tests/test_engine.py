@@ -487,7 +487,7 @@ class TestFastPath:
         table = _block_table(prob, part)
         W, P = prob.dim_z, table.P
         for b, rows in enumerate(part.blocks):
-            lanes = table.idx[b, table.icol["z"]] - table.z0
+            lanes = table.idx[table.icol["z"], b] - table.z0
             pairs = [(i, j) for i, j in prob.z_set.pairs if i in set(rows)]
             assert lanes[:P].tolist() == [i for i, _ in pairs]
             assert lanes[P:2 * P].tolist() == [j for _, j in pairs]
