@@ -119,10 +119,11 @@ def _ragged(sizes):
 def _row_sums(g):
     """Sum over the last axis, strictly left to right, keeping the axis.
 
-    Both engines sum a component's coupling terms with it, so that padding
-    a row with ``-0.0`` (which adds nothing, not even to a zero) leaves the
-    sum unchanged bit for bit; ``np.sum`` would switch to pairwise order
-    on longer rows.
+    A component's coupling terms are summed in this order everywhere (the
+    block kernel accumulates its tilt lanes the same way, row by row), so
+    that padding a row with ``-0.0`` (which adds nothing, not even to a
+    zero) leaves the sum unchanged bit for bit; ``np.sum`` would switch to
+    pairwise order on longer rows.
     """
     return np.add.accumulate(g, axis=-1)[..., -1:]
 
