@@ -378,7 +378,7 @@ def _set_to_json(fset):
                 "upper": fset.upper.tolist()}
     if isinstance(fset, SumZeroPairs):
         return {"kind": "sum_zero_pairs", "dim": fset.dim,
-                "pairs": [list(p) for p in fset.pairs]}
+                "pairs": fset.pairs.tolist()}
     raise ValidationError(f"unknown set {type(fset).__name__}")
 
 

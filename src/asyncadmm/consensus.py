@@ -22,31 +22,29 @@ from .engine import _ops
 from .problem import (ConstraintSystem, PrimalDualState, SeparableProblem,
                       TermGroups, XSetBounds, initial_state, problem_arrays)
 from .scheduler import ProperPartition, build_partition
-from .terms import (Custom, SumZeroPairs, _first_true, _index_array,
+from .terms import (Custom, SumZeroPairs, _first_true, _index_pairs,
                     _repeats)
 
 
 @dataclass(eq=False)
 class Graph:
-    """Connected undirected graph given as an edge list with i < j.
+    """Connected undirected graph given as an edge list.
 
-    ``edges`` may be any sequence of pairs or an ``(M, 2)`` integer array.
-    It is kept as a tuple of ``(low, high)`` pairs, and ``ends`` holds the
-    same as an ``(M, 2)`` array.
+    ``edges`` may be a sequence of pairs or an ``(M, 2)`` integer array.
+    It is kept as a read-only C-contiguous ``(M, 2)`` ``intp`` array with
+    ``edges[e] = (low, high)``.
     """
 
     num_nodes: int
-    edges: tuple
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.num_nodes < 1:
             raise InvalidProblem("graph needs at least one node")
-        if isinstance(self.edges, np.ndarray):
-            given = pairs = _index_array(self.edges).reshape(-1, 2)
-        else:
-            pairs = [(int(i), int(j)) for i, j in self.edges]
-            given = _index_array(pairs).reshape(-1, 2)
-        ends = np.sort(given, axis=1)
+        if self.num_nodes > 1 << 31:   # beyond it, the keys below overflow
+            raise InvalidProblem(
+                f"graph with {self.num_nodes} nodes is too large")
+        ends = np.sort(_index_pairs(self.edges, "edges"), axis=1)
         lo, hi = ends[:, 0], ends[:, 1]
         # the checks of each edge in order: a self-loop, an end out of
         # range, an earlier copy (the key is exact for edges in range)
@@ -55,14 +53,14 @@ class Graph:
         first = _first_true(failed)
         if first >= 0:
             k, check = divmod(first, 3)
-            i, j = (int(v) for v in pairs[k])
+            i, j = (int(v) for v in self.edges[k])
             if check == 0:
                 raise InvalidProblem(f"self-loop at node {i}")
             if check == 1:
                 raise InvalidProblem(f"edge ({i},{j}) out of range")
             raise InvalidProblem(f"duplicate edge {(min(i, j), max(i, j))}")
-        self.ends = ends
-        self.edges = tuple(map(tuple, ends.tolist()))
+        ends.flags.writeable = False
+        self.edges = ends
 
     @property
     def num_edges(self) -> int:
@@ -77,7 +75,7 @@ class Graph:
         no edge joins two trees: array passes, not a walk node by node.
         """
         root = np.arange(self.num_nodes)
-        lo, hi = self.ends[:, 0], self.ends[:, 1]
+        lo, hi = self.edges.T
         while True:
             a, b = root[lo], root[hi]
             cut = a != b
@@ -112,33 +110,30 @@ class Graph:
                  if ln and not ln.startswith("#")]
         if not lines:
             raise ParseError("empty graph file")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise ParseError(f"expected 'N M' header, got {lines[0]!r}")
-        try:
-            num_nodes, m = int(head[0]), int(head[1])
-        except ValueError:
-            raise ParseError(f"non-integer header {lines[0]!r}") from None
+        num_nodes, m = _two_integers(lines[0], "'N M' header", "header")
         if len(lines) - 1 != m:
             raise ParseError(f"header declares {m} edges, found {len(lines) - 1}")
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected 'i j', got {ln!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError(f"non-integer edge {ln!r}") from None
+        edges = [_two_integers(ln, "'i j'", "edge") for ln in lines[1:]]
         try:
-            return cls(num_nodes, tuple(edges))
+            return cls(num_nodes, edges)
         except InvalidProblem as exc:
             raise ParseError(str(exc)) from None
 
     def to_text(self) -> str:
         lines = [f"{self.num_nodes} {self.num_edges}"]
-        lines += [f"{i} {j}" for i, j in self.edges]
+        lines += map("{} {}".format, *self.edges.T.tolist())
         return "\n".join(lines) + "\n"
+
+
+def _two_integers(line: str, form: str, what: str):
+    """The two integers of one line of a graph file."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParseError(f"expected {form}, got {line!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"non-integer {what} {line!r}") from None
 
 
 @dataclass(eq=False)
@@ -208,7 +203,7 @@ def _reformulate(graph, groups, bounds, beta, flip_edges):
             + np.arange(n)[:, None])
     cs = ConstraintSystem.from_arrays(
         n, graph.num_nodes, w, rows.ravel(),
-        np.broadcast_to(graph.ends[:, None, :], shape).ravel(),
+        np.broadcast_to(graph.edges[:, None, :], shape).ravel(),
         np.broadcast_to(np.arange(n)[:, None], shape).ravel(),
         np.broadcast_to(signs[:, None, :], shape).ravel(), -np.ones(w))
     z_set = SumZeroPairs(dim=w, pairs=rows.reshape(-1, 2))
@@ -249,7 +244,7 @@ def edge_step(reform: EdgeReformulation, state: PrimalDualState,
     m = reform.graph.num_edges
     if not 0 <= edge < m:
         raise InvalidProblem(f"edge index {edge} out of range [0,{m})")
-    i, j = reform.graph.edges[edge]
+    i, j = reform.graph.edges[edge].tolist()
     n = reform.n
     beta = prob.beta
 

@@ -14,14 +14,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import (_BATCH_LANE_LIMIT, _block_table, _fire_lanes,
+from .engine import (_BATCH_LANE_LIMIT, _block_table, _fire_lanes, _ops,
                      sync_admm_step)
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
                       lyapunov_rows, residual)
 from .scheduler import ActivationDistribution, RngStream
-from .terms import SumZeroPairs, term_value
+from .terms import term_value
 
 
 @dataclass(eq=False)
@@ -205,6 +205,10 @@ def estimate_rate(values, iters=None, window=None) -> RateFit:
         raise NonPositiveSeries("fit window contains fewer than 2 points")
     if np.any(values[mask] <= 0) or not np.all(np.isfinite(values[mask])):
         raise NonPositiveSeries("series must be positive and finite in the window")
+    its = iters[mask]
+    if not np.all((its > 0) & np.isfinite(its)) or np.all(its == its[0]):
+        raise NonPositiveSeries("iterations in the window must be positive, "
+                                "finite and not all equal")
     slope, intercept = np.polyfit(np.log(iters[mask]), np.log(values[mask]), 1)
     return RateFit(slope=float(slope), intercept=float(intercept))
 
@@ -323,8 +327,8 @@ def _q_stack(prob, dist, mus, grids, z_bound, point_budget):
     b = float(z_bound)
     if b < 0:
         raise InvalidProblem("z_bound must be nonnegative")
-    pairs = prob.z_set.pairs if isinstance(prob.z_set, SumZeroPairs) else ()
-    unpaired = np.setdiff1d(np.arange(cs.W), np.asarray(pairs, dtype=np.intp))
+    ops = _ops(prob)
+    unpaired = np.setdiff1d(np.arange(cs.W), np.r_[ops.pair_i, ops.pair_j])
     coeffs = _coefficients(prob, mus)
     q = np.zeros(len(mus))
     step = max(1, point_budget // len(grids[0][2]))
@@ -337,9 +341,10 @@ def _q_stack(prob, dist, mus, grids, z_bound, point_budget):
                     else np.matmul(pts, c[:, :, None])[..., 0]) - values
             q[rows] += np.max(vals, axis=1) / dist.alpha[i]
         d = dist.weight_diag * mus[rows] * cs.h_diag   # z_l's coefficient
-        z_part = np.zeros(len(d))
-        for i, j in pairs:
-            z_part += np.abs(d[:, i] - d[:, j]) * b
+        # the pair terms added left to right from +0.0, as a loop adds them
+        terms = np.zeros((len(d), ops.pair_i.size + 1))
+        terms[:, 1:] = np.abs(d[:, ops.pair_i] - d[:, ops.pair_j]) * b
+        z_part = np.add.accumulate(terms, axis=1)[:, -1]
         # gathered C-contiguous: a boolean mask's gather is column-major,
         # and its row sums round apart from the 1-D sum
         free = np.abs(d.take(unpaired, axis=1))

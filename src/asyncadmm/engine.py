@@ -239,7 +239,7 @@ class _CompiledOps:
     ``lo``, ``hi`` are the component sets' stacked bounds and ``groups``
     the objective's arrays, both as the problem stores them (no term or
     set object is read). ``pair_i``/``pair_j`` are the z set's pairs over
-    all rows (empty for a free z set).
+    all rows, contiguous for the z fits (empty for a free z set).
 
     The constraint rows are sorted by component, then coordinate, then
     row (``rows``), with ``comp_ptr`` the start of each component's rows;
@@ -279,7 +279,7 @@ class _CompiledOps:
             minlength=cs.N * cs.n).reshape(cs.N, cs.n)
         self.lo, self.hi = prob.bounds.lo, prob.bounds.hi
         if isinstance(prob.z_set, SumZeroPairs):
-            self.pair_i, self.pair_j = prob.z_set._first, prob.z_set._second
+            self.pair_i, self.pair_j = np.ascontiguousarray(prob.z_set.pairs.T)
         else:
             self.pair_i = self.pair_j = np.empty(0, dtype=np.intp)
         self._stacked = {}

@@ -114,7 +114,7 @@ def build_partition(z_set: FeasibleSet, cs: ConstraintSystem,
     if missing >= 0:
         raise NonCoveringPartition(f"row {missing} not covered by any block")
     if isinstance(z_set, SumZeroPairs):
-        i, j = z_set._first, z_set._second
+        i, j = z_set.pairs.T
         split = _first_true(owner[i] != owner[j])
         if split >= 0:
             i, j = int(i[split]), int(j[split])

@@ -27,6 +27,22 @@ def _index_array(values) -> np.ndarray:
         return np.asarray(values, dtype=object).clip(-big, big).astype(np.intp)
 
 
+def _index_pairs(values, what) -> np.ndarray:
+    """Index pairs, as a sequence or an array, as a ``(P, 2)`` ``intp``
+    array (see :func:`_index_array`). Empty input gives ``(0, 2)``; input
+    of any other shape, ragged input included, is refused."""
+    try:
+        index = _index_array(values)
+    except (TypeError, ValueError):
+        index = np.asarray(values, dtype=object)   # ragged input: (M,)
+        if index.shape[1:] == (2,):
+            raise   # pairs with an entry that is no integer
+    if index.size and index.shape[1:] != (2,):
+        raise InvalidProblem(
+            f"{what} must have shape (M, 2), got shape {index.shape}")
+    return index.reshape(-1, 2)
+
+
 def _first_true(flags) -> int:
     """Flat index of the first ``True`` of a boolean array, or -1."""
     flat = flags.reshape(-1)
@@ -191,21 +207,16 @@ class SumZeroPairs:
     """Coordinates constrained in disjoint pairs ``u[i] + u[j] = 0``.
 
     Coordinates not mentioned in any pair are unconstrained. ``pairs``
-    may be given as an ``(P, 2)`` integer array; it is kept as a tuple of
-    index pairs.
+    may be given as a sequence of index pairs or a ``(P, 2)`` integer
+    array; it is kept as a read-only C-contiguous ``(P, 2)`` ``intp``
+    array.
     """
 
     dim: int
-    pairs: tuple = field(default=())
+    pairs: np.ndarray = field(default=())
 
     def __post_init__(self):
-        if isinstance(self.pairs, np.ndarray):
-            index = _index_array(self.pairs).reshape(-1, 2)
-            pairs = tuple(map(tuple, index.tolist()))
-        else:
-            pairs = tuple((int(i), int(j)) for i, j in self.pairs)
-            index = _index_array(pairs).reshape(-1, 2)
-        object.__setattr__(self, "pairs", pairs)
+        index = _index_pairs(self.pairs, "pairs").copy()
         # the checks of each pair in order: a repeated index, then the range
         # and earlier use of its first index, then of its second
         out = (index < 0) | (index >= self.dim)
@@ -215,7 +226,7 @@ class SumZeroPairs:
         first = _first_true(failed)
         if first >= 0:
             p, check = divmod(first, 5)
-            i, j = pairs[p]
+            i, j = (int(v) for v in self.pairs[p])
             k = (i, j)[check // 3]
             if check == 0:
                 raise InvalidProblem(f"pair ({i},{j}) repeats an index")
@@ -223,17 +234,16 @@ class SumZeroPairs:
                 raise InvalidProblem(
                     f"pair index {k} out of range [0,{self.dim})")
             raise InvalidProblem(f"index {k} appears in two pairs")
-        # contiguous copies: every z fit gathers through them
-        object.__setattr__(self, "_first", index[:, 0].copy())
-        object.__setattr__(self, "_second", index[:, 1].copy())
+        index.flags.writeable = False
+        object.__setattr__(self, "pairs", index)
 
     def contains(self, u: np.ndarray, tol: float = 0.0) -> bool:
-        return all(abs(u[i] + u[j]) <= tol for i, j in self.pairs)
+        return bool(np.all(np.abs(u[self.pairs].sum(axis=1)) <= tol))
 
     def project(self, u: np.ndarray) -> np.ndarray:
         # the pairs are disjoint, so all of them are projected at once
         out = np.asarray(u, dtype=float).copy()
-        i, j = self._first, self._second
+        i, j = self.pairs.T
         m = 0.5 * (out[i] - out[j])
         out[i] = m
         out[j] = -m

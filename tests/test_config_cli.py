@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from asyncadmm import (BenchmarkSpec, Custom, ExperimentConfig, Free, Graph,
@@ -940,13 +941,89 @@ def test_cli_exits_0_2_or_3_with_one_line(data, target):
                     [mutate_argv(data, bench_argv if target == "bench"
                                  else slope_argv)])
         for argv in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                try:
-                    code = cli_main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            assert code in (0, 2, 3), (argv, err.getvalue())
-            assert err.getvalue().count("\n") == (code != 0), \
-                (argv, err.getvalue())
+            assert_exit_0_2_or_3_with_one_line(argv)
+
+
+def assert_exit_0_2_or_3_with_one_line(argv):
+    """``cli.main(argv)`` in this process exits 0, 2 or 3 (an argument
+    error is ``SystemExit(2)``), and a failure writes one line to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"{argv[0]}: exit {code}")
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert err.getvalue().count("\n") == (code != 0), (argv, err.getvalue())
+
+
+GRAPH_TOKENS = ("", "x", "-1", "0", "1", "2", "3", "4", "1000000000",
+                "99999999999999999999", "2.5", "1e3", "nan", "+1", "1_0",
+                "\u0663", "0x1")
+GRAPH_LINES = ("", "#", "# note", "0 1 2", "0", "x y", "1 0", "2 2", "\t")
+CSV_TOKENS = ("", "x", "nan", "inf", "-inf", "0", "-0.0", "-1", "1", "20",
+              "1e308", "1e-320", "iter", "ergodic_feasibility")
+CSV_LINES = ("", ",", "iter", "1,2,3", "a,b", "iter,ergodic_feasibility",
+             "5,0.2", "5,0.2,7")
+
+
+def mutate_text(data, text, tokens, lines):
+    """``text`` after up to three edits: a line dropped, doubled, or
+    inserted from ``lines``; one token (a run between spaces or commas)
+    replaced from ``tokens``; a blank or comment line inserted; or the
+    whole text replaced by bytes that are no valid UTF-8 or by nothing."""
+    rows = text.splitlines()
+    for _ in range(data.draw(st.integers(0, 3))):
+        how = data.draw(st.sampled_from(
+            ["drop", "double", "insert", "token", "token", "blank", "whole"]))
+        k = data.draw(st.integers(0, max(len(rows) - 1, 0)))
+        if how == "whole":
+            return data.draw(st.sampled_from([b"", b"\n", b"\xff\xfe 0 1\n"]))
+        if not rows:
+            rows = [data.draw(st.sampled_from(lines))]
+        elif how == "drop":
+            del rows[k]
+        elif how == "double":
+            rows.insert(k, rows[k])
+        elif how == "insert":
+            rows.insert(k, data.draw(st.sampled_from(lines)))
+        elif how == "blank":
+            rows.insert(k, data.draw(st.sampled_from(["", "  ", "# c"])))
+        else:
+            parts = re.split(r"([ ,])", rows[k])
+            t = data.draw(st.integers(0, len(parts) - 1)) // 2 * 2
+            parts[t] = data.draw(st.sampled_from(tokens))
+            rows[k] = "".join(parts)
+    return "\n".join(rows).encode()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), target=st.sampled_from(["graph", "csv"]))
+def test_cli_on_mutated_graph_and_csv_files(data, target):
+    """Mutated graph files, read by ``run``, ``validate`` and ``bench``
+    (through ``Graph.from_text``), and mutated metrics CSVs, read by
+    ``slope`` with and without a window: each command exits 0, 2 or 3
+    with one line on stderr for a failure."""
+    with tempfile.TemporaryDirectory() as name, \
+            pytest.MonkeyPatch.context() as mp:
+        tmp = Path(name)
+        mp.chdir(tmp)
+        mp.setenv("ASYNCADMM_OUT", str(tmp / "env-out"))
+        bench_config, _, _, bench_argv, slope_argv = fuzz_inputs(tmp)
+        (tmp / "exp.json").write_text(json.dumps(bench_config))
+        if target == "graph":
+            path = tmp / "g.txt"
+            path.write_bytes(mutate_text(data, path.read_text(),
+                                         GRAPH_TOKENS, GRAPH_LINES))
+            commands = [["run", "exp.json"], ["validate", "exp.json"],
+                        bench_argv]
+        else:
+            path = tmp / "m.csv"
+            path.write_bytes(mutate_text(data, path.read_text(),
+                                         CSV_TOKENS, CSV_LINES))
+            commands = [slope_argv, slope_argv[:-2],
+                        slope_argv[:2] + ["--column", "iter"]]
+        for argv in commands:
+            assert_exit_0_2_or_3_with_one_line(argv)

@@ -35,7 +35,11 @@ class TestGraph:
     def test_text_round_trip(self):
         g = Graph.path(4)
         g2 = Graph.from_text(g.to_text())
-        assert g2.num_nodes == 4 and g2.edges == g.edges
+        assert g2.num_nodes == 4
+        want = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.intp)
+        for edges in (g.edges, g2.edges):
+            assert edges.dtype == want.dtype and edges.shape == want.shape
+            assert edges.tobytes() == want.tobytes()
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

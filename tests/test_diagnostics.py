@@ -428,14 +428,15 @@ class TestStackedRateConstants:
                               z_bound=10.0, num_directions=32,
                               direction_seed=5, extra_directions=extra)
 
-    @pytest.mark.parametrize("z_bound", [0.0, 3.0])
+    @pytest.mark.parametrize("z_bound", [0.0, -0.0, 3.0])
     @pytest.mark.parametrize("n, budget", [(1, 500), (2, 2_000_000)])
     def test_every_row_is_the_loops_q(self, n, budget, z_bound):
         """The constants read two rows of the stack; here every row equals
         ``reference_q`` at its multiplier (in several passes for n = 1,
         in one for n = 2, where a matrix product over all rows would
         round apart from the loop's matrix-vector products). With a zero
-        z bound, Q is the component maxima alone."""
+        z bound, Q is the component maxima alone (a -0.0 bound makes
+        -0.0 pair terms, which the loop adds to +0.0)."""
         rng = np.random.default_rng(12)
         cs = random_constraints(rng, n, 4, hub_rows=30)
         prob = SeparableProblem(

@@ -18,13 +18,15 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from asyncadmm import (AbsDev, ConstraintSystem, Free, Graph, L1, Quadratic,
+from asyncadmm import (AbsDev, ConstraintSystem, ExperimentConfig, Free,
+                       Graph, L1, ProbeFlags, ProblemSource, Quadratic,
                        SumZeroPairs, build_partition, build_reformulation,
                        consensus_reference, derive_probabilities,
-                       generate_benchmark, BenchmarkSpec, validate_constraints)
+                       generate_benchmark, BenchmarkSpec, run_experiment,
+                       validate_constraints)
 from asyncadmm.benchmarks import BENCHMARK_NAMES
 from asyncadmm.consensus import _median
-from asyncadmm.errors import AsyncAdmmError
+from asyncadmm.errors import AsyncAdmmError, InvalidProblem
 
 from reference import (reference_consensus, reference_constraints,
                        reference_graph_edges, reference_is_connected,
@@ -39,6 +41,12 @@ def assert_bytes(got, want, name=""):
     assert got.dtype == want.dtype, name
     assert got.shape == want.shape, name
     assert got.tobytes() == want.tobytes(), name
+
+
+def as_pairs(pairs):
+    """The oracle's pairs as the ``(P, 2)`` ``intp`` array the library
+    keeps."""
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 def raw_edges(kind, nodes):
@@ -70,6 +78,49 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def assert_same_pairs(got, want):
+    """Outcomes of the library and of the oracle: the same error, or the
+    oracle's pairs as the library's array."""
+    if got[0] == want[0] == "ok":
+        assert_bytes(got[1], as_pairs(want[1]), "pairs")
+    else:
+        assert got == want
+
+
+@st.composite
+def pair_input(draw, entry):
+    """Index pairs as a tuple or an array, or input of another shape (rows
+    of width 1 or 3, a flat list, a ragged list) with the shape error
+    expected of it (``None`` for pairs)."""
+    pairs = draw(st.lists(st.tuples(entry, entry), max_size=8))
+    form = draw(st.sampled_from(["pairs", "pairs", "wide", "flat", "ragged"]))
+    if form == "pairs":
+        shape = None
+    elif form == "wide":
+        width = draw(st.sampled_from([1, 3]))
+        pairs = draw(st.lists(st.tuples(*[entry] * width), min_size=1,
+                              max_size=5))
+        shape = (len(pairs), width)
+    elif form == "flat":
+        pairs = draw(st.lists(entry, min_size=1, max_size=8))
+        shape = (len(pairs),)
+    else:
+        pairs = draw(st.lists(st.tuples(entry, entry), min_size=1,
+                              max_size=5))
+        odd = draw(st.sampled_from([(0,), (0, 1, 2)]))
+        pairs.insert(draw(st.integers(0, len(pairs))), odd)
+        shape = (len(pairs),)
+    if draw(st.booleans()):
+        return tuple(pairs), shape
+    if form == "ragged":
+        return np.array(pairs, dtype=object), shape
+    return np.array(pairs, dtype=np.intp).reshape(shape or (-1, 2)), shape
+
+
+def shape_error(what, shape):
+    return InvalidProblem, f"{what} must have shape (M, 2), got shape {shape}"
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(kind=st.sampled_from(["cycle", "path", "star"]),
@@ -83,8 +134,9 @@ def test_setup_equals_per_row_construction(kind, nodes, family, n, flip,
     rng = np.random.default_rng(seed)
     graph = getattr(Graph, kind)(nodes)
     edges = reference_graph_edges(nodes, raw_edges(kind, nodes))
-    assert graph.edges == edges
-    assert Graph(nodes, raw_edges(kind, nodes)).edges == edges
+    assert_bytes(graph.edges, as_pairs(edges), "edges")
+    assert_bytes(Graph(nodes, raw_edges(kind, nodes)).edges, as_pairs(edges),
+                 "edges")
     assert graph.is_connected() == reference_is_connected(nodes, edges)
 
     if n == 1 and not flip:
@@ -116,8 +168,9 @@ def test_setup_equals_per_row_construction(kind, nodes, family, n, flip,
     for name in ("row_block", "row_coord", "row_coeff", "col_index"):
         assert_bytes(getattr(again, name), want[name], name)
 
-    assert prob.z_set.pairs == reference_pairs(W, pairs)
-    assert SumZeroPairs(W, pairs).pairs == prob.z_set.pairs
+    assert_bytes(prob.z_set.pairs, as_pairs(reference_pairs(W, pairs)),
+                 "pairs")
+    assert_bytes(SumZeroPairs(W, pairs).pairs, prob.z_set.pairs, "pairs")
 
     want_blocks, want_map = reference_partition(pairs, W, want["row_block"],
                                                 blocks)
@@ -165,15 +218,20 @@ def test_malformed_input_raises_as_the_per_row_loops(data):
     draw = data.draw
     nodes = draw(st.integers(0, 6))
     end = st.integers(-1, max(nodes, 1))
-    edges = draw(st.lists(st.tuples(end, end), max_size=8))
-    got = outcome(lambda: Graph(nodes, tuple(edges)).edges)
+    edges, shape = draw(pair_input(end))
+    got = outcome(lambda: Graph(nodes, edges).edges)
     event(f"graph: {got[0] if got[0] == 'ok' else got[1].split()[0]}")
-    assert got == outcome(reference_graph_edges, nodes, edges)
+    if shape is not None and nodes >= 1:
+        assert got == shape_error("edges", shape)
+    else:
+        assert_same_pairs(got, outcome(reference_graph_edges, nodes, edges))
     if got[0] == "ok":
-        g = Graph(nodes, tuple(edges))
-        assert g.is_connected() == reference_is_connected(nodes, got[1])
-        assert Graph(nodes, np.array(edges, dtype=np.intp).reshape(-1, 2)
-                     ).edges == got[1]
+        assert Graph(nodes, edges).is_connected() == reference_is_connected(
+            nodes, got[1].tolist())
+        # the same pairs in the other form
+        other = (np.array(edges, dtype=np.intp).reshape(-1, 2)
+                 if isinstance(edges, tuple) else tuple(map(tuple, edges)))
+        assert_bytes(Graph(nodes, other).edges, got[1], "edges")
 
     n, N, W = (draw(st.sampled_from([0, 1, 1, 2, 2, 3, 3, 3]))
                for _ in range(3))
@@ -198,10 +256,13 @@ def test_malformed_input_raises_as_the_per_row_loops(data):
                 assert_bytes(getattr(cs, name), ref[name], name)
 
     dim = draw(st.integers(1, 8))
-    pairs = draw(st.lists(st.tuples(index, index), max_size=5))
-    got = outcome(lambda: SumZeroPairs(dim, tuple(pairs)).pairs)
+    pairs, shape = draw(pair_input(index))
+    got = outcome(lambda: SumZeroPairs(dim, pairs).pairs)
     event(f"pairs: {got[0] if got[0] == 'ok' else got[1].split()[0]}")
-    assert got == outcome(reference_pairs, dim, pairs)
+    if shape is not None:
+        assert got == shape_error("pairs", shape)
+    else:
+        assert_same_pairs(got, outcome(reference_pairs, dim, pairs))
 
     # blocks over a valid system: a path of three or four nodes, n = 1
     graph = Graph.path(draw(st.integers(3, 4)))
@@ -235,6 +296,47 @@ def test_malformed_input_raises_as_the_per_row_loops(data):
             assert_bytes(got_b, want_b, "blocks")
         for got_c, want_c in zip(part.component_map, want_map):
             assert_bytes(got_c, want_c, "component_map")
+
+
+@pytest.mark.parametrize("form", [list, lambda v: np.array(v, dtype=object)],
+                         ids=["list", "object array"])
+def test_indices_past_intp_are_quoted_as_given(form):
+    """Integers too large for ``intp`` saturate on the one input path, and
+    the messages quote them as given; a node count past ``2**31`` (where
+    the edge keys would overflow) is refused."""
+    big = 2 ** 70
+    for make, want in (
+            (lambda: Graph(4, form([(1, 2), (-big, 1)])),
+             f"edge ({-big},1) out of range"),
+            (lambda: Graph(4, form([(big, 0)])), f"edge ({big},0) out of range"),
+            (lambda: SumZeroPairs(6, form([(0, 1), (2, big)])),
+             f"pair index {big} out of range [0,6)"),
+            (lambda: Graph(big, form([(0, 1)])),
+             f"graph with {big} nodes is too large")):
+        with pytest.raises(InvalidProblem) as info:
+            make()
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("family", BENCHMARK_NAMES)
+def test_a_run_keeps_edges_and_pairs_as_one_array_each(tmp_path, family):
+    """After set-up and a run with every probe on, the graph holds its
+    edges and the z set its pairs only as one read-only C-contiguous
+    ``(·, 2)`` ``intp`` array each."""
+    graph = Graph.cycle(6)
+    bench = generate_benchmark(BenchmarkSpec(family), graph)
+    cfg = ExperimentConfig(
+        problem=ProblemSource("object", bench), T=30, seeds=(0, 1), stride=5,
+        probes=ProbeFlags(shadow=True, lyapunov=True, ergodic=True),
+        out="out")
+    assert run_experiment(cfg, base_dir=tmp_path) == 0
+    z_set = bench.problem.z_set
+    assert bench.reform.graph is graph
+    assert vars(graph).keys() == {"num_nodes", "edges"}
+    assert vars(z_set).keys() == {"dim", "pairs"}
+    for pairs, count in ((graph.edges, 6), (z_set.pairs, 6)):
+        assert pairs.dtype == np.intp and pairs.shape == (count, 2)
+        assert pairs.flags.c_contiguous and not pairs.flags.writeable
 
 
 finite = st.floats(allow_nan=False, width=64) | st.sampled_from(
