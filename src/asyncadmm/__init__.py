@@ -5,13 +5,16 @@ Library layout:
 - ``terms`` / ``problem``: objective terms, feasible sets, the separable
   problem container (its objective and x sets stored as arrays), and its
   evaluation operations.
-- ``prox``: closed-form component and block subproblem solvers.
+- ``prox``: the only closed-form x prox (``_GroupedProx``: every
+  coordinate of a problem, or of one component for ``solve_local``), the
+  bisection for custom terms, and the z-block fits.
 - ``scheduler``: proper partitions, activation probabilities, seeded RNG.
 - ``engine``: the asynchronous block kernel and step, full-information
   shadow passes, the synchronous baseline, and the one metric-recording
   run loop (many seeds in lockstep, one seed by dependency level).
 - ``consensus``: edge-based reformulation of multi-agent consensus and
-  the closed-form per-edge step.
+  the per-edge step (endpoints' x from the engine's block kernel, then
+  the closed-form z and p).
 - ``diagnostics``: weighted norms and Lagrangian, the Lyapunov value and
   its drift, rate fits, and rate-bound constants.
 - ``benchmarks`` / ``config`` / ``runner`` / ``cli``: named benchmark

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .consensus import (EdgeReformulation, Graph, consensus_optimum,
-                        reformulate)
+from .consensus import (EdgeReformulation, Graph, _check_graph,
+                        _reformulate, consensus_optimum)
 from .diagnostics import ReferenceSolution
 from .errors import InvalidProblem, UnknownBenchmark
 from .problem import TermGroups, XSetBounds
@@ -74,10 +74,12 @@ def generate_benchmark(spec: BenchmarkSpec, graph: Graph,
                        beta: float = 1.0) -> Benchmark:
     """Build the edge reformulation of a named benchmark over ``graph``.
 
-    The nodes' terms and x sets are built as arrays (``TermGroups``,
-    ``XSetBounds``), with no object per node.
+    The graph is checked first, so a disconnected one is refused before
+    any per-node array is built. The nodes' terms and x sets are built as
+    arrays (``TermGroups``, ``XSetBounds``), with no object per node.
     """
     n_nodes = graph.num_nodes
+    _check_graph(graph, n_nodes)
     if spec.name in ("consensus-quadratic", "consensus-lad"):
         a = spec.a if spec.a is not None else [float(i + 1) for i in range(n_nodes)]
         a = np.asarray(a, dtype=float)
@@ -109,7 +111,7 @@ def generate_benchmark(spec: BenchmarkSpec, graph: Graph,
                             np.append(w * w, float(spec.pi)))
         bounds = _data_bounds(centers, spec.box_margin, n_nodes)
 
-    reform = reformulate(graph, groups, bounds, beta)
+    reform = _reformulate(graph, groups, bounds, beta, ())
     reference = consensus_optimum(groups)
     cs = reform.problem.constraints
     x_star = np.tile(reference, n_nodes)

@@ -23,7 +23,6 @@ from .config import (ExperimentConfig, ProbeFlags, ProblemSource,
 from .engine import RunMetrics
 from .diagnostics import estimate_rate
 from .errors import AsyncAdmmError, ParseError
-from .problem import validate_constraints
 from .runner import (EXIT_CONFIG, EXIT_IO, EXIT_OK, prepare_experiment,
                      run_experiment)
 
@@ -40,14 +39,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config, base_dir = _read_config(args.config)
+    # a problem with invalid constraints is refused while it is built,
+    # as a config error, so one that is built is valid
     prepared = prepare_experiment(config, base_dir=base_dir)
-    report = validate_constraints(prepared.problem.constraints)
     print(f"problem: N={prepared.problem.constraints.N} "
           f"W={prepared.problem.constraints.W} n={prepared.problem.constraints.n}")
     print(f"blocks: {prepared.partition.num_blocks}, seeds: {len(config.seeds)}, "
           f"T: {config.T}")
-    print(str(report))
-    return EXIT_OK if report.ok else EXIT_CONFIG
+    print("constraints valid")
+    return EXIT_OK
 
 
 def _number_or_text(text: str):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DisconnectedGraph, InvalidProblem, ParseError,
                      UnsupportedMix)
-from .engine import _ops
+from .engine import _fire_each
 from .problem import (ConstraintSystem, PrimalDualState, SeparableProblem,
                       TermGroups, XSetBounds, initial_state, problem_arrays)
 from .scheduler import ProperPartition, build_partition
@@ -73,7 +73,11 @@ class Graph:
         points the root of each tree at the smallest root across the
         edges leaving it, then shortcuts every pointer to its root, until
         no edge joins two trees: array passes, not a walk node by node.
+        A graph with fewer than ``N - 1`` edges is refused before any of
+        that, in time independent of ``N``.
         """
+        if self.num_edges < self.num_nodes - 1:
+            return False
         root = np.arange(self.num_nodes)
         lo, hi = self.edges.T
         while True:
@@ -228,9 +232,10 @@ def edge_step(reform: EdgeReformulation, state: PrimalDualState,
               edge: int) -> PrimalDualState:
     """Closed-form activation of one edge.
 
-    Both endpoint copies re-solve their local subproblems (against all
-    of their incident constraint rows, so the step agrees with the
-    generic engine on per-edge blocks), then the edge's multiplier,
+    Both endpoint copies re-solve their local subproblems against all of
+    their incident constraint rows: the engine's block kernel fires the
+    edge's block, whose components are its two endpoints, on a copy of
+    the state (``engine._fire_each``). Then the edge's multiplier,
     auxiliary pair, and dual pair follow in closed form:
 
         v    = (-p_ei - p_ej)/2 + (beta/2)(A_ei x_i + A_ej x_j)
@@ -240,7 +245,6 @@ def edge_step(reform: EdgeReformulation, state: PrimalDualState,
     which keeps z_ei + z_ej = 0 and makes both dual entries equal.
     """
     prob = reform.problem
-    ops = _ops(prob)
     m = reform.graph.num_edges
     if not 0 <= edge < m:
         raise InvalidProblem(f"edge index {edge} out of range [0,{m})")
@@ -248,9 +252,9 @@ def edge_step(reform: EdgeReformulation, state: PrimalDualState,
     n = reform.n
     beta = prob.beta
 
-    x = state.x.copy()
-    x[i * n:(i + 1) * n] = ops.solve_component(i, state.p, state.z)
-    x[j * n:(j + 1) * n] = ops.solve_component(j, state.p, state.z)
+    _, x, _, _ = next(_fire_each(prob, reform.partition, state,
+                                 np.array([edge])))
+    x = x[0].copy()
 
     rows_i = reform.edge_rows(edge, 0)
     rows_j = reform.edge_rows(edge, 1)

@@ -14,14 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import (_BATCH_LANE_LIMIT, _block_table, _fire_lanes, _ops,
-                     sync_admm_step)
+from .engine import _fire_each, sync_admm_step
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
                       lyapunov_rows, residual)
 from .scheduler import ActivationDistribution, RngStream
-from .terms import term_value
+from .terms import SumZeroPairs, term_value
 
 
 @dataclass(eq=False)
@@ -145,32 +144,19 @@ def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
     """Exact conditional one-step mean change of the Lyapunov value.
 
     Fires every block the sampler could draw from this state through the
-    engine's block kernel, each block on its own copy of the state, in
-    chunks of rows that hold at most the kernel's lane limit of values
-    (so memory stays bounded however many blocks there are); weights each
-    row's :func:`lyapunov` value by its block's probability, in block
-    order, and subtracts the current value. The supermartingale property
-    says this is never positive.
+    engine's block kernel, each block on its own copy of the state
+    (``engine._fire_each``); weights each row's :func:`lyapunov` value by
+    its block's probability, in block order, and subtracts the current
+    value. The supermartingale property says this is never positive.
     """
     v_now = lyapunov(prob, state, ref, wn)
-    bt = _block_table(prob, partition)
-    row = bt.layout(state.x, state.z, state.p)
-    chunk = max(1, _BATCH_LANE_LIMIT // bt.width)
     probs = dist.block_probs.tolist()
     expected = 0.0
-    stack = np.zeros((min(chunk, len(probs)), bt.width))
-    for lo in range(0, len(probs), chunk):
-        blocks = np.arange(lo, min(lo + chunk, len(probs)))
-        # block lo + i fires on row i; fired without ergodic sums, the
-        # kernel uses and changes only the state segment of each row, so
-        # only that is copied in
-        rows = stack[:len(blocks)]
-        rows[:, :bt.seg] = row[:bt.seg]
-        _fire_lanes(bt, rows.reshape(-1), bt.lanes(blocks, stacked=True))
-        _, z, p = bt.views(rows)
+    for blocks, _, z, p in _fire_each(prob, partition, state,
+                                      np.arange(len(probs))):
         values = lyapunov_rows(prob, wn.weight_diag, ref, z, p)
-        for prob_b, v_b in zip(probs[lo:lo + chunk], values.tolist()):
-            expected += prob_b * v_b
+        for b, v_b in zip(blocks.tolist(), values.tolist()):
+            expected += probs[b] * v_b
     return expected - v_now
 
 
@@ -327,8 +313,9 @@ def _q_stack(prob, dist, mus, grids, z_bound, point_budget):
     b = float(z_bound)
     if b < 0:
         raise InvalidProblem("z_bound must be nonnegative")
-    ops = _ops(prob)
-    unpaired = np.setdiff1d(np.arange(cs.W), np.r_[ops.pair_i, ops.pair_j])
+    pair_i, pair_j = (prob.z_set.pairs if isinstance(prob.z_set, SumZeroPairs)
+                      else np.empty((0, 2), dtype=np.intp)).T
+    unpaired = np.setdiff1d(np.arange(cs.W), np.r_[pair_i, pair_j])
     coeffs = _coefficients(prob, mus)
     q = np.zeros(len(mus))
     step = max(1, point_budget // len(grids[0][2]))
@@ -342,8 +329,8 @@ def _q_stack(prob, dist, mus, grids, z_bound, point_budget):
             q[rows] += np.max(vals, axis=1) / dist.alpha[i]
         d = dist.weight_diag * mus[rows] * cs.h_diag   # z_l's coefficient
         # the pair terms added left to right from +0.0, as a loop adds them
-        terms = np.zeros((len(d), ops.pair_i.size + 1))
-        terms[:, 1:] = np.abs(d[:, ops.pair_i] - d[:, ops.pair_j]) * b
+        terms = np.zeros((len(d), pair_i.size + 1))
+        terms[:, 1:] = np.abs(d[:, pair_i] - d[:, pair_j]) * b
         z_part = np.add.accumulate(terms, axis=1)[:, -1]
         # gathered C-contiguous: a boolean mask's gather is column-major,
         # and its row sums round apart from the 1-D sum

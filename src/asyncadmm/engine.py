@@ -16,12 +16,14 @@ makes one gather of everything it reads and one scatter of everything it
 writes, through index columns the table holds per block, and reads its
 constants as one column per block: about 30 array operations per call,
 each over all its lanes. Every caller fires its blocks through it:
-``step`` fires one lane on a one-row copy of the state,
-``diagnostics.lyapunov_drift`` every block on its own copy row (in chunks
-of rows under the lane limit), and ``run_batch`` the lanes of its seeds.
-The x lanes are solved by the grouped prox (``_GroupedProx``): closed
-forms for Quadratic, AbsDev and L1 coordinates, then one by one, in lane
-order, for ``Custom`` terms and kink coordinates without a coupling row.
+``run_batch`` the lanes of its seeds, and ``_fire_each`` each of a list
+of blocks on its own copy of one state (in chunks of rows under the lane
+limit), for ``step`` (one block), ``consensus.edge_step`` (the edge's
+block) and ``diagnostics.lyapunov_drift`` (every block).
+The x lanes are solved by the grouped prox (``prox._GroupedProx``, the
+only closed-form prox): closed forms for Quadratic, AbsDev and L1
+coordinates, then one by one, in lane order, for ``Custom`` terms and
+kink coordinates without a coupling row.
 Each x lane's tilt reads its component's rows from the table, padded to
 the largest row count; past a lane limit (a hub component in every block)
 the table keeps no tilt rows, and each call adds its own lanes' rows,
@@ -52,8 +54,8 @@ asynchronous iterates agree with them on the active coordinates, which
 the probes verify. It costs O(problem) per step, as array operations,
 and a run takes one pass and one check per iteration for all its seeds:
 ``shadow_step`` solves every x component of every seed's row at once
-(``_CompiledOps.solve_all``, each row bit for bit one ``solve_component``
-call per component, on arguments tiled once per stack size) and fits
+(``_CompiledOps.solve_all``, each row bit for bit a component-by-component
+solve, on arguments tiled once per stack size) and fits
 every z row of the stack as one 1-D fit, and ``_tally_shadow`` takes each
 lane's group maxima and compares the rest of each row.
 
@@ -78,10 +80,9 @@ import numpy as np
 
 from .errors import (DivergenceError, ImproperPartition, MissingReference,
                      ValidationError)
-from .problem import (PrimalDualState, SeparableProblem, TermGroups,
-                      initial_state, lyapunov_rows, objective, residual)
-from .prox import (_kink_coord, kink_prox, quadratic_prox,
-                   solve_local_prepared, solve_z_prepared)
+from .problem import (PrimalDualState, SeparableProblem, initial_state,
+                      lyapunov_rows, objective, residual)
+from .prox import _GroupedProx, solve_z_prepared
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         _offsets, blocks_for, draw_uniforms, sample_block)
 from .terms import SumZeroPairs
@@ -116,123 +117,6 @@ def _ragged(sizes):
     return seg, np.arange(seg.size) - _offsets(sizes)[:-1][seg]
 
 
-def _row_sums(g):
-    """Sum over the last axis, strictly left to right, keeping the axis.
-
-    A component's coupling terms are summed in this order everywhere (the
-    block kernel accumulates its tilt lanes the same way, row by row), so
-    that padding a row with ``-0.0`` (which adds nothing, not even to a
-    zero) leaves the sum unchanged bit for bit; ``np.sum`` would switch to
-    pairwise order on longer rows.
-    """
-    return np.add.accumulate(g, axis=-1)[..., -1:]
-
-
-class _GroupedProx:
-    """The prox of every x coordinate of a problem in one pass.
-
-    Solves ``f_i(u) + (q/2) u^2 - l u`` on ``[lo, hi]`` per coordinate with
-    the arithmetic of :func:`solve_local_prepared`: Quadratic coordinates
-    through :func:`quadratic_prox`, AbsDev and L1 coordinates through
-    :func:`kink_prox`, each as one array operation over every coordinate,
-    which takes its own kind's result. The rest, terms of other kinds and
-    kink coordinates with ``q == 0``, go one by one through
-    ``solve_local_prepared`` and ``_kink_coord`` (``serial``, indexed by
-    ``serial_at`` at a component's or coordinate's first coordinate, -1
-    elsewhere), so the first error raised is the one a
-    component-by-component loop raises. ``q``, ``lo``, ``hi`` have shape
-    ``(N, n)``.
-
-    ``args`` holds the closed forms' arguments per coordinate, for the
-    kinds present only, in the order :meth:`solve` unpacks them:
-    ``w2c``, ``den`` (``w2 + q``, :func:`quadratic_prox`), ``a``, ``kink``,
-    ``q_kink``, ``qa`` (``q_kink * a``, :func:`kink_prox`), ``is_quad`` (1
-    on Quadratic coordinates; only with both kinds), then ``lo``, ``hi``;
-    ``w2c``, ``a`` and ``kink`` are zero off their kind. ``closed`` is the
-    same arrays as a tuple, and ``DUMMY`` each argument's value on a
-    padding lane, which solves to +0.0.
-    """
-
-    DUMMY = dict(w2c=0.0, den=1.0, a=0.0, kink=0.0, q_kink=1.0, qa=0.0,
-                 is_quad=1.0, lo=-np.inf, hi=np.inf)
-
-    def __init__(self, groups: TermGroups, q, lo, hi):
-        n = self.n = groups.n
-        self.q, self.lo, self.hi = q, lo, hi
-        q, lo, hi = q.reshape(-1), lo.reshape(-1), hi.reshape(-1)
-        w2, w2c, a, kink, is_quad = np.zeros((5, q.size))
-        idx = groups.quad_idx
-        w2[idx] = 2.0 * groups.quad_weight
-        w2c[idx] = w2[idx] * groups.quad_center
-        is_quad[idx] = 1.0
-        a[groups.abs_idx] = groups.abs_center
-        kink[groups.abs_idx] = 1.0
-        kink[groups.l1_idx] = groups.l1_gamma
-        kink_idx = np.concatenate([groups.abs_idx, groups.l1_idx])
-        self.has_quad, self.has_kink = idx.size > 0, kink_idx.size > 0
-        # q where a closed form divides by it: off Quadratic coordinates a
-        # zero q becomes 1, whose result is discarded or solved again below
-        q_kink = np.where(q > 0, q, 1.0)
-        args = self.args = {}
-        if self.has_quad:
-            args.update(w2c=w2c, den=w2 + np.where(is_quad > 0, q, q_kink))
-        if self.has_kink:
-            args.update(a=a, kink=kink, q_kink=q_kink, qa=q_kink * a)
-            if self.has_quad:
-                args.update(is_quad=is_quad)
-        args.update(lo=lo, hi=hi)
-        self.closed = tuple(args.values())
-        # one at a time: the components of other terms (with the term)
-        # and the kink coordinates without a quadratic part (with their
-        # constants)
-        kink0 = kink_idx[q[kink_idx] == 0].tolist()
-        self.serial = list(groups.other)
-        self.serial += [(-1, (a[t], kink[t], lo[t], hi[t])) for t in kink0]
-        self.serial_at = np.full(q.size, -1, dtype=np.intp)
-        self.serial_at[[i * n for i, _ in groups.other] + kink0] = \
-            np.arange(len(self.serial))
-
-    def solve(self, l, lanes=None, out=None):
-        """Minimizers for the tilt ``l``: one entry per coordinate along the
-        last axis, one row per point (``(..., N n)``), each row solved as
-        the 1-D call would solve it, into ``out`` when given. With
-        ``lanes = (args, at)`` the entries of ``l`` are lanes instead, each
-        with its coordinate's ``closed`` arguments (a sequence in ``args``
-        order) and ``serial_at`` entry, all of ``l``'s shape. The one-by-one
-        solves come after the closed forms, row by row and then entry by
-        entry, so the first error raised is the one a loop over the rows
-        raises."""
-        args, at = lanes or (self.closed, self.serial_at)
-        *forms, lo, hi = args
-        if self.has_quad and self.has_kink:
-            w2c, den, a, kink, q, qa, is_quad = forms
-            u = np.where(is_quad, quadratic_prox(w2c, den, l, lo, hi),
-                         kink_prox(a, kink, q, qa, l, lo, hi))
-        elif self.has_quad:
-            u = quadratic_prox(*forms, l, lo, hi, out=out)
-        elif self.has_kink:
-            u = kink_prox(*forms, l, lo, hi, out=out)
-        else:
-            # terms of other kinds only; the dummy lane's entry stays zero
-            u = np.zeros_like(l)
-        if out is not None and u is not out:
-            out[...] = u
-            u = out
-        if not self.serial:
-            return u
-        n, at = self.n, np.broadcast_to(at, l.shape)
-        for hit in zip(*np.nonzero(at >= 0)):
-            i, item = self.serial[at[hit]]
-            u_row, l_row, t = u[hit[:-1]], l[hit[:-1]], hit[-1]
-            if i < 0:
-                a, kink, lo, hi = item
-                u_row[t] = _kink_coord(a, kink, l_row[t], lo, hi)
-            else:
-                u_row[t:t + n] = solve_local_prepared(
-                    item, self.q[i], l_row[t:t + n], self.lo[i], self.hi[i])
-        return u
-
-
 class _CompiledOps:
     """Per-problem arrays for the update kernels (built once, read-only).
 
@@ -242,10 +126,8 @@ class _CompiledOps:
     all rows, contiguous for the z fits (empty for a free z set).
 
     The constraint rows are sorted by component, then coordinate, then
-    row (``rows``), with ``comp_ptr`` the start of each component's rows;
-    ``coeffs_sorted`` and ``h_sorted`` follow that order. For ``n > 1``,
-    ``slot`` places each sorted row in its component's ``(n, width[i])``
-    grid, one line per coordinate, padded with ``-0.0``.
+    row (``rows``), with ``counts`` the rows per (component, coordinate);
+    ``coeffs_sorted`` and ``h_sorted`` follow that order.
 
     :meth:`solve_all` reads the same rows in rank order and solves
     through :attr:`prox`; both are built on first use, so runs that
@@ -262,18 +144,10 @@ class _CompiledOps:
         self.coeff = cs.row_coeff
         self.col = cs.col_index
         self.rows = np.argsort(cs.col_index, kind="stable")
-        self.comp_ptr = _offsets(np.bincount(cs.row_block,
-                                             minlength=cs.N)).tolist()
         self.coeffs_sorted = cs.row_coeff[self.rows]
         self.h_sorted = cs.h_diag[self.rows]
         # rows per (component, coordinate), the coupling columns of D
         self.counts = np.bincount(cs.col_index, minlength=cs.N * cs.n)
-        if cs.n > 1:
-            width = self.counts.reshape(cs.N, cs.n).max(axis=1)
-            _, rank = _ragged(self.counts)
-            coord = cs.row_coord[self.rows]
-            self.slot = coord * width[cs.row_block[self.rows]] + rank
-            self.width = width.tolist()
         self.quad = prob.beta * np.bincount(
             cs.col_index, weights=cs.row_coeff ** 2,
             minlength=cs.N * cs.n).reshape(cs.N, cs.n)
@@ -283,35 +157,6 @@ class _CompiledOps:
         else:
             self.pair_i = self.pair_j = np.empty(0, dtype=np.intp)
         self._stacked = {}
-
-    def solve_component(self, i, p, z):
-        """Minimize f_i plus its scaled coupling terms at multiplier p.
-
-        The tilt gathers every constraint row owned by the component:
-        ``linear = D_i'(p - beta H z)``, summed per coordinate in row
-        order by :func:`_row_sums`. The term object is the problem's
-        (``TermGroups.terms``: the one given, or one made from the arrays
-        on the first call).
-        """
-        r0, r1 = self.comp_ptr[i], self.comp_ptr[i + 1]
-        rows = self.rows[r0:r1]
-        g = self.coeffs_sorted[r0:r1] * (p[rows] - self.beta * (
-            self.h_sorted[r0:r1] * z[rows]))
-        if self.n == 1:
-            linear = _row_sums(g)
-        else:
-            grid = np.full(self.n * self.width[i], -0.0)
-            grid[self.slot[r0:r1]] = g
-            linear = _row_sums(grid.reshape(self.n, -1))[:, 0]
-        quad, lo, hi = self.comp_bounds[i]
-        return solve_local_prepared(self.groups.terms[i], quad, linear, lo,
-                                    hi)
-
-    @cached_property
-    def comp_bounds(self) -> list:
-        """Row views of ``quad``, ``lo``, ``hi`` per component, for
-        :meth:`solve_component` (built on its first call)."""
-        return list(zip(self.quad, self.lo, self.hi))
 
     @cached_property
     def prox(self) -> _GroupedProx:
@@ -338,15 +183,15 @@ class _CompiledOps:
                 pos)
 
     def solve_all(self, p, z):
-        """Every component's :meth:`solve_component`, in one pass, bit for bit.
+        """Every x component minimized against ``p`` and ``z``, in one pass.
 
         ``p`` and ``z`` are one point or one per row (``(..., W)``), each
         row solved as the 1-D call solves it. The tilt of every row is one
         array expression. Each (component, coordinate) sum starts at
         ``-0.0`` and adds its rows strictly left to right, one rank per
         loop pass (a slice of the first axis: the sums are transposed), so
-        it equals :func:`_row_sums` (``-0.0 + g == g``) at O(W) work; the
-        solves are :class:`_GroupedProx`'s.
+        it is the sum of the block kernel's tilt lanes bit for bit at O(W)
+        work; the solves are :class:`_GroupedProx`'s.
         """
         rows, coeff, h, ptr, pos = self.rank_order
         g = coeff * (p.take(rows, axis=-1)
@@ -423,12 +268,13 @@ class _BlockTable:
       the kernel writes exactly these ``3 M`` columns;
     - the tilt lanes (``C n D`` each for p and z, :meth:`tilt`): every row
       of each x lane's component and coordinate, padded to the largest
-      count ``D`` with coefficient ``-0.0``, which adds nothing in
-      :func:`_row_sums`. Past ``_BATCH_LANE_LIMIT`` such lanes (a hub
-      component in every block pads each block to its degree) the table
-      holds none (``D is None``) but a ``row`` column (0, the start of the
-      lane's row once its offset is added), and each kernel call gathers
-      its own lanes' rows, padded to the largest count among them.
+      count ``D`` with coefficient ``-0.0``, which adds nothing (not even
+      to a zero) to a sum taken strictly left to right. Past
+      ``_BATCH_LANE_LIMIT`` such lanes (a hub component in every block
+      pads each block to its degree) the table holds none (``D is
+      None``) but a ``row`` column (0, the start of the lane's row once
+      its offset is added), and each kernel call gathers its own lanes'
+      rows, padded to the largest count among them.
 
     ``const`` holds the x lanes' closed-form arguments (``C n`` columns
     each, in :class:`_GroupedProx` order, ``closed`` their slice), the
@@ -631,19 +477,15 @@ def step(prob: SeparableProblem, state: PrimalDualState,
          rng: RngStream, with_shadow: bool = False) -> StepRecord:
     """One asynchronous iteration: sample a block, update x, z, p in order.
 
-    The input state is left as it is: the block kernel
-    (:func:`_fire_lanes`) fires one lane on a one-row copy of it, laid out
-    by the partition's table, and the new x, z and p are views of that
-    row.
+    The input state is left as it is: the block fires on a copy of it
+    (:func:`_fire_each`), and the new x, z and p are views of that copy.
     """
     b = sample_block(dist, rng)
     shadow = shadow_step(prob, state) if with_shadow else None
-    bt = _block_table(prob, partition)
-    row = bt.layout(state.x, state.z, state.p)
-    _fire_lanes(bt, row, bt.lanes(np.array([b])))
-    x, z, p = bt.views(row)
+    _, x, z, p = next(_fire_each(prob, partition, state, np.array([b])))
     return StepRecord(block=b, before=state,
-                      after=PrimalDualState(x=x, z=z, p=p, k=state.k + 1),
+                      after=PrimalDualState(x=x[0], z=z[0], p=p[0],
+                                            k=state.k + 1),
                       shadow=shadow)
 
 
@@ -820,11 +662,12 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
     ``since`` and ``acc``, and the tilt lanes) and one scatter of
     everything it writes, about 30 array operations on contiguous
     ``(·, L)`` slices whatever the number ``L`` of lanes. Each x lane's
-    tilt sums its component's rows left to right, as :func:`_row_sums`
-    does; :class:`_GroupedProx` solves the lanes, the one-by-one ones
-    after the closed forms in lane order, then the z fit reads the new x
-    of its block's own lanes and the dual step follows: the floating-point
-    operations of one component-by-component block update in its order.
+    tilt sums its component's rows strictly left to right (``np.sum``
+    would switch to pairwise order on longer rows); :class:`_GroupedProx`
+    solves the lanes, the one-by-one ones after the closed forms in lane
+    order, then the z fit reads the new x of its block's own lanes and the
+    dual step follows: the floating-point operations of one
+    component-by-component block update in its order.
     With ``k`` (one number for every lane, or one per lane) the lazy
     ergodic sums of the moved slots are brought up to iteration ``k``
     (``acc += (k - since) * old``, ``since = k``); without it they are
@@ -844,7 +687,7 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
     v = flat.take(idx)
     t0 = len(idx) - 2 * Cn * D
     # x: each lane's tilt against the current z, p, summed in row order
-    # as _row_sums sums, then its solve
+    # strictly left to right, then its solve
     g = coeff * (v[t0:t0 + Cn * D] - beta * (h * v[t0 + Cn * D:]))
     lin = np.add.accumulate(g.reshape(D, Cn, L))[-1]
     out = np.empty((3 * M, L))
@@ -874,6 +717,31 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
         np.add(v[2 * M:3 * M], (k - v[M:2 * M]) * v[:M], out=out[2 * M:])
         flat[idx[:3 * M]] = out
     return np.maximum.reduceat(np.abs(out[:M]), bt.cuts)
+
+
+def _fire_each(prob: SeparableProblem, partition: ProperPartition,
+               state: PrimalDualState, blocks):
+    """Fire each of ``blocks`` (an index array) on its own copy of
+    ``state``: the block kernel over stacked copies of the state's row in
+    the partition's table, in chunks of rows that hold at most
+    ``_BATCH_LANE_LIMIT`` values, so memory stays bounded however many
+    blocks there are. Yields per chunk its blocks and the x, z and p of
+    their rows, row ``i`` the state after the chunk's block ``i``, as
+    views of one buffer that the next chunk overwrites."""
+    bt = _block_table(prob, partition)
+    chunk = max(1, _BATCH_LANE_LIMIT // bt.width)
+    stack = np.zeros((min(chunk, len(blocks)), bt.width))
+    for lo in range(0, len(blocks), chunk):
+        fired = blocks[lo:lo + chunk]
+        # fired without ergodic sums, the kernel uses and changes only the
+        # state segment of each row, so only that is laid out (as
+        # _BlockTable.layout lays it out) in place: one buffer in all
+        rows = stack[:len(fired)]
+        rows[:, :bt.seg] = 0.0
+        for view, part in zip(bt.views(rows), (state.x, state.z, state.p)):
+            view[...] = part
+        _fire_lanes(bt, rows.reshape(-1), bt.lanes(fired, stacked=True))
+        yield (fired, *bt.views(rows))
 
 
 def _levels(partition: ProperPartition, draws) -> list:

@@ -6,9 +6,12 @@ The primal updates reduce to problems of the form
 
 for the x components (``q`` nonnegative, from the scaled squared coupling
 columns) and to weighted least-squares projections for the z blocks. All
-supported terms separate per coordinate, so the solvers below are scalar
-closed forms applied coordinatewise, with a sign-of-slope bisection as the
-fallback for user-supplied scalar-convex terms.
+supported terms separate per coordinate. :class:`_GroupedProx` is the only
+closed-form x prox: scalar closed forms applied coordinatewise, as one
+array operation per term kind over every coordinate of a problem (the
+block kernel, the full pass and the synchronous step) or of one component
+(:func:`solve_local`), with a sign-of-slope bisection
+(:func:`solve_local_prepared`) for user-supplied scalar-convex terms.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 
 from .errors import (InvalidProblem, NonfiniteInput, UnboundedSubproblem,
                      UnsupportedSet, UnsupportedTerm)
-from .terms import (AbsDev, Box, ConvexTerm, Custom, FeasibleSet, Free, L1,
-                    Quadratic)
+from .problem import TermGroups
+from .terms import Box, ConvexTerm, Custom, FeasibleSet, Free
 
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 200
@@ -75,17 +78,18 @@ def soft_threshold(v, kappa):
 def solve_local(sub: LocalSubproblem) -> np.ndarray:
     """Minimizer of ``f(u) + (1/2) u'diag(q)u - l'u`` over the set.
 
-    Closed forms: per-coordinate linear solve for quadratic terms,
-    soft-thresholding for one-norm and absolute-deviation terms; scalar
-    convex custom terms fall back to bisection on the slope sign. Box
-    constraints are handled by clamping, which is exact for separable
-    scalar convex objectives.
+    The grouped prox (:class:`_GroupedProx`) of the one component:
+    per-coordinate linear solve for quadratic terms, soft-thresholding
+    for one-norm and absolute-deviation terms; scalar convex custom terms
+    fall back to bisection on the slope sign. Box constraints are handled
+    by clamping, which is exact for separable scalar convex objectives.
     """
     q, l, term = sub.quad_diag, sub.linear, sub.term
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(l))):
         raise NonfiniteInput("subproblem data contains non-finite values")
     lo, hi = _box_bounds(sub.set, term.dim)
-    return solve_local_prepared(term, q, l, lo, hi)
+    groups = TermGroups.from_terms([term], term.dim)
+    return _GroupedProx(groups, q[None], lo[None], hi[None]).solve(l)
 
 
 def quadratic_prox(w2c, den, l, lo, hi, out=None):
@@ -111,25 +115,9 @@ def kink_prox(a, kink, q, qa, l, lo, hi, out=None):
 
 
 def solve_local_prepared(term, q, l, lo, hi) -> np.ndarray:
-    """Kernel behind :func:`solve_local`; inputs already shaped and bounded."""
-    if isinstance(term, Quadratic):
-        w2 = 2.0 * term.weight
-        return quadratic_prox(w2 * term.center, w2 + q, l, lo, hi)
-
-    if isinstance(term, (AbsDev, L1)):
-        if isinstance(term, AbsDev):
-            a, kink = term.center, 1.0
-        else:
-            a, kink = np.zeros(term.dim), term.gamma
-        if (q > 0).all():
-            return kink_prox(a, kink, q, q * a, l, lo, hi)
-        # a coordinate without quadratic part minimizes kink|u - a| - l u
-        q1 = np.where(q > 0, q, 1.0)
-        u = kink_prox(a, kink, q1, q1 * a, l, lo, hi)
-        for t in np.flatnonzero(q == 0):
-            u[t] = _kink_coord(a[t], kink, l[t], lo[t], hi[t])
-        return u
-
+    """The prox of a term no closed form covers, inputs already shaped and
+    bounded: a scalar ``Custom`` term declared convex by bisection on the
+    slope sign; any other term raises."""
     if isinstance(term, Custom):
         if term.dim != 1 or not term.scalar_convex:
             raise UnsupportedTerm(
@@ -143,6 +131,110 @@ def solve_local_prepared(term, q, l, lo, hi) -> np.ndarray:
         return np.array([u])
 
     raise UnsupportedTerm(f"no solver for term kind {type(term).__name__}")
+
+
+class _GroupedProx:
+    """The prox of every x coordinate of a problem in one pass.
+
+    Solves ``f_i(u) + (q/2) u^2 - l u`` on ``[lo, hi]`` per coordinate:
+    Quadratic coordinates through :func:`quadratic_prox`, AbsDev and L1
+    coordinates through :func:`kink_prox`, each as one array operation
+    over every coordinate, which takes its own kind's result. The rest,
+    terms of other kinds and kink coordinates with ``q == 0``, go one by
+    one through :func:`solve_local_prepared` and ``_kink_coord``
+    (``serial``, indexed by ``serial_at`` at a component's or coordinate's
+    first coordinate, -1 elsewhere), so the first error raised is the one
+    a component-by-component loop raises. ``q``, ``lo``, ``hi`` have shape
+    ``(N, n)``.
+
+    ``args`` holds the closed forms' arguments per coordinate, for the
+    kinds present only, in the order :meth:`solve` unpacks them:
+    ``w2c``, ``den`` (``w2 + q``, :func:`quadratic_prox`), ``a``, ``kink``,
+    ``q_kink``, ``qa`` (``q_kink * a``, :func:`kink_prox`), ``is_quad`` (1
+    on Quadratic coordinates; only with both kinds), then ``lo``, ``hi``;
+    ``w2c``, ``a`` and ``kink`` are zero off their kind. ``closed`` is the
+    same arrays as a tuple, and ``DUMMY`` each argument's value on a
+    padding lane, which solves to +0.0.
+    """
+
+    DUMMY = dict(w2c=0.0, den=1.0, a=0.0, kink=0.0, q_kink=1.0, qa=0.0,
+                 is_quad=1.0, lo=-np.inf, hi=np.inf)
+
+    def __init__(self, groups: TermGroups, q, lo, hi):
+        n = self.n = groups.n
+        self.q, self.lo, self.hi = q, lo, hi
+        q, lo, hi = q.reshape(-1), lo.reshape(-1), hi.reshape(-1)
+        w2, w2c, a, kink, is_quad = np.zeros((5, q.size))
+        idx = groups.quad_idx
+        w2[idx] = 2.0 * groups.quad_weight
+        w2c[idx] = w2[idx] * groups.quad_center
+        is_quad[idx] = 1.0
+        a[groups.abs_idx] = groups.abs_center
+        kink[groups.abs_idx] = 1.0
+        kink[groups.l1_idx] = groups.l1_gamma
+        kink_idx = np.concatenate([groups.abs_idx, groups.l1_idx])
+        self.has_quad, self.has_kink = idx.size > 0, kink_idx.size > 0
+        # q where a closed form divides by it: off Quadratic coordinates a
+        # zero q becomes 1, whose result is discarded or solved again below
+        q_kink = np.where(q > 0, q, 1.0)
+        args = self.args = {}
+        if self.has_quad:
+            args.update(w2c=w2c, den=w2 + np.where(is_quad > 0, q, q_kink))
+        if self.has_kink:
+            args.update(a=a, kink=kink, q_kink=q_kink, qa=q_kink * a)
+            if self.has_quad:
+                args.update(is_quad=is_quad)
+        args.update(lo=lo, hi=hi)
+        self.closed = tuple(args.values())
+        # one at a time: the components of other terms (with the term)
+        # and the kink coordinates without a quadratic part (with their
+        # constants)
+        kink0 = kink_idx[q[kink_idx] == 0].tolist()
+        self.serial = list(groups.other)
+        self.serial += [(-1, (a[t], kink[t], lo[t], hi[t])) for t in kink0]
+        self.serial_at = np.full(q.size, -1, dtype=np.intp)
+        self.serial_at[[i * n for i, _ in groups.other] + kink0] = \
+            np.arange(len(self.serial))
+
+    def solve(self, l, lanes=None, out=None):
+        """Minimizers for the tilt ``l``: one entry per coordinate along the
+        last axis, one row per point (``(..., N n)``), each row solved as
+        the 1-D call would solve it, into ``out`` when given. With
+        ``lanes = (args, at)`` the entries of ``l`` are lanes instead, each
+        with its coordinate's ``closed`` arguments (a sequence in ``args``
+        order) and ``serial_at`` entry, all of ``l``'s shape. The one-by-one
+        solves come after the closed forms, row by row and then entry by
+        entry, so the first error raised is the one a loop over the rows
+        raises."""
+        args, at = lanes or (self.closed, self.serial_at)
+        *forms, lo, hi = args
+        if self.has_quad and self.has_kink:
+            w2c, den, a, kink, q, qa, is_quad = forms
+            u = np.where(is_quad, quadratic_prox(w2c, den, l, lo, hi),
+                         kink_prox(a, kink, q, qa, l, lo, hi))
+        elif self.has_quad:
+            u = quadratic_prox(*forms, l, lo, hi, out=out)
+        elif self.has_kink:
+            u = kink_prox(*forms, l, lo, hi, out=out)
+        else:
+            # terms of other kinds only; the dummy lane's entry stays zero
+            u = np.zeros_like(l)
+        if out is not None and u is not out:
+            out[...] = u
+            u = out
+        if not self.serial:
+            return u
+        n, at = self.n, np.broadcast_to(at, l.shape)
+        for hit in zip(*np.nonzero(at >= 0)):
+            i, item = self.serial[at[hit]]
+            u_row, l_row, t = u[hit[:-1]], l[hit[:-1]], hit[-1]
+            if i < 0:
+                a, kink, lo, hi = item
+                u_row[t] = _kink_coord(a, kink, l_row[t], lo, hi)
+            else:
+                u_row[t:t + n] = solve_local_prepared(
+                    item, self.q[i], l_row[t:t + n], self.lo[i], self.hi[i])
+        return u
 
 
 def bisect_convex(g, lo=-np.inf, hi=np.inf,

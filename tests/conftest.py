@@ -34,12 +34,9 @@ def random_state_for(prob, rng, scale=3.0):
 
 
 def kernel_block(prob, part, st, b):
-    """The engine's update of block ``b`` from ``st``: one lane of the block
-    kernel on a one-row copy, as ``step`` fires the block it draws."""
+    """The engine's update of block ``b`` from ``st``, on a copy, as
+    ``step`` fires the block it draws."""
     from asyncadmm import PrimalDualState
-    from asyncadmm.engine import _block_table, _fire_lanes
-    bt = _block_table(prob, part)
-    row = bt.layout(st.x, st.z, st.p)
-    _fire_lanes(bt, row, bt.lanes(np.array([b])))
-    x, z, p = bt.views(row)
-    return PrimalDualState(x=x, z=z, p=p, k=st.k + 1)
+    from asyncadmm.engine import _fire_each
+    _, x, z, p = next(_fire_each(prob, part, st, np.array([b])))
+    return PrimalDualState(x=x[0], z=z[0], p=p[0], k=st.k + 1)

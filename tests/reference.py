@@ -12,14 +12,19 @@ lazy ergodic sums over the coordinates each block moves, taken from the
 partition (``component_map[b]`` and ``blocks[b]``): a coordinate's sum
 gains its value times the iterations it held it just before it moves and
 at each flush. That is the order of additions the engine uses, so the
-means agree bit for bit, not only to rounding. The shadow pass
-(``plain_shadow``: one ``solve_component`` call per component and the
-1-D z fit) and the shadow and freeze checks (``plain_tally``: one seed,
-one group at a time) are computed here, independently of the engine's
-stacked pass and tally. ``fire_block`` is the block update one
-component and one z fit at a time, with its own copy of the arithmetic
-the engine's lane kernel must match, and ``reference_drift`` the
-Lyapunov drift as one such update per block.
+means agree bit for bit, not only to rounding. The x solve of one
+component is ``plain_component``: its tilt and ``q`` summed per
+coordinate over its rows in row order, then ``plain_prox``, the closed
+form of its term's kind (``Custom`` terms through the engine's
+bisection, the one solver kept in ``src/`` that nothing here copies).
+The shadow pass (``plain_shadow``: one ``plain_component`` call per
+component, ``per_component``, and the 1-D z fit) and the shadow and
+freeze checks (``plain_tally``: one seed, one group at a time) are
+computed here, independently of the engine's stacked pass and tally.
+``fire_block`` is the block update one component and one z fit at a
+time, with its own copy of the arithmetic the engine's lane kernel must
+match, and ``reference_drift`` the Lyapunov drift as one such update
+per block.
 
 The ``reference_*`` set-up functions are the per-row and per-block
 loops that built graphs, constraint systems, z pairs, partitions and
@@ -41,14 +46,14 @@ from asyncadmm import (PrimalDualState, ProbeFlags, Quadratic, RngStream,
                        RunMetrics, initial_state, sample_block)
 from asyncadmm.diagnostics import (RateConstants, WeightedNorm,
                                    weighted_norm_sq)
-from asyncadmm.engine import SHADOW_TOL, _guard_message, _ops, _ragged
-from asyncadmm.prox import solve_z_prepared
+from asyncadmm.engine import SHADOW_TOL, _guard_message, _ragged
+from asyncadmm.prox import solve_local_prepared, solve_z_prepared
 from asyncadmm.scheduler import _offsets
 from asyncadmm.terms import AbsDev, Box, L1, term_value
 from asyncadmm.errors import (DivergenceError, GridTooLarge,
                               ImproperPartition, InvalidProblem,
                               MissingReference, NonCompactSets,
-                              NonCoveringPartition)
+                              NonCoveringPartition, UnboundedSubproblem)
 from asyncadmm.terms import SumZeroPairs
 
 
@@ -148,22 +153,84 @@ class PlainRecorder:
             x_max_abs=x_max, z_max_abs=z_max, p_max_abs=p_max)
 
 
+def kink_coord(a, slope_weight, l, lo, hi):
+    """Minimizer of ``slope_weight |u - a| - l u`` on ``[lo, hi]``."""
+    if l > slope_weight:
+        if np.isinf(hi):
+            raise UnboundedSubproblem("linear term dominates the kink weight")
+        return hi
+    if l < -slope_weight:
+        if np.isinf(lo):
+            raise UnboundedSubproblem("linear term dominates the kink weight")
+        return lo
+    return min(max(a, lo), hi)
+
+
+def plain_prox(term, q, l, lo, hi):
+    """Minimizer of ``term(u) + (1/2) u'diag(q)u - l'u`` on ``[lo, hi]``:
+    the closed form of the term's kind over its coordinates, a coordinate
+    without quadratic part through ``kink_coord``; terms of other kinds
+    through the engine's bisection (``solve_local_prepared``)."""
+    if isinstance(term, Quadratic):
+        w2 = 2.0 * term.weight
+        u = (w2 * term.center + l) / (w2 + q)
+        return np.minimum(np.maximum(u, lo), hi)
+    if not isinstance(term, (AbsDev, L1)):
+        return solve_local_prepared(term, q, l, lo, hi)
+    if isinstance(term, AbsDev):
+        a, kink = term.center, 1.0
+    else:
+        a, kink = np.zeros(term.dim), term.gamma
+    q1 = np.where(q > 0, q, 1.0)
+    v = l - q1 * a
+    u = a + np.sign(v) * np.maximum(np.abs(v) - kink, 0.0) / q1
+    u = np.minimum(np.maximum(u, lo), hi)
+    for t in np.flatnonzero(q == 0):
+        u[t] = kink_coord(a[t], kink, l[t], lo[t], hi[t])
+    return u
+
+
+def plain_component(prob, i, p, z):
+    """Component ``i`` minimized against ``p`` and ``z``: its tilt
+    ``D_i'(p - beta H z)`` and its ``q`` (``beta`` times the squared
+    coefficients), each coordinate's a sum over the component's rows on
+    that coordinate in row order (the tilt from ``-0.0``, ``q`` from
+    ``0.0``), then ``plain_prox`` of its term."""
+    cs, beta = prob.constraints, prob.beta
+    rows = np.flatnonzero(cs.row_block == i)
+    linear, quad = np.empty(cs.n), np.empty(cs.n)
+    for t in range(cs.n):
+        r = rows[cs.row_coord[rows] == t]
+        c = cs.row_coeff[r]
+        g = c * (p[r] - beta * (cs.h_diag[r] * z[r]))
+        linear[t] = np.add.accumulate(np.append(-0.0, g))[-1]
+        quad[t] = np.add.accumulate(np.append(0.0, c * c))[-1]
+    return plain_prox(prob.groups.terms[i], beta * quad, linear,
+                      prob.bounds.lo[i], prob.bounds.hi[i])
+
+
+def z_pairs(prob):
+    """The z set's pairs as two index arrays (empty for a free z set)."""
+    pairs = getattr(prob.z_set, "pairs", np.empty((0, 2), dtype=np.intp))
+    return np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
 def fire_block(prob, part, st, b):
     """Block ``b``'s update from ``st``, on a copy: each of its components
-    solved in turn against the current p and z, then the z fit of its rows
-    (with their z pairs, in z-set order) against the new x, then the dual
-    step of its rows."""
-    ops = _ops(prob)
-    n, beta = ops.n, ops.beta
+    solved in turn against the current p and z (``plain_component``), then
+    the z fit of its rows (with their z pairs, in z-set order) against the
+    new x, then the dual step of its rows."""
+    cs, beta, n = prob.constraints, prob.beta, prob.constraints.n
     x, z, p = st.x.copy(), st.z.copy(), st.p.copy()
     for i in part.component_map[b].tolist():
-        x[i * n:(i + 1) * n] = ops.solve_component(i, p, z)
+        x[i * n:(i + 1) * n] = plain_component(prob, i, p, z)
     rows = np.asarray(part.blocks[b], dtype=np.intp)
     local = {r: a for a, r in enumerate(rows.tolist())}
     pairs = np.array([(local[i], local[j]) for i, j in zip(
-        ops.pair_i.tolist(), ops.pair_j.tolist()) if i in local],
+        *z_pairs(prob).tolist()) if i in local],
         dtype=np.intp).reshape(-1, 2)
-    w, coeff, col = ops.h[rows], ops.coeff[rows], ops.col[rows]
+    w, coeff = cs.h_diag[rows], cs.row_coeff[rows]
+    col = cs.col_index[rows]
     t = p[rows] / beta - coeff * x[col]
     z_rows = solve_z_prepared(w, t, pairs[:, 0], pairs[:, 1])
     z[rows] = z_rows
@@ -197,23 +264,24 @@ def stacked(st):
     return np.concatenate([st.x, st.z, st.p])
 
 
-def per_component(ops, p, z):
-    """Every x component solved on its own, in component order."""
-    n = ops.n
-    x = np.empty(ops.N * n)
-    for i in range(ops.N):
-        x[i * n:(i + 1) * n] = ops.solve_component(i, p, z)
+def per_component(prob, p, z):
+    """Every x component solved on its own (``plain_component``), in
+    component order."""
+    n = prob.constraints.n
+    x = np.empty(prob.dim_x)
+    for i in range(prob.num_components):
+        x[i * n:(i + 1) * n] = plain_component(prob, i, p, z)
     return x
 
 
 def plain_shadow(prob, st):
     """The full-information iterates ``(y, v, mu, r)`` from one state."""
-    ops = _ops(prob)
-    y = per_component(ops, st.p, st.z)
-    t = st.p / ops.beta - ops.coeff * y[ops.col]
-    v = solve_z_prepared(ops.h, t, ops.pair_i, ops.pair_j)
-    r = ops.coeff * y[ops.col] + ops.h * v
-    return y, v, st.p - ops.beta * r, r
+    cs, beta = prob.constraints, prob.beta
+    y = per_component(prob, st.p, st.z)
+    dy = cs.row_coeff * y[cs.col_index]
+    v = solve_z_prepared(cs.h_diag, st.p / beta - dy, *z_pairs(prob))
+    r = dy + cs.h_diag * v
+    return y, v, st.p - beta * r, r
 
 
 def plain_tally(groups, before, after, shadow, counters):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -619,7 +620,8 @@ class TestCli:
             "T": 30, "probes": {"ergodic": True}, "out": "res"}))
         assert cli_main(["validate", str(cfg_path)]) == 0
         out = capsys.readouterr().out
-        assert "constraints valid" in out
+        assert out == ("problem: N=5 W=10 n=1\nblocks: 5, seeds: 1, T: 30\n"
+                       "constraints valid\n")
         assert cli_main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "res" / "seed_0.csv").exists()
 
@@ -740,6 +742,27 @@ class TestInputErrors:
         for command in ("run", "validate"):
             assert cli_main([command, str(cfg_path)]) == 2
             assert capsys.readouterr().err == want
+
+    def test_sparse_graph_is_refused_before_per_node_work(self, tmp_path,
+                                                          capsys):
+        # a million nodes and one edge: refused by the edge count, before
+        # the generator builds an array per node
+        graph = tmp_path / "g.txt"
+        graph.write_text("1000000 1\n0 1\n")
+        argv = ["bench", "consensus-quadratic", "--graph", str(graph),
+                "--T", "1", "--out", str(tmp_path / "res")]
+        tracemalloc.start()
+        try:
+            rc = cli_main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: graph with 1000000 nodes and 1 edges is not "
+            "connected\n")
+        assert peak < 4 << 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("window", ["5", "a:b", "1:2:3", ""])
     def test_slope_window_must_be_lo_hi(self, tmp_path, capsys, window):

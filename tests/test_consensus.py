@@ -12,6 +12,7 @@ from asyncadmm.errors import (DisconnectedGraph, InvalidProblem, ParseError,
 
 from conftest import kernel_block, random_state_for
 from oracles import scalar_subgrad_bisect
+from reference import plain_component
 
 
 def quad_reform(graph, a, beta=1.0, flip=()):
@@ -31,6 +32,8 @@ class TestGraph:
     def test_connectivity(self):
         assert Graph.cycle(5).is_connected()
         assert not Graph(4, ((0, 1), (2, 3))).is_connected()
+        # too few edges: refused from the counts alone
+        assert not Graph(10 ** 6, ((0, 1),)).is_connected()
 
     def test_text_round_trip(self):
         g = Graph.path(4)
@@ -105,9 +108,15 @@ class TestEdgeStep:
         assert out.z[0] + out.z[1] == 0.0
 
     def test_matches_generic_step_on_random_states(self):
+        """The generic step to rounding; the endpoints' x bit for bit as
+        the reference solves them one component at a time, the other
+        nodes' x untouched."""
         rng = np.random.default_rng(0)
-        for g in (Graph.cycle(5), Graph.star(5)):
-            reform = quad_reform(g, rng.uniform(-3, 3, size=5), beta=1.3)
+        for g, kind in [(g, kind) for kind in (Quadratic, AbsDev)
+                        for g in (Graph.cycle(5), Graph.star(5))]:
+            terms = tuple(kind(np.array([v]))
+                          for v in rng.uniform(-3, 3, size=5))
+            reform = build_reformulation(g, terms, [Free(1)] * 5, 1.3)
             prob = reform.problem
             part = reform.partition
             worst = 0.0
@@ -119,6 +128,10 @@ class TestEdgeStep:
                 worst = max(worst, float(np.max(np.abs(got.x - want.x))),
                             float(np.max(np.abs(got.z - want.z))),
                             float(np.max(np.abs(got.p - want.p))))
+                x = st.x.copy()
+                for i in g.edges[e].tolist():
+                    x[i:i + 1] = plain_component(prob, i, st.p, st.z)
+                assert got.x.tobytes() == x.tobytes()
             assert worst <= 1e-10
 
     def test_pair_invariants_after_step(self):

@@ -2,10 +2,10 @@
 
 ``_CompiledOps.solve_all`` solves every x component at once for the shadow
 pass, the synchronous engine and the reference solve. The loops it
-replaced are the reference: a ``solve_component`` call per component
-(``reference.per_component``), and here the three-maximum settle test and
-the per-component shadow tally, which the engine's stacked tally must
-match. Results are compared as bytes, so signs of zero count too.
+replaced are the reference: one ``reference.plain_component`` solve per
+component (``reference.per_component``), and here the three-maximum
+settle test and the per-component shadow tally, which the engine's
+stacked tally must match. Results are compared as bytes, so signs of zero count too.
 """
 
 import numpy as np
@@ -105,9 +105,9 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
-def assert_same_solves(ops, p, z):
-    want = outcome(lambda: per_component(ops, p, z))
-    assert outcome(lambda: ops.solve_all(p, z)) == want
+def assert_same_solves(prob, p, z):
+    want = outcome(lambda: per_component(prob, p, z))
+    assert outcome(lambda: engine._ops(prob).solve_all(p, z)) == want
 
 
 @settings(max_examples=120, deadline=None,
@@ -123,10 +123,9 @@ def test_solve_all_equals_component_loop(seed, n, N, hub_rows, uncoupled,
         # a Custom term of dimension 2 only raises; see the error tests
         kinds = [k if k != "custom" else "quadratic" for k in kinds]
     prob = random_problem(rng, n, N, kinds, hub_rows, uncoupled and n > 1)
-    ops = engine._ops(prob)
     W = prob.dim_z
     for _ in range(3):
-        assert_same_solves(ops, random_vector(rng, W), random_vector(rng, W))
+        assert_same_solves(prob, random_vector(rng, W), random_vector(rng, W))
 
 
 def test_uncoupled_coordinate():
@@ -138,7 +137,7 @@ def test_uncoupled_coordinate():
         ops = engine._ops(prob)
         assert ops.quad[0, 1] == 0.0
         for _ in range(5):
-            assert_same_solves(ops, random_vector(rng, prob.dim_z),
+            assert_same_solves(prob, random_vector(rng, prob.dim_z),
                                random_vector(rng, prob.dim_z))
 
 
@@ -148,17 +147,17 @@ def test_star_hub_sums_left_to_right():
     bench = generate_benchmark(
         BenchmarkSpec("consensus-lad", a=list(rng.uniform(-5.0, 5.0, 12))),
         Graph.star(12))
-    ops = engine._ops(bench.problem)
-    assert ops.counts.max() >= 8
-    r0, r1 = ops.comp_ptr[0], ops.comp_ptr[1]
-    rows = ops.rows[r0:r1]
+    prob = bench.problem
+    cs = prob.constraints
+    rows = np.flatnonzero(cs.row_block == 0)
+    assert rows.size >= 8
     pairwise_differs = 0
     for _ in range(40):
-        p = rng.normal(size=ops.W) * 3.0
-        z = rng.normal(size=ops.W) * 3.0
-        assert_same_solves(ops, p, z)
-        g = ops.coeffs_sorted[r0:r1] * (p[rows] - ops.beta * (
-            ops.h_sorted[r0:r1] * z[rows]))
+        p = rng.normal(size=cs.W) * 3.0
+        z = rng.normal(size=cs.W) * 3.0
+        assert_same_solves(prob, p, z)
+        g = cs.row_coeff[rows] * (p[rows] - prob.beta * (
+            cs.h_diag[rows] * z[rows]))
         pairwise_differs += np.sum(g) != np.add.accumulate(g)[-1]
     assert pairwise_differs > 0
 
@@ -209,7 +208,7 @@ def test_first_error_is_unchanged(terms, error):
     rng = np.random.default_rng(0)
     p, z = rng.normal(size=prob.dim_z), rng.normal(size=prob.dim_z)
     with pytest.raises(error) as want:
-        per_component(ops, p, z)
+        per_component(prob, p, z)
     with pytest.raises(error) as got:
         ops.solve_all(p, z)
     assert str(got.value) == str(want.value)
@@ -226,7 +225,7 @@ def test_custom_of_dimension_two_raises_first():
                             beta=prob.beta)
     ops = engine._ops(prob)
     p, z = rng.normal(size=prob.dim_z), rng.normal(size=prob.dim_z)
-    want = outcome(lambda: per_component(ops, p, z))
+    want = outcome(lambda: per_component(prob, p, z))
     assert want[0] is UnsupportedTerm
     assert outcome(lambda: ops.solve_all(p, z)) == want
 
@@ -239,7 +238,7 @@ def reference_sync_step(prob, state, ops):
     """The synchronous step as one solve per component, with the dual
     arithmetic of a right-hand side ``c``, here zero."""
     c = np.zeros(ops.W)
-    x = per_component(ops, state.p, state.z)
+    x = per_component(prob, state.p, state.z)
     q = state.p - ops.beta * (ops.coeff * x[ops.col] - c)
     z = solve_z_prepared(ops.h, q / ops.beta, ops.pair_i, ops.pair_j)
     p = state.p - ops.beta * (ops.coeff * x[ops.col] + ops.h * z - c)

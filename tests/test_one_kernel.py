@@ -12,6 +12,8 @@ inside the kernel) and hub components whose tilt sums are long; the
 partitions have uneven blocks. A star past the lane limit
 (``test_shadow_stack.star_hub``) runs with tilt rows gathered per kernel
 call. Results are compared as bytes, or as the first error raised.
+``consensus.edge_step``, which takes its endpoints' x from the kernel, is
+checked against ``reference.plain_component`` in ``test_consensus``.
 """
 
 import tracemalloc

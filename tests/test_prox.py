@@ -8,6 +8,8 @@ from asyncadmm.errors import (InvalidProblem, NonfiniteInput,
 from asyncadmm.prox import solve_z_prepared
 
 from oracles import grid_min_free, grid_min_pair, scalar_subgrad_bisect
+from reference import plain_prox
+from test_fullpass import make_set, make_term, outcome, random_vector
 
 
 def local(term, q, l, fset=None):
@@ -145,6 +147,78 @@ class TestSolveLocalAgainstOracle:
                 assert sub_objective(sub, cand) >= base - 1e-6
                 checked += 1
         assert checked == 2500
+
+
+def random_local(rng, kind, n):
+    """A subproblem of ``kind`` on ``n`` coordinates: signed zeros in the
+    center and the tilt, ``q == 0`` on some coordinates when ``n > 1``,
+    and a free set or a box with some infinite sides."""
+    q = rng.uniform(0.1, 3.0, n)
+    if n > 1:
+        q[rng.integers(n)] = 0.0 if rng.random() < 0.5 else q[0]
+    return local(make_term(kind, n, rng), q, random_vector(rng, n, 3.0),
+                 make_set(n, rng))
+
+
+def bounds_of(fset, n):
+    if isinstance(fset, Box):
+        return fset.lower, fset.upper
+    return np.full(n, -np.inf), np.full(n, np.inf)
+
+
+class TestSolveLocalIsTheGroupedProx:
+    """``solve_local`` runs the grouped prox (``prox._GroupedProx``) on one
+    component; it must equal the per-kind closed forms of
+    ``reference.plain_prox`` bit for bit, signs of zero and the first
+    error included."""
+
+    # a custom term of dimension 2 only raises; see the misuse test
+    @pytest.mark.parametrize("kind, n", [
+        (kind, n) for kind in ("quadratic", "absdev", "l1", "l1-zero")
+        for n in (1, 2)] + [("custom", 1)])
+    def test_equals_plain_prox(self, kind, n):
+        rng = np.random.default_rng([n, len(kind)])
+        solved = unbounded = zero_q = 0
+        for _ in range(300):
+            sub = random_local(rng, kind, n)
+            lo, hi = bounds_of(sub.set, n)
+            want = outcome(lambda: plain_prox(sub.term, sub.quad_diag,
+                                              sub.linear, lo, hi))
+            assert outcome(lambda: solve_local(sub)) == want
+            solved += isinstance(want, bytes)
+            unbounded += (isinstance(want, tuple)
+                          and want[0] is UnboundedSubproblem)
+            zero_q += bool(np.any(sub.quad_diag == 0))
+        assert solved > 100
+        if n > 1:
+            # kink coordinates without a quadratic part, solved and refused
+            assert zero_q > 50
+            if kind in ("absdev", "l1-zero"):
+                assert unbounded > 0
+
+    @pytest.mark.parametrize("term, q, l, error, message", [
+        (Custom(fn=lambda v: float(v @ v), dim=2, scalar_convex=True),
+         [1.0, 1.0], [0.0, 0.0], UnsupportedTerm,
+         "custom terms are solvable only when scalar and declared convex"),
+        (Custom(fn=lambda v: float(v[0] ** 2), dim=1), [1.0], [0.0],
+         UnsupportedTerm,
+         "custom terms are solvable only when scalar and declared convex"),
+        (Custom(fn=lambda v: float(v[0] ** 2), dim=1), [1.0], [np.nan],
+         NonfiniteInput, "subproblem data contains non-finite values"),
+        (Custom(fn=lambda v: -float(v[0] ** 2), dim=1, scalar_convex=True),
+         [0.5], [0.0], UnboundedSubproblem,
+         "no slope sign change toward -inf"),
+    ], ids=["dim-2", "undeclared", "non-finite-first", "unbounded"])
+    def test_custom_misuse_first_error(self, term, q, l, error, message):
+        sub = local(term, q, l)
+        with pytest.raises(error) as got:
+            solve_local(sub)
+        assert str(got.value) == message
+        if error is not NonfiniteInput:
+            lo, hi = bounds_of(sub.set, term.dim)
+            with pytest.raises(error) as want:
+                plain_prox(term, sub.quad_diag, sub.linear, lo, hi)
+            assert str(want.value) == message
 
 
 class TestBisectConvex:
