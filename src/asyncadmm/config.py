@@ -52,7 +52,7 @@ class ExperimentConfig:
     problem: ProblemSource
     T: int
     seeds: tuple = (0,)
-    beta: float = 1.0
+    beta: float = 1.0                     # generated benchmarks only
     blocks: Optional[tuple] = None        # None: per-edge / single block
     block_probs: Optional[tuple] = None   # None: uniform
     probes: ProbeFlags = field(default_factory=ProbeFlags)
@@ -76,6 +76,9 @@ class ExperimentConfig:
             raise ValidationError("beta must be positive and finite")
         if self.reference not in ("auto", "sync", "none"):
             raise ValidationError(f"unknown reference mode {self.reference!r}")
+        if self.probes.lyapunov and self.reference == "none":
+            raise ValidationError("the lyapunov probe needs a dual reference, "
+                                  "and reference is \"none\"")
         for name in ("x0", "z0", "block_probs"):
             _require_finite(getattr(self, name), name)
         if self.block_probs is not None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DisconnectedGraph, InvalidProblem, ParseError,
                      UnsupportedMix)
-from .engine import _fire_each
+from .engine import _fire_blocks
 from .problem import (ConstraintSystem, PrimalDualState, SeparableProblem,
                       TermGroups, XSetBounds, initial_state, problem_arrays)
 from .scheduler import ProperPartition, build_partition
@@ -234,8 +234,8 @@ def edge_step(reform: EdgeReformulation, state: PrimalDualState,
 
     Both endpoint copies re-solve their local subproblems against all of
     their incident constraint rows: the engine's block kernel fires the
-    edge's block, whose components are its two endpoints, on a copy of
-    the state (``engine._fire_each``). Then the edge's multiplier,
+    edge's block, whose components are its two endpoints, on a row laid
+    out from the state (``engine._fire_blocks``). Then the edge's multiplier,
     auxiliary pair, and dual pair follow in closed form:
 
         v    = (-p_ei - p_ej)/2 + (beta/2)(A_ei x_i + A_ej x_j)
@@ -252,9 +252,7 @@ def edge_step(reform: EdgeReformulation, state: PrimalDualState,
     n = reform.n
     beta = prob.beta
 
-    _, x, _, _ = next(_fire_each(prob, reform.partition, state,
-                                 np.array([edge])))
-    x = x[0].copy()
+    x = _fire_blocks(prob, reform.partition, state, np.array([edge]))[0].copy()
 
     rows_i = reform.edge_rows(edge, 0)
     rows_j = reform.edge_rows(edge, 1)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import _fire_each, sync_admm_step
+from .engine import _fire_blocks, sync_admm_step
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
@@ -143,21 +143,21 @@ def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
                    ref: ReferenceSolution, wn: WeightedNorm) -> float:
     """Exact conditional one-step mean change of the Lyapunov value.
 
-    Fires every block the sampler could draw from this state through the
-    engine's block kernel, each block on its own copy of the state
-    (``engine._fire_each``); weights each row's :func:`lyapunov` value by
-    its block's probability, in block order, and subtracts the current
-    value. The supermartingale property says this is never positive.
+    The value is a sum over rows, ``w_r l_r``, and row ``r`` moves only
+    with its block, at probability ``lam_r``, so the mean change is
+    ``sum_r lam_r w_r (l_r(after its block) - l_r(now))``: every block
+    fires once from the state in one kernel call (``engine._fire_blocks``)
+    and the value with row weights ``lam w`` at the fired rows less at the
+    state is the drift. The supermartingale property says it is never
+    positive.
     """
-    v_now = lyapunov(prob, state, ref, wn)
-    probs = dist.block_probs.tolist()
-    expected = 0.0
-    for blocks, _, z, p in _fire_each(prob, partition, state,
-                                      np.arange(len(probs))):
-        values = lyapunov_rows(prob, wn.weight_diag, ref, z, p)
-        for b, v_b in zip(blocks.tolist(), values.tolist()):
-            expected += probs[b] * v_b
-    return expected - v_now
+    if ref.p is None:
+        raise MissingReference("lyapunov needs a dual reference p*")
+    _, z, p = _fire_blocks(prob, partition, state,
+                           np.arange(dist.block_probs.size))
+    w = dist.lam * wn.weight_diag
+    return float(lyapunov_rows(prob, w, ref, z, p)
+                 - lyapunov_rows(prob, w, ref, state.z, state.p))
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ makes one gather of everything it reads and one scatter of everything it
 writes, through index columns the table holds per block, and reads its
 constants as one column per block: about 30 array operations per call,
 each over all its lanes. Every caller fires its blocks through it:
-``run_batch`` the lanes of its seeds, and ``_fire_each`` each of a list
-of blocks on its own copy of one state (in chunks of rows under the lane
-limit), for ``step`` (one block), ``consensus.edge_step`` (the edge's
-block) and ``diagnostics.lyapunov_drift`` (every block).
+``run_batch`` the lanes of its seeds, and ``_fire_blocks`` a list of
+blocks from one state, as the lanes of one call on one row in the runs'
+layout (in chunks of lanes past the lane limit), for ``step`` (one
+block), ``consensus.edge_step`` (the edge's block) and
+``diagnostics.lyapunov_drift`` (every block).
 The x lanes are solved by the grouped prox (``prox._GroupedProx``, the
 only closed-form prox): closed forms for Quadratic, AbsDev and L1
 coordinates, then one by one, in lane order, for ``Custom`` terms and
@@ -477,15 +478,14 @@ def step(prob: SeparableProblem, state: PrimalDualState,
          rng: RngStream, with_shadow: bool = False) -> StepRecord:
     """One asynchronous iteration: sample a block, update x, z, p in order.
 
-    The input state is left as it is: the block fires on a copy of it
-    (:func:`_fire_each`), and the new x, z and p are views of that copy.
+    The input state is left as it is: the block fires on a new row
+    (:func:`_fire_blocks`), and the new x, z and p are views of it.
     """
     b = sample_block(dist, rng)
     shadow = shadow_step(prob, state) if with_shadow else None
-    _, x, z, p = next(_fire_each(prob, partition, state, np.array([b])))
+    x, z, p = _fire_blocks(prob, partition, state, np.array([b]))
     return StepRecord(block=b, before=state,
-                      after=PrimalDualState(x=x[0], z=z[0], p=p[0],
-                                            k=state.k + 1),
+                      after=PrimalDualState(x=x, z=z, p=p, k=state.k + 1),
                       shadow=shadow)
 
 
@@ -495,12 +495,13 @@ def sync_admm_step(prob: SeparableProblem,
 
     Both minimizations are one pass over all coordinates: the x step is
     :meth:`_CompiledOps.solve_all`, and the z step fits every row (and
-    every z pair) to ``(p - beta D x) / beta`` by :func:`solve_z_prepared`.
+    every z pair) to ``p / beta - D x`` by :func:`solve_z_prepared`, as
+    :func:`shadow_step` does, so the step is its shadow pass bit for bit.
     """
     ops = _ops(prob)
     x = ops.solve_all(state.p, state.z)
     dx = ops.coeff * x[ops.col]
-    z = solve_z_prepared(ops.h, (state.p - ops.beta * dx) / ops.beta,
+    z = solve_z_prepared(ops.h, state.p / ops.beta - dx,
                          ops.pair_i, ops.pair_j)
     p = state.p - ops.beta * (dx + ops.h * z)
     return PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
@@ -654,9 +655,10 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
     of the blocks the lanes fire, one column per lane: lane ``l`` fires
     block ``blocks[l]`` on the row that column ``l`` of ``idx`` names (as
     flat ``row * width + index`` indices into ``flat``). Every lane reads
-    before any lane writes, so no lane may write what another reads: the
-    seeds of one lockstep iteration, one dependency level of a seed's
-    draws (:func:`_levels`), or each block on its own copy of a state.
+    before any lane writes, so each lane's update is from the row as it
+    was (:func:`_fire_blocks`), and lanes that write nothing another
+    reads fire as if in turn: the seeds of one lockstep iteration, or one
+    dependency level of a seed's draws (:func:`_levels`).
 
     A call makes one gather of everything it reads (the moved slots, their
     ``since`` and ``acc``, and the tilt lanes) and one scatter of
@@ -719,29 +721,35 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
     return np.maximum.reduceat(np.abs(out[:M]), bt.cuts)
 
 
-def _fire_each(prob: SeparableProblem, partition: ProperPartition,
-               state: PrimalDualState, blocks):
-    """Fire each of ``blocks`` (an index array) on its own copy of
-    ``state``: the block kernel over stacked copies of the state's row in
-    the partition's table, in chunks of rows that hold at most
-    ``_BATCH_LANE_LIMIT`` values, so memory stays bounded however many
-    blocks there are. Yields per chunk its blocks and the x, z and p of
-    their rows, row ``i`` the state after the chunk's block ``i``, as
-    views of one buffer that the next chunk overwrites."""
+def _fire_blocks(prob: SeparableProblem, partition: ProperPartition,
+                 state: PrimalDualState, blocks):
+    """Fire each of ``blocks`` (an index array) from ``state``, as the
+    lanes of one kernel call on one row laid out by
+    :meth:`_BlockTable.layout`; returns the row's x, z and p views. Each
+    block's z and p rows hold its update, and a component several blocks
+    move holds one of their x. Past ``_BATCH_LANE_LIMIT`` values per call,
+    chunks of lanes fire in turn, each chunk's moved slots copied out and
+    restored, so that every chunk fires from ``state`` too."""
     bt = _block_table(prob, partition)
-    chunk = max(1, _BATCH_LANE_LIMIT // bt.width)
-    stack = np.zeros((min(chunk, len(blocks)), bt.width))
+    start = bt.layout(state.x, state.z, state.p)
+    # per lane, the values of every array a call makes: its table columns
+    # and, past the lane limit, 17 arrays of C n D values made from the
+    # tilt rows it gathers itself
+    per_lane = len(bt.idx) + len(bt.const) + len(bt.xsrc)
+    if bt.D is None:
+        per_lane += 17 * bt.Cn * int(bt.t_count.max())
+    chunk = max(1, _BATCH_LANE_LIMIT // per_lane)
+    if len(blocks) <= chunk:
+        _fire_lanes(bt, start, bt.lanes(blocks))
+        return bt.views(start)
+    row = start.copy()
     for lo in range(0, len(blocks), chunk):
-        fired = blocks[lo:lo + chunk]
-        # fired without ergodic sums, the kernel uses and changes only the
-        # state segment of each row, so only that is laid out (as
-        # _BlockTable.layout lays it out) in place: one buffer in all
-        rows = stack[:len(fired)]
-        rows[:, :bt.seg] = 0.0
-        for view, part in zip(bt.views(rows), (state.x, state.z, state.p)):
-            view[...] = part
-        _fire_lanes(bt, rows.reshape(-1), bt.lanes(fired, stacked=True))
-        yield (fired, *bt.views(rows))
+        lanes = bt.lanes(blocks[lo:lo + chunk])
+        moved = lanes[0][:bt.M]
+        kept = start[moved]
+        _fire_lanes(bt, start, lanes)
+        row[moved], start[moved] = start[moved], kept
+    return bt.views(row)
 
 
 def _levels(partition: ProperPartition, draws) -> list:

@@ -157,15 +157,6 @@ def write_mean_csv(path: Path, all_metrics):
                               [all_metrics[0].iters] + means))
 
 
-def _run_seeds(prepared: PreparedExperiment) -> list:
-    """Metrics of every seed, run as one batch."""
-    cfg = prepared.config
-    return run_batch(prepared.problem, prepared.partition, prepared.dist,
-                     seeds=cfg.seeds, T=cfg.T, probes=cfg.probes,
-                     ref=prepared.ref, x0=prepared.x0, z0=prepared.z0,
-                     stride=cfg.stride)
-
-
 def run_experiment(config: ExperimentConfig,
                    base_dir: Optional[Path] = None) -> int:
     """Run all seeds, write artifacts, and return the process exit code."""
@@ -185,7 +176,11 @@ def run_experiment(config: ExperimentConfig,
         out_dir = base_dir / out_dir
 
     try:
-        all_metrics = _run_seeds(prepared)
+        all_metrics = run_batch(
+            prepared.problem, prepared.partition, prepared.dist,
+            seeds=config.seeds, T=config.T, probes=config.probes,
+            ref=prepared.ref, x0=prepared.x0, z0=prepared.z0,
+            stride=config.stride)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -229,13 +224,9 @@ def build_summary(prepared: PreparedExperiment, all_metrics) -> dict:
             "z_max_abs": m.z_max_abs,
             "p_max_abs": m.p_max_abs,
         }
-    invariants = {
-        "steps": sum(m.counters.get("steps", 0) for m in all_metrics),
-        "shadow_checks": sum(m.counters.get("shadow_checks", 0) for m in all_metrics),
-        "shadow_failures": sum(m.counters.get("shadow_failures", 0) for m in all_metrics),
-        "freeze_checks": sum(m.counters.get("freeze_checks", 0) for m in all_metrics),
-        "freeze_failures": sum(m.counters.get("freeze_failures", 0) for m in all_metrics),
-    }
+    invariants = {name: sum(m.counters.get(name, 0) for m in all_metrics)
+                  for name in ("steps", "shadow_checks", "shadow_failures",
+                               "freeze_checks", "freeze_failures")}
     slopes = {}
     if cfg.probes.ergodic:
         mean_efeas = np.mean([m.ergodic_feasibility for m in all_metrics], axis=0)
@@ -249,7 +240,7 @@ def build_summary(prepared: PreparedExperiment, all_metrics) -> dict:
     return {
         "T": cfg.T,
         "seeds": list(cfg.seeds),
-        "beta": cfg.beta,
+        "beta": prepared.problem.beta,
         "stride": cfg.stride,
         "per_seed": per_seed,
         "invariants": invariants,

@@ -34,9 +34,9 @@ def random_state_for(prob, rng, scale=3.0):
 
 
 def kernel_block(prob, part, st, b):
-    """The engine's update of block ``b`` from ``st``, on a copy, as
-    ``step`` fires the block it draws."""
+    """The engine's update of block ``b`` from ``st``, on a row laid out
+    from it, as ``step`` fires the block it draws."""
     from asyncadmm import PrimalDualState
-    from asyncadmm.engine import _fire_each
-    _, x, z, p = next(_fire_each(prob, part, st, np.array([b])))
-    return PrimalDualState(x=x[0], z=z[0], p=p[0], k=st.k + 1)
+    from asyncadmm.engine import _fire_blocks
+    x, z, p = _fire_blocks(prob, part, st, np.array([b]))
+    return PrimalDualState(x=x, z=z, p=p, k=st.k + 1)

@@ -23,8 +23,11 @@ freeze checks (``plain_tally``: one seed, one group at a time) are
 computed here, independently of the engine's stacked pass and tally.
 ``fire_block`` is the block update one component and one z fit at a
 time, with its own copy of the arithmetic the engine's lane kernel must
-match, and ``reference_drift`` the Lyapunov drift as one such update
-per block.
+match. ``reference_drift`` is the Lyapunov drift as one such update per
+block, each block's rows taken into one point whose value, with row
+weights ``lam * w``, less the value now is the drift;
+``per_block_drift`` is the same drift as the mean of every block's
+value, the oracle it is compared with within rounding.
 
 The ``reference_*`` set-up functions are the per-row and per-block
 loops that built graphs, constraint systems, z pairs, partitions and
@@ -107,9 +110,10 @@ def plain_feasibility(prob, x, z):
                                 + cs.h_diag * z))
 
 
-def plain_lyapunov(prob, dist, ref, z, p):
-    """The Lyapunov value of one point against the reference ``ref``."""
-    wd = dist.weight_diag
+def plain_lyapunov(prob, dist, ref, z, p, w=None):
+    """The Lyapunov value of one point against the reference ``ref``, with
+    row weights ``w`` (the distribution's ``weight_diag`` by default)."""
+    wd = dist.weight_diag if w is None else w
     dp = p - ref.p
     hz = prob.constraints.h_diag * (z - ref.z)
     return (1.0 / (2.0 * prob.beta) * float(np.dot(dp * wd, dp))
@@ -240,8 +244,24 @@ def fire_block(prob, part, st, b):
 
 def reference_drift(prob, st, part, dist, ref, wn):
     """The Lyapunov drift from ``st``: every block's update on its own
-    copy, one at a time, its 1-D Lyapunov value (``plain_lyapunov``)
-    weighted by the block's probability."""
+    copy, one at a time, its rows' z and p gathered into one point, then
+    the 1-D Lyapunov values (``plain_lyapunov``) with row weights
+    ``lam * w`` at that point less at ``st``."""
+    z, p = st.z.copy(), st.p.copy()
+    for b in range(len(part.blocks)):
+        after = fire_block(prob, part, st, b)
+        rows = np.asarray(part.blocks[b], dtype=np.intp)
+        z[rows], p[rows] = after.z[rows], after.p[rows]
+    w = dist.lam * wn.weight_diag
+    return (plain_lyapunov(prob, dist, ref, z, p, w)
+            - plain_lyapunov(prob, dist, ref, st.z, st.p, w))
+
+
+def per_block_drift(prob, st, part, dist, ref, wn):
+    """The drift as the probability-weighted mean of every block's
+    Lyapunov value after its update, less the value now: the same
+    quantity as ``reference_drift`` summed in another order, kept as an
+    oracle within rounding."""
     v_now = plain_lyapunov(prob, dist, ref, st.z, st.p)
     expected = 0.0
     for b, prob_b in enumerate(dist.block_probs):

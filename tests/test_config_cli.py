@@ -625,6 +625,42 @@ class TestCli:
         assert cli_main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "res" / "seed_0.csv").exists()
 
+    def test_lyapunov_probe_without_reference_is_a_config_error(
+            self, tmp_path, capsys):
+        """Refused where the config is built, so ``run`` writes nothing and
+        both commands exit 2 with one line (``run`` was a divergence)."""
+        write_cycle_graph(tmp_path / "g.txt")
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({
+            "problem": {"benchmark": {"name": "consensus-quadratic",
+                                      "graph": "g.txt"}},
+            "T": 10, "probes": {"lyapunov": True}, "reference": "none",
+            "out": "res"}))
+        for command in ("run", "validate"):
+            capsys.readouterr()
+            assert cli_main([command, str(cfg_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("config error: the lyapunov probe needs "
+                                    "a dual reference, and reference is "
+                                    "\"none\"\n")
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("source", ["file", "inline"])
+    def test_summary_reports_the_problem_beta(self, tmp_path, source):
+        """A problem document carries its own beta; the config's beta sets
+        generated benchmarks only, and the summary reports the run's."""
+        doc = dict(inline_doc(), beta=2.5)
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({
+            "problem": {"file": "p.json"} if source == "file"
+            else {"inline": doc},
+            "T": 5, "beta": 0.7, "reference": "none", "out": "res"}))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        summary = json.loads((tmp_path / "res" / "summary.json").read_text())
+        assert summary["beta"] == 2.5
+
     def test_module_entry_point(self, tmp_path):
         # "python -m asyncadmm" had no __main__ module
         write_cycle_graph(tmp_path / "g.txt", n=3)

@@ -236,11 +236,12 @@ def test_custom_of_dimension_two_raises_first():
 
 def reference_sync_step(prob, state, ops):
     """The synchronous step as one solve per component, with the dual
-    arithmetic of a right-hand side ``c``, here zero."""
+    arithmetic of a right-hand side ``c``, here zero: z fits
+    ``p / beta - (D x - c)``."""
     c = np.zeros(ops.W)
     x = per_component(prob, state.p, state.z)
-    q = state.p - ops.beta * (ops.coeff * x[ops.col] - c)
-    z = solve_z_prepared(ops.h, q / ops.beta, ops.pair_i, ops.pair_j)
+    target = state.p / ops.beta - (ops.coeff * x[ops.col] - c)
+    z = solve_z_prepared(ops.h, target, ops.pair_i, ops.pair_j)
     p = state.p - ops.beta * (ops.coeff * x[ops.col] + ops.h * z - c)
     return PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
 
@@ -264,7 +265,7 @@ def assert_same_trajectory(prob, start, steps=25):
         assert got.k == want.k
 
 
-def benchmark_problem(name, nodes=6, seed=0):
+def benchmark_problem(name, nodes=6, seed=0, beta=1.0):
     rng = np.random.default_rng(seed)
     if name == "lasso-toy":
         spec = BenchmarkSpec(name, w=list(rng.uniform(0.5, 2.0, nodes - 1)),
@@ -274,7 +275,26 @@ def benchmark_problem(name, nodes=6, seed=0):
         spec = BenchmarkSpec(name, a=list(rng.uniform(-5.0, 5.0, nodes)),
                              box_margin=0.05 if name == "consensus-lad"
                              else None)
-    return generate_benchmark(spec, Graph.cycle(nodes)).problem
+    return generate_benchmark(spec, Graph.cycle(nodes), beta=beta).problem
+
+
+@pytest.mark.parametrize("beta", [0.7, 1.0, 1.7])
+@pytest.mark.parametrize("name", ["consensus-quadratic", "consensus-lad",
+                                  "lasso-toy"])
+def test_sync_step_is_the_shadow_pass(name, beta):
+    """The synchronous step fits z to ``p / beta - D x`` as the shadow pass
+    does, so from one state its (x, z, p) is the shadow's (y, v, mu) bit
+    for bit."""
+    prob = benchmark_problem(name, beta=beta)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        state = PrimalDualState(x=random_vector(rng, prob.dim_x),
+                                z=random_vector(rng, prob.dim_z),
+                                p=random_vector(rng, prob.dim_z))
+        got = sync_admm_step(prob, state)
+        sh = shadow_step(prob, state)
+        assert [a.tobytes() for a in (got.x, got.z, got.p)] == \
+            [a.tobytes() for a in (sh.y, sh.v, sh.mu)]
 
 
 @pytest.mark.parametrize("name", ["consensus-quadratic", "consensus-lad",

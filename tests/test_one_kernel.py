@@ -12,6 +12,10 @@ inside the kernel) and hub components whose tilt sums are long; the
 partitions have uneven blocks. A star past the lane limit
 (``test_shadow_stack.star_hub``) runs with tilt rows gathered per kernel
 call. Results are compared as bytes, or as the first error raised.
+The drift is also compared, within rounding, with the probability-
+weighted mean of every block's Lyapunov value (``per_block_drift``),
+and spies check that ``step``, ``edge_step`` and the drift fire on one
+row in the runs' layout, the drift every block in one call.
 ``consensus.edge_step``, which takes its endpoints' x from the kernel, is
 checked against ``reference.plain_component`` in ``test_consensus``.
 """
@@ -27,10 +31,12 @@ from asyncadmm import (BenchmarkSpec, Custom, Free, Graph, PrimalDualState,
                        ProbeFlags, Quadratic, RngStream, build_reformulation,
                        derive_probabilities, generate_benchmark, run_batch,
                        sample_block, step, uniform_probs)
+from asyncadmm import diagnostics, engine
+from asyncadmm.consensus import edge_step
 from asyncadmm.diagnostics import WeightedNorm, lyapunov_drift
 
-from reference import (assert_same_run, fire_block, reference_drift,
-                       reference_run)
+from reference import (assert_same_run, fire_block, per_block_drift,
+                       plain_lyapunov, reference_drift, reference_run)
 from test_batch import outcome, random_reference
 from test_fullpass import KINDS, random_problem, random_vector
 from test_shadow_stack import random_partition, star_hub
@@ -178,36 +184,143 @@ def test_one_seed_on_a_star_hub_past_the_lane_limit(probes):
                                        **start))
 
 
-def test_drift_on_a_star_hub_past_the_lane_limit():
-    prob, part = star_hub()
-    dist = derive_probabilities(part, uniform_probs(part))
-    rng = np.random.default_rng(3)
+@SETTINGS
+@given(data_seed=st.integers(0, 2 ** 32 - 1), **PROBLEMS)
+def test_drift_is_the_mean_of_the_blocks_values(data_seed, n, N, hub_rows,
+                                                uncoupled, z_pairs, kinds):
+    """The drift summed by rows equals the probability-weighted mean of
+    every block's Lyapunov value less the value now, within rounding."""
+    rng, prob, part, dist = problem_case(data_seed, n, N, hub_rows,
+                                         uncoupled, z_pairs, kinds)
     state = random_state(rng, prob)
     ref = random_reference(prob, rng)
     wn = WeightedNorm.from_distribution(dist)
-    assert same_bits(lyapunov_drift(prob, state, part, dist, ref, wn),
-                     reference_drift(prob, state, part, dist, ref, wn))
+    want = outcome(lambda: per_block_drift(prob, state, part, dist, ref, wn))
+    got = outcome(lambda: lyapunov_drift(prob, state, part, dist, ref, wn))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        scale = max(1.0, abs(plain_lyapunov(prob, dist, ref, state.z,
+                                            state.p)))
+        assert abs(got - want) <= 1e-12 * scale
 
 
-def test_drift_on_a_2000_node_cycle_in_bounded_memory():
-    """The blocks fire in chunks of rows under the lane limit, so one call
-    holds a few copies of the state, not one per block (2,000 here)."""
-    a = np.random.default_rng(9).uniform(-5.0, 5.0, 2000)
-    bench = generate_benchmark(BenchmarkSpec("consensus-quadratic",
-                                             a=a.tolist()), Graph.cycle(2000))
-    prob, part = bench.problem, bench.reform.partition
+def drift_case(prob, part, seed):
     dist = derive_probabilities(part, uniform_probs(part))
-    rng = np.random.default_rng(10)
+    rng = np.random.default_rng(seed)
     state = random_state(rng, prob)
-    ref = random_reference(prob, rng)
-    wn = WeightedNorm.from_distribution(dist)
-    want = reference_drift(prob, state, part, dist, ref, wn)
-    lyapunov_drift(prob, state, part, dist, ref, wn)    # builds the tables
+    return state, dist, random_reference(prob, rng), \
+        WeightedNorm.from_distribution(dist)
+
+
+def peak_of(fn):
+    """``fn()`` and the peak of the memory it traced."""
     tracemalloc.start()
     try:
-        got = lyapunov_drift(prob, state, part, dist, ref, wn)
+        out = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def cycle_2000():
+    a = np.random.default_rng(9).uniform(-5.0, 5.0, 2000)
+    bench = generate_benchmark(BenchmarkSpec("consensus-quadratic",
+                                             a=a.tolist()), Graph.cycle(2000))
+    return bench.problem, bench.reform.partition
+
+
+def test_drift_on_a_star_hub_past_the_lane_limit():
+    """The blocks fire in chunks of lanes, each chunk from the state, and
+    the chunk bound counts the arrays each call makes from its tilt rows."""
+    prob, part = star_hub()
+    state, dist, ref, wn = drift_case(prob, part, 3)
+    want = reference_drift(prob, state, part, dist, ref, wn)
+    lyapunov_drift(prob, state, part, dist, ref, wn)    # builds the tables
+    got, peak = peak_of(lambda: lyapunov_drift(prob, state, part, dist, ref,
+                                               wn))
     assert same_bits(got, want)
-    assert peak <= 64 * 2 ** 20
+    assert peak <= 16 * 2 ** 20
+
+
+def test_drift_on_a_2000_node_cycle_in_bounded_memory():
+    """Every block fires once on one row: no copy of the state per block
+    (2,000 here), no Lyapunov value per block."""
+    prob, part = cycle_2000()
+    state, dist, ref, wn = drift_case(prob, part, 10)
+    want = reference_drift(prob, state, part, dist, ref, wn)
+    lyapunov_drift(prob, state, part, dist, ref, wn)    # builds the tables
+    got, peak = peak_of(lambda: lyapunov_drift(prob, state, part, dist, ref,
+                                               wn))
+    assert same_bits(got, want)
+    assert peak <= 4 * 2 ** 20
+
+
+def kernel_rows(monkeypatch):
+    """Every kernel call's table, row (as the call left it), blocks and
+    iteration."""
+    calls = []
+    fire = engine._fire_lanes
+
+    def spy(bt, flat, lanes, k=None):
+        out = fire(bt, flat, lanes, k)
+        calls.append((bt, flat.copy(), np.asarray(lanes[3]).tolist(), k))
+        return out
+
+    monkeypatch.setattr(engine, "_fire_lanes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("graph", ["cycle5", "cycle2000"])
+def test_drift_fires_every_block_in_one_kernel_call(monkeypatch, graph):
+    """Within the lane limit: one call whose lanes are every block, on one
+    row in the runs' layout, and the Lyapunov value of two points."""
+    if graph == "cycle5":
+        bench = generate_benchmark(BenchmarkSpec(
+            "consensus-lad", a=[1.0, -2.0, 3.0, 0.5, 4.0]), Graph.cycle(5))
+        prob, part = bench.problem, bench.reform.partition
+    else:
+        prob, part = cycle_2000()
+    state, dist, ref, wn = drift_case(prob, part, 5)
+    calls = kernel_rows(monkeypatch)
+    values = []
+    rows = diagnostics.lyapunov_rows
+
+    def lyapunov_spy(prob, w, ref, z, p):
+        values.append(np.shape(z))
+        return rows(prob, w, ref, z, p)
+
+    monkeypatch.setattr(diagnostics, "lyapunov_rows", lyapunov_spy)
+    lyapunov_drift(prob, state, part, dist, ref, wn)
+    (bt, row, blocks, k), = calls
+    assert blocks == list(range(len(part.blocks))) and k is None
+    assert_laid_out(bt, row, state)
+    assert values == [(prob.dim_z,)] * 2
+
+
+def assert_laid_out(bt, row, state):
+    """``row`` is one row of ``bt``'s layout (``_BlockTable.layout``) of
+    ``state`` after a call without ergodic sums: the sums empty, the
+    dummy slots zero."""
+    assert row.shape == (bt.width,)
+    want = bt.layout(state.x, state.z, state.p)
+    live = np.zeros(bt.width, dtype=bool)
+    for view in bt.views(live):
+        view[...] = True
+    assert row[~live].tobytes() == want[~live].tobytes()
+
+
+def test_step_and_edge_step_fire_one_lane_on_one_row(monkeypatch):
+    bench = generate_benchmark(BenchmarkSpec(
+        "consensus-quadratic", a=[1.0, -2.0, 3.0, 0.5, 4.0]), Graph.cycle(5))
+    prob, part = bench.problem, bench.reform.partition
+    state, dist, _, _ = drift_case(prob, part, 6)
+    calls = kernel_rows(monkeypatch)
+    out = step(prob, state, part, dist, RngStream(1))
+    edge_step(bench.reform, state, 3)
+    (bt, row, blocks, k), (bt2, row2, blocks2, k2) = calls
+    assert (blocks, k, blocks2, k2) == ([out.block], None, [3], None)
+    assert bt2 is bt
+    assert_laid_out(bt, row, state)
+    assert_laid_out(bt, row2, state)

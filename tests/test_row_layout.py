@@ -16,8 +16,9 @@ slots that padding lanes move must keep a zero state. Calls are made as
 their callers make them: in lockstep (one lane per seed, lane ``l`` on
 row ``l``, a chunk of iterations at a time, as in ``run_batch``), by
 dependency level (one seed's draws that share no component, each at its
-own iteration, on one row), and without sums (as ``step`` and
-``lyapunov_drift`` call it), on tables with tilt lanes and, with
+own iteration, on one row), without sums (as ``step`` calls it), and
+every block at once on one row without sums (as ``lyapunov_drift`` calls
+it, lanes that share components), on tables with tilt lanes and, with
 ``_BATCH_LANE_LIMIT`` patched low, without them.
 """
 
@@ -33,7 +34,7 @@ from reference import assert_bits_equal
 from test_fullpass import KINDS, random_problem, random_vector
 from test_shadow_stack import random_partition
 
-MODES = ("lockstep", "level", "no-sums")
+MODES = ("lockstep", "level", "no-sums", "every-block")
 
 
 def layout_slots(bt, prob, part):
@@ -133,6 +134,16 @@ def test_kernel_writes_only_its_slots(data_seed, n, N, hub_rows, uncoupled,
             check_call(bt, before, rows,
                        [(0, moved[draws[d]], k)
                         for d, k in zip(level.tolist(), ks.tolist())], dummy)
+        return
+
+    if mode == "every-block":
+        # every block from one state, as the lanes of one call on one row
+        rows = random_rows(rng, bt, live, 1, k0)
+        before = rows.copy()
+        if fire(bt, rows.reshape(-1), bt.lanes(np.arange(m)), None, before,
+                rows):
+            check_call(bt, before, rows, [(0, slots, None) for slots in moved],
+                       dummy)
         return
 
     # lockstep: a chunk of iterations, one lane per seed on its own row
