@@ -98,17 +98,22 @@ def generate_benchmark(spec: BenchmarkSpec, graph: Graph,
         if w.shape != (n_nodes - 1,) or b.shape != (n_nodes - 1,):
             raise InvalidProblem(
                 f"lasso-toy on {n_nodes} nodes needs {n_nodes - 1} rows of (w, b)")
-        if np.any(w == 0):
-            raise InvalidProblem("lasso-toy regression weights must be nonzero")
-        if spec.pi < 0:
-            raise InvalidProblem("lasso-toy penalty must be nonnegative")
         # (w_i x - b_i)^2 = w_i^2 (x - b_i/w_i)^2, so each row is a
         # quadratic; the last node holds the one-norm
-        centers = np.append(b / w, 0.0)
+        with np.errstate(all="ignore"):
+            weight, centers = w * w, np.append(b / w, 0.0)
+        bad = ~((0 < weight) & (weight < np.inf) & np.isfinite(centers[:-1]))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidProblem(
+                f"lasso-toy row {i} (w = {float(w[i])!r}, b = {float(b[i])!r})"
+                ": w*w must be finite and positive, and b/w finite")
+        if spec.pi < 0:
+            raise InvalidProblem("lasso-toy penalty must be nonnegative")
         kind = np.append(np.zeros(n_nodes - 1, dtype=np.intp),
                          TermGroups.KINDS.index(L1))
         groups = TermGroups(kind, centers[:, None],
-                            np.append(w * w, float(spec.pi)))
+                            np.append(weight, float(spec.pi)))
         bounds = _data_bounds(centers, spec.box_margin, n_nodes)
 
     reform = _reformulate(graph, groups, bounds, beta, ())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Any, Optional
@@ -68,6 +69,9 @@ class ExperimentConfig:
             raise ValidationError("T must be >= 1")
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
+        for seed, count in Counter(self.seeds).items():
+            if count > 1:
+                raise ValidationError(f"seeds: seed {seed} appears twice")
         if self.stride < 1:
             raise ValidationError("stride must be >= 1")
         if self.workers < 1:

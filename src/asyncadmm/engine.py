@@ -41,7 +41,10 @@ their draw order. The kernel performs the floating-point operations of a
 component-by-component block update in its order, so each seed's metrics
 equal chained ``step`` calls bit for bit. Ergodic sums are kept lazily:
 per coordinate just before it moves, and for every x and z coordinate at
-a record (the p sums are never read).
+a record (the p sums are never read). The serial run defines a failure:
+a run that raises (a divergence or a term's error) is run again seed by
+seed, in seed order, one draw per call, and the first seed that fails
+alone raises its own first error.
 A record point is one stacked evaluation of every seed's metrics over
 the ``(S, ·)`` rows (``_Recorder``). Its reduction contract: a row of a
 stack reduces to the same bits as the 1-D call on that row, so dot
@@ -72,9 +75,8 @@ solved one by one.
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -673,8 +675,8 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
     With ``k`` (one number for every lane, or one per lane) the lazy
     ergodic sums of the moved slots are brought up to iteration ``k``
     (``acc += (k - since) * old``, ``since = k``); without it they are
-    left as they are. A call that raises writes nothing. Returns each
-    lane's max |x|, |z|, |p| over its block, one column per lane.
+    left as they are. Returns each lane's max |x|, |z|, |p| over its
+    block, one column per lane.
     """
     idx, const, xsrc, blocks = lanes
     L, Cn, R, P, M, beta = idx.shape[1], bt.Cn, bt.R, bt.P, bt.M, bt.beta
@@ -836,13 +838,11 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     Every field of each seed's metrics equals that of ``T`` chained
     :func:`step` calls bit for bit.
 
-    When a seed diverges, the :class:`DivergenceError` names the first
-    seed in ``seeds`` order that diverges, at its first failing step. A
-    lone seed's levels after a failure fire only the draws before it, so
-    the failure reported is the one with the smallest iteration, which a
-    serial run meets first; when a level raises an error, the rest of its
-    segment fires one draw at a time, so the error raised is the serial
-    run's first error too.
+    The serial run defines a failure: when this attempt raises anything,
+    each seed runs again alone, in ``seeds`` order, one draw per call, and
+    the first that fails raises its own error, the first of its chained
+    :func:`step` calls; if none fails, the attempt's error is raised. A
+    lone seed with the shadow probe is already serial.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -855,7 +855,6 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     if not seeds:
         raise ValueError("seeds must be nonempty")
     bt = _block_table(prob, partition)
-    S = len(seeds)
     start = initial_state(prob, x0, z0)
     maxima = [float(np.max(np.abs(v), initial=0.0))
               for v in (start.x, start.z, start.p)]
@@ -863,18 +862,38 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
         raise DivergenceError(f"initial state magnitude (x {maxima[0]:.3e}, "
                               f"z {maxima[1]:.3e}) exceeds the divergence "
                               "guard")
-    dim_x, W = prob.dim_x, prob.dim_z
+    f_star = objective(prob, ref.x) if ref is not None else np.nan
+    run_seeds = partial(_run_lanes, prob, partition, dist, bt, start, maxima,
+                        T, stride, probes)
+    # made before the attempt, so that records past memory are refused once
+    rec = _Recorder(prob, dist, probes, ref, f_star, len(seeds), T, stride)
+    try:
+        return run_seeds(seeds, rec, len(seeds) == 1 and not probes.shadow)
+    except Exception as exc:
+        if len(seeds) == 1 and probes.shadow:
+            raise
+        error = exc
+    for seed in seeds:
+        run_seeds([seed], _Recorder(prob, dist, probes, ref, f_star, 1, T,
+                                    stride), False)
+    raise error
+
+
+def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
+               seeds, rec, by_level) -> list:
+    """The runs of ``seeds`` from ``start``, recorded in ``rec``: in
+    lockstep, or (``by_level``, one seed) one dependency level of the
+    seed's draws per call. A call that moves a coordinate past the guard
+    raises :class:`DivergenceError` for its first such lane."""
+    S = len(seeds)
     # one row per seed: its state, then its lazy ergodic sums' since and acc
     state = np.tile(bt.layout(start.x, start.z, start.p), (S, 1))
     xs, zs, ps = bt.views(state)
-    seg = bt.seg
-    since, acc = state[:, seg:2 * seg], state[:, 2 * seg:]
+    since, acc = state[:, bt.seg:2 * bt.seg], state[:, 2 * bt.seg:]
+    x_sums, z_sums, _ = bt.views(acc)
     flat = state.reshape(-1)
     maxima = np.tile(np.array(maxima)[:, None], S)
-    f_star = objective(prob, ref.x) if ref is not None else np.nan
-    rec = _Recorder(prob, dist, probes, ref, f_star, S, T, stride)
     tally = np.zeros((S, len(_TALLY)), dtype=np.intp)
-    failures = {}
     if probes.shadow:
         # each seed's shadow pass, laid out as its state row
         target = np.zeros_like(state)
@@ -889,19 +908,16 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
             xz = np.s_[:, :bt.p0]
             acc[xz] += (it + 1 - since[xz]) * state[xz]
             since[xz] = it + 1
-        rec.add(it, fired, xs, zs, ps, acc[:, :dim_x],
-                acc[:, bt.z0:bt.z0 + W])
+        rec.add(it, fired, xs, zs, ps, x_sums, z_sums)
 
     rngs = [RngStream(seed) for seed in seeds]
     # a lone seed fires its draws between record points by level; seeds in
     # lockstep gather their lanes' table rows once per chunk, so the chunk
     # also bounds those rows
-    by_level = S == 1 and not probes.shadow
     lane_cols = len(bt.idx) + len(bt.const) + len(bt.xsrc)
     per_chunk = _DRAW_CHUNK if by_level else max(
         1, min(_DRAW_CHUNK, _BATCH_LANE_LIMIT // lane_cols) // S)
-    k = 0
-    while k < T and 0 not in failures:
+    for k in range(0, T, per_chunk):
         chunk = min(per_chunk, T - k)
         blocks = blocks_for(dist, draw_uniforms(rngs, chunk))
         if not by_level:
@@ -920,84 +936,39 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
                 if probes.shadow:
                     _tally_shadow(bt, idx[j], before, state, target, tally)
                 if not hot.max() <= DIVERGENCE_LIMIT:
-                    _batch_failures(hot.T, [it], seeds, blocks[j], failures,
-                                    state)
-                    if 0 in failures:
-                        break
+                    raise _divergence(hot, it, seeds, blocks[j])
                 np.maximum(maxima, hot, out=maxima)
                 record(it, blocks[j])
-            k += chunk
             continue
         lo = 0
         for hi in [*range((k // stride + 1) * stride - k, chunk, stride),
                    chunk]:
             # draws lo..hi-1: one call per dependency level
-            ordered = hi - lo == 1
-            plan = deque([np.arange(lo, hi)] if ordered else
-                         [lo + d for d in _levels(partition,
-                                                  blocks[lo:hi, 0])])
-            while plan:
-                draws = plan.popleft()
-                if 0 in failures:
-                    # the seed failed: only its earlier draws still count
-                    draws = draws[draws < failures[0][0] - k - 1]
-                    if not draws.size:
-                        continue
+            for draws in ([np.arange(lo, hi)] if hi - lo == 1 else
+                          [lo + d for d in _levels(partition,
+                                                   blocks[lo:hi, 0])]):
                 fired = blocks[draws, 0]
-                try:
-                    hot = _fire_lanes(bt, flat, bt.lanes(fired),
-                                      k + 1 + draws)
-                except Exception:
-                    if ordered:
-                        raise
-                    # the first error in draw order may lie in a later
-                    # level: fire the rest one draw at a time, in draw order
-                    plan = deque(np.sort(np.concatenate([draws, *plan]))
-                                 [:, None])
-                    ordered = True
-                    continue
+                hot = _fire_lanes(bt, flat, bt.lanes(fired), k + 1 + draws)
                 if not hot.max() <= DIVERGENCE_LIMIT:
-                    _batch_failures(hot.T, k + 1 + draws, seeds, fired,
-                                    failures, state)
+                    raise _divergence(hot, k + 1 + draws, seeds, fired)
                 # the lanes are the seed's draws: fold them into its maxima
                 np.maximum(maxima, hot.max(axis=1, keepdims=True),
                            out=maxima)
-            if 0 in failures:
-                break
             record(k + hi, blocks[hi - 1])
             lo = hi
-        k += chunk
-    if failures:
-        raise DivergenceError(failures[min(failures)][1])
-    return [rec.metrics(s, seed, T, xs[s], zs[s], ps[s], acc[s, :dim_x],
-                        acc[s, bt.z0:bt.z0 + W],
+    return [rec.metrics(s, seed, T, xs[s], zs[s], ps[s], x_sums[s], z_sums[s],
                         {"steps": T, **dict(zip(_TALLY, tally[s].tolist()))},
                         tuple(maxima[:, s].tolist()))
             for s, seed in enumerate(seeds)]
 
 
-def _batch_failures(hot, iters, seeds, lanes, failures, state):
-    """Note each seed's earliest guard failure, as ``(iteration, message)``.
-
-    Lane ``l`` fired block ``lanes[l]`` of seed ``l % S`` at iteration
-    ``iters[l // S]``. A seed keeps its failure with the smallest
-    iteration: a lone seed fires by level, so a later call may fail at an
-    earlier iteration, and its inputs are still the serial ones. Only the
-    first diverging seed in ``seeds`` order is reported, so with several
-    seeds the others keep running until they finish or diverge, and a
-    failed seed's state is zeroed so that it produces no further
-    non-finite values. A lone seed's state is left as it is: the rest of
-    its segment still reads it, and its run ends with the segment.
-    """
-    S = len(seeds)
-    for lane in np.flatnonzero(~np.all(hot <= DIVERGENCE_LIMIT, axis=1)):
-        s, it = int(lane) % S, int(iters[int(lane) // S])
-        if s not in failures or it < failures[s][0]:
-            failures[s] = (it, _guard_message(hot[lane], it, seeds[s],
-                                              int(lanes[lane])))
-        if S > 1:
-            state[s] = 0.0
-        hot[lane] = 0.0
+def _divergence(hot, iters, seeds, blocks) -> DivergenceError:
+    """The error of a call's first lane past the guard: lane ``l`` fired
+    ``blocks[l]`` of ``seeds[l % S]`` at ``iters[l]`` (or ``iters``)."""
+    lane = int(np.argmin(np.all(hot <= DIVERGENCE_LIMIT, axis=0)))
+    return DivergenceError(_guard_message(
+        hot[:, lane], int(np.broadcast_to(iters, blocks.shape)[lane]),
+        seeds[lane % len(seeds)], int(blocks[lane])))
 
 
 SHADOW_TOL = 1e-9

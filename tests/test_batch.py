@@ -371,10 +371,22 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+def raising_custom(i):
+    """A Custom term that is 0 at u = 0 and raises its own error anywhere
+    else: its prox raises, but a record of a component it never moved
+    does not."""
+    def fn(u):
+        if u[0] != 0.0:
+            raise ValueError(f"component {i}")
+        return 0.0
+    return Custom(fn=fn, dim=1, scalar_convex=True)
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(problem=st.sampled_from(["consensus-quadratic", "consensus-lad",
-                                "lasso-toy", "nan-quadratic"]),
+                                "lasso-toy", "nan-quadratic",
+                                "raising-custom"]),
        nodes=st.integers(3, 40),
        seed=st.sampled_from([0, 1, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
        T=st.integers(1, 1500), stride=st.sampled_from([1, 2, 1500])
@@ -384,15 +396,22 @@ def test_one_seed_levels_equal_serial_on_random_graphs(problem, nodes, seed,
                                                        T, stride, probes,
                                                        data_seed):
     """Random connected graphs in random user partitions (each z pair in
-    one block); ``nan-quadratic`` puts NaN data on one or two nodes, so
+    one block); ``nan-quadratic`` puts NaN data on one or two nodes, and
+    ``raising-custom`` a Custom term whose prox raises its own error, so
     the run ends in the reference's first error."""
     rng = np.random.default_rng(data_seed)
     graph = random_graph(rng, nodes)
+    bad = rng.choice(nodes, size=min(2, nodes), replace=False)
+    bad = bad[:int(rng.integers(1, bad.size + 1))]
     if problem == "nan-quadratic":
-        bad = rng.choice(nodes, size=min(2, nodes), replace=False)
         centers = rng.uniform(-5.0, 5.0, nodes)
-        centers[bad[:int(rng.integers(1, bad.size + 1))]] = np.nan
+        centers[bad] = np.nan
         terms = tuple(Quadratic(np.array([c])) for c in centers)
+    elif problem == "raising-custom":
+        terms = tuple(raising_custom(i) if i in bad else
+                      Quadratic(np.array([rng.uniform(-5.0, 5.0)]))
+                      for i in range(nodes))
+    if problem in ("nan-quadratic", "raising-custom"):
         prob = build_reformulation(graph, terms, tuple(Free(1) for _ in terms),
                                    1.0).problem
     else:
@@ -404,6 +423,9 @@ def test_one_seed_levels_equal_serial_on_random_graphs(problem, nodes, seed,
         ProbeFlags()
     args = dict(probes=flags, ref=random_reference(prob, rng),
                 x0=rng.uniform(-6.0, 6.0, prob.dim_x), stride=stride)
+    if problem == "raising-custom":
+        # the raising components start, and are referenced, at 0
+        args["x0"][bad] = args["ref"].x[bad] = 0.0
     want = outcome(lambda: reference_run(prob, part, dist, seed, T, **args))
     got = outcome(lambda: run_batch(prob, part, dist, [seed], T, **args)[0])
     if isinstance(want, tuple):
@@ -628,6 +650,36 @@ def test_an_error_raised_at_a_later_level_names_the_serial_draw():
     assert want[0] is ValueError
     assert outcome(lambda: run_batch(prob, part, dist, [seed], 200,
                                      stride=200)) == want
+
+
+def test_an_error_with_several_seeds_names_the_first_seed_in_seeds_order():
+    """Two Custom components whose terms raise, each its own message, and
+    two seeds whose first errors differ: the second seed raises at an
+    earlier iteration, which lockstep meets first, but the run raises the
+    first seed's error, the one a serial run of it reports."""
+    bad = {5, 25}
+    terms = tuple(raising_custom(i) if i in bad else
+                  Quadratic(np.array([float(i)])) for i in range(40))
+    reform = build_reformulation(Graph.cycle(40), terms,
+                                 tuple(Free(1) for _ in terms), 1.0)
+    prob, part = reform.problem, reform.partition
+    dist = derive_probabilities(part, uniform_probs(part))
+    comps = component_sets(part)
+    first = {}
+    for seed in range(20):
+        want = outcome(lambda: reference_run(prob, part, dist, seed, 200,
+                                             stride=200))
+        assert want[0] is ValueError
+        rng = RngStream(seed)
+        draws = [sample_block(dist, rng) for _ in range(200)]
+        first[seed] = (min(i for i, b in enumerate(draws) if comps[b] & bad),
+                       want)
+    pairs = [(a, b) for a in first for b in first
+             if first[b][0] < first[a][0] and first[b][1] != first[a][1]]
+    assert pairs, "no two seeds raise different errors"
+    for a, b in pairs[:3]:
+        assert outcome(lambda: run_batch(prob, part, dist, [a, b], 200,
+                                         stride=200)) == first[a][1]
 
 
 def test_run_experiment_one_seed_outputs_equal_serial_bytes(tmp_path,

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -481,12 +482,14 @@ class TestMalformedInput:
         assert not (tmp_path / "out").exists()
 
     # coerced with int()/float() before: "T": 2.7 ran 2 steps, exit 0;
-    # seeds [1.7, true] ran seed 1 twice, and -1 ran seed 2**64 - 1
+    # seeds [1.7, true] ran seed 1 twice, and -1 ran seed 2**64 - 1;
+    # seeds [1, 1] ran seed 1 twice too, and wrote one summary entry for it
     BAD_NUMBER = [
         ("T", 2.7), ("T", True), ("T", "5"), ("stride", 1.9),
         ("workers", 1.5), ("beta", "2"), ("seeds", [1.7, True]),
         ("seeds", True), ("seeds", 2.0), ("seeds", -1), ("seeds", 2 ** 64),
-        ("seeds", [0, 2 ** 64 - 1, -3]),
+        ("seeds", [0, 2 ** 64 - 1, -3]), ("seeds", [1, 1]),
+        ("seeds", [0, 1, 2, 1]),
     ]
 
     @pytest.mark.parametrize("field,value", BAD_NUMBER,
@@ -601,7 +604,8 @@ class TestMalformedInput:
 
 class TestCli:
     @pytest.mark.parametrize("seeds", ["x", "3..1", "1,,2", "-1..2",
-                                       "0,18446744073709551616"])
+                                       "0,18446744073709551616", "1,1",
+                                       "0,1,2,1"])
     def test_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
         write_cycle_graph(tmp_path / "g.txt", n=3)
         rc = cli_main(["bench", "consensus-quadratic",
@@ -778,6 +782,29 @@ class TestInputErrors:
         for command in ("run", "validate"):
             assert cli_main([command, str(cfg_path)]) == 2
             assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("w, b", [(1e155, 1.0), (-2e154, 3.0),
+                                      (1e-300, 1e300), (1e-200, 0.0)])
+    def test_lasso_row_past_the_float_range_exits_2(self, tmp_path, capsys,
+                                                    w, b):
+        # w*w = inf was taken as a Quadratic weight, after two numpy
+        # warnings, and ended in a divergence (exit 1); w = 1e-300 with
+        # b = 1e300 printed an overflow warning, then a nonpositive weight
+        write_cycle_graph(tmp_path / "g.txt", n=3)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({
+            "problem": {"benchmark": {"name": "lasso-toy", "graph": "g.txt",
+                                      "w": [1.0, w], "b": [2.0, b]}},
+            "T": 5, "out": "res"}))
+        want = (f"config error: lasso-toy row 1 (w = {w!r}, b = {b!r}): w*w "
+                "must be finite and positive, and b/w finite\n")
+        for command in ("run", "validate"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli_main([command, str(cfg_path)]) == 2
+            assert [str(c.message) for c in caught] == []
+            assert capsys.readouterr().err == want
+        assert not (tmp_path / "res").exists()
 
     def test_sparse_graph_is_refused_before_per_node_work(self, tmp_path,
                                                           capsys):
