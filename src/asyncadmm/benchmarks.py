@@ -17,6 +17,7 @@ import numpy as np
 from .consensus import (EdgeReformulation, Graph, _check_graph,
                         _reformulate, consensus_optimum)
 from .diagnostics import ReferenceSolution
+from .engine import DIVERGENCE_LIMIT
 from .errors import InvalidProblem, UnknownBenchmark
 from .problem import TermGroups, XSetBounds
 from .terms import AbsDev, L1, Quadratic
@@ -60,8 +61,15 @@ class Benchmark:
         return self.reform.problem
 
 
-def _data_bounds(values, margin, num_nodes) -> XSetBounds:
-    """The same compact box for every node, around the data range."""
+def _data_bounds(values, margin, num_nodes, what) -> XSetBounds:
+    """The same compact box for every node, around the data range. Runs
+    start each node at its data (``what``), which must lie within the
+    divergence guard."""
+    far = np.flatnonzero(np.abs(values) > DIVERGENCE_LIMIT)[:1].tolist()
+    if far:
+        raise InvalidProblem(
+            f"{what} of node {far[0]} is {values[far[0]]:g}, past the "
+            f"divergence guard ({DIVERGENCE_LIMIT:g}) where runs start")
     lo, hi = float(np.min(values)), float(np.max(values))
     if margin is None:
         margin = (hi - lo) + 1.0
@@ -89,7 +97,7 @@ def generate_benchmark(spec: BenchmarkSpec, graph: Graph,
             Quadratic if spec.name == "consensus-quadratic" else AbsDev)
         groups = TermGroups(np.full(n_nodes, kind), a[:, None],
                             np.ones(n_nodes))
-        bounds = _data_bounds(a, spec.box_margin, n_nodes)
+        bounds = _data_bounds(a, spec.box_margin, n_nodes, f"{spec.name} a")
     else:  # lasso-toy
         w = np.asarray(spec.w if spec.w is not None
                        else np.ones(n_nodes - 1), dtype=float)
@@ -114,7 +122,8 @@ def generate_benchmark(spec: BenchmarkSpec, graph: Graph,
                          TermGroups.KINDS.index(L1))
         groups = TermGroups(kind, centers[:, None],
                             np.append(weight, float(spec.pi)))
-        bounds = _data_bounds(centers, spec.box_margin, n_nodes)
+        bounds = _data_bounds(centers, spec.box_margin, n_nodes,
+                              "lasso-toy b/w")
 
     reform = _reformulate(graph, groups, bounds, beta, ())
     reference = consensus_optimum(groups)

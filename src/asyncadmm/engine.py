@@ -63,13 +63,12 @@ solve, on arguments tiled once per stack size) and fits
 every z row of the stack as one 1-D fit, and ``_tally_shadow`` takes each
 lane's group maxima and compares the rest of each row.
 
-Synchronous engine: the classical two-block method (x minimization, z
-minimization, dual ascent with step beta) on the same separable problem
-and the same compiled arrays (``_ops``) as the asynchronous engine. One
-iteration is O(problem) array operations: the x step is the same
-one-pass solve, and the z step is the z-pair fit of every row at once;
-only Custom terms (and kink coordinates without a coupling row) are
-solved one by one.
+Synchronous engine: the classical two-block method (x, z, dual ascent
+with step beta) on the compiled arrays (``_ops``), O(problem) array
+operations an iteration. Its one step, ``_CompiledOps.sync_step``,
+writes the one-pass x solve, the z-pair fit of every row and the dual
+step into given arrays: a new state (``sync_admm_step``) or the next row
+of the reference solve's history.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ from .errors import (DivergenceError, ImproperPartition, MissingReference,
                      ValidationError)
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
                       lyapunov_rows, objective, residual)
-from .prox import _GroupedProx, solve_z_prepared
+from .prox import _GroupedProx, pair_weights, solve_z_prepared
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         _offsets, blocks_for, draw_uniforms, sample_block)
 from .terms import SumZeroPairs
@@ -126,7 +125,8 @@ class _CompiledOps:
     ``lo``, ``hi`` are the component sets' stacked bounds and ``groups``
     the objective's arrays, both as the problem stores them (no term or
     set object is read). ``pair_i``/``pair_j`` are the z set's pairs over
-    all rows, contiguous for the z fits (empty for a free z set).
+    all rows, contiguous for the z fits (empty for a free z set), and
+    ``pair_w`` their weights and fit denominators (``pair_weights``).
 
     The constraint rows are sorted by component, then coordinate, then
     row (``rows``), with ``counts`` the rows per (component, coordinate);
@@ -159,6 +159,10 @@ class _CompiledOps:
             self.pair_i, self.pair_j = np.ascontiguousarray(prob.z_set.pairs.T)
         else:
             self.pair_i = self.pair_j = np.empty(0, dtype=np.intp)
+        self.pair_w = pair_weights(self.h, self.pair_i, self.pair_j)
+        # where z and p start in a synchronous iterate's [x | z | p] row
+        self.cuts = [cs.N * cs.n, cs.N * cs.n + cs.W]
+        self.width = self.cuts[1] + cs.W
         self._stacked = {}
 
     @cached_property
@@ -173,8 +177,9 @@ class _CompiledOps:
 
         Groups are ordered by decreasing row count, so the groups still
         summing at rank ``r`` are a prefix, ``ptr[r+1] - ptr[r]`` long;
-        ``pos`` is each group's place in that order. Returns the rows,
-        their coefficients and ``h``, ``ptr`` and ``pos``.
+        ``pos`` is each group's place in that order (None when it is the
+        groups' own order). Returns the rows, their coefficients and ``h``,
+        ``ptr`` and ``pos``.
         """
         _, rank = _ragged(self.counts)
         by_count = np.argsort(-self.counts, kind="stable")
@@ -183,30 +188,44 @@ class _CompiledOps:
         order = np.argsort(rank * pos.size + pos[self.col[self.rows]])
         return (self.rows[order], self.coeffs_sorted[order],
                 self.h_sorted[order], _offsets(np.bincount(rank)).tolist(),
-                pos)
+                None if np.all(by_count[1:] > by_count[:-1]) else pos)
 
-    def solve_all(self, p, z):
+    def solve_all(self, p, z, out=None):
         """Every x component minimized against ``p`` and ``z``, in one pass.
 
-        ``p`` and ``z`` are one point or one per row (``(..., W)``), each
-        row solved as the 1-D call solves it. The tilt of every row is one
-        array expression. Each (component, coordinate) sum starts at
-        ``-0.0`` and adds its rows strictly left to right, one rank per
-        loop pass (a slice of the first axis: the sums are transposed), so
-        it is the sum of the block kernel's tilt lanes bit for bit at O(W)
-        work; the solves are :class:`_GroupedProx`'s.
+        ``p`` and ``z`` are one point (solved into ``out``) or one per row
+        (``(..., W)``), each row solved as the 1-D call solves it. The tilt
+        of every row is one array expression. Each (component, coordinate)
+        sum starts at ``-0.0`` and adds its rows strictly left to right, one
+        rank per loop pass (a slice of the first axis: the sums are
+        transposed), so it is the sum of the block kernel's tilt lanes bit
+        for bit at O(W) work; the solves are :class:`_GroupedProx`'s.
         """
         rows, coeff, h, ptr, pos = self.rank_order
-        g = coeff * (p.take(rows, axis=-1)
-                     - self.beta * (h * z.take(rows, axis=-1)))
-        sums, g = np.empty((self.N * self.n,) + g.shape[:-1]), g.T
-        sums.fill(-0.0)
-        for r in range(len(ptr) - 1):
+        g = (coeff * (p.take(rows, axis=-1)
+                      - self.beta * (h * z.take(rows, axis=-1)))).T
+        # -0.0 + v is v, bit for bit: when every sum has a row, the first
+        # rank is the sums, and the later ranks add into it
+        first = int(ptr[1:2] == [self.N * self.n])
+        sums = g[:ptr[1]] if first else np.full(
+            (self.N * self.n,) + g.shape[1:], -0.0)
+        for r in range(first, len(ptr) - 1):
             sums[:ptr[r + 1] - ptr[r]] += g[ptr[r]:ptr[r + 1]]
+        l = (sums if pos is None else sums[pos]).T
         if p.ndim == 1:
-            return self.prox.solve(sums[pos].T)
+            return self.prox.solve(l, out=out)
         closed = self.stacked(p.shape[:-1])[0]
-        return self.prox.solve(sums[pos].T, (closed, self.prox.serial_at))
+        return self.prox.solve(l, (closed, self.prox.serial_at))
+
+    def sync_step(self, src, out):
+        """One synchronous iteration from the arrays ``src`` into the
+        arrays ``out``, each an (x, z, p) triple."""
+        (x, z, p), (_, z0, p0) = out, src
+        self.solve_all(p0, z0, out=x)
+        dx = self.coeff * x.take(self.col)
+        solve_z_prepared(self.h, p0 / self.beta - dx, self.pair_i,
+                         self.pair_j, self.pair_w, out=z)
+        np.subtract(p0, self.beta * (dx + self.h * z), out=p)
 
     def stacked(self, shape):
         """The arrays the full pass reads, for a stack of points of
@@ -493,19 +512,13 @@ def step(prob: SeparableProblem, state: PrimalDualState,
 
 def sync_admm_step(prob: SeparableProblem,
                    state: PrimalDualState) -> PrimalDualState:
-    """One synchronous two-block iteration (x, then z, then dual ascent).
-
-    Both minimizations are one pass over all coordinates: the x step is
-    :meth:`_CompiledOps.solve_all`, and the z step fits every row (and
-    every z pair) to ``p / beta - D x`` by :func:`solve_z_prepared`, as
-    :func:`shadow_step` does, so the step is its shadow pass bit for bit.
-    """
+    """One synchronous two-block iteration (x, then z, then dual ascent):
+    :meth:`_CompiledOps.sync_step` into new arrays. It fits z to
+    ``p / beta - D x`` as :func:`shadow_step` does, so it is its shadow
+    pass bit for bit."""
     ops = _ops(prob)
-    x = ops.solve_all(state.p, state.z)
-    dx = ops.coeff * x[ops.col]
-    z = solve_z_prepared(ops.h, state.p / ops.beta - dx,
-                         ops.pair_i, ops.pair_j)
-    p = state.p - ops.beta * (dx + ops.h * z)
+    x, z, p = np.split(np.empty(ops.width), ops.cuts)
+    ops.sync_step((state.x, state.z, state.p), (x, z, p))
     return PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
 
 
@@ -875,16 +888,17 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
         error = exc
     for seed in seeds:
         run_seeds([seed], _Recorder(prob, dist, probes, ref, f_star, 1, T,
-                                    stride), False)
+                                    stride), False, ramp=True)
     raise error
 
 
 def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
-               seeds, rec, by_level) -> list:
+               seeds, rec, by_level, ramp=False) -> list:
     """The runs of ``seeds`` from ``start``, recorded in ``rec``: in
     lockstep, or (``by_level``, one seed) one dependency level of the
     seed's draws per call. A call that moves a coordinate past the guard
-    raises :class:`DivergenceError` for its first such lane."""
+    raises :class:`DivergenceError` for its first such lane. With ``ramp``
+    a run that fails at iteration k gathers the lanes of under 2k draws."""
     S = len(seeds)
     # one row per seed: its state, then its lazy ergodic sums' since and acc
     state = np.tile(bt.layout(start.x, start.z, start.p), (S, 1))
@@ -917,8 +931,10 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
     lane_cols = len(bt.idx) + len(bt.const) + len(bt.xsrc)
     per_chunk = _DRAW_CHUNK if by_level else max(
         1, min(_DRAW_CHUNK, _BATCH_LANE_LIMIT // lane_cols) // S)
-    for k in range(0, T, per_chunk):
-        chunk = min(per_chunk, T - k)
+    k = chunk = 0   # draws k..k+chunk-1; ramp: 1, 1, 2, 4, ... draws
+    while k + chunk < T:
+        k += chunk
+        chunk = min(per_chunk, T - k, max(k, 1) if ramp else per_chunk)
         blocks = blocks_for(dist, draw_uniforms(rngs, chunk))
         if not by_level:
             # one call per iteration, a lane per seed

@@ -276,7 +276,7 @@ def bisect_convex(g, lo=-np.inf, hi=np.inf,
     return 0.5 * (a + b)
 
 
-def solve_z_prepared(w, t, pair_i, pair_j) -> np.ndarray:
+def solve_z_prepared(w, t, pair_i, pair_j, pair_w=None, out=None):
     """Minimizer of ``||diag(w) z - t||^2`` with ``z[pair_i] = -z[pair_j]``.
 
     Unpaired coordinates fit exactly (``t / w``); each sum-zero pair takes
@@ -284,11 +284,19 @@ def solve_z_prepared(w, t, pair_i, pair_j) -> np.ndarray:
     enforced exactly. ``pair_i``/``pair_j`` index the first axis of ``w``
     and ``t``; further axes of ``t`` (with ``w`` broadcast along them, as a
     column) hold more fits, each computed as the 1-D call computes it.
+    ``pair_w`` is :func:`pair_weights` when computed once for many fits;
+    ``out`` receives the result.
     """
-    z = t / w
+    z = np.divide(t, w, out=out)
     if pair_i.size:
-        wi, wj = w[pair_i], w[pair_j]
-        zi = (wi * t[pair_i] - wj * t[pair_j]) / (wi * wi + wj * wj)
+        wi, wj, den = pair_w or pair_weights(w, pair_i, pair_j)
+        zi = (wi * t[pair_i] - wj * t[pair_j]) / den
         z[pair_i] = zi
         z[pair_j] = -zi
     return z
+
+
+def pair_weights(w, pair_i, pair_j):
+    """The z pairs' ``w_i``, ``w_j`` and their fit's ``w_i^2 + w_j^2``."""
+    wi, wj = w[pair_i], w[pair_j]
+    return wi, wj, wi * wi + wj * wj

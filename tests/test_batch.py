@@ -308,6 +308,33 @@ def test_divergence_names_first_seed_in_config_order(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seeds", [[3], [7, 3, 11], list(range(16))])
+def test_a_rerun_gathers_lanes_for_about_the_draws_it_fires(monkeypatch,
+                                                            seeds):
+    """The serial rerun's chunks of draws start at one and double, so the
+    first seed, failing at iteration k, passes fewer than 2k draws to the
+    lane tables, not a whole chunk; the error is its serial one."""
+    reform = nan_cycle()
+    dist = derive_probabilities(reform.partition,
+                                uniform_probs(reform.partition))
+    want = serial_failure(reform, dist, seeds[0])
+    k = int(want.split("iteration ")[1].split()[0])
+    draws, lanes = [], engine._BlockTable.lanes
+
+    def counted(self, blocks, stacked=False):
+        draws.append(blocks.shape)
+        return lanes(self, blocks, stacked)
+
+    monkeypatch.setattr(engine._BlockTable, "lanes", counted)
+    with pytest.raises(DivergenceError) as info:
+        run_batch(reform.problem, reform.partition, dist, seeds, T=10_000)
+    assert str(info.value) == want
+    # the rerun fires one seed in lockstep, (draws, 1) per call; the
+    # attempt fires several seeds in lockstep, or one seed by level (1-D)
+    rerun = [shape[0] for shape in draws if shape[1:] == (1,)]
+    assert 0 < sum(rerun) < 2 * k
+
+
 # ---------------------------------------------------------------------------
 # One seed: dependency levels of commuting blocks
 #

@@ -806,6 +806,30 @@ class TestInputErrors:
             assert capsys.readouterr().err == want
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("name, data, node, value", [
+        ("lasso-toy", {"w": [1.0, 1.0], "b": [1e308, -1e308]}, 0, "1e+308"),
+        ("lasso-toy", {"w": [1e150, 1e-150], "b": [1.0, 1.0]}, 1, "1e+150"),
+        ("consensus-quadratic", {"a": [1.0, -2e12, 3.0]}, 1, "-2e+12")])
+    def test_data_past_the_divergence_guard_exits_2(self, tmp_path, capsys,
+                                                    name, data, node, value):
+        # runs start every node at its data: these printed numpy warnings
+        # (lasso-toy), then "divergence: initial state magnitude ...", exit 1
+        write_cycle_graph(tmp_path / "g.txt", n=3)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({
+            "problem": {"benchmark": {"name": name, "graph": "g.txt", **data}},
+            "T": 5, "out": "res"}))
+        what = "lasso-toy b/w" if name == "lasso-toy" else f"{name} a"
+        want = (f"config error: {what} of node {node} is {value}, past the "
+                "divergence guard (1e+12) where runs start\n")
+        for command in ("run", "validate"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli_main([command, str(cfg_path)]) == 2
+            assert [str(c.message) for c in caught] == []
+            assert capsys.readouterr().err == want
+        assert not (tmp_path / "res").exists()
+
     def test_sparse_graph_is_refused_before_per_node_work(self, tmp_path,
                                                           capsys):
         # a million nodes and one edge: refused by the edge count, before

@@ -19,8 +19,9 @@ from asyncadmm import (AbsDev, Box, BenchmarkSpec, ConstraintSystem, Custom,
                        derive_probabilities, generate_benchmark,
                        initial_state, residual, run, shadow_step,
                        solve_reference, step, sync_admm_step, uniform_probs)
-from asyncadmm import diagnostics, engine
-from asyncadmm.errors import UnboundedSubproblem, UnsupportedTerm
+from asyncadmm import engine
+from asyncadmm.errors import (MissingReference, UnboundedSubproblem,
+                             UnsupportedTerm)
 from asyncadmm.problem import TermGroups
 from asyncadmm.prox import solve_z_prepared
 from reference import per_component, plain_shadow
@@ -324,8 +325,10 @@ def test_sync_trajectory_random_problem(n, z_pairs, seed):
     assert_same_trajectory(prob, start)
 
 
-def reference_solve(prob, tol=1e-10, max_iters=200_000):
-    """The reference solve with three maxima per settle test."""
+def reference_solve(prob, tol=1e-10, max_iters=200_000, feasible=1e-6):
+    """The reference solve with three maxima per settle test, one
+    iteration at a time. Returns the state and its iteration count; with
+    ``feasible = inf``, the first iteration that settles."""
     ops = engine._CompiledOps(prob)
     state = initial_state(prob)
     for k in range(1, max_iters + 1):
@@ -335,27 +338,107 @@ def reference_solve(prob, tol=1e-10, max_iters=200_000):
                     float(np.max(np.abs(nxt.p - state.p))))
         state = nxt
         if delta < tol:
-            if float(np.linalg.norm(residual(prob, state.x, state.z))) < 1e-6:
+            if float(np.linalg.norm(residual(prob, state.x,
+                                             state.z))) < feasible:
                 return state, k
     raise AssertionError("reference did not settle")
 
 
-@pytest.mark.parametrize("name", ["consensus-quadratic", "consensus-lad",
-                                  "lasso-toy"])
-def test_solve_reference_equals_reference_loop(name, monkeypatch):
-    prob = benchmark_problem(name, nodes=5)
-    want, iters = reference_solve(prob)
-    calls = []
+# the reference solve's history: rows per settle test, and bytes at most
+SETTLE_BLOCK, HISTORY_BYTES = 32, 1 << 20
 
-    def counted(prob, state):
-        calls.append(1)
-        return sync_admm_step(prob, state)
 
-    monkeypatch.setattr(diagnostics, "sync_admm_step", counted)
-    ref = solve_reference(prob)
-    assert len(calls) == iters
+def assert_same_reference(prob, **kwargs):
+    """``solve_reference`` returns the loop's iterate, bit for bit, at its
+    iteration; returns that count."""
+    want, iters = reference_solve(prob, **kwargs)
+    ref = solve_reference(prob, **kwargs)
+    assert ref.iters == iters
     for name in ("x", "z", "p"):
         assert getattr(ref, name).tobytes() == getattr(want, name).tobytes()
+    return iters
+
+
+def counting_steps(monkeypatch, fail_at=None):
+    """Count the synchronous steps taken; step ``fail_at`` raises."""
+    calls, sync_step = [], engine._CompiledOps.sync_step
+
+    def counted(self, src, out):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise ValueError(f"step {fail_at}")
+        sync_step(self, src, out)
+
+    monkeypatch.setattr(engine._CompiledOps, "sync_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["consensus-quadratic", "consensus-lad",
+                                  "lasso-toy"])
+def test_solve_reference_equals_reference_loop(name):
+    assert_same_reference(benchmark_problem(name, nodes=5))
+
+
+def test_solve_reference_settles_on_the_first_iteration():
+    """A free z set makes the first iterate feasible; a large tolerance
+    makes it settle."""
+    prob = random_problem(np.random.default_rng(0), 1, 5, ["quadratic"] * 5)
+    assert assert_same_reference(prob, tol=1e3) == 1
+
+
+def test_solve_reference_settles_on_the_last_row_of_a_block():
+    iters = assert_same_reference(benchmark_problem("consensus-quadratic",
+                                                    nodes=5),
+                                  tol=10 ** -10.75)
+    assert iters == 2 * SETTLE_BLOCK
+
+
+@pytest.mark.parametrize("tol", [0.1, 1e-5])
+def test_solve_reference_passes_settled_but_infeasible_iterates(tol):
+    """With a loose tolerance the iterates settle before they are
+    feasible: the loop goes on to the first feasible one, past blocks."""
+    prob = benchmark_problem("consensus-lad", nodes=5)
+    _, first = reference_solve(prob, tol=tol, feasible=np.inf)
+    assert first < assert_same_reference(prob, tol=tol)
+
+
+def test_solve_reference_on_a_wide_problem_uses_fewer_rows():
+    """A hub of 2,500 rows: the history holds fewer rows than a block, and
+    the settle falls in its second block."""
+    prob = random_problem(np.random.default_rng(0), 1, 3,
+                          ["quadratic", "absdev", "l1"], hub_rows=2500,
+                          z_pairs=True)
+    rows = HISTORY_BYTES // (8 * engine._ops(prob).width) - 1
+    assert rows < SETTLE_BLOCK
+    assert rows < assert_same_reference(prob) <= 2 * rows
+
+
+@pytest.mark.parametrize("max_iters", [1, 5, SETTLE_BLOCK + 3])
+def test_solve_reference_stops_after_max_iters(max_iters, monkeypatch):
+    prob = benchmark_problem("consensus-lad", nodes=5)
+    calls = counting_steps(monkeypatch)
+    with pytest.raises(MissingReference) as err:
+        solve_reference(prob, max_iters=max_iters)
+    assert str(err.value) == ("synchronous baseline did not settle to 1e-10 "
+                              f"in {max_iters} iters")
+    assert len(calls) == max_iters
+
+
+@pytest.mark.parametrize("late", [1, 0])
+def test_a_step_that_raises_lets_the_rows_before_it_settle(late,
+                                                           monkeypatch):
+    """A loop testing each iteration returns before a later step raises,
+    and raises when the step comes first."""
+    prob = benchmark_problem("consensus-quadratic", nodes=5)
+    want, iters = reference_solve(prob)
+    counting_steps(monkeypatch, fail_at=iters + late)
+    if late:
+        ref = solve_reference(prob)
+        assert ref.iters == iters
+        assert ref.p.tobytes() == want.p.tobytes()
+    else:
+        with pytest.raises(ValueError, match=f"step {iters}"):
+            solve_reference(prob)
 
 
 def test_reference_solve_and_run_share_the_compiled_problem(monkeypatch):
