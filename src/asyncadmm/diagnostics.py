@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import _fire_blocks, _ops
+from .engine import _fire_blocks, _history_rows, _ops
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
@@ -117,7 +117,7 @@ def solve_reference(prob: SeparableProblem, tol: float = 1e-10,
     """
     ops = _ops(prob)
     start = initial_state(prob, x0, z0)
-    block = max(1, min(32, (1 << 20) // (8 * ops.width) - 1))
+    block = _history_rows(ops.width)
     hist = np.empty((block + 1, ops.width))
     views = [np.split(row, ops.cuts) for row in hist]
     np.concatenate([start.x, start.z, start.p], out=hist[0])

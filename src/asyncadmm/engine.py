@@ -55,13 +55,14 @@ C-contiguous array, and gathers are ``np.take(..., axis=1)``.
 Shadow pass: the full-information iterates (y, v, mu) that a
 fully-activated step would have produced from the same state; the
 asynchronous iterates agree with them on the active coordinates, which
-the probes verify. It costs O(problem) per step, as array operations,
-and a run takes one pass and one check per iteration for all its seeds:
-``shadow_step`` solves every x component of every seed's row at once
+the probes verify. It costs O(problem) per step, as array operations.
+A run keeps its seeds' pre-step states of up to 32 iterations (fewer
+past 1 MiB, ending at record points) and takes one pass and one check
+per block: ``shadow_step`` solves every x component of every row at once
 (``_CompiledOps.solve_all``, each row bit for bit a component-by-component
-solve, on arguments tiled once per stack size) and fits
-every z row of the stack as one 1-D fit, and ``_tally_shadow`` takes each
-lane's group maxima and compares the rest of each row.
+solve, on arguments tiled once per stack size) and fits every z row of
+the stack as one 1-D fit, and ``_tally_shadow`` takes each lane's group
+maxima and compares the rest of each row.
 
 Synchronous engine: the classical two-block method (x, z, dual ascent
 with step beta) on the compiled arrays (``_ops``), O(problem) array
@@ -503,8 +504,8 @@ def step(prob: SeparableProblem, state: PrimalDualState,
     (:func:`_fire_blocks`), and the new x, z and p are views of it.
     """
     b = sample_block(dist, rng)
-    shadow = shadow_step(prob, state) if with_shadow else None
     x, z, p = _fire_blocks(prob, partition, state, np.array([b]))
+    shadow = shadow_step(prob, state) if with_shadow else None
     return StepRecord(block=b, before=state,
                       after=PrimalDualState(x=x, z=z, p=p, k=state.k + 1),
                       shadow=shadow)
@@ -645,6 +646,12 @@ def _guard_message(hot, k, seed, b):
 
 # uniforms drawn per chunk: bounds the draw arrays of long or wide runs
 _DRAW_CHUNK = 1 << 10
+
+
+def _history_rows(width: int) -> int:
+    """The rows a history of ``width`` floats per row adds to its first:
+    32, fewer when the history would pass 1 MiB, and at least one."""
+    return max(1, min(32, (1 << 20) // (8 * width) - 1))
 
 
 def run(prob: SeparableProblem, partition: ProperPartition,
@@ -845,11 +852,12 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     triple: with several seeds, one lane per seed per iteration, each seed
     drawing from its own SplitMix64 stream; with one seed, one dependency
     level of its draws between two record points (:func:`_levels`), each
-    lane at its own iteration; with the shadow probe, one iteration,
-    between one shadow pass of every seed's row (:func:`shadow_step`) and
-    one check of every seed's step against it (:func:`_tally_shadow`).
-    Every field of each seed's metrics equals that of ``T`` chained
-    :func:`step` calls bit for bit.
+    lane at its own iteration; with the shadow probe, one iteration, and
+    per block of iterations one shadow pass from every seed's pre-step
+    states (:func:`shadow_step`) and one check of their steps against it
+    (:func:`_tally_shadow`); its error at iteration k never pre-empts the
+    run's own error at k. Every field of each seed's metrics equals that
+    of ``T`` chained :func:`step` calls bit for bit.
 
     The serial run defines a failure: when this attempt raises anything,
     each seed runs again alone, in ``seeds`` order, one draw per call, and
@@ -908,10 +916,11 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
     flat = state.reshape(-1)
     maxima = np.tile(np.array(maxima)[:, None], S)
     tally = np.zeros((S, len(_TALLY)), dtype=np.intp)
+    # a lockstep block's pre-step states and the state after it, its passes
+    K = _history_rows(S * bt.width) if probes.shadow else _DRAW_CHUNK
     if probes.shadow:
-        # each seed's shadow pass, laid out as its state row
-        target = np.zeros_like(state)
-        shadow_rows = bt.views(target)
+        hist = np.empty((K + 1, S, bt.width))
+        target = np.zeros((K, S, bt.width))
 
     def record(it, fired):
         """Record iteration ``it`` if it is a record point."""
@@ -924,6 +933,35 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
             since[xz] = it + 1
         rec.add(it, fired, xs, zs, ps, x_sums, z_sums)
 
+    def lockstep(lanes, blocks, k, a, n):
+        """Fire draws a..a+n-1 of the chunk after iteration k, a call each;
+        then their shadow pass and check. On an error, the passes before it
+        run first, one at a time, so that the serial first error is raised."""
+        idx, const, xsrc, _ = lanes
+        try:
+            for r in range(n):
+                j = a + r
+                if probes.shadow:
+                    hist[r] = state
+                hot = _fire_lanes(bt, flat, (idx[j], const[j], xsrc[j],
+                                             blocks[j]), k + j + 1)
+                r += 1   # iteration j's pass comes before its guard
+                if not hot.max() <= DIVERGENCE_LIMIT:
+                    raise _divergence(hot, k + j + 1, seeds, blocks[j])
+                np.maximum(maxima, hot, out=maxima)
+            if probes.shadow:
+                hist[n] = state
+                sh = shadow_step(prob, PrimalDualState(
+                    *bt.views(hist[:n].reshape(n * S, -1))))
+                for view, part in zip(bt.views(target), (sh.y, sh.v, sh.mu)):
+                    view[:n] = part.reshape(n, S, -1)
+                _tally_shadow(bt, idx[a:a + n], hist[:n + 1], target[:n],
+                              tally)
+        except Exception:
+            for row in hist[:r] if probes.shadow else ():
+                shadow_step(prob, PrimalDualState(*bt.views(row)))
+            raise
+
     rngs = [RngStream(seed) for seed in seeds]
     # a lone seed fires its draws between record points by level; seeds in
     # lockstep gather their lanes' table rows once per chunk, so the chunk
@@ -931,36 +969,23 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
     lane_cols = len(bt.idx) + len(bt.const) + len(bt.xsrc)
     per_chunk = _DRAW_CHUNK if by_level else max(
         1, min(_DRAW_CHUNK, _BATCH_LANE_LIMIT // lane_cols) // S)
+    if probes.shadow and stride < per_chunk:
+        per_chunk -= per_chunk % stride   # so that blocks end at records
     k = chunk = 0   # draws k..k+chunk-1; ramp: 1, 1, 2, 4, ... draws
     while k + chunk < T:
         k += chunk
         chunk = min(per_chunk, T - k, max(k, 1) if ramp else per_chunk)
         blocks = blocks_for(dist, draw_uniforms(rngs, chunk))
-        if not by_level:
-            # one call per iteration, a lane per seed
-            idx, const, xsrc, _ = bt.lanes(blocks, stacked=True)
-            for j in range(chunk):
-                it = k + j + 1
-                if probes.shadow:
-                    before = state.copy()
-                    sh = shadow_step(prob, PrimalDualState(x=xs, z=zs, p=ps,
-                                                           k=it - 1))
-                    for view, part in zip(shadow_rows, (sh.y, sh.v, sh.mu)):
-                        view[...] = part
-                hot = _fire_lanes(bt, flat,
-                                  (idx[j], const[j], xsrc[j], blocks[j]), it)
-                if probes.shadow:
-                    _tally_shadow(bt, idx[j], before, state, target, tally)
-                if not hot.max() <= DIVERGENCE_LIMIT:
-                    raise _divergence(hot, it, seeds, blocks[j])
-                np.maximum(maxima, hot, out=maxima)
-                record(it, blocks[j])
-            continue
+        lanes = None if by_level else bt.lanes(blocks, stacked=True)
         lo = 0
         for hi in [*range((k // stride + 1) * stride - k, chunk, stride),
                    chunk]:
-            # draws lo..hi-1: one call per dependency level
-            for draws in ([np.arange(lo, hi)] if hi - lo == 1 else
+            if not by_level:
+                for a in range(lo, hi, K):
+                    lockstep(lanes, blocks, k, a, min(K, hi - a))
+            # by level: draws lo..hi-1, one call per dependency level
+            for draws in (() if not by_level else [np.arange(lo, hi)]
+                          if hi - lo == 1 else
                           [lo + d for d in _levels(partition,
                                                    blocks[lo:hi, 0])]):
                 fired = blocks[draws, 0]
@@ -994,24 +1019,29 @@ _TALLY = ("shadow_checks", "shadow_failures", "freeze_checks",
           "freeze_failures")
 
 
-def _tally_shadow(bt, idx, before, after, target, tally):
-    """Check every seed's step against its shadow pass and the freezes.
+def _tally_shadow(bt, idx, hist, target, tally):
+    """Check every seed's steps in a block against its shadow passes and
+    the freezes.
 
-    Row ``s`` of ``before``/``after`` is seed ``s``'s state row (``bt``'s
-    layout) around the step, of ``target`` its shadow pass in that layout
-    (zero in dummy slots) and of ``tally`` its counts (``_TALLY``); column
-    ``s`` of ``idx`` is the lane it fired (flat indices). A step agrees when no group of
-    moved coordinates (``bt.groups``: each component's x, the block's z
+    ``hist[j]`` and ``hist[j+1]`` are the ``(S, width)`` states (``bt``'s
+    layout) around the block's iteration ``j``, ``target[j]`` its shadow
+    passes in that layout (zero in dummy slots) and ``idx[j]`` its lanes
+    (flat indices into a state, a column per seed); row ``s`` of ``tally``
+    holds seed ``s``'s counts (``_TALLY``). A step agrees when no group
+    of moved coordinates (``bt.groups``: each component's x, the block's z
     rows, its p rows) differs from the shadow by more than ``SHADOW_TOL``
     at its largest (a NaN largest passes). It froze the rest when every
     slot of its row that the step does not write (the moved slots and
     their ``since`` and ``acc``) is unchanged (NaN is never unchanged).
     """
-    mv = idx[:bt.M]
-    gap = np.maximum.reduceat(np.abs(after.take(mv) - target.take(mv)),
-                              bt.groups)
-    changed = after != before
-    changed.reshape(-1)[idx[:3 * bt.M]] = False
-    tally[:, 0::2] += 1
-    tally[:, 1] += (gap > SHADOW_TOL).any(axis=0)
-    tally[:, 3] += changed.any(axis=1)
+    n, S, width = target.shape
+    idx = idx[:, :3 * bt.M] + (np.arange(n) * (S * width))[:, None, None]
+    mv = idx[:, :bt.M]
+    gap = np.maximum.reduceat(np.abs(hist[1:].reshape(-1).take(mv)
+                                     - target.reshape(-1).take(mv)),
+                              bt.groups, axis=1)
+    changed = hist[1:] != hist[:-1]
+    changed.reshape(-1)[idx] = False
+    tally[:, 0::2] += n
+    tally[:, 1] += (gap > SHADOW_TOL).any(axis=1).sum(axis=0)
+    tally[:, 3] += changed.any(axis=2).sum(axis=0)

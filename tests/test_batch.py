@@ -13,8 +13,9 @@ from asyncadmm import (BenchmarkSpec, Custom, ExperimentConfig, Free, Graph,
                        ProbeFlags, ProblemSource, Quadratic, RngStream,
                        build_partition, build_reformulation,
                        derive_probabilities, generate_benchmark,
-                       prepare_experiment, run_batch, run_experiment,
-                       sample_block, single_block_partition, uniform_probs)
+                       initial_state, prepare_experiment, run_batch,
+                       run_experiment, sample_block, single_block_partition,
+                       step, uniform_probs)
 from asyncadmm import engine, runner
 from asyncadmm.diagnostics import ReferenceSolution
 from asyncadmm.errors import DivergenceError
@@ -391,9 +392,12 @@ def random_graph(rng, nodes):
 
 
 def outcome(fn):
-    """The result, or the type and message of the error raised."""
+    """The result, or the type and message of the error raised; a numpy
+    warning is raised, so that its values are never skipped."""
     try:
         return fn()
+    except RuntimeWarning:
+        raise
     except Exception as exc:  # the error raised first is part of the result
         return type(exc), str(exc)
 
@@ -409,23 +413,11 @@ def raising_custom(i):
     return Custom(fn=fn, dim=1, scalar_convex=True)
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(problem=st.sampled_from(["consensus-quadratic", "consensus-lad",
-                                "lasso-toy", "nan-quadratic",
-                                "raising-custom"]),
-       nodes=st.integers(3, 40),
-       seed=st.sampled_from([0, 1, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
-       T=st.integers(1, 1500), stride=st.sampled_from([1, 2, 1500])
-       | st.integers(1, 400), probes=st.booleans(),
-       data_seed=st.integers(0, 2 ** 32 - 1))
-def test_one_seed_levels_equal_serial_on_random_graphs(problem, nodes, seed,
-                                                       T, stride, probes,
-                                                       data_seed):
-    """Random connected graphs in random user partitions (each z pair in
-    one block); ``nan-quadratic`` puts NaN data on one or two nodes, and
-    ``raising-custom`` a Custom term whose prox raises its own error, so
-    the run ends in the reference's first error."""
+def random_graph_case(problem, nodes, data_seed, probes, stride):
+    """A random connected graph in a random user partition (each z pair in
+    one block), and the arguments of its runs; ``nan-quadratic`` puts NaN
+    data on one or two nodes, and ``raising-custom`` a Custom term whose
+    prox raises its own error, so that a run ends in its first error."""
     rng = np.random.default_rng(data_seed)
     graph = random_graph(rng, nodes)
     bad = rng.choice(nodes, size=min(2, nodes), replace=False)
@@ -446,19 +438,155 @@ def test_one_seed_levels_equal_serial_on_random_graphs(problem, nodes, seed,
                                   graph).problem
     part = random_partition(rng, prob)
     dist = derive_probabilities(part, uniform_probs(part))
-    flags = ProbeFlags(ergodic=True, lyapunov=True) if probes else \
-        ProbeFlags()
-    args = dict(probes=flags, ref=random_reference(prob, rng),
+    args = dict(probes=probes, ref=random_reference(prob, rng),
                 x0=rng.uniform(-6.0, 6.0, prob.dim_x), stride=stride)
     if problem == "raising-custom":
         # the raising components start, and are referenced, at 0
         args["x0"][bad] = args["ref"].x[bad] = 0.0
+    return prob, part, dist, args
+
+
+PROBLEMS = st.sampled_from(["consensus-quadratic", "consensus-lad",
+                            "lasso-toy", "nan-quadratic", "raising-custom"])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=PROBLEMS, nodes=st.integers(3, 40),
+       seed=st.sampled_from([0, 1, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
+       T=st.integers(1, 1500), stride=st.sampled_from([1, 2, 1500])
+       | st.integers(1, 400), probes=st.booleans(),
+       data_seed=st.integers(0, 2 ** 32 - 1))
+def test_one_seed_levels_equal_serial_on_random_graphs(problem, nodes, seed,
+                                                       T, stride, probes,
+                                                       data_seed):
+    """One seed by level on random graphs (:func:`random_graph_case`)."""
+    flags = ProbeFlags(ergodic=True, lyapunov=True) if probes else \
+        ProbeFlags()
+    prob, part, dist, args = random_graph_case(problem, nodes, data_seed,
+                                               flags, stride)
     want = outcome(lambda: reference_run(prob, part, dist, seed, T, **args))
     got = outcome(lambda: run_batch(prob, part, dist, [seed], T, **args)[0])
     if isinstance(want, tuple):
         assert got == want
     else:
         assert_same_run(got, want)
+
+
+def serial_outcome(prob, part, dist, seeds, T, **args):
+    """What ``run_batch`` of ``seeds`` must give: every seed's serial run,
+    or the first error of the first seed that fails alone."""
+    runs = []
+    for seed in seeds:
+        want = outcome(lambda: reference_run(prob, part, dist, seed, T,
+                                             **args))
+        if isinstance(want, tuple):
+            return want
+        runs.append(want)
+    return runs
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=PROBLEMS, nodes=st.integers(3, 16),
+       seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3,
+                      unique=True),
+       T=st.integers(1, 100), stride=st.sampled_from([1, 7, 100])
+       | st.integers(1, 60), data_seed=st.integers(0, 2 ** 32 - 1))
+def test_shadow_probe_equals_serial_on_random_graphs(problem, nodes, seeds, T,
+                                                     stride, data_seed):
+    """The shadow probe on random graphs, with one seed and with several:
+    its counters and every other field of each run, or the first error
+    (the NaN data diverge, the Custom terms raise in the kernel or in the
+    pass), against the serial run's."""
+    flags = ProbeFlags(shadow=True, ergodic=True, lyapunov=True)
+    prob, part, dist, args = random_graph_case(problem, nodes, data_seed,
+                                               flags, stride)
+    want = serial_outcome(prob, part, dist, seeds, T, **args)
+    got = outcome(lambda: run_batch(prob, part, dist, seeds, T, **args))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for g, w in zip(got, want, strict=True):
+        assert_same_run(g, w)
+
+
+def chained_steps(prob, part, dist, seed, T, x0):
+    """``T`` chained ``step`` calls with the shadow pass."""
+    state, rng = initial_state(prob, x0), RngStream(seed)
+    for _ in range(T):
+        state = step(prob, state, part, dist, rng, with_shadow=True).after
+    return state
+
+
+def six_cycle(center):
+    """A 6-cycle whose node 1 raises (:func:`raising_custom`), starting at
+    0, and whose node 4 has the given Quadratic center, or raises too."""
+    terms = tuple(raising_custom(i) if i == 1 or (i == 4 and center is None)
+                  else Quadratic(np.array([center if i == 4 else float(i)]))
+                  for i in range(6))
+    reform = build_reformulation(Graph.cycle(6), terms,
+                                 tuple(Free(1) for _ in terms), 1.0)
+    prob, part = reform.problem, reform.partition
+    x0 = np.random.default_rng(0).uniform(-6.0, 6.0, prob.dim_x)
+    x0[[1, 4]] = 0.0
+    return prob, part, derive_probabilities(part, uniform_probs(part)), x0
+
+
+def assert_shadow_errors_are_serial(prob, part, dist, x0, seeds, stride):
+    """Seeds 0..39, alone or each with one more seed: the first error of
+    ``run_batch`` (whose probe takes blocks of ``stride`` iterations) and
+    of chained ``step`` calls with the shadow probe is the serial run's.
+    Returns the errors seen."""
+    args = dict(probes=ProbeFlags(shadow=True), x0=x0, stride=stride)
+    errors = set()
+    for seed in range(40):
+        want = outcome(lambda: reference_run(prob, part, dist, seed, 5,
+                                             **args))
+        errors.add(want)
+        assert outcome(lambda: run_batch(prob, part, dist,
+                                         [seed, seed + 40][:seeds], 5,
+                                         **args)) == want
+        assert outcome(lambda: chained_steps(prob, part, dist, seed, 5,
+                                             x0)) == want
+    return errors
+
+
+STRIDES = pytest.mark.parametrize("stride", [1, 5],
+                                  ids=["blocks-of-1", "blocks-of-5"])
+SEEDS = pytest.mark.parametrize("seeds", [1, 2], ids=["one-seed",
+                                                      "two-seeds"])
+
+
+@STRIDES
+@SEEDS
+def test_shadow_probe_first_error_is_the_serial_one(seeds, stride):
+    """Iteration k's kernel runs before its shadow pass, as in the serial
+    run. On a 6-cycle whose nodes 1 and 4 raise, every pass raises
+    'component 1' at iteration 1; the kernel raises first when the first
+    block holds node 4 (or node 1), and in blocks of 5 iterations a later
+    kernel error must not pre-empt the pending pass of iteration 1."""
+    errors = assert_shadow_errors_are_serial(*six_cycle(None), seeds,
+                                             stride)
+    assert errors == {(ValueError, "component 1"),
+                      (ValueError, "component 4")}
+
+
+@STRIDES
+@SEEDS
+def test_shadow_probe_pass_runs_before_the_guard(seeds, stride):
+    """Iteration k's shadow pass runs before its guard: node 4's data is
+    NaN, so a first block that holds node 4 but not node 1 fails the guard
+    at iteration 1, yet the pass of iteration 1 raises 'component 1'
+    first."""
+    prob, part, dist, x0 = six_cycle(np.nan)
+    errors = assert_shadow_errors_are_serial(prob, part, dist, x0, seeds,
+                                             stride)
+    assert errors == {(ValueError, "component 1")}
+    plain = [outcome(lambda: reference_run(prob, part, dist, seed, 1, x0=x0))
+             for seed in range(40)]
+    assert any(isinstance(e, tuple) and e[0] is DivergenceError
+               for e in plain)
 
 
 def component_sets(part):

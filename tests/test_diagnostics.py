@@ -315,9 +315,12 @@ RC_FIELDS = ("q_at_pstar", "q_bar", "theta_bar", "l0_tilde",
 
 
 def constants_outcome(fn, *args, **kwargs):
-    """The rate constants, or the type and message of the first error."""
+    """The rate constants, or the type and message of the first error; a
+    numpy warning is raised, so that its values are never skipped."""
     try:
         return fn(*args, **kwargs)
+    except RuntimeWarning:
+        raise
     except Exception as exc:  # the error raised first is part of the result
         return type(exc), str(exc)
 

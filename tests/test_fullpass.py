@@ -99,9 +99,12 @@ def random_vector(rng, size, scale=2.0):
 
 
 def outcome(fn):
-    """The bytes of the result, or the type and message of the error."""
+    """The bytes of the result, or the type and message of the error; a
+    numpy warning is raised, so that its values are never skipped."""
     try:
         return fn().tobytes()
+    except RuntimeWarning:
+        raise
     except Exception as exc:  # the error raised first is part of the result
         return type(exc), str(exc)
 
@@ -590,7 +593,8 @@ def engine_tally(prob, partition, blocks, befores, afters, shadows):
     Seed ``s`` fired block ``blocks[s]`` from state ``befores[s]`` to
     ``afters[s]``, and ``shadows[s]`` is the ``(y, v, mu)`` pass from
     ``befores[s]``. Each is laid out in a state row of the run's table,
-    as ``run_batch`` lays it out. Returns each seed's counters.
+    as ``run_batch`` lays it out, as a block of one iteration. Returns
+    each seed's counters.
     """
     bt = engine._block_table(prob, partition)
     S = len(blocks)
@@ -600,9 +604,10 @@ def engine_tally(prob, partition, blocks, befores, afters, shadows):
 
     idx = bt.lanes(np.asarray(blocks), stacked=True)[0]
     tally = np.zeros((S, len(engine._TALLY)), dtype=np.intp)
-    engine._tally_shadow(bt, idx, rows((b.x, b.z, b.p) for b in befores),
-                         rows((a.x, a.z, a.p) for a in afters),
-                         rows(sh[:3] for sh in shadows), tally)
+    engine._tally_shadow(bt, idx[None],
+                         np.stack([rows((b.x, b.z, b.p) for b in befores),
+                                   rows((a.x, a.z, a.p) for a in afters)]),
+                         rows(sh[:3] for sh in shadows)[None], tally)
     return [dict(zip(engine._TALLY, row)) for row in tally.tolist()]
 
 

@@ -349,10 +349,20 @@ def test_median_equals_numpy_median(rows, cols, data):
     values = np.array(data.draw(st.lists(finite, min_size=rows * cols,
                                          max_size=rows * cols)),
                       dtype=float).reshape(rows, cols)
-    with np.errstate(invalid="ignore"):  # inf - inf in a middle pair
+    # inf - inf in a middle pair; a middle pair whose sum passes the float
+    # range overflows to inf in np.median and in _median alike
+    with np.errstate(invalid="ignore", over="ignore"):
         want = np.median(values, axis=0)
         got = _median(values)
     assert_bytes(got, want, f"{rows} rows")
+
+
+def test_median_of_a_pair_past_the_float_range():
+    values = np.array([[8.988465674311579e+307], [8.98846567431158e+307]])
+    with np.errstate(over="ignore"):
+        want = np.median(values, axis=0)
+        got = _median(values)
+    assert_bytes(got, want, "2 rows")
 
 
 def test_median_keeps_a_nan_column():

@@ -1,8 +1,9 @@
 """The stacked shadow probe against the per-seed reference, bit for bit.
 
-``run_batch`` takes one shadow pass (:func:`asyncadmm.shadow_step` on every
-seed's ``(S, ·)`` rows) and one tally (``engine._tally_shadow``) per
-iteration for all seeds. Each is compared here with the per-seed reference
+``run_batch`` takes one shadow pass (:func:`asyncadmm.shadow_step` on the
+``(n S, ·)`` rows of every seed's pre-step states) and one tally
+(``engine._tally_shadow``) per block of ``n`` iterations for all seeds.
+Each is compared here with the per-seed reference
 of ``tests/reference.py``: its 1-D pass (``plain_shadow``) and its tally
 (``plain_tally``), seed by seed. The pass is compared as bytes, or as the
 first error raised; the tally counter for counter, on lane tables with
@@ -50,6 +51,8 @@ def outcome(fn):
     error raised."""
     try:
         return [a.tobytes() for a in fn()]
+    except RuntimeWarning:
+        raise
     except Exception as exc:  # the error raised first is part of the result
         return type(exc), str(exc)
 
@@ -225,3 +228,51 @@ def test_shadow_probed_run_on_a_hub_past_the_lane_limit():
         assert m.counters["shadow_checks"] == m.counters["freeze_checks"] == 12
         assert m.counters["shadow_failures"] == m.counters["freeze_failures"] \
             == 0
+
+
+def planting_kernel(monkeypatch, at, lane, moved):
+    """After the kernel call of iteration ``at``, add 1e-6 to one slot of
+    lane ``lane``'s row: its first moved slot (``moved``), or else the
+    first x slot of its row that the step does not write."""
+    fire = engine._fire_lanes
+
+    def kernel(bt, flat, lanes, k=None):
+        hot = fire(bt, flat, lanes, k)
+        if k == at:
+            idx = lanes[0][:, lane]
+            row = lane * bt.width + np.arange(bt.dim_x)
+            flat[idx[0] if moved else
+                 np.setdiff1d(row, idx[:3 * bt.M])[0]] += 1e-6
+        return hot
+
+    monkeypatch.setattr(engine, "_fire_lanes", kernel)
+
+
+@pytest.mark.parametrize("at", [15, 20, 11, 341],
+                         ids=["middle", "last", "first", "after-a-chunk"])
+@pytest.mark.parametrize("moved", [True, False], ids=["moved", "frozen"])
+def test_a_planted_mismatch_inside_a_block_is_counted_once(monkeypatch, at,
+                                                          moved):
+    """Blocks of ten iterations (``stride = 10``; draw chunks of 340, so
+    that chunks end at record points): one pass per block. A slot written
+    at iteration ``at`` fails exactly one check of that seed: the shadow
+    check when the step moves it, the freeze check when it does not."""
+    rng = np.random.default_rng(3)
+    bench = generate_benchmark(
+        BenchmarkSpec("consensus-lad", a=list(rng.uniform(-5.0, 5.0, 20))),
+        Graph.cycle(20))
+    prob, part = bench.problem, bench.reform.partition
+    dist = derive_probabilities(part, uniform_probs(part))
+    passes = []
+    monkeypatch.setattr(engine, "shadow_step",
+                        lambda *args: passes.append(1) or shadow_step(*args))
+    planting_kernel(monkeypatch, at, 1, moved)
+    got = run_batch(prob, part, dist, [0, 1, 2], 400, stride=10,
+                    probes=ProbeFlags(shadow=True))
+    assert len(passes) == 40
+    for s, m in enumerate(got):
+        failed = int(s == 1)
+        assert m.counters == {
+            "steps": 400, "shadow_checks": 400, "freeze_checks": 400,
+            "shadow_failures": failed if moved else 0,
+            "freeze_failures": 0 if moved else failed}
