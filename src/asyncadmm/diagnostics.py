@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import _fire_blocks, _history_rows, _ops
+from .compiled import _ops
+from .engine import _fire_blocks, _history_rows
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
@@ -109,11 +110,13 @@ def solve_reference(prob: SeparableProblem, tol: float = 1e-10,
                     x0=None, z0=None) -> ReferenceSolution:
     """Run the synchronous baseline until the iterates settle to ``tol``.
 
-    Each step writes the next row of one ``[x | z | p]`` history of 32
-    rows (fewer past 1 MiB). One settle test takes a block of rows, and
-    its settled rows, up to a step that raises, are tested for
-    feasibility in order: the iterate and ``iters`` of a per-iteration
-    loop. The final dual iterate serves as the multiplier estimate.
+    Each step is the program ``sync_admm_step`` and ``shadow_step`` run
+    (``_CompiledOps.sync_step``), writing the next row of one ``[x | z |
+    p]`` history of 32 rows (fewer past 1 MiB) in place. One settle test
+    takes a block of rows, and its settled rows, up to a step that raises,
+    are tested for feasibility in order: the iterate and ``iters`` of a
+    per-iteration loop; the iterate returned is a copy of its row. The
+    final dual iterate serves as the multiplier estimate.
     """
     ops = _ops(prob)
     start = initial_state(prob, x0, z0)

@@ -55,28 +55,31 @@ C-contiguous array, and gathers are ``np.take(..., axis=1)``.
 Shadow pass: the full-information iterates (y, v, mu) that a
 fully-activated step would have produced from the same state; the
 asynchronous iterates agree with them on the active coordinates, which
-the probes verify. It costs O(problem) per step, as array operations.
-A run keeps its seeds' pre-step states of up to 32 iterations (fewer
-past 1 MiB, ending at record points) and takes one pass and one check
-per block: ``shadow_step`` solves every x component of every row at once
-(``_CompiledOps.solve_all``, each row bit for bit a component-by-component
-solve, on arguments tiled once per stack size) and fits every z row of
-the stack as one 1-D fit, and ``_tally_shadow`` takes each lane's group
-maxima and compares the rest of each row.
+the probes verify. It is one synchronous step from that state. A run
+keeps its seeds' pre-step states of up to 32 iterations (fewer past 1
+MiB, ending at record points) and takes one pass and one check per
+block: ``shadow_step`` runs the synchronous step on the stack of every
+row, and ``_tally_shadow`` takes each lane's group maxima and compares
+the rest of each row.
 
 Synchronous engine: the classical two-block method (x, z, dual ascent
-with step beta) on the compiled arrays (``_ops``), O(problem) array
-operations an iteration. Its one step, ``_CompiledOps.sync_step``,
-writes the one-pass x solve, the z-pair fit of every row and the dual
-step into given arrays: a new state (``sync_admm_step``) or the next row
-of the reference solve's history.
+with step beta) on the compiled arrays (``compiled._ops``), O(problem)
+array operations an iteration. Its one step, ``_CompiledOps.sync_step``, is
+one fixed program of in-place array operations on one point or a stack
+of points: the one-pass x solve (``_CompiledOps.solve_all``, each row bit
+for bit a component-by-component solve), the z-pair fit of every row and
+the dual step. Its constants are tiled and its scratch made once per
+stack shape (``_CompiledOps.stacked``), so a step makes no temporaries;
+it writes into given arrays, never views of the scratch: a new state
+(``sync_admm_step``), the next row of the reference solve's history, or
+the shadow pass of a stack (``shadow_step``).
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -85,10 +88,9 @@ from .errors import (DivergenceError, ImproperPartition, MissingReference,
                      ValidationError)
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
                       lyapunov_rows, objective, residual)
-from .prox import _GroupedProx, pair_weights, solve_z_prepared
+from .compiled import _CompiledOps, _ops, _ragged
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         _offsets, blocks_for, draw_uniforms, sample_block)
-from .terms import SumZeroPairs
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -111,140 +113,6 @@ class StepRecord:
     before: PrimalDualState
     after: PrimalDualState
     shadow: Optional[ShadowIterates] = None
-
-
-def _ragged(sizes):
-    """Segment and position within it of each element of ragged segments."""
-    sizes = np.asarray(sizes, dtype=np.intp)
-    seg = np.repeat(np.arange(sizes.size), sizes)
-    return seg, np.arange(seg.size) - _offsets(sizes)[:-1][seg]
-
-
-class _CompiledOps:
-    """Per-problem arrays for the update kernels (built once, read-only).
-
-    ``lo``, ``hi`` are the component sets' stacked bounds and ``groups``
-    the objective's arrays, both as the problem stores them (no term or
-    set object is read). ``pair_i``/``pair_j`` are the z set's pairs over
-    all rows, contiguous for the z fits (empty for a free z set), and
-    ``pair_w`` their weights and fit denominators (``pair_weights``).
-
-    The constraint rows are sorted by component, then coordinate, then
-    row (``rows``), with ``counts`` the rows per (component, coordinate);
-    ``coeffs_sorted`` and ``h_sorted`` follow that order.
-
-    :meth:`solve_all` reads the same rows in rank order and solves
-    through :attr:`prox`; both are built on first use, so runs that
-    never need them do not pay for them, and so are the per-shape arrays
-    of :meth:`stacked` (one entry per stack shape a caller uses).
-    """
-
-    def __init__(self, prob: SeparableProblem):
-        cs = prob.constraints
-        self.n, self.N, self.W = cs.n, cs.N, cs.W
-        self.beta = prob.beta
-        self.groups = prob.groups
-        self.h = cs.h_diag
-        self.coeff = cs.row_coeff
-        self.col = cs.col_index
-        self.rows = np.argsort(cs.col_index, kind="stable")
-        self.coeffs_sorted = cs.row_coeff[self.rows]
-        self.h_sorted = cs.h_diag[self.rows]
-        # rows per (component, coordinate), the coupling columns of D
-        self.counts = np.bincount(cs.col_index, minlength=cs.N * cs.n)
-        self.quad = prob.beta * np.bincount(
-            cs.col_index, weights=cs.row_coeff ** 2,
-            minlength=cs.N * cs.n).reshape(cs.N, cs.n)
-        self.lo, self.hi = prob.bounds.lo, prob.bounds.hi
-        if isinstance(prob.z_set, SumZeroPairs):
-            self.pair_i, self.pair_j = np.ascontiguousarray(prob.z_set.pairs.T)
-        else:
-            self.pair_i = self.pair_j = np.empty(0, dtype=np.intp)
-        self.pair_w = pair_weights(self.h, self.pair_i, self.pair_j)
-        # where z and p start in a synchronous iterate's [x | z | p] row
-        self.cuts = [cs.N * cs.n, cs.N * cs.n + cs.W]
-        self.width = self.cuts[1] + cs.W
-        self._stacked = {}
-
-    @cached_property
-    def prox(self) -> _GroupedProx:
-        """The closed forms of every x coordinate, for :meth:`solve_all`."""
-        return _GroupedProx(self.groups, self.quad, self.lo, self.hi)
-
-    @cached_property
-    def rank_order(self):
-        """The rows by rank: every (component, coordinate) group's first
-        row, then every second row, and so on.
-
-        Groups are ordered by decreasing row count, so the groups still
-        summing at rank ``r`` are a prefix, ``ptr[r+1] - ptr[r]`` long;
-        ``pos`` is each group's place in that order (None when it is the
-        groups' own order). Returns the rows, their coefficients and ``h``,
-        ``ptr`` and ``pos``.
-        """
-        _, rank = _ragged(self.counts)
-        by_count = np.argsort(-self.counts, kind="stable")
-        pos = np.empty_like(by_count)
-        pos[by_count] = np.arange(by_count.size)
-        order = np.argsort(rank * pos.size + pos[self.col[self.rows]])
-        return (self.rows[order], self.coeffs_sorted[order],
-                self.h_sorted[order], _offsets(np.bincount(rank)).tolist(),
-                None if np.all(by_count[1:] > by_count[:-1]) else pos)
-
-    def solve_all(self, p, z, out=None):
-        """Every x component minimized against ``p`` and ``z``, in one pass.
-
-        ``p`` and ``z`` are one point (solved into ``out``) or one per row
-        (``(..., W)``), each row solved as the 1-D call solves it. The tilt
-        of every row is one array expression. Each (component, coordinate)
-        sum starts at ``-0.0`` and adds its rows strictly left to right, one
-        rank per loop pass (a slice of the first axis: the sums are
-        transposed), so it is the sum of the block kernel's tilt lanes bit
-        for bit at O(W) work; the solves are :class:`_GroupedProx`'s.
-        """
-        rows, coeff, h, ptr, pos = self.rank_order
-        g = (coeff * (p.take(rows, axis=-1)
-                      - self.beta * (h * z.take(rows, axis=-1)))).T
-        # -0.0 + v is v, bit for bit: when every sum has a row, the first
-        # rank is the sums, and the later ranks add into it
-        first = int(ptr[1:2] == [self.N * self.n])
-        sums = g[:ptr[1]] if first else np.full(
-            (self.N * self.n,) + g.shape[1:], -0.0)
-        for r in range(first, len(ptr) - 1):
-            sums[:ptr[r + 1] - ptr[r]] += g[ptr[r]:ptr[r + 1]]
-        l = (sums if pos is None else sums[pos]).T
-        if p.ndim == 1:
-            return self.prox.solve(l, out=out)
-        closed = self.stacked(p.shape[:-1])[0]
-        return self.prox.solve(l, (closed, self.prox.serial_at))
-
-    def sync_step(self, src, out):
-        """One synchronous iteration from the arrays ``src`` into the
-        arrays ``out``, each an (x, z, p) triple."""
-        (x, z, p), (_, z0, p0) = out, src
-        self.solve_all(p0, z0, out=x)
-        dx = self.coeff * x.take(self.col)
-        solve_z_prepared(self.h, p0 / self.beta - dx, self.pair_i,
-                         self.pair_j, self.pair_w, out=z)
-        np.subtract(p0, self.beta * (dx + self.h * z), out=p)
-
-    def stacked(self, shape):
-        """The arrays the full pass reads, for a stack of points of
-        ``shape`` (``()`` for one point): the closed forms' arguments and
-        ``h``, tiled to ``shape + (·,)``, and the z pairs as flat indices
-        into such a stack. Built once per shape, so that the pass neither
-        broadcasts a 1-D row over a small stack on every call nor fits the
-        z pairs on a transposed one; each entry is the 1-D entry, so every
-        row still computes what the 1-D call computes."""
-        arrays = self._stacked.get(shape)
-        if arrays is None:
-            rows = (np.arange(int(np.prod(shape))) * self.W)[:, None]
-            arrays = self._stacked[shape] = (
-                tuple(np.tile(a, shape + (1,)) for a in self.prox.closed),
-                np.tile(self.h, shape + (1,)),
-                (self.pair_i + rows).reshape(-1),
-                (self.pair_j + rows).reshape(-1))
-        return arrays
 
 
 def _stack(**groups):
@@ -461,13 +329,6 @@ class _BlockTable:
                 state[..., self.p0:self.p0 + self.W])
 
 
-def _ops(prob: SeparableProblem) -> _CompiledOps:
-    ops = getattr(prob, "_engine_ops", None)
-    if ops is None:
-        ops = prob._engine_ops = _CompiledOps(prob)
-    return ops
-
-
 def _block_table(prob: SeparableProblem,
                  partition: ProperPartition) -> _BlockTable:
     """The partition's block table, built once and dropped with the partition."""
@@ -483,16 +344,21 @@ def _block_table(prob: SeparableProblem,
 def shadow_step(prob: SeparableProblem, state: PrimalDualState) -> ShadowIterates:
     """Full-information iterates (y, v, mu) from the given state: one
     point, or one per row (``z``, ``p`` of shape ``(S, W)``), each row bit
-    for bit the 1-D pass from it."""
+    for bit the 1-D pass from it. It is the synchronous step
+    (:meth:`_CompiledOps.sync_step`) on the whole stack, into new arrays,
+    with its ``r``."""
     ops = _ops(prob)
-    y = ops.solve_all(state.p, state.z)
-    dy = ops.coeff * y.take(ops.col, axis=-1)
-    # one 1-D z fit over the whole stack, its pairs as flat indices
-    _, h, pair_i, pair_j = ops.stacked(dy.shape[:-1])
-    v = solve_z_prepared(h.reshape(-1), (state.p / ops.beta - dy).reshape(-1),
-                         pair_i, pair_j).reshape(dy.shape)
-    r = dy + h * v
-    return ShadowIterates(y=y, v=v, mu=state.p - ops.beta * r, r=r)
+    shape = np.shape(state.p)
+    y = np.empty(shape[:-1] + (ops.N * ops.n,))
+    v, mu, r = np.empty((3,) + shape)
+    ops.sync_step(_floats(state), (y, v, mu), r=r)
+    return ShadowIterates(y=y, v=v, mu=mu, r=r)
+
+
+def _floats(state: PrimalDualState):
+    """The state's (x, z, p) as float arrays, which the step's gathers
+    into its float scratch need."""
+    return [np.asarray(a, dtype=float) for a in (state.x, state.z, state.p)]
 
 
 def step(prob: SeparableProblem, state: PrimalDualState,
@@ -514,12 +380,11 @@ def step(prob: SeparableProblem, state: PrimalDualState,
 def sync_admm_step(prob: SeparableProblem,
                    state: PrimalDualState) -> PrimalDualState:
     """One synchronous two-block iteration (x, then z, then dual ascent):
-    :meth:`_CompiledOps.sync_step` into new arrays. It fits z to
-    ``p / beta - D x`` as :func:`shadow_step` does, so it is its shadow
-    pass bit for bit."""
+    :meth:`_CompiledOps.sync_step` into new arrays, the program
+    :func:`shadow_step` runs, so it is its shadow pass bit for bit."""
     ops = _ops(prob)
     x, z, p = np.split(np.empty(ops.width), ops.cuts)
-    ops.sync_step((state.x, state.z, state.p), (x, z, p))
+    ops.sync_step(_floats(state), (x, z, p))
     return PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
 
 

@@ -9,9 +9,10 @@ columns) and to weighted least-squares projections for the z blocks. All
 supported terms separate per coordinate. :class:`_GroupedProx` is the only
 closed-form x prox: scalar closed forms applied coordinatewise, as one
 array operation per term kind over every coordinate of a problem (the
-block kernel, the full pass and the synchronous step) or of one component
-(:func:`solve_local`), with a sign-of-slope bisection
-(:func:`solve_local_prepared`) for user-supplied scalar-convex terms.
+block kernel and the synchronous step, which is the full pass) or of one
+component (:func:`solve_local`), with a sign-of-slope bisection
+(:func:`solve_local_prepared`) for user-supplied scalar-convex terms. The
+closed forms write in place, into scratch a caller may give.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .terms import Box, ConvexTerm, Custom, FeasibleSet, Free
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 200
 BRACKET_LIMIT = 1e15
+
+# a 0-d operand: a ufunc takes it faster than the Python float
+_ZERO = np.zeros(())
 
 
 @dataclass(eq=False)
@@ -98,20 +102,32 @@ def quadratic_prox(w2c, den, l, lo, hi, out=None):
     Coordinatewise; ``w2`` is twice the term weight, ``w2c`` is ``w2``
     times the center and ``den`` is ``w2 + q``. Every argument is an array
     (or scalar) broadcast elementwise, so one call solves one component or
-    every lane of a seed batch alike; ``out`` receives the result.
+    every lane of a seed batch alike; ``out`` receives the result, and
+    every step after the first writes in place.
     """
-    u = (w2c + l) / den
-    return np.minimum(np.maximum(u, lo), hi, out=out)
+    u = np.add(w2c, l, out)
+    np.divide(u, den, u)
+    np.maximum(u, lo, out=u)
+    return np.minimum(u, hi, out=u)
 
 
-def kink_prox(a, kink, q, qa, l, lo, hi, out=None):
+def kink_prox(a, kink, q, qa, l, lo, hi, out=None, work=None):
     """Minimizer of ``kink|u - a| + (q/2) u^2 - l u`` on ``[lo, hi]``.
 
-    Coordinatewise soft-thresholding; needs ``q > 0``, and ``qa`` is
-    ``q * a``. Broadcast like :func:`quadratic_prox`.
+    Coordinatewise soft-thresholding (:func:`soft_threshold` of ``l -
+    qa``); needs ``q > 0``, and ``qa`` is ``q * a``. Broadcast and written
+    like :func:`quadratic_prox`, with the shrunk magnitude in ``work``.
     """
-    u = a + soft_threshold(l - qa, kink) / q
-    return np.minimum(np.maximum(u, lo), hi, out=out)
+    u = np.subtract(l, qa, out)
+    s = np.abs(u, work)
+    np.subtract(s, kink, s)
+    np.maximum(s, _ZERO, out=s)
+    np.sign(u, u)
+    np.multiply(u, s, u)
+    np.divide(u, q, u)
+    np.add(a, u, u)
+    np.maximum(u, lo, out=u)
+    return np.minimum(u, hi, out=u)
 
 
 def solve_local_prepared(term, q, l, lo, hi) -> np.ndarray:
@@ -196,26 +212,29 @@ class _GroupedProx:
         self.serial_at[[i * n for i, _ in groups.other] + kink0] = \
             np.arange(len(self.serial))
 
-    def solve(self, l, lanes=None, out=None):
+    def solve(self, l, lanes=None, out=None, work=(None, None)):
         """Minimizers for the tilt ``l``: one entry per coordinate along the
         last axis, one row per point (``(..., N n)``), each row solved as
         the 1-D call would solve it, into ``out`` when given. With
         ``lanes = (args, at)`` the entries of ``l`` are lanes instead, each
         with its coordinate's ``closed`` arguments (a sequence in ``args``
-        order) and ``serial_at`` entry, all of ``l``'s shape. The one-by-one
-        solves come after the closed forms, row by row and then entry by
-        entry, so the first error raised is the one a loop over the rows
-        raises."""
+        order) and ``serial_at`` entry, all of ``l``'s shape. ``work`` is
+        two scratch arrays of ``l``'s shape, or None each: the closed forms
+        then make no temporaries. The one-by-one solves come after the
+        closed forms, row by row and then entry by entry, so the first
+        error raised is the one a loop over the rows raises."""
         args, at = lanes or (self.closed, self.serial_at)
-        *forms, lo, hi = args
         if self.has_quad and self.has_kink:
-            w2c, den, a, kink, q, qa, is_quad = forms
-            u = np.where(is_quad, quadratic_prox(w2c, den, l, lo, hi),
-                         kink_prox(a, kink, q, qa, l, lo, hi))
+            w2c, den, a, kink, q, qa, is_quad, lo, hi = args
+            quad = quadratic_prox(w2c, den, l, lo, hi, work[1])
+            u = kink_prox(a, kink, q, qa, l, lo, hi, out, work[0])
+            np.copyto(u, quad, where=is_quad.astype(bool, copy=False))
         elif self.has_quad:
-            u = quadratic_prox(*forms, l, lo, hi, out=out)
+            w2c, den, lo, hi = args
+            u = quadratic_prox(w2c, den, l, lo, hi, out)
         elif self.has_kink:
-            u = kink_prox(*forms, l, lo, hi, out=out)
+            a, kink, q, qa, lo, hi = args
+            u = kink_prox(a, kink, q, qa, l, lo, hi, out, work[0])
         else:
             # terms of other kinds only; the dummy lane's entry stays zero
             u = np.zeros_like(l)
@@ -276,7 +295,7 @@ def bisect_convex(g, lo=-np.inf, hi=np.inf,
     return 0.5 * (a + b)
 
 
-def solve_z_prepared(w, t, pair_i, pair_j, pair_w=None, out=None):
+def solve_z_prepared(w, t, pair_i, pair_j):
     """Minimizer of ``||diag(w) z - t||^2`` with ``z[pair_i] = -z[pair_j]``.
 
     Unpaired coordinates fit exactly (``t / w``); each sum-zero pair takes
@@ -284,12 +303,12 @@ def solve_z_prepared(w, t, pair_i, pair_j, pair_w=None, out=None):
     enforced exactly. ``pair_i``/``pair_j`` index the first axis of ``w``
     and ``t``; further axes of ``t`` (with ``w`` broadcast along them, as a
     column) hold more fits, each computed as the 1-D call computes it.
-    ``pair_w`` is :func:`pair_weights` when computed once for many fits;
-    ``out`` receives the result.
+    The block kernel and the synchronous step make these operations in
+    place; the tests' reference updates call this fit.
     """
-    z = np.divide(t, w, out=out)
+    z = t / w
     if pair_i.size:
-        wi, wj, den = pair_w or pair_weights(w, pair_i, pair_j)
+        wi, wj, den = pair_weights(w, pair_i, pair_j)
         zi = (wi * t[pair_i] - wj * t[pair_j]) / den
         z[pair_i] = zi
         z[pair_j] = -zi

@@ -23,7 +23,7 @@ from asyncadmm import engine
 from asyncadmm.errors import (MissingReference, UnboundedSubproblem,
                              UnsupportedTerm)
 from asyncadmm.problem import TermGroups
-from asyncadmm.prox import solve_z_prepared
+from asyncadmm.prox import _GroupedProx, solve_z_prepared
 from reference import per_component, plain_shadow
 
 KINDS = ("quadratic", "absdev", "l1", "l1-zero", "custom")
@@ -282,23 +282,122 @@ def benchmark_problem(name, nodes=6, seed=0, beta=1.0):
     return generate_benchmark(spec, Graph.cycle(nodes), beta=beta).problem
 
 
+def random_state(rng, prob, S=None):
+    """A random state, or a stack of ``S`` of them."""
+    shape = () if S is None else (S,)
+    return PrimalDualState(
+        x=random_vector(rng, shape + (prob.dim_x,)),
+        z=random_vector(rng, shape + (prob.dim_z,)),
+        p=random_vector(rng, shape + (prob.dim_z,)))
+
+
+def row(state, i):
+    return PrimalDualState(x=state.x[i], z=state.z[i], p=state.p[i])
+
+
+def triple(st, i=None):
+    """The bytes of a state's (x, z, p) or a shadow pass's (y, v, mu, r),
+    or of row ``i`` of a stacked pass."""
+    if isinstance(st, PrimalDualState):
+        return [a.tobytes() for a in (st.x, st.z, st.p)]
+    return [(a if i is None else a[i]).tobytes()
+            for a in (st.y, st.v, st.mu, st.r)]
+
+
 @pytest.mark.parametrize("beta", [0.7, 1.0, 1.7])
 @pytest.mark.parametrize("name", ["consensus-quadratic", "consensus-lad",
                                   "lasso-toy"])
 def test_sync_step_is_the_shadow_pass(name, beta):
-    """The synchronous step fits z to ``p / beta - D x`` as the shadow pass
-    does, so from one state its (x, z, p) is the shadow's (y, v, mu) bit
-    for bit."""
+    """The synchronous step is the shadow pass's program, so from one state
+    its (x, z, p) is the shadow's (y, v, mu) bit for bit, and so is each
+    row of the pass on a stack of those states."""
     prob = benchmark_problem(name, beta=beta)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        state = PrimalDualState(x=random_vector(rng, prob.dim_x),
-                                z=random_vector(rng, prob.dim_z),
-                                p=random_vector(rng, prob.dim_z))
-        got = sync_admm_step(prob, state)
-        sh = shadow_step(prob, state)
-        assert [a.tobytes() for a in (got.x, got.z, got.p)] == \
-            [a.tobytes() for a in (sh.y, sh.v, sh.mu)]
+    stack = random_state(rng, prob, S=20)
+    passes = shadow_step(prob, stack)
+    for i in range(20):
+        got = sync_admm_step(prob, row(stack, i))
+        sh = shadow_step(prob, row(stack, i))
+        assert triple(got) == triple(sh)[:3]
+        assert triple(sh) == triple(passes, i)
+
+
+@pytest.mark.parametrize("name", ["consensus-lad", "lasso-toy"])
+def test_results_are_never_the_scratch(name):
+    """A second call of either step, on one point or on a stack of the
+    same shape, leaves the bytes of the first call's result as they were."""
+    prob = benchmark_problem(name)
+    rng = np.random.default_rng(4)
+    first, second = random_state(rng, prob), random_state(rng, prob)
+    kept = [sync_admm_step(prob, first), shadow_step(prob, first)]
+    want = [triple(a) for a in kept]
+    sync_admm_step(prob, second)
+    shadow_step(prob, second)
+    assert [triple(a) for a in kept] == want
+    first, second = random_state(rng, prob, 3), random_state(rng, prob, 3)
+    kept = shadow_step(prob, first)
+    want = triple(kept)
+    shadow_step(prob, second)
+    assert triple(kept) == want
+
+
+def test_integer_states_step_as_floats():
+    prob = benchmark_problem("consensus-lad")
+    ints = PrimalDualState(x=np.zeros(prob.dim_x, dtype=int),
+                           z=np.arange(prob.dim_z) % 3 - 1,
+                           p=np.arange(prob.dim_z) % 5 - 2)
+    floats = PrimalDualState(*(a.astype(float) for a in (ints.x, ints.z,
+                                                         ints.p)))
+    assert triple(sync_admm_step(prob, ints)) == \
+        triple(sync_admm_step(prob, floats))
+    assert triple(shadow_step(prob, ints)) == triple(shadow_step(prob, floats))
+
+
+@pytest.mark.parametrize("z_pairs", [True, False], ids=["z-pairs", "z-free"])
+def test_stacks_of_changing_shape_keep_every_row(z_pairs):
+    """Stacks of 3, then 5, then 3 rows again: each shape's scratch gives
+    every row the 1-D pass bit for bit."""
+    rng = np.random.default_rng(6)
+    prob = random_problem(rng, 2, 5, ["quadratic", "absdev", "l1", "absdev",
+                                      "quadratic"], hub_rows=9,
+                          z_pairs=z_pairs)
+    for S in (3, 5, 3):
+        stack = random_state(rng, prob, S)
+        passes = shadow_step(prob, stack)
+        for i in range(S):
+            want = plain_shadow(prob, row(stack, i))
+            assert triple(passes, i) == [a.tobytes() for a in want]
+
+
+def hub_problem(hub_rows, z_pairs=False):
+    """Three components, one of them a hub of ``hub_rows`` rows."""
+    return random_problem(np.random.default_rng(1), 1, 3,
+                          ["quadratic", "absdev", "l1"], hub_rows=hub_rows,
+                          z_pairs=z_pairs)
+
+
+@pytest.mark.parametrize("z_pairs", [True, False], ids=["z-pairs", "z-free"])
+def test_hub_step_equals_reference_step(z_pairs):
+    """The rows of a 2,500-row hub past the ranks the other components
+    reach are summed by one accumulate, from the hub's partial sum."""
+    prob = hub_problem(2500, z_pairs)
+    rng = np.random.default_rng(2)
+    assert_same_trajectory(prob, random_state(rng, prob), steps=5)
+    stack = random_state(rng, prob, S=3)
+    passes = shadow_step(prob, stack)
+    for i in range(3):
+        assert triple(passes, i) == \
+            [a.tobytes() for a in plain_shadow(prob, row(stack, i))]
+
+
+def test_tilt_passes_do_not_grow_with_the_hub():
+    """The tilt adds one slice per rank the short components reach and
+    accumulates the hub's rows past them in one pass of its own."""
+    passes = set()
+    for hub_rows in (50, 500, 2500):
+        s = engine._ops(hub_problem(hub_rows)).stacked(())
+        passes.add((len(s.ranks), len(s.tails)))
+    assert len(passes) == 1 and sum(passes.pop()) <= 4
 
 
 @pytest.mark.parametrize("name", ["consensus-quadratic", "consensus-lad",
@@ -448,7 +547,7 @@ def test_reference_solve_and_run_share_the_compiled_problem(monkeypatch):
     """One compile of the problem serves the reference solve and a
     shadow-probed run: the ops, their grouped prox and the term groups
     are each built once."""
-    built = {cls: [] for cls in (engine._CompiledOps, engine._GroupedProx,
+    built = {cls: [] for cls in (engine._CompiledOps, _GroupedProx,
                                  TermGroups)}
     for cls, calls in built.items():
         def counted(self, *args, init=cls.__init__, calls=calls):
@@ -467,7 +566,7 @@ def test_reference_solve_and_run_share_the_compiled_problem(monkeypatch):
         probes=ProbeFlags(shadow=True, lyapunov=True, ergodic=True))
     assert engine._ops(prob) is ops
     assert built[engine._CompiledOps] == [ops]
-    assert built[engine._GroupedProx] == [ops.prox]
+    assert built[_GroupedProx] == [ops.prox]
     assert built[TermGroups] == [ops.groups]
 
 
