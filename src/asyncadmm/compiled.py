@@ -1,9 +1,11 @@
 """The compiled form of a problem and its synchronous step.
 
 ``_CompiledOps`` holds a problem's arrays for the update kernels, built
-once per problem (``_ops``): the block tables of ``engine`` read them, and
-its ``sync_step`` is the one synchronous step, which the reference solve,
-``engine.sync_admm_step`` and ``engine.shadow_step`` run.
+once per problem (``_ops``): the block tables of ``engine`` read them. The
+synchronous step is a program, its array operations bound once per stack
+shape and arrays (``_Stacked.program``) and replayed in one loop by
+``_CompiledOps.sync_step``: the reference solve, ``engine.sync_admm_step``
+and ``engine.shadow_step`` all run it, so there is one synchronous step.
 """
 
 from __future__ import annotations
@@ -37,14 +39,11 @@ class _CompiledOps:
     row (``rows``), with ``counts`` the rows per (component, coordinate);
     ``coeffs_sorted`` and ``h_sorted`` follow that order.
 
-    :meth:`sync_step` is the one synchronous step: the reference solve,
-    ``engine.sync_admm_step`` and ``engine.shadow_step`` all run it. It
-    reads the rows in :attr:`tilt_order` and solves through :attr:`prox`;
-    both are built on first use, so runs that never need them do not pay
-    for them, and so are the tiled constants and scratch arrays of
-    :meth:`stacked` (one entry per stack shape a caller uses). Its results
-    are never views of the scratch; the scratch makes it neither
-    thread-safe nor reentrant on one problem.
+    :meth:`sync_step` runs the one synchronous step. Its program reads
+    the rows in :attr:`tilt_order` and solves through :attr:`prox`; both
+    are built on first use, and so is each stack shape's :meth:`stacked`.
+    The scratch makes the step neither thread-safe nor reentrant on one
+    problem.
     """
 
     def __init__(self, prob: SeparableProblem):
@@ -121,96 +120,28 @@ class _CompiledOps:
                 list(zip(range(len(ends) - 1), ends[:-1], ends[1:])),
                 None if np.all(by_count[1:] > by_count[:-1]) else pos)
 
-    def solve_all(self, p, z, out=None):
-        """Every x component minimized against ``p`` and ``z``, in one pass.
+    def solve_all(self, p, z):
+        """Every x component minimized against ``p`` and ``z`` (one point
+        or one per row, ``(..., W)``), as the 1-D call solves each row: a
+        copy of the x of one synchronous step (:meth:`_Stacked.run`). Each
+        (component, coordinate) tilt adds its rows strictly left to right
+        from ``-0.0`` (:attr:`tilt_order`), the block kernel's sum bit for
+        bit; the solves are :class:`_GroupedProx`'s."""
+        return self.stacked(p.shape[:-1]).run(z, p)[0].copy()
 
-        ``p`` and ``z`` are one point or one per row (``(..., W)``), each
-        row solved as the 1-D call solves it, into ``out`` or a new array.
-        Each (component, coordinate) sum starts at ``-0.0`` and adds its
-        rows strictly left to right (:attr:`tilt_order`), so it is the sum
-        of the block kernel's tilt lanes bit for bit at O(W) work; the
-        solves are :class:`_GroupedProx`'s. Every step before the solve
-        writes into the scratch of :meth:`stacked`.
-        """
-        return self._solve_x(self.stacked(p.shape[:-1]), p, z, out)
-
-    def _solve_x(self, s, p, z, out):
-        """:meth:`solve_all` on the arrays ``s`` of ``p``'s stack shape."""
-        g, gz = s.g, s.gz
-        z.take(s.rows, -1, gz, "clip")
-        np.multiply(s.t_h, gz, gz)
-        np.multiply(s.beta, gz, gz)
-        p.take(s.rows, -1, g, "clip")
-        np.subtract(g, gz, g)
-        np.multiply(s.t_coeff, g, g)
-        if not s.first:
-            s.sums[...] = -0.0
-        for sums, terms in s.ranks:
-            np.add(sums, terms, sums)
-        for sums, slot, terms, last in s.tails:
-            slot[...] = sums
-            np.add.accumulate(terms, -1, None, terms)
-            sums[...] = last
-        if s.pos is not None:
-            s.sums.take(s.pos, -1, s.l, "clip")
-        return self.prox.solve(s.l, (s.closed, self.prox.serial_at), out=out,
-                               work=s.work)
-
-    def sync_step(self, src, out, r=None):
-        """One synchronous iteration from the arrays ``src`` into the
-        arrays ``out``, each an (x, z, p) triple of one point or of one
-        per row; ``r`` receives ``D x + H z`` when given.
-
-        One fixed program of array operations, each writing into the
-        scratch of :meth:`stacked` or into ``out``: the x solve
-        (:meth:`solve_all`), the z fit of ``p / beta - D x`` for every row
-        and pair, and the dual step. It makes no temporaries and keeps the
-        elementwise operations of the plain step in their order, so every
-        iterate is that step's bit for bit.
-        """
-        (x, z, p), (_, z0, p0) = out, src
-        s = self.stacked(p0.shape[:-1])
-        dx, t = s.dx, s.t
-        self._solve_x(s, p0, z0, x)
-        x.take(self.col, -1, dx, "clip")
-        np.multiply(s.coeff, dx, dx)
-        np.divide(p0, s.beta, t)
-        np.subtract(t, dx, t)
-        np.divide(t, s.h, z)
-        if s.ti.size:
-            (wi, wj, den), ti, tj = s.pair_w, s.ti, s.tj
-            if s.views:
-                # the pairs step evenly: the fit reads t and writes z as views
-                np.multiply(wi, s.t_i, ti)
-                np.multiply(wj, s.t_j, tj)
-                np.subtract(ti, tj, ti)
-                zi = z[..., s.pair_i]
-                np.divide(ti, den, zi)
-                np.negative(zi, z[..., s.pair_j])
-            else:
-                t.take(s.pair_i, -1, ti, "clip")
-                np.multiply(wi, ti, ti)
-                t.take(s.pair_j, -1, tj, "clip")
-                np.multiply(wj, tj, tj)
-                np.subtract(ti, tj, ti)
-                np.divide(ti, den, ti)
-                z[..., s.pair_i] = ti
-                np.negative(ti, ti)
-                z[..., s.pair_j] = ti
-        r = s.r if r is None else r
-        np.multiply(s.h, z, s.hz)
-        np.add(dx, s.hz, r)
-        np.multiply(s.beta, r, s.hz)
-        np.subtract(p0, s.hz, p)
+    def sync_step(self, program):
+        """One synchronous iteration: the calls of ``program``
+        (:meth:`_Stacked.program`) in order. Every synchronous step of the
+        package goes through here."""
+        for f, args in program:
+            f(*args)
 
     def stacked(self, shape) -> "_Stacked":
-        """The arrays :meth:`sync_step` reads and writes besides its input
-        and output, for a stack of points of ``shape`` (``()`` for one
-        point), built once per shape."""
-        arrays = self._stacked.get(shape)
-        if arrays is None:
-            arrays = self._stacked[shape] = _Stacked(self, shape)
-        return arrays
+        """The synchronous step's constants, scratch and programs for a
+        stack of points of ``shape`` (``()`` for one point), built once."""
+        if shape not in self._stacked:
+            self._stacked[shape] = _Stacked(self, shape)
+        return self._stacked[shape]
 
 
 def _as_slice(idx):
@@ -223,7 +154,8 @@ def _as_slice(idx):
 
 
 class _Stacked:
-    """One stack shape's constants and scratch for the synchronous step.
+    """One stack shape's constants, scratch and programs of the
+    synchronous step.
 
     The closed forms' arguments, the tilt's and the z fit's coefficients
     and ``h``, and the z pairs' weights (``pair_w``: ``w_i``, ``w_j``,
@@ -234,12 +166,14 @@ class _Stacked:
     index the last axis, as slices when both step evenly (``views``, as
     in every consensus problem). The scratch holds every intermediate of
     a step, with the tilt's rank slices and tails
-    (:attr:`_CompiledOps.tilt_order`) as views made once.
+    (:attr:`_CompiledOps.tilt_order`) as views made once. :attr:`own`
+    is the program between this shape's own ``src`` and ``out`` arrays.
     """
 
     def __init__(self, ops: _CompiledOps, shape):
         rows, coeff, h, self.first, ranks, tails, self.pos = ops.tilt_order
         NN, W = ops.N * ops.n, ops.W
+        self.shape, self.ops = shape, ops
 
         def tile(a):
             return np.tile(a, shape + (1,))
@@ -249,10 +183,6 @@ class _Stacked:
 
         self.beta = np.array(ops.beta)
         self.closed = tuple(tile(a) for a in ops.prox.closed)
-        if ops.prox.has_quad and ops.prox.has_kink:
-            # is_quad as the mask it is used as
-            self.closed = self.closed[:6] + (self.closed[6] != 0,) \
-                + self.closed[7:]
         self.rows, self.t_coeff, self.t_h = rows, tile(coeff), tile(h)
         self.coeff, self.h = tile(ops.coeff), tile(ops.h)
         self.pair_w = tuple(tile(a) for a in
@@ -271,8 +201,82 @@ class _Stacked:
         self.views = all(isinstance(i, slice) for i in sl)
         self.pair_i, self.pair_j = sl if self.views else (ops.pair_i,
                                                           ops.pair_j)
-        if self.views:
-            self.t_i, self.t_j = self.t[..., sl[0]], self.t[..., sl[1]]
+        self.src = (None, scratch(W), scratch(W))
+        self.out = (scratch(NN), scratch(W), scratch(W))
+
+    def program(self, src, out):
+        """One synchronous iteration from the (x, z, p) arrays ``src``
+        (x is not read) into ``out``, of this shape, as calls ``(f, args)``
+        with every array bound; ``r`` receives ``D x + H z``. The calls
+        write into the scratch or ``out``: the tilt and its rank and tail
+        sums, the prox (:meth:`_GroupedProx.calls`), ``D x``, the z fit of
+        ``p / beta - D x`` and the dual step, with no temporaries and the
+        plain step's elementwise operations in its order, so every iterate
+        is that step's bit for bit. Their number depends on neither the
+        stack height nor a hub's degree.
+        """
+        ops, g, gz, sums = self.ops, self.g, self.gz, self.sums
+        (x, z, p), (_, z0, p0) = out, src
+        dx, t, hz, r, beta = self.dx, self.t, self.hz, self.r, self.beta
+        calls = [(z0.take, (self.rows, -1, gz, "clip")),
+                 (np.multiply, (self.t_h, gz, gz)),
+                 (np.multiply, (beta, gz, gz)),
+                 (p0.take, (self.rows, -1, g, "clip")),
+                 (np.subtract, (g, gz, g)),
+                 (np.multiply, (self.t_coeff, g, g))]
+        if not self.first:
+            calls.append((sums.fill, (-0.0,)))
+        calls += [(np.add, (part, terms, part)) for part, terms in self.ranks]
+        for part, slot, terms, last in self.tails:
+            calls += [(np.copyto, (slot, part)),
+                      (np.add.accumulate, (terms, -1, None, terms)),
+                      (np.copyto, (part, last))]
+        if self.pos is not None:
+            calls.append((sums.take, (self.pos, -1, self.l, "clip")))
+        calls += ops.prox.calls(self.l, self.closed, ops.prox.serial_at, x,
+                                self.work)
+        calls += [(x.take, (ops.col, -1, dx, "clip")),
+                  (np.multiply, (self.coeff, dx, dx)),
+                  (np.divide, (p0, beta, t)),
+                  (np.subtract, (t, dx, t)),
+                  (np.divide, (t, self.h, z))]
+        if self.ti.size:
+            (wi, wj, den), ti, tj = self.pair_w, self.ti, self.tj
+            i, j = (..., self.pair_i), (..., self.pair_j)
+            if self.views:
+                # the pairs step evenly: the fit reads t and writes z as views
+                calls += [(np.multiply, (wi, t[i], ti)),
+                          (np.multiply, (wj, t[j], tj)),
+                          (np.subtract, (ti, tj, ti)),
+                          (np.divide, (ti, den, z[i])),
+                          (np.negative, (z[i], z[j]))]
+            else:
+                calls += [(t.take, (self.pair_i, -1, ti, "clip")),
+                          (np.multiply, (wi, ti, ti)),
+                          (t.take, (self.pair_j, -1, tj, "clip")),
+                          (np.multiply, (wj, tj, tj)),
+                          (np.subtract, (ti, tj, ti)),
+                          (np.divide, (ti, den, ti)),
+                          (z.__setitem__, (i, ti)),
+                          (np.negative, (ti, ti)),
+                          (z.__setitem__, (j, ti))]
+        return tuple(calls + [(np.multiply, (self.h, z, hz)),
+                              (np.add, (dx, hz, r)),
+                              (np.multiply, (beta, r, hz)),
+                              (np.subtract, (p0, hz, p))])
+
+    @cached_property
+    def own(self):
+        """The program from ``src`` into ``out``, built on first use."""
+        return self.program(self.src, self.out)
+
+    def run(self, z, p):
+        """``out`` after one step of :attr:`own` from ``z`` and ``p`` (of
+        any real dtype), copied into ``src``."""
+        np.copyto(self.src[1], z)
+        np.copyto(self.src[2], p)
+        self.ops.sync_step(self.own)
+        return self.out
 
 
 def _ops(prob: SeparableProblem) -> _CompiledOps:

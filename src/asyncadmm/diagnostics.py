@@ -110,9 +110,9 @@ def solve_reference(prob: SeparableProblem, tol: float = 1e-10,
                     x0=None, z0=None) -> ReferenceSolution:
     """Run the synchronous baseline until the iterates settle to ``tol``.
 
-    Each step is the program ``sync_admm_step`` and ``shadow_step`` run
-    (``_CompiledOps.sync_step``), writing the next row of one ``[x | z |
-    p]`` history of 32 rows (fewer past 1 MiB) in place. One settle test
+    Each step is the one synchronous step (``_CompiledOps.sync_step``), its
+    program bound once per pair of rows of one ``[x | z | p]`` history of
+    32 rows (fewer past 1 MiB), writing the next row. One settle test
     takes a block of rows, and its settled rows, up to a step that raises,
     are tested for feasibility in order: the iterate and ``iters`` of a
     per-iteration loop; the iterate returned is a copy of its row. The
@@ -123,12 +123,13 @@ def solve_reference(prob: SeparableProblem, tol: float = 1e-10,
     block = _history_rows(ops.width)
     hist = np.empty((block + 1, ops.width))
     views = [np.split(row, ops.cuts) for row in hist]
+    steps = [ops.stacked(()).program(a, b) for a, b in zip(views, views[1:])]
     np.concatenate([start.x, start.z, start.p], out=hist[0])
     for done in range(0, max_iters, block):
         n, error = min(block, max_iters - done), None
         try:
             for i in range(n):
-                ops.sync_step(views[i], views[i + 1])
+                ops.sync_step(steps[i])
         except Exception as exc:
             n, error = i, exc
         delta = np.abs(hist[1:n + 1] - hist[:n]).max(axis=1)

@@ -64,15 +64,12 @@ the rest of each row.
 
 Synchronous engine: the classical two-block method (x, z, dual ascent
 with step beta) on the compiled arrays (``compiled._ops``), O(problem)
-array operations an iteration. Its one step, ``_CompiledOps.sync_step``, is
-one fixed program of in-place array operations on one point or a stack
-of points: the one-pass x solve (``_CompiledOps.solve_all``, each row bit
-for bit a component-by-component solve), the z-pair fit of every row and
-the dual step. Its constants are tiled and its scratch made once per
-stack shape (``_CompiledOps.stacked``), so a step makes no temporaries;
-it writes into given arrays, never views of the scratch: a new state
-(``sync_admm_step``), the next row of the reference solve's history, or
-the shadow pass of a stack (``shadow_step``).
+array operations an iteration, on one point or a stack of points, each
+row bit for bit a component-by-component step. Its one step,
+``_CompiledOps.sync_step``, replays a program of in-place array
+operations bound once per stack shape and arrays (``compiled._Stacked``):
+``sync_admm_step`` and ``shadow_step`` copy their results out of a
+shape's own arrays, the reference solve steps between its history rows.
 """
 
 from __future__ import annotations
@@ -186,7 +183,8 @@ class _BlockTable:
         comps, comp_ptr = partition.comps, partition.comp_ptr
         sizes, ncomp = np.diff(row_ptr), np.diff(comp_ptr)
         m = sizes.size
-        self.beta, self.prox = ops.beta, ops.prox
+        # a 0-d operand: a ufunc takes it faster than the Python float
+        self.beta, self.prox = np.array(ops.beta), ops.prox
         self.dim_x, self.W = N * n, W
         xseg = (N + 1) * n
         self.z0, self.p0 = xseg, xseg + W + 1
@@ -344,21 +342,11 @@ def _block_table(prob: SeparableProblem,
 def shadow_step(prob: SeparableProblem, state: PrimalDualState) -> ShadowIterates:
     """Full-information iterates (y, v, mu) from the given state: one
     point, or one per row (``z``, ``p`` of shape ``(S, W)``), each row bit
-    for bit the 1-D pass from it. It is the synchronous step
-    (:meth:`_CompiledOps.sync_step`) on the whole stack, into new arrays,
-    with its ``r``."""
-    ops = _ops(prob)
-    shape = np.shape(state.p)
-    y = np.empty(shape[:-1] + (ops.N * ops.n,))
-    v, mu, r = np.empty((3,) + shape)
-    ops.sync_step(_floats(state), (y, v, mu), r=r)
-    return ShadowIterates(y=y, v=v, mu=mu, r=r)
-
-
-def _floats(state: PrimalDualState):
-    """The state's (x, z, p) as float arrays, which the step's gathers
-    into its float scratch need."""
-    return [np.asarray(a, dtype=float) for a in (state.x, state.z, state.p)]
+    for bit the 1-D pass from it: copies of one synchronous step's output
+    and ``r`` (``compiled._Stacked.run``)."""
+    s = _ops(prob).stacked(np.shape(state.p)[:-1])
+    y, v, mu = (a.copy() for a in s.run(state.z, state.p))
+    return ShadowIterates(y=y, v=v, mu=mu, r=s.r.copy())
 
 
 def step(prob: SeparableProblem, state: PrimalDualState,
@@ -379,13 +367,11 @@ def step(prob: SeparableProblem, state: PrimalDualState,
 
 def sync_admm_step(prob: SeparableProblem,
                    state: PrimalDualState) -> PrimalDualState:
-    """One synchronous two-block iteration (x, then z, then dual ascent):
-    :meth:`_CompiledOps.sync_step` into new arrays, the program
+    """One synchronous two-block iteration (x, then z, then dual ascent),
+    copied out of the one-point step (``compiled._Stacked.run``) that
     :func:`shadow_step` runs, so it is its shadow pass bit for bit."""
-    ops = _ops(prob)
-    x, z, p = np.split(np.empty(ops.width), ops.cuts)
-    ops.sync_step(_floats(state), (x, z, p))
-    return PrimalDualState(x=x, z=z, p=p, k=state.k + 1)
+    out = _ops(prob).stacked(()).run(state.z, state.p)
+    return PrimalDualState(*(a.copy() for a in out), k=state.k + 1)
 
 
 @dataclass(frozen=True)

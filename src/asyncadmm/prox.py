@@ -164,7 +164,7 @@ class _GroupedProx:
     ``(N, n)``.
 
     ``args`` holds the closed forms' arguments per coordinate, for the
-    kinds present only, in the order :meth:`solve` unpacks them:
+    kinds present only, in the order :meth:`calls` unpacks them:
     ``w2c``, ``den`` (``w2 + q``, :func:`quadratic_prox`), ``a``, ``kink``,
     ``q_kink``, ``qa`` (``q_kink * a``, :func:`kink_prox`), ``is_quad`` (1
     on Quadratic coordinates; only with both kinds), then ``lo``, ``hi``;
@@ -212,37 +212,46 @@ class _GroupedProx:
         self.serial_at[[i * n for i, _ in groups.other] + kink0] = \
             np.arange(len(self.serial))
 
-    def solve(self, l, lanes=None, out=None, work=(None, None)):
+    def solve(self, l, lanes=None, out=None):
         """Minimizers for the tilt ``l``: one entry per coordinate along the
         last axis, one row per point (``(..., N n)``), each row solved as
-        the 1-D call would solve it, into ``out`` when given. With
-        ``lanes = (args, at)`` the entries of ``l`` are lanes instead, each
-        with its coordinate's ``closed`` arguments (a sequence in ``args``
-        order) and ``serial_at`` entry, all of ``l``'s shape. ``work`` is
-        two scratch arrays of ``l``'s shape, or None each: the closed forms
-        then make no temporaries. The one-by-one solves come after the
-        closed forms, row by row and then entry by entry, so the first
-        error raised is the one a loop over the rows raises."""
+        the 1-D call would solve it, into ``out`` when given; with ``lanes
+        = (args, at)`` lanes instead, each with its coordinate's ``closed``
+        arguments (in ``args`` order) and ``serial_at`` entry, of ``l``'s
+        shape. It runs :meth:`calls`."""
         args, at = lanes or (self.closed, self.serial_at)
+        out = np.empty_like(l) if out is None else out
+        for f, a in self.calls(l, args, at, out):
+            f(*a)
+        return out
+
+    def calls(self, l, args, at, out, work=(None, None)):
+        """:meth:`solve` as calls ``(f, args)`` bound to its arrays, run in
+        order (the synchronous step's program splices them in): the closed
+        forms of the kinds present, then the one-by-one solves, row by row
+        and then entry by entry, so the first error raised is the one a
+        loop over the rows raises. ``work`` is two scratch arrays of
+        ``l``'s shape, or None each; given, the calls make no temporaries."""
         if self.has_quad and self.has_kink:
             w2c, den, a, kink, q, qa, is_quad, lo, hi = args
-            quad = quadratic_prox(w2c, den, l, lo, hi, work[1])
-            u = kink_prox(a, kink, q, qa, l, lo, hi, out, work[0])
-            np.copyto(u, quad, where=is_quad.astype(bool, copy=False))
+            quad = np.empty_like(l) if work[1] is None else work[1]
+            calls = [(quadratic_prox, (w2c, den, l, lo, hi, quad)),
+                     (kink_prox, (a, kink, q, qa, l, lo, hi, out, work[0])),
+                     (np.copyto, (out, quad, "same_kind",
+                                  is_quad.astype(bool, copy=False)))]
         elif self.has_quad:
             w2c, den, lo, hi = args
-            u = quadratic_prox(w2c, den, l, lo, hi, out)
+            calls = [(quadratic_prox, (w2c, den, l, lo, hi, out))]
         elif self.has_kink:
             a, kink, q, qa, lo, hi = args
-            u = kink_prox(a, kink, q, qa, l, lo, hi, out, work[0])
+            calls = [(kink_prox, (a, kink, q, qa, l, lo, hi, out, work[0]))]
         else:
             # terms of other kinds only; the dummy lane's entry stays zero
-            u = np.zeros_like(l)
-        if out is not None and u is not out:
-            out[...] = u
-            u = out
-        if not self.serial:
-            return u
+            calls = [(out.fill, (0.0,))]
+        return calls + ([(self._serial, (out, l, at))] if self.serial else [])
+
+    def _serial(self, u, l, at):
+        """The one-by-one solves into ``u``, in row and then entry order."""
         n, at = self.n, np.broadcast_to(at, l.shape)
         for hit in zip(*np.nonzero(at >= 0)):
             i, item = self.serial[at[hit]]
@@ -253,7 +262,6 @@ class _GroupedProx:
             else:
                 u_row[t:t + n] = solve_local_prepared(
                     item, self.q[i], l_row[t:t + n], self.lo[i], self.hi[i])
-        return u
 
 
 def bisect_convex(g, lo=-np.inf, hi=np.inf,

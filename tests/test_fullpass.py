@@ -1,8 +1,9 @@
 """The one-pass x solve against the per-component solves, bit for bit.
 
-``_CompiledOps.solve_all`` solves every x component at once for the shadow
-pass, the synchronous engine and the reference solve. The loops it
-replaced are the reference: one ``reference.plain_component`` solve per
+The synchronous step's program solves every x component at once for the
+shadow pass, the synchronous engine and the reference solve
+(``_CompiledOps.solve_all`` returns that x). The loops it replaced are
+the reference: one ``reference.plain_component`` solve per
 component (``reference.per_component``), and here the three-maximum
 settle test and the per-component shadow tally, which the engine's
 stacked tally must match. Results are compared as bytes, so signs of zero count too.
@@ -19,7 +20,7 @@ from asyncadmm import (AbsDev, Box, BenchmarkSpec, ConstraintSystem, Custom,
                        derive_probabilities, generate_benchmark,
                        initial_state, residual, run, shadow_step,
                        solve_reference, step, sync_admm_step, uniform_probs)
-from asyncadmm import engine
+from asyncadmm import compiled, engine
 from asyncadmm.errors import (MissingReference, UnboundedSubproblem,
                              UnsupportedTerm)
 from asyncadmm.problem import TermGroups
@@ -216,6 +217,16 @@ def test_first_error_is_unchanged(terms, error):
     with pytest.raises(error) as got:
         ops.solve_all(p, z)
     assert str(got.value) == str(want.value)
+    # through the program: one point, and a stack whose rows all raise
+    with pytest.raises(error) as got:
+        sync_admm_step(prob, PrimalDualState(x=np.zeros(prob.dim_x), z=z, p=p))
+    assert str(got.value) == str(want.value)
+    stack = PrimalDualState(x=np.zeros((3, prob.dim_x)),
+                            z=np.stack([z, -z, 2.0 * z]),
+                            p=np.stack([p, 2.0 * p, -p]))
+    with pytest.raises(error) as got:
+        shadow_step(prob, stack)
+    assert str(got.value) == str(want.value)
 
 
 def test_custom_of_dimension_two_raises_first():
@@ -390,6 +401,94 @@ def test_hub_step_equals_reference_step(z_pairs):
             [a.tobytes() for a in plain_shadow(prob, row(stack, i))]
 
 
+def built_programs(monkeypatch):
+    """The programs of the synchronous step built, as they are built."""
+    built, program = [], compiled._Stacked.program
+
+    def counted(self, src, out):
+        built.append(self.shape)
+        return program(self, src, out)
+
+    monkeypatch.setattr(compiled._Stacked, "program", counted)
+    return built
+
+
+def test_programs_are_built_once(monkeypatch):
+    """A reference solve binds one program per pair of history rows, not
+    one per step; passes and steps of one shape replay one program."""
+    prob = benchmark_problem("consensus-lad", nodes=5)
+    built, calls = built_programs(monkeypatch), counting_steps(monkeypatch)
+    ref = solve_reference(prob)
+    assert built == [()] * SETTLE_BLOCK
+    assert len(calls) >= ref.iters > 10 * SETTLE_BLOCK
+    del built[:], calls[:]
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        shadow_step(prob, random_state(rng, prob, S=3))
+        sync_admm_step(prob, random_state(rng, prob))
+    assert built == [(3,), ()]
+    assert len(calls) == 80
+
+
+def test_program_length_does_not_grow_with_the_stack_or_the_hub():
+    """The bound calls of a step are as many for a hub of 50, 500 or 2,500
+    rows, and for one point or a stack of 1, 3 or 20."""
+    lengths = set()
+    for hub_rows in (50, 500, 2500):
+        ops = engine._ops(hub_problem(hub_rows))
+        for shape in ((), (1,), (3,), (20,)):
+            lengths.add(len(ops.stacked(shape).own))
+    assert len(lengths) == 1
+
+
+def serial_case(kind, z_pairs):
+    """A problem whose x solve has one-by-one solves: ``custom``, n = 1
+    with a ``Custom`` term among the closed-form kinds; ``kink-q0``, n = 2
+    with a kink component of which one coordinate has no row (``q ==
+    0``); ``both``, the two at n = 2, where the ``Custom`` term (of
+    dimension 2) raises. A ``Custom`` term solves only at n = 1 and a
+    coordinate without a row needs n > 1."""
+    rng = np.random.default_rng(11)
+    if kind == "custom":
+        return random_problem(rng, 1, 5, ["quadratic", "custom", "absdev",
+                                          "l1", "custom"], z_pairs=z_pairs)
+    prob = random_problem(rng, 2, 4, ["absdev", "quadratic", "l1", "absdev"],
+                          uncoupled=True, z_pairs=z_pairs)
+    if kind == "both":
+        terms = list(prob.terms)
+        terms[2] = Custom(fn=lambda u: 0.0, dim=2, scalar_convex=True)
+        prob = SeparableProblem(terms=tuple(terms), x_sets=prob.x_sets,
+                                z_set=prob.z_set, constraints=prob.constraints,
+                                beta=prob.beta)
+    return prob
+
+
+@pytest.mark.parametrize("z_pairs", [True, False], ids=["z-pairs", "z-free"])
+@pytest.mark.parametrize("kind", ["custom", "kink-q0", "both"])
+def test_serial_solves_inside_the_program(kind, z_pairs):
+    """``sync_admm_step`` and each row of a stacked ``shadow_step`` equal
+    the per-component step, or raise its first error."""
+    prob = serial_case(kind, z_pairs)
+    ops = engine._CompiledOps(prob)
+    kinds = {i < 0 for i, _ in ops.prox.serial}
+    assert kinds == {"custom": {False}, "kink-q0": {True},
+                     "both": {False, True}}[kind]
+    rng = np.random.default_rng(12)
+    assert_same_trajectory(prob, random_state(rng, prob), steps=5)
+    stack = random_state(rng, prob, S=4)
+    want = [outcome(lambda: stacked(reference_sync_step(prob, row(stack, i),
+                                                        ops)))
+            for i in range(4)]
+    if kind == "both":
+        assert want[0][0] is UnsupportedTerm
+        assert outcome(lambda: shadow_step(prob, stack).y) == want[0]
+    else:
+        passes = shadow_step(prob, stack)
+        for i in range(4):
+            assert np.concatenate([passes.y[i], passes.v[i],
+                                   passes.mu[i]]).tobytes() == want[i]
+
+
 def test_tilt_passes_do_not_grow_with_the_hub():
     """The tilt adds one slice per rank the short components reach and
     accumulates the hub's rows past them in one pass of its own."""
@@ -465,11 +564,11 @@ def counting_steps(monkeypatch, fail_at=None):
     """Count the synchronous steps taken; step ``fail_at`` raises."""
     calls, sync_step = [], engine._CompiledOps.sync_step
 
-    def counted(self, src, out):
+    def counted(self, program):
         calls.append(1)
         if len(calls) == fail_at:
             raise ValueError(f"step {fail_at}")
-        sync_step(self, src, out)
+        sync_step(self, program)
 
     monkeypatch.setattr(engine._CompiledOps, "sync_step", counted)
     return calls
