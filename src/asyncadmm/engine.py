@@ -25,10 +25,10 @@ The x lanes are solved by the grouped prox (``prox._GroupedProx``, the
 only closed-form prox): closed forms for Quadratic, AbsDev and L1
 coordinates, then one by one, in lane order, for ``Custom`` terms and
 kink coordinates without a coupling row.
-Each x lane's tilt reads its component's rows from the table, padded to
-the largest row count; past a lane limit (a hub component in every block)
-the table keeps no tilt rows, and each call adds its own lanes' rows,
-padded to the largest count among them, to its one gather.
+Each x lane's tilt reads its component's first ``K`` rows from the
+table, and a lane with more (a hub's) goes on over the rest, its tail,
+which its call gathers; ``K`` comes from the row counts
+(``_tilt_width``), so one hub pads no other lane to its degree.
 
 Run loop: ``run_batch`` is the one loop (``run`` is its one-seed form).
 It fires blocks as lanes on one ``(S, width)`` state: many seeds in
@@ -125,9 +125,25 @@ def _stack(**groups):
     return np.concatenate(arrays, out=table), rows
 
 
-# padded tilt lanes a block table may hold; beyond it (a hub component in
-# many blocks pads every block to its degree) each call gathers its own
+# padded tilt terms a block table may hold (m C n K), and values one call
+# of _fire_blocks may make
 _BATCH_LANE_LIMIT = 1 << 20
+# a call's tail gather (about 15 numpy calls) in padded tilt terms: 500 to
+# 2,000 pick the same K on hub graphs; under 100 a 100-leaf star takes K = 1
+_TAIL_GATHER = 1000
+
+
+def _tilt_width(count):
+    """The tilt terms ``K`` per x lane, from each lane's row count
+    (``count``, ``(C n, m)``), that make firing every block once cheapest:
+    ``m C n K`` padded terms, the rows past ``K`` and a tail gather per
+    block with such rows, within the lane limit (ties to the larger K)."""
+    c, top = np.sort(count, axis=None), np.sort(count.max(axis=0))
+    K = np.arange(max(1, min(c[-1], _BATCH_LANE_LIMIT // c.size)), 0, -1)
+    past = np.searchsorted(c, K, side="right")   # the lanes of at most K
+    cost = (K * past + c.sum() - np.append(0, np.cumsum(c))[past]
+            + _TAIL_GATHER * (len(top) - np.searchsorted(top, K, "right")))
+    return int(K[np.argmin(cost)])
 
 
 class _BlockTable:
@@ -154,15 +170,12 @@ class _BlockTable:
       each group padded to its maximum) and the p lanes (the same rows);
     - ``since`` and ``acc``: the same slots in the other two segments;
       the kernel writes exactly these ``3 M`` columns;
-    - the tilt lanes (``C n D`` each for p and z, :meth:`tilt`): every row
-      of each x lane's component and coordinate, padded to the largest
-      count ``D`` with coefficient ``-0.0``, which adds nothing (not even
-      to a zero) to a sum taken strictly left to right. Past
-      ``_BATCH_LANE_LIMIT`` such lanes (a hub component in every block
-      pads each block to its degree) the table holds none (``D is
-      None``) but a ``row`` column (0, the start of the lane's row once
-      its offset is added), and each kernel call gathers its own lanes'
-      rows, padded to the largest count among them.
+    - the tilt lanes (``C n K`` each for p and z, row ``d C n + c`` x
+      lane ``c``'s row ``d``): each x lane's first ``K`` rows, padded with
+      the dummy row, coefficient ``-0.0``, which adds nothing (not even to
+      a zero) to a sum taken strictly left to right. The rest are its
+      tail: ``tails`` holds their count, their start among the rows
+      (``t_idx``, ``t_consts``: all rows, once) and the lane's x slot.
 
     ``const`` holds the x lanes' closed-form arguments (``C n`` columns
     each, in :class:`_GroupedProx` order, ``closed`` their slice), the
@@ -243,28 +256,29 @@ class _BlockTable:
         prox = ops.prox
         lane_consts = {name: per_lane(arg, prox.DUMMY[name])
                        for name, arg in prox.args.items()}
-        self.serial_at = per_lane(prox.serial_at, -1) if prox.serial \
-            else None
-        # each x lane's rows: a range of ops.rows, empty for the dummy
-        self.t_first = per_lane(_offsets(ops.counts)[:-1], W)
-        self.t_count = per_lane(ops.counts, 0)
-        self.t_rows = np.append(ops.rows, W)
+        self.serial_at = per_lane(prox.serial_at, -1) if prox.serial else None
+        # each x lane's rows: a range of ops.rows, none for the dummy
+        count = per_lane(ops.counts, 0)
+        self.K = K = _tilt_width(count)
+        first = per_lane(_offsets(ops.counts)[:-1], W)
+        self.tails = np.stack([np.maximum(count - K, 0), first + K, x_lanes])
+        # a call's padded tail terms per lane
+        self.tail_terms = int((count > K).sum(0).max() * (count.max() - K))
+        self.t_idx = np.array([[self.p0], [self.z0]]) + np.append(ops.rows, W)
         self.t_consts = np.stack([np.append(ops.coeffs_sorted, -0.0),
                                   np.append(ops.h_sorted, 0.0)])
-        tilt_idx = dict(row=np.zeros((1, m), dtype=np.intp))
-        tilt_const, self.D = {}, None
-        if m * C * n * int(ops.counts.max()) <= _BATCH_LANE_LIMIT:
-            t_rows, t_coeff, t_h, self.D = self.tilt(np.arange(m))
-            tilt_idx = dict(tilt_p=self.p0 + t_rows, tilt_z=self.z0 + t_rows)
-            tilt_const = dict(coeff=t_coeff, h=t_h)
+        r = np.arange(K)[:, None, None]
+        pos = np.where(r < count, first + r, W).reshape(-1, m)
 
         moved = np.concatenate([x_lanes, self.z0 + z_rows.T,
                                 self.p0 + z_rows.T])
         self.idx, self.icol = _stack(
             x=x_lanes, z=self.z0 + z_rows.T, p=self.p0 + z_rows.T,
-            since=moved + self.seg, acc=moved + 2 * self.seg, **tilt_idx)
-        self.const, self.ccol = _stack(**lane_consts, **tilt_const, w=w.T,
-                                       z_coeff=z_coeff.T, pair_den=den.T)
+            since=moved + self.seg, acc=moved + 2 * self.seg,
+            tilt_p=self.t_idx[0, pos], tilt_z=self.t_idx[1, pos])
+        self.const, self.ccol = _stack(
+            **lane_consts, coeff=self.t_consts[0, pos],
+            h=self.t_consts[1, pos], w=w.T, z_coeff=z_coeff.T, pair_den=den.T)
         self.closed = slice(0, len(lane_consts) * C * n)
         self.Cn, self.P, self.U, self.R = C * n, P, U, R
         self.M = C * n + 2 * R
@@ -272,21 +286,6 @@ class _BlockTable:
         # among the moved slots
         self.groups = np.r_[0:C * n:n, C * n, C * n + R]
         self.cuts = self.groups[[0, C, C + 1]]
-
-    def tilt(self, blocks):
-        """The tilt lanes of ``blocks``: the row of each x lane's rows, and
-        its coefficient and ``h``, padded with the dummy row (coefficient
-        ``-0.0``, ``h`` 0) to the largest count ``D`` among them. Returns
-        the three ``(D C n, len(blocks))`` arrays, whose row ``d C n + c``
-        holds x lane ``c``'s row ``d`` in row order, and ``D``."""
-        first = self.t_first.take(blocks, axis=1).reshape(-1, 1)
-        count = self.t_count.take(blocks, axis=1).reshape(-1, 1)
-        D = int(count.max())
-        r = np.arange(D)
-        pos = np.ascontiguousarray(np.where(r < count, first + r, self.W).T)
-        L = len(blocks)
-        coeff, h = self.t_consts.take(pos, axis=1).reshape(2, -1, L)
-        return self.t_rows.take(pos).reshape(-1, L), coeff, h, D
 
     def lanes(self, blocks, stacked=False):
         """The kernel's inputs for lanes that fire ``blocks`` (an index
@@ -534,15 +533,16 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
     dependency level of a seed's draws (:func:`_levels`).
 
     A call makes one gather of everything it reads (the moved slots, their
-    ``since`` and ``acc``, and the tilt lanes) and one scatter of
-    everything it writes, about 30 array operations on contiguous
-    ``(·, L)`` slices whatever the number ``L`` of lanes. Each x lane's
-    tilt sums its component's rows strictly left to right (``np.sum``
-    would switch to pairwise order on longer rows); :class:`_GroupedProx`
-    solves the lanes, the one-by-one ones after the closed forms in lane
-    order, then the z fit reads the new x of its block's own lanes and the
-    dual step follows: the floating-point operations of one
-    component-by-component block update in its order.
+    ``since`` and ``acc``, the tilt lanes), one of its lanes' tails, if
+    any, and one scatter of everything it writes: about 30 array
+    operations on contiguous ``(·, L)`` slices whatever the number ``L``
+    of lanes. Each x lane's tilt sums its rows strictly left to right,
+    then its tail from that sum (``np.sum`` would switch to pairwise order
+    on longer rows); :class:`_GroupedProx` solves the lanes, the
+    one-by-one ones after the closed forms in lane order, then the z fit
+    reads the new x of its block's own lanes and the dual step follows:
+    the floating-point operations of one component-by-component block
+    update in its order.
     With ``k`` (one number for every lane, or one per lane) the lazy
     ergodic sums of the moved slots are brought up to iteration ``k``
     (``acc += (k - since) * old``, ``since = k``); without it they are
@@ -551,20 +551,25 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
     """
     idx, const, xsrc, blocks = lanes
     L, Cn, R, P, M, beta = idx.shape[1], bt.Cn, bt.R, bt.P, bt.M, bt.beta
-    cc = bt.ccol
-    if bt.D is None:
-        rows, coeff, h, D = bt.tilt(blocks)
-        base = idx[bt.icol["row"]]
-        idx = np.concatenate([idx, rows + (base + bt.p0),
-                              rows + (base + bt.z0)])
-    else:
-        coeff, h, D = const[cc["coeff"]], const[cc["h"]], bt.D
+    cc, ic = bt.ccol, bt.icol
     v = flat.take(idx)
-    t0 = len(idx) - 2 * Cn * D
     # x: each lane's tilt against the current z, p, summed in row order
     # strictly left to right, then its solve
-    g = coeff * (v[t0:t0 + Cn * D] - beta * (h * v[t0 + Cn * D:]))
-    lin = np.add.accumulate(g.reshape(D, Cn, L))[-1]
+    g = const[cc["coeff"]] * (v[ic["tilt_p"]]
+                              - beta * (const[cc["h"]] * v[ic["tilt_z"]]))
+    lin = np.add.accumulate(g.reshape(bt.K, Cn, L))[-1]
+    if bt.tail_terms:
+        tails = bt.tails.take(blocks, axis=2)
+        c, l = np.nonzero(tails[0])
+        if c.size:
+            count, at, x = tails[:, c, l]
+            r = np.arange(count.max())[:, None]
+            pos = np.where(r < count, at + r, bt.W)
+            tp, tz = flat.take(bt.t_idx.take(pos, axis=1) + (idx[c, l] - x))
+            t_coeff, t_h = bt.t_consts.take(pos, axis=1)
+            g = t_coeff * (tp - beta * (t_h * tz))
+            np.add(lin[c, l], g[0], out=g[0])
+            lin[c, l] = np.add.accumulate(g)[-1]
     out = np.empty((3 * M, L))
     bt.prox.solve(lin.T, (const[bt.closed].reshape(-1, Cn, L)
                           .transpose(0, 2, 1),
@@ -605,12 +610,8 @@ def _fire_blocks(prob: SeparableProblem, partition: ProperPartition,
     restored, so that every chunk fires from ``state`` too."""
     bt = _block_table(prob, partition)
     start = bt.layout(state.x, state.z, state.p)
-    # per lane, the values of every array a call makes: its table columns
-    # and, past the lane limit, 17 arrays of C n D values made from the
-    # tilt rows it gathers itself
-    per_lane = len(bt.idx) + len(bt.const) + len(bt.xsrc)
-    if bt.D is None:
-        per_lane += 17 * bt.Cn * int(bt.t_count.max())
+    # per lane, the values a call makes: table columns, 16 arrays of tail terms
+    per_lane = len(bt.idx) + len(bt.const) + len(bt.xsrc) + 16 * bt.tail_terms
     chunk = max(1, _BATCH_LANE_LIMIT // per_lane)
     if len(blocks) <= chunk:
         _fire_lanes(bt, start, bt.lanes(blocks))
@@ -659,8 +660,7 @@ def _levels(partition: ProperPartition, draws) -> list:
     order = np.argsort(comp * L + draw)
     c, d = comp[order], draw[order]
     pred = np.empty_like(draw)
-    pred[order] = np.where(np.r_[False, c[1:] == c[:-1]], np.r_[L, d[:-1]],
-                           L)
+    pred[order] = np.where(np.r_[False, c[1:] == c[:-1]], np.r_[L, d[:-1]], L)
     level = np.zeros(L + 1, dtype=np.intp)
     level[L] = -1
     ptr = _offsets(count)
@@ -844,8 +844,7 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
                 if not hot.max() <= DIVERGENCE_LIMIT:
                     raise _divergence(hot, k + 1 + draws, seeds, fired)
                 # the lanes are the seed's draws: fold them into its maxima
-                np.maximum(maxima, hot.max(axis=1, keepdims=True),
-                           out=maxima)
+                np.maximum(maxima, hot.max(axis=1, keepdims=True), out=maxima)
             record(k + hi, blocks[hi - 1])
             lo = hi
     return [rec.metrics(s, seed, T, xs[s], zs[s], ps[s], x_sums[s], z_sums[s],

@@ -243,10 +243,11 @@ class SumZeroPairs:
     def project(self, u: np.ndarray) -> np.ndarray:
         # the pairs are disjoint, so all of them are projected at once
         out = np.asarray(u, dtype=float).copy()
-        i, j = self.pairs.T
-        m = 0.5 * (out[i] - out[j])
-        out[i] = m
-        out[j] = -m
+        a, b = out[self.pairs.T]
+        with np.errstate(over="ignore"):
+            m = 0.5 * (a - b)
+        m = np.where(np.isinf(m), 0.5 * a - 0.5 * b, m)  # past the float range
+        out[self.pairs.T] = m, -m
         return out
 
 

@@ -3,6 +3,7 @@ step() calls (``reference.reference_run``), bit for bit."""
 
 import bisect
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -198,10 +199,10 @@ def test_tables_over_the_lane_limit_gather_tilts_per_call(monkeypatch,
                                    Graph.cycle(4))
         return bench.problem, bench.reform.partition
 
-    # 4 blocks x 2 components x 2 rows each = 16 padded tilt lanes
+    # 4 blocks x 2 components x 2 rows each = 16 padded tilt terms
     monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", 16)
     table = engine._block_table(*cycle4())
-    assert table.D == 2 and "tilt_p" in table.icol
+    assert table.K == 2 and not table.tails[0].any()
     monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", 15)
     prob, part = cycle4()
     rng = np.random.default_rng(6)
@@ -209,8 +210,9 @@ def test_tables_over_the_lane_limit_gather_tilts_per_call(monkeypatch,
                 probes=ProbeFlags(ergodic=True, lyapunov=True),
                 ref=random_reference(prob, rng),
                 x0=rng.uniform(-4.0, 4.0, prob.dim_x))
+    # one row of each lane in the table, the other its tail
     table = engine._block_table(prob, part)
-    assert table.D is None and "tilt_p" not in table.icol
+    assert table.K == 1 and (table.tails[0] == 1).all()
 
 
 def cycle_config(tmp_path, out, seeds, nodes=5, T=120,
@@ -383,11 +385,14 @@ def test_one_seed_waves_equal_serial(problem, graph, nodes, blocks, seed, T,
 
 def random_graph(rng, nodes):
     """A random connected graph: a random tree and up to ``nodes`` more
-    edges."""
+    edges; half the time one node is also joined to every other, a hub."""
     edges = {(int(rng.integers(i)), i) for i in range(1, nodes)}
     for _ in range(int(rng.integers(0, nodes + 1))):
         i, j = sorted(rng.choice(nodes, size=2, replace=False).tolist())
         edges.add((i, j))
+    if rng.integers(2):
+        hub = int(rng.integers(nodes))
+        edges |= {(min(hub, i), max(hub, i)) for i in range(nodes) if i != hub}
     return Graph(nodes, sorted(edges))
 
 
@@ -450,23 +455,37 @@ PROBLEMS = st.sampled_from(["consensus-quadratic", "consensus-lad",
                             "lasso-toy", "nan-quadratic", "raising-custom"])
 
 
+@contextmanager
+def lane_limit(low):
+    """With ``low``, ``engine._BATCH_LANE_LIMIT`` at 1, so that the block
+    tables built inside hold one tilt term per lane and the rest in tails
+    (the tables are per partition, and each case draws a new one)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if low:
+            patch.setattr(engine, "_BATCH_LANE_LIMIT", 1)
+        yield
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(problem=PROBLEMS, nodes=st.integers(3, 40),
        seed=st.sampled_from([0, 1, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
        T=st.integers(1, 1500), stride=st.sampled_from([1, 2, 1500])
        | st.integers(1, 400), probes=st.booleans(),
-       data_seed=st.integers(0, 2 ** 32 - 1))
+       data_seed=st.integers(0, 2 ** 32 - 1), low_limit=st.booleans())
 def test_one_seed_levels_equal_serial_on_random_graphs(problem, nodes, seed,
                                                        T, stride, probes,
-                                                       data_seed):
-    """One seed by level on random graphs (:func:`random_graph_case`)."""
+                                                       data_seed, low_limit):
+    """One seed by level on random graphs (:func:`random_graph_case`); with
+    ``low_limit``, every lane's rows past its first in a tail."""
     flags = ProbeFlags(ergodic=True, lyapunov=True) if probes else \
         ProbeFlags()
     prob, part, dist, args = random_graph_case(problem, nodes, data_seed,
                                                flags, stride)
     want = outcome(lambda: reference_run(prob, part, dist, seed, T, **args))
-    got = outcome(lambda: run_batch(prob, part, dist, [seed], T, **args)[0])
+    with lane_limit(low_limit):
+        got = outcome(lambda: run_batch(prob, part, dist, [seed], T,
+                                        **args)[0])
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -492,18 +511,21 @@ def serial_outcome(prob, part, dist, seeds, T, **args):
        seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3,
                       unique=True),
        T=st.integers(1, 100), stride=st.sampled_from([1, 7, 100])
-       | st.integers(1, 60), data_seed=st.integers(0, 2 ** 32 - 1))
+       | st.integers(1, 60), data_seed=st.integers(0, 2 ** 32 - 1),
+       low_limit=st.booleans())
 def test_shadow_probe_equals_serial_on_random_graphs(problem, nodes, seeds, T,
-                                                     stride, data_seed):
+                                                     stride, data_seed,
+                                                     low_limit):
     """The shadow probe on random graphs, with one seed and with several:
     its counters and every other field of each run, or the first error
     (the NaN data diverge, the Custom terms raise in the kernel or in the
-    pass), against the serial run's."""
+    pass), against the serial run's; ``low_limit`` as above."""
     flags = ProbeFlags(shadow=True, ergodic=True, lyapunov=True)
     prob, part, dist, args = random_graph_case(problem, nodes, data_seed,
                                                flags, stride)
     want = serial_outcome(prob, part, dist, seeds, T, **args)
-    got = outcome(lambda: run_batch(prob, part, dist, seeds, T, **args))
+    with lane_limit(low_limit):
+        got = outcome(lambda: run_batch(prob, part, dist, seeds, T, **args))
     if isinstance(want, tuple):
         assert got == want
         return

@@ -10,8 +10,8 @@ with ``reference_drift``. Problems mix Quadratic, AbsDev, L1 and Custom
 terms, with kink coordinates that have no coupling row (solved one by one
 inside the kernel) and hub components whose tilt sums are long; the
 partitions have uneven blocks. A star past the lane limit
-(``test_shadow_stack.star_hub``) runs with tilt rows gathered per kernel
-call. Results are compared as bytes, or as the first error raised.
+(``test_shadow_stack.star_hub``) runs with the hub's tail rows gathered
+per kernel call. Results are compared as bytes, or as the first error raised.
 The drift is also compared, within rounding, with the probability-
 weighted mean of every block's Lyapunov value (``per_block_drift``),
 and spies check that ``step``, ``edge_step`` and the drift fire on one
@@ -168,8 +168,8 @@ def test_custom_term_of_dim_two_raises_as_reference():
                                                ergodic=True)],
                          ids=["no-probes", "all-probes"])
 def test_one_seed_on_a_star_hub_past_the_lane_limit(probes):
-    """Tilt rows gathered per kernel call; the shadow-probed three-seed
-    run is in ``test_shadow_stack``."""
+    """The hub's tail rows gathered per kernel call; the shadow-probed
+    three-seed run is in ``test_shadow_stack``."""
     prob, part = star_hub()
     dist = derive_probabilities(part, uniform_probs(part))
     rng = np.random.default_rng(2)
@@ -233,7 +233,7 @@ def cycle_2000():
 
 def test_drift_on_a_star_hub_past_the_lane_limit():
     """The blocks fire in chunks of lanes, each chunk from the state, and
-    the chunk bound counts the arrays each call makes from its tilt rows."""
+    the chunk bound counts the arrays each call makes from its tail rows."""
     prob, part = star_hub()
     state, dist, ref, wn = drift_case(prob, part, 3)
     want = reference_drift(prob, state, part, dist, ref, wn)
@@ -255,6 +255,98 @@ def test_drift_on_a_2000_node_cycle_in_bounded_memory():
                                                wn))
     assert same_bits(got, want)
     assert peak <= 4 * 2 ** 20
+
+
+def chord_cycle(chords, nodes=40):
+    """A cycle whose node 0 is also joined to nodes 2, 3, ... by ``chords``
+    more edges: a hub of ``chords + 2`` rows."""
+    edges = np.array([(0, j) for j in range(2, 2 + chords)],
+                     dtype=np.intp).reshape(-1, 2)
+    a = np.random.default_rng(chords).uniform(-5.0, 5.0, nodes)
+    bench = generate_benchmark(
+        BenchmarkSpec("consensus-quadratic", a=a.tolist()),
+        Graph(nodes, np.concatenate([Graph.cycle(nodes).edges, edges])))
+    return bench.problem, bench.reform.partition
+
+
+# a lane limit that holds two tilt terms per lane on every chord cycle, so
+# that the hub's rows past them, and a chord's third row, are tails
+CHORD_LIMIT = 280
+
+
+class CountingRow(np.ndarray):
+    """A flat state that records the size of every gather from it."""
+
+    def take(self, indices, *args, **kwargs):
+        self.gathers.append(np.size(indices))
+        return self.view(np.ndarray).take(indices, *args, **kwargs)
+
+
+def test_tilt_terms_do_not_grow_with_the_hub(monkeypatch):
+    """The blocks whose lanes have at most K rows fire with one gather of
+    their table columns, K tilt terms per lane, whatever the hub's degree;
+    the others add one gather of their lanes' rows past K, padded."""
+    monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", CHORD_LIMIT)
+    columns = set()
+    for chords in (0, 8, 30):
+        prob, part = chord_cycle(chords)
+        bt = engine._block_table(prob, part)
+        rows = np.append(engine._ops(prob).counts, 0)[bt.tails[2]]
+        short = (rows <= bt.K).all(axis=0)
+        columns.add((bt.K, len(bt.idx)))
+        for blocks in (np.flatnonzero(short), np.flatnonzero(~short)):
+            if not blocks.size:
+                continue
+            flat = bt.layout(np.zeros(prob.dim_x), np.zeros(prob.dim_z),
+                             np.zeros(prob.dim_z)).reshape(-1)
+            flat = flat.view(CountingRow)
+            flat.gathers = []
+            engine._fire_lanes(bt, flat, bt.lanes(blocks))
+            tails = rows[:, blocks] - bt.K
+            want = [len(bt.idx) * blocks.size]
+            if tails.max() > 0:
+                want.append(2 * tails.max() * (tails > 0).sum())
+            assert flat.gathers == want
+        assert short.all() == (chords == 0)
+    assert columns == {(2, len(bt.idx))}
+
+
+def test_tilt_width_follows_the_row_counts():
+    """Under the default lane limit: 2 on a 2,000-cycle, without tails; 3
+    once node 0 is also joined to 64 nodes, with tails on the hub's lanes
+    only; a 100-leaf star's whole degree, where padding every lane costs
+    less than a gather per block."""
+    star = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
+                              Graph.star(101))
+    for (prob, part), K, hub in [(chord_cycle(0, 2000), 2, False),
+                                 (chord_cycle(64, 2000), 3, True),
+                                 ((star.problem, star.reform.partition), 100,
+                                  False)]:
+        bt = engine._block_table(prob, part)
+        count, _, x = bt.tails
+        assert bt.K == K and set(x[count > 0].tolist()) == ({0} if hub
+                                                             else set())
+
+
+@pytest.mark.parametrize("chords", [0, 8, 30])
+def test_runs_on_a_chord_hub_equal_reference(monkeypatch, chords):
+    """With the hub's rows past K in tails: one seed by level, three seeds
+    in lockstep with the shadow probe, and the drift (fired in chunks)."""
+    monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", CHORD_LIMIT)
+    prob, part = chord_cycle(chords)
+    state, dist, ref, wn = drift_case(prob, part, chords)
+    assert same_bits(lyapunov_drift(prob, state, part, dist, ref, wn),
+                     reference_drift(prob, state, part, dist, ref, wn))
+    start = dict(x0=state.x, z0=prob.z_set.project(state.z), ref=ref,
+                 stride=7)
+    for seeds, probes in (([4], ProbeFlags(lyapunov=True, ergodic=True)),
+                          ([0, 5, 2 ** 64 - 1],
+                           ProbeFlags(shadow=True, lyapunov=True,
+                                      ergodic=True))):
+        got = run_batch(prob, part, dist, seeds, 150, probes=probes, **start)
+        for seed, m in zip(seeds, got):
+            assert_same_run(m, reference_run(prob, part, dist, seed, 150,
+                                             probes=probes, **start))
 
 
 def kernel_rows(monkeypatch):

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,7 +70,11 @@ class TestFeasibleSets:
 def project_pairs_one_by_one(pairs, u):
     out = np.asarray(u, dtype=float).copy()
     for i, j in pairs:
-        m = 0.5 * (out[i] - out[j])
+        with np.errstate(over="ignore"):
+            m = 0.5 * (out[i] - out[j])
+        if np.isinf(m) and np.isfinite(out[i]) and np.isfinite(out[j]):
+            # past the float range: the exact half-difference, rounded once
+            m = float((Fraction(out[i]) - Fraction(out[j])) / 2)
         out[i], out[j] = m, -m
     return out
 
@@ -89,6 +94,18 @@ def test_sum_zero_project_equals_pair_loop(data, dim):
         want = project_pairs_one_by_one(pairs, u)
     # equal bytes: signs of zero and NaNs included
     assert got.tobytes() == want.tobytes()
+
+
+def test_sum_zero_project_of_a_pair_past_the_float_range():
+    """A pair whose difference passes the float range projects to its
+    finite half-difference, rounded once, without a warning."""
+    a, b = -1.7976931348623157e+308, 9.9792015476736e+291
+    u = np.zeros(19)
+    u[12], u[18] = a, b
+    got = SumZeroPairs(dim=19, pairs=((0, 1), (12, 18))).project(u)
+    half = float((Fraction(a) - Fraction(b)) / 2)
+    assert np.isfinite(half) and half < -8.9e307
+    assert got[12] == half and got[18] == -half
 
 
 class TestInitialState:

@@ -18,8 +18,9 @@ row ``l``, a chunk of iterations at a time, as in ``run_batch``), by
 dependency level (one seed's draws that share no component, each at its
 own iteration, on one row), without sums (as ``step`` calls it), and
 every block at once on one row without sums (as ``lyapunov_drift`` calls
-it, lanes that share components), on tables with tilt lanes and, with
-``_BATCH_LANE_LIMIT`` patched low, without them.
+it, lanes that share components), on tables as the row counts lay
+them out and, with ``_BATCH_LANE_LIMIT`` patched low, on tables that hold
+each lane's first row and leave the rest to its tail.
 """
 
 import numpy as np
@@ -115,7 +116,11 @@ def test_kernel_writes_only_its_slots(data_seed, n, N, hub_rows, uncoupled,
         if low_limit:
             patch.setattr(engine, "_BATCH_LANE_LIMIT", 1)
         bt = engine._block_table(prob, part)
-    assert (bt.D is None) == low_limit
+    # the table holds each lane's first K rows, its tail the rest
+    count, _, x = bt.tails
+    rows = np.append(engine._ops(prob).counts, np.zeros(n, int))[x]
+    assert np.array_equal(count, np.maximum(rows - bt.K, 0))
+    assert bt.K == 1 or not low_limit
     assert bt.width % 3 == 0
     moved, dummy, live = layout_slots(bt, prob, part)
     assert live.max() < bt.width // 3

@@ -9,7 +9,7 @@ of ``tests/reference.py``: its 1-D pass (``plain_shadow``) and its tally
 first error raised; the tally counter for counter, on lane tables with
 every kind of x lane: closed forms only, one-by-one lanes (``Custom``
 terms, kink coordinates without a coupling row), and a star hub past
-``engine._BATCH_LANE_LIMIT``, whose tilt rows each kernel call gathers.
+``engine._BATCH_LANE_LIMIT``, whose tail rows each kernel call gathers.
 """
 
 from functools import lru_cache
@@ -190,8 +190,9 @@ def test_stacked_tally_equals_per_seed(data_seed, S, n, N, z_pairs, kinds,
 
 @lru_cache(maxsize=None)
 def star_hub():
-    """A star whose padded tilt lanes would pass the lane limit, so its
-    table holds none and each kernel call gathers its own."""
+    """A star whose lanes padded to the hub's degree would pass the lane
+    limit, so its table holds each lane's first row and each kernel call
+    gathers the hub's other rows, its tail."""
     leaves = int(np.sqrt(engine._BATCH_LANE_LIMIT / 2)) + 1
     rng = np.random.default_rng(11)
     bench = generate_benchmark(
@@ -200,7 +201,11 @@ def star_hub():
         Graph.star(leaves + 1))
     prob, part = bench.problem, bench.reform.partition
     table = engine._block_table(prob, part)
-    assert table.D is None and "tilt_p" not in table.icol
+    count, _, x = table.tails
+    assert table.K == 1 and len(table.idx[table.icol["tilt_p"]]) == table.Cn
+    # one tail per block: the hub's (component 0), its rows past the first
+    assert (x[count > 0] == 0).all() and (count > 0).sum(axis=0).tolist() \
+        == [1] * leaves and set(count[count > 0].tolist()) == {leaves - 1}
     return prob, part
 
 
@@ -215,8 +220,8 @@ def test_stacked_tally_on_a_hub_past_the_lane_limit(data_seed, S, kind,
 
 
 def test_shadow_probed_run_on_a_hub_past_the_lane_limit():
-    """The whole loop, stacked pass and tally included, with per-call tilt
-    rows."""
+    """The whole loop, stacked pass and tally included, with the hub's
+    tail rows gathered per call."""
     prob, part = star_hub()
     dist = derive_probabilities(part, uniform_probs(part))
     probes = ProbeFlags(shadow=True, ergodic=True)
