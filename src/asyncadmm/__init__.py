@@ -6,8 +6,8 @@ Library layout:
   problem container (its objective and x sets stored as arrays), and its
   evaluation operations.
 - ``prox``: the only closed-form x prox (``_GroupedProx``: every
-  coordinate of a problem, or of one component for ``solve_local``), the
-  bisection for custom terms, and the z-block fits.
+  coordinate of a problem, or of one component for ``solve_local``) and
+  the bisection for custom terms.
 - ``scheduler``: proper partitions, activation probabilities, seeded RNG.
 - ``engine``: the asynchronous block kernel and step, full-information
   shadow passes, the synchronous baseline, and the one metric-recording

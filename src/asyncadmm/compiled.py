@@ -74,12 +74,12 @@ class _CompiledOps:
 
     @cached_property
     def prox(self) -> _GroupedProx:
-        """The closed forms of every x coordinate, for :meth:`solve_all`."""
+        """The closed forms of every x coordinate, for :meth:`sync_step`."""
         return _GroupedProx(self.groups, self.quad, self.lo, self.hi)
 
     @cached_property
     def tilt_order(self):
-        """How :meth:`solve_all` sums the tilt of every (component,
+        """How :meth:`sync_step` sums the tilt of every (component,
         coordinate) group: ``(rows, coeff, h, first, ranks, tails, pos)``.
 
         Groups are ordered by decreasing row count, so the groups with more
@@ -119,15 +119,6 @@ class _CompiledOps:
                 [(int(reach[r]), ptr[r], ptr[r + 1]) for r in range(first, K)],
                 list(zip(range(len(ends) - 1), ends[:-1], ends[1:])),
                 None if np.all(by_count[1:] > by_count[:-1]) else pos)
-
-    def solve_all(self, p, z):
-        """Every x component minimized against ``p`` and ``z`` (one point
-        or one per row, ``(..., W)``), as the 1-D call solves each row: a
-        copy of the x of one synchronous step (:meth:`_Stacked.run`). Each
-        (component, coordinate) tilt adds its rows strictly left to right
-        from ``-0.0`` (:attr:`tilt_order`), the block kernel's sum bit for
-        bit; the solves are :class:`_GroupedProx`'s."""
-        return self.stacked(p.shape[:-1]).run(z, p)[0].copy()
 
     def sync_step(self, program):
         """One synchronous iteration: the calls of ``program``

@@ -280,6 +280,7 @@ class _BlockTable:
             **lane_consts, coeff=self.t_consts[0, pos],
             h=self.t_consts[1, pos], w=w.T, z_coeff=z_coeff.T, pair_den=den.T)
         self.closed = slice(0, len(lane_consts) * C * n)
+        self.lane_values = len(self.idx) + len(self.const) + len(self.xsrc)
         self.Cn, self.P, self.U, self.R = C * n, P, U, R
         self.M = C * n + 2 * R
         # the starts of each component's x, z and p, and of x, z and p,
@@ -295,12 +296,12 @@ class _BlockTable:
         for a 2-D ``blocks``, row ``j`` of each array is the C-contiguous
         input of the call that fires row ``j``. With ``stacked`` lane ``l``
         fires on state row ``l``, else every lane fires on row 0."""
-        idx = self.idx.take(blocks, axis=1)
-        const = self.const.take(blocks, axis=1)
-        xsrc = self.xsrc.take(blocks, axis=1)
-        if blocks.ndim > 1:
-            idx, const, xsrc = [np.ascontiguousarray(np.moveaxis(a, 0, -2))
-                                for a in (idx, const, xsrc)]
+        tables = self.idx, self.const, self.xsrc
+        if blocks.ndim > 1:   # one gather per table, in lane order
+            idx, const, xsrc = (a[np.arange(len(a))[:, None], blocks[:, None]]
+                                for a in tables)
+        else:
+            idx, const, xsrc = (a.take(blocks, axis=1) for a in tables)
         L = blocks.shape[-1]
         if L > 1:
             lane = np.arange(L)
@@ -611,7 +612,7 @@ def _fire_blocks(prob: SeparableProblem, partition: ProperPartition,
     bt = _block_table(prob, partition)
     start = bt.layout(state.x, state.z, state.p)
     # per lane, the values a call makes: table columns, 16 arrays of tail terms
-    per_lane = len(bt.idx) + len(bt.const) + len(bt.xsrc) + 16 * bt.tail_terms
+    per_lane = bt.lane_values + 16 * bt.tail_terms
     chunk = max(1, _BATCH_LANE_LIMIT // per_lane)
     if len(blocks) <= chunk:
         _fire_lanes(bt, start, bt.lanes(blocks))
@@ -817,9 +818,8 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
     # a lone seed fires its draws between record points by level; seeds in
     # lockstep gather their lanes' table rows once per chunk, so the chunk
     # also bounds those rows
-    lane_cols = len(bt.idx) + len(bt.const) + len(bt.xsrc)
     per_chunk = _DRAW_CHUNK if by_level else max(
-        1, min(_DRAW_CHUNK, _BATCH_LANE_LIMIT // lane_cols) // S)
+        1, min(_DRAW_CHUNK, _BATCH_LANE_LIMIT // bt.lane_values) // S)
     if probes.shadow and stride < per_chunk:
         per_chunk -= per_chunk % stride   # so that blocks end at records
     k = chunk = 0   # draws k..k+chunk-1; ramp: 1, 1, 2, 4, ... draws

@@ -148,17 +148,6 @@ class ConstraintSystem:
         if not self.is_valid:
             raise InvalidProblem(str(validate_constraints(self)))
 
-    def rows_of_component(self, i: int) -> np.ndarray:
-        self.require_valid()
-        return np.flatnonzero(self.row_block == i)
-
-    def dense_d(self) -> np.ndarray:
-        """Materialize ``D`` as a dense array (for desk-scale checks)."""
-        self.require_valid()
-        d = np.zeros((self.W, self.n * self.N))
-        d[np.arange(self.W), self.col_index] = self.row_coeff
-        return d
-
 
 def validate_constraints(cs: ConstraintSystem) -> ValidationReport:
     """Check the decoupled-constraint structure of ``D`` and ``H``.
@@ -263,10 +252,6 @@ class SeparableProblem:
     @property
     def dim_z(self) -> int:
         return self.constraints.W
-
-    def component(self, x: np.ndarray, i: int) -> np.ndarray:
-        n = self.constraints.n
-        return x[i * n:(i + 1) * n]
 
 
 def problem_arrays(terms, x_sets, N: int, n: int):

@@ -1,18 +1,19 @@
-"""Per-component and per-block subproblem solvers.
+"""The x subproblem solvers.
 
-The primal updates reduce to problems of the form
+The x updates reduce to problems of the form
 
     minimize  f(u) + (1/2) u' diag(q) u - l' u   over a feasible set
 
 for the x components (``q`` nonnegative, from the scaled squared coupling
-columns) and to weighted least-squares projections for the z blocks. All
-supported terms separate per coordinate. :class:`_GroupedProx` is the only
-closed-form x prox: scalar closed forms applied coordinatewise, as one
-array operation per term kind over every coordinate of a problem (the
-block kernel and the synchronous step, which is the full pass) or of one
-component (:func:`solve_local`), with a sign-of-slope bisection
-(:func:`solve_local_prepared`) for user-supplied scalar-convex terms. The
-closed forms write in place, into scratch a caller may give.
+columns). All supported terms separate per coordinate.
+:class:`_GroupedProx` is the only closed-form x prox: scalar closed forms
+applied coordinatewise, as one array operation per term kind over every
+coordinate of a problem (the block kernel and the synchronous step, which
+is the full pass) or of one component (:func:`solve_local`), with a
+sign-of-slope bisection (:func:`solve_local_prepared`) for user-supplied
+scalar-convex terms. The closed forms write in place, into scratch a
+caller may give. The kernel and the synchronous step fit z in place, with
+the pair weights of :func:`pair_weights`.
 """
 
 from __future__ import annotations
@@ -301,26 +302,6 @@ def bisect_convex(g, lo=-np.inf, hi=np.inf,
         else:
             b = mid
     return 0.5 * (a + b)
-
-
-def solve_z_prepared(w, t, pair_i, pair_j):
-    """Minimizer of ``||diag(w) z - t||^2`` with ``z[pair_i] = -z[pair_j]``.
-
-    Unpaired coordinates fit exactly (``t / w``); each sum-zero pair takes
-    the one-dimensional stationarity closed form with the pairing
-    enforced exactly. ``pair_i``/``pair_j`` index the first axis of ``w``
-    and ``t``; further axes of ``t`` (with ``w`` broadcast along them, as a
-    column) hold more fits, each computed as the 1-D call computes it.
-    The block kernel and the synchronous step make these operations in
-    place; the tests' reference updates call this fit.
-    """
-    z = t / w
-    if pair_i.size:
-        wi, wj, den = pair_weights(w, pair_i, pair_j)
-        zi = (wi * t[pair_i] - wj * t[pair_j]) / den
-        z[pair_i] = zi
-        z[pair_j] = -zi
-    return z
 
 
 def pair_weights(w, pair_i, pair_j):

@@ -20,7 +20,7 @@ from .benchmarks import Benchmark, BenchmarkSpec, generate_benchmark
 from .config import ExperimentConfig, load_problem, read_text
 from .consensus import Graph, edge_initial_state
 from .diagnostics import ReferenceSolution, estimate_rate, solve_reference
-from .engine import RunMetrics, run_batch
+from .engine import DIVERGENCE_LIMIT, RunMetrics, run_batch
 from .errors import (AsyncAdmmError, DivergenceError, NonPositiveSeries,
                      ParseError, ValidationError)
 from .problem import SeparableProblem, initial_state
@@ -81,6 +81,7 @@ def prepare_experiment(config: ExperimentConfig,
     ``OSError`` for a problem or graph file that cannot be read."""
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
     prob, bench = _load_source(config, base_dir)
+    _check_beta(prob)
     cs = prob.constraints
 
     if config.blocks is not None:
@@ -111,6 +112,19 @@ def prepare_experiment(config: ExperimentConfig,
     return PreparedExperiment(config=config, problem=prob, partition=partition,
                               dist=dist, ref=ref, x0=x0, z0=z0,
                               benchmark=bench)
+
+
+def _check_beta(prob: SeparableProblem):
+    """Refuse a beta at which an x update from a state inside the guard
+    could overflow: its quadratic or its tilt, per coupling column."""
+    cs, G = prob.constraints, DIVERGENCE_LIMIT
+    c = np.abs(cs.row_coeff)
+    with np.errstate(over="ignore"):   # beta c^2 + |c (p - beta h z)|
+        bound = c * (G + prob.beta * (G * np.abs(cs.h_diag) + c))
+    if not np.all(np.isfinite(np.bincount(cs.col_index, bound))):
+        raise ValidationError(
+            f"beta = {prob.beta:g} is too large: an x update from a state "
+            f"inside the divergence guard ({G:g}) would overflow")
 
 
 def _benchmark_start(prob: SeparableProblem) -> np.ndarray:

@@ -10,7 +10,6 @@ norms used by the diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -38,8 +37,6 @@ class ProperPartition:
     Block ``b`` owns the rows ``rows[row_ptr[b]:row_ptr[b+1]]`` and the
     components ``comps[comp_ptr[b]:comp_ptr[b+1]]``, those owning its
     rows; exactly those components are updated when the block fires.
-    ``blocks[b]`` and ``component_map[b]`` are the same as one array per
-    block (made on first use).
     """
 
     rows: np.ndarray
@@ -52,14 +49,6 @@ class ProperPartition:
     @property
     def num_blocks(self) -> int:
         return self.row_ptr.size - 1
-
-    @cached_property
-    def blocks(self) -> tuple:
-        return tuple(np.split(self.rows, self.row_ptr[1:-1]))
-
-    @cached_property
-    def component_map(self) -> tuple:
-        return tuple(np.split(self.comps, self.comp_ptr[1:-1]))
 
 
 def build_partition(z_set: FeasibleSet, cs: ConstraintSystem,
@@ -248,10 +237,6 @@ class RngStream:
     def next_double(self) -> float:
         # 53 uniform mantissa bits in [0, 1)
         return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` values of :meth:`next_double`, as one array."""
-        return draw_uniforms([self], count)[:, 0]
 
     def normals(self, size: int) -> np.ndarray:
         """Standard normals via Box-Muller on fixed-order uniform draws."""

@@ -9,7 +9,7 @@ match bit for bit (the objective by kind through ``np.dot`` and
 ``.sum()``, ``np.linalg.norm`` of the residual, the ``np.dot`` Lyapunov
 value), kept here rather than read from the engine. It keeps its own
 lazy ergodic sums over the coordinates each block moves, taken from the
-partition (``component_map[b]`` and ``blocks[b]``): a coordinate's sum
+partition (``block_comps`` and ``block_rows``): a coordinate's sum
 gains its value times the iterations it held it just before it moves and
 at each flush. That is the order of additions the engine uses, so the
 means agree bit for bit, not only to rounding. The x solve of one
@@ -50,7 +50,7 @@ from asyncadmm import (PrimalDualState, ProbeFlags, Quadratic, RngStream,
 from asyncadmm.diagnostics import (RateConstants, WeightedNorm,
                                    weighted_norm_sq)
 from asyncadmm.engine import SHADOW_TOL, _guard_message, _ragged
-from asyncadmm.prox import solve_local_prepared, solve_z_prepared
+from asyncadmm.prox import pair_weights, solve_local_prepared
 from asyncadmm.scheduler import _offsets
 from asyncadmm.terms import AbsDev, Box, L1, term_value
 from asyncadmm.errors import (DivergenceError, GridTooLarge,
@@ -219,6 +219,37 @@ def z_pairs(prob):
     return np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
 
 
+def solve_z_prepared(w, t, pair_i, pair_j):
+    """Minimizer of ``||diag(w) z - t||^2`` with ``z[pair_i] = -z[pair_j]``.
+
+    Unpaired coordinates fit exactly (``t / w``); each sum-zero pair takes
+    the one-dimensional stationarity closed form with the pairing
+    enforced exactly. ``pair_i``/``pair_j`` index the first axis of ``w``
+    and ``t``; further axes of ``t`` (with ``w`` broadcast along them, as a
+    column) hold more fits, each computed as the 1-D call computes it.
+    The block kernel and the synchronous step make these operations in
+    place; the reference updates here call this fit.
+    """
+    z = t / w
+    if pair_i.size:
+        wi, wj, den = pair_weights(w, pair_i, pair_j)
+        zi = (wi * t[pair_i] - wj * t[pair_j]) / den
+        z[pair_i] = zi
+        z[pair_j] = -zi
+    return z
+
+
+def block_rows(part, b):
+    """Block ``b``'s rows, ascending: its slice of ``part.rows``."""
+    return part.rows[part.row_ptr[b]:part.row_ptr[b + 1]]
+
+
+def block_comps(part, b):
+    """The components that own block ``b``'s rows: its slice of
+    ``part.comps``."""
+    return part.comps[part.comp_ptr[b]:part.comp_ptr[b + 1]]
+
+
 def fire_block(prob, part, st, b):
     """Block ``b``'s update from ``st``, on a copy: each of its components
     solved in turn against the current p and z (``plain_component``), then
@@ -226,9 +257,9 @@ def fire_block(prob, part, st, b):
     new x, then the dual step of its rows."""
     cs, beta, n = prob.constraints, prob.beta, prob.constraints.n
     x, z, p = st.x.copy(), st.z.copy(), st.p.copy()
-    for i in part.component_map[b].tolist():
+    for i in block_comps(part, b).tolist():
         x[i * n:(i + 1) * n] = plain_component(prob, i, p, z)
-    rows = np.asarray(part.blocks[b], dtype=np.intp)
+    rows = block_rows(part, b)
     local = {r: a for a, r in enumerate(rows.tolist())}
     pairs = np.array([(local[i], local[j]) for i, j in zip(
         *z_pairs(prob).tolist()) if i in local],
@@ -248,9 +279,9 @@ def reference_drift(prob, st, part, dist, ref, wn):
     the 1-D Lyapunov values (``plain_lyapunov``) with row weights
     ``lam * w`` at that point less at ``st``."""
     z, p = st.z.copy(), st.p.copy()
-    for b in range(len(part.blocks)):
+    for b in range(part.num_blocks):
         after = fire_block(prob, part, st, b)
-        rows = np.asarray(part.blocks[b], dtype=np.intp)
+        rows = block_rows(part, b)
         z[rows], p[rows] = after.z[rows], after.p[rows]
     w = dist.lam * wn.weight_diag
     return (plain_lyapunov(prob, dist, ref, z, p, w)
@@ -275,8 +306,8 @@ def moved_groups(prob, part, b):
     """Indices into ``[x, z, p]`` of block ``b``'s moved coordinates: one
     group per component's x, then the z rows, then the p rows."""
     n, dim_x, W = prob.constraints.n, prob.dim_x, prob.dim_z
-    rows = np.asarray(part.blocks[b], dtype=np.intp)
-    return ([np.arange(i * n, (i + 1) * n) for i in part.component_map[b]]
+    rows = block_rows(part, b)
+    return ([np.arange(i * n, (i + 1) * n) for i in block_comps(part, b)]
             + [dim_x + rows, dim_x + W + rows])
 
 
@@ -337,7 +368,7 @@ def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
     rec = PlainRecorder(prob, dist, probes, ref)
     counters = {"steps": T, "shadow_checks": 0, "shadow_failures": 0,
                 "freeze_checks": 0, "freeze_failures": 0}
-    groups = [moved_groups(prob, part, b) for b in range(len(part.blocks))]
+    groups = [moved_groups(prob, part, b) for b in range(part.num_blocks)]
     rng = RngStream(seed)
     for k in range(1, T + 1):
         b = sample_block(dist, rng)
@@ -692,7 +723,7 @@ def reference_q(prob, dist, mu, grids, z_bound):
 def reference_coefficients(prob, mu, i):
     """Linear coefficient of x_i in mu' D x: sums mu over the rows of i."""
     cs = prob.constraints
-    rows = cs.rows_of_component(i)
+    rows = np.flatnonzero(cs.row_block == i)
     c = np.zeros(cs.n)
     np.add.at(c, cs.row_coord[rows], mu[rows] * cs.row_coeff[rows])
     return c
@@ -794,8 +825,8 @@ def reference_rate_constants(prob, dist, ref, state0, grid_resolution=1001,
     alpha_row = dist.alpha[cs.row_block]
     coupled0 = (cs.row_coeff * x0[cs.col_index] / alpha_row
                 + cs.h_diag * z0 * w)
-    s0 = sum(term_value(t, prob.component(x0, i)) / dist.alpha[i]
-             for i, t in enumerate(prob.terms))
+    s0 = sum(term_value(t, xi) / dist.alpha[i] for i, (t, xi) in
+             enumerate(zip(prob.terms, np.split(x0, cs.N))))
     l0_tilde = (s0 - float(np.dot(ref.p, coupled0))
                 + float(np.linalg.norm(coupled0)))
 

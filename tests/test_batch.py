@@ -21,7 +21,8 @@ from asyncadmm import engine, runner
 from asyncadmm.diagnostics import ReferenceSolution
 from asyncadmm.errors import DivergenceError
 
-from reference import assert_same_run, reference_levels, reference_run
+from reference import (assert_same_run, block_comps, block_rows,
+                       reference_levels, reference_run)
 from test_fullpass import random_problem
 from test_shadow_stack import random_partition
 
@@ -301,7 +302,9 @@ def test_divergence_names_first_seed_in_config_order(tmp_path, capsys):
     assert str(info.value) == want
     assert f"seed {seeds[0]}," in want
 
-    blocks = tuple(tuple(b.tolist()) for b in reform.partition.blocks)
+    part = reform.partition
+    blocks = tuple(tuple(b.tolist())
+                   for b in np.split(part.rows, part.row_ptr[1:-1]))
     cfg = ExperimentConfig(problem=ProblemSource("object", reform.problem),
                            T=200, seeds=tuple(seeds), blocks=blocks,
                            out="out", reference="none")
@@ -349,10 +352,10 @@ def test_a_rerun_gathers_lanes_for_about_the_draws_it_fires(monkeypatch,
 def merged_partition(prob, part, rng):
     """The per-edge blocks dealt at random into blocks of one to three
     edges, so blocks are uneven and their rows far apart."""
-    edges = rng.permutation(len(part.blocks))
+    edges = rng.permutation(part.num_blocks)
     cuts = np.cumsum(rng.integers(1, 4, size=edges.size))
     groups = np.split(edges, cuts[cuts < edges.size])
-    blocks = [np.concatenate([part.blocks[e] for e in g]).tolist()
+    blocks = [np.concatenate([block_rows(part, e) for e in g]).tolist()
               for g in groups]
     return build_partition(prob.z_set, prob.constraints, blocks)
 
@@ -612,7 +615,8 @@ def test_shadow_probe_pass_runs_before_the_guard(seeds, stride):
 
 
 def component_sets(part):
-    return [set(c.tolist()) for c in part.component_map]
+    return [set(c.tolist())
+            for c in np.split(part.comps, part.comp_ptr[1:-1])]
 
 
 def cycle200(merged):
@@ -653,7 +657,7 @@ def test_levels_are_minimal_on_random_user_partitions(n, N, hub_rows, z_pairs,
     prob = random_problem(rng, n, N, ["quadratic"] * N, hub_rows,
                           z_pairs=z_pairs)
     part = random_partition(rng, prob)
-    draws = rng.integers(0, len(part.blocks), size=L)
+    draws = rng.integers(0, part.num_blocks, size=L)
     assert_minimal_levels(part, draws.tolist(), engine._levels(part, draws))
 
 
@@ -723,9 +727,9 @@ def test_levels_skip_rounds_they_cannot_finish(graph, L, dense):
                               ).reform.partition
     rng = np.random.default_rng(L)
     for _ in range(5):
-        draws = rng.integers(0, len(part.blocks), size=L)
+        draws = rng.integers(0, part.num_blocks, size=L)
         chain = np.bincount(np.concatenate(
-            [part.component_map[b] for b in draws])).max()
+            [block_comps(part, b) for b in draws])).max()
         assert (chain > L // 32) == dense
         got, want = engine._levels(part, draws), reference_levels(part, draws)
         assert len(got) == len(want)

@@ -783,6 +783,39 @@ class TestInputErrors:
             assert cli_main([command, str(cfg_path)]) == 2
             assert capsys.readouterr().err == want
 
+    @pytest.mark.parametrize("beta", [1e308, 8e307])
+    def test_a_beta_that_overflows_the_x_update_exits_2(self, tmp_path,
+                                                        capsys, beta):
+        # these printed numpy overflow warnings; 1e308 then diverged (exit
+        # 1), 8e307 exited 0 with x at the box edges
+        want = (f"config error: beta = {beta:g} is too large: an x update "
+                "from a state inside the divergence guard (1e+12) would "
+                "overflow\n")
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({
+            "problem": {"benchmark": {"name": "consensus-lad",
+                                      "graph": "g.txt"}},
+            "T": 5, "beta": beta, "out": "res"}))
+        for argv in (self.bench_argv(tmp_path, f"--beta={beta}"),
+                     ["run", str(cfg_path)], ["validate", str(cfg_path)]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli_main(argv) == 2
+            assert [str(c.message) for c in caught] == []
+            assert capsys.readouterr().err == want
+        assert not (tmp_path / "res").exists()
+
+    def test_a_large_beta_inside_the_float_range_diverges(self, tmp_path,
+                                                          capsys):
+        argv = self.bench_argv(tmp_path, "--beta=1e100")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(argv) == 1
+        assert [str(c.message) for c in caught] == []
+        assert capsys.readouterr().err == (
+            "divergence: iterate magnitude 2.500e+99 exceeded guard at "
+            "iteration 1 (seed 0, block 2)\n")
+
     @pytest.mark.parametrize("w, b", [(1e155, 1.0), (-2e154, 3.0),
                                       (1e-300, 1e300), (1e-200, 0.0)])
     def test_lasso_row_past_the_float_range_exits_2(self, tmp_path, capsys,
@@ -956,6 +989,7 @@ def fuzz_inputs(tmp):
                                              a=[1.0, 2.0, 3.0],
                                              box_margin=2.0),
                                Graph.cycle(3), beta=1.0)
+    part = bench.reform.partition
     common = {"T": 12, "seeds": [0, 1], "beta": 1.0, "stride": 5,
               "probes": {"shadow": True, "lyapunov": True, "ergodic": True},
               "workers": 1, "reference": "auto", "out": "out"}
@@ -963,8 +997,8 @@ def fuzz_inputs(tmp):
         "name": "consensus-quadratic", "graph": "g.txt", "a": [1.0, 2.0, 3.0],
         "box_margin": 2.0}}, x0=[1.0, 2.0, 3.0], z0=[0.0] * 6)
     file_config = dict(common, problem={"file": "p.json"},
-                       blocks=[list(map(int, b))
-                               for b in bench.reform.partition.blocks],
+                       blocks=[list(map(int, b)) for b in np.split(
+                           part.rows, part.row_ptr[1:-1])],
                        block_probs=[0.25, 0.25, 0.5])
     problem = json.loads(dump_problem(bench.problem))
     csv = tmp / "m.csv"

@@ -60,7 +60,9 @@ class TestBuildReformulation:
         reform = quad_reform(Graph(2, ((0, 1),)), [1.0, 2.0])
         cs = reform.problem.constraints
         assert cs.W == 2
-        np.testing.assert_array_equal(cs.dense_d(), [[1.0, 0.0], [0.0, -1.0]])
+        # D = [[1, 0], [0, -1]]: one entry per row
+        np.testing.assert_array_equal(cs.col_index, [0, 1])
+        np.testing.assert_array_equal(cs.row_coeff, [1.0, -1.0])
         np.testing.assert_array_equal(cs.h_diag, [-1.0, -1.0])
 
     def test_path_three_nodes_counts(self):
@@ -68,7 +70,9 @@ class TestBuildReformulation:
         cs = reform.problem.constraints
         assert reform.graph.num_edges == 2 and cs.W == 4
         # the middle node appears in both edge blocks
-        appearing = [set(c.tolist()) for c in reform.partition.component_map]
+        part = reform.partition
+        appearing = [set(c.tolist())
+                     for c in np.split(part.comps, part.comp_ptr[1:-1])]
         assert appearing == [{0, 1}, {1, 2}]
 
     def test_disconnected_rejected(self):
@@ -80,9 +84,11 @@ class TestBuildReformulation:
             reform = quad_reform(g, range(g.num_nodes))
             cs = reform.problem.constraints
             assert validate_constraints(cs).ok
-            rebuilt = build_partition(reform.problem.z_set, cs,
-                                      [b.tolist() for b in reform.partition.blocks])
-            assert len(rebuilt.blocks) == g.num_edges
+            part = reform.partition
+            rebuilt = build_partition(
+                reform.problem.z_set, cs,
+                [b.tolist() for b in np.split(part.rows, part.row_ptr[1:-1])])
+            assert rebuilt.num_blocks == g.num_edges
 
     def test_vector_valued_nodes(self):
         g = Graph.path(3)

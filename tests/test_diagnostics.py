@@ -453,7 +453,7 @@ class TestStackedRateConstants:
                                .reshape(-1, 2)),
             constraints=cs, beta=0.7)
         part = random_partition(rng, prob)
-        probs = rng.uniform(0.5, 2.0, len(part.blocks))
+        probs = rng.uniform(0.5, 2.0, part.num_blocks)
         dist = derive_probabilities(part, probs / probs.sum())
         mus = rng.normal(size=(40, cs.W)) * 2.0
         grids = _component_grids(prob, 23, budget)
@@ -509,7 +509,7 @@ class TestStackedRateConstants:
         part = random_partition(rng, prob) if cs.W > 1 else None
         if part is None:
             part = build_partition(z_set, cs, [[0]])
-        probs = rng.uniform(0.5, 2.0, len(part.blocks))
+        probs = rng.uniform(0.5, 2.0, part.num_blocks)
         dist = derive_probabilities(part, probs / probs.sum())
         ref = ReferenceSolution(x=rng.normal(size=prob.dim_x),
                                 z=rng.normal(size=cs.W),
@@ -586,8 +586,9 @@ def test_grid_values_equal_the_term_value_loop(name, n):
                           reference_grid_gap(prob, dist, mu, want), "gap")
         # the weighted Lagrangian's objective part: one value per component
         x = np.random.default_rng(seed).uniform(-2.0, 2.0, prob.dim_x)
-        want_sum = sum(term_value(t, prob.component(x, i)) / dist.alpha[i]
-                       for i, t in enumerate(prob.terms))
+        want_sum = sum(term_value(t, xi) / dist.alpha[i] for i, (t, xi) in
+                       enumerate(zip(prob.terms,
+                                     np.split(x, prob.num_components))))
         assert_bits_equal(_weighted_parts(prob, dist, x,
                                           np.zeros(prob.dim_z))[0],
                           want_sum, "weighted objective")

@@ -18,7 +18,8 @@ from asyncadmm.errors import (DivergenceError, ImproperPartition,
 
 from conftest import kernel_block, random_state_for
 from oracles import grid_min_free
-from reference import assert_same_run, reference_run
+from reference import (assert_same_run, block_comps, block_rows,
+                       reference_run)
 
 
 def cycle_bench(n_nodes=4, beta=1.0):
@@ -51,10 +52,10 @@ class TestXUpdate:
         reform = cycle_bench()
         prob, part = reform.problem, reform.partition
         st = random_state_for(prob, np.random.default_rng(0))
-        for b in range(len(part.blocks)):
+        for b in range(part.num_blocks):
             x = kernel_block(prob, part, st, b).x
             inactive = np.setdiff1d(np.arange(prob.dim_x),
-                                    part.component_map[b])
+                                    block_comps(part, b))
             np.testing.assert_array_equal(x[inactive], st.x[inactive])
 
     def test_full_activation_separates(self):
@@ -65,9 +66,9 @@ class TestXUpdate:
         st = random_state_for(prob, np.random.default_rng(1))
         full = kernel_block(prob, single_block_partition(prob.constraints),
                             st, 0)
-        for b in range(len(part.blocks)):
+        for b in range(part.num_blocks):
             alone = kernel_block(prob, part, st, b)
-            for i in part.component_map[b]:
+            for i in block_comps(part, b):
                 assert full.x[i] == alone.x[i]
 
 
@@ -90,7 +91,7 @@ class TestZUpdate:
         reform = cycle_bench()
         prob, part = reform.problem, reform.partition
         st = random_state_for(prob, np.random.default_rng(3))
-        for b, rows in enumerate(part.blocks):
+        for b, rows in enumerate(np.split(part.rows, part.row_ptr[1:-1])):
             after = kernel_block(prob, part, st, b)
             inactive = np.setdiff1d(np.arange(prob.dim_z), rows)
             np.testing.assert_array_equal(after.z[inactive], st.z[inactive])
@@ -117,7 +118,7 @@ class TestZUpdate:
         rng = np.random.default_rng(4)
         st = random_state_for(prob, rng)
         z = kernel_block(prob, reform.partition, st, 0).z
-        rows = reform.partition.blocks[0]
+        rows = block_rows(reform.partition, 0)
         assert abs(z[rows[0]] + z[rows[1]]) <= 1e-12
 
 
@@ -130,7 +131,7 @@ class TestDualUpdate:
         prob, part = reform.problem, reform.partition
         ref = solve_reference(prob)
         st = PrimalDualState(x=ref.x.copy(), z=ref.z.copy(), p=ref.p.copy())
-        for b in range(len(part.blocks)):
+        for b in range(part.num_blocks):
             p = kernel_block(prob, part, st, b).p
             np.testing.assert_allclose(p, st.p, rtol=0, atol=1e-9)
 
@@ -189,7 +190,7 @@ class TestStep:
             assert rec.block == b
             sh = shadow_step(prob, st)
             x, z, p = st.x.copy(), st.z.copy(), st.p.copy()
-            comps, rows = part.component_map[b], part.blocks[b]
+            comps, rows = block_comps(part, b), block_rows(part, b)
             x[comps] = sh.y[comps]
             z[rows] = sh.v[rows]
             p[rows] = sh.mu[rows]
@@ -208,14 +209,14 @@ class TestStep:
         for _ in range(100):
             rec = step(prob, st, part, dist, rng, with_shadow=True)
             b = rec.block
-            rows = part.blocks[b]
-            for i in part.component_map[b]:
+            rows = block_rows(part, b)
+            for i in block_comps(part, b):
                 assert abs(rec.after.x[i] - rec.shadow.y[i]) <= 1e-9
             assert np.max(np.abs(rec.after.z[rows] - rec.shadow.v[rows])) <= 1e-9
             assert np.max(np.abs(rec.after.p[rows] - rec.shadow.mu[rows])) <= 1e-9
             # inactive coordinates bitwise frozen
             mask_x = np.ones(5, dtype=bool)
-            mask_x[part.component_map[b]] = False
+            mask_x[block_comps(part, b)] = False
             mask_z = np.ones(prob.dim_z, dtype=bool)
             mask_z[rows] = False
             np.testing.assert_array_equal(rec.after.x[mask_x],
@@ -266,7 +267,7 @@ class TestShadowStep:
         sh = shadow_step(prob, st)
         cs = prob.constraints
         for i in range(2):
-            rows = cs.rows_of_component(i)
+            rows = np.flatnonzero(cs.row_block == i)
             gather = float(np.sum(cs.row_coeff[rows] *
                                   (st.p[rows] - prob.beta * cs.h_diag[rows]
                                    * st.z[rows])))
@@ -486,7 +487,7 @@ class TestFastPath:
         prob, part = reform.problem, reform.partition
         table = _block_table(prob, part)
         W, P = prob.dim_z, table.P
-        for b, rows in enumerate(part.blocks):
+        for b, rows in enumerate(np.split(part.rows, part.row_ptr[1:-1])):
             lanes = table.idx[table.icol["z"], b] - table.z0
             pairs = [(i, j) for i, j in prob.z_set.pairs if i in set(rows)]
             assert lanes[:P].tolist() == [i for i, _ in pairs]

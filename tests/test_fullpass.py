@@ -2,7 +2,7 @@
 
 The synchronous step's program solves every x component at once for the
 shadow pass, the synchronous engine and the reference solve
-(``_CompiledOps.solve_all`` returns that x). The loops it replaced are
+(``solve_all`` here copies that x out of one step). The loops it replaced are
 the reference: one ``reference.plain_component`` solve per
 component (``reference.per_component``), and here the three-maximum
 settle test and the per-component shadow tally, which the engine's
@@ -24,8 +24,9 @@ from asyncadmm import compiled, engine
 from asyncadmm.errors import (MissingReference, UnboundedSubproblem,
                              UnsupportedTerm)
 from asyncadmm.problem import TermGroups
-from asyncadmm.prox import _GroupedProx, solve_z_prepared
-from reference import per_component, plain_shadow
+from asyncadmm.prox import _GroupedProx
+from reference import (block_comps, block_rows, per_component, plain_shadow,
+                       solve_z_prepared)
 
 KINDS = ("quadratic", "absdev", "l1", "l1-zero", "custom")
 
@@ -110,9 +111,15 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+def solve_all(ops, p, z):
+    """Every x component minimized against ``p`` and ``z`` (one point or
+    one per row): a copy of the x of one synchronous step."""
+    return ops.stacked(p.shape[:-1]).run(z, p)[0].copy()
+
+
 def assert_same_solves(prob, p, z):
     want = outcome(lambda: per_component(prob, p, z))
-    assert outcome(lambda: engine._ops(prob).solve_all(p, z)) == want
+    assert outcome(lambda: solve_all(engine._ops(prob), p, z)) == want
 
 
 @settings(max_examples=120, deadline=None,
@@ -215,7 +222,7 @@ def test_first_error_is_unchanged(terms, error):
     with pytest.raises(error) as want:
         per_component(prob, p, z)
     with pytest.raises(error) as got:
-        ops.solve_all(p, z)
+        solve_all(ops, p, z)
     assert str(got.value) == str(want.value)
     # through the program: one point, and a stack whose rows all raise
     with pytest.raises(error) as got:
@@ -242,7 +249,7 @@ def test_custom_of_dimension_two_raises_first():
     p, z = rng.normal(size=prob.dim_z), rng.normal(size=prob.dim_z)
     want = outcome(lambda: per_component(prob, p, z))
     assert want[0] is UnsupportedTerm
-    assert outcome(lambda: ops.solve_all(p, z)) == want
+    assert outcome(lambda: solve_all(ops, p, z)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +683,8 @@ def test_reference_solve_and_run_share_the_compiled_problem(monkeypatch):
 def old_tally(prob, partition, rec, counters):
     """The per-component shadow tally the stacked one replaced."""
     n = prob.constraints.n
-    comps = partition.component_map[rec.block]
-    rows = partition.blocks[rec.block]
+    comps = block_comps(partition, rec.block)
+    rows = block_rows(partition, rec.block)
     sh = rec.shadow
     ok = True
     for i in comps:
@@ -745,8 +752,8 @@ def test_shadow_step_equals_component_loop(case):
 def tamper(kind, rec, partition, n):
     """A copy of ``rec.after`` changed one way, and the matching before."""
     after, before = rec.after.copy(), rec.before.copy()
-    comps = partition.component_map[rec.block]
-    rows = partition.blocks[rec.block]
+    comps = block_comps(partition, rec.block)
+    rows = block_rows(partition, rec.block)
     moved_x = int(comps[-1]) * n
     still_x = [i for i in range(after.x.size // n) if i not in set(comps)]
     still_row = [r for r in range(after.z.size) if r not in set(rows)]

@@ -1,0 +1,48 @@
+"""``src/`` keeps no member that only tests call.
+
+Every module-level function of ``src/asyncadmm``, and every method of one
+of its underscore-prefixed classes, is used in ``src/`` (as a name or an
+attribute), exported by ``asyncadmm/__init__.py`` or named in README.md.
+Names are matched, not resolved: a member that shares its name with one
+in use passes, so the check finds members that nothing names, not every
+member without a caller.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "asyncadmm"
+
+
+def members(tree):
+    """``(qualified name, name)`` of the module's functions and of its
+    underscore-prefixed classes' methods, dunder methods left out."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            for f in node.body:
+                if (isinstance(f, ast.FunctionDef)
+                        and not (f.name.startswith("__")
+                                 and f.name.endswith("__"))):
+                    yield f"{node.name}.{f.name}", f.name
+
+
+def test_src_keeps_no_member_that_only_tests_call():
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    known = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                known.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                known.add(node.attr)
+    known.update(alias.asname or alias.name
+                 for node in ast.walk(trees["__init__.py"])
+                 if isinstance(node, ast.ImportFrom) for alias in node.names)
+    unused = [f"{module}: {qual}" for module, tree in trees.items()
+              for qual, name in members(tree) if name not in known]
+    assert unused == []

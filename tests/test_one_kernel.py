@@ -257,6 +257,29 @@ def test_drift_on_a_2000_node_cycle_in_bounded_memory():
     assert peak <= 4 * 2 ** 20
 
 
+@pytest.mark.parametrize("nodes,chunk,S", [(5, 64, 16), (20, 341, 3)])
+def test_a_chunk_of_lanes_is_gathered_once(nodes, chunk, S):
+    """A chunk of lockstep draws (``(chunk, S)`` blocks, as ``run_batch``
+    takes them on mc-cycle5 and lad-audit) takes each table's columns in
+    lane order once: call ``j``'s inputs equal those of its own row of
+    blocks, byte for byte, they are C-contiguous, and making them peaks
+    below 1.5 times their own size (a second copy into lane order
+    would take twice it)."""
+    bench = generate_benchmark(BenchmarkSpec("consensus-lad"),
+                               Graph.cycle(nodes))
+    bt = engine._block_table(bench.problem, bench.reform.partition)
+    blocks = np.random.default_rng(nodes).integers(0, nodes, size=(chunk, S))
+    bt.lanes(blocks, stacked=True)
+    lanes, peak = peak_of(lambda: bt.lanes(blocks, stacked=True))
+    for got in lanes[:3]:
+        assert got.shape[0] == chunk and got.flags.c_contiguous
+    for j in range(chunk):
+        for got, want in zip(lanes, bt.lanes(blocks[j], stacked=True)):
+            assert got[j].tobytes() == want.tobytes()
+    own = sum(a.nbytes for a in lanes[:3])
+    assert peak < 1.5 * own, f"peak {peak} B for {own} B of lanes"
+
+
 def chord_cycle(chords, nodes=40):
     """A cycle whose node 0 is also joined to nodes 2, 3, ... by ``chords``
     more edges: a hub of ``chords + 2`` rows."""
@@ -386,7 +409,7 @@ def test_drift_fires_every_block_in_one_kernel_call(monkeypatch, graph):
     monkeypatch.setattr(diagnostics, "lyapunov_rows", lyapunov_spy)
     lyapunov_drift(prob, state, part, dist, ref, wn)
     (bt, row, blocks, k), = calls
-    assert blocks == list(range(len(part.blocks))) and k is None
+    assert blocks == list(range(part.num_blocks)) and k is None
     assert_laid_out(bt, row, state)
     assert values == [(prob.dim_z,)] * 2
 

@@ -290,7 +290,9 @@ class TestResidual:
         for _ in range(20):
             x = rng.normal(size=6)
             z = rng.normal(size=4)
-            dense = cs.dense_d() @ x + np.diag(cs.h_diag) @ z
+            d = np.zeros((cs.W, cs.n * cs.N))
+            d[np.arange(cs.W), cs.col_index] = cs.row_coeff
+            dense = d @ x + np.diag(cs.h_diag) @ z
             np.testing.assert_allclose(residual(prob, x, z), dense, atol=1e-14)
 
 

@@ -5,10 +5,9 @@ from asyncadmm import (AbsDev, Box, Custom, Free, L1, LocalSubproblem,
                        Quadratic, bisect_convex, solve_local, term_value)
 from asyncadmm.errors import (InvalidProblem, NonfiniteInput,
                               UnboundedSubproblem, UnsupportedTerm)
-from asyncadmm.prox import solve_z_prepared
 
 from oracles import grid_min_free, grid_min_pair, scalar_subgrad_bisect
-from reference import plain_prox
+from reference import plain_prox, solve_z_prepared
 from test_fullpass import make_set, make_term, outcome, random_vector
 
 

@@ -44,9 +44,9 @@ def layout_slots(bt, prob, part):
     n, N = prob.constraints.n, prob.num_components
     xs, zs, ps = bt.views(np.arange(bt.width))
     xs = xs.reshape(N, n)
-    moved = [np.concatenate([xs[part.component_map[b]].reshape(-1),
-                             zs[rows], ps[rows]])
-             for b, rows in enumerate(part.blocks)]
+    moved = [np.concatenate([xs[comps].reshape(-1), zs[rows], ps[rows]])
+             for comps, rows in zip(np.split(part.comps, part.comp_ptr[1:-1]),
+                                    np.split(part.rows, part.row_ptr[1:-1]))]
     live = np.concatenate([xs.reshape(-1), zs, ps])
     return moved, np.setdiff1d(np.arange(bt.width // 3), live), live
 
@@ -124,7 +124,7 @@ def test_kernel_writes_only_its_slots(data_seed, n, N, hub_rows, uncoupled,
     assert bt.width % 3 == 0
     moved, dummy, live = layout_slots(bt, prob, part)
     assert live.max() < bt.width // 3
-    m, k0 = len(part.blocks), int(rng.integers(1, 50))
+    m, k0 = part.num_blocks, int(rng.integers(1, 50))
 
     if mode == "level":
         # one seed's draws, one call per dependency level

@@ -9,6 +9,9 @@ from asyncadmm.scheduler import blocks_for, draw_uniforms
 from asyncadmm.errors import (ImproperPartition, NonCoveringPartition,
                               ZeroProbabilityBlock)
 
+from reference import block_comps
+
+
 def edge_problem(num_nodes=3, graph=None):
     g = graph or Graph.path(num_nodes)
     terms = tuple(Quadratic(np.array([float(i)])) for i in range(g.num_nodes))
@@ -19,17 +22,17 @@ class TestBuildPartition:
     def test_per_edge_blocks_are_proper(self):
         reform = edge_problem(3)
         part = reform.partition
-        assert len(part.blocks) == 2
+        assert part.num_blocks == 2
         # edge blocks own exactly their two endpoints
         for e, (i, j) in enumerate(reform.graph.edges):
-            assert set(part.component_map[e].tolist()) == {i, j}
+            assert set(block_comps(part, e).tolist()) == {i, j}
 
     def test_single_block_is_proper(self):
         reform = edge_problem(4)
         cs = reform.problem.constraints
         part = build_partition(reform.problem.z_set, cs, [range(cs.W)])
-        assert len(part.blocks) == 1
-        assert part.component_map[0].tolist() == [0, 1, 2, 3]
+        assert part.num_blocks == 1
+        assert block_comps(part, 0).tolist() == [0, 1, 2, 3]
 
     def test_coupled_rows_split_rejected(self):
         reform = edge_problem(2, graph=Graph(2, ((0, 1),)))
@@ -57,8 +60,7 @@ class TestBuildPartition:
             reform = edge_problem(graph=g)
             part = reform.partition
             union = set()
-            for comps in part.component_map:
-                union.update(comps.tolist())
+            union.update(part.comps.tolist())
             assert union == set(range(g.num_nodes))
 
 
@@ -88,7 +90,7 @@ class TestDeriveProbabilities:
         part = reform.partition
         probs = uniform_probs(part)
         expect = np.zeros(m + 1)
-        for b, comps in enumerate(part.component_map):
+        for b, comps in enumerate(np.split(part.comps, part.comp_ptr[1:-1])):
             for i in comps:
                 expect[i] += probs[b]
         dist = derive_probabilities(part, probs)
@@ -135,7 +137,8 @@ class TestRngStream:
         # start mid-stream, and cross a chunk of draws
         vec.next_double()
         seq.next_double()
-        got = np.concatenate([vec.uniforms(5), vec.uniforms(300)])
+        got = np.concatenate([draw_uniforms([vec], 5)[:, 0],
+                              draw_uniforms([vec], 300)[:, 0]])
         want = np.array([seq.next_double() for _ in range(305)])
         np.testing.assert_array_equal(got, want)
         assert vec.counter == seq.counter == 306
@@ -161,7 +164,8 @@ class TestSampleBlock:
                                                        0.1])
         a, b = RngStream(3), RngStream(3)
         want = [sample_block(dist, a) for _ in range(500)]
-        assert blocks_for(dist, b.uniforms(500)).tolist() == want
+        got = blocks_for(dist, draw_uniforms([b], 500)[:, 0])
+        assert got.tolist() == want
 
     def test_degenerate_distribution(self):
         reform = edge_problem(2, graph=Graph(2, ((0, 1),)))

@@ -43,6 +43,18 @@ def assert_bytes(got, want, name=""):
     assert got.tobytes() == want.tobytes(), name
 
 
+def assert_same_blocks(part, want_blocks, want_map):
+    """The partition's rows and components, split into blocks, equal the
+    oracle's, byte for byte."""
+    assert len(want_blocks) == part.num_blocks
+    for got_b, want_b in zip(np.split(part.rows, part.row_ptr[1:-1]),
+                             want_blocks):
+        assert_bytes(got_b, want_b, "blocks")
+    for got_c, want_c in zip(np.split(part.comps, part.comp_ptr[1:-1]),
+                             want_map):
+        assert_bytes(got_c, want_c, "component_map")
+
+
 def as_pairs(pairs):
     """The oracle's pairs as the ``(P, 2)`` ``intp`` array the library
     keeps."""
@@ -177,11 +189,7 @@ def test_setup_equals_per_row_construction(kind, nodes, family, n, flip,
     for part in (reform.partition,
                  build_partition(prob.z_set, cs, [b.tolist() for b in blocks])):
         assert (part.num_rows, part.num_components) == (W, nodes)
-        assert len(part.blocks) == len(want_blocks) == part.num_blocks
-        for got_b, want_b in zip(part.blocks, want_blocks):
-            assert_bytes(got_b, want_b, "blocks")
-        for got_c, want_c in zip(part.component_map, want_map):
-            assert_bytes(got_c, want_c, "component_map")
+        assert_same_blocks(part, want_blocks, want_map)
 
     probs = rng.uniform(0.1, 1.0, len(blocks))
     probs = probs / probs.sum()
@@ -290,12 +298,7 @@ def test_malformed_input_raises_as_the_per_row_loops(data):
     if got[0] != "ok" or want[0] != "ok":
         assert got == want
     else:
-        part, (want_blocks, want_map) = got[1], want[1]
-        assert len(part.blocks) == len(want_blocks)
-        for got_b, want_b in zip(part.blocks, want_blocks):
-            assert_bytes(got_b, want_b, "blocks")
-        for got_c, want_c in zip(part.component_map, want_map):
-            assert_bytes(got_c, want_c, "component_map")
+        assert_same_blocks(got[1], *want[1])
 
 
 @pytest.mark.parametrize("form", [list, lambda v: np.array(v, dtype=object)],

@@ -136,11 +136,12 @@ def check_tally(prob, part, rng, S, kind, parked):
     """One step per seed, one row tampered ``kind``; the engine's one
     stacked tally against the reference tally of each seed."""
     n, N, W = prob.constraints.n, prob.num_components, prob.dim_z
-    blocks = rng.integers(0, len(part.blocks), size=S)
+    blocks = rng.integers(0, part.num_blocks, size=S)
     # a tamper of a frozen coordinate needs a component and a row that the
     # block leaves alone
     open_rows = [s for s, b in enumerate(blocks)
-                 if len(part.component_map[b]) < N and len(part.blocks[b]) < W]
+                 if np.diff(part.comp_ptr)[b] < N
+                 and np.diff(part.row_ptr)[b] < W]
     assume(kind == "none" or open_rows)
     hit = open_rows[int(rng.integers(len(open_rows)))] if open_rows else -1
     befores, afters, shadows, want = [], [], [], []
