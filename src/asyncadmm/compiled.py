@@ -270,6 +270,135 @@ class _Stacked:
         return self.out
 
 
+def _add_tails(bt, flat, idx, blocks, lin):
+    """Add to the x lanes' tilt sums ``lin`` (``(C n, L)``) the tails of
+    the lanes that have one, in place: their rows past ``K``, gathered
+    from ``flat`` through the lanes' ``idx`` columns and summed strictly
+    left to right on from each lane's sum. The one tail gather of the
+    block kernel (``engine._fire_lanes``, :class:`_Lanes`); its shape
+    changes from call to call."""
+    tails = bt.tails.take(blocks, axis=2)
+    c, l = np.nonzero(tails[0])
+    if c.size:
+        count, at, x = tails[:, c, l]
+        r = np.arange(count.max())[:, None]
+        pos = np.where(r < count, at + r, bt.W)
+        tp, tz = flat.take(bt.t_idx.take(pos, axis=1) + (idx[c, l] - x))
+        t_coeff, t_h = bt.t_consts.take(pos, axis=1)
+        g = t_coeff * (tp - bt.beta * (t_h * tz))
+        np.add(lin[c, l], g[0], out=g[0])
+        lin[c, l] = np.add.accumulate(g)[-1]
+
+
+class _Lanes:
+    """The block kernel (``engine._fire_lanes``) bound to one block table
+    ``bt``, one flat state and ``L`` lanes: a lockstep run's kernel, made
+    once per run and fired once per iteration.
+
+    Every operand is a view made once: rows of one float and one int
+    scratch array of ``L`` columns hold the call's ``idx``, ``const``,
+    ``xsrc`` and ``blocks`` columns, the gathered values ``v``, the tilt
+    and its accumulated sums, the output, the prox's ``work`` pair and the
+    z fit's and dual step's temporaries, and the prox's calls
+    (``_GroupedProx.calls``) are bound to them. :meth:`fire` copies a
+    call's columns in and replays the calls: ``_fire_lanes``' operations
+    in its order on the same operands, written in place, so every slot it
+    writes and ``hot`` are ``_fire_lanes``' bit for bit. A hub's tails
+    (:func:`_add_tails`) and the one-by-one prox (``_GroupedProx._serial``)
+    are calls of the program too. The scratch makes the binding neither
+    thread-safe nor reentrant.
+    """
+
+    def __init__(self, bt, flat, L):
+        Cn, R, P, M, K = bt.Cn, bt.R, bt.P, bt.M, bt.K
+        prox, cc, ic, beta = bt.prox, bt.ccol, bt.icol, bt.beta
+        serial = bt.serial_at is not None
+        idx, self.xsrc, blocks, at = _rows(np.intp, L, len(bt.idx), R, 1,
+                                           Cn if serial else 0)
+        self.idx, self.blocks = idx, blocks[0]
+        const, v, g, out, w0, w1, ax, t, s, mag, hot = _rows(
+            float, L, len(bt.const), len(bt.idx), K * Cn, 3 * M,
+            Cn, Cn, R, R, R, M, 3)
+        self.const, self.since, self.hot = const, out[M:2 * M], hot
+        closed = list(const[bt.closed].reshape(-1, Cn, L).transpose(0, 2, 1))
+        calls = [(flat.take, (idx, None, v, "clip")),
+                 (np.multiply, (const[cc["h"]], v[ic["tilt_z"]], g)),
+                 (np.multiply, (beta, g, g)),
+                 (np.subtract, (v[ic["tilt_p"]], g, g)),
+                 (np.multiply, (const[cc["coeff"]], g, g))]
+        g3 = g.reshape(K, Cn, L)
+        calls.append((np.add.accumulate, (g3, 0, None, g3)))
+        lin = g[(K - 1) * Cn:]
+        if bt.tail_terms:
+            calls.append((_add_tails, (bt, flat, idx, self.blocks, lin)))
+        if serial:
+            calls.append((bt.serial_at.take, (self.blocks, 1, at, "clip")))
+        if "is_quad" in prox.args:
+            # the mask is_quad.astype(bool) makes, per call
+            q, mask = list(prox.args).index("is_quad"), np.empty((L, Cn), bool)
+            calls.append((np.copyto, (mask, closed[q], "unsafe")))
+            closed[q] = mask
+        calls += prox.calls(lin.T, closed, at.T if serial else None,
+                            out[:Cn].T, (w0.T, w1.T))
+        # z pairs and free rows, then the dual step, from the new x
+        z_coeff, w = const[cc["z_coeff"]], const[cc["w"]]
+        p_old, new_z = v[Cn + R:M], out[Cn:Cn + R]
+        calls += [(out.take, (self.xsrc, None, ax, "clip")),
+                  (np.multiply, (z_coeff, ax, ax)),
+                  (np.divide, (p_old, beta, t)),
+                  (np.subtract, (t, ax, t))]
+        if P:
+            ti, tj = t[:P], t[P:2 * P]
+            calls += [(np.multiply, (w[:P], ti, ti)),
+                      (np.multiply, (w[P:2 * P], tj, tj)),
+                      (np.subtract, (ti, tj, ti)),
+                      (np.divide, (ti, const[cc["pair_den"]], new_z[:P])),
+                      (np.negative, (new_z[:P], new_z[P:2 * P]))]
+        if bt.U:
+            calls.append((np.divide, (t[2 * P:], w[2 * P:], new_z[2 * P:])))
+        calls += [(np.multiply, (w, new_z, s)),
+                  (np.add, (ax, s, s)),
+                  (np.multiply, (beta, s, s)),
+                  (np.subtract, (p_old, s, out[Cn + R:M]))]
+        result = [(np.abs, (out[:M], mag)),
+                  (np.maximum.reduceat, (mag, bt.cuts, 0, None, hot))]
+        # without k: the moved slots; with it, their since and acc too,
+        # acc += (k - since) * old with since already holding k
+        self.plain = tuple(calls + [(flat.__setitem__, (idx[:M], out[:M]))]
+                           + result)
+        self.ergodic = tuple(calls + [
+            (np.subtract, (self.since, v[M:2 * M], mag)),
+            (np.multiply, (mag, v[:M], mag)),
+            (np.add, (v[2 * M:3 * M], mag, out[2 * M:])),
+            (flat.__setitem__, (idx[:3 * M], out))] + result)
+
+    def fire(self, lanes, k=None):
+        """``engine._fire_lanes(bt, flat, lanes, k)`` on this binding's
+        table and state, for lanes of ``L`` columns: returns ``hot``, which
+        the next call overwrites."""
+        idx, const, xsrc, blocks = lanes
+        np.copyto(self.idx, idx)
+        np.copyto(self.const, const)
+        np.copyto(self.xsrc, xsrc)
+        np.copyto(self.blocks, blocks)
+        if k is None:
+            program = self.plain
+        else:
+            self.since[...] = k
+            program = self.ergodic
+        for f, args in program:
+            f(*args)
+        return self.hot
+
+
+def _rows(dtype, L, *sizes):
+    """Consecutive blocks of ``sizes`` rows each of one new ``(·, L)``
+    array."""
+    buf = np.empty((sum(sizes), L), dtype=dtype)
+    ends = np.cumsum(sizes).tolist()
+    return [buf[e - n:e] for n, e in zip(sizes, ends)]
+
+
 def _ops(prob: SeparableProblem) -> _CompiledOps:
     """The problem's compiled arrays, built on first use and kept on it."""
     ops = getattr(prob, "_engine_ops", None)

@@ -103,11 +103,6 @@ class Graph:
         return cls(num_nodes, np.stack([i, i + 1], axis=1))
 
     @classmethod
-    def star(cls, num_nodes: int) -> "Graph":
-        i = np.arange(1, max(num_nodes, 1))
-        return cls(num_nodes, np.stack([np.zeros_like(i), i], axis=1))
-
-    @classmethod
     def from_text(cls, text: str) -> "Graph":
         """Parse the plain graph format: first line "N M", then M lines "i j"."""
         lines = [ln for ln in (s.strip() for s in text.splitlines())

@@ -35,10 +35,6 @@ class WeightedNorm:
         if np.any(self.weight_diag < 1.0 - 1e-12):
             raise InvalidProblem("weights are inverse probabilities, so >= 1")
 
-    @classmethod
-    def from_distribution(cls, dist: ActivationDistribution) -> "WeightedNorm":
-        return cls(dist.weight_diag.copy())
-
 
 def weighted_norm_sq(v: np.ndarray, wn: WeightedNorm) -> float:
     """``v' diag(w) v`` for the weighting ``w``."""

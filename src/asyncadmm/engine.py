@@ -16,11 +16,12 @@ makes one gather of everything it reads and one scatter of everything it
 writes, through index columns the table holds per block, and reads its
 constants as one column per block: about 30 array operations per call,
 each over all its lanes. Every caller fires its blocks through it:
-``run_batch`` the lanes of its seeds, and ``_fire_blocks`` a list of
-blocks from one state, as the lanes of one call on one row in the runs'
-layout (in chunks of lanes past the lane limit), for ``step`` (one
-block), ``consensus.edge_step`` (the edge's block) and
-``diagnostics.lyapunov_drift`` (every block).
+``run_batch`` the lanes of its seeds (in lockstep through the kernel's
+binding, ``compiled._Lanes``, the same operations bound once per run),
+and ``_fire_blocks`` a list of blocks from one state, as the lanes of one
+call on one row in the runs' layout (in chunks of lanes past the lane
+limit), for ``step`` (one block), ``consensus.edge_step`` (the edge's
+block) and ``diagnostics.lyapunov_drift`` (every block).
 The x lanes are solved by the grouped prox (``prox._GroupedProx``, the
 only closed-form prox): closed forms for Quadratic, AbsDev and L1
 coordinates, then one by one, in lane order, for ``Custom`` terms and
@@ -85,7 +86,7 @@ from .errors import (DivergenceError, ImproperPartition, MissingReference,
                      ValidationError)
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
                       lyapunov_rows, objective, residual)
-from .compiled import _CompiledOps, _ops, _ragged
+from .compiled import _add_tails, _CompiledOps, _Lanes, _ops, _ragged
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         _offsets, blocks_for, draw_uniforms, sample_block)
 
@@ -297,15 +298,20 @@ class _BlockTable:
         input of the call that fires row ``j``. With ``stacked`` lane ``l``
         fires on state row ``l``, else every lane fires on row 0."""
         tables = self.idx, self.const, self.xsrc
-        if blocks.ndim > 1:   # one gather per table, in lane order
-            idx, const, xsrc = (a[np.arange(len(a))[:, None], blocks[:, None]]
+        if blocks.ndim > 1:   # row by row into one array per table
+            S = blocks.shape[1]
+            idx, const, xsrc = (np.empty((len(blocks), len(a), S), a.dtype)
                                 for a in tables)
+            for a, lanes in zip(tables, (idx, const, xsrc)):
+                for row, out in zip(blocks, lanes):
+                    a.take(row, 1, out, "clip")
         else:
             idx, const, xsrc = (a.take(blocks, axis=1) for a in tables)
         L = blocks.shape[-1]
         if L > 1:
             lane = np.arange(L)
-            xsrc = xsrc * L + lane
+            xsrc *= L
+            xsrc += lane
             if stacked:
                 idx += lane * self.width
         return idx, const, xsrc, blocks
@@ -549,6 +555,14 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
     (``acc += (k - since) * old``, ``since = k``); without it they are
     left as they are. Returns each lane's max |x|, |z|, |p| over its
     block, one column per lane.
+
+    A lockstep run fires through this kernel's binding
+    (``compiled._Lanes``): the same operations, their operands views made
+    once for the run's table, state and lane count, the seed count. The
+    by-level path and :func:`_fire_blocks` call this function, since one
+    seed's levels change the lane count from call to call (64 calls with
+    50 lane counts on a 2,000-cycle), and a binding per lane count costs
+    more than it saves there.
     """
     idx, const, xsrc, blocks = lanes
     L, Cn, R, P, M, beta = idx.shape[1], bt.Cn, bt.R, bt.P, bt.M, bt.beta
@@ -560,17 +574,7 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
                               - beta * (const[cc["h"]] * v[ic["tilt_z"]]))
     lin = np.add.accumulate(g.reshape(bt.K, Cn, L))[-1]
     if bt.tail_terms:
-        tails = bt.tails.take(blocks, axis=2)
-        c, l = np.nonzero(tails[0])
-        if c.size:
-            count, at, x = tails[:, c, l]
-            r = np.arange(count.max())[:, None]
-            pos = np.where(r < count, at + r, bt.W)
-            tp, tz = flat.take(bt.t_idx.take(pos, axis=1) + (idx[c, l] - x))
-            t_coeff, t_h = bt.t_consts.take(pos, axis=1)
-            g = t_coeff * (tp - beta * (t_h * tz))
-            np.add(lin[c, l], g[0], out=g[0])
-            lin[c, l] = np.add.accumulate(g)[-1]
+        _add_tails(bt, flat, idx, blocks, lin)
     out = np.empty((3 * M, L))
     bt.prox.solve(lin.T, (const[bt.closed].reshape(-1, Cn, L)
                           .transpose(0, 2, 1),
@@ -702,20 +706,25 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     the block kernel (:func:`_fire_lanes`), whatever the terms and the
     partition. Each call fires lanes, each a (seed, block, iteration)
     triple: with several seeds, one lane per seed per iteration, each seed
-    drawing from its own SplitMix64 stream; with one seed, one dependency
-    level of its draws between two record points (:func:`_levels`), each
-    lane at its own iteration; with the shadow probe, one iteration, and
-    per block of iterations one shadow pass from every seed's pre-step
-    states (:func:`shadow_step`) and one check of their steps against it
-    (:func:`_tally_shadow`); its error at iteration k never pre-empts the
-    run's own error at k. Every field of each seed's metrics equals that
-    of ``T`` chained :func:`step` calls bit for bit.
+    drawing from its own SplitMix64 stream, through the kernel bound once
+    for the run (``compiled._Lanes``: its lane count is the seed count,
+    fixed for the run); with one seed, one dependency level of its draws
+    between two record points (:func:`_levels`), each lane at its own
+    iteration, through :func:`_fire_lanes` itself, since the lane count
+    changes from level to level; with the shadow probe, in lockstep (a
+    lone seed too), and per block of iterations one shadow pass from
+    every seed's pre-step states (:func:`shadow_step`) and one check of
+    their steps against it (:func:`_tally_shadow`); its error at iteration
+    k never pre-empts the run's own error at k. Every field of each
+    seed's metrics equals that of ``T`` chained :func:`step` calls bit for
+    bit.
 
     The serial run defines a failure: when this attempt raises anything,
     each seed runs again alone, in ``seeds`` order, one draw per call, and
     the first that fails raises its own error, the first of its chained
-    :func:`step` calls; if none fails, the attempt's error is raised. A
-    lone seed with the shadow probe is already serial.
+    :func:`step` calls; if none fails, the attempt's error is raised. The
+    rerun fires in lockstep, one lane per call. A lone seed with the
+    shadow probe is already serial.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -795,8 +804,8 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
                 j = a + r
                 if probes.shadow:
                     hist[r] = state
-                hot = _fire_lanes(bt, flat, (idx[j], const[j], xsrc[j],
-                                             blocks[j]), k + j + 1)
+                hot = kernel.fire((idx[j], const[j], xsrc[j], blocks[j]),
+                                  k + j + 1)
                 r += 1   # iteration j's pass comes before its guard
                 if not hot.max() <= DIVERGENCE_LIMIT:
                     raise _divergence(hot, k + j + 1, seeds, blocks[j])
@@ -814,6 +823,7 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
                 shadow_step(prob, PrimalDualState(*bt.views(row)))
             raise
 
+    kernel = None if by_level else _Lanes(bt, flat, S)
     rngs = [RngStream(seed) for seed in seeds]
     # a lone seed fires its draws between record points by level; seeds in
     # lockstep gather their lanes' table rows once per chunk, so the chunk

@@ -169,9 +169,6 @@ class Free:
 
     dim: int
 
-    def contains(self, u: np.ndarray, tol: float = 0.0) -> bool:
-        return u.size == self.dim
-
     def project(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=float).copy()
 
@@ -194,9 +191,6 @@ class Box:
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    def contains(self, u: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
 
     def project(self, u: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(u, dtype=float), self.lower, self.upper)
@@ -236,9 +230,6 @@ class SumZeroPairs:
             raise InvalidProblem(f"index {k} appears in two pairs")
         index.flags.writeable = False
         object.__setattr__(self, "pairs", index)
-
-    def contains(self, u: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(u[self.pairs].sum(axis=1)) <= tol))
 
     def project(self, u: np.ndarray) -> np.ndarray:
         # the pairs are disjoint, so all of them are projected at once

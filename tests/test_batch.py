@@ -21,8 +21,8 @@ from asyncadmm import engine, runner
 from asyncadmm.diagnostics import ReferenceSolution
 from asyncadmm.errors import DivergenceError
 
-from reference import (assert_same_run, block_comps, block_rows,
-                       reference_levels, reference_run)
+from reference import (GRAPHS, assert_same_run, block_comps, block_rows,
+                       reference_levels, reference_run, star_graph)
 from test_fullpass import random_problem
 from test_shadow_stack import random_partition
 
@@ -43,9 +43,6 @@ def random_reference(prob, rng):
     return ReferenceSolution(x=rng.normal(size=prob.dim_x),
                              z=rng.normal(size=prob.dim_z),
                              p=rng.normal(size=prob.dim_z))
-
-
-GRAPHS = {"cycle": Graph.cycle, "path": Graph.path, "star": Graph.star}
 
 
 def bench_spec(problem, nodes, rng):
@@ -141,7 +138,7 @@ def test_padding_keeps_signed_zeros():
     # a leaf of a star has one row with coefficient -1, so from a zero
     # state its tilt is -0.0; padded to the hub's degree it must stay so
     bench = generate_benchmark(BenchmarkSpec("consensus-quadratic",
-                                             a=[-0.0] * 10), Graph.star(10))
+                                             a=[-0.0] * 10), star_graph(10))
     check_batch(bench.problem, bench.reform.partition, [0, 1, 2], T=3,
                 stride=1, probes=ProbeFlags(ergodic=True))
 
@@ -723,7 +720,7 @@ def test_levels_skip_rounds_they_cannot_finish(graph, L, dense):
     segments give the level lists of rounds, then the pass."""
     kind, nodes = graph.split("-")
     part = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
-                              getattr(Graph, kind)(int(nodes))
+                              GRAPHS[kind](int(nodes))
                               ).reform.partition
     rng = np.random.default_rng(L)
     for _ in range(5):

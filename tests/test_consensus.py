@@ -12,7 +12,7 @@ from asyncadmm.errors import (DisconnectedGraph, InvalidProblem, ParseError,
 
 from conftest import kernel_block, random_state_for
 from oracles import scalar_subgrad_bisect
-from reference import plain_component
+from reference import plain_component, star_graph
 
 
 def quad_reform(graph, a, beta=1.0, flip=()):
@@ -80,7 +80,7 @@ class TestBuildReformulation:
             quad_reform(Graph(4, ((0, 1), (2, 3))), [0.0] * 4)
 
     def test_passes_validation_and_properness(self):
-        for g in (Graph.cycle(6), Graph.star(4)):
+        for g in (Graph.cycle(6), star_graph(4)):
             reform = quad_reform(g, range(g.num_nodes))
             cs = reform.problem.constraints
             assert validate_constraints(cs).ok
@@ -119,7 +119,7 @@ class TestEdgeStep:
         nodes' x untouched."""
         rng = np.random.default_rng(0)
         for g, kind in [(g, kind) for kind in (Quadratic, AbsDev)
-                        for g in (Graph.cycle(5), Graph.star(5))]:
+                        for g in (Graph.cycle(5), star_graph(5))]:
             terms = tuple(kind(np.array([v]))
                           for v in rng.uniform(-3, 3, size=5))
             reform = build_reformulation(g, terms, [Free(1)] * 5, 1.3)

@@ -34,7 +34,8 @@ from conftest import random_state_for
 from oracles import loglog_slope
 from reference import (assert_bits_equal, plain_lyapunov,
                        reference_component_grids, reference_grid_gap,
-                       reference_q, reference_rate_constants)
+                       reference_q, reference_rate_constants,
+                       weighted_norm)
 from test_fullpass import make_term, random_constraints
 from test_shadow_stack import random_partition
 
@@ -117,7 +118,7 @@ class TestLyapunov:
         self.dist = derive_probabilities(self.reform.partition,
                                          uniform_probs(self.reform.partition))
         self.ref = solve_reference(self.prob)
-        self.wn = WeightedNorm.from_distribution(self.dist)
+        self.wn = weighted_norm(self.dist)
 
     def test_zero_at_reference(self):
         st = PrimalDualState(x=self.ref.x.copy(), z=self.ref.z.copy(),
@@ -134,7 +135,7 @@ class TestLyapunov:
         prob = free_two_row()
         part = build_partition(prob.z_set, prob.constraints, [[0], [1]])
         dist = derive_probabilities(part, [0.5, 0.5])
-        wn = WeightedNorm.from_distribution(dist)
+        wn = weighted_norm(dist)
         ref = ReferenceSolution(x=np.zeros(2), z=np.zeros(2), p=np.zeros(2))
         st = PrimalDualState(x=np.zeros(2), z=np.array([1.0, 2.0]),
                              p=np.array([3.0, 0.0]))
@@ -155,7 +156,7 @@ class TestLyapunov:
         prob = reform.problem
         dist = derive_probabilities(reform.partition,
                                     [0.1, 0.2, 0.3, 0.15, 0.25])
-        wn = WeightedNorm.from_distribution(dist)
+        wn = weighted_norm(dist)
         rng = np.random.default_rng(8)
         ref = ReferenceSolution(x=rng.normal(size=5), z=rng.normal(size=10),
                                 p=rng.normal(size=10))

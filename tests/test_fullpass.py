@@ -26,7 +26,7 @@ from asyncadmm.errors import (MissingReference, UnboundedSubproblem,
 from asyncadmm.problem import TermGroups
 from asyncadmm.prox import _GroupedProx
 from reference import (block_comps, block_rows, per_component, plain_shadow,
-                       solve_z_prepared)
+                       solve_z_prepared, star_graph)
 
 KINDS = ("quadratic", "absdev", "l1", "l1-zero", "custom")
 
@@ -158,7 +158,7 @@ def test_star_hub_sums_left_to_right():
     rng = np.random.default_rng(5)
     bench = generate_benchmark(
         BenchmarkSpec("consensus-lad", a=list(rng.uniform(-5.0, 5.0, 12))),
-        Graph.star(12))
+        star_graph(12))
     prob = bench.problem
     cs = prob.constraints
     rows = np.flatnonzero(cs.row_block == 0)

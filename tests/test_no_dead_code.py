@@ -1,8 +1,10 @@
 """``src/`` keeps no member that only tests call.
 
-Every module-level function of ``src/asyncadmm``, and every method of one
-of its underscore-prefixed classes, is used in ``src/`` (as a name or an
-attribute), exported by ``asyncadmm/__init__.py`` or named in README.md.
+Every module-level function of ``src/asyncadmm``, and every method and
+property of its classes, public or underscore-prefixed, is used in
+``src/`` (as a name or an attribute), exported by ``asyncadmm/__init__.py``
+or named in README.md, where public API that no code of the package calls
+is documented.
 Names are matched, not resolved: a member that shares its name with one
 in use passes, so the check finds members that nothing names, not every
 member without a caller.
@@ -18,11 +20,11 @@ SRC = ROOT / "src" / "asyncadmm"
 
 def members(tree):
     """``(qualified name, name)`` of the module's functions and of its
-    underscore-prefixed classes' methods, dunder methods left out."""
+    classes' methods, dunder methods left out."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node.name
-        elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+        elif isinstance(node, ast.ClassDef):
             for f in node.body:
                 if (isinstance(f, ast.FunctionDef)
                         and not (f.name.startswith("__")

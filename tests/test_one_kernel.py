@@ -18,7 +18,12 @@ and spies check that ``step``, ``edge_step`` and the drift fire on one
 row in the runs' layout, the drift every block in one call.
 ``consensus.edge_step``, which takes its endpoints' x from the kernel, is
 checked against ``reference.plain_component`` in ``test_consensus``.
+A lockstep run fires the kernel through its binding (``compiled._Lanes``),
+which is compared with ``_fire_lanes`` byte for byte on every kind of
+table, and is made once per run.
 """
+
+from functools import lru_cache
 
 import tracemalloc
 
@@ -31,12 +36,13 @@ from asyncadmm import (BenchmarkSpec, Custom, Free, Graph, PrimalDualState,
                        ProbeFlags, Quadratic, RngStream, build_reformulation,
                        derive_probabilities, generate_benchmark, run_batch,
                        sample_block, step, uniform_probs)
-from asyncadmm import diagnostics, engine
+from asyncadmm import compiled, diagnostics, engine
 from asyncadmm.consensus import edge_step
-from asyncadmm.diagnostics import WeightedNorm, lyapunov_drift
+from asyncadmm.diagnostics import lyapunov_drift
 
 from reference import (assert_same_run, fire_block, per_block_drift,
-                       plain_lyapunov, reference_drift, reference_run)
+                       plain_lyapunov, reference_drift, reference_run,
+                       star_graph, weighted_norm)
 from test_batch import outcome, random_reference
 from test_fullpass import KINDS, random_problem, random_vector
 from test_shadow_stack import random_partition, star_hub
@@ -139,7 +145,7 @@ def test_drift_equals_reference(data_seed, n, N, hub_rows, uncoupled,
                                          uncoupled, z_pairs, kinds)
     state = random_state(rng, prob)
     ref = random_reference(prob, rng)
-    wn = WeightedNorm.from_distribution(dist)
+    wn = weighted_norm(dist)
     want = outcome(lambda: reference_drift(prob, state, part, dist, ref, wn))
     got = outcome(lambda: lyapunov_drift(prob, state, part, dist, ref, wn))
     if isinstance(want, tuple):
@@ -194,7 +200,7 @@ def test_drift_is_the_mean_of_the_blocks_values(data_seed, n, N, hub_rows,
                                          uncoupled, z_pairs, kinds)
     state = random_state(rng, prob)
     ref = random_reference(prob, rng)
-    wn = WeightedNorm.from_distribution(dist)
+    wn = weighted_norm(dist)
     want = outcome(lambda: per_block_drift(prob, state, part, dist, ref, wn))
     got = outcome(lambda: lyapunov_drift(prob, state, part, dist, ref, wn))
     if isinstance(want, tuple):
@@ -210,7 +216,7 @@ def drift_case(prob, part, seed):
     rng = np.random.default_rng(seed)
     state = random_state(rng, prob)
     return state, dist, random_reference(prob, rng), \
-        WeightedNorm.from_distribution(dist)
+        weighted_norm(dist)
 
 
 def peak_of(fn):
@@ -340,7 +346,7 @@ def test_tilt_width_follows_the_row_counts():
     only; a 100-leaf star's whole degree, where padding every lane costs
     less than a gather per block."""
     star = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
-                              Graph.star(101))
+                              star_graph(101))
     for (prob, part), K, hub in [(chord_cycle(0, 2000), 2, False),
                                  (chord_cycle(64, 2000), 3, True),
                                  ((star.problem, star.reform.partition), 100,
@@ -439,3 +445,89 @@ def test_step_and_edge_step_fire_one_lane_on_one_row(monkeypatch):
     assert bt2 is bt
     assert_laid_out(bt, row, state)
     assert_laid_out(bt, row2, state)
+
+
+def cycle_table(name):
+    bench = generate_benchmark(BenchmarkSpec(name), Graph.cycle(5))
+    return bench.problem, bench.reform.partition
+
+
+def random_table(seed, n, kinds, uncoupled):
+    rng = np.random.default_rng(seed)
+    prob = random_problem(rng, n, len(kinds), kinds, 9, uncoupled, True)
+    return prob, random_partition(rng, prob)
+
+
+# every kind of table a lockstep run meets: quadratic and kink lanes alone
+# and mixed, Custom lanes and kink lanes without a coupling row (solved
+# one by one), hub tails at K = 3 and at K = 1
+TABLES = {
+    "quadratic-cycle": lambda: cycle_table("consensus-quadratic"),
+    "lad-cycle": lambda: cycle_table("consensus-lad"),
+    "custom-lanes": lambda: random_table(
+        5, 1, ["quadratic", "custom", "absdev", "l1", "custom", "quadratic"],
+        False),
+    "kink-lanes-without-rows": lambda: random_table(
+        6, 2, ["absdev", "l1", "quadratic", "absdev", "l1"], True),
+    "chord-hub-tails": lambda: chord_cycle(64, 2000),
+    "star-hub-tails": star_hub,
+}
+
+
+@lru_cache(maxsize=None)
+def table_of(kind):
+    prob, part = TABLES[kind]()
+    bt = engine._block_table(prob, part)
+    prox = bt.prox
+    assert {"custom-lanes": any(i >= 0 for i, _ in prox.serial)
+            and "is_quad" in prox.args,
+            "kink-lanes-without-rows": any(i < 0 for i, _ in prox.serial),
+            "chord-hub-tails": bt.K == 3 and bt.tail_terms > 0,
+            "star-hub-tails": bt.K == 1 and bt.tail_terms > 0}.get(kind, True)
+    return prob, bt
+
+
+@pytest.mark.parametrize("k", ["none", "one", "per-lane"])
+@pytest.mark.parametrize("L", [1, 3, 16])
+@pytest.mark.parametrize("kind", TABLES)
+def test_the_binding_fires_as_the_kernel(kind, L, k):
+    """Two calls of one binding on ``L`` stacked lanes against
+    ``_fire_lanes`` on a copy of the rows: the same ``hot`` or error, and
+    the same rows, byte for byte (every slot written, the rest untouched);
+    the second call reads nothing the first left in the scratch."""
+    prob, bt = table_of(kind)
+    rng = np.random.default_rng(L)
+    rows = bt.layout(*(random_vector(rng, (L, d))
+                       for d in (prob.dim_x, prob.dim_z, prob.dim_z)))
+    rows[:, bt.seg:] = rng.integers(1, 9, size=(L, 2 * bt.seg))
+    want, got = rows.reshape(-1), rows.copy().reshape(-1)
+    k = {"none": None, "one": 12, "per-lane": np.arange(12, 12 + L)}[k]
+    kernel = compiled._Lanes(bt, got, L)
+    for _ in range(2):
+        lanes = bt.lanes(rng.integers(0, bt.idx.shape[1], size=L),
+                         stacked=True)
+        hot = outcome(lambda: engine._fire_lanes(bt, want, lanes, k).tobytes())
+        assert outcome(lambda: kernel.fire(lanes, k).tobytes()) == hot
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_lockstep_run_binds_the_kernel_once(monkeypatch):
+    """One binding per lockstep run, of the seed count, whatever its
+    chunks and record points; none for one seed by level; one of one lane
+    for a lone seed with the shadow probe."""
+    prob, part = cycle_table("consensus-quadratic")
+    dist = derive_probabilities(part, uniform_probs(part))
+    made = []
+    bind = compiled._Lanes.__init__
+
+    def counting(self, bt, flat, L):
+        made.append(L)
+        bind(self, bt, flat, L)
+
+    monkeypatch.setattr(compiled._Lanes, "__init__", counting)
+    for seeds, probes, want in (
+            (range(16), ProbeFlags(), [16]), ([3], ProbeFlags(), []),
+            ([3], ProbeFlags(shadow=True), [1])):
+        made.clear()
+        run_batch(prob, part, dist, seeds, 300, probes=probes, stride=7)
+        assert made == want

@@ -12,6 +12,8 @@ from asyncadmm import (AbsDev, Box, ConstraintSystem, Custom, Free, L1,
                        residual, term_value, validate_constraints)
 from asyncadmm.errors import DimensionMismatch, InvalidProblem, UnsupportedSet
 
+from reference import pairs_sum_to_zero
+
 
 def make_problem(terms, h=(-1.0, -1.0), z_set=None):
     n = len(terms)
@@ -64,7 +66,7 @@ class TestFeasibleSets:
         s = SumZeroPairs(dim=4, pairs=((0, 1),))
         out = s.project(np.array([3.0, 1.0, 7.0, 8.0]))
         np.testing.assert_allclose(out, [1.0, -1.0, 7.0, 8.0])
-        assert s.contains(out, tol=0.0)
+        assert pairs_sum_to_zero(s, out, tol=0.0)
 
 
 def project_pairs_one_by_one(pairs, u):

@@ -32,7 +32,7 @@ from asyncadmm.errors import (DisconnectedGraph, InvalidProblem,
 from asyncadmm.problem import TermGroups, XSetBounds
 from asyncadmm.runner import run_experiment
 
-from reference import reference_consensus
+from reference import GRAPHS, reference_consensus
 
 GROUP_ARRAYS = ("kind", "center", "scale", "quad_idx", "quad_center",
                 "quad_weight", "abs_idx", "abs_center", "l1_idx",
@@ -112,7 +112,7 @@ def array_problem(family, graph, n, rng, beta):
        seed=st.integers(0, 2 ** 16))
 def test_array_path_equals_term_path(family, kind, nodes, n, beta, seed):
     rng = np.random.default_rng(seed)
-    graph = getattr(Graph, kind)(nodes)
+    graph = GRAPHS[kind](nodes)
     prob, centers, scale, lo, hi, bench = array_problem(
         family, graph, n, rng, beta)
     terms = term_objects(family, centers, scale)

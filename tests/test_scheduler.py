@@ -9,7 +9,7 @@ from asyncadmm.scheduler import blocks_for, draw_uniforms
 from asyncadmm.errors import (ImproperPartition, NonCoveringPartition,
                               ZeroProbabilityBlock)
 
-from reference import block_comps
+from reference import block_comps, star_graph
 
 
 def edge_problem(num_nodes=3, graph=None):
@@ -56,7 +56,7 @@ class TestBuildPartition:
             build_partition(prob.z_set, prob.constraints, [[0, 0], [1]])
 
     def test_component_union_covers_everything(self):
-        for g in (Graph.cycle(6), Graph.star(5), Graph.path(4)):
+        for g in (Graph.cycle(6), star_graph(5), Graph.path(4)):
             reform = edge_problem(graph=g)
             part = reform.partition
             union = set()
@@ -86,7 +86,7 @@ class TestDeriveProbabilities:
     def test_star_center_always_active(self):
         # enumeration oracle: alpha_i = sum of probs of blocks containing i
         m = 4
-        reform = edge_problem(graph=Graph.star(m + 1))
+        reform = edge_problem(graph=star_graph(m + 1))
         part = reform.partition
         probs = uniform_probs(part)
         expect = np.zeros(m + 1)
@@ -159,7 +159,7 @@ class TestRngStream:
 
 class TestSampleBlock:
     def test_blocks_for_matches_sample_block(self):
-        reform = edge_problem(graph=Graph.star(6))
+        reform = edge_problem(graph=star_graph(6))
         dist = derive_probabilities(reform.partition, [0.1, 0.4, 0.2, 0.2,
                                                        0.1])
         a, b = RngStream(3), RngStream(3)

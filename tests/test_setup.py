@@ -28,7 +28,7 @@ from asyncadmm.benchmarks import BENCHMARK_NAMES
 from asyncadmm.consensus import _median
 from asyncadmm.errors import AsyncAdmmError, InvalidProblem
 
-from reference import (reference_consensus, reference_constraints,
+from reference import (GRAPHS, reference_consensus, reference_constraints,
                        reference_graph_edges, reference_is_connected,
                        reference_pairs, reference_partition,
                        reference_probabilities, reference_reformulation)
@@ -144,7 +144,7 @@ def shape_error(what, shape):
 def test_setup_equals_per_row_construction(kind, nodes, family, n, flip,
                                            seed):
     rng = np.random.default_rng(seed)
-    graph = getattr(Graph, kind)(nodes)
+    graph = GRAPHS[kind](nodes)
     edges = reference_graph_edges(nodes, raw_edges(kind, nodes))
     assert_bytes(graph.edges, as_pairs(edges), "edges")
     assert_bytes(Graph(nodes, raw_edges(kind, nodes)).edges, as_pairs(edges),

@@ -23,11 +23,12 @@ from asyncadmm import (BenchmarkSpec, Custom, Graph, PrimalDualState,
                        ProbeFlags, StepRecord, SumZeroPairs, build_partition,
                        derive_probabilities, generate_benchmark, run_batch,
                        shadow_step, uniform_probs)
-from asyncadmm import engine
+from asyncadmm import compiled, engine
 from asyncadmm.errors import UnboundedSubproblem
 
 from reference import (assert_same_run, fire_block, moved_groups,
-                       plain_shadow, plain_tally, reference_run, stacked)
+                       plain_shadow, plain_tally, reference_run, stacked,
+                       star_graph)
 from test_fullpass import (KINDS, TAMPERS, Q, engine_tally, random_problem,
                            random_vector, scalar_problem, tamper)
 
@@ -199,7 +200,7 @@ def star_hub():
     bench = generate_benchmark(
         BenchmarkSpec("consensus-quadratic",
                       a=list(rng.uniform(-5.0, 5.0, leaves + 1))),
-        Graph.star(leaves + 1))
+        star_graph(leaves + 1))
     prob, part = bench.problem, bench.reform.partition
     table = engine._block_table(prob, part)
     count, _, x = table.tails
@@ -237,21 +238,27 @@ def test_shadow_probed_run_on_a_hub_past_the_lane_limit():
 
 
 def planting_kernel(monkeypatch, at, lane, moved):
-    """After the kernel call of iteration ``at``, add 1e-6 to one slot of
+    """After the kernel call of iteration ``at`` (a lockstep run fires
+    through its binding, ``compiled._Lanes``), add 1e-6 to one slot of
     lane ``lane``'s row: its first moved slot (``moved``), or else the
     first x slot of its row that the step does not write."""
-    fire = engine._fire_lanes
+    bind, fire, bound = compiled._Lanes.__init__, compiled._Lanes.fire, {}
 
-    def kernel(bt, flat, lanes, k=None):
-        hot = fire(bt, flat, lanes, k)
+    def binding(self, bt, flat, L):
+        bind(self, bt, flat, L)
+        bound[self] = bt, flat
+
+    def kernel(self, lanes, k=None):
+        hot = fire(self, lanes, k)
         if k == at:
-            idx = lanes[0][:, lane]
+            (bt, flat), idx = bound[self], lanes[0][:, lane]
             row = lane * bt.width + np.arange(bt.dim_x)
             flat[idx[0] if moved else
                  np.setdiff1d(row, idx[:3 * bt.M])[0]] += 1e-6
         return hot
 
-    monkeypatch.setattr(engine, "_fire_lanes", kernel)
+    monkeypatch.setattr(compiled._Lanes, "__init__", binding)
+    monkeypatch.setattr(compiled._Lanes, "fire", kernel)
 
 
 @pytest.mark.parametrize("at", [15, 20, 11, 341],
