@@ -10,7 +10,7 @@ and ``engine.shadow_step`` all run it, so there is one synchronous step.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -292,47 +292,59 @@ def _add_tails(bt, flat, idx, blocks, lin):
 
 class _Lanes:
     """The block kernel (``engine._fire_lanes``) bound to one block table
-    ``bt``, one flat state and ``L`` lanes: a lockstep run's kernel, made
-    once per run and fired once per iteration.
+    ``bt``, one flat state and ``L`` stacked lanes (lane ``l`` fires on
+    state row ``l``): a lockstep run's kernel, made once per run and fired
+    once per iteration.
 
     Every operand is a view made once: rows of one float and one int
-    scratch array of ``L`` columns hold the call's ``idx``, ``const``,
-    ``xsrc`` and ``blocks`` columns, the gathered values ``v``, the tilt
+    scratch array of ``L`` columns hold the fired blocks, their ``idx``,
+    ``const`` and ``xsrc`` columns, the gathered values ``v``, the tilt
     and its accumulated sums, the output, the prox's ``work`` pair and the
     z fit's and dual step's temporaries, and the prox's calls
-    (``_GroupedProx.calls``) are bound to them. :meth:`fire` copies a
-    call's columns in and replays the calls: ``_fire_lanes``' operations
-    in its order on the same operands, written in place, so every slot it
-    writes and ``hot`` are ``_fire_lanes``' bit for bit. A hub's tails
-    (:func:`_add_tails`) and the one-by-one prox (``_GroupedProx._serial``)
-    are calls of the program too. The scratch makes the binding neither
+    (``_GroupedProx.calls``) are bound to them. :meth:`fire` copies the
+    blocks in and replays the calls: the takes of the blocks' columns from
+    the table, then ``_fire_lanes``' operations in its order on the same
+    operands, written in place, so every slot it writes and ``hot`` are
+    ``_fire_lanes``' bit for bit. A hub's tails (:func:`_add_tails`) and
+    the one-by-one prox (``_GroupedProx._serial``) are calls of the
+    program too. The program ends by folding ``hot`` into ``maxima``, the
+    run's ``(3, L)`` running maxima. The scratch makes the binding neither
     thread-safe nor reentrant.
     """
 
-    def __init__(self, bt, flat, L):
+    def __init__(self, bt, flat, L, maxima):
         Cn, R, P, M, K = bt.Cn, bt.R, bt.P, bt.M, bt.K
         prox, cc, ic, beta = bt.prox, bt.ccol, bt.icol, bt.beta
         serial = bt.serial_at is not None
-        idx, self.xsrc, blocks, at = _rows(np.intp, L, len(bt.idx), R, 1,
-                                           Cn if serial else 0)
-        self.idx, self.blocks = idx, blocks[0]
+        idx, xsrc, blocks, at = _rows(np.intp, L, len(bt.idx), R, 1,
+                                      Cn if serial else 0)
+        self.blocks = blocks = blocks[0]
         const, v, g, out, w0, w1, ax, t, s, mag, hot = _rows(
             float, L, len(bt.const), len(bt.idx), K * Cn, 3 * M,
             Cn, Cn, R, R, R, M, 3)
-        self.const, self.since, self.hot = const, out[M:2 * M], hot
+        self.since, self.hot = out[M:2 * M], hot
         closed = list(const[bt.closed].reshape(-1, Cn, L).transpose(0, 2, 1))
-        calls = [(flat.take, (idx, None, v, "clip")),
-                 (np.multiply, (const[cc["h"]], v[ic["tilt_z"]], g)),
-                 (np.multiply, (beta, g, g)),
-                 (np.subtract, (v[ic["tilt_p"]], g, g)),
-                 (np.multiply, (const[cc["coeff"]], g, g))]
+        # the blocks' table columns: lane l's idx into state row l, its
+        # xsrc into its own column of out
+        calls = [(bt.idx.take, (blocks, 1, idx, "clip")),
+                 (bt.const.take, (blocks, 1, const, "clip")),
+                 ((bt.xsrc * L).take, (blocks, 1, xsrc, "clip"))]
+        if L > 1:
+            lane = np.arange(L)
+            calls += [(np.add, (idx, lane * bt.width, idx)),
+                      (np.add, (xsrc, lane, xsrc))]
+        calls += [(flat.take, (idx, None, v, "clip")),
+                  (np.multiply, (const[cc["h"]], v[ic["tilt_z"]], g)),
+                  (np.multiply, (beta, g, g)),
+                  (np.subtract, (v[ic["tilt_p"]], g, g)),
+                  (np.multiply, (const[cc["coeff"]], g, g))]
         g3 = g.reshape(K, Cn, L)
         calls.append((np.add.accumulate, (g3, 0, None, g3)))
         lin = g[(K - 1) * Cn:]
         if bt.tail_terms:
-            calls.append((_add_tails, (bt, flat, idx, self.blocks, lin)))
+            calls.append((_add_tails, (bt, flat, idx, blocks, lin)))
         if serial:
-            calls.append((bt.serial_at.take, (self.blocks, 1, at, "clip")))
+            calls.append((bt.serial_at.take, (blocks, 1, at, "clip")))
         if "is_quad" in prox.args:
             # the mask is_quad.astype(bool) makes, per call
             q, mask = list(prox.args).index("is_quad"), np.empty((L, Cn), bool)
@@ -343,7 +355,7 @@ class _Lanes:
         # z pairs and free rows, then the dual step, from the new x
         z_coeff, w = const[cc["z_coeff"]], const[cc["w"]]
         p_old, new_z = v[Cn + R:M], out[Cn:Cn + R]
-        calls += [(out.take, (self.xsrc, None, ax, "clip")),
+        calls += [(out.take, (xsrc, None, ax, "clip")),
                   (np.multiply, (z_coeff, ax, ax)),
                   (np.divide, (p_old, beta, t)),
                   (np.subtract, (t, ax, t))]
@@ -361,7 +373,8 @@ class _Lanes:
                   (np.multiply, (beta, s, s)),
                   (np.subtract, (p_old, s, out[Cn + R:M]))]
         result = [(np.abs, (out[:M], mag)),
-                  (np.maximum.reduceat, (mag, bt.cuts, 0, None, hot))]
+                  (np.maximum.reduceat, (mag, bt.cuts, 0, None, hot)),
+                  (partial(np.maximum, out=maxima), (maxima, hot))]
         # without k: the moved slots; with it, their since and acc too,
         # acc += (k - since) * old with since already holding k
         self.plain = tuple(calls + [(flat.__setitem__, (idx[:M], out[:M]))]
@@ -372,14 +385,10 @@ class _Lanes:
             (np.add, (v[2 * M:3 * M], mag, out[2 * M:])),
             (flat.__setitem__, (idx[:3 * M], out))] + result)
 
-    def fire(self, lanes, k=None):
-        """``engine._fire_lanes(bt, flat, lanes, k)`` on this binding's
-        table and state, for lanes of ``L`` columns: returns ``hot``, which
-        the next call overwrites."""
-        idx, const, xsrc, blocks = lanes
-        np.copyto(self.idx, idx)
-        np.copyto(self.const, const)
-        np.copyto(self.xsrc, xsrc)
+    def fire(self, blocks, k=None):
+        """Fire block ``blocks[l]`` on state row ``l``, as
+        ``engine._fire_lanes`` fires it on that row alone: returns ``hot``,
+        which the next call overwrites."""
         np.copyto(self.blocks, blocks)
         if k is None:
             program = self.plain

@@ -33,9 +33,9 @@ which its call gathers; ``K`` comes from the row counts
 
 Run loop: ``run_batch`` is the one loop (``run`` is its one-seed form).
 It fires blocks as lanes on one ``(S, width)`` state: many seeds in
-lockstep, one lane per seed per iteration, with the table columns of a
-whole chunk of draws gathered at once; one seed by dependency level
-(``_levels``). Two blocks that share no component commute, so a seed's
+lockstep, one lane per seed per iteration; one seed by dependency level
+(``_levels``). Each kernel call takes the table columns of the blocks it
+fires. Two blocks that share no component commute, so a seed's
 draws between two record points fire one level per call, each draw one
 level above the highest earlier draw it clashes with; clashing draws keep
 their draw order. The kernel performs the floating-point operations of a
@@ -158,10 +158,10 @@ class _BlockTable:
     slots each). Column ``b`` of ``idx`` and ``const`` holds block ``b``'s
     lanes as local indices into a row and as constants, in named groups of
     rows (``icol`` and ``ccol`` hold their slices), so that what one call
-    reads of them is contiguous ``(·, L)`` slices once its ``L`` lanes'
-    columns are taken (:meth:`lanes`). A block smaller than the largest is
-    padded with lanes that read and write only the dummy slots, with
-    constants chosen so that those slots stay zero.
+    reads of them is contiguous ``(·, L)`` slices once it has taken the
+    columns of the blocks its ``L`` lanes fire. A block smaller than the
+    largest is padded with lanes that read and write only the dummy slots,
+    with constants chosen so that those slots stay zero.
 
     ``idx`` holds, in this order:
 
@@ -281,40 +281,12 @@ class _BlockTable:
             **lane_consts, coeff=self.t_consts[0, pos],
             h=self.t_consts[1, pos], w=w.T, z_coeff=z_coeff.T, pair_den=den.T)
         self.closed = slice(0, len(lane_consts) * C * n)
-        self.lane_values = len(self.idx) + len(self.const) + len(self.xsrc)
         self.Cn, self.P, self.U, self.R = C * n, P, U, R
         self.M = C * n + 2 * R
         # the starts of each component's x, z and p, and of x, z and p,
         # among the moved slots
         self.groups = np.r_[0:C * n:n, C * n, C * n + R]
         self.cuts = self.groups[[0, C, C + 1]]
-
-    def lanes(self, blocks, stacked=False):
-        """The kernel's inputs for lanes that fire ``blocks`` (an index
-        array): their ``idx``, ``const`` and ``xsrc`` columns, the last as
-        flat indices into the kernel's ``(3 M, L)`` output, and the blocks.
-        The lanes of one kernel call run along the last axis of ``blocks``;
-        for a 2-D ``blocks``, row ``j`` of each array is the C-contiguous
-        input of the call that fires row ``j``. With ``stacked`` lane ``l``
-        fires on state row ``l``, else every lane fires on row 0."""
-        tables = self.idx, self.const, self.xsrc
-        if blocks.ndim > 1:   # row by row into one array per table
-            S = blocks.shape[1]
-            idx, const, xsrc = (np.empty((len(blocks), len(a), S), a.dtype)
-                                for a in tables)
-            for a, lanes in zip(tables, (idx, const, xsrc)):
-                for row, out in zip(blocks, lanes):
-                    a.take(row, 1, out, "clip")
-        else:
-            idx, const, xsrc = (a.take(blocks, axis=1) for a in tables)
-        L = blocks.shape[-1]
-        if L > 1:
-            lane = np.arange(L)
-            xsrc *= L
-            xsrc += lane
-            if stacked:
-                idx += lane * self.width
-        return idx, const, xsrc, blocks
 
     def layout(self, x, z, p):
         """States ``(x, z, p)``, one or one per row, as rows of this table's
@@ -526,22 +498,20 @@ def run(prob: SeparableProblem, partition: ProperPartition,
                      ref=ref, x0=x0, z0=z0, stride=stride)[0]
 
 
-def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
-    """Fire one block per lane on the flat state, in place: the one block
-    update of every run, step and drift.
+def _fire_lanes(bt: _BlockTable, flat, blocks, k=None):
+    """Fire one block per lane on the state row ``flat``, in place: the one
+    block update of every run, step and drift.
 
-    ``lanes = (idx, const, xsrc, blocks)`` is :meth:`_BlockTable.lanes`
-    of the blocks the lanes fire, one column per lane: lane ``l`` fires
-    block ``blocks[l]`` on the row that column ``l`` of ``idx`` names (as
-    flat ``row * width + index`` indices into ``flat``). Every lane reads
-    before any lane writes, so each lane's update is from the row as it
-    was (:func:`_fire_blocks`), and lanes that write nothing another
-    reads fire as if in turn: the seeds of one lockstep iteration, or one
-    dependency level of a seed's draws (:func:`_levels`).
+    Lane ``l`` fires block ``blocks[l]`` (an index array). Every lane
+    reads before any lane writes, so each lane's update is from the row as
+    it was (:func:`_fire_blocks`), and lanes that write nothing another
+    reads fire as if in turn: one dependency level of a seed's draws
+    (:func:`_levels`), or the blocks of one step or drift.
 
-    A call makes one gather of everything it reads (the moved slots, their
-    ``since`` and ``acc``, the tilt lanes), one of its lanes' tails, if
-    any, and one scatter of everything it writes: about 30 array
+    A call takes its blocks' ``idx``, ``const`` and ``xsrc`` columns from
+    the table, then makes one gather of everything it reads (the moved
+    slots, their ``since`` and ``acc``, the tilt lanes), one of its lanes'
+    tails, if any, and one scatter of everything it writes: about 30 array
     operations on contiguous ``(·, L)`` slices whatever the number ``L``
     of lanes. Each x lane's tilt sums its rows strictly left to right,
     then its tail from that sum (``np.sum`` would switch to pairwise order
@@ -558,14 +528,18 @@ def _fire_lanes(bt: _BlockTable, flat, lanes, k=None):
 
     A lockstep run fires through this kernel's binding
     (``compiled._Lanes``): the same operations, their operands views made
-    once for the run's table, state and lane count, the seed count. The
-    by-level path and :func:`_fire_blocks` call this function, since one
-    seed's levels change the lane count from call to call (64 calls with
-    50 lane counts on a 2,000-cycle), and a binding per lane count costs
-    more than it saves there.
+    once for the run's table, state and lane count, the seed count, each
+    lane on its own seed's row. The by-level path and :func:`_fire_blocks`
+    call this function, since one seed's levels change the lane count from
+    call to call (64 calls with 50 lane counts on a 2,000-cycle), and a
+    binding per lane count costs more than it saves there.
     """
-    idx, const, xsrc, blocks = lanes
-    L, Cn, R, P, M, beta = idx.shape[1], bt.Cn, bt.R, bt.P, bt.M, bt.beta
+    idx, const, xsrc = (a.take(blocks, axis=1)
+                        for a in (bt.idx, bt.const, bt.xsrc))
+    L, Cn, R, P, M, beta = blocks.size, bt.Cn, bt.R, bt.P, bt.M, bt.beta
+    if L > 1:   # flat indices into the (3 M, L) output
+        xsrc *= L
+        xsrc += np.arange(L)
     cc, ic = bt.ccol, bt.icol
     v = flat.take(idx)
     # x: each lane's tilt against the current z, p, summed in row order
@@ -616,17 +590,17 @@ def _fire_blocks(prob: SeparableProblem, partition: ProperPartition,
     bt = _block_table(prob, partition)
     start = bt.layout(state.x, state.z, state.p)
     # per lane, the values a call makes: table columns, 16 arrays of tail terms
-    per_lane = bt.lane_values + 16 * bt.tail_terms
+    per_lane = len(bt.idx) + len(bt.const) + len(bt.xsrc) + 16 * bt.tail_terms
     chunk = max(1, _BATCH_LANE_LIMIT // per_lane)
     if len(blocks) <= chunk:
-        _fire_lanes(bt, start, bt.lanes(blocks))
+        _fire_lanes(bt, start, blocks)
         return bt.views(start)
     row = start.copy()
     for lo in range(0, len(blocks), chunk):
-        lanes = bt.lanes(blocks[lo:lo + chunk])
-        moved = lanes[0][:bt.M]
+        fired = blocks[lo:lo + chunk]
+        moved = bt.idx[:bt.M].take(fired, axis=1)
         kept = start[moved]
-        _fire_lanes(bt, start, lanes)
+        _fire_lanes(bt, start, fired)
         row[moved], start[moved] = start[moved], kept
     return bt.views(row)
 
@@ -723,8 +697,9 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     each seed runs again alone, in ``seeds`` order, one draw per call, and
     the first that fails raises its own error, the first of its chained
     :func:`step` calls; if none fails, the attempt's error is raised. The
-    rerun fires in lockstep, one lane per call. A lone seed with the
-    shadow probe is already serial.
+    rerun fires in lockstep, one lane per call, and draws its blocks in
+    chunks as the attempt does. A lone seed with the shadow probe is
+    already serial.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -757,17 +732,18 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
         error = exc
     for seed in seeds:
         run_seeds([seed], _Recorder(prob, dist, probes, ref, f_star, 1, T,
-                                    stride), False, ramp=True)
+                                    stride), False)
     raise error
 
 
 def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
-               seeds, rec, by_level, ramp=False) -> list:
+               seeds, rec, by_level) -> list:
     """The runs of ``seeds`` from ``start``, recorded in ``rec``: in
     lockstep, or (``by_level``, one seed) one dependency level of the
     seed's draws per call. A call that moves a coordinate past the guard
-    raises :class:`DivergenceError` for its first such lane. With ``ramp``
-    a run that fails at iteration k gathers the lanes of under 2k draws."""
+    raises :class:`DivergenceError` for its first such lane; the running
+    maxima may then hold that call's values, but a run that raises
+    reports none."""
     S = len(seeds)
     # one row per seed: its state, then its lazy ergodic sums' since and acc
     state = np.tile(bt.layout(start.x, start.z, start.p), (S, 1))
@@ -794,63 +770,55 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
             since[xz] = it + 1
         rec.add(it, fired, xs, zs, ps, x_sums, z_sums)
 
-    def lockstep(lanes, blocks, k, a, n):
+    def lockstep(blocks, k, a, n):
         """Fire draws a..a+n-1 of the chunk after iteration k, a call each;
         then their shadow pass and check. On an error, the passes before it
         run first, one at a time, so that the serial first error is raised."""
-        idx, const, xsrc, _ = lanes
         try:
             for r in range(n):
                 j = a + r
                 if probes.shadow:
                     hist[r] = state
-                hot = kernel.fire((idx[j], const[j], xsrc[j], blocks[j]),
-                                  k + j + 1)
+                hot = kernel.fire(blocks[j], k + j + 1)
                 r += 1   # iteration j's pass comes before its guard
                 if not hot.max() <= DIVERGENCE_LIMIT:
                     raise _divergence(hot, k + j + 1, seeds, blocks[j])
-                np.maximum(maxima, hot, out=maxima)
             if probes.shadow:
                 hist[n] = state
                 sh = shadow_step(prob, PrimalDualState(
                     *bt.views(hist[:n].reshape(n * S, -1))))
                 for view, part in zip(bt.views(target), (sh.y, sh.v, sh.mu)):
                     view[:n] = part.reshape(n, S, -1)
-                _tally_shadow(bt, idx[a:a + n], hist[:n + 1], target[:n],
+                _tally_shadow(bt, blocks[a:a + n], hist[:n + 1], target[:n],
                               tally)
         except Exception:
             for row in hist[:r] if probes.shadow else ():
                 shadow_step(prob, PrimalDualState(*bt.views(row)))
             raise
 
-    kernel = None if by_level else _Lanes(bt, flat, S)
+    kernel = None if by_level else _Lanes(bt, flat, S, maxima)
     rngs = [RngStream(seed) for seed in seeds]
-    # a lone seed fires its draws between record points by level; seeds in
-    # lockstep gather their lanes' table rows once per chunk, so the chunk
-    # also bounds those rows
-    per_chunk = _DRAW_CHUNK if by_level else max(
-        1, min(_DRAW_CHUNK, _BATCH_LANE_LIMIT // bt.lane_values) // S)
+    per_chunk = _DRAW_CHUNK
     if probes.shadow and stride < per_chunk:
         per_chunk -= per_chunk % stride   # so that blocks end at records
-    k = chunk = 0   # draws k..k+chunk-1; ramp: 1, 1, 2, 4, ... draws
+    k = chunk = 0   # draws k..k+chunk-1
     while k + chunk < T:
         k += chunk
-        chunk = min(per_chunk, T - k, max(k, 1) if ramp else per_chunk)
+        chunk = min(per_chunk, T - k)
         blocks = blocks_for(dist, draw_uniforms(rngs, chunk))
-        lanes = None if by_level else bt.lanes(blocks, stacked=True)
         lo = 0
         for hi in [*range((k // stride + 1) * stride - k, chunk, stride),
                    chunk]:
             if not by_level:
                 for a in range(lo, hi, K):
-                    lockstep(lanes, blocks, k, a, min(K, hi - a))
+                    lockstep(blocks, k, a, min(K, hi - a))
             # by level: draws lo..hi-1, one call per dependency level
             for draws in (() if not by_level else [np.arange(lo, hi)]
                           if hi - lo == 1 else
                           [lo + d for d in _levels(partition,
                                                    blocks[lo:hi, 0])]):
                 fired = blocks[draws, 0]
-                hot = _fire_lanes(bt, flat, bt.lanes(fired), k + 1 + draws)
+                hot = _fire_lanes(bt, flat, fired, k + 1 + draws)
                 if not hot.max() <= DIVERGENCE_LIMIT:
                     raise _divergence(hot, k + 1 + draws, seeds, fired)
                 # the lanes are the seed's draws: fold them into its maxima
@@ -879,15 +847,15 @@ _TALLY = ("shadow_checks", "shadow_failures", "freeze_checks",
           "freeze_failures")
 
 
-def _tally_shadow(bt, idx, hist, target, tally):
+def _tally_shadow(bt, blocks, hist, target, tally):
     """Check every seed's steps in a block against its shadow passes and
     the freezes.
 
     ``hist[j]`` and ``hist[j+1]`` are the ``(S, width)`` states (``bt``'s
     layout) around the block's iteration ``j``, ``target[j]`` its shadow
-    passes in that layout (zero in dummy slots) and ``idx[j]`` its lanes
-    (flat indices into a state, a column per seed); row ``s`` of ``tally``
-    holds seed ``s``'s counts (``_TALLY``). A step agrees when no group
+    passes in that layout (zero in dummy slots) and ``blocks[j]`` the
+    blocks it fired, one per seed; row ``s`` of ``tally`` holds seed
+    ``s``'s counts (``_TALLY``). A step agrees when no group
     of moved coordinates (``bt.groups``: each component's x, the block's z
     rows, its p rows) differs from the shadow by more than ``SHADOW_TOL``
     at its largest (a NaN largest passes). It froze the rest when every
@@ -895,7 +863,10 @@ def _tally_shadow(bt, idx, hist, target, tally):
     their ``since`` and ``acc``) is unchanged (NaN is never unchanged).
     """
     n, S, width = target.shape
-    idx = idx[:, :3 * bt.M] + (np.arange(n) * (S * width))[:, None, None]
+    # the written slots' flat indices into hist[1:], (n, 3 M, S)
+    idx = np.ascontiguousarray(
+        bt.idx[:3 * bt.M].take(blocks, axis=1).transpose(1, 0, 2))
+    idx += (np.arange(n * S) * width).reshape(n, 1, S)
     mv = idx[:, :bt.M]
     gap = np.maximum.reduceat(np.abs(hist[1:].reshape(-1).take(mv)
                                      - target.reshape(-1).take(mv)),

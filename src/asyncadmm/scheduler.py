@@ -205,12 +205,11 @@ def draw_uniforms(streams, count: int) -> np.ndarray:
     """The next ``count`` draws of every stream, shape ``(count, S)``.
 
     Equal to ``count`` calls of ``next_double`` on each stream, and
-    advances each stream (state and counter) as those calls would.
+    advances each stream as those calls would.
     """
     out = _splitmix_doubles([r._state for r in streams], count)
     for r in streams:
         r._state = (r._state + count * _GAMMA) & _MASK64
-        r.counter += count
     return out
 
 
@@ -224,14 +223,12 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._state = self.seed
-        self.counter = 0
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        self.counter += 1
         return z ^ (z >> 31)
 
     def next_double(self) -> float:

@@ -807,9 +807,8 @@ def engine_tally(prob, partition, blocks, befores, afters, shadows):
     def rows(triples):
         return np.stack([bt.layout(x, z, p) for x, z, p in triples])
 
-    idx = bt.lanes(np.asarray(blocks), stacked=True)[0]
     tally = np.zeros((S, len(engine._TALLY)), dtype=np.intp)
-    engine._tally_shadow(bt, idx[None],
+    engine._tally_shadow(bt, np.asarray(blocks)[None],
                          np.stack([rows((b.x, b.z, b.p) for b in befores),
                                    rows((a.x, a.z, a.p) for a in afters)]),
                          rows(sh[:3] for sh in shadows)[None], tally)

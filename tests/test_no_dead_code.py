@@ -4,7 +4,8 @@ Every module-level function of ``src/asyncadmm``, and every method and
 property of its classes, public or underscore-prefixed, is used in
 ``src/`` (as a name or an attribute), exported by ``asyncadmm/__init__.py``
 or named in README.md, where public API that no code of the package calls
-is documented.
+is documented. Every attribute a class of ``src/`` stores on ``self`` is
+read as an attribute somewhere in ``src/``, or named in README.md.
 Names are matched, not resolved: a member that shares its name with one
 in use passes, so the check finds members that nothing names, not every
 member without a caller.
@@ -32,10 +33,17 @@ def members(tree):
                     yield f"{node.name}.{f.name}", f.name
 
 
+def sources():
+    return {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def readme_words():
+    return set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+
+
 def test_src_keeps_no_member_that_only_tests_call():
-    trees = {p.name: ast.parse(p.read_text())
-             for p in sorted(SRC.glob("*.py"))}
-    known = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    trees = sources()
+    known = readme_words()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -48,3 +56,30 @@ def test_src_keeps_no_member_that_only_tests_call():
     unused = [f"{module}: {qual}" for module, tree in trees.items()
               for qual, name in members(tree) if name not in known]
     assert unused == []
+
+
+def stored_on_self(tree):
+    """``(class, attribute)`` of every attribute that a method of one of the
+    module's classes assigns on ``self``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    yield node.name, sub.attr
+
+
+def test_src_reads_every_attribute_it_stores():
+    trees = sources()
+    read = readme_words()
+    read.update(node.attr for tree in trees.values()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load))
+    unread = sorted({f"{module}: {cls}.{attr}"
+                     for module, tree in trees.items()
+                     for cls, attr in stored_on_self(tree)
+                     if attr not in read})
+    assert unread == []

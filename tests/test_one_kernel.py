@@ -263,29 +263,6 @@ def test_drift_on_a_2000_node_cycle_in_bounded_memory():
     assert peak <= 4 * 2 ** 20
 
 
-@pytest.mark.parametrize("nodes,chunk,S", [(5, 64, 16), (20, 341, 3)])
-def test_a_chunk_of_lanes_is_gathered_once(nodes, chunk, S):
-    """A chunk of lockstep draws (``(chunk, S)`` blocks, as ``run_batch``
-    takes them on mc-cycle5 and lad-audit) takes each table's columns in
-    lane order once: call ``j``'s inputs equal those of its own row of
-    blocks, byte for byte, they are C-contiguous, and making them peaks
-    below 1.5 times their own size (a second copy into lane order
-    would take twice it)."""
-    bench = generate_benchmark(BenchmarkSpec("consensus-lad"),
-                               Graph.cycle(nodes))
-    bt = engine._block_table(bench.problem, bench.reform.partition)
-    blocks = np.random.default_rng(nodes).integers(0, nodes, size=(chunk, S))
-    bt.lanes(blocks, stacked=True)
-    lanes, peak = peak_of(lambda: bt.lanes(blocks, stacked=True))
-    for got in lanes[:3]:
-        assert got.shape[0] == chunk and got.flags.c_contiguous
-    for j in range(chunk):
-        for got, want in zip(lanes, bt.lanes(blocks[j], stacked=True)):
-            assert got[j].tobytes() == want.tobytes()
-    own = sum(a.nbytes for a in lanes[:3])
-    assert peak < 1.5 * own, f"peak {peak} B for {own} B of lanes"
-
-
 def chord_cycle(chords, nodes=40):
     """A cycle whose node 0 is also joined to nodes 2, 3, ... by ``chords``
     more edges: a hub of ``chords + 2`` rows."""
@@ -330,7 +307,7 @@ def test_tilt_terms_do_not_grow_with_the_hub(monkeypatch):
                              np.zeros(prob.dim_z)).reshape(-1)
             flat = flat.view(CountingRow)
             flat.gathers = []
-            engine._fire_lanes(bt, flat, bt.lanes(blocks))
+            engine._fire_lanes(bt, flat, blocks)
             tails = rows[:, blocks] - bt.K
             want = [len(bt.idx) * blocks.size]
             if tails.max() > 0:
@@ -384,9 +361,9 @@ def kernel_rows(monkeypatch):
     calls = []
     fire = engine._fire_lanes
 
-    def spy(bt, flat, lanes, k=None):
-        out = fire(bt, flat, lanes, k)
-        calls.append((bt, flat.copy(), np.asarray(lanes[3]).tolist(), k))
+    def spy(bt, flat, blocks, k=None):
+        out = fire(bt, flat, blocks, k)
+        calls.append((bt, flat.copy(), blocks.tolist(), k))
         return out
 
     monkeypatch.setattr(engine, "_fire_lanes", spy)
@@ -491,24 +468,31 @@ def table_of(kind):
 @pytest.mark.parametrize("L", [1, 3, 16])
 @pytest.mark.parametrize("kind", TABLES)
 def test_the_binding_fires_as_the_kernel(kind, L, k):
-    """Two calls of one binding on ``L`` stacked lanes against
-    ``_fire_lanes`` on a copy of the rows: the same ``hot`` or error, and
-    the same rows, byte for byte (every slot written, the rest untouched);
-    the second call reads nothing the first left in the scratch."""
+    """Two calls of one binding on ``L`` stacked lanes (lane ``l`` on row
+    ``l``) against ``_fire_lanes`` on each row alone, with the same blocks:
+    the same ``hot`` or error, and the same rows, byte for byte (every slot
+    written, the rest untouched); the second call reads nothing the first
+    left in the scratch. The binding folds each ``hot`` into its maxima."""
     prob, bt = table_of(kind)
     rng = np.random.default_rng(L)
-    rows = bt.layout(*(random_vector(rng, (L, d))
+    want = bt.layout(*(random_vector(rng, (L, d))
                        for d in (prob.dim_x, prob.dim_z, prob.dim_z)))
-    rows[:, bt.seg:] = rng.integers(1, 9, size=(L, 2 * bt.seg))
-    want, got = rows.reshape(-1), rows.copy().reshape(-1)
+    want[:, bt.seg:] = rng.integers(1, 9, size=(L, 2 * bt.seg))
+    got = want.copy()
     k = {"none": None, "one": 12, "per-lane": np.arange(12, 12 + L)}[k]
-    kernel = compiled._Lanes(bt, got, L)
+    maxima = np.zeros((3, L))
+    folded = maxima.copy()
+    kernel = compiled._Lanes(bt, got.reshape(-1), L, maxima)
     for _ in range(2):
-        lanes = bt.lanes(rng.integers(0, bt.idx.shape[1], size=L),
-                         stacked=True)
-        hot = outcome(lambda: engine._fire_lanes(bt, want, lanes, k).tobytes())
-        assert outcome(lambda: kernel.fire(lanes, k).tobytes()) == hot
+        blocks = rng.integers(0, bt.idx.shape[1], size=L)
+        hot = outcome(lambda: np.concatenate([
+            engine._fire_lanes(bt, want[l], blocks[l:l + 1],
+                               k if np.ndim(k) == 0 else k[l:l + 1])
+            for l in range(L)], axis=1).tobytes())
+        assert outcome(lambda: kernel.fire(blocks, k).tobytes()) == hot
         assert got.tobytes() == want.tobytes()
+        np.maximum(folded, kernel.hot, out=folded)
+        assert maxima.tobytes() == folded.tobytes()
 
 
 def test_a_lockstep_run_binds_the_kernel_once(monkeypatch):
@@ -520,9 +504,9 @@ def test_a_lockstep_run_binds_the_kernel_once(monkeypatch):
     made = []
     bind = compiled._Lanes.__init__
 
-    def counting(self, bt, flat, L):
+    def counting(self, bt, flat, L, maxima):
         made.append(L)
-        bind(self, bt, flat, L)
+        bind(self, bt, flat, L, maxima)
 
     monkeypatch.setattr(compiled._Lanes, "__init__", counting)
     for seeds, probes, want in (

@@ -2,7 +2,8 @@
 
 A seed's row is three segments of equal length: its state, then for each
 state slot the iteration its lazy ergodic sum has reached (``since``),
-then that sum (``acc``). After one call of ``engine._fire_lanes`` with an
+then that sum (``acc``). After one call of the block kernel
+(``engine._fire_lanes``, or its binding ``compiled._Lanes``) with an
 iteration ``k``, every slot of every row that no lane moves keeps its
 bits, in all three segments; every moved slot has ``since == k`` (its
 lane's ``k``) and ``acc == old acc + (k - old since) * old value``, signs
@@ -13,8 +14,9 @@ The moved slots come from the partition (a block moves its components'
 x and its rows' z and p), not from the kernel's tables, so a table whose
 ``since`` or ``acc`` columns point at other slots fails here. The dummy
 slots that padding lanes move must keep a zero state. Calls are made as
-their callers make them: in lockstep (one lane per seed, lane ``l`` on
-row ``l``, a chunk of iterations at a time, as in ``run_batch``), by
+their callers make them: in lockstep (through the binding, one lane per
+seed, lane ``l`` on row ``l``, a chunk of iterations at a time, as in
+``run_batch``), by
 dependency level (one seed's draws that share no component, each at its
 own iteration, on one row), without sums (as ``step`` calls it), and
 every block at once on one row without sums (as ``lyapunov_drift`` calls
@@ -28,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asyncadmm import engine
+from asyncadmm import compiled, engine
 from asyncadmm.errors import AsyncAdmmError
 
 from reference import assert_bits_equal
@@ -85,11 +87,11 @@ def check_call(bt, before, after, lanes, dummy):
     assert np.all(after[:, dummy] == 0.0), "dummy state slots"
 
 
-def fire(bt, flat, lanes, k, before, after):
-    """One kernel call; False when a solve raised (and then it wrote
-    nothing)."""
+def fire(call, before, after):
+    """One kernel call, ``call()``; False when a solve raised (and then it
+    wrote nothing)."""
     try:
-        engine._fire_lanes(bt, flat, lanes, k)
+        call()
     except AsyncAdmmError:
         assert_bits_equal(after, before, "a call that raised")
         return False
@@ -134,7 +136,8 @@ def test_kernel_writes_only_its_slots(data_seed, n, N, hub_rows, uncoupled,
         for level in engine._levels(part, draws):
             before = rows.copy()
             ks = k0 + 1 + level
-            if not fire(bt, flat, bt.lanes(draws[level]), ks, before, rows):
+            if not fire(lambda: engine._fire_lanes(bt, flat, draws[level],
+                                                   ks), before, rows):
                 return
             check_call(bt, before, rows,
                        [(0, moved[draws[d]], k)
@@ -145,8 +148,8 @@ def test_kernel_writes_only_its_slots(data_seed, n, N, hub_rows, uncoupled,
         # every block from one state, as the lanes of one call on one row
         rows = random_rows(rng, bt, live, 1, k0)
         before = rows.copy()
-        if fire(bt, rows.reshape(-1), bt.lanes(np.arange(m)), None, before,
-                rows):
+        if fire(lambda: engine._fire_lanes(bt, rows.reshape(-1),
+                                           np.arange(m)), before, rows):
             check_call(bt, before, rows, [(0, slots, None) for slots in moved],
                        dummy)
         return
@@ -155,12 +158,11 @@ def test_kernel_writes_only_its_slots(data_seed, n, N, hub_rows, uncoupled,
     rows = random_rows(rng, bt, live, S, k0)
     flat = rows.reshape(-1)
     blocks = rng.integers(0, m, size=(3, S))
-    idx, const, xsrc, _ = bt.lanes(blocks, stacked=True)
+    kernel = compiled._Lanes(bt, flat, S, np.zeros((3, S)))
     for j in range(len(blocks)):
         before = rows.copy()
         k = None if mode == "no-sums" else k0 + j
-        if not fire(bt, flat, (idx[j], const[j], xsrc[j], blocks[j]), k,
-                    before, rows):
+        if not fire(lambda: kernel.fire(blocks[j], k), before, rows):
             return
         check_call(bt, before, rows,
                    [(s, moved[b], k) for s, b in enumerate(blocks[j])],

@@ -118,7 +118,7 @@ class TestRngStream:
         b = RngStream(42)
         assert [a.next_u64() for _ in range(10)] == \
             [b.next_u64() for _ in range(10)]
-        assert a.counter == 10
+        assert a.next_u64() == b.next_u64()
 
     def test_known_splitmix64_values(self):
         # published SplitMix64 outputs for seed 1234567
@@ -141,7 +141,6 @@ class TestRngStream:
                               draw_uniforms([vec], 300)[:, 0]])
         want = np.array([seq.next_double() for _ in range(305)])
         np.testing.assert_array_equal(got, want)
-        assert vec.counter == seq.counter == 306
         assert vec.next_u64() == seq.next_u64()
 
     def test_stream_matrix_matches_each_stream(self):
@@ -153,7 +152,6 @@ class TestRngStream:
             r = RngStream(seed)
             np.testing.assert_array_equal(
                 draws[:, col], [r.next_double() for _ in range(40)])
-            assert streams[col].counter == 40
             assert streams[col].next_u64() == r.next_u64()
 
 

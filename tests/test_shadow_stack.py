@@ -244,17 +244,18 @@ def planting_kernel(monkeypatch, at, lane, moved):
     first x slot of its row that the step does not write."""
     bind, fire, bound = compiled._Lanes.__init__, compiled._Lanes.fire, {}
 
-    def binding(self, bt, flat, L):
-        bind(self, bt, flat, L)
+    def binding(self, bt, flat, L, maxima):
+        bind(self, bt, flat, L, maxima)
         bound[self] = bt, flat
 
-    def kernel(self, lanes, k=None):
-        hot = fire(self, lanes, k)
+    def kernel(self, blocks, k=None):
+        hot = fire(self, blocks, k)
         if k == at:
-            (bt, flat), idx = bound[self], lanes[0][:, lane]
-            row = lane * bt.width + np.arange(bt.dim_x)
+            bt, flat = bound[self]
+            row = lane * bt.width
+            idx = row + bt.idx[:3 * bt.M, blocks[lane]]
             flat[idx[0] if moved else
-                 np.setdiff1d(row, idx[:3 * bt.M])[0]] += 1e-6
+                 np.setdiff1d(row + np.arange(bt.dim_x), idx)[0]] += 1e-6
         return hot
 
     monkeypatch.setattr(compiled._Lanes, "__init__", binding)
@@ -266,10 +267,11 @@ def planting_kernel(monkeypatch, at, lane, moved):
 @pytest.mark.parametrize("moved", [True, False], ids=["moved", "frozen"])
 def test_a_planted_mismatch_inside_a_block_is_counted_once(monkeypatch, at,
                                                           moved):
-    """Blocks of ten iterations (``stride = 10``; draw chunks of 340, so
-    that chunks end at record points): one pass per block. A slot written
-    at iteration ``at`` fails exactly one check of that seed: the shadow
-    check when the step moves it, the freeze check when it does not."""
+    """Blocks of ten iterations (``stride = 10``; draw chunks of
+    ``_DRAW_CHUNK`` = 345 cut to 340, so that chunks end at record points):
+    one pass per block. A slot written at iteration ``at`` fails exactly
+    one check of that seed: the shadow check when the step moves it, the
+    freeze check when it does not."""
     rng = np.random.default_rng(3)
     bench = generate_benchmark(
         BenchmarkSpec("consensus-lad", a=list(rng.uniform(-5.0, 5.0, 20))),
@@ -279,6 +281,7 @@ def test_a_planted_mismatch_inside_a_block_is_counted_once(monkeypatch, at,
     passes = []
     monkeypatch.setattr(engine, "shadow_step",
                         lambda *args: passes.append(1) or shadow_step(*args))
+    monkeypatch.setattr(engine, "_DRAW_CHUNK", 345)
     planting_kernel(monkeypatch, at, 1, moved)
     got = run_batch(prob, part, dist, [0, 1, 2], 400, stride=10,
                     probes=ProbeFlags(shadow=True))
