@@ -293,40 +293,42 @@ def _add_tails(bt, flat, idx, blocks, lin):
 class _Lanes:
     """The block kernel (``engine._fire_lanes``) bound to one block table
     ``bt``, one flat state and ``L`` stacked lanes (lane ``l`` fires on
-    state row ``l``): a lockstep run's kernel, made once per run and fired
-    once per iteration.
+    state row ``l``), with or without the lazy ``ergodic`` sums: a lockstep
+    run's kernel, made once per run and fired once per iteration.
 
     Every operand is a view made once: rows of one float and one int
-    scratch array of ``L`` columns hold the fired blocks, their ``idx``,
+    scratch array of ``L`` columns hold the fired blocks, their ``idx``
+    (only the rows the program reads: ``bt.plain`` without the sums),
     ``const`` and ``xsrc`` columns, the gathered values ``v``, the tilt
-    and its accumulated sums, the output, the prox's ``work`` pair and the
-    z fit's and dual step's temporaries, and the prox's calls
-    (``_GroupedProx.calls``) are bound to them. :meth:`fire` copies the
-    blocks in and replays the calls: the takes of the blocks' columns from
-    the table, then ``_fire_lanes``' operations in its order on the same
-    operands, written in place, so every slot it writes and ``hot`` are
-    ``_fire_lanes``' bit for bit. A hub's tails (:func:`_add_tails`) and
-    the one-by-one prox (``_GroupedProx._serial``) are calls of the
-    program too. The program ends by folding ``hot`` into ``maxima``, the
-    run's ``(3, L)`` running maxima. The scratch makes the binding neither
-    thread-safe nor reentrant.
+    and its accumulated sums, the output, the prox's ``work`` pair, the z
+    fit's and dual step's temporaries and the magnitudes ``mag``, and the
+    prox's calls (``_GroupedProx.calls``) are bound to them. :meth:`fire`
+    copies the blocks in and replays the calls: the takes of the blocks'
+    columns from the table, then ``_fire_lanes``' operations in its order
+    on the same operands, written in place, so every slot it writes and
+    ``mag`` are ``_fire_lanes``' bit for bit. A hub's tails
+    (:func:`_add_tails`) and the one-by-one prox (``_GroupedProx._serial``)
+    are calls of the program too. The program ends with one running
+    maximum of ``mag`` into ``maxima``, the run's ``(M, L)`` array. The
+    scratch makes the binding neither thread-safe nor reentrant.
     """
 
-    def __init__(self, bt, flat, L, maxima):
-        Cn, R, P, M, K = bt.Cn, bt.R, bt.P, bt.M, bt.K
+    def __init__(self, bt, flat, L, maxima, ergodic):
+        Cn, R, P, M, K, m0 = bt.Cn, bt.R, bt.P, bt.M, bt.K, bt.m0
         prox, cc, ic, beta = bt.prox, bt.ccol, bt.icol, bt.beta
         serial = bt.serial_at is not None
-        idx, xsrc, blocks, at = _rows(np.intp, L, len(bt.idx), R, 1,
+        rows = len(bt.idx) if ergodic else bt.plain
+        idx, xsrc, blocks, at = _rows(np.intp, L, rows, R, 1,
                                       Cn if serial else 0)
         self.blocks = blocks = blocks[0]
-        const, v, g, out, w0, w1, ax, t, s, mag, hot = _rows(
-            float, L, len(bt.const), len(bt.idx), K * Cn, 3 * M,
-            Cn, Cn, R, R, R, M, 3)
-        self.since, self.hot = out[M:2 * M], hot
+        const, v, g, out, w0, w1, ax, t, s, mag = _rows(
+            float, L, len(bt.const), rows, K * Cn, rows - m0, Cn, Cn, R, R,
+            R, M)
+        self.since, self.mag = out[M:2 * M], mag
         closed = list(const[bt.closed].reshape(-1, Cn, L).transpose(0, 2, 1))
         # the blocks' table columns: lane l's idx into state row l, its
         # xsrc into its own column of out
-        calls = [(bt.idx.take, (blocks, 1, idx, "clip")),
+        calls = [(bt.idx[:rows].take, (blocks, 1, idx, "clip")),
                  (bt.const.take, (blocks, 1, const, "clip")),
                  ((bt.xsrc * L).take, (blocks, 1, xsrc, "clip"))]
         if L > 1:
@@ -342,7 +344,7 @@ class _Lanes:
         calls.append((np.add.accumulate, (g3, 0, None, g3)))
         lin = g[(K - 1) * Cn:]
         if bt.tail_terms:
-            calls.append((_add_tails, (bt, flat, idx, blocks, lin)))
+            calls.append((_add_tails, (bt, flat, idx[m0:], blocks, lin)))
         if serial:
             calls.append((bt.serial_at.take, (blocks, 1, at, "clip")))
         if "is_quad" in prox.args:
@@ -353,8 +355,8 @@ class _Lanes:
         calls += prox.calls(lin.T, closed, at.T if serial else None,
                             out[:Cn].T, (w0.T, w1.T))
         # z pairs and free rows, then the dual step, from the new x
-        z_coeff, w = const[cc["z_coeff"]], const[cc["w"]]
-        p_old, new_z = v[Cn + R:M], out[Cn:Cn + R]
+        z_coeff, w, old = const[cc["z_coeff"]], const[cc["w"]], v[m0:]
+        p_old, new_z = old[Cn + R:M], out[Cn:Cn + R]
         calls += [(out.take, (xsrc, None, ax, "clip")),
                   (np.multiply, (z_coeff, ax, ax)),
                   (np.divide, (p_old, beta, t)),
@@ -372,32 +374,29 @@ class _Lanes:
                   (np.add, (ax, s, s)),
                   (np.multiply, (beta, s, s)),
                   (np.subtract, (p_old, s, out[Cn + R:M]))]
-        result = [(np.abs, (out[:M], mag)),
-                  (np.maximum.reduceat, (mag, bt.cuts, 0, None, hot)),
-                  (partial(np.maximum, out=maxima), (maxima, hot))]
-        # without k: the moved slots; with it, their since and acc too,
-        # acc += (k - since) * old with since already holding k
-        self.plain = tuple(calls + [(flat.__setitem__, (idx[:M], out[:M]))]
-                           + result)
-        self.ergodic = tuple(calls + [
-            (np.subtract, (self.since, v[M:2 * M], mag)),
-            (np.multiply, (mag, v[:M], mag)),
-            (np.add, (v[2 * M:3 * M], mag, out[2 * M:])),
-            (flat.__setitem__, (idx[:3 * M], out))] + result)
+        if ergodic:
+            # acc += (k - since) * old, with since already holding k
+            calls += [(np.subtract, (self.since, old[M:2 * M], mag)),
+                      (np.multiply, (mag, old[:M], mag)),
+                      (np.add, (old[2 * M:], mag, out[2 * M:]))]
+        # the moved slots (and their since and acc), then the magnitudes;
+        # numpy 2.4 deprecates a positional out for np.maximum
+        self.program = tuple(calls + [
+            (flat.__setitem__, (idx[m0:], out)),
+            (np.abs, (out[:M], mag)),
+            (partial(np.maximum, out=maxima), (maxima, mag))])
 
     def fire(self, blocks, k=None):
         """Fire block ``blocks[l]`` on state row ``l``, as
-        ``engine._fire_lanes`` fires it on that row alone: returns ``hot``,
+        ``engine._fire_lanes`` fires it on that row alone, at iteration
+        ``k`` when the binding keeps the ergodic sums: returns ``mag``,
         which the next call overwrites."""
         np.copyto(self.blocks, blocks)
-        if k is None:
-            program = self.plain
-        else:
+        if k is not None:
             self.since[...] = k
-            program = self.ergodic
-        for f, args in program:
+        for f, args in self.program:
             f(*args)
-        return self.hot
+        return self.mag
 
 
 def _rows(dtype, L, *sizes):

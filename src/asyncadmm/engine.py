@@ -9,40 +9,29 @@ other coordinates are frozen.
 Step cost: one asynchronous step costs O(size of the block), not
 O(size of the problem). There is one block update, the lane kernel
 ``_fire_lanes``: it fires one block per lane on rows of a flat state, in
-place, through a per-partition block table that is built once in time
-linear in the number of rows (``_BlockTable``). A row holds a seed's
-state, then the ``since`` and ``acc`` of its lazy ergodic sums, so a call
-makes one gather of everything it reads and one scatter of everything it
-writes, through index columns the table holds per block, and reads its
-constants as one column per block: about 30 array operations per call,
-each over all its lanes. Every caller fires its blocks through it:
-``run_batch`` the lanes of its seeds (in lockstep through the kernel's
-binding, ``compiled._Lanes``, the same operations bound once per run),
-and ``_fire_blocks`` a list of blocks from one state, as the lanes of one
-call on one row in the runs' layout (in chunks of lanes past the lane
-limit), for ``step`` (one block), ``consensus.edge_step`` (the edge's
-block) and ``diagnostics.lyapunov_drift`` (every block).
-The x lanes are solved by the grouped prox (``prox._GroupedProx``, the
-only closed-form prox): closed forms for Quadratic, AbsDev and L1
-coordinates, then one by one, in lane order, for ``Custom`` terms and
-kink coordinates without a coupling row.
-Each x lane's tilt reads its component's first ``K`` rows from the
-table, and a lane with more (a hub's) goes on over the rest, its tail,
-which its call gathers; ``K`` comes from the row counts
-(``_tilt_width``), so one hub pads no other lane to its degree.
+place, through a per-partition block table built once in time linear in
+the number of rows (``_BlockTable``). A row holds a seed's state, then
+the ``since`` and ``acc`` of its lazy ergodic sums, which only calls
+given an iteration read and write. A call makes one gather of what it
+reads and one scatter of what it writes, and reads its constants as one
+column per block: about 30 array operations, each over all its lanes.
+``run_batch`` fires its seeds' lanes through it (in lockstep through its
+binding, ``compiled._Lanes``), and ``_fire_blocks`` a list of blocks from
+one state on one row, for ``step``, ``consensus.edge_step`` and
+``diagnostics.lyapunov_drift``. The grouped prox (``prox._GroupedProx``,
+the only closed-form prox) solves the x lanes. Each x lane's tilt reads
+its component's first ``K`` rows from the table (``_tilt_width``), and a
+hub's lane goes on over the rest, its tail, which its call gathers.
 
 Run loop: ``run_batch`` is the one loop (``run`` is its one-seed form).
 It fires blocks as lanes on one ``(S, width)`` state: many seeds in
 lockstep, one lane per seed per iteration; one seed by dependency level
-(``_levels``). Each kernel call takes the table columns of the blocks it
-fires. Two blocks that share no component commute, so a seed's
-draws between two record points fire one level per call, each draw one
-level above the highest earlier draw it clashes with; clashing draws keep
-their draw order. The kernel performs the floating-point operations of a
-component-by-component block update in its order, so each seed's metrics
-equal chained ``step`` calls bit for bit. Ergodic sums are kept lazily:
-per coordinate just before it moves, and for every x and z coordinate at
-a record (the p sums are never read). The serial run defines a failure:
+(``_levels``: blocks that share no component commute). The kernel
+performs the floating-point operations of a component-by-component block
+update in its order, so each seed's metrics equal chained ``step`` calls
+bit for bit. The ergodic probe alone keeps ergodic sums, lazily: per
+coordinate just before it moves, and for every x and z coordinate at a
+record (the p sums are never read). The serial run defines a failure:
 a run that raises (a divergence or a term's error) is run again seed by
 seed, in seed order, one draw per call, and the first seed that fails
 alone raises its own first error.
@@ -113,17 +102,11 @@ class StepRecord:
     shadow: Optional[ShadowIterates] = None
 
 
-def _stack(**groups):
-    """Groups of rows one above another, as a C-contiguous table (whatever
-    the groups' memory order), and the rows each group occupies."""
-    rows, start = {}, 0
-    for name, arr in groups.items():
-        rows[name] = slice(start, start + len(arr))
-        start += len(arr)
-    arrays = list(groups.values())
-    table = np.empty((start,) + arrays[0].shape[1:],
-                     dtype=np.result_type(*arrays))
-    return np.concatenate(arrays, out=table), rows
+def _slices(**sizes):
+    """Consecutive row slices of the given sizes, by name, and their end."""
+    ends = np.cumsum(list(sizes.values())).tolist()
+    return {name: slice(e - n, e)
+            for (name, n), e in zip(sizes.items(), ends)}, ends[-1]
 
 
 # padded tilt terms a block table may hold (m C n K), and values one call
@@ -165,18 +148,20 @@ class _BlockTable:
 
     ``idx`` holds, in this order:
 
-    - the moved slots (``M = C n + 2 R``): the x lanes (``C n``: the
-      block's components, then the dummy one), the z lanes (``R = 2P +
-      U``: first rows of the z pairs, their partners, then unpaired rows,
-      each group padded to its maximum) and the p lanes (the same rows);
-    - ``since`` and ``acc``: the same slots in the other two segments;
-      the kernel writes exactly these ``3 M`` columns;
     - the tilt lanes (``C n K`` each for p and z, row ``d C n + c`` x
       lane ``c``'s row ``d``): each x lane's first ``K`` rows, padded with
       the dummy row, coefficient ``-0.0``, which adds nothing (not even to
       a zero) to a sum taken strictly left to right. The rest are its
       tail: ``tails`` holds their count, their start among the rows
       (``t_idx``, ``t_consts``: all rows, once) and the lane's x slot.
+    - the moved slots (``M = C n + 2 R``, from row ``m0``): the x lanes
+      (``C n``: the block's components, then the dummy one), the z lanes
+      (``R = 2P + U``: first rows of the z pairs, their partners, then
+      unpaired rows, each group padded to its maximum) and the p lanes
+      (the same rows); a call without ergodic sums reads the first
+      ``plain`` rows and writes the moved slots;
+    - ``since`` and ``acc``: the same slots in the other two segments,
+      which a call with ergodic sums also reads and writes.
 
     ``const`` holds the x lanes' closed-form arguments (``C n`` columns
     each, in :class:`_GroupedProx` order, ``closed`` their slice), the
@@ -271,18 +256,27 @@ class _BlockTable:
         r = np.arange(K)[:, None, None]
         pos = np.where(r < count, first + r, W).reshape(-1, m)
 
-        moved = np.concatenate([x_lanes, self.z0 + z_rows.T,
-                                self.p0 + z_rows.T])
-        self.idx, self.icol = _stack(
-            x=x_lanes, z=self.z0 + z_rows.T, p=self.p0 + z_rows.T,
-            since=moved + self.seg, acc=moved + 2 * self.seg,
-            tilt_p=self.t_idx[0, pos], tilt_z=self.t_idx[1, pos])
-        self.const, self.ccol = _stack(
-            **lane_consts, coeff=self.t_consts[0, pos],
-            h=self.t_consts[1, pos], w=w.T, z_coeff=z_coeff.T, pair_den=den.T)
-        self.closed = slice(0, len(lane_consts) * C * n)
-        self.Cn, self.P, self.U, self.R = C * n, P, U, R
-        self.M = C * n + 2 * R
+        Cn, M = C * n, C * n + 2 * R
+        self.Cn, self.P, self.U, self.R, self.M = Cn, P, U, R, M
+        self.m0, self.plain = m0, plain = 2 * Cn * K, 2 * Cn * K + M
+        # each group written in place, in the order above
+        self.icol, rows = _slices(tilt_p=Cn * K, tilt_z=Cn * K, x=Cn, z=R,
+                                  p=R, since=M, acc=M)
+        idx = self.idx = np.empty((rows, m), dtype=np.intp)
+        self.t_idx.take(pos, 1, idx[:m0].reshape(2, -1, m), "clip")
+        np.concatenate([x_lanes, self.z0 + z_rows.T, self.p0 + z_rows.T],
+                       out=idx[m0:plain])
+        np.add(idx[m0:plain], [[[self.seg]], [[2 * self.seg]]],
+               out=idx[plain:].reshape(2, M, m))
+        self.ccol, rows = _slices(**dict.fromkeys(lane_consts, Cn),
+                                  coeff=Cn * K, h=Cn * K, w=R, z_coeff=R,
+                                  pair_den=P)
+        const = self.const = np.empty((rows, m))
+        self.closed = slice(0, c0 := self.ccol["coeff"].start)
+        np.stack(list(lane_consts.values()), out=const[:c0].reshape(-1, Cn, m))
+        self.t_consts.take(pos, 1, const[c0:c0 + m0].reshape(2, -1, m),
+                           "clip")
+        np.concatenate([w.T, z_coeff.T, den.T], out=const[c0 + m0:])
         # the starts of each component's x, z and p, and of x, z and p,
         # among the moved slots
         self.groups = np.r_[0:C * n:n, C * n, C * n + R]
@@ -356,7 +350,8 @@ def sync_admm_step(prob: SeparableProblem,
 class ProbeFlags:
     """Which optional quantities a run records: the shadow-pass and freeze
     checks (counters), the Lyapunov column (needs a dual reference) and
-    the ergodic columns. All off by default."""
+    the ergodic columns and means (``RunMetrics.x_bar``, ``z_bar``; the
+    lazy sums behind them are kept only then). All off by default."""
 
     shadow: bool = False
     lyapunov: bool = False
@@ -365,7 +360,8 @@ class ProbeFlags:
 
 @dataclass(eq=False)
 class RunMetrics:
-    """Per-iteration trajectory summary of one seeded run."""
+    """Per-iteration trajectory summary of one seeded run; ``x_bar`` and
+    ``z_bar`` (the ergodic means at ``T``) are NaN without that probe."""
 
     seed: int
     iters: np.ndarray
@@ -451,6 +447,8 @@ class _Recorder:
                 maxima) -> "RunMetrics":
         x_max, z_max, p_max = maxima
         obj, objerr, feas, eobj, efeas, lyap = self.values[s]
+        x_bar, z_bar = (a / T if self.probes.ergodic else
+                        np.full_like(a, np.nan) for a in (x_sum, z_sum))
         return RunMetrics(
             seed=seed, iters=self.iters.copy(), objective=obj,
             objective_error=objerr, feasibility=feas,
@@ -458,7 +456,7 @@ class _Recorder:
             lyapunov=lyap, active_block=self.blocks[s],
             final_state=PrimalDualState(x=x.copy(), z=z.copy(), p=p.copy(),
                                         k=T),
-            x_bar=x_sum / T, z_bar=z_sum / T, counters=counters,
+            x_bar=x_bar, z_bar=z_bar, counters=counters,
             x_max_abs=x_max, z_max_abs=z_max, p_max_abs=p_max)
 
 
@@ -508,36 +506,33 @@ def _fire_lanes(bt: _BlockTable, flat, blocks, k=None):
     reads fire as if in turn: one dependency level of a seed's draws
     (:func:`_levels`), or the blocks of one step or drift.
 
-    A call takes its blocks' ``idx``, ``const`` and ``xsrc`` columns from
-    the table, then makes one gather of everything it reads (the moved
-    slots, their ``since`` and ``acc``, the tilt lanes), one of its lanes'
-    tails, if any, and one scatter of everything it writes: about 30 array
-    operations on contiguous ``(·, L)`` slices whatever the number ``L``
-    of lanes. Each x lane's tilt sums its rows strictly left to right,
-    then its tail from that sum (``np.sum`` would switch to pairwise order
-    on longer rows); :class:`_GroupedProx` solves the lanes, the
-    one-by-one ones after the closed forms in lane order, then the z fit
-    reads the new x of its block's own lanes and the dual step follows:
-    the floating-point operations of one component-by-component block
-    update in its order.
-    With ``k`` (one number for every lane, or one per lane) the lazy
-    ergodic sums of the moved slots are brought up to iteration ``k``
-    (``acc += (k - since) * old``, ``since = k``); without it they are
-    left as they are. Returns each lane's max |x|, |z|, |p| over its
-    block, one column per lane.
+    A call takes its blocks' ``idx`` (the rows it reads), ``const`` and
+    ``xsrc`` columns from the table, then makes one gather of everything it
+    reads, one of its lanes' tails, if any, and one scatter of everything
+    it writes: about 30 array operations on contiguous ``(·, L)`` slices
+    whatever the number ``L`` of lanes. Each x lane's tilt sums its rows
+    strictly left to right, then its tail from that sum (``np.sum`` would
+    switch to pairwise order on longer rows); :class:`_GroupedProx` solves
+    the lanes, the one-by-one ones after the closed forms in lane order,
+    then the z fit reads the new x of its block's own lanes and the dual
+    step follows: the floating-point operations of one
+    component-by-component block update in its order.
+    With ``k`` (one number for every lane, or one per lane) the call also
+    reads the moved slots' lazy ergodic sums and brings them up to
+    iteration ``k`` (``acc += (k - since) * old``, ``since = k``); without
+    it, it reads and writes neither. Returns the moved slots' new
+    magnitudes ``|x|``, ``|z|``, ``|p|``, ``(M, L)``.
 
     A lockstep run fires through this kernel's binding
-    (``compiled._Lanes``): the same operations, their operands views made
-    once for the run's table, state and lane count, the seed count, each
-    lane on its own seed's row. The by-level path and :func:`_fire_blocks`
-    call this function, since one seed's levels change the lane count from
-    call to call (64 calls with 50 lane counts on a 2,000-cycle), and a
-    binding per lane count costs more than it saves there.
+    (``compiled._Lanes``, the same operations bound once per run); the
+    by-level path and :func:`_fire_blocks` call this function, since their
+    lane count changes from call to call.
     """
-    idx, const, xsrc = (a.take(blocks, axis=1)
-                        for a in (bt.idx, bt.const, bt.xsrc))
-    L, Cn, R, P, M, beta = blocks.size, bt.Cn, bt.R, bt.P, bt.M, bt.beta
-    if L > 1:   # flat indices into the (3 M, L) output
+    m0, M = bt.m0, bt.M
+    idx = bt.idx[:bt.plain if k is None else None].take(blocks, axis=1)
+    const, xsrc = bt.const.take(blocks, axis=1), bt.xsrc.take(blocks, axis=1)
+    L, Cn, R, P, beta = blocks.size, bt.Cn, bt.R, bt.P, bt.beta
+    if L > 1:   # flat indices into the (·, L) output
         xsrc *= L
         xsrc += np.arange(L)
     cc, ic = bt.ccol, bt.icol
@@ -548,8 +543,8 @@ def _fire_lanes(bt: _BlockTable, flat, blocks, k=None):
                               - beta * (const[cc["h"]] * v[ic["tilt_z"]]))
     lin = np.add.accumulate(g.reshape(bt.K, Cn, L))[-1]
     if bt.tail_terms:
-        _add_tails(bt, flat, idx, blocks, lin)
-    out = np.empty((3 * M, L))
+        _add_tails(bt, flat, idx[m0:], blocks, lin)
+    old, out = v[m0:], np.empty((len(idx) - m0, L))
     bt.prox.solve(lin.T, (const[bt.closed].reshape(-1, Cn, L)
                           .transpose(0, 2, 1),
                           None if bt.serial_at is None else
@@ -558,7 +553,7 @@ def _fire_lanes(bt: _BlockTable, flat, blocks, k=None):
     # z pairs and free rows, then the dual step, from the new x
     ax = const[cc["z_coeff"]] * out.take(xsrc)
     w = const[cc["w"]]
-    p_old = v[Cn + R:M]
+    p_old = old[Cn + R:M]
     t = p_old / beta - ax
     new_z = out[Cn:Cn + R]
     if P:
@@ -569,13 +564,11 @@ def _fire_lanes(bt: _BlockTable, flat, blocks, k=None):
     if bt.U:
         np.divide(t[2 * P:], w[2 * P:], out=new_z[2 * P:])
     np.subtract(p_old, beta * (ax + w * new_z), out=out[Cn + R:M])
-    if k is None:
-        flat[idx[:M]] = out[:M]
-    else:
+    if k is not None:
         out[M:2 * M] = k
-        np.add(v[2 * M:3 * M], (k - v[M:2 * M]) * v[:M], out=out[2 * M:])
-        flat[idx[:3 * M]] = out
-    return np.maximum.reduceat(np.abs(out[:M]), bt.cuts)
+        np.add(old[2 * M:], (k - old[M:2 * M]) * old[:M], out=out[2 * M:])
+    flat[idx[m0:]] = out
+    return np.abs(out[:M])
 
 
 def _fire_blocks(prob: SeparableProblem, partition: ProperPartition,
@@ -598,7 +591,7 @@ def _fire_blocks(prob: SeparableProblem, partition: ProperPartition,
     row = start.copy()
     for lo in range(0, len(blocks), chunk):
         fired = blocks[lo:lo + chunk]
-        moved = bt.idx[:bt.M].take(fired, axis=1)
+        moved = bt.idx[bt.m0:bt.plain].take(fired, axis=1)
         kept = start[moved]
         _fire_lanes(bt, start, fired)
         row[moved], start[moved] = start[moved], kept
@@ -664,7 +657,8 @@ def _levels(partition: ProperPartition, draws) -> list:
             lev[j] = max(map(lev.__getitem__, pred[ptr[j]:ptr[j + 1]])) + 1
         level = np.array(lev)
     level = level[:L]
-    order = np.argsort(level, kind="stable")
+    # 8- and 16-bit keys take numpy's radix sort
+    order = np.argsort(level.astype(np.min_scalar_type(L)), kind="stable")
     ends = np.cumsum(np.bincount(level)).tolist()
     return [order[a:b] for a, b in zip([0] + ends, ends)]
 
@@ -681,17 +675,14 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     partition. Each call fires lanes, each a (seed, block, iteration)
     triple: with several seeds, one lane per seed per iteration, each seed
     drawing from its own SplitMix64 stream, through the kernel bound once
-    for the run (``compiled._Lanes``: its lane count is the seed count,
-    fixed for the run); with one seed, one dependency level of its draws
-    between two record points (:func:`_levels`), each lane at its own
-    iteration, through :func:`_fire_lanes` itself, since the lane count
-    changes from level to level; with the shadow probe, in lockstep (a
-    lone seed too), and per block of iterations one shadow pass from
-    every seed's pre-step states (:func:`shadow_step`) and one check of
-    their steps against it (:func:`_tally_shadow`); its error at iteration
-    k never pre-empts the run's own error at k. Every field of each
-    seed's metrics equals that of ``T`` chained :func:`step` calls bit for
-    bit.
+    for the run (``compiled._Lanes``); with one seed, one dependency level
+    of its draws between two record points (:func:`_levels`), each lane
+    at its own iteration; with the shadow probe, in lockstep (a lone seed
+    too), and per block of iterations one shadow pass from every seed's
+    pre-step states (:func:`shadow_step`) and one check of their steps
+    against it (:func:`_tally_shadow`); its error at iteration k never
+    pre-empts the run's own error at k. Every field of each seed's
+    metrics equals that of ``T`` chained :func:`step` calls bit for bit.
 
     The serial run defines a failure: when this attempt raises anything,
     each seed runs again alone, in ``seeds`` order, one draw per call, and
@@ -740,10 +731,12 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
                seeds, rec, by_level) -> list:
     """The runs of ``seeds`` from ``start``, recorded in ``rec``: in
     lockstep, or (``by_level``, one seed) one dependency level of the
-    seed's draws per call. A call that moves a coordinate past the guard
-    raises :class:`DivergenceError` for its first such lane; the running
-    maxima may then hold that call's values, but a run that raises
-    reports none."""
+    seed's draws per call. Only with the ergodic probe do calls and
+    records keep the lazy ergodic sums. A call past the guard raises
+    :class:`DivergenceError` for its first such lane. The running maxima
+    are per moved slot and lane, ``(M, S)``, reduced by ``bt.cuts`` at
+    the end; a raising call may leave its values, but nothing reports
+    them."""
     S = len(seeds)
     # one row per seed: its state, then its lazy ergodic sums' since and acc
     state = np.tile(bt.layout(start.x, start.z, start.p), (S, 1))
@@ -751,7 +744,8 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
     since, acc = state[:, bt.seg:2 * bt.seg], state[:, 2 * bt.seg:]
     x_sums, z_sums, _ = bt.views(acc)
     flat = state.reshape(-1)
-    maxima = np.tile(np.array(maxima)[:, None], S)
+    maxima = np.repeat(maxima, [bt.Cn, bt.R, bt.R])[:, None].repeat(S, 1)
+    ergodic = probes.ergodic
     tally = np.zeros((S, len(_TALLY)), dtype=np.intp)
     # a lockstep block's pre-step states and the state after it, its passes
     K = _history_rows(S * bt.width) if probes.shadow else _DRAW_CHUNK
@@ -763,7 +757,7 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
         """Record iteration ``it`` if it is a record point."""
         if it % stride and it != T:
             return
-        if probes.ergodic or it == T:
+        if ergodic:
             # only the x and z sums are read, so p's are not flushed
             xz = np.s_[:, :bt.p0]
             acc[xz] += (it + 1 - since[xz]) * state[xz]
@@ -779,10 +773,10 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
                 j = a + r
                 if probes.shadow:
                     hist[r] = state
-                hot = kernel.fire(blocks[j], k + j + 1)
+                mag = kernel.fire(blocks[j], k + j + 1 if ergodic else None)
                 r += 1   # iteration j's pass comes before its guard
-                if not hot.max() <= DIVERGENCE_LIMIT:
-                    raise _divergence(hot, k + j + 1, seeds, blocks[j])
+                if not mag.max() <= DIVERGENCE_LIMIT:
+                    raise _divergence(bt, mag, k + j + 1, seeds, blocks[j])
             if probes.shadow:
                 hist[n] = state
                 sh = shadow_step(prob, PrimalDualState(
@@ -790,13 +784,13 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
                 for view, part in zip(bt.views(target), (sh.y, sh.v, sh.mu)):
                     view[:n] = part.reshape(n, S, -1)
                 _tally_shadow(bt, blocks[a:a + n], hist[:n + 1], target[:n],
-                              tally)
+                              tally, ergodic)
         except Exception:
             for row in hist[:r] if probes.shadow else ():
                 shadow_step(prob, PrimalDualState(*bt.views(row)))
             raise
 
-    kernel = None if by_level else _Lanes(bt, flat, S, maxima)
+    kernel = None if by_level else _Lanes(bt, flat, S, maxima, ergodic)
     rngs = [RngStream(seed) for seed in seeds]
     per_chunk = _DRAW_CHUNK
     if probes.shadow and stride < per_chunk:
@@ -818,22 +812,27 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
                           [lo + d for d in _levels(partition,
                                                    blocks[lo:hi, 0])]):
                 fired = blocks[draws, 0]
-                hot = _fire_lanes(bt, flat, fired, k + 1 + draws)
-                if not hot.max() <= DIVERGENCE_LIMIT:
-                    raise _divergence(hot, k + 1 + draws, seeds, fired)
+                mag = _fire_lanes(bt, flat, fired,
+                                  k + 1 + draws if ergodic else None)
                 # the lanes are the seed's draws: fold them into its maxima
-                np.maximum(maxima, hot.max(axis=1, keepdims=True), out=maxima)
+                top = mag.max(axis=1, keepdims=True)
+                if not top.max() <= DIVERGENCE_LIMIT:
+                    raise _divergence(bt, mag, k + 1 + draws, seeds, fired)
+                np.maximum(maxima, top, out=maxima)
             record(k + hi, blocks[hi - 1])
             lo = hi
+    maxima = np.maximum.reduceat(maxima, bt.cuts)
     return [rec.metrics(s, seed, T, xs[s], zs[s], ps[s], x_sums[s], z_sums[s],
                         {"steps": T, **dict(zip(_TALLY, tally[s].tolist()))},
                         tuple(maxima[:, s].tolist()))
             for s, seed in enumerate(seeds)]
 
 
-def _divergence(hot, iters, seeds, blocks) -> DivergenceError:
-    """The error of a call's first lane past the guard: lane ``l`` fired
-    ``blocks[l]`` of ``seeds[l % S]`` at ``iters[l]`` (or ``iters``)."""
+def _divergence(bt, mag, iters, seeds, blocks) -> DivergenceError:
+    """The error of a call's first lane past the guard (``mag``: its
+    magnitudes): lane ``l`` fired ``blocks[l]`` of ``seeds[l % S]`` at
+    ``iters[l]`` (or ``iters``)."""
+    hot = np.maximum.reduceat(mag, bt.cuts)
     lane = int(np.argmin(np.all(hot <= DIVERGENCE_LIMIT, axis=0)))
     return DivergenceError(_guard_message(
         hot[:, lane], int(np.broadcast_to(iters, blocks.shape)[lane]),
@@ -847,7 +846,7 @@ _TALLY = ("shadow_checks", "shadow_failures", "freeze_checks",
           "freeze_failures")
 
 
-def _tally_shadow(bt, blocks, hist, target, tally):
+def _tally_shadow(bt, blocks, hist, target, tally, ergodic):
     """Check every seed's steps in a block against its shadow passes and
     the freezes.
 
@@ -859,13 +858,14 @@ def _tally_shadow(bt, blocks, hist, target, tally):
     of moved coordinates (``bt.groups``: each component's x, the block's z
     rows, its p rows) differs from the shadow by more than ``SHADOW_TOL``
     at its largest (a NaN largest passes). It froze the rest when every
-    slot of its row that the step does not write (the moved slots and
-    their ``since`` and ``acc``) is unchanged (NaN is never unchanged).
+    slot of its row that the step does not write (the moved slots, and
+    their ``since`` and ``acc`` when the run keeps ``ergodic`` sums) is
+    unchanged (NaN is never unchanged).
     """
     n, S, width = target.shape
-    # the written slots' flat indices into hist[1:], (n, 3 M, S)
-    idx = np.ascontiguousarray(
-        bt.idx[:3 * bt.M].take(blocks, axis=1).transpose(1, 0, 2))
+    # the written slots' flat indices into hist[1:], (n, M or 3 M, S)
+    idx = np.ascontiguousarray(bt.idx[bt.m0:None if ergodic else bt.plain]
+                               .take(blocks, axis=1).transpose(1, 0, 2))
     idx += (np.arange(n * S) * width).reshape(n, 1, S)
     mv = idx[:, :bt.M]
     gap = np.maximum.reduceat(np.abs(hist[1:].reshape(-1).take(mv)

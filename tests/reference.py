@@ -149,8 +149,12 @@ class PlainRecorder:
         self.blocks.append(b)
 
     def metrics(self, seed, T, st, x_sum, z_sum, counters, maxima):
+        """The run's metrics; the ergodic means are NaN without the ergodic
+        probe, which alone keeps them."""
         obj, objerr, feas, eobj, efeas, lyap = np.array(self.rows).T
         x_max, z_max, p_max = maxima
+        x_bar, z_bar = (a / T if self.probes.ergodic else
+                        np.full_like(a, np.nan) for a in (x_sum, z_sum))
         return RunMetrics(
             seed=seed, iters=np.array(self.iters, dtype=np.intp),
             objective=obj, objective_error=objerr, feasibility=feas,
@@ -158,7 +162,7 @@ class PlainRecorder:
             lyapunov=lyap, active_block=np.array(self.blocks, dtype=np.intp),
             final_state=PrimalDualState(x=st.x.copy(), z=st.z.copy(),
                                         p=st.p.copy(), k=T),
-            x_bar=x_sum / T, z_bar=z_sum / T, counters=counters,
+            x_bar=x_bar, z_bar=z_bar, counters=counters,
             x_max_abs=x_max, z_max_abs=z_max, p_max_abs=p_max)
 
 

@@ -679,7 +679,9 @@ def test_levels_are_minimal_conflict_free_calls(monkeypatch, merged):
     T, stride = 1000, 300
     records = [300, 600, 900, 1000]
     calls = spy_calls(monkeypatch)
-    run_batch(prob, part, dist, [11], T, stride=stride)
+    # with the ergodic probe, so that each call's k names its iterations
+    run_batch(prob, part, dist, [11], T, stride=stride,
+              probes=ProbeFlags(ergodic=True))
     rng = RngStream(11)
     draws = [sample_block(dist, rng) for _ in range(T)]
     starts = [0] + records[:-1]

@@ -811,7 +811,7 @@ def engine_tally(prob, partition, blocks, befores, afters, shadows):
     engine._tally_shadow(bt, np.asarray(blocks)[None],
                          np.stack([rows((b.x, b.z, b.p) for b in befores),
                                    rows((a.x, a.z, a.p) for a in afters)]),
-                         rows(sh[:3] for sh in shadows)[None], tally)
+                         rows(sh[:3] for sh in shadows)[None], tally, False)
     return [dict(zip(engine._TALLY, row)) for row in tally.tolist()]
 
 

@@ -290,8 +290,9 @@ class CountingRow(np.ndarray):
 
 def test_tilt_terms_do_not_grow_with_the_hub(monkeypatch):
     """The blocks whose lanes have at most K rows fire with one gather of
-    their table columns, K tilt terms per lane, whatever the hub's degree;
-    the others add one gather of their lanes' rows past K, padded."""
+    their table columns (without ergodic sums, the tilt and moved rows),
+    K tilt terms per lane, whatever the hub's degree; the others add one
+    gather of their lanes' rows past K, padded."""
     monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", CHORD_LIMIT)
     columns = set()
     for chords in (0, 8, 30):
@@ -309,12 +310,32 @@ def test_tilt_terms_do_not_grow_with_the_hub(monkeypatch):
             flat.gathers = []
             engine._fire_lanes(bt, flat, blocks)
             tails = rows[:, blocks] - bt.K
-            want = [len(bt.idx) * blocks.size]
+            want = [bt.plain * blocks.size]
             if tails.max() > 0:
                 want.append(2 * tails.max() * (tails > 0).sum())
             assert flat.gathers == want
         assert short.all() == (chords == 0)
     assert columns == {(2, len(bt.idx))}
+
+
+@pytest.mark.parametrize("kind", ["quadratic-cycle", "custom-lanes",
+                                  "star-hub-tails"])
+def test_a_plain_call_gathers_only_the_rows_it_reads(kind):
+    """The table's rows are the tilt lanes, the moved slots, then their
+    since and acc: a call without ``k`` gathers the first ``plain`` rows
+    per lane, none of the sums; with ``k``, every row."""
+    prob, bt = table_of(kind)
+    ic = bt.icol
+    assert (ic["tilt_p"].start, ic["tilt_z"].stop, ic["p"].stop,
+            ic["acc"].stop) == (0, bt.m0, bt.plain, len(bt.idx))
+    assert ic["since"].start == bt.plain == bt.m0 + bt.M
+    blocks = np.arange(min(bt.idx.shape[1], 16))
+    for k, rows in ((None, bt.plain), (7, len(bt.idx))):
+        flat = bt.layout(np.zeros(prob.dim_x), np.zeros(prob.dim_z),
+                         np.zeros(prob.dim_z)).reshape(-1).view(CountingRow)
+        flat.gathers = []
+        outcome(lambda: engine._fire_lanes(bt, flat, blocks, k))
+        assert flat.gathers[0] == rows * blocks.size
 
 
 def test_tilt_width_follows_the_row_counts():
@@ -469,10 +490,12 @@ def table_of(kind):
 @pytest.mark.parametrize("kind", TABLES)
 def test_the_binding_fires_as_the_kernel(kind, L, k):
     """Two calls of one binding on ``L`` stacked lanes (lane ``l`` on row
-    ``l``) against ``_fire_lanes`` on each row alone, with the same blocks:
-    the same ``hot`` or error, and the same rows, byte for byte (every slot
+    ``l``; with the ergodic sums when there is a ``k``) against
+    ``_fire_lanes`` on each row alone, with the same blocks: the same
+    magnitudes or error, and the same rows, byte for byte (every slot
     written, the rest untouched); the second call reads nothing the first
-    left in the scratch. The binding folds each ``hot`` into its maxima."""
+    left in the scratch. The binding's running maxima, reduced by the
+    table's groups, are the maxima of each call's reduced magnitudes."""
     prob, bt = table_of(kind)
     rng = np.random.default_rng(L)
     want = bt.layout(*(random_vector(rng, (L, d))
@@ -480,19 +503,53 @@ def test_the_binding_fires_as_the_kernel(kind, L, k):
     want[:, bt.seg:] = rng.integers(1, 9, size=(L, 2 * bt.seg))
     got = want.copy()
     k = {"none": None, "one": 12, "per-lane": np.arange(12, 12 + L)}[k]
-    maxima = np.zeros((3, L))
-    folded = maxima.copy()
-    kernel = compiled._Lanes(bt, got.reshape(-1), L, maxima)
+    maxima, top = np.zeros((bt.M, L)), np.zeros((3, L))
+    kernel = compiled._Lanes(bt, got.reshape(-1), L, maxima, k is not None)
     for _ in range(2):
         blocks = rng.integers(0, bt.idx.shape[1], size=L)
-        hot = outcome(lambda: np.concatenate([
+        mag = outcome(lambda: np.concatenate([
             engine._fire_lanes(bt, want[l], blocks[l:l + 1],
                                k if np.ndim(k) == 0 else k[l:l + 1])
-            for l in range(L)], axis=1).tobytes())
-        assert outcome(lambda: kernel.fire(blocks, k).tobytes()) == hot
+            for l in range(L)], axis=1))
+        fired = outcome(lambda: kernel.fire(blocks, k).tobytes())
+        if isinstance(mag, tuple):
+            assert fired == mag
+        else:
+            assert fired == mag.tobytes()
+            np.maximum(top, np.maximum.reduceat(mag, bt.cuts), out=top)
         assert got.tobytes() == want.tobytes()
-        np.maximum(folded, kernel.hot, out=folded)
-        assert maxima.tobytes() == folded.tobytes()
+        assert np.maximum.reduceat(maxima, bt.cuts).tobytes() == top.tobytes()
+
+
+@pytest.mark.parametrize("seeds", [[3], [0, 5, 2 ** 64 - 1]],
+                         ids=["by-level", "lockstep"])
+def test_a_run_without_the_ergodic_probe_keeps_no_sums(monkeypatch, seeds):
+    """Without the ergodic probe no kernel call gets a ``k`` and the record
+    at ``T`` flushes nothing: every row keeps the ``since`` and ``acc``
+    that ``layout`` made, and ``x_bar`` and ``z_bar`` are NaN of the
+    usual shapes."""
+    prob, part = cycle_table("consensus-lad")
+    dist = derive_probabilities(part, uniform_probs(part))
+    rows, bind = [], compiled._Lanes.__init__
+
+    def binding(self, bt, flat, L, maxima, ergodic):
+        bind(self, bt, flat, L, maxima, ergodic)
+        rows.append((bt, flat))
+
+    monkeypatch.setattr(compiled._Lanes, "__init__", binding)
+    calls = kernel_rows(monkeypatch)
+    got = run_batch(prob, part, dist, seeds, 300, stride=7)
+    assert all(k is None for *_, k in calls)
+    rows += [(bt, row) for bt, row, _, _ in calls]
+    assert len(rows) == (1 if len(seeds) > 1 else len(calls)) > 0
+    for bt, row in rows:
+        sums = row.reshape(-1, bt.width)[:, bt.seg:]
+        empty = bt.layout(np.zeros(prob.dim_x), np.zeros(prob.dim_z),
+                          np.zeros(prob.dim_z))[bt.seg:]
+        assert sums.tobytes() == np.tile(empty, (len(seeds), 1)).tobytes()
+    for m in got:
+        assert m.x_bar.shape == (prob.dim_x,) and np.isnan(m.x_bar).all()
+        assert m.z_bar.shape == (prob.dim_z,) and np.isnan(m.z_bar).all()
 
 
 def test_a_lockstep_run_binds_the_kernel_once(monkeypatch):
@@ -504,9 +561,9 @@ def test_a_lockstep_run_binds_the_kernel_once(monkeypatch):
     made = []
     bind = compiled._Lanes.__init__
 
-    def counting(self, bt, flat, L, maxima):
+    def counting(self, bt, flat, L, maxima, ergodic):
         made.append(L)
-        bind(self, bt, flat, L, maxima)
+        bind(self, bt, flat, L, maxima, ergodic)
 
     monkeypatch.setattr(compiled._Lanes, "__init__", counting)
     for seeds, probes, want in (

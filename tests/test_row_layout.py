@@ -158,7 +158,8 @@ def test_kernel_writes_only_its_slots(data_seed, n, N, hub_rows, uncoupled,
     rows = random_rows(rng, bt, live, S, k0)
     flat = rows.reshape(-1)
     blocks = rng.integers(0, m, size=(3, S))
-    kernel = compiled._Lanes(bt, flat, S, np.zeros((3, S)))
+    kernel = compiled._Lanes(bt, flat, S, np.zeros((bt.M, S)),
+                             mode != "no-sums")
     for j in range(len(blocks)):
         before = rows.copy()
         k = None if mode == "no-sums" else k0 + j

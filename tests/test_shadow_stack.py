@@ -237,26 +237,31 @@ def test_shadow_probed_run_on_a_hub_past_the_lane_limit():
             == 0
 
 
-def planting_kernel(monkeypatch, at, lane, moved):
+def planting_kernel(monkeypatch, at, lane, slot):
     """After the kernel call of iteration ``at`` (a lockstep run fires
-    through its binding, ``compiled._Lanes``), add 1e-6 to one slot of
-    lane ``lane``'s row: its first moved slot (``moved``), or else the
-    first x slot of its row that the step does not write."""
+    through its binding, ``compiled._Lanes``, one call per iteration,
+    counted here, since a run without the ergodic probe passes no
+    iteration), add 1e-6 to one slot of lane ``lane``'s row: its first
+    moved slot (``"moved"``), that slot's ``since`` (``"since"``), or the
+    first x slot of its row that the step does not write
+    (``"frozen"``)."""
     bind, fire, bound = compiled._Lanes.__init__, compiled._Lanes.fire, {}
 
-    def binding(self, bt, flat, L, maxima):
-        bind(self, bt, flat, L, maxima)
-        bound[self] = bt, flat
+    def binding(self, bt, flat, L, maxima, ergodic):
+        bind(self, bt, flat, L, maxima, ergodic)
+        bound[self] = [bt, flat, 0]
 
     def kernel(self, blocks, k=None):
-        hot = fire(self, blocks, k)
-        if k == at:
-            bt, flat = bound[self]
+        mag = fire(self, blocks, k)
+        bt, flat, calls = bound[self]
+        bound[self][2] = calls + 1
+        if calls + 1 == at:
             row = lane * bt.width
-            idx = row + bt.idx[:3 * bt.M, blocks[lane]]
-            flat[idx[0] if moved else
-                 np.setdiff1d(row + np.arange(bt.dim_x), idx)[0]] += 1e-6
-        return hot
+            idx = row + bt.idx[bt.m0:, blocks[lane]]
+            flat[{"moved": idx[0], "since": idx[0] + bt.seg,
+                  "frozen": np.setdiff1d(row + np.arange(bt.dim_x),
+                                         idx)[0]}[slot]] += 1e-6
+        return mag
 
     monkeypatch.setattr(compiled._Lanes, "__init__", binding)
     monkeypatch.setattr(compiled._Lanes, "fire", kernel)
@@ -264,14 +269,15 @@ def planting_kernel(monkeypatch, at, lane, moved):
 
 @pytest.mark.parametrize("at", [15, 20, 11, 341],
                          ids=["middle", "last", "first", "after-a-chunk"])
-@pytest.mark.parametrize("moved", [True, False], ids=["moved", "frozen"])
+@pytest.mark.parametrize("slot", ["moved", "frozen", "since"])
 def test_a_planted_mismatch_inside_a_block_is_counted_once(monkeypatch, at,
-                                                          moved):
+                                                          slot):
     """Blocks of ten iterations (``stride = 10``; draw chunks of
     ``_DRAW_CHUNK`` = 345 cut to 340, so that chunks end at record points):
     one pass per block. A slot written at iteration ``at`` fails exactly
     one check of that seed: the shadow check when the step moves it, the
-    freeze check when it does not."""
+    freeze check when it does not, a ``since`` slot included, since a run
+    without the ergodic probe writes none."""
     rng = np.random.default_rng(3)
     bench = generate_benchmark(
         BenchmarkSpec("consensus-lad", a=list(rng.uniform(-5.0, 5.0, 20))),
@@ -282,7 +288,7 @@ def test_a_planted_mismatch_inside_a_block_is_counted_once(monkeypatch, at,
     monkeypatch.setattr(engine, "shadow_step",
                         lambda *args: passes.append(1) or shadow_step(*args))
     monkeypatch.setattr(engine, "_DRAW_CHUNK", 345)
-    planting_kernel(monkeypatch, at, 1, moved)
+    planting_kernel(monkeypatch, at, 1, slot)
     got = run_batch(prob, part, dist, [0, 1, 2], 400, stride=10,
                     probes=ProbeFlags(shadow=True))
     assert len(passes) == 40
@@ -290,5 +296,5 @@ def test_a_planted_mismatch_inside_a_block_is_counted_once(monkeypatch, at,
         failed = int(s == 1)
         assert m.counters == {
             "steps": 400, "shadow_checks": 400, "freeze_checks": 400,
-            "shadow_failures": failed if moved else 0,
-            "freeze_failures": 0 if moved else failed}
+            "shadow_failures": failed if slot == "moved" else 0,
+            "freeze_failures": 0 if slot == "moved" else failed}
