@@ -309,8 +309,10 @@ class _Lanes:
     ``mag`` are ``_fire_lanes``' bit for bit. A hub's tails
     (:func:`_add_tails`) and the one-by-one prox (``_GroupedProx._serial``)
     are calls of the program too. The program ends with one running
-    maximum of ``mag`` into ``maxima``, the run's ``(M, L)`` array. The
-    scratch makes the binding neither thread-safe nor reentrant.
+    maximum of ``mag`` into ``maxima``, the run's ``(M, L)`` array, and
+    the call's largest magnitude into the 0-d ``top``, which the guard
+    reads. The scratch makes the binding neither thread-safe nor
+    reentrant.
     """
 
     def __init__(self, bt, flat, L, maxima, ergodic):
@@ -381,10 +383,12 @@ class _Lanes:
                       (np.add, (old[2 * M:], mag, out[2 * M:]))]
         # the moved slots (and their since and acc), then the magnitudes;
         # numpy 2.4 deprecates a positional out for np.maximum
+        self.top = np.zeros(())
         self.program = tuple(calls + [
             (flat.__setitem__, (idx[m0:], out)),
             (np.abs, (out[:M], mag)),
-            (partial(np.maximum, out=maxima), (maxima, mag))])
+            (partial(np.maximum, out=maxima), (maxima, mag)),
+            (np.maximum.reduce, (mag, None, None, self.top))])
 
     def fire(self, blocks, k=None):
         """Fire block ``blocks[l]`` on state row ``l``, as

@@ -1,6 +1,6 @@
 """Convergence diagnostics: the weighted norm and Lagrangian (scaled by
 inverse activation probabilities), the Lyapunov value whose conditional
-one-step mean never increases (one formula, ``problem.lyapunov_rows``,
+one-step mean never increases (one formula, ``problem.lyapunov_calls``,
 for a run's records, :func:`lyapunov` and :func:`lyapunov_drift`), rate
 fits, and the constants bounding T times the expected ergodic
 feasibility violation, whose maxima take every sampled direction as a
@@ -144,7 +144,7 @@ def solve_reference(prob: SeparableProblem, tol: float = 1e-10,
 def lyapunov(prob: SeparableProblem, state: PrimalDualState,
              ref: ReferenceSolution, wn: WeightedNorm) -> float:
     """``(1/2b)||p - p*||_w^2 + (b/2)||H(z - z*)||_w^2`` at the state: the
-    value a run's Lyapunov column records (``problem.lyapunov_rows``)."""
+    value a run's Lyapunov column records (``problem.lyapunov_calls``)."""
     if ref.p is None:
         raise MissingReference("lyapunov needs a dual reference p*")
     return float(lyapunov_rows(prob, wn.weight_diag, ref, state.z, state.p))

@@ -26,17 +26,20 @@ hub's lane goes on over the rest, its tail, which its call gathers.
 Run loop: ``run_batch`` is the one loop (``run`` is its one-seed form).
 It fires blocks as lanes on one ``(S, width)`` state: many seeds in
 lockstep, one lane per seed per iteration; one seed by dependency level
-(``_levels``: blocks that share no component commute). The kernel
-performs the floating-point operations of a component-by-component block
-update in its order, so each seed's metrics equal chained ``step`` calls
-bit for bit. The ergodic probe alone keeps ergodic sums, lazily: per
-coordinate just before it moves, and for every x and z coordinate at a
-record (the p sums are never read). The serial run defines a failure:
+(``_levels``: blocks that share no component commute) when its record
+segments hold ``_LEVEL_SEGMENT`` draws or more, else in lockstep too.
+The kernel performs the floating-point operations of a
+component-by-component block update in its order, so each seed's
+metrics equal chained ``step`` calls bit for bit. The ergodic probe
+alone keeps ergodic sums, lazily: per coordinate just before it moves,
+and for every x and z coordinate at a record (the p sums are never
+read). The serial run defines a failure:
 a run that raises (a divergence or a term's error) is run again seed by
 seed, in seed order, one draw per call, and the first seed that fails
 alone raises its own first error.
 A record point is one stacked evaluation of every seed's metrics over
-the ``(S, ·)`` rows (``_Recorder``). Its reduction contract: a row of a
+the ``(S, ·)`` rows, a program of in-place array operations bound once
+per run and replayed (``_Recorder``). Its reduction contract: a row of a
 stack reduces to the same bits as the 1-D call on that row, so dot
 products and norms are ``np.vecdot`` sums (what ``np.dot`` and
 ``np.linalg.norm`` compute), other sums reduce the last axis of a
@@ -74,7 +77,7 @@ import numpy as np
 from .errors import (DivergenceError, ImproperPartition, MissingReference,
                      ValidationError)
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
-                      lyapunov_rows, objective, residual)
+                      lyapunov_calls, objective, residual_calls)
 from .compiled import _add_tails, _CompiledOps, _Lanes, _ops, _ragged
 from .scheduler import (ActivationDistribution, ProperPartition, RngStream,
                         _offsets, blocks_for, draw_uniforms, sample_block)
@@ -388,17 +391,16 @@ class RunMetrics:
 class _Recorder:
     """The values a run records for every seed, one column per record point.
 
-    ``values[s]`` holds seed ``s``'s recorded series in ``RunMetrics``
-    order (objective, its error, feasibility, ergodic objective error,
-    ergodic feasibility, Lyapunov value), each a contiguous row.
-    :meth:`add` fills one column for every seed with one stacked
-    evaluation, under the reduction contract of the module docstring.
+    ``values[s]`` holds seed ``s``'s recorded series, each a contiguous
+    row (:meth:`metrics` names them). :meth:`bind` binds one stacked
+    evaluation of every seed's metrics to the run's ``(S, ·)`` views,
+    under the reduction contract of the module docstring, and :meth:`add`
+    replays it for one column.
     """
 
     def __init__(self, prob, dist, probes, ref, f_star, S, T, stride):
         self.prob, self.probes, self.ref = prob, probes, ref
-        self.groups = prob.groups
-        self.f_star = f_star
+        self.f_star = np.array(f_star)
         self.wd = dist.weight_diag
         count = -(-T // stride)   # every stride-th iteration, and T
         try:
@@ -411,34 +413,55 @@ class _Recorder:
                 "seed, more than memory holds: raise stride or lower T"
             ) from None
         self.count = 0
-        if probes.ergodic:
-            # each seed's iterate, then each seed's ergodic mean
-            self.x_rows = np.empty((2 * S, prob.dim_x))
-            self.z_rows = np.empty((2 * S, prob.dim_z))
 
-    def add(self, k, blocks, xs, zs, ps, x_sums, z_sums):
-        """Record iteration k, where seed s fired ``blocks[s]``; the ergodic
-        means are the sums over iterations 1..k (``x_sums``, ``z_sums``)
-        over k, evaluated as more rows of the same stack."""
-        S, j = len(xs), self.count
-        if self.probes.ergodic:
-            self.x_rows[:S], self.z_rows[:S] = xs, zs
-            np.divide(x_sums, k, out=self.x_rows[S:])
-            np.divide(z_sums, k, out=self.z_rows[S:])
-            xs, zs = self.x_rows, self.z_rows
-        obj = self.groups.value(xs)
-        err = np.abs(obj - self.f_star)
-        r = residual(self.prob, xs, zs)
-        feas = np.sqrt(np.vecdot(r, r))
-        col = self.values[:, :, j]
-        col[:, 0] = obj[:S]
-        col[:, 1] = err[:S]
-        col[:, 2] = feas[:S]
-        if self.probes.ergodic:
-            col[:, 3] = err[S:]
-            col[:, 4] = feas[S:]
-        if self.probes.lyapunov:
-            col[:, 5] = lyapunov_rows(self.prob, self.wd, self.ref, zs[:S], ps)
+    def bind(self, xs, zs, ps, x_sums, z_sums):
+        """Bind a record point to the iterates ``xs``, ``zs``, ``ps`` and
+        the ergodic sums over iterations 1..k (``x_sums``, ``z_sums``),
+        whose means (the sums over ``k``, a 0-d array that :meth:`add`
+        sets) are more rows of the same stack: the objective by kind
+        (:meth:`TermGroups.calls`), its error, the residual
+        (:func:`residual_calls`) and its ``np.vecdot`` norm, and the
+        Lyapunov rows (:func:`lyapunov_calls`), into scratch made once."""
+        prob, probes, S = self.prob, self.probes, len(xs)
+        self.k = np.zeros(())
+        # one column of values after the means' objective, which is not
+        # kept: the objective, ergodic objective error, objective error,
+        # ergodic feasibility, feasibility and Lyapunov value. So each of
+        # the objective, its error and the feasibility is one (E S,) row
+        # over the stack's rows: the means' (with the probe), then the
+        # iterates'.
+        self.col = col = np.full((7, S), np.nan)
+        # the stack's rows, made contiguous: every operation then runs
+        # unbuffered, with no temporaries
+        E = 2 if probes.ergodic else 1
+        xr, zr = np.empty((E * S, prob.dim_x)), np.empty((E * S, prob.dim_z))
+        calls = [(np.copyto, (xr[-S:], xs)), (np.copyto, (zr[-S:], zs))]
+        if probes.ergodic:
+            calls += [(np.copyto, (xr[:S], x_sums)),
+                      (np.divide, (xr[:S], self.k, xr[:S])),
+                      (np.copyto, (zr[:S], z_sums)),
+                      (np.divide, (zr[:S], self.k, zr[:S]))]
+        obj, err, feas = (col[i + 1 - E:i + 1].reshape(-1) for i in (1, 3, 5))
+        r = np.empty(zr.shape)
+        calls += prob.groups.calls(xr, obj)
+        calls += [(np.subtract, (obj, self.f_star, err)), (np.abs, (err, err))]
+        calls += residual_calls(prob, xr, zr, r)
+        calls += [(np.vecdot, (r, r, feas)), (np.sqrt, (feas, feas))]
+        if probes.lyapunov:
+            pr = np.empty((S, prob.dim_z))
+            calls += [(np.copyto, (pr, ps))]
+            calls += lyapunov_calls(prob, self.wd, self.ref, zr[-S:], pr,
+                                    col[6])
+        self.program = tuple(calls)
+
+    def add(self, k, blocks):
+        """Record iteration k, where seed s fired ``blocks[s]``: the bound
+        evaluation replayed, then copied into the next column."""
+        j = self.count
+        self.k[...] = k
+        for f, args in self.program:
+            f(*args)
+        np.copyto(self.values[:, :, j], self.col[1:].T)
         self.iters[j] = k
         self.blocks[:, j] = blocks
         self.count = j + 1
@@ -446,7 +469,7 @@ class _Recorder:
     def metrics(self, s, seed, T, x, z, p, x_sum, z_sum, counters,
                 maxima) -> "RunMetrics":
         x_max, z_max, p_max = maxima
-        obj, objerr, feas, eobj, efeas, lyap = self.values[s]
+        obj, eobj, objerr, efeas, feas, lyap = self.values[s]
         x_bar, z_bar = (a / T if self.probes.ergodic else
                         np.full_like(a, np.nan) for a in (x_sum, z_sum))
         return RunMetrics(
@@ -473,6 +496,10 @@ def _guard_message(hot, k, seed, b):
 
 # uniforms drawn per chunk: bounds the draw arrays of long or wide runs
 _DRAW_CHUNK = 1 << 10
+# the shortest record segment a lone seed fires by level; shorter ones fire
+# one draw per call of the bound kernel, which costs less than _levels and
+# the unbound kernel's calls on so few draws
+_LEVEL_SEGMENT = 8
 
 
 def _history_rows(width: int) -> int:
@@ -675,13 +702,15 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     partition. Each call fires lanes, each a (seed, block, iteration)
     triple: with several seeds, one lane per seed per iteration, each seed
     drawing from its own SplitMix64 stream, through the kernel bound once
-    for the run (``compiled._Lanes``); with one seed, one dependency level
+    for the run (``compiled._Lanes``); with one seed whose record
+    segments hold ``_LEVEL_SEGMENT`` draws or more, one dependency level
     of its draws between two record points (:func:`_levels`), each lane
-    at its own iteration; with the shadow probe, in lockstep (a lone seed
-    too), and per block of iterations one shadow pass from every seed's
-    pre-step states (:func:`shadow_step`) and one check of their steps
-    against it (:func:`_tally_shadow`); its error at iteration k never
-    pre-empts the run's own error at k. Every field of each seed's
+    at its own iteration, and with shorter ones in lockstep; with the
+    shadow probe, in lockstep (a lone seed too), and per block of
+    iterations one shadow pass from every seed's pre-step states
+    (:func:`shadow_step`) and one check of their steps against it
+    (:func:`_tally_shadow`); its error at iteration k never pre-empts the
+    run's own error at k. Every field of each seed's
     metrics equals that of ``T`` chained :func:`step` calls bit for bit.
 
     The serial run defines a failure: when this attempt raises anything,
@@ -689,8 +718,10 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
     the first that fails raises its own error, the first of its chained
     :func:`step` calls; if none fails, the attempt's error is raised. The
     rerun fires in lockstep, one lane per call, and draws its blocks in
-    chunks as the attempt does. A lone seed with the shadow probe is
-    already serial.
+    chunks as the attempt does. A lone seed not run by level is already
+    serial, so its error is raised as it is.
+    Every record point replays the recorder bound to the run's rows
+    (:meth:`_Recorder.bind`).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -715,11 +746,13 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
                         T, stride, probes)
     # made before the attempt, so that records past memory are refused once
     rec = _Recorder(prob, dist, probes, ref, f_star, len(seeds), T, stride)
+    by_level = (len(seeds) == 1 and not probes.shadow
+                and min(stride, T) >= _LEVEL_SEGMENT)
     try:
-        return run_seeds(seeds, rec, len(seeds) == 1 and not probes.shadow)
+        return run_seeds(seeds, rec, by_level)
     except Exception as exc:
-        if len(seeds) == 1 and probes.shadow:
-            raise
+        if len(seeds) == 1 and not by_level:
+            raise   # the attempt was the serial run
         error = exc
     for seed in seeds:
         run_seeds([seed], _Recorder(prob, dist, probes, ref, f_star, 1, T,
@@ -729,11 +762,12 @@ def run_batch(prob: SeparableProblem, partition: ProperPartition,
 
 def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
                seeds, rec, by_level) -> list:
-    """The runs of ``seeds`` from ``start``, recorded in ``rec``: in
-    lockstep, or (``by_level``, one seed) one dependency level of the
-    seed's draws per call. Only with the ergodic probe do calls and
-    records keep the lazy ergodic sums. A call past the guard raises
-    :class:`DivergenceError` for its first such lane. The running maxima
+    """The runs of ``seeds`` from ``start``, recorded in ``rec`` (bound
+    here to the run's views): in lockstep, or (``by_level``, one seed)
+    one dependency level of the seed's draws per call. Only with the
+    ergodic probe do calls and records keep the lazy ergodic sums; a
+    record flushes them with calls bound once. A call past the guard
+    raises :class:`DivergenceError` for its first such lane. The running maxima
     are per moved slot and lane, ``(M, S)``, reduced by ``bt.cuts`` at
     the end; a raising call may leave its values, but nothing reports
     them."""
@@ -753,16 +787,26 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
         hist = np.empty((K + 1, S, bt.width))
         target = np.zeros((K, S, bt.width))
 
+    rec.bind(xs, zs, ps, x_sums, z_sums)
+    # the ergodic flush up to a kept 0-d iteration: only the x and z sums
+    # are read, so p's are not flushed (acc += (k - since) * state, since = k)
+    flush, k1 = (), np.zeros(())
+    if ergodic:
+        xz = np.s_[:, :bt.p0]
+        gap = np.empty((S, bt.p0))
+        flush = ((np.subtract, (k1, since[xz], gap)),
+                 (np.multiply, (gap, state[xz], gap)),
+                 (np.add, (acc[xz], gap, acc[xz])),
+                 (np.copyto, (since[xz], k1)))
+
     def record(it, fired):
         """Record iteration ``it`` if it is a record point."""
         if it % stride and it != T:
             return
-        if ergodic:
-            # only the x and z sums are read, so p's are not flushed
-            xz = np.s_[:, :bt.p0]
-            acc[xz] += (it + 1 - since[xz]) * state[xz]
-            since[xz] = it + 1
-        rec.add(it, fired, xs, zs, ps, x_sums, z_sums)
+        k1[...] = it + 1
+        for f, args in flush:
+            f(*args)
+        rec.add(it, fired)
 
     def lockstep(blocks, k, a, n):
         """Fire draws a..a+n-1 of the chunk after iteration k, a call each;
@@ -775,7 +819,7 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
                     hist[r] = state
                 mag = kernel.fire(blocks[j], k + j + 1 if ergodic else None)
                 r += 1   # iteration j's pass comes before its guard
-                if not mag.max() <= DIVERGENCE_LIMIT:
+                if not kernel.top.item() <= DIVERGENCE_LIMIT:
                     raise _divergence(bt, mag, k + j + 1, seeds, blocks[j])
             if probes.shadow:
                 hist[n] = state

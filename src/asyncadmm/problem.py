@@ -16,6 +16,7 @@ asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -441,7 +442,17 @@ class TermGroups:
                          self.scale.tolist())))
 
     def value(self, xs: np.ndarray) -> np.ndarray:
-        """The objective of every row of the stack ``xs`` (shape ``(S, nN)``).
+        """The objective of every row of the stack ``xs`` (shape ``(S, nN)``):
+        :meth:`calls` run once."""
+        total = np.empty(len(xs))
+        replay(self.calls(xs, total))
+        return total
+
+    def calls(self, xs, total):
+        """The objective of every row of ``xs`` into ``total`` (``(S,)``), as
+        calls ``(f, args)`` bound to them and to scratch made here, which
+        make no temporaries but in the terms of other kinds: :meth:`value`
+        runs them once, a run's recorder at every record point.
 
         Each kind's sum is one reduction over the last axis of a
         C-contiguous array, so row ``s`` gets the bits of the same sum
@@ -449,22 +460,71 @@ class TermGroups:
         the one-norm (the 1-D ``np.dot``), ``np.add.reduce`` for the
         absolute deviations, and gathers by ``np.take`` along the rows (a
         fancy index ``xs[:, idx]`` is F-ordered and would sum in another
-        order). Other terms are evaluated one row at a time, in term order.
+        order); a kind that owns every coordinate reads ``xs`` without a
+        gather. The per-coordinate constants are laid out at the rows'
+        shape (the one-norm's ``gamma`` stays one row, which ``np.vecdot``
+        takes faster). Other terms are evaluated one row at a time, in
+        term order.
         """
-        n = self.n
-        total = np.zeros(len(xs))
+        S, part = len(xs), np.empty(len(xs))
+
+        def gather(idx):
+            """Scratch for a kind's coordinates, the array its first
+            operation reads them from and the calls that fill that array:
+            ``xs`` itself, with no call, when the kind owns every
+            coordinate, else the scratch, which a take fills."""
+            kept = np.empty((S, idx.size))
+            if idx.size == xs.shape[-1]:
+                return kept, xs, []
+            return kept, kept, [(xs.take, (idx, 1, kept, "clip"))]
+
+        calls = [(total.fill, (0.0,))]
         if self.quad_idx.size:
-            d = xs.take(self.quad_idx, axis=1) - self.quad_center
-            total += np.vecdot(self.quad_weight * d, d)
+            d, src, calls_in = gather(self.quad_idx)
+            wd = np.empty_like(d)
+            calls += calls_in + [
+                (np.subtract, (src, laid_out(self.quad_center, d.shape), d)),
+                (np.multiply, (laid_out(self.quad_weight, d.shape), d, wd)),
+                (np.vecdot, (wd, d, part)),
+                (np.add, (total, part, total))]
         if self.abs_idx.size:
-            total += np.add.reduce(np.abs(
-                xs.take(self.abs_idx, axis=1) - self.abs_center), axis=-1)
+            a, src, calls_in = gather(self.abs_idx)
+            calls += calls_in + [
+                (np.subtract, (src, laid_out(self.abs_center, a.shape), a)),
+                (np.abs, (a, a)),
+                (np.add.reduce, (a, -1, None, part)),
+                (np.add, (total, part, total))]
         if self.l1_idx.size:
-            total += np.vecdot(self.l1_gamma,
-                               np.abs(xs.take(self.l1_idx, axis=1)))
+            a, src, calls_in = gather(self.l1_idx)
+            calls += calls_in + [(np.abs, (src, a)),
+                                 (np.vecdot, (self.l1_gamma, a, part)),
+                                 (np.add, (total, part, total))]
+        if self.other:
+            calls.append((self._add_other, (xs, total)))
+        return calls
+
+    def _add_other(self, xs, total):
+        """Add the terms of other kinds to ``total``, term by term."""
+        n = self.n
         for i, t in self.other:
             total += [term_value(t, x[i * n:(i + 1) * n]) for x in xs]
-        return total
+
+
+def replay(calls):
+    """Run calls ``(f, args)`` in order."""
+    for f, args in calls:
+        f(*args)
+
+
+def laid_out(a, shape):
+    """``a`` (one row) at ``shape``, the shape of the rows it meets, each
+    row a copy of it (or ``a`` itself, for one row): a ufunc takes such an
+    operand faster than one broadcast over a short stack."""
+    if a.size == math.prod(shape):
+        return a.reshape(shape)
+    out = np.empty(shape)
+    out[...] = a
+    return out
 
 
 def objective(prob: SeparableProblem, x: np.ndarray) -> float:
@@ -485,6 +545,7 @@ def residual(prob: SeparableProblem, x: np.ndarray, z: np.ndarray) -> np.ndarray
 
     ``x`` and ``z`` may also be stacks of rows (``(S, nN)`` and
     ``(S, W)``), giving one residual row each; the rows are C-contiguous.
+    It runs :func:`residual_calls` once.
     """
     cs = prob.constraints
     x = np.asarray(x, dtype=float)
@@ -492,16 +553,50 @@ def residual(prob: SeparableProblem, x: np.ndarray, z: np.ndarray) -> np.ndarray
     if (x.ndim > 2 or x.shape[:-1] != z.shape[:-1]
             or x.shape[-1:] != (prob.dim_x,) or z.shape[-1:] != (cs.W,)):
         raise DimensionMismatch("residual: x or z has wrong shape")
-    return cs.row_coeff * x.take(cs.col_index, axis=-1) + cs.h_diag * z
+    r = np.empty(z.shape)
+    replay(residual_calls(prob, x, z, r))
+    return r
+
+
+def residual_calls(prob: SeparableProblem, x, z, r):
+    """``D x + H z`` into ``r``, of ``z``'s shape, as calls ``(f, args)``
+    bound to them and to scratch made here (:func:`residual` runs them
+    once, a run's recorder at every record point)."""
+    cs, hz = prob.constraints, np.empty_like(r)
+    return [(x.take, (cs.col_index, -1, r, "clip")),
+            (np.multiply, (laid_out(cs.row_coeff, r.shape), r, r)),
+            (np.multiply, (laid_out(cs.h_diag, r.shape), z, hz)),
+            (np.add, (r, hz, r))]
 
 
 def lyapunov_rows(prob: SeparableProblem, w, ref, z, p) -> np.ndarray:
     """``(1/2b)||p - p*||_w^2 + (b/2)||H(z - z*)||_w^2`` against the saddle
     point ``ref`` with row weights ``w``, for one point or each row of a
-    stack (``np.vecdot`` norms: a row has the bits of the 1-D call)."""
-    dp, hz = p - ref.p, prob.constraints.h_diag * (z - ref.z)
-    return (1.0 / (2.0 * prob.beta) * np.vecdot(dp * w, dp)
-            + 0.5 * prob.beta * np.vecdot(hz * w, hz))
+    stack: :func:`lyapunov_calls` run once."""
+    out = np.empty(np.broadcast_shapes(np.shape(z), np.shape(p))[:-1])
+    replay(lyapunov_calls(prob, w, ref, z, p, out))
+    return out[()]
+
+
+def lyapunov_calls(prob: SeparableProblem, w, ref, z, p, out):
+    """:func:`lyapunov_rows` of ``z`` and ``p`` into ``out`` (their shape
+    but the last axis), as calls ``(f, args)`` bound to them and to
+    scratch made here, with the ``np.vecdot`` norms: a row has the bits of
+    the 1-D call."""
+    rows = out.shape + (prob.dim_z,)
+    dp, hz, wv, part = np.empty(rows), np.empty(rows), np.empty(rows), \
+        np.empty(out.shape)
+    w = laid_out(w, rows)
+    return [(np.subtract, (p, laid_out(ref.p, rows), dp)),
+            (np.subtract, (z, laid_out(ref.z, rows), hz)),
+            (np.multiply, (laid_out(prob.constraints.h_diag, rows), hz, hz)),
+            (np.multiply, (dp, w, wv)),
+            (np.vecdot, (wv, dp, out)),
+            (np.multiply, (np.array(1.0 / (2.0 * prob.beta)), out, out)),
+            (np.multiply, (hz, w, wv)),
+            (np.vecdot, (wv, hz, part)),
+            (np.multiply, (np.array(0.5 * prob.beta), part, part)),
+            (np.add, (out, part, out))]
 
 
 def lagrangian(prob: SeparableProblem, x: np.ndarray, z: np.ndarray,

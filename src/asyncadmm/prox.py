@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (InvalidProblem, NonfiniteInput, UnboundedSubproblem,
                      UnsupportedSet, UnsupportedTerm)
-from .problem import TermGroups
+from .problem import TermGroups, replay
 from .terms import Box, ConvexTerm, Custom, FeasibleSet, Free
 
 BISECT_TOL = 1e-10
@@ -222,8 +222,7 @@ class _GroupedProx:
         shape. It runs :meth:`calls`."""
         args, at = lanes or (self.closed, self.serial_at)
         out = np.empty_like(l) if out is None else out
-        for f, a in self.calls(l, args, at, out):
-            f(*a)
+        replay(self.calls(l, args, at, out))
         return out
 
     def calls(self, l, args, at, out, work=(None, None)):

@@ -3,6 +3,7 @@ step() calls (``reference.reference_run``), bit for bit."""
 
 import bisect
 import json
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -17,7 +18,7 @@ from asyncadmm import (BenchmarkSpec, Custom, ExperimentConfig, Free, Graph,
                        initial_state, prepare_experiment, run_batch,
                        run_experiment, sample_block, single_block_partition,
                        step, uniform_probs)
-from asyncadmm import engine, runner
+from asyncadmm import compiled, engine, runner
 from asyncadmm.diagnostics import ReferenceSolution
 from asyncadmm.errors import DivergenceError
 
@@ -353,12 +354,13 @@ def merged_partition(prob, part, rng):
        blocks=st.sampled_from(["per-edge", "merged"]),
        seed=st.sampled_from([0, 1, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
        T=st.sampled_from([1, 1023, 1024, 1025, 3000]) | st.integers(1, 3000),
-       stride=st.integers(1, 7), ergodic=st.booleans(),
+       stride=st.integers(1, 7) | st.integers(8, 64), ergodic=st.booleans(),
        lyapunov=st.booleans(), data_seed=st.integers(0, 2 ** 32 - 1))
 def test_one_seed_waves_equal_serial(problem, graph, nodes, blocks, seed, T,
                                      stride, ergodic, lyapunov, data_seed):
-    """One seed fired level by level, on cycles and paths in per-edge and
-    merged blocks, against the serial reference."""
+    """One seed on cycles and paths in per-edge and merged blocks, against
+    the serial reference: level by level when its record segments hold 8
+    draws or more, in lockstep below."""
     rng = np.random.default_rng(data_seed)
     bench = make_bench(problem, graph, nodes, rng)
     prob, part = bench.problem, bench.reform.partition
@@ -368,6 +370,68 @@ def test_one_seed_waves_equal_serial(problem, graph, nodes, blocks, seed, T,
     check_batch(prob, part, [seed], T, stride,
                 ProbeFlags(ergodic=ergodic, lyapunov=lyapunov),
                 ref=random_reference(prob, rng), x0=x0)
+
+
+def lockstep_spies(monkeypatch):
+    """Counts of what a run makes: its bindings of the kernel, the calls
+    it fires through them, its ``_fire_lanes`` calls and its ``_levels``
+    plans."""
+    made = dict(bindings=0, fires=0, kernel=0, levels=0)
+    bind, fire = compiled._Lanes.__init__, compiled._Lanes.fire
+
+    def count(key, fn):
+        def counted(*args, **kwargs):
+            made[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(compiled._Lanes, "__init__", count("bindings", bind))
+    monkeypatch.setattr(compiled._Lanes, "fire", count("fires", fire))
+    monkeypatch.setattr(engine, "_fire_lanes",
+                        count("kernel", engine._fire_lanes))
+    monkeypatch.setattr(engine, "_levels", count("levels", engine._levels))
+    return made
+
+
+@pytest.mark.parametrize("problem", ["consensus-lad", "lasso-toy"])
+@pytest.mark.parametrize("T, stride", [(300, 1), (300, 3), (300, 7),
+                                       (5, 100)])
+def test_one_seed_with_short_segments_fires_in_lockstep(monkeypatch, problem,
+                                                        T, stride):
+    """A lone seed whose record segments hold fewer than 8 draws builds one
+    binding of one lane, fires every draw through it and never plans
+    levels, and equals the serial run bit for bit."""
+    rng = np.random.default_rng(T + stride)
+    bench = make_bench(problem, "cycle", 12, rng)
+    prob, part = bench.problem, bench.reform.partition
+    dist = derive_probabilities(part, uniform_probs(part))
+    args = dict(probes=ProbeFlags(ergodic=True, lyapunov=True),
+                ref=random_reference(prob, rng),
+                x0=rng.uniform(-6.0, 6.0, prob.dim_x), stride=stride)
+    made = lockstep_spies(monkeypatch)
+    got, = run_batch(prob, part, dist, [5], T, **args)
+    assert made == dict(bindings=1, fires=T, kernel=0, levels=0)
+    monkeypatch.undo()
+    assert_same_run(got, reference_run(prob, part, dist, 5, T, **args))
+
+
+def test_a_failing_lone_lockstep_seed_fires_each_draw_once(monkeypatch):
+    """Its attempt is the serial run: it raises the serial error, having
+    fired each draw up to it once, through one binding."""
+    centers = np.random.default_rng(4).uniform(-5.0, 5.0, 8)
+    centers[5] = np.nan
+    reform = build_reformulation(
+        Graph.cycle(8), tuple(Quadratic(np.array([c])) for c in centers),
+        (Free(1),) * 8, 1.0)
+    prob, part = reform.problem, reform.partition
+    dist = derive_probabilities(part, uniform_probs(part))
+    want = outcome(lambda: reference_run(prob, part, dist, 2, 200))
+    assert want[0] is DivergenceError
+    made = lockstep_spies(monkeypatch)
+    got = outcome(lambda: run_batch(prob, part, dist, [2], 200, stride=1))
+    assert got == want
+    failed_at = int(re.search(r"at iteration (\d+)", want[1]).group(1))
+    assert made == dict(bindings=1, fires=failed_at, kernel=0, levels=0)
 
 
 def random_graph(rng, nodes):
@@ -463,8 +527,9 @@ def lane_limit(low):
 def test_one_seed_levels_equal_serial_on_random_graphs(problem, nodes, seed,
                                                        T, stride, probes,
                                                        data_seed, low_limit):
-    """One seed by level on random graphs (:func:`random_graph_case`); with
-    ``low_limit``, every lane's rows past its first in a tail."""
+    """One seed on random graphs (:func:`random_graph_case`), by level when
+    its record segments hold 8 draws or more; with ``low_limit``, every
+    lane's rows past its first in a tail."""
     flags = ProbeFlags(ergodic=True, lyapunov=True) if probes else \
         ProbeFlags()
     prob, part, dist, args = random_graph_case(problem, nodes, data_seed,

@@ -495,7 +495,8 @@ def test_the_binding_fires_as_the_kernel(kind, L, k):
     magnitudes or error, and the same rows, byte for byte (every slot
     written, the rest untouched); the second call reads nothing the first
     left in the scratch. The binding's running maxima, reduced by the
-    table's groups, are the maxima of each call's reduced magnitudes."""
+    table's groups, are the maxima of each call's reduced magnitudes, and
+    its ``top`` the call's largest magnitude."""
     prob, bt = table_of(kind)
     rng = np.random.default_rng(L)
     want = bt.layout(*(random_vector(rng, (L, d))
@@ -516,14 +517,18 @@ def test_the_binding_fires_as_the_kernel(kind, L, k):
             assert fired == mag
         else:
             assert fired == mag.tobytes()
+            # the guard's maximum, read after the call
+            assert kernel.top.tobytes() == mag.max().tobytes()
             np.maximum(top, np.maximum.reduceat(mag, bt.cuts), out=top)
         assert got.tobytes() == want.tobytes()
         assert np.maximum.reduceat(maxima, bt.cuts).tobytes() == top.tobytes()
 
 
-@pytest.mark.parametrize("seeds", [[3], [0, 5, 2 ** 64 - 1]],
-                         ids=["by-level", "lockstep"])
-def test_a_run_without_the_ergodic_probe_keeps_no_sums(monkeypatch, seeds):
+@pytest.mark.parametrize("seeds, stride", [([3], 9), ([3], 7),
+                                           ([0, 5, 2 ** 64 - 1], 7)],
+                         ids=["by-level", "lone-lockstep", "lockstep"])
+def test_a_run_without_the_ergodic_probe_keeps_no_sums(monkeypatch, seeds,
+                                                       stride):
     """Without the ergodic probe no kernel call gets a ``k`` and the record
     at ``T`` flushes nothing: every row keeps the ``since`` and ``acc``
     that ``layout`` made, and ``x_bar`` and ``z_bar`` are NaN of the
@@ -538,10 +543,11 @@ def test_a_run_without_the_ergodic_probe_keeps_no_sums(monkeypatch, seeds):
 
     monkeypatch.setattr(compiled._Lanes, "__init__", binding)
     calls = kernel_rows(monkeypatch)
-    got = run_batch(prob, part, dist, seeds, 300, stride=7)
+    got = run_batch(prob, part, dist, seeds, 300, stride=stride)
     assert all(k is None for *_, k in calls)
     rows += [(bt, row) for bt, row, _, _ in calls]
-    assert len(rows) == (1 if len(seeds) > 1 else len(calls)) > 0
+    by_level = len(seeds) == 1 and stride >= 8
+    assert len(rows) == (len(calls) if by_level else 1) > 0
     for bt, row in rows:
         sums = row.reshape(-1, bt.width)[:, bt.seg:]
         empty = bt.layout(np.zeros(prob.dim_x), np.zeros(prob.dim_z),
@@ -554,8 +560,9 @@ def test_a_run_without_the_ergodic_probe_keeps_no_sums(monkeypatch, seeds):
 
 def test_a_lockstep_run_binds_the_kernel_once(monkeypatch):
     """One binding per lockstep run, of the seed count, whatever its
-    chunks and record points; none for one seed by level; one of one lane
-    for a lone seed with the shadow probe."""
+    chunks and record points; none for one seed by level (record segments
+    of 8 draws or more); one of one lane for a lone seed with shorter
+    segments or with the shadow probe."""
     prob, part = cycle_table("consensus-quadratic")
     dist = derive_probabilities(part, uniform_probs(part))
     made = []
@@ -566,9 +573,10 @@ def test_a_lockstep_run_binds_the_kernel_once(monkeypatch):
         bind(self, bt, flat, L, maxima, ergodic)
 
     monkeypatch.setattr(compiled._Lanes, "__init__", counting)
-    for seeds, probes, want in (
-            (range(16), ProbeFlags(), [16]), ([3], ProbeFlags(), []),
-            ([3], ProbeFlags(shadow=True), [1])):
+    for seeds, probes, stride, want in (
+            (range(16), ProbeFlags(), 7, [16]), ([3], ProbeFlags(), 8, []),
+            ([3], ProbeFlags(), 7, [1]), ([3], ProbeFlags(), 300, []),
+            ([3], ProbeFlags(shadow=True), 7, [1])):
         made.clear()
-        run_batch(prob, part, dist, seeds, 300, probes=probes, stride=7)
+        run_batch(prob, part, dist, seeds, 300, probes=probes, stride=stride)
         assert made == want

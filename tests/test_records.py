@@ -1,13 +1,15 @@
 """The stacked recorder against the plain per-seed records, bit for bit.
 
 ``run_batch`` records every seed of a record point with one stacked
-evaluation (``engine._Recorder.add`` over ``(S, ·)`` rows). Row ``s`` must
-carry the bits of the 1-D evaluation of seed ``s`` alone, which
+evaluation, bound once per run to its ``(S, ·)`` rows
+(``engine._Recorder.bind``) and replayed at each point (``add``). Row
+``s`` must carry the bits of the 1-D evaluation of seed ``s`` alone, which
 ``reference.py`` keeps as the plain arithmetic: the objective by kind
 through ``np.dot`` and ``.sum()``, ``np.linalg.norm`` of the residual and
 the ``np.dot`` Lyapunov value.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,26 +101,75 @@ def test_stacked_record_equals_plain_records(source, S, n, size, ergodic,
     f_star = objective(prob, ref.x)
     assert_bits_equal(f_star, plain_objective(prob, ref.x), "f_star")
 
-    xs, zs, ps, x_sums, z_sums = (state_rows(rng, S, d)
-                                  for d in (dim_x, W, W, dim_x, W))
+    xs, zs, ps, x_sums, z_sums = views = [state_rows(rng, S, d)
+                                          for d in (dim_x, W, W, dim_x, W)]
     rec = _Recorder(prob, dist, probes, ref, f_star, S, 5, 3)
-    blocks = rng.integers(0, 9, size=S)
-    rec.add(3, blocks, xs, zs, ps, x_sums, z_sums)
-    assert rec.count == 1 and rec.iters[0] == 3
-    np.testing.assert_array_equal(rec.blocks[:, 0], blocks)
-    # the ergodic means of the sums over iterations 1..3
-    xbs, zbs = x_sums / 3, z_sums / 3
-    for s in range(S):
-        obj = plain_objective(prob, xs[s])
-        want = [obj, abs(obj - f_star), plain_feasibility(prob, xs[s], zs[s]),
-                np.nan, np.nan, np.nan]
-        if ergodic:
-            want[3] = abs(plain_objective(prob, xbs[s]) - f_star)
-            want[4] = plain_feasibility(prob, xbs[s], zbs[s])
-        if lyapunov:
-            want[5] = plain_lyapunov(prob, dist, ref, zs[s], ps[s])
-        assert_bits_equal(rec.values[s, :, 0], np.array(want), f"seed {s}")
-        assert_bits_equal(objective(prob, xs[s]), obj, "one-row objective")
+    rec.bind(xs, zs, ps, x_sums, z_sums)
+    record_points = (3, 5)
+    for j, k in enumerate(record_points):
+        if j:
+            # the binding reads the views as they are at each record point
+            for view in views:
+                view[...] = state_rows(rng, S, view.shape[1])
+        blocks = rng.integers(0, 9, size=S)
+        rec.add(k, blocks)
+        assert rec.count == j + 1 and rec.iters[j] == k
+        np.testing.assert_array_equal(rec.blocks[:, j], blocks)
+        # the ergodic means of the sums over iterations 1..k
+        xbs, zbs = x_sums / k, z_sums / k
+        for s in range(S):
+            obj = plain_objective(prob, xs[s])
+            want = [obj, abs(obj - f_star),
+                    plain_feasibility(prob, xs[s], zs[s]),
+                    np.nan, np.nan, np.nan]
+            if ergodic:
+                want[3] = abs(plain_objective(prob, xbs[s]) - f_star)
+                want[4] = plain_feasibility(prob, xbs[s], zbs[s])
+            if lyapunov:
+                want[5] = plain_lyapunov(prob, dist, ref, zs[s], ps[s])
+            assert_bits_equal(recorded(rec, s)[:, j], np.array(want),
+                              f"seed {s}")
+            assert_bits_equal(objective(prob, xs[s]), obj, "one-row objective")
+
+
+def recorded(rec, s):
+    """Seed ``s``'s recorded series, in ``RunMetrics`` order."""
+    m = rec.metrics(s, 0, 1, *np.zeros((5, 1)), {}, (0.0, 0.0, 0.0))
+    return np.array([m.objective, m.objective_error, m.feasibility,
+                     m.ergodic_objective_error, m.ergodic_feasibility,
+                     m.lyapunov])
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("ergodic, lyapunov", [(False, False), (True, False),
+                                               (False, True), (True, True)])
+@pytest.mark.parametrize("source", ["consensus-quadratic", "consensus-lad",
+                                    "lasso-toy"])
+def test_a_bound_record_point_allocates_nothing_of_the_problem_size(
+        source, ergodic, lyapunov, S):
+    """Once bound, a record point on a 2,000-node cycle makes no array of
+    the problem's size: its scratch is made once by the binding, and every
+    operation runs on contiguous rows without a buffer. The traced peak
+    stays under a quarter of one x row (one x row is 16,000 bytes)."""
+    rng = np.random.default_rng(11)
+    prob = benchmark_problem(source, nodes=2000, seed=11)
+    dim_x, W = prob.dim_x, prob.dim_z
+    ref = ReferenceSolution(x=random_vector(rng, dim_x),
+                            z=random_vector(rng, W), p=random_vector(rng, W))
+    dist = SimpleNamespace(weight_diag=rng.uniform(1.0, 50.0, W))
+    rec = _Recorder(prob, dist, ProbeFlags(ergodic=ergodic,
+                                           lyapunov=lyapunov),
+                    ref, objective(prob, ref.x), S, 10, 1)
+    rec.bind(*(state_rows(rng, S, d) for d in (dim_x, W, W, dim_x, W)))
+    blocks = np.zeros(S, dtype=np.intp)
+    rec.add(1, blocks)
+    tracemalloc.start()
+    try:
+        rec.add(2, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dim_x // 4
 
 
 def test_residual_of_a_stack_is_the_residual_of_each_row():
