@@ -28,6 +28,9 @@ It fires blocks as lanes on one ``(S, width)`` state: many seeds in
 lockstep, one lane per seed per iteration; one seed by dependency level
 (``_levels``: blocks that share no component commute) when its record
 segments hold ``_LEVEL_SEGMENT`` draws or more, else in lockstep too.
+A chunk of uniforms becomes blocks by a bucketed inverse CDF
+(``scheduler.blocks_for``), and one seed's blocks become levels by one
+stable sort of their components and one in-place round per level.
 The kernel performs the floating-point operations of a
 component-by-component block update in its order, so each seed's
 metrics equal chained ``step`` calls bit for bit. The ergodic probe
@@ -494,8 +497,9 @@ def _guard_message(hot, k, seed, b):
     return f"{what} at iteration {k} (seed {seed}, block {b})"
 
 
-# uniforms drawn per chunk: bounds the draw arrays of long or wide runs
-_DRAW_CHUNK = 1 << 10
+# uniforms drawn per chunk: bounds the draw arrays of long or wide runs, and
+# a lone seed's levels per plan (about 10 on the 2,000-cycle)
+_DRAW_CHUNK = 1 << 11
 # the shortest record segment a lone seed fires by level; shorter ones fire
 # one draw per call of the bound kernel, which costs less than _levels and
 # the unbound kernel's calls on so few draws
@@ -641,28 +645,31 @@ def _levels(partition: ProperPartition, draws) -> list:
     The earlier draws that touch one component clash with each other, so
     the latest of them has the highest level: a draw depends only on the
     latest earlier draw of each of its components, found for every (draw,
-    component) pair by one sort. The levels then follow from one
-    vectorized round per level; a segment with more than one level per 32
-    draws, where those rounds would cost more, takes one pass in draw
-    order instead. The draws touching one component clash in a chain, so
-    the most draws on one component bound the level count from below: a
-    segment whose bound is already past one level per 32 draws goes
-    straight to that pass.
+    component) pair by one stable sort of the components (their pairs
+    stay in draw order). The levels then follow from one vectorized round
+    per level, in place in scratch made once per call; a segment with
+    more than one level per 32 draws, where those rounds would cost more,
+    takes one pass in draw order instead. The draws touching one
+    component clash in a chain, so the most draws on one component bound
+    the level count from below: a segment whose bound is already past one
+    level per 32 draws goes straight to that pass.
     """
     L = draws.size
     first = partition.comp_ptr[draws]
     count = partition.comp_ptr[draws + 1] - first
-    draw, pos = _ragged(count)
-    comp = partition.comps[first[draw] + pos]
-    # each pair's predecessor: the latest earlier draw of its component,
-    # or L (whose level is -1) when there is none
-    order = np.argsort(comp * L + draw)
-    c, d = comp[order], draw[order]
-    pred = np.empty_like(draw)
-    pred[order] = np.where(np.r_[False, c[1:] == c[:-1]], np.r_[L, d[:-1]], L)
-    level = np.zeros(L + 1, dtype=np.intp)
-    level[L] = -1
     ptr = _offsets(count)
+    draw = np.repeat(np.arange(L), count)   # per (draw, component) pair
+    comp = partition.comps.take((first - ptr[:-1])[draw] + np.arange(ptr[-1]))
+    # each pair's predecessor: the latest earlier draw of its component,
+    # or L (whose level is -1) when there is none. 8- and 16-bit keys take
+    # numpy's radix sort, whose stable order keeps each component's pairs
+    # in draw order
+    key = comp.astype(np.min_scalar_type(partition.num_components))
+    order = np.argsort(key, kind="stable")
+    c, d = key.take(order), draw.take(order)
+    pred = np.full_like(draw, L)
+    pred[order[1:]] = np.where(c[1:] == c[:-1], d[:-1], L)
+    level = np.append(np.zeros(L, dtype=np.intp), -1)
     rounds = L // 32
     if rounds and np.bincount(comp).max() > rounds:
         rounds = 0   # the draws on one component need more levels
@@ -672,10 +679,14 @@ def _levels(partition: ProperPartition, draws) -> list:
     # each draw's pairs at their own maximum.
     off, last = draw * (L + 1), ptr[1:] - 1
     sub = np.arange(L) * (L + 1) - 1
+    run, lv = np.empty_like(draw), level[:L]
     for r in range(1, rounds + 1):
-        run = np.maximum.accumulate(level[pred] + off)
-        np.subtract(run[last], sub, out=level[:L])
-        if level[:L].max() < r:
+        level.take(pred, out=run, mode="clip")
+        run += off
+        np.maximum.accumulate(run, out=run)
+        run.take(last, out=lv, mode="clip")
+        lv -= sub
+        if lv.max() < r:
             break
     else:
         # every predecessor is an earlier draw
@@ -684,7 +695,6 @@ def _levels(partition: ProperPartition, draws) -> list:
             lev[j] = max(map(lev.__getitem__, pred[ptr[j]:ptr[j + 1]])) + 1
         level = np.array(lev)
     level = level[:L]
-    # 8- and 16-bit keys take numpy's radix sort
     order = np.argsort(level.astype(np.min_scalar_type(L)), kind="stable")
     ends = np.cumsum(np.bincount(level)).tolist()
     return [order[a:b] for a, b in zip([0] + ends, ends)]
@@ -850,19 +860,20 @@ def _run_lanes(prob, partition, dist, bt, start, maxima, T, stride, probes,
             if not by_level:
                 for a in range(lo, hi, K):
                     lockstep(blocks, k, a, min(K, hi - a))
-            # by level: draws lo..hi-1, one call per dependency level
-            for draws in (() if not by_level else [np.arange(lo, hi)]
-                          if hi - lo == 1 else
-                          [lo + d for d in _levels(partition,
-                                                   blocks[lo:hi, 0])]):
-                fired = blocks[draws, 0]
-                mag = _fire_lanes(bt, flat, fired,
-                                  k + 1 + draws if ergodic else None)
-                # the lanes are the seed's draws: fold them into its maxima
-                top = mag.max(axis=1, keepdims=True)
-                if not top.max() <= DIVERGENCE_LIMIT:
-                    raise _divergence(bt, mag, k + 1 + draws, seeds, fired)
-                np.maximum(maxima, top, out=maxima)
+            else:   # draws lo..hi-1 in level order, one call per level
+                levels = _levels(partition, blocks[lo:hi, 0])
+                at = np.concatenate(levels)
+                fired, iters = blocks[lo:hi, 0].take(at), at + (k + 1 + lo)
+                b = 0
+                for level in levels:
+                    a, b = b, b + level.size
+                    mag = _fire_lanes(bt, flat, fired[a:b],
+                                      iters[a:b] if ergodic else None)
+                    # the seed's maxima, within the guard before this call
+                    np.maximum(maxima, mag.max(1, keepdims=True), out=maxima)
+                    if not maxima.max() <= DIVERGENCE_LIMIT:   # NaN too
+                        raise _divergence(bt, mag, iters[a:b], seeds,
+                                          fired[a:b])
             record(k + hi, blocks[hi - 1])
             lo = hi
     maxima = np.maximum.reduceat(maxima, bt.cuts)

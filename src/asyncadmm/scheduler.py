@@ -129,19 +129,30 @@ def single_block_partition(cs: ConstraintSystem) -> ProperPartition:
 
 @dataclass(eq=False)
 class ActivationDistribution:
-    """Block sampling distribution with derived row/component probabilities."""
+    """Block sampling distribution with derived row/component probabilities
+    and the inverse CDF of :func:`blocks_for`, built once."""
 
     block_probs: np.ndarray
     lam: np.ndarray          # per-row activation probability
     alpha: np.ndarray        # per-component activation probability
     weight_diag: np.ndarray  # 1 / lam, the diagonal of the weighting matrix
     cum_probs: np.ndarray = field(default=None, repr=False)
+    buckets: np.ndarray = field(init=False, repr=False)
+    steps: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.cum_probs is None:
-            cum = np.cumsum(self.block_probs)
+            # rounding can take a sum past 1 before the end: cut it, so sorted
+            cum = np.minimum(np.cumsum(self.block_probs), 1.0)
             cum[-1] = 1.0
             self.cum_probs = cum
+        m = self.block_probs.size
+        # the entries in each bucket, found as blocks_for finds a uniform's
+        count = np.bincount((self.cum_probs * m).astype(np.intp),
+                            minlength=m + 1)
+        self.buckets = np.cumsum(count) - count
+        rounds = int(count.max()).bit_length()
+        self.steps = [1 << i for i in reversed(range(rounds))]
 
 
 def derive_probabilities(partition: ProperPartition,
@@ -249,13 +260,23 @@ class RngStream:
 
 
 def sample_block(dist: ActivationDistribution, rng: RngStream) -> int:
-    """Draw one block index by inverse CDF on a single uniform."""
-    u = rng.next_double()
-    idx = int(np.searchsorted(dist.cum_probs, u, side="right"))
-    return min(idx, dist.block_probs.size - 1)
+    """Draw one block index by inverse CDF on a single uniform: the
+    one-draw form of :func:`blocks_for`."""
+    return int(blocks_for(dist, rng.next_double()))
 
 
 def blocks_for(dist: ActivationDistribution, u) -> np.ndarray:
-    """Block indices for an array of uniforms, as :func:`sample_block`."""
-    idx = np.searchsorted(dist.cum_probs, u, side="right")
-    return np.minimum(idx, dist.block_probs.size - 1)
+    """Block indices for uniforms ``u`` in ``[0, 1)`` (any shape), equal to
+    ``min(searchsorted(cum_probs, u, "right"), m - 1)``. ``u`` falls in
+    bucket ``b = min(floor(u m), m)``, as each entry of ``cum_probs``
+    does; buckets are monotone, so ``u``'s block is ``buckets[b]`` (the
+    entries in earlier buckets) plus the entries of bucket ``b`` at most
+    ``u``, which every draw bisects at once in ``len(steps)`` rounds,
+    ``ceil(log2(largest bucket + 1))``."""
+    m = dist.block_probs.size
+    idx = dist.buckets.take(np.multiply(u, m).astype(np.intp), mode="clip")
+    for step in dist.steps:
+        # a probe past the end reads cum_probs[-1] = 1, above every u < 1
+        go = dist.cum_probs[step - 1:].take(idx, mode="clip") <= u
+        idx += go * step if step > 1 else go
+    return np.minimum(idx, m - 1)

@@ -2,8 +2,9 @@
 bit for bit.
 
 ``reference_run`` is ``T`` chained block updates (``fire_block``, each
-on a copy of the state, of the block :func:`asyncadmm.sample_block`
-draws), recorded one point at a time by
+on a copy of the state, of the block ``reference_blocks`` maps the
+seed's next uniform to: the plain inverse CDF, one ``np.searchsorted``
+into the cumulative probabilities), recorded one point at a time by
 ``PlainRecorder``: the 1-D arithmetic the engine's stacked recorder must
 match bit for bit (the objective by kind through ``np.dot`` and
 ``.sum()``, ``np.linalg.norm`` of the residual, the ``np.dot`` Lyapunov
@@ -51,7 +52,7 @@ draws as rounds, then a pass in draw order.
 import numpy as np
 
 from asyncadmm import (Graph, PrimalDualState, ProbeFlags, Quadratic,
-                       RngStream, RunMetrics, initial_state, sample_block)
+                       RngStream, RunMetrics, initial_state)
 from asyncadmm.diagnostics import (RateConstants, WeightedNorm,
                                    weighted_norm_sq)
 from asyncadmm.engine import SHADOW_TOL, _guard_message, _ragged
@@ -362,6 +363,14 @@ def plain_tally(groups, before, after, shadow, counters):
         counters["freeze_failures"] += 1
 
 
+def reference_blocks(dist, u):
+    """The blocks ``blocks_for(dist, u)`` and ``sample_block`` must give:
+    the inverse CDF by binary search, the last block for ``u`` past the
+    last cumulative probability."""
+    idx = np.searchsorted(dist.cum_probs, u, side="right")
+    return np.minimum(idx, dist.block_probs.size - 1)
+
+
 def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
                   z0=None, stride=1):
     """The metrics ``run(prob, part, dist, seed, T, ...)`` must equal."""
@@ -380,7 +389,7 @@ def reference_run(prob, part, dist, seed, T, probes=None, ref=None, x0=None,
     groups = [moved_groups(prob, part, b) for b in range(part.num_blocks)]
     rng = RngStream(seed)
     for k in range(1, T + 1):
-        b = sample_block(dist, rng)
+        b = int(reference_blocks(dist, rng.next_double()))
         nxt = fire_block(prob, part, st, b)
         before, after = stacked(st), stacked(nxt)
         idx = np.concatenate(groups[b])

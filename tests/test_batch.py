@@ -353,7 +353,9 @@ def merged_partition(prob, part, rng):
        nodes=st.integers(8, 60),
        blocks=st.sampled_from(["per-edge", "merged"]),
        seed=st.sampled_from([0, 1, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
-       T=st.sampled_from([1, 1023, 1024, 1025, 3000]) | st.integers(1, 3000),
+       T=st.sampled_from([1, engine._DRAW_CHUNK - 1, engine._DRAW_CHUNK,
+                          engine._DRAW_CHUNK + 1, 3000])
+       | st.integers(1, 3000),
        stride=st.integers(1, 7) | st.integers(8, 64), ergodic=st.booleans(),
        lyapunov=st.booleans(), data_seed=st.integers(0, 2 ** 32 - 1))
 def test_one_seed_waves_equal_serial(problem, graph, nodes, blocks, seed, T,
@@ -785,6 +787,21 @@ def test_levels_skip_rounds_they_cannot_finish(graph, L, dense):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_one_seed_with_uneven_probabilities_on_the_2000_cycle():
+    """Skewed block probabilities on the 2,000-cycle, one seed by level at
+    stride 10,000: the bucketed blocks and their levels give the serial
+    run bit for bit."""
+    bench = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
+                               Graph.cycle(2000))
+    prob, part = bench.problem, bench.reform.partition
+    probs = np.random.default_rng(2000).random(part.num_blocks) ** 4
+    dist = derive_probabilities(part, probs / probs.sum())
+    assert len(dist.steps) > 2   # buckets of several boundaries
+    got, = run_batch(prob, part, dist, [7919], 10000, stride=10000)
+    assert_same_run(got, reference_run(prob, part, dist, 7919, 10000,
+                                       stride=10000))
 
 
 def plan_levels(part, draws):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncadmm import (ConstraintSystem, Free, Graph, Quadratic, RngStream,
                        build_partition, build_reformulation,
@@ -9,7 +13,7 @@ from asyncadmm.scheduler import blocks_for, draw_uniforms
 from asyncadmm.errors import (ImproperPartition, NonCoveringPartition,
                               ZeroProbabilityBlock)
 
-from reference import block_comps, star_graph
+from reference import block_comps, reference_blocks, star_graph
 
 
 def edge_problem(num_nodes=3, graph=None):
@@ -157,13 +161,16 @@ class TestRngStream:
 
 class TestSampleBlock:
     def test_blocks_for_matches_sample_block(self):
+        """Both give the plain inverse CDF's blocks (``reference_blocks``)."""
         reform = edge_problem(graph=star_graph(6))
         dist = derive_probabilities(reform.partition, [0.1, 0.4, 0.2, 0.2,
                                                        0.1])
-        a, b = RngStream(3), RngStream(3)
-        want = [sample_block(dist, a) for _ in range(500)]
-        got = blocks_for(dist, draw_uniforms([b], 500)[:, 0])
-        assert got.tolist() == want
+        u = draw_uniforms([RngStream(3)], 500)[:, 0]
+        want = reference_blocks(dist, u)
+        rng = RngStream(3)
+        assert [sample_block(dist, rng) for _ in range(500)] == want.tolist()
+        got = blocks_for(dist, u)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_degenerate_distribution(self):
         reform = edge_problem(2, graph=Graph(2, ((0, 1),)))
@@ -203,3 +210,124 @@ class TestSampleBlock:
         s1 = [sample_block(dist, a) for _ in range(50)]
         s2 = [sample_block(dist, b) for _ in range(50)]
         assert s1 == s2
+
+
+def one_row_blocks(probs):
+    """``derive_probabilities`` over ``len(probs)`` blocks of one row each."""
+    m = len(probs)
+    cs = ConstraintSystem(n=1, N=m, W=m,
+                          entries=tuple((r, r, 1.0) for r in range(m)),
+                          h_diag=-np.ones(m))
+    return derive_probabilities(build_partition(Free(m), cs,
+                                                [[r] for r in range(m)]),
+                                probs)
+
+
+def skewed(m, at):
+    """Block ``at`` has probability 1 - 1e-9; the rest share 1e-9, so one
+    bucket holds nearly every boundary."""
+    probs = np.full(m, 1e-9 / (m - 1))
+    probs[at] = 1.0 - 1e-9
+    return probs
+
+
+def edge_uniforms(dist):
+    """Every cumulative probability and bucket edge ``b/m`` with both
+    neighbours, 0 and the largest uniform below 1."""
+    m = dist.block_probs.size
+    points = np.concatenate([dist.cum_probs, np.arange(m + 1) / m])
+    return np.concatenate([points, np.nextafter(points, -1.0),
+                           np.nextafter(points, 2.0), [0.0, 1 - 2 ** -53]])
+
+
+def assert_bucket_map(dist, u):
+    """``blocks_for`` equals the plain inverse CDF on ``u`` as given and
+    as the columns of an ``(n, 3)`` draw array, dtype and bytes."""
+    u = np.asarray(u, dtype=float)
+    n = u.size - u.size % 3
+    for draws in (u, u[:n].reshape(-1, 3)):
+        got, want = blocks_for(dist, draws), reference_blocks(dist, draws)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def largest_bucket(dist):
+    """The most cumulative probabilities in one bucket ``min(floor(c m),
+    m)``, counted one entry at a time."""
+    m = dist.block_probs.size
+    counts = {}
+    for c in dist.cum_probs.tolist():
+        b = min(math.floor(c * m), m)
+        counts[b] = counts.get(b, 0) + 1
+    return max(counts.values())
+
+
+class TestBucketMap:
+    @pytest.mark.parametrize("m", [1, 2, 5, 2000])
+    def test_uniform_probabilities(self, m):
+        dist = one_row_blocks(np.full(m, 1.0 / m))
+        assert len(dist.steps) == math.ceil(math.log2(largest_bucket(dist)
+                                                      + 1))
+        rng = np.random.default_rng(m)
+        assert_bucket_map(dist, np.concatenate([edge_uniforms(dist),
+                                                rng.random(3000)]))
+
+    @pytest.mark.parametrize("at", [0, 1000, 1999])
+    def test_skewed_probabilities(self, at):
+        dist = one_row_blocks(skewed(2000, at))
+        rng = np.random.default_rng(at)
+        near = rng.random(3000) * 2e-9   # the crowded ends
+        assert_bucket_map(dist, np.concatenate([edge_uniforms(dist), near,
+                                                1.0 - near,
+                                                rng.random(3000)]))
+
+    def test_rounds_are_bounded_by_the_largest_bucket(self):
+        """A skewed distribution puts 1,999 boundaries in one bucket; the
+        bisection reads ``cum_probs`` once per round, 11 times, not once
+        per boundary in the bucket."""
+        dist = one_row_blocks(skewed(2000, 0))
+        widest = largest_bucket(dist)
+        assert widest == 1999
+        reads = []
+
+        class Counting(np.ndarray):
+            def take(self, *args, **kwargs):
+                reads.append(1)
+                return np.asarray(self).take(*args, **kwargs)
+
+        u = np.concatenate([edge_uniforms(dist), [1.0 - 1e-10]])
+        want = reference_blocks(dist, u)
+        dist.cum_probs = dist.cum_probs.view(Counting)
+        got = blocks_for(dist, u)
+        assert got.tobytes() == want.tobytes()
+        assert len(reads) == len(dist.steps) \
+            == math.ceil(math.log2(widest + 1)) == 11
+
+    def test_sums_past_one_are_cut_to_one(self):
+        """Rounding can take a running sum past 1 before the last block;
+        ``cum_probs`` stays sorted, so the map holds at ``u = 1`` too."""
+        probs = np.array([0.875, 0.9375, 0.0625, 0.09375, 1.0, 1.0, 0.25,
+                          0.015625]) ** 9
+        probs /= probs.sum()
+        assert np.cumsum(probs)[-2] > 1.0
+        dist = one_row_blocks(probs)
+        assert np.all(np.diff(dist.cum_probs) >= 0)
+        assert dist.cum_probs[-2:].tolist() == [1.0, 1.0]
+        assert_bucket_map(dist, edge_uniforms(dist))
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=300),
+           power=st.integers(1, 12), data=st.data())
+    def test_derived_probabilities(self, weights, power, data):
+        """Random distributions as ``derive_probabilities`` makes them
+        (``cum_probs[-1] = 1``), at their edges and random uniforms."""
+        probs = np.asarray(weights) ** power
+        dist = one_row_blocks(probs / probs.sum())
+        assert dist.cum_probs[-1] == 1.0
+        assert len(dist.steps) == math.ceil(math.log2(largest_bucket(dist)
+                                                      + 1))
+        edges = edge_uniforms(dist)
+        picked = data.draw(st.lists(st.sampled_from(edges.tolist())
+                                    | st.floats(0.0, 1.0, exclude_max=True),
+                                    min_size=1, max_size=60))
+        assert_bucket_map(dist, np.concatenate([edges, picked]))
