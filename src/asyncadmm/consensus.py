@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .compiled import _fire_blocks
 from .errors import (DisconnectedGraph, InvalidProblem, ParseError,
                      UnsupportedMix)
-from .engine import _fire_blocks
 from .problem import (ConstraintSystem, PrimalDualState, SeparableProblem,
                       TermGroups, XSetBounds, initial_state, problem_arrays)
 from .scheduler import ProperPartition, build_partition
@@ -228,9 +228,9 @@ def edge_step(reform: EdgeReformulation, state: PrimalDualState,
     """Closed-form activation of one edge.
 
     Both endpoint copies re-solve their local subproblems against all of
-    their incident constraint rows: the engine's block kernel fires the
-    edge's block, whose components are its two endpoints, on a row laid
-    out from the state (``engine._fire_blocks``). Then the edge's multiplier,
+    their incident constraint rows: the block kernel fires the edge's
+    block, whose components are its two endpoints, on a row laid out from
+    the state (``compiled._fire_blocks``). Then the edge's multiplier,
     auxiliary pair, and dual pair follow in closed form:
 
         v    = (-p_ei - p_ej)/2 + (beta/2)(A_ei x_i + A_ej x_j)

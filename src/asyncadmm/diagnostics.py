@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compiled import _ops
-from .engine import _fire_blocks, _history_rows
+from .compiled import _fire_blocks, _ops
+from .engine import _history_rows
 from .errors import (DimensionMismatch, GridTooLarge, InvalidProblem,
                      MissingReference, NonCompactSets, NonPositiveSeries)
 from .problem import (PrimalDualState, SeparableProblem, initial_state,
@@ -158,7 +158,7 @@ def lyapunov_drift(prob: SeparableProblem, state: PrimalDualState,
     The value is a sum over rows, ``w_r l_r``, and row ``r`` moves only
     with its block, at probability ``lam_r``, so the mean change is
     ``sum_r lam_r w_r (l_r(after its block) - l_r(now))``: every block
-    fires once from the state in one kernel call (``engine._fire_blocks``)
+    fires once from the state in one kernel call (``compiled._fire_blocks``)
     and the value with row weights ``lam w`` at the fired rows less at the
     state is the drift. The supermartingale property says it is never
     positive.

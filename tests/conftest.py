@@ -37,6 +37,6 @@ def kernel_block(prob, part, st, b):
     """The engine's update of block ``b`` from ``st``, on a row laid out
     from it, as ``step`` fires the block it draws."""
     from asyncadmm import PrimalDualState
-    from asyncadmm.engine import _fire_blocks
+    from asyncadmm.compiled import _fire_blocks
     x, z, p = _fire_blocks(prob, part, st, np.array([b]))
     return PrimalDualState(x=x, z=z, p=p, k=st.k + 1)

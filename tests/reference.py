@@ -46,7 +46,8 @@ grids of one ``term_value`` call per point
 (``reference_component_grids``). ``reference_consensus`` and
 ``reference_bisection`` are the consensus optimum summed over term
 objects, and ``reference_levels`` the dependency levels of one seed's
-draws as rounds, then a pass in draw order.
+draws as rounds, then a pass in draw order (``levels_of`` puts a plan of
+``engine._levels`` in its form).
 """
 
 import numpy as np
@@ -55,7 +56,8 @@ from asyncadmm import (Graph, PrimalDualState, ProbeFlags, Quadratic,
                        RngStream, RunMetrics, initial_state)
 from asyncadmm.diagnostics import (RateConstants, WeightedNorm,
                                    weighted_norm_sq)
-from asyncadmm.engine import SHADOW_TOL, _guard_message, _ragged
+from asyncadmm.compiled import _ragged
+from asyncadmm.engine import SHADOW_TOL, _guard_message
 from asyncadmm.prox import pair_weights, solve_local_prepared
 from asyncadmm.scheduler import _offsets
 from asyncadmm.terms import AbsDev, Box, L1, term_value
@@ -745,6 +747,14 @@ def reference_levels(partition, draws):
     order = np.argsort(level, kind="stable")
     ends = np.cumsum(np.bincount(level)).tolist()
     return [order[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def levels_of(plan):
+    """A plan of ``engine._levels`` (the draws' positions in level order
+    and the level ends) as one array of positions per level, the form of
+    :func:`reference_levels`."""
+    order, ends = plan
+    return np.split(order, ends[:-1])
 
 
 def reference_q(prob, dist, mu, grids, z_bound):

@@ -16,14 +16,15 @@ from asyncadmm import (BenchmarkSpec, Custom, ExperimentConfig, Free, Graph,
                        build_partition, build_reformulation,
                        derive_probabilities, generate_benchmark,
                        initial_state, prepare_experiment, run_batch,
-                       run_experiment, sample_block, single_block_partition,
-                       step, uniform_probs)
+                       run_experiment, sample_block, shadow_step,
+                       single_block_partition, step, uniform_probs)
 from asyncadmm import compiled, engine, runner
 from asyncadmm.diagnostics import ReferenceSolution
 from asyncadmm.errors import DivergenceError
 
 from reference import (GRAPHS, assert_same_run, block_comps, block_rows,
-                       reference_levels, reference_run, star_graph)
+                       levels_of, reference_levels, reference_run,
+                       star_graph)
 from test_fullpass import random_problem
 from test_shadow_stack import random_partition
 
@@ -185,7 +186,7 @@ def test_custom_terms_take_the_serial_lanes(seeds):
                 probes=ProbeFlags(shadow=True, lyapunov=True, ergodic=True),
                 ref=random_reference(prob, rng),
                 x0=rng.uniform(-3.0, 3.0, prob.dim_x))
-    table = engine._block_table(prob, part)
+    table = compiled._block_table(prob, part)
     assert (table.serial_at == 0).sum() == 2    # two blocks hold component 0
 
 
@@ -199,10 +200,10 @@ def test_tables_over_the_lane_limit_gather_tilts_per_call(monkeypatch,
         return bench.problem, bench.reform.partition
 
     # 4 blocks x 2 components x 2 rows each = 16 padded tilt terms
-    monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", 16)
-    table = engine._block_table(*cycle4())
+    monkeypatch.setattr(compiled, "_BATCH_LANE_LIMIT", 16)
+    table = compiled._block_table(*cycle4())
     assert table.K == 2 and not table.tails[0].any()
-    monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", 15)
+    monkeypatch.setattr(compiled, "_BATCH_LANE_LIMIT", 15)
     prob, part = cycle4()
     rng = np.random.default_rng(6)
     check_batch(prob, part, seeds, T=200, stride=9,
@@ -210,7 +211,7 @@ def test_tables_over_the_lane_limit_gather_tilts_per_call(monkeypatch,
                 ref=random_reference(prob, rng),
                 x0=rng.uniform(-4.0, 4.0, prob.dim_x))
     # one row of each lane in the table, the other its tail
-    table = engine._block_table(prob, part)
+    table = compiled._block_table(prob, part)
     assert table.K == 1 and (table.tails[0] == 1).all()
 
 
@@ -510,12 +511,12 @@ PROBLEMS = st.sampled_from(["consensus-quadratic", "consensus-lad",
 
 @contextmanager
 def lane_limit(low):
-    """With ``low``, ``engine._BATCH_LANE_LIMIT`` at 1, so that the block
+    """With ``low``, ``compiled._BATCH_LANE_LIMIT`` at 1, so that the block
     tables built inside hold one tilt term per lane and the rest in tails
     (the tables are per partition, and each case draws a new one)."""
     with pytest.MonkeyPatch.context() as patch:
         if low:
-            patch.setattr(engine, "_BATCH_LANE_LIMIT", 1)
+            patch.setattr(compiled, "_BATCH_LANE_LIMIT", 1)
         yield
 
 
@@ -540,6 +541,7 @@ def test_one_seed_levels_equal_serial_on_random_graphs(problem, nodes, seed,
     with lane_limit(low_limit):
         got = outcome(lambda: run_batch(prob, part, dist, [seed], T,
                                         **args)[0])
+        assert compiled._block_table(prob, part).K == 1 or not low_limit
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -588,10 +590,13 @@ def test_shadow_probe_equals_serial_on_random_graphs(problem, nodes, seeds, T,
 
 
 def chained_steps(prob, part, dist, seed, T, x0):
-    """``T`` chained ``step`` calls with the shadow pass."""
+    """``T`` chained ``step`` calls, each followed by the shadow pass from
+    its pre-step state."""
     state, rng = initial_state(prob, x0), RngStream(seed)
     for _ in range(T):
-        state = step(prob, state, part, dist, rng, with_shadow=True).after
+        after = step(prob, state, part, dist, rng).after
+        shadow_step(prob, state)
+        state = after
     return state
 
 
@@ -709,7 +714,8 @@ def test_levels_are_minimal_on_random_user_partitions(n, N, hub_rows, z_pairs,
                           z_pairs=z_pairs)
     part = random_partition(rng, prob)
     draws = rng.integers(0, part.num_blocks, size=L)
-    assert_minimal_levels(part, draws.tolist(), engine._levels(part, draws))
+    assert_minimal_levels(part, draws.tolist(),
+                          levels_of(engine._levels(part, draws)))
 
 
 def spy_calls(monkeypatch):
@@ -783,7 +789,8 @@ def test_levels_skip_rounds_they_cannot_finish(graph, L, dense):
         chain = np.bincount(np.concatenate(
             [block_comps(part, b) for b in draws])).max()
         assert (chain > L // 32) == dense
-        got, want = engine._levels(part, draws), reference_levels(part, draws)
+        got = levels_of(engine._levels(part, draws))
+        want = reference_levels(part, draws)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -807,7 +814,8 @@ def test_one_seed_with_uneven_probabilities_on_the_2000_cycle():
 def plan_levels(part, draws):
     """The level of each draw in a one-segment plan."""
     level = np.empty(len(draws), dtype=np.intp)
-    for n, at in enumerate(engine._levels(part, np.asarray(draws))):
+    for n, at in enumerate(levels_of(engine._levels(part,
+                                                    np.asarray(draws)))):
         level[at] = n
     return level
 

@@ -12,7 +12,7 @@ from asyncadmm import (AbsDev, BenchmarkSpec, ConstraintSystem, Custom,
                        run, sample_block, shadow_step, single_block_partition,
                        solve_reference, step, sync_admm_step, term_value,
                        uniform_probs)
-from asyncadmm.engine import _block_table
+from asyncadmm.compiled import _block_table
 from asyncadmm.errors import (DivergenceError, ImproperPartition,
                               MissingReference)
 
@@ -207,13 +207,14 @@ class TestStep:
         st = initial_state(prob, x0=np.arange(5.0))
         rng = RngStream(17)
         for _ in range(100):
-            rec = step(prob, st, part, dist, rng, with_shadow=True)
+            rec = step(prob, st, part, dist, rng)
+            sh = shadow_step(prob, st)
             b = rec.block
             rows = block_rows(part, b)
             for i in block_comps(part, b):
-                assert abs(rec.after.x[i] - rec.shadow.y[i]) <= 1e-9
-            assert np.max(np.abs(rec.after.z[rows] - rec.shadow.v[rows])) <= 1e-9
-            assert np.max(np.abs(rec.after.p[rows] - rec.shadow.mu[rows])) <= 1e-9
+                assert abs(rec.after.x[i] - sh.y[i]) <= 1e-9
+            assert np.max(np.abs(rec.after.z[rows] - sh.v[rows])) <= 1e-9
+            assert np.max(np.abs(rec.after.p[rows] - sh.mu[rows])) <= 1e-9
             # inactive coordinates bitwise frozen
             mask_x = np.ones(5, dtype=bool)
             mask_x[block_comps(part, b)] = False

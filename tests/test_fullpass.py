@@ -273,7 +273,7 @@ def stacked(state):
 
 
 def assert_same_trajectory(prob, start, steps=25):
-    ops = engine._CompiledOps(prob)   # built apart from the engine's cache
+    ops = compiled._CompiledOps(prob)   # built apart from the engine's cache
     got, want = start, start
     for _ in range(steps):
         want_next = outcome(lambda: stacked(reference_sync_step(prob, want,
@@ -476,7 +476,7 @@ def test_serial_solves_inside_the_program(kind, z_pairs):
     """``sync_admm_step`` and each row of a stacked ``shadow_step`` equal
     the per-component step, or raise its first error."""
     prob = serial_case(kind, z_pairs)
-    ops = engine._CompiledOps(prob)
+    ops = compiled._CompiledOps(prob)
     kinds = {i < 0 for i, _ in ops.prox.serial}
     assert kinds == {"custom": {False}, "kink-q0": {True},
                      "both": {False, True}}[kind]
@@ -537,7 +537,7 @@ def reference_solve(prob, tol=1e-10, max_iters=200_000, feasible=1e-6):
     """The reference solve with three maxima per settle test, one
     iteration at a time. Returns the state and its iteration count; with
     ``feasible = inf``, the first iteration that settles."""
-    ops = engine._CompiledOps(prob)
+    ops = compiled._CompiledOps(prob)
     state = initial_state(prob)
     for k in range(1, max_iters + 1):
         nxt = reference_sync_step(prob, state, ops)
@@ -569,7 +569,7 @@ def assert_same_reference(prob, **kwargs):
 
 def counting_steps(monkeypatch, fail_at=None):
     """Count the synchronous steps taken; step ``fail_at`` raises."""
-    calls, sync_step = [], engine._CompiledOps.sync_step
+    calls, sync_step = [], compiled._CompiledOps.sync_step
 
     def counted(self, program):
         calls.append(1)
@@ -577,7 +577,7 @@ def counting_steps(monkeypatch, fail_at=None):
             raise ValueError(f"step {fail_at}")
         sync_step(self, program)
 
-    monkeypatch.setattr(engine._CompiledOps, "sync_step", counted)
+    monkeypatch.setattr(compiled._CompiledOps, "sync_step", counted)
     return calls
 
 
@@ -653,7 +653,7 @@ def test_reference_solve_and_run_share_the_compiled_problem(monkeypatch):
     """One compile of the problem serves the reference solve and a
     shadow-probed run: the ops, their grouped prox and the term groups
     are each built once."""
-    built = {cls: [] for cls in (engine._CompiledOps, _GroupedProx,
+    built = {cls: [] for cls in (compiled._CompiledOps, _GroupedProx,
                                  TermGroups)}
     for cls, calls in built.items():
         def counted(self, *args, init=cls.__init__, calls=calls):
@@ -671,7 +671,7 @@ def test_reference_solve_and_run_share_the_compiled_problem(monkeypatch):
     run(prob, partition, dist, seed=0, T=30, ref=ref,
         probes=ProbeFlags(shadow=True, lyapunov=True, ergodic=True))
     assert engine._ops(prob) is ops
-    assert built[engine._CompiledOps] == [ops]
+    assert built[compiled._CompiledOps] == [ops]
     assert built[_GroupedProx] == [ops.prox]
     assert built[TermGroups] == [ops.groups]
 
@@ -680,12 +680,12 @@ def test_reference_solve_and_run_share_the_compiled_problem(monkeypatch):
 # The shadow pass and its tally
 # ---------------------------------------------------------------------------
 
-def old_tally(prob, partition, rec, counters):
-    """The per-component shadow tally the stacked one replaced."""
+def old_tally(prob, partition, rec, sh, counters):
+    """The per-component shadow tally the stacked one replaced, of the step
+    ``rec`` against the shadow pass ``sh`` from its pre-step state."""
     n = prob.constraints.n
     comps = block_comps(partition, rec.block)
     rows = block_rows(partition, rec.block)
-    sh = rec.shadow
     ok = True
     for i in comps:
         sl = slice(i * n, (i + 1) * n)
@@ -734,7 +734,7 @@ def shadow_records(prob, partition, steps=40):
     rng = RngStream(9)
     state = initial_state(prob)
     for _ in range(steps):
-        rec = step(prob, state, partition, dist, rng, with_shadow=True)
+        rec = step(prob, state, partition, dist, rng)
         yield rec
         state = rec.after
 
@@ -801,7 +801,7 @@ def engine_tally(prob, partition, blocks, befores, afters, shadows):
     as ``run_batch`` lays it out, as a block of one iteration. Returns
     each seed's counters.
     """
-    bt = engine._block_table(prob, partition)
+    bt = compiled._block_table(prob, partition)
     S = len(blocks)
 
     def rows(triples):
@@ -824,14 +824,15 @@ def test_tally_equals_old_tally(case, kind):
     blocks, befores, afters, shadows, want = [], [], [], [], []
     for rec in shadow_records(prob, partition):
         before, after = tamper(kind, rec, partition, n)
+        sh = shadow_step(prob, rec.before)
         want.append(dict.fromkeys(engine._TALLY, 0))
         old_tally(prob, partition,
                   engine.StepRecord(block=rec.block, before=before,
-                                    after=after, shadow=rec.shadow), want[-1])
+                                    after=after), sh, want[-1])
         blocks.append(rec.block)
         befores.append(before)
         afters.append(after)
-        shadows.append((rec.shadow.y, rec.shadow.v, rec.shadow.mu))
+        shadows.append((sh.y, sh.v, sh.mu))
     assert engine_tally(prob, partition, blocks, befores, afters,
                         shadows) == want
     assert len(want) == 40

@@ -9,6 +9,10 @@ read as an attribute somewhere in ``src/``, or named in README.md.
 Names are matched, not resolved: a member that shares its name with one
 in use passes, so the check finds members that nothing names, not every
 member without a caller.
+
+Only ``compiled.py`` reads a block table past its row interface
+(``ROW_INTERFACE``): the table's layout and both block kernels are that
+one module's.
 """
 
 import ast
@@ -83,3 +87,24 @@ def test_src_reads_every_attribute_it_stores():
                      for cls, attr in stored_on_self(tree)
                      if attr not in read})
     assert unread == []
+
+
+# what a module other than compiled.py may read of a block table (``bt``):
+# the row layout, the slots a block writes and the moved slots' groups
+ROW_INTERFACE = {"layout", "views", "written", "width", "seg", "p0", "Cn",
+                 "R", "M", "cuts", "groups"}
+
+
+def test_only_compiled_reads_the_block_table_past_its_rows():
+    """A block table's layout and the kernels that read it are one
+    module's, ``compiled``'s: every other module reads a table (``bt``)
+    only through its row interface."""
+    outside = sorted({f"{module}: bt.{node.attr}"
+                      for module, tree in sources().items()
+                      if module != "compiled.py"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "bt"
+                      and node.attr not in ROW_INTERFACE})
+    assert outside == []

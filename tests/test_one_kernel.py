@@ -2,7 +2,7 @@
 
 ``run_batch`` (one seed by dependency level, several in lockstep),
 ``step`` and ``lyapunov_drift`` all fire blocks through
-``engine._fire_lanes``. Each is
+``compiled._fire_lanes``. Each is
 compared here with ``tests/reference.py``, which updates one block at a
 time, one component and one z fit at a time (``fire_block``): runs with
 ``reference_run``, steps with ``fire_block`` on the drawn block, the drift
@@ -293,11 +293,11 @@ def test_tilt_terms_do_not_grow_with_the_hub(monkeypatch):
     their table columns (without ergodic sums, the tilt and moved rows),
     K tilt terms per lane, whatever the hub's degree; the others add one
     gather of their lanes' rows past K, padded."""
-    monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", CHORD_LIMIT)
+    monkeypatch.setattr(compiled, "_BATCH_LANE_LIMIT", CHORD_LIMIT)
     columns = set()
     for chords in (0, 8, 30):
         prob, part = chord_cycle(chords)
-        bt = engine._block_table(prob, part)
+        bt = compiled._block_table(prob, part)
         rows = np.append(engine._ops(prob).counts, 0)[bt.tails[2]]
         short = (rows <= bt.K).all(axis=0)
         columns.add((bt.K, len(bt.idx)))
@@ -308,7 +308,7 @@ def test_tilt_terms_do_not_grow_with_the_hub(monkeypatch):
                              np.zeros(prob.dim_z)).reshape(-1)
             flat = flat.view(CountingRow)
             flat.gathers = []
-            engine._fire_lanes(bt, flat, blocks)
+            compiled._fire_lanes(bt, flat, blocks)
             tails = rows[:, blocks] - bt.K
             want = [bt.plain * blocks.size]
             if tails.max() > 0:
@@ -334,7 +334,7 @@ def test_a_plain_call_gathers_only_the_rows_it_reads(kind):
         flat = bt.layout(np.zeros(prob.dim_x), np.zeros(prob.dim_z),
                          np.zeros(prob.dim_z)).reshape(-1).view(CountingRow)
         flat.gathers = []
-        outcome(lambda: engine._fire_lanes(bt, flat, blocks, k))
+        outcome(lambda: compiled._fire_lanes(bt, flat, blocks, k))
         assert flat.gathers[0] == rows * blocks.size
 
 
@@ -349,7 +349,7 @@ def test_tilt_width_follows_the_row_counts():
                                  (chord_cycle(64, 2000), 3, True),
                                  ((star.problem, star.reform.partition), 100,
                                   False)]:
-        bt = engine._block_table(prob, part)
+        bt = compiled._block_table(prob, part)
         count, _, x = bt.tails
         assert bt.K == K and set(x[count > 0].tolist()) == ({0} if hub
                                                              else set())
@@ -359,8 +359,9 @@ def test_tilt_width_follows_the_row_counts():
 def test_runs_on_a_chord_hub_equal_reference(monkeypatch, chords):
     """With the hub's rows past K in tails: one seed by level, three seeds
     in lockstep with the shadow probe, and the drift (fired in chunks)."""
-    monkeypatch.setattr(engine, "_BATCH_LANE_LIMIT", CHORD_LIMIT)
+    monkeypatch.setattr(compiled, "_BATCH_LANE_LIMIT", CHORD_LIMIT)
     prob, part = chord_cycle(chords)
+    assert (compiled._block_table(prob, part).tail_terms > 0) == (chords > 0)
     state, dist, ref, wn = drift_case(prob, part, chords)
     assert same_bits(lyapunov_drift(prob, state, part, dist, ref, wn),
                      reference_drift(prob, state, part, dist, ref, wn))
@@ -376,18 +377,18 @@ def test_runs_on_a_chord_hub_equal_reference(monkeypatch, chords):
                                              probes=probes, **start))
 
 
-def kernel_rows(monkeypatch):
-    """Every kernel call's table, row (as the call left it), blocks and
-    iteration."""
+def kernel_rows(monkeypatch, caller):
+    """Every kernel call that code of the module ``caller`` makes: its
+    table, row (as the call left it), blocks and iteration."""
     calls = []
-    fire = engine._fire_lanes
+    fire = compiled._fire_lanes
 
     def spy(bt, flat, blocks, k=None):
         out = fire(bt, flat, blocks, k)
         calls.append((bt, flat.copy(), blocks.tolist(), k))
         return out
 
-    monkeypatch.setattr(engine, "_fire_lanes", spy)
+    monkeypatch.setattr(caller, "_fire_lanes", spy)
     return calls
 
 
@@ -402,7 +403,7 @@ def test_drift_fires_every_block_in_one_kernel_call(monkeypatch, graph):
     else:
         prob, part = cycle_2000()
     state, dist, ref, wn = drift_case(prob, part, 5)
-    calls = kernel_rows(monkeypatch)
+    calls = kernel_rows(monkeypatch, compiled)
     values = []
     rows = diagnostics.lyapunov_rows
 
@@ -435,7 +436,7 @@ def test_step_and_edge_step_fire_one_lane_on_one_row(monkeypatch):
         "consensus-quadratic", a=[1.0, -2.0, 3.0, 0.5, 4.0]), Graph.cycle(5))
     prob, part = bench.problem, bench.reform.partition
     state, dist, _, _ = drift_case(prob, part, 6)
-    calls = kernel_rows(monkeypatch)
+    calls = kernel_rows(monkeypatch, compiled)
     out = step(prob, state, part, dist, RngStream(1))
     edge_step(bench.reform, state, 3)
     (bt, row, blocks, k), (bt2, row2, blocks2, k2) = calls
@@ -475,7 +476,7 @@ TABLES = {
 @lru_cache(maxsize=None)
 def table_of(kind):
     prob, part = TABLES[kind]()
-    bt = engine._block_table(prob, part)
+    bt = compiled._block_table(prob, part)
     prox = bt.prox
     assert {"custom-lanes": any(i >= 0 for i, _ in prox.serial)
             and "is_quad" in prox.args,
@@ -509,7 +510,7 @@ def test_the_binding_fires_as_the_kernel(kind, L, k):
     for _ in range(2):
         blocks = rng.integers(0, bt.idx.shape[1], size=L)
         mag = outcome(lambda: np.concatenate([
-            engine._fire_lanes(bt, want[l], blocks[l:l + 1],
+            compiled._fire_lanes(bt, want[l], blocks[l:l + 1],
                                k if np.ndim(k) == 0 else k[l:l + 1])
             for l in range(L)], axis=1))
         fired = outcome(lambda: kernel.fire(blocks, k).tobytes())
@@ -542,7 +543,7 @@ def test_a_run_without_the_ergodic_probe_keeps_no_sums(monkeypatch, seeds,
         rows.append((bt, flat))
 
     monkeypatch.setattr(compiled._Lanes, "__init__", binding)
-    calls = kernel_rows(monkeypatch)
+    calls = kernel_rows(monkeypatch, engine)
     got = run_batch(prob, part, dist, seeds, 300, stride=stride)
     assert all(k is None for *_, k in calls)
     rows += [(bt, row) for bt, row, _, _ in calls]

@@ -3,7 +3,7 @@
 A seed's row is three segments of equal length: its state, then for each
 state slot the iteration its lazy ergodic sum has reached (``since``),
 then that sum (``acc``). After one call of the block kernel
-(``engine._fire_lanes``, or its binding ``compiled._Lanes``) with an
+(``compiled._fire_lanes``, or its binding ``compiled._Lanes``) with an
 iteration ``k``, every slot of every row that no lane moves keeps its
 bits, in all three segments; every moved slot has ``since == k`` (its
 lane's ``k``) and ``acc == old acc + (k - old since) * old value``, signs
@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from asyncadmm import compiled, engine
 from asyncadmm.errors import AsyncAdmmError
 
-from reference import assert_bits_equal
+from reference import assert_bits_equal, levels_of
 from test_fullpass import KINDS, random_problem, random_vector
 from test_shadow_stack import random_partition
 
@@ -116,8 +116,8 @@ def test_kernel_writes_only_its_slots(data_seed, n, N, hub_rows, uncoupled,
     part = random_partition(rng, prob)
     with pytest.MonkeyPatch.context() as patch:
         if low_limit:
-            patch.setattr(engine, "_BATCH_LANE_LIMIT", 1)
-        bt = engine._block_table(prob, part)
+            patch.setattr(compiled, "_BATCH_LANE_LIMIT", 1)
+        bt = compiled._block_table(prob, part)
     # the table holds each lane's first K rows, its tail the rest
     count, _, x = bt.tails
     rows = np.append(engine._ops(prob).counts, np.zeros(n, int))[x]
@@ -133,10 +133,10 @@ def test_kernel_writes_only_its_slots(data_seed, n, N, hub_rows, uncoupled,
         rows = random_rows(rng, bt, live, 1, k0)
         flat = rows.reshape(-1)
         draws = rng.integers(0, m, size=int(rng.integers(1, 12)))
-        for level in engine._levels(part, draws):
+        for level in levels_of(engine._levels(part, draws)):
             before = rows.copy()
             ks = k0 + 1 + level
-            if not fire(lambda: engine._fire_lanes(bt, flat, draws[level],
+            if not fire(lambda: compiled._fire_lanes(bt, flat, draws[level],
                                                    ks), before, rows):
                 return
             check_call(bt, before, rows,
@@ -148,7 +148,7 @@ def test_kernel_writes_only_its_slots(data_seed, n, N, hub_rows, uncoupled,
         # every block from one state, as the lanes of one call on one row
         rows = random_rows(rng, bt, live, 1, k0)
         before = rows.copy()
-        if fire(lambda: engine._fire_lanes(bt, rows.reshape(-1),
+        if fire(lambda: compiled._fire_lanes(bt, rows.reshape(-1),
                                            np.arange(m)), before, rows):
             check_call(bt, before, rows, [(0, slots, None) for slots in moved],
                        dummy)
@@ -175,7 +175,7 @@ def test_layout_starts_empty_sums():
     rng = np.random.default_rng(5)
     prob = random_problem(rng, 2, 4, ["quadratic", "absdev"] * 2)
     part = random_partition(rng, prob)
-    bt = engine._block_table(prob, part)
+    bt = compiled._block_table(prob, part)
     x, z, p = (random_vector(rng, size)
                for size in (prob.dim_x, prob.dim_z, prob.dim_z))
     row = bt.layout(x, z, p)

@@ -9,7 +9,7 @@ of ``tests/reference.py``: its 1-D pass (``plain_shadow``) and its tally
 first error raised; the tally counter for counter, on lane tables with
 every kind of x lane: closed forms only, one-by-one lanes (``Custom``
 terms, kink coordinates without a coupling row), and a star hub past
-``engine._BATCH_LANE_LIMIT``, whose tail rows each kernel call gathers.
+``compiled._BATCH_LANE_LIMIT``, whose tail rows each kernel call gathers.
 """
 
 from functools import lru_cache
@@ -195,14 +195,14 @@ def star_hub():
     """A star whose lanes padded to the hub's degree would pass the lane
     limit, so its table holds each lane's first row and each kernel call
     gathers the hub's other rows, its tail."""
-    leaves = int(np.sqrt(engine._BATCH_LANE_LIMIT / 2)) + 1
+    leaves = int(np.sqrt(compiled._BATCH_LANE_LIMIT / 2)) + 1
     rng = np.random.default_rng(11)
     bench = generate_benchmark(
         BenchmarkSpec("consensus-quadratic",
                       a=list(rng.uniform(-5.0, 5.0, leaves + 1))),
         star_graph(leaves + 1))
     prob, part = bench.problem, bench.reform.partition
-    table = engine._block_table(prob, part)
+    table = compiled._block_table(prob, part)
     count, _, x = table.tails
     assert table.K == 1 and len(table.idx[table.icol["tilt_p"]]) == table.Cn
     # one tail per block: the hub's (component 0), its rows past the first
