@@ -7,17 +7,17 @@ replayed by ``_CompiledOps.sync_step``: the reference solve,
 ``engine.sync_admm_step`` and ``engine.shadow_step`` all run it.
 
 The block kernel keeps the asynchronous method's promise, one step in
-O(size of the block). ``_fire_lanes`` fires one block per lane on rows of
-a flat state, in place, through a per-partition table built once in time
+O(size of the block). ``_fire_lanes`` fires one block per lane on rows of a
+flat state, in place, through a per-partition table built once in time
 linear in the rows (``_BlockTable``, cached by ``_block_table``): one
-gather of what a call reads, one scatter of what it writes, and its
-constants as one column per block, about 30 array operations over all
-its lanes. A row holds a seed's state, then the ``since`` and ``acc`` of
-its lazy ergodic sums. Each x lane's tilt reads its component's first
-``K`` rows from the table (``_tilt_width``), and a hub's lane the rest,
-its tail, which its call gathers (``_add_tails``). ``_Lanes`` is the
-kernel bound once to a lockstep run's rows; ``_fire_blocks`` fires a
-list of blocks from one state on one row, for ``engine.step``,
+gather of what a call reads, one scatter of what it writes, its constants
+as one column per block, and about 30 array operations over all its lanes,
+with one add per rank of the tilt. A row holds a seed's state, then the
+``since`` and ``acc`` of its lazy ergodic sums. Each x lane's tilt reads
+its component's first ``K`` rows (``_tilt_width``), and a hub's lane the
+rest, its tail, which its call gathers (``_add_tails``). ``_Lanes`` is the
+kernel bound once to a lockstep run's rows; ``_fire_blocks`` fires a list
+of blocks from one state on one row, for ``engine.step``,
 ``consensus.edge_step`` and ``diagnostics.lyapunov_drift``.
 
 Other modules read a table only through its row interface: ``layout``,
@@ -516,15 +516,15 @@ def _fire_lanes(bt: _BlockTable, flat, blocks, k=None):
 
     A call takes its blocks' ``idx`` (the rows it reads), ``const`` and
     ``xsrc`` columns from the table, then makes one gather of everything it
-    reads, one of its lanes' tails, if any, and one scatter of everything
-    it writes: about 30 array operations on contiguous ``(·, L)`` slices
+    reads, one of its lanes' tails, if any, and one scatter of everything it
+    writes: about 30 array operations on contiguous ``(·, L)`` slices
     whatever the number ``L`` of lanes. Each x lane's tilt sums its rows
-    strictly left to right, then its tail from that sum (``np.sum`` would
-    switch to pairwise order on longer rows); :class:`_GroupedProx` solves
-    the lanes, the one-by-one ones after the closed forms in lane order,
-    then the z fit reads the new x of its block's own lanes and the dual
-    step follows: the floating-point operations of one
-    component-by-component block update in its order.
+    strictly left to right, one add per rank (``np.sum`` and
+    ``np.add.reduce`` switch to pairwise order on longer rows), then its tail
+    from that sum; :class:`_GroupedProx` solves the lanes, the one-by-one
+    ones after the closed forms in lane order, then the z fit reads the new x
+    of its block's own lanes and the dual step follows: the floating-point
+    operations of one component-by-component block update in its order.
     With ``k`` (one number for every lane, or one per lane) the call also
     reads the moved slots' lazy ergodic sums and brings them up to
     iteration ``k`` (``acc += (k - since) * old``, ``since = k``); without
@@ -545,11 +545,12 @@ def _fire_lanes(bt: _BlockTable, flat, blocks, k=None):
         xsrc += np.arange(L)
     cc, ic = bt.ccol, bt.icol
     v = flat.take(idx)
-    # x: each lane's tilt against the current z, p, summed in row order
-    # strictly left to right, then its solve
+    # x: each lane's tilt against the current z, p, summed rank by rank
     g = const[cc["coeff"]] * (v[ic["tilt_p"]]
                               - beta * (const[cc["h"]] * v[ic["tilt_z"]]))
-    lin = np.add.accumulate(g.reshape(bt.K, Cn, L))[-1]
+    lin = g[:Cn]
+    for rank in g.reshape(bt.K, Cn, L)[1:]:
+        lin += rank
     if bt.tail_terms:
         _add_tails(bt, flat, idx[m0:], blocks, lin)
     old, out = v[m0:], np.empty((len(idx) - m0, L))
@@ -632,20 +633,20 @@ class _Lanes:
     state row ``l``), with or without the lazy ``ergodic`` sums: a lockstep
     run's kernel, made once per run and fired once per iteration.
 
-    Every operand is a view made once, a named segment of rows of one
-    float or one int scratch array of ``L`` columns (``idx`` holds only
-    the rows the program reads: ``bt.plain`` without the sums), and the
-    prox's calls (``_GroupedProx.calls``) are bound to them. :meth:`fire`
-    copies the blocks in and replays the calls: the takes of the blocks'
-    columns from the table, then ``_fire_lanes``' operations in its order
-    on the same operands, written in place, so every slot it writes and
-    ``mag`` are ``_fire_lanes``' bit for bit. A hub's tails
-    (:func:`_add_tails`) and the one-by-one prox (``_GroupedProx._serial``)
-    are calls of the program too. The program ends with one running
-    maximum of ``mag`` into ``maxima``, the run's ``(M, L)`` array, and
-    the call's largest magnitude into the 0-d ``top``, which the guard
-    reads. The scratch makes the binding neither thread-safe nor
-    reentrant.
+    Every operand is a view made once, a named segment of rows of one float
+    or one int scratch array of ``L`` columns (``idx`` holds only the rows
+    the program reads: ``bt.plain`` without the sums), and the prox's calls
+    (``_GroupedProx.calls``) are bound to them. :meth:`fire` copies the
+    blocks in and replays the calls: the takes of the blocks' columns from
+    the table, then ``_fire_lanes``' operations in its order on the same
+    operands, written in place (the tilt's ``K - 1`` rank adds too), so
+    every slot it writes and ``mag`` are ``_fire_lanes``' bit for bit. A
+    hub's tails (:func:`_add_tails`) and the one-by-one prox
+    (``_GroupedProx._serial``) are calls of the program too. The program
+    ends with one running maximum of ``mag`` into ``maxima``, the run's
+    ``(M, L)`` array, and the call's largest magnitude into the 0-d ``top``,
+    which the guard reads. The scratch makes the binding neither thread-safe
+    nor reentrant.
     """
 
     def __init__(self, bt, flat, L, maxima, ergodic):
@@ -678,9 +679,9 @@ class _Lanes:
                   (np.multiply, (beta, g, g)),
                   (np.subtract, (v[ic["tilt_p"]], g, g)),
                   (np.multiply, (const[cc["coeff"]], g, g))]
-        g3 = g.reshape(K, Cn, L)
-        calls.append((np.add.accumulate, (g3, 0, None, g3)))
-        lin = g[(K - 1) * Cn:]
+        lin = g[:Cn]
+        calls += [(np.add, (lin, rank, lin))
+                  for rank in g.reshape(K, Cn, L)[1:]]
         if bt.tail_terms:
             calls.append((_add_tails, (bt, flat, idx[m0:], blocks, lin)))
         if serial:

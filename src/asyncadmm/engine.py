@@ -272,6 +272,9 @@ _DRAW_CHUNK = 1 << 11
 # one draw per call of the bound kernel, which costs less than _levels and
 # the unbound kernel's calls on so few draws
 _LEVEL_SEGMENT = 8
+# _levels' rounds run up to one level per this many draws, past which one
+# pass in draw order costs less
+_ROUND_DRAWS = 16
 
 
 def _history_rows(width: int) -> int:
@@ -313,51 +316,47 @@ def _levels(partition: ProperPartition, draws):
     the latest of them has the highest level: a draw depends only on the
     latest earlier draw of each of its components, found for every (draw,
     component) pair by one stable sort of the components (their pairs
-    stay in draw order). The levels then follow from one vectorized round
-    per level, in place in scratch made once per call; a segment with
-    more than one level per 32 draws, where those rounds would cost more,
-    takes one pass in draw order instead. The draws touching one
-    component clash in a chain, so the most draws on one component bound
-    the level count from below: a segment whose bound is already past one
-    level per 32 draws goes straight to that pass.
+    stay in draw order). Each round, one per level, takes the levels of a
+    ``(C, L)`` matrix of predecessors (``C`` the most components of a drawn
+    block, padded with the draw ``L`` of level -1) and one maximum down its
+    columns. A segment of over one level per ``_ROUND_DRAWS`` draws (or of
+    a longer chain of draws on one component), or whose matrix would hold
+    over twice its pairs, takes one pass in draw order instead.
     """
     L = draws.size
     first = partition.comp_ptr[draws]
     count = partition.comp_ptr[draws + 1] - first
     ptr = _offsets(count)
     draw = np.repeat(np.arange(L), count)   # per (draw, component) pair
-    comp = partition.comps.take((first - ptr[:-1])[draw] + np.arange(ptr[-1]))
+    at = np.arange(ptr[-1]) - ptr[:-1].take(draw)   # its place in the draw
+    comp = partition.comps.take(first.take(draw) + at)
+    C, rounds = int(count.max()), L // _ROUND_DRAWS
+    if C * L > 2 * ptr[-1] or rounds and np.bincount(comp).max() > rounds:
+        rounds = 0   # too wide to pad, or a chain that needs more levels
     # each pair's predecessor: the latest earlier draw of its component,
     # or L (whose level is -1) when there is none. 8- and 16-bit keys take
     # numpy's radix sort, whose stable order keeps each component's pairs
     # in draw order
     key = comp.astype(np.min_scalar_type(partition.num_components))
     order = np.argsort(key, kind="stable")
-    c, d = key.take(order), draw.take(order)
-    pred = np.full_like(draw, L)
-    pred[order[1:]] = np.where(c[1:] == c[:-1], d[:-1], L)
+    c, d, slot = key.take(order), draw.take(order), order[1:]
+    if rounds:   # the pairs' slots in the (C, L) matrix
+        slot, ptr = (at * L + draw).take(slot), np.arange(0, C * L + 1, C)
+    pred = np.full((C, L) if rounds else ptr[-1], L)
+    pred.reshape(-1)[slot] = np.where(c[1:] == c[:-1], d[:-1], L)
     level = np.append(np.zeros(L, dtype=np.intp), -1)
-    rounds = L // 32
-    if rounds and np.bincount(comp).max() > rounds:
-        rounds = 0   # the draws on one component need more levels
+    run, lv = np.empty_like(pred), level[:L]
     # after round r each draw's level is min(its level, r), so the rounds
-    # end at the first r that no draw reaches. Draw j's pairs are raised
-    # by j (L + 1), above every earlier draw's, so a running maximum ends
-    # each draw's pairs at their own maximum.
-    off, last = draw * (L + 1), ptr[1:] - 1
-    sub = np.arange(L) * (L + 1) - 1
-    run, lv = np.empty_like(draw), level[:L]
+    # end at the first r that no draw reaches
     for r in range(1, rounds + 1):
         level.take(pred, out=run, mode="clip")
-        run += off
-        np.maximum.accumulate(run, out=run)
-        run.take(last, out=lv, mode="clip")
-        lv -= sub
+        np.maximum.reduce(run, 0, None, lv)
+        lv += 1
         if lv.max() < r:
             break
     else:
-        # every predecessor is an earlier draw
-        lev, pred, ptr = level.tolist(), pred.tolist(), ptr.tolist()
+        # every predecessor is an earlier draw; a draw's are its column
+        lev, pred, ptr = level.tolist(), pred.T.ravel().tolist(), ptr.tolist()
         for j in range(L):
             lev[j] = max(map(lev.__getitem__, pred[ptr[j]:ptr[j + 1]])) + 1
         level = np.array(lev)

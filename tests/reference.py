@@ -57,7 +57,7 @@ from asyncadmm import (Graph, PrimalDualState, ProbeFlags, Quadratic,
 from asyncadmm.diagnostics import (RateConstants, WeightedNorm,
                                    weighted_norm_sq)
 from asyncadmm.compiled import _ragged
-from asyncadmm.engine import SHADOW_TOL, _guard_message
+from asyncadmm.engine import SHADOW_TOL, _ROUND_DRAWS, _guard_message
 from asyncadmm.prox import pair_weights, solve_local_prepared
 from asyncadmm.scheduler import _offsets
 from asyncadmm.terms import AbsDev, Box, L1, term_value
@@ -715,9 +715,12 @@ def reference_component_grids(prob, resolution, point_budget):
 
 def reference_levels(partition, draws):
     """One seed's draws grouped by dependency level: vectorized rounds up
-    to one per 32 draws, then, if they have not settled, one pass in draw
-    order. ``engine._levels`` skips the rounds when the longest chain on
-    one component already exceeds that many; its levels must be these."""
+    to one per ``engine._ROUND_DRAWS`` draws, each a running maximum over
+    the (draw, component) pairs, then, if they have not settled, one pass
+    in draw order. ``engine._levels`` skips the rounds when the longest
+    chain on one component already exceeds that many, or when its padded
+    predecessor matrix would hold more than twice the pairs; its levels
+    must be these."""
     L = draws.size
     first = partition.comp_ptr[draws]
     count = partition.comp_ptr[draws + 1] - first
@@ -733,7 +736,7 @@ def reference_levels(partition, draws):
     ptr = _offsets(count)
     off, last = draw * (L + 1), ptr[1:] - 1
     sub = np.arange(L) * (L + 1) - 1
-    for r in range(1, L // 32 + 1):
+    for r in range(1, L // _ROUND_DRAWS + 1):
         run = np.maximum.accumulate(level[pred] + off)
         np.subtract(run[last], sub, out=level[:L])
         if level[:L].max() < r:

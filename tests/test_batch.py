@@ -4,6 +4,7 @@ step() calls (``reference.reference_run``), bit for bit."""
 import bisect
 import json
 import re
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asyncadmm import (BenchmarkSpec, Custom, ExperimentConfig, Free, Graph,
-                       ProbeFlags, ProblemSource, Quadratic, RngStream,
+from asyncadmm import (BenchmarkSpec, ConstraintSystem, Custom,
+                       ExperimentConfig, Free, Graph, ProbeFlags,
+                       ProblemSource, Quadratic, RngStream,
                        build_partition, build_reformulation,
                        derive_probabilities, generate_benchmark,
                        initial_state, prepare_experiment, run_batch,
@@ -776,9 +778,10 @@ def test_levels_are_minimal_conflict_free_calls(monkeypatch, merged):
     ("cycle-2000", 1024, False), ("cycle-2000", 256, False)])
 def test_levels_skip_rounds_they_cannot_finish(graph, L, dense):
     """The draws on one component form a chain, so when the longest chain
-    already needs more levels than the rounds allow (one per 32 draws),
-    ``_levels`` goes straight to the pass in draw order. Dense and sparse
-    segments give the level lists of rounds, then the pass."""
+    already needs more levels than the rounds allow (one per
+    ``_ROUND_DRAWS`` draws), ``_levels`` goes straight to the pass in draw
+    order. Dense and sparse segments give the level lists of rounds, then
+    the pass."""
     kind, nodes = graph.split("-")
     part = generate_benchmark(BenchmarkSpec("consensus-quadratic"),
                               GRAPHS[kind](int(nodes))
@@ -788,12 +791,43 @@ def test_levels_skip_rounds_they_cannot_finish(graph, L, dense):
         draws = rng.integers(0, part.num_blocks, size=L)
         chain = np.bincount(np.concatenate(
             [block_comps(part, b) for b in draws])).max()
-        assert (chain > L // 32) == dense
+        assert (chain > L // engine._ROUND_DRAWS) == dense
         got = levels_of(engine._levels(part, draws))
         want = reference_levels(part, draws)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("wide", [True, False])
+def test_levels_pad_their_predecessors_within_bounds(wide):
+    """A block of 100 components among blocks of one: 2,048 draws over
+    all of them (``wide``), whose predecessor matrix, 100 rows of 2,048
+    draws, would hold 72 times the pairs, or over the one-component
+    blocks alone. The plan equals ``reference_levels`` by dtype and bytes,
+    and the memory one call traces stays within 32 words per pair, so a
+    segment too uneven to pad takes the pass in draw order."""
+    N, hub = 200, 100
+    cs = ConstraintSystem(n=1, N=N, W=2 * N, h_diag=np.ones(2 * N),
+                          entries=[(r, r // 2, 1.0) for r in range(2 * N)])
+    part = build_partition(Free(2 * N), cs, [list(range(0, 2 * hub, 2))]
+                           + [[2 * i + 1] for i in range(hub)]
+                           + [[2 * i, 2 * i + 1] for i in range(hub, N)])
+    draws = np.random.default_rng(2048).integers(0 if wide else 1,
+                                                 part.num_blocks, size=2048)
+    pairs = np.diff(part.comp_ptr)[draws].sum()
+    assert (pairs > 2048) == wide
+    tracemalloc.start()
+    try:
+        plan = engine._levels(part, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    got, want = levels_of(plan), reference_levels(part, draws)
+    assert len(got) == len(want) < 2048 // engine._ROUND_DRAWS
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert peak < 32 * 8 * pairs
 
 
 def test_one_seed_with_uneven_probabilities_on_the_2000_cycle():

@@ -32,8 +32,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asyncadmm import (BenchmarkSpec, Custom, Free, Graph, PrimalDualState,
-                       ProbeFlags, Quadratic, RngStream, build_reformulation,
+from asyncadmm import (BenchmarkSpec, ConstraintSystem, Custom, Free, Graph,
+                       PrimalDualState, ProbeFlags, Quadratic, RngStream,
+                       SeparableProblem, build_partition, build_reformulation,
                        derive_probabilities, generate_benchmark, run_batch,
                        sample_block, step, uniform_probs)
 from asyncadmm import compiled, diagnostics, engine
@@ -41,8 +42,8 @@ from asyncadmm.consensus import edge_step
 from asyncadmm.diagnostics import lyapunov_drift
 
 from reference import (assert_same_run, fire_block, per_block_drift,
-                       plain_lyapunov, reference_drift, reference_run,
-                       star_graph, weighted_norm)
+                       plain_component, plain_lyapunov, reference_drift,
+                       reference_run, star_graph, weighted_norm)
 from test_batch import outcome, random_reference
 from test_fullpass import KINDS, random_problem, random_vector
 from test_shadow_stack import random_partition, star_hub
@@ -523,6 +524,42 @@ def test_the_binding_fires_as_the_kernel(kind, L, k):
             np.maximum(top, np.maximum.reduceat(mag, bt.cuts), out=top)
         assert got.tobytes() == want.tobytes()
         assert np.maximum.reduceat(maxima, bt.cuts).tobytes() == top.tobytes()
+
+
+@pytest.mark.parametrize("L", [1, 3])
+def test_the_tilt_sums_its_rows_left_to_right(L):
+    """Three components, ``n = 1``, each with twelve rows in a block of
+    its own, so ``C n = 1`` and ``K = 12``: each one's tilt terms
+    ``[1e16, 1, ..., 1, -1e16]`` sum to 0 left to right and to 8 pairwise
+    (``np.add.reduce`` over eight or more into a single sum, as for one
+    lane). ``L`` of the blocks, fired by the kernel as lanes on one row
+    and by its binding on a row each, give ``plain_component``'s x and
+    ``fire_block``'s state byte for byte."""
+    N, R = 3, 12
+    cs = ConstraintSystem(n=1, N=N, W=N * R, h_diag=np.ones(N * R),
+                          entries=[(r, r // R, 1.0) for r in range(N * R)])
+    prob = SeparableProblem(terms=(Quadratic([0.5]),) * N,
+                            x_sets=(Free(1),) * N, z_set=Free(N * R),
+                            constraints=cs, beta=1.0)
+    part = build_partition(prob.z_set, cs, np.arange(N * R).reshape(N, R))
+    bt = compiled._block_table(prob, part)
+    assert (bt.Cn, bt.K) == (1, R)
+    p = np.tile([1e16] + [1.0] * (R - 2) + [-1e16], N)
+    start = PrimalDualState(x=np.zeros(N), z=np.zeros(N * R), p=p)
+    blocks, st = np.arange(L), start
+    for b in blocks:
+        st = fire_block(prob, part, st, b)
+        assert (st.x[b:b + 1].tobytes()
+                == plain_component(prob, b, p, start.z).tobytes())
+    eager = bt.layout(start.x, start.z, start.p)
+    compiled._fire_lanes(bt, eager, blocks)
+    assert eager.tobytes() == bt.layout(st.x, st.z, st.p).tobytes()
+    bound = np.tile(bt.layout(start.x, start.z, start.p), (L, 1))
+    compiled._Lanes(bt, bound.reshape(-1), L, np.zeros((bt.M, L)),
+                    False).fire(blocks)
+    for b in blocks:
+        st = fire_block(prob, part, start, b)
+        assert bound[b].tobytes() == bt.layout(st.x, st.z, st.p).tobytes()
 
 
 @pytest.mark.parametrize("seeds, stride", [([3], 9), ([3], 7),
