@@ -3,8 +3,9 @@
 ``_CompiledOps`` holds a problem's arrays, built once per problem
 (``_ops``). The synchronous step is a program, its array operations
 bound once per stack shape and arrays (``_Stacked.program``) and
-replayed by ``_CompiledOps.sync_step``: the reference solve,
-``engine.sync_admm_step`` and ``engine.shadow_step`` all run it.
+replayed by ``_CompiledOps.sync_step``: ``engine.sync_admm_step``,
+``engine.shadow_step`` and the reference solve. Programs chain: each
+reads the H z of its start where the step before it left it.
 
 The block kernel keeps the asynchronous method's promise, one step in
 O(size of the block). ``_fire_lanes`` fires one block per lane on rows of a
@@ -106,12 +107,12 @@ class _CompiledOps:
     @cached_property
     def tilt_order(self):
         """How :meth:`sync_step` sums the tilt of every (component,
-        coordinate) group: ``(rows, coeff, h, first, ranks, tails, pos)``.
+        coordinate) group: ``(rows, coeff, first, ranks, tails, pos)``.
 
         Groups are ordered by decreasing row count, so the groups with more
         than ``r`` rows are a prefix. The terms are laid out by rank for
         the first ``K`` ranks (every group's first row, then every second
-        row, ...): ``rows`` and their ``coeff`` and ``h``. Rank ``r`` adds
+        row, ...): ``rows`` and their ``coeff``. Rank ``r`` adds
         into the sums of the prefix that reaches it, one slice each
         (``ranks``: ``(k, a, b)`` adds terms ``a:b`` into sums ``:k``);
         with ``first`` every group has a row, and rank 0 is the sums
@@ -140,8 +141,7 @@ class _CompiledOps:
         first = int(reach[0] == NN)
         pos = np.empty_like(by_count)
         pos[by_count] = np.arange(NN)
-        return (self.rows[sel], self.coeffs_sorted[sel], self.h_sorted[sel],
-                first,
+        return (self.rows[sel], self.coeffs_sorted[sel], first,
                 [(int(reach[r]), ptr[r], ptr[r + 1]) for r in range(first, K)],
                 list(zip(range(len(ends) - 1), ends[:-1], ends[1:])),
                 None if np.all(by_count[1:] > by_count[:-1]) else pos)
@@ -174,21 +174,22 @@ class _Stacked:
     """One stack shape's constants, scratch and programs of the
     synchronous step.
 
-    The closed forms' arguments, the tilt's and the z fit's coefficients
-    and ``h``, and the z pairs' weights (``pair_w``: ``w_i``, ``w_j``,
-    ``w_i^2 + w_j^2``) are tiled to ``shape + (·,)``, so that no operation
-    broadcasts a 1-D row over a small stack; each entry is the 1-D entry,
-    so every row computes what the 1-D step computes. ``beta`` is a 0-d
-    array, which a ufunc takes faster than a Python float. The z pairs
-    index the last axis, as slices when both step evenly (``views``, as
-    in every consensus problem). The scratch holds every intermediate of
-    a step, with the tilt's rank slices and tails
-    (:attr:`_CompiledOps.tilt_order`) as views made once. :attr:`own`
-    is the program between this shape's own ``src`` and ``out`` arrays.
+    The closed forms' arguments, the tilt's and the z fit's coefficients,
+    ``h`` and the z pairs' fit denominators (``den``, ``w_i^2 + w_j^2``)
+    are tiled to ``shape + (·,)``, so that no operation broadcasts a 1-D
+    row over a small stack; each entry is the 1-D entry, so every row
+    computes what the 1-D step computes. ``beta`` is a 0-d array, which a
+    ufunc takes faster than a Python float. The z pairs index the last
+    axis, as slices when both step evenly (``views``, as in every
+    consensus problem). The scratch holds every intermediate of a step,
+    with the tilt's rank slices and tails (:attr:`_CompiledOps.tilt_order`)
+    as views made once; ``hz`` holds the ``H z`` a program reads, which
+    the step before it left there. :attr:`own` is the program between
+    this shape's own ``src`` (p only) and ``out`` arrays.
     """
 
     def __init__(self, ops: _CompiledOps, shape):
-        rows, coeff, h, self.first, ranks, tails, self.pos = ops.tilt_order
+        rows, coeff, self.first, ranks, tails, self.pos = ops.tilt_order
         NN, W = ops.N * ops.n, ops.W
         self.shape, self.ops = shape, ops
 
@@ -200,11 +201,10 @@ class _Stacked:
 
         self.beta = np.array(ops.beta)
         self.closed = tuple(tile(a) for a in ops.prox.closed)
-        self.rows, self.t_coeff, self.t_h = rows, tile(coeff), tile(h)
+        self.rows, self.t_coeff = rows, tile(coeff)
         self.coeff, self.h = tile(ops.coeff), tile(ops.h)
-        self.pair_w = tuple(tile(a) for a in
-                            pair_weights(ops.h, ops.pair_i, ops.pair_j))
-        self.g, self.gz = scratch(len(rows)), scratch(len(rows))
+        self.den = tile(pair_weights(ops.h, ops.pair_i, ops.pair_j)[2])
+        self.g = scratch(len(rows))
         sums = self.sums = self.g[..., :NN] if self.first else scratch(NN)
         self.ranks = [(sums[..., :k], self.g[..., a:b]) for k, a, b in ranks]
         self.tails = [(sums[..., j:j + 1], self.g[..., a:a + 1],
@@ -212,34 +212,36 @@ class _Stacked:
                       for j, a, b in tails]
         self.l = sums if self.pos is None else scratch(NN)
         self.work = (scratch(NN), scratch(NN))
-        self.dx, self.t, self.hz, self.r = (scratch(W) for _ in range(4))
+        self.dx, self.t, self.tt, self.hz, self.r = np.empty((5, *shape, W))
         self.ti, self.tj = scratch(ops.pair_i.size), scratch(ops.pair_i.size)
         sl = _as_slice(ops.pair_i), _as_slice(ops.pair_j)
         self.views = all(isinstance(i, slice) for i in sl)
         self.pair_i, self.pair_j = sl if self.views else (ops.pair_i,
                                                           ops.pair_j)
-        self.src = (None, scratch(W), scratch(W))
+        self.src = (None, None, scratch(W))
         self.out = (scratch(NN), scratch(W), scratch(W))
 
     def program(self, src, out):
         """One synchronous iteration from the (x, z, p) arrays ``src``
-        (x is not read) into ``out``, of this shape, as calls ``(f, args)``
-        with every array bound; ``r`` receives ``D x + H z``. The calls
-        write into the scratch or ``out``: the tilt and its rank and tail
-        sums, the prox (:meth:`_GroupedProx.calls`), ``D x``, the z fit of
+        into ``out``, of this shape, as calls ``(f, args)`` with every
+        array bound. Of ``src`` only p is read: z is read as its ``H z`` in
+        ``hz``, which every program leaves there for its new z, so that
+        programs chain (:meth:`run` and the reference solve set it for
+        their start). ``r`` receives ``D x + H z``. The calls write into
+        the scratch or ``out``: the tilt and its rank and tail sums, the
+        prox (:meth:`_GroupedProx.calls`), ``D x``, the z fit of
         ``p / beta - D x`` and the dual step, with no temporaries and the
         plain step's elementwise operations in its order, so every iterate
         is that step's bit for bit. Their number depends on neither the
         stack height nor a hub's degree.
         """
-        ops, g, gz, sums = self.ops, self.g, self.gz, self.sums
-        (x, z, p), (_, z0, p0) = out, src
-        dx, t, hz, r, beta = self.dx, self.t, self.hz, self.r, self.beta
-        calls = [(z0.take, (self.rows, -1, gz, "clip")),
-                 (np.multiply, (self.t_h, gz, gz)),
-                 (np.multiply, (beta, gz, gz)),
-                 (p0.take, (self.rows, -1, g, "clip")),
-                 (np.subtract, (g, gz, g)),
+        ops, g, sums = self.ops, self.g, self.sums
+        (x, z, p), p0 = out, src[2]
+        dx, t, tt, hz, beta = self.dx, self.t, self.tt, self.hz, self.beta
+        # the tilt's p - beta (h z) over the rows, then taken in tilt order
+        calls = [(np.multiply, (beta, hz, t)),
+                 (np.subtract, (p0, t, t)),
+                 (t.take, (self.rows, -1, g, "clip")),
                  (np.multiply, (self.t_coeff, g, g))]
         if not self.first:
             calls.append((sums.fill, (-0.0,)))
@@ -255,32 +257,31 @@ class _Stacked:
         calls += [(x.take, (ops.col, -1, dx, "clip")),
                   (np.multiply, (self.coeff, dx, dx)),
                   (np.divide, (p0, beta, t)),
-                  (np.subtract, (t, dx, t)),
-                  (np.divide, (t, self.h, z))]
+                  (np.subtract, (t, dx, t))]
+        if 2 * ops.pair_i.size < ops.W:   # else the fit writes every row
+            calls.append((np.divide, (t, self.h, z)))
         if self.ti.size:
-            (wi, wj, den), ti, tj = self.pair_w, self.ti, self.tj
+            # w_i t_i - w_j t_j, as (h t)_i - (h t)_j
+            ti, tj = self.ti, self.tj
             i, j = (..., self.pair_i), (..., self.pair_j)
+            calls.append((np.multiply, (self.h, t, tt)))
             if self.views:
-                # the pairs step evenly: the fit reads t and writes z as views
-                calls += [(np.multiply, (wi, t[i], ti)),
-                          (np.multiply, (wj, t[j], tj)),
-                          (np.subtract, (ti, tj, ti)),
-                          (np.divide, (ti, den, z[i])),
+                # the pairs step evenly: the fit reads tt and writes z as views
+                calls += [(np.subtract, (tt[i], tt[j], ti)),
+                          (np.divide, (ti, self.den, z[i])),
                           (np.negative, (z[i], z[j]))]
             else:
-                calls += [(t.take, (self.pair_i, -1, ti, "clip")),
-                          (np.multiply, (wi, ti, ti)),
-                          (t.take, (self.pair_j, -1, tj, "clip")),
-                          (np.multiply, (wj, tj, tj)),
+                calls += [(tt.take, (self.pair_i, -1, ti, "clip")),
+                          (tt.take, (self.pair_j, -1, tj, "clip")),
                           (np.subtract, (ti, tj, ti)),
-                          (np.divide, (ti, den, ti)),
+                          (np.divide, (ti, self.den, ti)),
                           (z.__setitem__, (i, ti)),
                           (np.negative, (ti, ti)),
                           (z.__setitem__, (j, ti))]
         return tuple(calls + [(np.multiply, (self.h, z, hz)),
-                              (np.add, (dx, hz, r)),
-                              (np.multiply, (beta, r, hz)),
-                              (np.subtract, (p0, hz, p))])
+                              (np.add, (dx, hz, self.r)),
+                              (np.multiply, (beta, self.r, t)),
+                              (np.subtract, (p0, t, p))])
 
     @cached_property
     def own(self):
@@ -289,8 +290,9 @@ class _Stacked:
 
     def run(self, z, p):
         """``out`` after one step of :attr:`own` from ``z`` and ``p`` (of
-        any real dtype), copied into ``src``."""
-        np.copyto(self.src[1], z)
+        any real dtype, taken as float64): ``H z`` into ``hz`` and p copied
+        into ``src``."""
+        np.multiply(self.h, z, self.hz, dtype=float)
         np.copyto(self.src[2], p)
         self.ops.sync_step(self.own)
         return self.out
@@ -567,8 +569,8 @@ def _fire_lanes(bt: _BlockTable, flat, blocks, k=None):
     new_z = out[Cn:Cn + R]
     if P:
         zi = new_z[:P]
-        np.divide(w[:P] * t[:P] - w[P:2 * P] * t[P:2 * P],
-                  const[cc["pair_den"]], out=zi)
+        np.multiply(w[:2 * P], t[:2 * P], out=t[:2 * P])   # w_i t_i, w_j t_j
+        np.divide(t[:P] - t[P:2 * P], const[cc["pair_den"]], out=zi)
         np.negative(zi, out=new_z[P:2 * P])
     if bt.U:
         np.divide(t[2 * P:], w[2 * P:], out=new_z[2 * P:])
@@ -657,6 +659,7 @@ class _Lanes:
         ints, n = _slices(idx=rows, xsrc=R, blocks=1, at=Cn if serial else 0)
         buf = np.empty((n, L), dtype=np.intp)
         idx, xsrc, blocks, at = (buf[sl] for sl in ints.values())
+        ix = buf[:rows + R]   # idx, then xsrc
         self.blocks = blocks = blocks[0]
         floats, n = _slices(const=len(bt.const), v=rows, g=K * Cn,
                             out=rows - m0, w0=Cn, w1=Cn, ax=R, t=R, s=R, mag=M)
@@ -670,10 +673,11 @@ class _Lanes:
         calls = [(bt.idx[:rows].take, (blocks, 1, idx, "clip")),
                  (bt.const.take, (blocks, 1, const, "clip")),
                  ((bt.xsrc * L).take, (blocks, 1, xsrc, "clip"))]
-        if L > 1:
+        if L > 1:   # one add of the lanes' offsets, laid out at their shape
             lane = np.arange(L)
-            calls += [(np.add, (idx, lane * bt.width, idx)),
-                      (np.add, (xsrc, lane, xsrc))]
+            off = np.concatenate([np.tile(lane * bt.width, (rows, 1)),
+                                  np.tile(lane, (R, 1))])
+            calls.append((np.add, (ix, off, ix)))
         calls += [(flat.take, (idx, None, v, "clip")),
                   (np.multiply, (const[cc["h"]], v[ic["tilt_z"]], g)),
                   (np.multiply, (beta, g, g)),
@@ -702,8 +706,7 @@ class _Lanes:
                   (np.subtract, (t, ax, t))]
         if P:
             ti, tj = t[:P], t[P:2 * P]
-            calls += [(np.multiply, (w[:P], ti, ti)),
-                      (np.multiply, (w[P:2 * P], tj, tj)),
+            calls += [(np.multiply, (w[:2 * P], t[:2 * P], t[:2 * P])),
                       (np.subtract, (ti, tj, ti)),
                       (np.divide, (ti, const[cc["pair_den"]], new_z[:P])),
                       (np.negative, (new_z[:P], new_z[P:2 * P]))]

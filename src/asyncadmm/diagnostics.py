@@ -108,19 +108,22 @@ def solve_reference(prob: SeparableProblem, tol: float = 1e-10,
 
     Each step is the one synchronous step (``_CompiledOps.sync_step``), its
     program bound once per pair of rows of one ``[x | z | p]`` history of
-    32 rows (fewer past 1 MiB), writing the next row. One settle test
-    takes a block of rows, and its settled rows, up to a step that raises,
-    are tested for feasibility in order: the iterate and ``iters`` of a
-    per-iteration loop; the iterate returned is a copy of its row. The
-    final dual iterate serves as the multiplier estimate.
+    32 rows (fewer past 1 MiB), writing the next row; each reads the
+    ``H z`` the step before it left (the start's is set once). One
+    settle test takes a block of rows, and its settled rows, up to a step
+    that raises, are tested for feasibility in order: the iterate and
+    ``iters`` of a per-iteration loop; the iterate returned is a copy of
+    its row. The final dual iterate serves as the multiplier estimate.
     """
     ops = _ops(prob)
     start = initial_state(prob, x0, z0)
     block = _history_rows(ops.width)
     hist = np.empty((block + 1, ops.width))
     views = [np.split(row, ops.cuts) for row in hist]
-    steps = [ops.stacked(()).program(a, b) for a, b in zip(views, views[1:])]
+    s = ops.stacked(())
+    steps = [s.program(a, b) for a, b in zip(views, views[1:])]
     np.concatenate([start.x, start.z, start.p], out=hist[0])
+    np.multiply(s.h, views[0][1], s.hz)
     for done in range(0, max_iters, block):
         n, error = min(block, max_iters - done), None
         try:

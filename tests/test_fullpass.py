@@ -24,7 +24,7 @@ from asyncadmm import compiled, engine
 from asyncadmm.errors import (MissingReference, UnboundedSubproblem,
                              UnsupportedTerm)
 from asyncadmm.problem import TermGroups
-from asyncadmm.prox import _GroupedProx
+from asyncadmm.prox import _GroupedProx, kink_prox
 from reference import (block_comps, block_rows, per_component, plain_shadow,
                        solve_z_prepared, star_graph)
 
@@ -371,6 +371,21 @@ def test_integer_states_step_as_floats():
     assert triple(shadow_step(prob, ints)) == triple(shadow_step(prob, floats))
 
 
+def test_long_double_states_step_as_their_floats():
+    """A wider float state steps as its float64 rounding: ``H z`` is
+    taken of the rounded z, not rounded from a wider product."""
+    rng = np.random.default_rng(10)
+    prob = random_problem(rng, 2, 5, ["quadratic", "absdev", "l1", "absdev",
+                                      "quadratic"], hub_rows=40, z_pairs=True)
+    wide = PrimalDualState(*(rng.normal(size=n).astype(np.longdouble) / 3
+                             for n in (prob.dim_x, prob.dim_z, prob.dim_z)))
+    floats = PrimalDualState(*(a.astype(float) for a in (wide.x, wide.z,
+                                                         wide.p)))
+    assert triple(sync_admm_step(prob, wide)) == \
+        triple(sync_admm_step(prob, floats))
+    assert triple(shadow_step(prob, wide)) == triple(shadow_step(prob, floats))
+
+
 @pytest.mark.parametrize("z_pairs", [True, False], ids=["z-pairs", "z-free"])
 def test_stacks_of_changing_shape_keep_every_row(z_pairs):
     """Stacks of 3, then 5, then 3 rows again: each shape's scratch gives
@@ -533,12 +548,13 @@ def test_sync_trajectory_random_problem(n, z_pairs, seed):
     assert_same_trajectory(prob, start)
 
 
-def reference_solve(prob, tol=1e-10, max_iters=200_000, feasible=1e-6):
+def reference_solve(prob, tol=1e-10, max_iters=200_000, feasible=1e-6,
+                    x0=None, z0=None):
     """The reference solve with three maxima per settle test, one
     iteration at a time. Returns the state and its iteration count; with
     ``feasible = inf``, the first iteration that settles."""
     ops = compiled._CompiledOps(prob)
-    state = initial_state(prob)
+    state = initial_state(prob, x0, z0)
     for k in range(1, max_iters + 1):
         nxt = reference_sync_step(prob, state, ops)
         delta = max(float(np.max(np.abs(nxt.x - state.x))),
@@ -581,10 +597,81 @@ def counting_steps(monkeypatch, fail_at=None):
     return calls
 
 
-@pytest.mark.parametrize("name", ["consensus-quadratic", "consensus-lad",
-                                  "lasso-toy"])
+BENCHMARK_NAMES = ("consensus-quadratic", "consensus-lad", "lasso-toy")
+REFERENCE_CASES = ("z-free", "take-pairs", "hub", "unsettled")
+
+
+def reference_case(case):
+    """A problem for the reference solve and the solve's start: a
+    benchmark problem on a 5-cycle (every row in a pair that steps
+    evenly, so the fit writes every row and no divide comes first),
+    ``z-free`` (every row unpaired, so the z fit divides every row),
+    ``take-pairs`` (pairs that do not step evenly, which the fit takes
+    and puts), ``hub`` (a hub with rows past the other components'
+    ranks, its tail) and ``unsettled`` (a random start, so the first
+    step's ``H z`` is not zero)."""
+    if case in BENCHMARK_NAMES:
+        return benchmark_problem(case, nodes=5), {}
+    rng = np.random.default_rng(7)
+    if case == "unsettled":
+        prob = benchmark_problem("consensus-lad", nodes=5)
+        return prob, dict(x0=random_vector(rng, prob.dim_x),
+                          z0=random_vector(rng, prob.dim_z))
+    hub = case == "hub"
+    prob = random_problem(rng, 1, 3 if hub else 5,
+                          ["quadratic", "absdev", "l1", "absdev", "quadratic"],
+                          hub_rows=40 if hub else 0, z_pairs=case != "z-free")
+    s = engine._ops(prob).stacked(())
+    assert {"z-free": s.ti.size == 0, "take-pairs": not s.views,
+            "hub": len(s.tails) > 0}[case]
+    return prob, {}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES + REFERENCE_CASES)
 def test_solve_reference_equals_reference_loop(name):
-    assert_same_reference(benchmark_problem(name, nodes=5))
+    """The reference solve's steps are chained (each reads the ``H z`` the
+    step before it left), on every path of the z fit and the tilt."""
+    prob, start = reference_case(name)
+    assert assert_same_reference(prob, **start) > 1
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_chained_steps_equal_one_off_steps(case):
+    """Programs chained as the reference solve chains them, from ``H z``
+    set once, give the bytes of one-off steps (which set ``H z`` from z)
+    from the same states, ``r`` and the carried ``H z`` included."""
+    prob, start = reference_case(case)
+    ops = compiled._CompiledOps(prob)   # scratch apart from the engine's
+    s = ops.stacked(())
+    state = initial_state(prob, **start)
+    state.p[:] = random_vector(np.random.default_rng(8), prob.dim_z)
+    hist = np.empty((6, ops.width))
+    hist[0] = stacked(state)
+    views = [np.split(row, ops.cuts) for row in hist]
+    steps = [s.program(a, b) for a, b in zip(views, views[1:])]
+    np.multiply(s.h, views[0][1], s.hz)
+    alone = engine._ops(prob).stacked(())
+    for i, program in enumerate(steps):
+        ops.sync_step(program)
+        state = sync_admm_step(prob, state)
+        assert hist[i + 1].tobytes() == stacked(state).tobytes()
+        assert s.r.tobytes() == alone.r.tobytes()
+        assert s.hz.tobytes() == alone.hz.tobytes()
+
+
+def test_lad_audit_step_calls():
+    """The benchmark's lad-audit problem (absolute deviations on a
+    20-cycle, every row in a z pair that steps evenly): a step is 18
+    bound calls, one of them ``kink_prox`` with its 10 ufunc calls, so a
+    chained step makes 27 numpy calls (a one-off step 28: ``run`` computes
+    ``H z`` first)."""
+    rng = np.random.default_rng(0)
+    bench = generate_benchmark(
+        BenchmarkSpec("consensus-lad", a=list(rng.uniform(-5.0, 5.0, 20))),
+        Graph.cycle(20))
+    s = engine._ops(bench.problem).stacked(())
+    assert len(s.own) == 18
+    assert [f for f, _ in s.own].count(kink_prox) == 1
 
 
 def test_solve_reference_settles_on_the_first_iteration():
